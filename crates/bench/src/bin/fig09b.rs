@@ -21,8 +21,8 @@ fn breakdown_row(
     let warmup = (2 * w).min(tuples.len());
     op.run(&tuples[..warmup], false);
     let (stats, _) = op.run(&tuples[warmup..], false);
-    // The breakdown counts every processed tuple (warm-up included), so its
-    // own tuple counter is the right denominator.
+    // The breakdown covers the measured call only, its tuple counter
+    // included.
     let b = stats.breakdown.clone();
     Step::ALL
         .iter()

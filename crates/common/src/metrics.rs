@@ -113,6 +113,17 @@ impl CostBreakdown {
         Duration::from_nanos(self.nanos.iter().sum())
     }
 
+    /// What was recorded after `earlier`, an older copy of this breakdown.
+    pub fn since(&self, earlier: &CostBreakdown) -> CostBreakdown {
+        let mut delta = self.clone();
+        for i in 0..5 {
+            delta.nanos[i] -= earlier.nanos[i];
+            delta.counts[i] -= earlier.counts[i];
+        }
+        delta.tuples -= earlier.tuples;
+        delta
+    }
+
     /// Merges another breakdown into this one (used to aggregate per-thread
     /// breakdowns).
     pub fn merge_from(&mut self, other: &CostBreakdown) {

@@ -11,7 +11,8 @@ pub struct PimFootprint {
     pub ts_leaf_bytes: usize,
     /// Payload bytes of the immutable component's inner key array.
     pub ts_inner_bytes: usize,
-    /// Payload bytes of the mutable component (all partitions).
+    /// Payload bytes of the mutable component (all partitions): the entries
+    /// of every flat run, plus the inner nodes of runs promoted to a B+-Tree.
     pub ti_bytes: usize,
     /// Bytes of the merge buffer: while a (non-blocking) merge is running, a
     /// second sorted array of up to `(1 + m) · w` entries coexists with the

@@ -2,8 +2,9 @@
 //!
 //! Both structures combine
 //!
-//! * a **mutable component** `TI` (one or more classic B+-Trees) that absorbs
-//!   every newly arrived tuple, and
+//! * a **mutable component** `TI` (a classic B+-Tree in the IM-Tree, one
+//!   short sorted run per partition in the PIM-Tree) that absorbs every newly
+//!   arrived tuple, and
 //! * an **immutable component** `TS` (a CSS-Tree) that holds the bulk of the
 //!   window and is only ever rebuilt wholesale,
 //!
@@ -15,10 +16,13 @@
 //! its update efficiency (§3.2).
 //!
 //! The [`PimTree`] extends the [`ImTree`] by splitting `TI` into one
-//! sub-B+-Tree per inner node of `TS` at the *insertion depth* `DI`. Each
+//! partition per inner node of `TS` at the *insertion depth* `DI`. Each
 //! partition has its own lock, `TS` is immutable and therefore read without
 //! any synchronisation, and the partition ranges adapt to the data
-//! distribution at every merge (§3.3).
+//! distribution at every merge (§3.3). A partition holds a few dozen entries
+//! between merges, so it is a sorted array rather than the paper's
+//! sub-B+-Tree, and becomes one only when skew makes it outgrow a fixed
+//! length (see `pim.rs`).
 //!
 //! Merge execution comes in two flavours (§4.2): a simple blocking merge, and
 //! a two-phase non-blocking merge whose building blocks
@@ -33,4 +37,4 @@ pub mod pim;
 pub use footprint::PimFootprint;
 pub use im::ImTree;
 pub use merge::MergeReport;
-pub use pim::{PimTree, PreparedMerge};
+pub use pim::{PimTree, PreparedMerge, RetiredGeneration};

@@ -1,11 +1,11 @@
 //! The Partitioned In-memory Merge-Tree (PIM-Tree, §3.3): the paper's
 //! concurrent sliding-window index.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use parking_lot::{Mutex, RwLock};
-use pimtree_btree::{BTreeIndex, Entry};
+use parking_lot::{Mutex, MutexGuard, RwLock};
+use pimtree_btree::{bulk, BTreeIndex, Entry};
 use pimtree_common::{
     CostBreakdown, Key, KeyRange, PimConfig, ProbeConfig, ProbeCounters, Seq, Step,
 };
@@ -14,20 +14,114 @@ use pimtree_css::CssTree;
 use crate::footprint::PimFootprint;
 use crate::merge::{build_ts, merge_live, MergeReport};
 
-/// One mutable partition: a sub-B+-Tree guarded by its own lock, plus an
-/// insert counter used by the skew experiments (Figure 13a).
+/// Largest flat run a partition holds. The insert that would grow a run past
+/// this bulk-loads it into a B+-Tree, which it stays until the next merge.
+///
+/// Between two merges a partition of a populated `TS` receives about
+/// `merge_threshold / partitions` entries (32 at the paper's fan-out 32 and
+/// `DI = 3`), far below the constant: a sorted run read front to back beats a
+/// tree there. A partition only outgrows it when the keys have drifted away
+/// from the distribution `TS` was built on (or before the first merge, when
+/// there is a single partition), and then an insert into a flat run would
+/// cost a memmove linear in the skew; the tree keeps it logarithmic.
+pub(crate) const RUN_PROMOTE_LEN: usize = 256;
+
+/// The sorted contents of one mutable partition.
 #[derive(Debug)]
-struct Partition {
-    tree: Mutex<BTreeIndex>,
-    inserts: AtomicU64,
+enum Run {
+    /// One sorted array, searched with `partition_point`.
+    Flat(Vec<Entry>),
+    /// A run that outgrew [`RUN_PROMOTE_LEN`]. Boxed so the partition header
+    /// stays within one cache line.
+    Tree(Box<BTreeIndex>),
 }
 
-impl Partition {
-    fn new(fanout: usize) -> Self {
-        Partition {
-            tree: Mutex::new(BTreeIndex::with_fanout(fanout)),
-            inserts: AtomicU64::new(0),
+impl Run {
+    /// Inserts `entry`, keeping `(key, seq)` order. An empty flat run is
+    /// reserved to `reserve` entries first; `fanout` is the node size of the
+    /// tree a promotion builds.
+    fn insert(&mut self, entry: Entry, reserve: usize, fanout: usize) {
+        match self {
+            Run::Flat(run) if run.len() < RUN_PROMOTE_LEN => {
+                if run.capacity() == 0 {
+                    run.reserve_exact(reserve);
+                }
+                let at = run.partition_point(|e| *e < entry);
+                run.insert(at, entry);
+            }
+            Run::Flat(run) => {
+                let mut tree = bulk::from_sorted_with_fanout(std::mem::take(run), fanout);
+                tree.insert_entry(entry);
+                *self = Run::Tree(Box::new(tree));
+            }
+            Run::Tree(tree) => tree.insert_entry(entry),
         }
+    }
+
+    /// Calls `f` for every entry whose key lies in `range`, ascending.
+    #[inline]
+    fn range_for_each<F: FnMut(Entry)>(&self, range: KeyRange, mut f: F) {
+        match self {
+            Run::Flat(run) => {
+                let from = run.partition_point(|e| e.key < range.lo);
+                for &e in &run[from..] {
+                    if e.key > range.hi {
+                        break;
+                    }
+                    f(e);
+                }
+            }
+            Run::Tree(tree) => tree.range_for_each(range, f),
+        }
+    }
+
+    /// Appends every entry to `out`, ascending.
+    fn append_to(&self, out: &mut Vec<Entry>) {
+        match self {
+            Run::Flat(run) => out.extend_from_slice(run),
+            Run::Tree(tree) => tree.for_each(|e| out.push(e)),
+        }
+    }
+
+    /// `(entries, payload bytes)`, payload counted as the B+-Tree counts it.
+    fn footprint(&self) -> (usize, usize) {
+        match self {
+            Run::Flat(run) => (run.len(), std::mem::size_of_val(run.as_slice())),
+            Run::Tree(tree) => {
+                let s = tree.stats();
+                (s.entries, s.total_bytes())
+            }
+        }
+    }
+}
+
+/// What a partition's lock guards: its run, and the insert counter of the
+/// skew experiments (Figure 13a), which shares the lock's cache line instead
+/// of costing an atomic of its own.
+#[derive(Debug)]
+struct PartitionState {
+    run: Run,
+    inserts: u64,
+}
+
+/// One mutable partition. Aligned so that neighbouring partitions, which
+/// different threads lock at the same time, never share a cache line.
+#[derive(Debug)]
+#[repr(align(64))]
+struct Partition(Mutex<PartitionState>);
+
+impl Partition {
+    /// An empty partition; allocates nothing.
+    fn new() -> Self {
+        Partition(Mutex::new(PartitionState {
+            run: Run::Flat(Vec::new()),
+            inserts: 0,
+        }))
+    }
+
+    #[inline]
+    fn lock(&self) -> MutexGuard<'_, PartitionState> {
+        self.0.lock()
     }
 }
 
@@ -41,10 +135,15 @@ struct Generation {
     /// of inner levels actually present in `TS`).
     depth: usize,
     partitions: Vec<Partition>,
+    /// Entries a partition's run is reserved to on its first insert: the
+    /// fill a uniformly fed partition reaches by the next merge, so that run
+    /// never re-allocates on the way there.
+    run_reserve: usize,
     ti_len: AtomicUsize,
 }
 
 impl Generation {
+    /// Allocates the partition table and nothing per partition.
     fn new(config: &PimConfig, ts: CssTree) -> Self {
         let depth = config.insertion_depth.min(ts.inner_levels());
         let count = if ts.is_empty() {
@@ -52,13 +151,11 @@ impl Generation {
         } else {
             ts.nodes_at_depth(depth)
         };
-        let partitions = (0..count)
-            .map(|_| Partition::new(config.btree_fanout))
-            .collect();
         Generation {
             ts,
             depth,
-            partitions,
+            partitions: (0..count).map(|_| Partition::new()).collect(),
+            run_reserve: (config.merge_threshold() / count).clamp(4, RUN_PROMOTE_LEN),
             ti_len: AtomicUsize::new(0),
         }
     }
@@ -72,13 +169,21 @@ impl Generation {
         }
     }
 
+    /// Routes `entry` to its partition and inserts it under that
+    /// partition's lock (Algorithm 1). The caller accounts for `ti_len`.
+    #[inline]
+    fn insert(&self, entry: Entry, fanout: usize) {
+        let mut part = self.partitions[self.route(entry)].lock();
+        part.inserts += 1;
+        part.run.insert(entry, self.run_reserve, fanout);
+    }
+
     /// Sorted snapshot of the mutable component (partitions are disjoint,
-    /// ascending key ranges, so concatenation preserves order).
+    /// ascending key ranges, so concatenating their runs preserves order).
     fn ti_snapshot(&self) -> Vec<Entry> {
         let mut out = Vec::with_capacity(self.ti_len.load(Ordering::Relaxed));
         for p in &self.partitions {
-            let tree = p.tree.lock();
-            tree.for_each(|e| out.push(e));
+            p.lock().run.append_to(&mut out);
         }
         debug_assert!(
             out.windows(2).all(|w| w[0] <= w[1]),
@@ -99,8 +204,7 @@ fn probe_generation(gen: &Generation, range: KeyRange, f: &mut dyn FnMut(Entry))
     let p_lo = gen.route(Entry::min_for_key(range.lo));
     let p_hi = gen.route(Entry::max_for_key(range.hi));
     for p in p_lo..=p_hi {
-        let tree = gen.partitions[p].tree.lock();
-        tree.range_for_each(range, &mut *f);
+        gen.partitions[p].lock().run.range_for_each(range, &mut *f);
     }
 }
 
@@ -141,6 +245,12 @@ impl PreparedMerge {
         self.report.new_len
     }
 }
+
+/// The generation a merge replaced, returned by [`PimTree::install_merge`].
+/// Dropping it frees the old `TS` and one run per partition, which the
+/// caller does after it has let the other threads go on.
+#[derive(Debug)]
+pub struct RetiredGeneration(#[allow(dead_code)] Generation); // held only to be dropped
 
 /// The Partitioned In-memory Merge-Tree.
 ///
@@ -217,14 +327,8 @@ impl PimTree {
     /// depth, then insert into the corresponding partition under its lock
     /// (Algorithm 1).
     pub fn insert(&self, key: Key, seq: Seq) {
-        let entry = Entry::new(key, seq);
         let gen = self.current.read();
-        let p = gen.route(entry);
-        gen.partitions[p].inserts.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut tree = gen.partitions[p].tree.lock();
-            tree.insert_entry(entry);
-        }
+        gen.insert(Entry::new(key, seq), self.config.btree_fanout);
         gen.ti_len.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -241,11 +345,7 @@ impl PimTree {
         }
         let gen = self.current.read();
         for &(key, seq) in entries {
-            let entry = Entry::new(key, seq);
-            let p = gen.route(entry);
-            gen.partitions[p].inserts.fetch_add(1, Ordering::Relaxed);
-            let mut tree = gen.partitions[p].tree.lock();
-            tree.insert_entry(entry);
+            gen.insert(Entry::new(key, seq), self.config.btree_fanout);
         }
         gen.ti_len.fetch_add(entries.len(), Ordering::Relaxed);
     }
@@ -423,13 +523,13 @@ impl PimTree {
             let mut k = 0;
             while k < s.pairs.len() {
                 let p = s.pairs[k].0;
-                let tree = gen.partitions[p].tree.lock();
+                let part = gen.partitions[p].lock();
                 counters.ti_partition_locks += 1;
                 while k < s.pairs.len() && s.pairs[k].0 == p {
                     let j = s.pairs[k].1;
                     let range = s.uniq[j];
                     let group = &s.order[s.starts[j]..s.starts[j + 1]];
-                    tree.range_for_each(range, |e| {
+                    part.run.range_for_each(range, |e| {
                         for &i in group {
                             f(i, e);
                         }
@@ -532,11 +632,11 @@ impl PimTree {
         let mut k = 0;
         while k < s.pairs.len() {
             let p = s.pairs[k].0;
-            let tree = gen.partitions[p].tree.lock();
+            let part = gen.partitions[p].lock();
             counters.ti_partition_locks += 1;
             while k < s.pairs.len() && s.pairs[k].0 == p {
                 let j = s.pairs[k].1;
-                tree.range_for_each(ranges[j], |e| f(j, e));
+                part.run.range_for_each(ranges[j], |e| f(j, e));
                 k += 1;
             }
         }
@@ -591,8 +691,7 @@ impl PimTree {
         }
         if gen.ti_len.load(Ordering::Relaxed) > 0 {
             for p in p_lo..=p_hi {
-                let tree = gen.partitions[p].tree.lock();
-                tree.range_for_each(range, |e| {
+                gen.partitions[p].lock().run.range_for_each(range, |e| {
                     if e.seq >= earliest_live {
                         out.push(e);
                     }
@@ -619,9 +718,9 @@ impl PimTree {
         let new_len = merged.len();
         let new_gen = Generation::new(&self.config, build_ts(&self.config, merged));
         let partitions = new_gen.partitions.len();
-        let old = std::mem::replace(&mut *guard, new_gen);
+        let mut old = std::mem::replace(&mut *guard, new_gen);
         drop(guard);
-        self.fold_retired_counters(&old);
+        self.fold_retired_counters(&mut old);
         MergeReport {
             duration: started.elapsed(),
             kept_from_ts,
@@ -663,28 +762,32 @@ impl PimTree {
     /// Phase 2 of the non-blocking merge: atomically swap in the prepared
     /// generation. Pending tuples buffered during phase 1 are re-inserted by
     /// the caller afterwards (they become ordinary inserts into the fresh
-    /// partitions).
-    pub fn install_merge(&self, prepared: PreparedMerge) -> MergeReport {
+    /// partitions). The replaced generation is handed back instead of being
+    /// dropped here, because the caller holds every other thread quiescent
+    /// around this call.
+    pub fn install_merge(&self, prepared: PreparedMerge) -> (MergeReport, RetiredGeneration) {
         let PreparedMerge {
             generation,
             mut report,
             started,
         } = prepared;
         let mut guard = self.current.write();
-        let old = std::mem::replace(&mut *guard, generation);
+        let mut old = std::mem::replace(&mut *guard, generation);
         drop(guard);
-        self.fold_retired_counters(&old);
+        self.fold_retired_counters(&mut old);
         report.duration = started.elapsed();
-        report
+        (report, RetiredGeneration(old))
     }
 
-    fn fold_retired_counters(&self, old: &Generation) {
+    /// `old` is owned, so its counters are read through the locks, not under
+    /// them.
+    fn fold_retired_counters(&self, old: &mut Generation) {
         let mut retired = self.retired_inserts.lock();
         if retired.len() < old.partitions.len() {
             retired.resize(old.partitions.len(), 0);
         }
-        for (i, p) in old.partitions.iter().enumerate() {
-            retired[i] += p.inserts.load(Ordering::Relaxed);
+        for (sum, p) in retired.iter_mut().zip(&mut old.partitions) {
+            *sum += p.0.get_mut().inserts;
         }
     }
 
@@ -698,8 +801,8 @@ impl PimTree {
         for (i, &c) in retired.iter().enumerate() {
             hist[i] += c;
         }
-        for (i, p) in gen.partitions.iter().enumerate() {
-            hist[i] += p.inserts.load(Ordering::Relaxed);
+        for (sum, p) in hist.iter_mut().zip(&gen.partitions) {
+            *sum += p.lock().inserts;
         }
         hist
     }
@@ -710,7 +813,7 @@ impl PimTree {
         self.retired_inserts.lock().clear();
         let gen = self.current.read();
         for p in &gen.partitions {
-            p.inserts.store(0, Ordering::Relaxed);
+            p.lock().inserts = 0;
         }
     }
 
@@ -723,10 +826,9 @@ impl PimTree {
         let mut ti_bytes = 0usize;
         let mut ti_entries = 0usize;
         for p in &gen.partitions {
-            let tree = p.tree.lock();
-            let s = tree.stats();
-            ti_bytes += s.total_bytes();
-            ti_entries += s.entries;
+            let (entries, bytes) = p.lock().run.footprint();
+            ti_entries += entries;
+            ti_bytes += bytes;
         }
         let entry = std::mem::size_of::<Entry>();
         PimFootprint {
@@ -861,7 +963,7 @@ mod tests {
         assert_eq!(during.len(), before.len());
         assert_eq!(t.ts_len(), 0, "old generation still installed");
         // Phase 2: install.
-        let report = t.install_merge(prepared);
+        let (report, _retired) = t.install_merge(prepared);
         assert_eq!(report.new_len, 256);
         assert_eq!(t.ts_len(), 256);
         assert_eq!(t.ti_len(), 0);
@@ -882,7 +984,7 @@ mod tests {
         let prepared = t.begin_merge(0);
         // These two tuples arrive during phase 1; the engine buffers them and
         // re-applies them after installation.
-        t.install_merge(prepared);
+        let _ = t.install_merge(prepared);
         t.insert(1000, 64);
         t.insert(1001, 65);
         let got = t.range_collect_live(KeyRange::new(1000, 1001), 0);
@@ -1250,5 +1352,250 @@ mod tests {
     #[should_panic(expected = "invalid PIM-Tree configuration")]
     fn invalid_config_rejected() {
         let _ = PimTree::new(PimConfig::for_window(16).with_merge_ratio(0.0));
+    }
+
+    impl PimTree {
+        /// Partitions of the current generation whose run is a tree.
+        fn promoted_partitions(&self) -> usize {
+            let gen = self.current.read();
+            gen.partitions
+                .iter()
+                .filter(|p| matches!(p.lock().run, Run::Tree(_)))
+                .count()
+        }
+    }
+
+    #[test]
+    fn partition_header_is_one_cache_line() {
+        assert_eq!(std::mem::size_of::<Partition>(), 64);
+        assert_eq!(std::mem::align_of::<Partition>(), 64);
+    }
+
+    #[test]
+    fn skewed_partition_is_promoted_and_uniform_ones_are_not() {
+        // 64 partitions (fan-out 8, depth 2): filled uniformly, each ends a
+        // generation with a quarter of `RUN_PROMOTE_LEN`.
+        let w = 16 * RUN_PROMOTE_LEN;
+        let t = PimTree::new(config(w, 1.0, 2));
+        for i in 0..w as i64 {
+            t.insert(i, i as Seq);
+        }
+        assert_eq!(
+            t.promoted_partitions(),
+            1,
+            "before the first merge everything lands in the one partition"
+        );
+        t.merge(0);
+        assert_eq!(t.partition_count(), 64);
+        // Uniform: the keys TS was built on, once more, up to the threshold.
+        for i in 0..w as i64 {
+            t.insert(i, (w as i64 + i) as Seq);
+        }
+        assert!(t.needs_merge());
+        assert_eq!(t.promoted_partitions(), 0, "uniform fill stays flat");
+        t.merge(w as Seq);
+        // Skew: every key beyond the largest one TS holds, so all of them
+        // route to the last partition. Exactly at the constant it is still
+        // flat; one more promotes it, and only it.
+        let skewed = |n: usize| {
+            for i in 0..n as i64 {
+                t.insert(w as i64 + i, (2 * w as i64 + i) as Seq);
+            }
+        };
+        skewed(RUN_PROMOTE_LEN);
+        assert_eq!(t.promoted_partitions(), 0);
+        t.insert(i64::MAX, 3 * w as Seq);
+        assert_eq!(t.promoted_partitions(), 1);
+        assert_eq!(t.ti_len(), RUN_PROMOTE_LEN + 1);
+        let hist = t.insert_histogram();
+        assert_eq!(
+            hist.iter().sum::<u64>(),
+            (2 * w + RUN_PROMOTE_LEN + 1) as u64
+        );
+        // The promoted run merges like any other.
+        let report = t.merge(w as Seq);
+        assert_eq!(report.from_ti, RUN_PROMOTE_LEN + 1);
+        assert_eq!(t.promoted_partitions(), 0);
+    }
+
+    #[test]
+    fn skewed_inserts_race_probes_across_the_promotion() {
+        // Empty TS: one partition takes every insert, from two threads,
+        // while two more probe it; it is promoted a quarter of the way in.
+        let n = 4 * RUN_PROMOTE_LEN as i64;
+        let t = Arc::new(PimTree::new(config(n as usize, 1.0, 3)));
+        let start = Arc::new(std::sync::Barrier::new(4));
+        std::thread::scope(|scope| {
+            for tid in 0..2i64 {
+                let (t, start) = (Arc::clone(&t), Arc::clone(&start));
+                scope.spawn(move || {
+                    start.wait();
+                    for i in (tid..n).step_by(2) {
+                        // Duplicate keys, both domain edges included.
+                        let key = match i % 7 {
+                            0 => Key::MIN,
+                            1 => Key::MAX,
+                            _ => i % 50,
+                        };
+                        t.insert(key, i as Seq);
+                    }
+                });
+            }
+            for _ in 0..2 {
+                let (t, start) = (Arc::clone(&t), Arc::clone(&start));
+                scope.spawn(move || {
+                    start.wait();
+                    while t.ti_len() < n as usize {
+                        let mut last = None;
+                        t.range_for_each(KeyRange::new(Key::MIN, Key::MAX), |e| {
+                            assert!(last <= Some(e), "probe saw {e:?} after {last:?}");
+                            last = Some(e);
+                        });
+                    }
+                });
+            }
+        });
+        assert_eq!(t.partition_count(), 1);
+        assert_eq!(t.promoted_partitions(), 1);
+        let mut oracle: Vec<Entry> = (0..n)
+            .map(|i| {
+                let key = match i % 7 {
+                    0 => Key::MIN,
+                    1 => Key::MAX,
+                    _ => i % 50,
+                };
+                Entry::new(key, i as Seq)
+            })
+            .collect();
+        oracle.sort();
+        let mut got = Vec::new();
+        t.range_for_each(KeyRange::new(Key::MIN, Key::MAX), |e| got.push(e));
+        assert_eq!(got, oracle);
+        let mut edge = Vec::new();
+        t.range_for_each(KeyRange::point(Key::MAX), |e| edge.push(e));
+        assert_eq!(
+            edge.len(),
+            oracle.iter().filter(|e| e.key == Key::MAX).count()
+        );
+        assert_eq!(t.insert_histogram(), vec![n as u64]);
+        let f = t.footprint();
+        assert_eq!(f.entries, n as usize);
+        assert!(
+            f.ti_bytes >= n as usize * std::mem::size_of::<Entry>(),
+            "a promoted run reports its leaves and its inner nodes"
+        );
+    }
+
+    #[test]
+    fn footprint_is_continuous_across_the_promotion() {
+        let t = PimTree::new(config(4 * RUN_PROMOTE_LEN, 1.0, 2));
+        let entry = std::mem::size_of::<Entry>();
+        for i in 0..RUN_PROMOTE_LEN as i64 {
+            t.insert(i, i as Seq);
+        }
+        let flat = t.footprint();
+        assert_eq!(t.promoted_partitions(), 0);
+        assert_eq!(flat.entries, RUN_PROMOTE_LEN);
+        assert_eq!(flat.ti_bytes, RUN_PROMOTE_LEN * entry);
+        t.insert(-1, RUN_PROMOTE_LEN as Seq);
+        let tree = t.footprint();
+        assert_eq!(t.promoted_partitions(), 1);
+        assert_eq!(tree.entries, RUN_PROMOTE_LEN + 1);
+        // Same leaves' worth of payload, plus the new inner nodes: at fan-out
+        // 8 those are well under a third of the leaves.
+        let leaves = (RUN_PROMOTE_LEN + 1) * entry;
+        assert!(tree.ti_bytes > leaves && tree.ti_bytes < leaves + leaves / 3);
+        assert_eq!(tree.merge_buffer_bytes, (RUN_PROMOTE_LEN + 1) * entry);
+    }
+
+    mod run_properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn key() -> impl Strategy<Value = Key> {
+            // Few distinct keys, so most inserts duplicate one, and both
+            // ends of the domain.
+            prop::sample::select(vec![
+                Key::MIN,
+                Key::MIN + 1,
+                -3,
+                0,
+                1,
+                2,
+                5,
+                Key::MAX - 1,
+                Key::MAX,
+            ])
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// A run answers every operation like a B+-Tree and like a sorted
+            /// array, whichever side of the promotion it is on, and crosses
+            /// it in the middle of the interleaving.
+            #[test]
+            fn run_matches_btree_and_sorted_vec(
+                prefill in prop::sample::select(vec![
+                    0,
+                    1,
+                    RUN_PROMOTE_LEN - 1,
+                    RUN_PROMOTE_LEN,
+                    RUN_PROMOTE_LEN + 1,
+                ]),
+                prefill_keys in prop::collection::vec(key(), RUN_PROMOTE_LEN + 1..RUN_PROMOTE_LEN + 2),
+                // (what: 0-5 insert `a`, 6-8 probe `[a, b]`, 9 read all; a; b)
+                ops in prop::collection::vec((0usize..10, key(), key()), 1..48),
+            ) {
+                let fanout = 8;
+                let mut run = Run::Flat(Vec::new());
+                let mut tree = BTreeIndex::with_fanout(fanout);
+                let mut oracle: Vec<Entry> = Vec::new();
+                let mut seq: Seq = 0;
+                let mut insert = |run: &mut Run, tree: &mut BTreeIndex, oracle: &mut Vec<Entry>, key| {
+                    let e = Entry::new(key, seq);
+                    seq += 1;
+                    run.insert(e, 4, fanout);
+                    tree.insert_entry(e);
+                    let at = oracle.partition_point(|o| *o < e);
+                    oracle.insert(at, e);
+                };
+                for &k in &prefill_keys[..prefill] {
+                    insert(&mut run, &mut tree, &mut oracle, k);
+                }
+                for (what, a, b) in ops {
+                    match what {
+                        0..=5 => insert(&mut run, &mut tree, &mut oracle, a),
+                        6..=8 => {
+                            let (lo, hi) = (a.min(b), a.max(b));
+                            let range = KeyRange::new(lo, hi);
+                            let mut got = Vec::new();
+                            run.range_for_each(range, |e| got.push(e));
+                            let want: Vec<Entry> = oracle
+                                .iter()
+                                .copied()
+                                .filter(|e| lo <= e.key && e.key <= hi)
+                                .collect();
+                            prop_assert_eq!(&got, &want);
+                            prop_assert_eq!(got, tree.range_collect(range));
+                        }
+                        _ => {
+                            let mut got = Vec::new();
+                            run.append_to(&mut got);
+                            prop_assert_eq!(&got, &oracle, "ascending on either side");
+                            prop_assert_eq!(got, tree.to_sorted_vec());
+                        }
+                    }
+                    let (entries, bytes) = run.footprint();
+                    prop_assert_eq!(entries, oracle.len());
+                    prop_assert!(bytes >= entries * std::mem::size_of::<Entry>());
+                    prop_assert_eq!(
+                        matches!(run, Run::Tree(_)),
+                        oracle.len() > RUN_PROMOTE_LEN,
+                        "promoted exactly when it outgrew the constant"
+                    );
+                }
+            }
+        }
     }
 }

@@ -78,9 +78,20 @@ impl QuiesceGate {
     /// Spins until every admitted task has exited. With the gate closed, no
     /// new task can be admitted, so quiescence is stable until [`Self::open`].
     pub fn await_quiesce(&self) {
+        self.await_quiesce_unless(|| false);
+    }
+
+    /// [`Self::await_quiesce`] that gives up once `abandon()` holds: a task
+    /// whose worker died keeps its admission forever, and the waiter must
+    /// not. Returns whether the gate quiesced.
+    pub fn await_quiesce_unless(&self, abandon: impl Fn() -> bool) -> bool {
         while self.in_flight.load(Ordering::SeqCst) > 0 {
+            if abandon() {
+                return false;
+            }
             pimtree_common::sync::hint::yield_now();
         }
+        true
     }
 
     /// Reopens the gate.

@@ -37,14 +37,23 @@ pub trait SingleThreadJoin {
         JoinRunStats::default()
     }
 
-    /// Runs the operator over a tuple sequence, returning run statistics and —
-    /// when `collect` is true — the produced results.
+    /// Runs the operator over a tuple sequence, returning the statistics of
+    /// this call and — when `collect` is true — the produced results.
+    ///
+    /// `tuples`, `elapsed`, `results`, `merges`, `merge_time` and `breakdown`
+    /// cover this call only, so a measured call after a warm-up call on the
+    /// same operator reports the measured phase; the running totals are
+    /// [`SingleThreadJoin::stats`]. The probe counters are running totals
+    /// (`max_batch` has no per-call value).
     fn run(&mut self, tuples: &[Tuple], collect: bool) -> (JoinRunStats, Vec<JoinResult>) {
+        let before = self.stats();
         let mut out = Vec::new();
         let mut kept = Vec::new();
+        let mut results = 0u64;
         let start = Instant::now();
         for &t in tuples {
             self.process(t, &mut out);
+            results += out.len() as u64;
             if collect {
                 kept.append(&mut out);
             } else {
@@ -54,12 +63,11 @@ pub trait SingleThreadJoin {
         let elapsed = start.elapsed();
         let mut stats = self.stats();
         stats.tuples = tuples.len() as u64;
-        stats.results = if collect {
-            kept.len() as u64
-        } else {
-            stats.results
-        };
         stats.elapsed = elapsed;
+        stats.results = results;
+        stats.merges -= before.merges;
+        stats.merge_time -= before.merge_time;
+        stats.breakdown = stats.breakdown.since(&before.breakdown);
         (stats, kept)
     }
 }
@@ -510,6 +518,39 @@ mod tests {
         assert!(stats.breakdown.count(Step::Insert) > 0);
         assert!(stats.breakdown.count(Step::Search) > 0);
         assert!(stats.breakdown.count(Step::Merge) == stats.merges);
+    }
+
+    #[test]
+    fn second_run_reports_its_own_call_not_the_running_total() {
+        let tuples = random_tuples(4000, 2_000, 16);
+        let pim = PimConfig::for_window(128)
+            .with_merge_ratio(0.25)
+            .with_insertion_depth(2);
+        let mut op = IbwjOperator::new(128, 128, BandPredicate::new(20), || {
+            PimTreeAdapter::new(pim)
+        });
+        let (first, warm) = op.run(&tuples[..1000], true);
+        let (second, measured) = op.run(&tuples[1000..], false);
+        assert!(measured.is_empty());
+        assert!(!warm.is_empty() && first.merges > 0);
+        // The same call with results collected is the oracle for the count.
+        let mut twin = IbwjOperator::new(128, 128, BandPredicate::new(20), || {
+            PimTreeAdapter::new(pim)
+        });
+        twin.run(&tuples[..1000], false);
+        let (_, collected) = twin.run(&tuples[1000..], true);
+        assert_eq!(second.results, collected.len() as u64);
+        assert_eq!(second.tuples, 3000);
+        assert_eq!(second.breakdown.tuples, 3000);
+        let total = op.stats();
+        assert_eq!(total.results, first.results + second.results);
+        assert_eq!(total.merges, first.merges + second.merges);
+        assert_eq!(total.merge_time, first.merge_time + second.merge_time);
+        assert_eq!(
+            second.breakdown.count(Step::Merge),
+            second.merges,
+            "the breakdown is per call too"
+        );
     }
 
     #[test]

@@ -106,7 +106,7 @@ use pimtree_window::WindowBounds;
 use crate::gate::QuiesceGate;
 use crate::ring::{Backoff, ClaimedTask, IdleKind};
 use crate::shard::ShardedRing;
-use crate::stats::{JoinRunStats, MigrationCounters};
+use crate::stats::{lap, JoinRunStats, MigrationCounters};
 use crate::store::{ShardStore, StoreParams};
 
 /// Local drift observations a worker buffers while another worker holds the
@@ -301,6 +301,14 @@ struct Shared<'a> {
     /// aggregate event counter the live sampler reads. In `off` mode every
     /// instrumentation point degrades to one relaxed counter increment.
     telemetry: TelemetryRegistry,
+    /// Raised by a worker that unwinds. Its claimed slots never complete and
+    /// its gate admission is never returned, so `is_finished` and
+    /// `in_flight == 0` can no longer come true: every wait on either also
+    /// watches this flag and gives up. Publishes no data (`SeqCst` is for
+    /// simplicity; the flag is read on idle and quiesce paths only).
+    poisoned: AtomicBool,
+    #[cfg(test)]
+    fault_at: Option<u64>,
 }
 
 impl<'a> Shared<'a> {
@@ -344,6 +352,9 @@ pub struct ParallelIbwj {
     forced_repartition: Option<(usize, RangePartitioner)>,
     open_loop_rate: Option<f64>,
     telemetry_out: Option<String>,
+    /// Fault hook: the worker that claims this ring slot panics.
+    #[cfg(test)]
+    fault_at: Option<u64>,
 }
 
 impl ParallelIbwj {
@@ -368,6 +379,8 @@ impl ParallelIbwj {
             forced_repartition: None,
             open_loop_rate: None,
             telemetry_out: None,
+            #[cfg(test)]
+            fault_at: None,
         }
     }
 
@@ -573,6 +586,7 @@ impl ParallelIbwj {
                 window_sizes,
                 slack,
                 deletion_lag: ring_cap as u64,
+                time_steps: self.config.telemetry.mode == TelemetryMode::Full,
             },
             partitioned.then(|| {
                 partitioner
@@ -632,18 +646,20 @@ impl ParallelIbwj {
             sink: Mutex::new((0, Vec::new())),
             worker_stats: Mutex::new(Vec::new()),
             telemetry: TelemetryRegistry::new(self.config.telemetry.mode, threads),
+            poisoned: AtomicBool::new(false),
+            #[cfg(test)]
+            fault_at: self.fault_at,
         };
 
         // Warmup phase: process the prefix with the same engine state, then
         // discard the counters it accumulated (results are kept).
         let mut warmup_results = Vec::new();
         if warmup > 0 {
-            std::thread::scope(|scope| {
-                let shared = &shared;
-                for worker in 0..threads {
-                    scope.spawn(move || worker_loop(shared, worker));
-                }
-            });
+            let outcome =
+                std::thread::scope(|scope| join_workers(spawn_workers(scope, &shared, threads)));
+            if let Err(panic) = outcome {
+                std::panic::resume_unwind(panic);
+            }
             shared.worker_stats.lock().clear();
             *shared.merge_stats.lock() = (0, Duration::ZERO);
             // Migration totals follow the same convention as the merge
@@ -695,20 +711,21 @@ impl ParallelIbwj {
         });
         std::thread::scope(|scope| {
             let shared = &shared;
-            let workers: Vec<_> = (0..threads)
-                .map(|worker| scope.spawn(move || worker_loop(shared, worker)))
-                .collect();
+            let workers = spawn_workers(scope, shared, threads);
             let sampler = sampler_sink.map(|sink| {
                 let stop = &sampler_stop;
                 let interval = Duration::from_millis(self.config.telemetry.sample_interval_ms);
                 scope.spawn(move || run_sampler(shared, sink, interval, start, stop))
             });
-            for handle in workers {
-                handle.join().expect("worker thread panicked");
-            }
+            // The sampler must be told to stop before a worker's panic is
+            // re-raised, or the scope would wait for it forever.
+            let outcome = join_workers(workers);
             sampler_stop.store(true, Ordering::Release);
             if let Some(handle) = sampler {
                 handle.join().expect("telemetry sampler panicked");
+            }
+            if let Err(panic) = outcome {
+                std::panic::resume_unwind(panic);
             }
         });
         let elapsed = start.elapsed();
@@ -835,6 +852,43 @@ impl WorkerScratch {
     }
 }
 
+type WorkerHandle<'scope> = std::thread::ScopedJoinHandle<'scope, ()>;
+
+fn spawn_workers<'scope>(
+    scope: &'scope std::thread::Scope<'scope, '_>,
+    shared: &'scope Shared<'_>,
+    threads: usize,
+) -> Vec<WorkerHandle<'scope>> {
+    (0..threads)
+        .map(|worker| scope.spawn(move || worker_loop(shared, worker)))
+        .collect()
+}
+
+/// Waits for every worker; `Err` carries the first panic among them, for
+/// the caller to re-raise once nothing else needs stopping. The poison flag
+/// is what lets the surviving workers, and so this wait, come to an end.
+fn join_workers(workers: Vec<WorkerHandle<'_>>) -> std::thread::Result<()> {
+    let mut outcome = Ok(());
+    for handle in workers {
+        let joined = handle.join();
+        if outcome.is_ok() {
+            outcome = joined;
+        }
+    }
+    outcome
+}
+
+/// Raises the poison flag when the worker it lives in unwinds.
+struct PoisonOnPanic<'a>(&'a AtomicBool);
+
+impl Drop for PoisonOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+}
+
 fn worker_loop(shared: &Shared<'_>, worker: usize) {
     let mut local = JoinRunStats::default();
     let mut latency = LatencyRecorder::new();
@@ -845,20 +899,25 @@ fn worker_loop(shared: &Shared<'_>, worker: usize) {
     // this is where the worker's thread would also be pinned to the shard's
     // socket.
     let home = worker % shared.ring.shards();
+    let _poison = PoisonOnPanic(&shared.poisoned);
+    let mut mark = Instant::now();
     loop {
-        maybe_repartition(shared);
-        maybe_merge(shared, home, &mut local, &mut recorder);
-        let acquire_start = Instant::now();
+        // Maintenance is accounted for on its own (`merge_time`, the
+        // migration stall totals), not as one of the five phases; a visit
+        // that found nothing to do is a few loads and rides on `acquire`.
+        let maintained = maybe_repartition(shared);
+        if maybe_merge(shared, home, &mut local, &mut recorder) || maintained {
+            mark = Instant::now();
+        }
         let acquired = acquire_task(shared, home, &mut scratch, &mut local, &mut recorder);
-        let acquire_span = acquire_start.elapsed();
+        let acquire_span = lap(&mut mark);
         local.phase.acquire += acquire_span;
         recorder.record_nanos(EnginePhase::Claim, acquire_span.as_nanos() as u64);
         if acquired {
-            let acquired_at = Instant::now();
             process_task(
                 shared,
                 home,
-                acquired_at,
+                &mut mark,
                 &mut scratch,
                 &mut local,
                 &mut latency,
@@ -866,14 +925,12 @@ fn worker_loop(shared: &Shared<'_>, worker: usize) {
             );
             shared.gate.exit();
             backoff.reset();
-            let propagate_start = Instant::now();
             propagate(shared, &mut local);
-            local.phase.propagate += propagate_start.elapsed();
+            local.phase.propagate += lap(&mut mark);
         } else {
-            let propagate_start = Instant::now();
             propagate(shared, &mut local);
-            local.phase.propagate += propagate_start.elapsed();
-            if is_finished(shared) {
+            local.phase.propagate += lap(&mut mark);
+            if is_finished(shared) || shared.poisoned.load(Ordering::SeqCst) {
                 break;
             }
             // Nothing to do right now (gate closed, ring momentarily empty,
@@ -886,13 +943,12 @@ fn worker_loop(shared: &Shared<'_>, worker: usize) {
             if !shared.self_join {
                 shared.store.try_advance_edge(1);
             }
-            let idle_start = Instant::now();
             match backoff.idle() {
                 IdleKind::Spin => local.ring.idle_spins += 1,
                 IdleKind::Yield => local.ring.idle_yields += 1,
                 IdleKind::Park => local.ring.idle_parks += 1,
             }
-            local.phase.idle += idle_start.elapsed();
+            local.phase.idle += lap(&mut mark);
         }
     }
     recorder.finish();
@@ -1097,41 +1153,49 @@ fn try_ingest(shared: &Shared<'_>, local: &mut JoinRunStats) {
     }
 }
 
+/// Steps 2 and 3 of a claimed task. `mark` is the moment the task was
+/// acquired; on return it is the moment its index update finished.
 fn process_task(
     shared: &Shared<'_>,
     home: usize,
-    acquired_at: Instant,
+    mark: &mut Instant,
     scratch: &mut WorkerScratch,
     local: &mut JoinRunStats,
     latency: &mut LatencyRecorder,
     recorder: &mut WorkerRecorder,
 ) {
     let entry_bytes = std::mem::size_of::<Entry>() as u64;
+    #[cfg(test)]
+    if scratch
+        .items
+        .iter()
+        .any(|task| Some(task.gid) == shared.fault_at)
+    {
+        panic!("injected worker fault");
+    }
     // Step 2: result generation. Each tuple's results are published to its
     // ring slot with a single release store the moment they are ready, so
     // the draining worker can start propagating the prefix while this task
     // is still working on its remaining tuples.
-    let generate_start = Instant::now();
     generate(shared, home, scratch, local);
-    let generate_span = generate_start.elapsed();
+    let generate_span = lap(mark);
     local.phase.generate += generate_span;
     recorder.record_nanos(EnginePhase::Probe, generate_span.as_nanos() as u64);
+    // Latency is the task processing time (§5): acquisition to results
+    // ready, which is the span just measured.
+    for _ in 0..scratch.items.len() {
+        latency.record(generate_span);
+    }
     // Feed the drift monitor with this task's `(key, match count)` pairs —
     // the paper's combined insert+output load signal per key interval.
     if shared.drift.is_some() {
         record_drift(shared, scratch);
-    }
-    // Latency is the task processing time (§5): acquisition to results ready.
-    let task_latency = acquired_at.elapsed();
-    for _ in 0..scratch.items.len() {
-        latency.record(task_latency);
     }
     // Step 3: index update, batched per side so the generation lock and the
     // shared counters are touched once per task instead of once per tuple.
     // The store routes each entry to the shard owning its key, retires newly
     // expired entries of eager-deletion backends, marks the inserted tuples
     // indexed and advances the edge(s).
-    let update_start = Instant::now();
     scratch.inserts[0].clear();
     scratch.inserts[1].clear();
     for &ClaimedTask { tuple, .. } in &scratch.items {
@@ -1151,7 +1215,7 @@ fn process_task(
             .insert_batch(own, &scratch.inserts[own], home, local);
         local.bytes_stored += scratch.inserts[own].len() as u64 * entry_bytes;
     }
-    let update_span = update_start.elapsed();
+    let update_span = lap(mark);
     local.phase.update += update_span;
     recorder.record_nanos(EnginePhase::Expiry, update_span.as_nanos() as u64);
 }
@@ -1354,7 +1418,10 @@ fn record_drift(shared: &Shared<'_>, scratch: &mut WorkerScratch) {
 ///    move to the simulated traffic account.
 /// 4. **Resume.** The gate reopens; stalled ingestion re-routes subsequent
 ///    input under the new partitioner.
-fn maybe_repartition(shared: &Shared<'_>) {
+///
+/// Returns whether this visit held the maintenance claim, i.e. spent time
+/// the caller's phase clock must not charge to a task phase.
+fn maybe_repartition(shared: &Shared<'_>) -> bool {
     // Incremental handoff (requires shard state to hand off — without the
     // partitioned store a "migration" is just the ring router swap, for
     // which the epoch path below is already minimal).
@@ -1363,8 +1430,7 @@ fn maybe_repartition(shared: &Shared<'_>) {
     if incremental && shared.handoff_active.load(Ordering::Acquire) {
         // A handoff is in flight: perform its next bounded transition. New
         // plan peeks wait until it finalizes.
-        handoff_visit(shared, None);
-        return;
+        return handoff_visit(shared, None);
     }
     // Forced adoption (deterministic test/bench hook).
     let forced = match &shared.forced_repartition {
@@ -1381,17 +1447,18 @@ fn maybe_repartition(shared: &Shared<'_>) {
     // on every worker-loop iteration and thin the drift sample.
     let drift_pending = forced.is_none() && shared.repartition_pending.load(Ordering::Acquire);
     if forced.is_none() && !drift_pending {
-        return;
+        return false;
     }
     if incremental {
-        handoff_visit(shared, forced);
-        return;
+        return handoff_visit(shared, forced);
     }
     if shared.merge_claimed.swap(true, Ordering::AcqRel) {
-        return; // a merge or another epoch is in progress; retry later
+        return false; // a merge or another epoch is in progress; retry later
     }
     let mut lap = StallLap::start();
-    close_gate_and_wait_attributed(shared, &mut lap);
+    if !close_gate_and_wait_attributed(shared, &mut lap) {
+        return true;
+    }
     // Re-resolve the plan under the claim: the forced flag and the pending
     // plan may have been consumed by a racing epoch between the peek above
     // and the claim.
@@ -1407,7 +1474,7 @@ fn maybe_repartition(shared: &Shared<'_>) {
     let Some(new_partitioner) = new_partitioner else {
         open_gate(shared);
         shared.merge_claimed.store(false, Ordering::Release);
-        return;
+        return true;
     };
     shared.ring.set_partitioner(new_partitioner.clone());
     lap.lap(StallCause::RouterSwap);
@@ -1464,6 +1531,7 @@ fn maybe_repartition(shared: &Shared<'_>) {
         totals.window_tuples_moved += m.window_tuples_moved;
         totals.simulated_move_cost += (m.index_entries_moved + m.window_tuples_moved) * remote_cost;
     }
+    true
 }
 
 /// What one quiesced visit of the incremental handoff protocol did.
@@ -1485,18 +1553,20 @@ enum HandoffTransition {
 /// budgeted chunk, or finalize); ingestion and probing resume in between,
 /// which is exactly what bounds the per-stall tail (the epoch path pays for
 /// the whole migration in one quiesce).
-fn handoff_visit(shared: &Shared<'_>, forced: Option<RangePartitioner>) {
+fn handoff_visit(shared: &Shared<'_>, forced: Option<RangePartitioner>) -> bool {
     if shared.merge_claimed.swap(true, Ordering::AcqRel) {
-        return; // a merge or another maintenance visit is in progress
+        return false; // a merge or another maintenance visit is in progress
     }
     let mut lap = StallLap::start();
-    close_gate_and_wait_attributed(shared, &mut lap);
+    if !close_gate_and_wait_attributed(shared, &mut lap) {
+        return true;
+    }
     let outcome = handoff_transition(shared, forced, &mut lap);
     open_gate(shared);
     shared.merge_claimed.store(false, Ordering::Release);
     // Residual transition bookkeeping + gate reopen, as in the epoch path.
     lap.lap(StallCause::GateClose);
-    let Some(outcome) = outcome else { return };
+    let Some(outcome) = outcome else { return true };
     let breakdown = lap.finish();
     shared.telemetry.record_stall(&breakdown);
     let remote_cost = shared
@@ -1517,6 +1587,7 @@ fn handoff_visit(shared: &Shared<'_>, forced: Option<RangePartitioner>) {
         }
         HandoffTransition::Finalized => totals.epochs += 1,
     }
+    true
 }
 
 /// The transition body of [`handoff_visit`]; runs with the gate closed, the
@@ -1649,19 +1720,32 @@ fn complete_handoff(shared: &Shared<'_>) {
 
 // ------------------------------------------------------------------- merge
 
-fn close_gate_and_wait(shared: &Shared<'_>) {
+/// Closes the gate and waits for the tasks in flight. `false` means the
+/// engine is poisoned and will never quiesce: the caller abandons its
+/// maintenance as it stands (claim held, gate closed) and returns, and its
+/// worker loop ends at the next poison check.
+#[must_use]
+fn close_gate_and_wait(shared: &Shared<'_>) -> bool {
     shared.gate.close();
-    shared.gate.await_quiesce();
+    await_quiesce(shared)
+}
+
+fn await_quiesce(shared: &Shared<'_>) -> bool {
+    shared
+        .gate
+        .await_quiesce_unless(|| shared.poisoned.load(Ordering::SeqCst))
 }
 
 /// [`close_gate_and_wait`] with stall-cause attribution: the gate store and
 /// the in-flight drain spin become the first two laps of the quiesce, so the
 /// per-cause segments tile the stall exactly from its first instruction.
-fn close_gate_and_wait_attributed(shared: &Shared<'_>, lap: &mut StallLap) {
+#[must_use]
+fn close_gate_and_wait_attributed(shared: &Shared<'_>, lap: &mut StallLap) -> bool {
     shared.gate.close();
     lap.lap(StallCause::GateClose);
-    shared.gate.await_quiesce();
+    let quiesced = await_quiesce(shared);
     lap.lap(StallCause::InFlightDrain);
+    quiesced
 }
 
 fn open_gate(shared: &Shared<'_>) {
@@ -1694,34 +1778,40 @@ fn merge_horizon(shared: &Shared<'_>, side: usize) -> Seq {
     horizon
 }
 
+/// Merges every side whose mutable component reached its threshold, unless
+/// another thread holds the maintenance claim. Returns whether this visit
+/// merged anything (see [`maybe_repartition`]).
 fn maybe_merge(
     shared: &Shared<'_>,
     home: usize,
     local: &mut JoinRunStats,
     recorder: &mut WorkerRecorder,
-) {
+) -> bool {
+    let mut merged = false;
     for side in 0..if shared.self_join { 1 } else { 2 } {
         if shared.store.merge_candidate(side).is_none() {
             continue;
         }
         if shared.merge_claimed.swap(true, Ordering::AcqRel) {
-            return; // another thread is already merging
+            return merged; // another thread is already merging
         }
         // Re-check under the claim; under the partitioned store each shard's
         // tree merges independently, one shard per claim (a subsequent claim
         // picks up the next shard over the threshold).
         let Some(shard) = shared.store.merge_candidate(side) else {
             shared.merge_claimed.store(false, Ordering::Release);
-            return;
+            return merged;
         };
         let Some(pim) = shared.store.pim(side, shard) else {
             shared.merge_claimed.store(false, Ordering::Release);
-            return;
+            return merged;
         };
         let merge_start = Instant::now();
         let report = match shared.merge_policy {
             MergePolicy::Blocking => {
-                close_gate_and_wait(shared);
+                if !close_gate_and_wait(shared) {
+                    return true;
+                }
                 let horizon = merge_horizon(shared, side);
                 let report = pim.merge(horizon);
                 open_gate(shared);
@@ -1730,7 +1820,9 @@ fn maybe_merge(
             MergePolicy::NonBlocking => {
                 // Phase 1: stop index updates for this side, then build the
                 // next generation while the other workers keep joining.
-                close_gate_and_wait(shared);
+                if !close_gate_and_wait(shared) {
+                    return true;
+                }
                 shared.no_index_updates[side].store(true, Ordering::Release);
                 let horizon = merge_horizon(shared, side);
                 open_gate(shared);
@@ -1744,11 +1836,16 @@ fn maybe_merge(
                 // replay goes through the store, which routes each buffered
                 // tuple back to the shard owning its key (phase 1 buffered the
                 // whole side, not just the merging shard).
-                close_gate_and_wait(shared);
-                let report = pim.install_merge(prepared);
+                if !close_gate_and_wait(shared) {
+                    return true;
+                }
+                let (report, retired) = pim.install_merge(prepared);
                 let pending = std::mem::take(&mut *shared.pending[side].lock());
                 shared.no_index_updates[side].store(false, Ordering::Release);
                 open_gate(shared);
+                // Freeing the old generation is the merging thread's work,
+                // not something the quiesced workers should wait for.
+                drop(retired);
                 for chunk in pending.chunks(4096) {
                     shared.store.insert_batch(side, chunk, home, local);
                 }
@@ -1766,7 +1863,9 @@ fn maybe_merge(
             ms.1 += merge_start.elapsed();
         }
         shared.merge_claimed.store(false, Ordering::Release);
+        merged = true;
     }
+    merged
 }
 
 #[cfg(test)]
@@ -1819,6 +1918,41 @@ mod tests {
             .with_threads(threads)
             .with_task_size(task)
             .with_pim(pim)
+    }
+
+    #[test]
+    fn worker_panic_ends_the_run_instead_of_hanging_it() {
+        // Small windows and merge ratio 1/4: the surviving workers meet a
+        // merge quiesce soon after the fault, with the dead worker's task
+        // still counted in flight.
+        let tuples = random_tuples(20_000, 400, 41);
+        for policy in [MergePolicy::NonBlocking, MergePolicy::Blocking] {
+            for threads in [1, 2, 4] {
+                let mut op = ParallelIbwj::new(
+                    config(64, threads, 4, 0.25, policy),
+                    BandPredicate::new(2),
+                    SharedIndexKind::PimTree,
+                    false,
+                );
+                op.fault_at = Some(10_000);
+                let (done_tx, done_rx) = std::sync::mpsc::channel();
+                let input = tuples.clone();
+                std::thread::spawn(move || {
+                    let outcome =
+                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| op.run(&input)));
+                    let _ = done_tx.send(outcome.map(|_| ()));
+                });
+                let outcome = done_rx
+                    .recv_timeout(Duration::from_secs(1))
+                    .unwrap_or_else(|_| panic!("{threads} workers, {policy:?}: run hangs"));
+                let panic = outcome.expect_err("the worker's panic must reach the caller");
+                assert_eq!(
+                    panic.downcast_ref::<&str>(),
+                    Some(&"injected worker fault"),
+                    "{threads} workers, {policy:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -3536,6 +3670,14 @@ mod tests {
                 "{mode:?}: full mode records histograms"
             );
             assert!(report.to_prometheus().contains("pimtree_phase_nanos"));
+            // Full mode is also what pays for the per-probe step split.
+            let search = stats.breakdown.count(pimtree_common::Step::Search);
+            assert!(search > 0, "{mode:?}");
+            assert_eq!(
+                stats.breakdown.count(pimtree_common::Step::Scan),
+                search,
+                "{mode:?}"
+            );
         }
     }
 
@@ -3552,6 +3694,12 @@ mod tests {
         let (stats, results) = op.run(&tuples);
         assert_eq!(canonical(&results), expected);
         assert!(stats.telemetry.is_none(), "off mode reports nothing");
+        assert_eq!(
+            stats.breakdown.count(pimtree_common::Step::Search)
+                + stats.breakdown.count(pimtree_common::Step::Scan),
+            0,
+            "off mode reads no clock around probes and scans"
+        );
     }
 
     /// `with_telemetry_out` streams gauge samples as JSONL during the

@@ -1,9 +1,20 @@
 //! Run statistics shared by all join operators.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use pimtree_common::{CostBreakdown, LatencyHistogram, LatencyRecorder, ProbeCounters};
 use pimtree_telemetry::{StallBreakdown, StallCause, TelemetryReport};
+
+/// Reads the clock once at a phase boundary: returns the time since `*mark`
+/// — the phase that just ended — and makes the reading the start of the next
+/// one, so consecutive phases tile a thread's time with one read each.
+#[inline]
+pub(crate) fn lap(mark: &mut Instant) -> Duration {
+    let now = Instant::now();
+    let span = now - *mark;
+    *mark = now;
+    span
+}
 
 /// Statistics of one join run over a tuple sequence.
 #[derive(Debug, Clone, Default)]

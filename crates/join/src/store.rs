@@ -56,7 +56,7 @@ use pimtree_numa::{NumaTopology, RangePartitioner, TrafficAccount};
 use pimtree_window::{ShardWindow, SlidingWindow, WindowBounds};
 
 use crate::parallel::SharedIndexKind;
-use crate::stats::JoinRunStats;
+use crate::stats::{lap, JoinRunStats};
 
 /// One index instance of the store: the PIM-Tree with its merge machinery or
 /// the Bw-Tree-style eager-deletion index.
@@ -162,6 +162,11 @@ pub(crate) struct StoreParams {
     /// deletion trails the expiry horizon by, so no in-flight task can still
     /// need the deleted entry).
     pub deletion_lag: u64,
+    /// Whether `generate` reads the clock around each index probe and each
+    /// window scan to split its time into `Step::Search` and `Step::Scan`
+    /// (the flight recorder's `full` mode). Four clock reads per task and
+    /// side; without it the two buckets stay empty.
+    pub time_steps: bool,
 }
 
 /// The engine's original layout: one shared window and index per side.
@@ -421,7 +426,8 @@ fn subtract_rerouted(
 /// Probes one shard's index and window over a prepared sub-batch: for
 /// segment `k` (belonging to item `sub_idx[k]`), index entries below the
 /// shard's edge snapshot and the window suffix above it — the §4.1 split,
-/// per shard. Returns `(search_nanos, scan_nanos, examined)`.
+/// per shard. Returns the window tuples examined; with `time_steps` the
+/// probe and the scan are timed into `stats.breakdown`.
 #[allow(clippy::too_many_arguments)] // internal worker of generate_partitioned()
 fn probe_shard_segments(
     shard: &StoreShard,
@@ -431,9 +437,10 @@ fn probe_shard_segments(
     bounds: &[WindowBounds],
     probe: &ProbeConfig,
     counts: &mut [u64],
-    probe_counters: &mut pimtree_common::ProbeCounters,
+    time_steps: bool,
+    stats: &mut JoinRunStats,
     f: &mut dyn FnMut(usize, Seq, Key),
-) -> (u64, u64, u64) {
+) -> u64 {
     let window = &shard.windows[side];
     // This shard's edge snapshot, taken before its index probe: the shard's
     // index covers all *local* entries below it, the shard's window scan
@@ -441,8 +448,9 @@ fn probe_shard_segments(
     // shard currently owns, so the union over visited shards reports every
     // match exactly once.
     let edge = window.edge_seq();
-    let search_start = Instant::now();
+    let mut clock = time_steps.then(Instant::now);
     {
+        let probe_counters = &mut stats.probe;
         let mut cb = |k: usize, e: Entry| {
             let j = sub_idx[k];
             if e.seq >= bounds[j].earliest && e.seq < bounds[j].index_horizon(edge) {
@@ -456,8 +464,9 @@ fn probe_shard_segments(
             shard.indexes[side].probe_ranges_scalar(sub_ranges, probe, probe_counters, &mut cb);
         }
     }
-    let search_nanos = search_start.elapsed().as_nanos() as u64;
-    let scan_start = Instant::now();
+    if let Some(clock) = &mut clock {
+        stats.breakdown.record(Step::Search, lap(clock));
+    }
     let mut examined = 0u64;
     for (k, &j) in sub_idx.iter().enumerate() {
         let b = bounds[j];
@@ -469,11 +478,10 @@ fn probe_shard_segments(
         }) as u64;
         counts[j] = count;
     }
-    (
-        search_nanos,
-        scan_start.elapsed().as_nanos() as u64,
-        examined,
-    )
+    if let Some(clock) = &mut clock {
+        stats.breakdown.record(Step::Scan, lap(clock));
+    }
+    examined
 }
 
 /// Per-side window and index state of the parallel engine, either shared
@@ -486,6 +494,8 @@ pub struct ShardStore {
     /// Extra window slots retained past expiry (the migration keep-horizon
     /// and the rebuilt shard windows are derived from it).
     slack: usize,
+    /// See [`StoreParams::time_steps`].
+    time_steps: bool,
     /// Index backend, kept so a migration can build fresh per-shard indexes.
     kind: SharedIndexKind,
     /// Per-shard PIM-Tree tuning (window size already divided per shard).
@@ -615,6 +625,7 @@ impl ShardStore {
             window_sizes: params.window_sizes,
             deletion_lag: params.deletion_lag,
             slack: params.slack,
+            time_steps: params.time_steps,
             kind: params.kind,
             shard_pim,
             merge_hint: [AtomicBool::new(false), AtomicBool::new(false)],
@@ -894,8 +905,9 @@ impl ShardStore {
     /// `probe.batch` selects the grouped CSS descent or the scalar per-range
     /// path. Under the partitioned layout the probe fans out across exactly
     /// the shards overlapping each range (recorded in `stats.store`, charged
-    /// local/remote against `home`). Search/scan timings, probe counters and
-    /// the logical bytes loaded are recorded into `stats`.
+    /// local/remote against `home`). Probe counters, the logical bytes loaded
+    /// and — with [`StoreParams::time_steps`] — search/scan timings are
+    /// recorded into `stats`.
     #[allow(clippy::too_many_arguments)] // one internal call site in the engine
     pub(crate) fn generate(
         &self,
@@ -945,7 +957,7 @@ impl ShardStore {
             .extend(bounds.iter().map(|b| b.index_horizon(edge)));
         scratch.counts.clear();
         scratch.counts.resize(n, 0);
-        let search_start = Instant::now();
+        let mut clock = self.time_steps.then(Instant::now);
         {
             let edges = &scratch.edges;
             let counts = &mut scratch.counts;
@@ -961,10 +973,9 @@ impl ShardStore {
                 state.indexes[side].probe_ranges_scalar(ranges, probe, &mut stats.probe, &mut cb);
             }
         }
-        stats
-            .breakdown
-            .record_nanos(Step::Search, search_start.elapsed().as_nanos() as u64);
-        let scan_start = Instant::now();
+        if let Some(clock) = &mut clock {
+            stats.breakdown.record(Step::Search, lap(clock));
+        }
         for j in 0..n {
             let scan_from = bounds[j].scan_start(scratch.edges[j]);
             let mut count = scratch.counts[j];
@@ -980,9 +991,9 @@ impl ShardStore {
             scratch.counts[j] = count;
             stats.bytes_loaded += (examined as u64 + count + 8) * entry_bytes;
         }
-        stats
-            .breakdown
-            .record_nanos(Step::Scan, scan_start.elapsed().as_nanos() as u64);
+        if let Some(clock) = &mut clock {
+            stats.breakdown.record(Step::Scan, lap(clock));
+        }
         STORE_SCRATCH.with(|cell| cell.replace(scratch));
     }
 
@@ -1004,8 +1015,6 @@ impl ShardStore {
         let mut scratch = STORE_SCRATCH.with(|cell| cell.take());
         scratch.counts.clear();
         scratch.counts.resize(n, 0);
-        let mut search_nanos = 0u64;
-        let mut scan_nanos = 0u64;
         let mut examined_total = 0u64;
         if inner.overlay.is_empty() {
             // Fan-out query: which shards does each band-join range overlap?
@@ -1061,7 +1070,7 @@ impl ShardStore {
                 } else {
                     stats.store.remote_probe_visits += visits;
                 }
-                let (s_ns, sc_ns, examined) = probe_shard_segments(
+                examined_total += probe_shard_segments(
                     shard,
                     side,
                     &scratch.sub_ranges,
@@ -1069,12 +1078,10 @@ impl ShardStore {
                     bounds,
                     probe,
                     &mut scratch.counts,
-                    &mut stats.probe,
+                    self.time_steps,
+                    stats,
                     f,
                 );
-                search_nanos += s_ns;
-                scan_nanos += sc_ns;
-                examined_total += examined;
             }
         } else {
             // Handoff fan-out: per item, the base covering segments *minus*
@@ -1165,7 +1172,7 @@ impl ShardStore {
                 } else {
                     stats.store.remote_probe_visits += visits;
                 }
-                let (s_ns, sc_ns, examined) = probe_shard_segments(
+                examined_total += probe_shard_segments(
                     &inner.shards[shard_idx],
                     side,
                     &scratch.sub_ranges,
@@ -1173,18 +1180,14 @@ impl ShardStore {
                     bounds,
                     probe,
                     &mut scratch.counts,
-                    &mut stats.probe,
+                    self.time_steps,
+                    stats,
                     f,
                 );
-                search_nanos += s_ns;
-                scan_nanos += sc_ns;
-                examined_total += examined;
             }
         }
         let matches: u64 = scratch.counts.iter().sum();
         stats.bytes_loaded += (examined_total + matches + 8 * n as u64) * entry_bytes;
-        stats.breakdown.record_nanos(Step::Search, search_nanos);
-        stats.breakdown.record_nanos(Step::Scan, scan_nanos);
         STORE_SCRATCH.with(|cell| cell.replace(scratch));
     }
 
