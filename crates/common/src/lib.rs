@@ -42,6 +42,8 @@ pub use metrics::{
     ThroughputMeter,
 };
 pub use pimtree_telemetry::TelemetryMode;
-pub use prefetch::{prefetch_read, prefetch_slice, CACHE_LINE_BYTES};
+pub use prefetch::{
+    prefetch_range, prefetch_read, prefetch_slice, prefetch_write, CACHE_LINE_BYTES,
+};
 pub use simd::SimdLevel;
 pub use types::{BandPredicate, JoinResult, Key, KeyRange, Seq, StreamSide, Tuple};

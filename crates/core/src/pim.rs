@@ -1,13 +1,15 @@
 //! The Partitioned In-memory Merge-Tree (PIM-Tree, §3.3): the paper's
 //! concurrent sliding-window index.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use pimtree_btree::{bulk, BTreeIndex, Entry};
 use pimtree_common::{
-    CostBreakdown, Key, KeyRange, PimConfig, ProbeConfig, ProbeCounters, Seq, Step,
+    prefetch_range, prefetch_read, prefetch_write, CostBreakdown, Key, KeyRange, PimConfig,
+    ProbeConfig, ProbeCounters, Seq, Step,
 };
 use pimtree_css::CssTree;
 
@@ -25,6 +27,13 @@ use crate::merge::{build_ts, merge_live, MergeReport};
 /// there is a single partition), and then an insert into a flat run would
 /// cost a memmove linear in the skew; the tree keeps it logarithmic.
 pub(crate) const RUN_PROMOTE_LEN: usize = 256;
+
+/// Partitions one staged pass over `TI` keeps in flight: the bound of the
+/// stack arrays of [`Generation::insert_staged`] and [`visit_partitions`].
+/// Longer batches are walked in chunks of this many. A task side holds about
+/// four tuples, so one chunk is the rule; sixteen headers and their runs
+/// (some 9 KiB at the usual 32 entries a run) still fit in L1.
+const STAGE_WIDTH: usize = 16;
 
 /// The sorted contents of one mutable partition.
 #[derive(Debug)]
@@ -123,6 +132,21 @@ impl Partition {
     fn lock(&self) -> MutexGuard<'_, PartitionState> {
         self.0.lock()
     }
+
+    /// Where this partition's flat run lies right now, for prefetching only:
+    /// the pointers are stale as soon as the lock is released, which a hint
+    /// tolerates and nothing else may. `None` — there is nothing worth
+    /// prefetching — when another thread holds the lock (it is pulling the
+    /// lines to its own core anyway) and for a promoted run (a tree's nodes
+    /// are found by descending it, and a partition that hot is the one place
+    /// where an extra lock round trip per batch would be felt).
+    #[inline]
+    fn peek_run(&self) -> Option<Range<*const Entry>> {
+        match &self.0.try_lock()?.run {
+            Run::Flat(run) => Some(run.as_ptr_range()),
+            Run::Tree(_) => None,
+        }
+    }
 }
 
 /// One generation of the two-stage structure: an immutable `TS` plus the
@@ -173,9 +197,48 @@ impl Generation {
     /// partition's lock (Algorithm 1). The caller accounts for `ti_len`.
     #[inline]
     fn insert(&self, entry: Entry, fanout: usize) {
-        let mut part = self.partitions[self.route(entry)].lock();
+        self.insert_into(self.route(entry), entry, fanout);
+    }
+
+    #[inline]
+    fn insert_into(&self, partition: usize, entry: Entry, fanout: usize) {
+        let mut part = self.partitions[partition].lock();
         part.inserts += 1;
         part.run.insert(entry, self.run_reserve, fanout);
+    }
+
+    /// Inserts up to [`STAGE_WIDTH`] entries in three passes over the whole
+    /// chunk instead of entry by entry, so that the misses of one entry's
+    /// dependent chain *header → run pointer → run lines* — with a second
+    /// worker, each a line the other core wrote last — overlap with the
+    /// other entries' instead of queueing behind them: (1) route every entry
+    /// and write-prefetch its partition header, (2) peek each distinct
+    /// partition's run and write-prefetch its lines, (3) lock and insert as
+    /// [`Generation::insert`] does, in the order given.
+    ///
+    /// A chunk that lands in a single partition has a single chain to walk,
+    /// and that partition is hot by that very fact — skewed keys, or the one
+    /// partition of a `TS`-less generation, which every worker is inserting
+    /// into: it gets no peek, which would be one more lock round trip there.
+    fn insert_staged(&self, chunk: &[(Key, Seq)], fanout: usize) {
+        let mut routed = [0usize; STAGE_WIDTH];
+        let routed = &mut routed[..chunk.len()];
+        for (p, &(key, seq)) in routed.iter_mut().zip(chunk) {
+            *p = self.route(Entry::new(key, seq));
+            prefetch_write(&self.partitions[*p]);
+        }
+        if routed.iter().any(|&p| p != routed[0]) {
+            for (i, &p) in routed.iter().enumerate() {
+                if !routed[..i].contains(&p) {
+                    if let Some(run) = self.partitions[p].peek_run() {
+                        prefetch_range(run, prefetch_write);
+                    }
+                }
+            }
+        }
+        for (&p, &(key, seq)) in routed.iter().zip(chunk) {
+            self.insert_into(p, Entry::new(key, seq), fanout);
+        }
     }
 
     /// Sorted snapshot of the mutable component (partitions are disjoint,
@@ -208,6 +271,57 @@ fn probe_generation(gen: &Generation, range: KeyRange, f: &mut dyn FnMut(Entry))
     }
 }
 
+/// The mutable half of every multi-range probe: answers `(partition, range
+/// index)` pairs partition-major, so a partition that several of a batch's
+/// ranges overlap is locked once per batch instead of once per range, and
+/// calls `f(range index, entry)` for the entries of `ranges[index]` found
+/// there. Per range, partitions are visited in ascending order.
+///
+/// Like [`Generation::insert_staged`], the visit is staged over up to
+/// [`STAGE_WIDTH`] partitions at a time: write-prefetch their headers (the
+/// lock is a read-modify-write), peek and read-prefetch their runs, then
+/// lock and scan. A lone partition is not peeked, for the reason given there.
+fn visit_partitions<F: FnMut(usize, Entry)>(
+    gen: &Generation,
+    pairs: &mut [(usize, usize)],
+    ranges: &[KeyRange],
+    counters: &mut ProbeCounters,
+    mut f: F,
+) {
+    pairs.sort_unstable();
+    counters.ti_range_visits += pairs.len() as u64;
+    let mut visits = pairs.chunk_by(|a, b| a.0 == b.0);
+    loop {
+        let mut stage: [&[(usize, usize)]; STAGE_WIDTH] = [&[]; STAGE_WIDTH];
+        let mut staged = 0;
+        for (slot, visit) in stage.iter_mut().zip(&mut visits) {
+            *slot = visit;
+            staged += 1;
+        }
+        let stage = &stage[..staged];
+        if stage.is_empty() {
+            return;
+        }
+        for visit in stage {
+            prefetch_write(&gen.partitions[visit[0].0]);
+        }
+        if stage.len() > 1 {
+            for visit in stage {
+                if let Some(run) = gen.partitions[visit[0].0].peek_run() {
+                    prefetch_range(run, prefetch_read);
+                }
+            }
+        }
+        for visit in stage {
+            let part = gen.partitions[visit[0].0].lock();
+            counters.ti_partition_locks += 1;
+            for &(_, j) in *visit {
+                part.run.range_for_each(ranges[j], |e| f(j, e));
+            }
+        }
+    }
+}
+
 /// Sort/dedup bookkeeping and group-descent cursors of
 /// [`PimTree::probe_batch`], kept per thread so the hot path reuses its
 /// buffers instead of allocating five vectors per task.
@@ -220,7 +334,6 @@ struct ProbeScratch {
     positions: Vec<usize>,
     groups: Vec<usize>,
     ends: Vec<usize>,
-    partition_ranges: Vec<(usize, usize)>,
     pairs: Vec<(usize, usize)>,
 }
 
@@ -339,15 +452,29 @@ impl PimTree {
     /// batching keeps the per-tuple cost down to the partition routing and the
     /// partition lock instead of adding a generation-lock acquisition and a
     /// shared counter update for every tuple.
-    pub fn insert_batch(&self, entries: &[(Key, Seq)]) {
+    ///
+    /// A batch of two or more is inserted in stages over the whole batch
+    /// (see "Staged access" in `docs/ARCHITECTURE.md`); a batch of one takes
+    /// the path of [`PimTree::insert`], having nothing to overlap with.
+    ///
+    /// Returns whether this batch carried the mutable component to or past
+    /// the merge threshold, i.e. what [`PimTree::needs_merge`] would answer
+    /// right after it, without taking the generation lock again to ask.
+    pub fn insert_batch(&self, entries: &[(Key, Seq)]) -> bool {
         if entries.is_empty() {
-            return;
+            return false;
         }
         let gen = self.current.read();
-        for &(key, seq) in entries {
-            gen.insert(Entry::new(key, seq), self.config.btree_fanout);
+        let fanout = self.config.btree_fanout;
+        if let [(key, seq)] = *entries {
+            gen.insert(Entry::new(key, seq), fanout);
+        } else {
+            for chunk in entries.chunks(STAGE_WIDTH) {
+                gen.insert_staged(chunk, fanout);
+            }
         }
-        gen.ti_len.fetch_add(entries.len(), Ordering::Relaxed);
+        let before = gen.ti_len.fetch_add(entries.len(), Ordering::Relaxed);
+        before + entries.len() >= self.config.merge_threshold()
     }
 
     /// Calls `f` for every indexed entry whose key lies in `range`, including
@@ -487,11 +614,9 @@ impl PimTree {
 
         // Mutable component, batched: each unique range's overlapping
         // partition interval is derived arithmetically, then the partitions
-        // are visited in ascending order with every overlapping range
-        // answered under a single lock acquisition — one lock round-trip per
-        // (batch, partition) instead of one per (range, partition).
+        // are visited partition-major (`visit_partitions`).
         if ti_populated {
-            s.partition_ranges.clear();
+            s.pairs.clear();
             let leaf_size = gen.ts.leaf_size().max(1);
             let last_group = gen.ts.leaf_groups().saturating_sub(1);
             for (j, &range) in s.uniq.iter().enumerate() {
@@ -510,33 +635,13 @@ impl PimTree {
                 debug_assert!(p_hi < gen.partitions.len());
                 debug_assert_eq!(p_lo, gen.route(Entry::min_for_key(range.lo)));
                 debug_assert!(p_hi >= gen.route(Entry::max_for_key(range.hi)));
-                s.partition_ranges.push((p_lo, p_hi));
+                s.pairs.extend((p_lo..=p_hi).map(|p| (p, j)));
             }
-            s.pairs.clear();
-            for (j, &(p_lo, p_hi)) in s.partition_ranges.iter().enumerate() {
-                for p in p_lo..=p_hi {
-                    s.pairs.push((p, j));
+            visit_partitions(&gen, &mut s.pairs, &s.uniq, counters, |j, e| {
+                for &i in &s.order[s.starts[j]..s.starts[j + 1]] {
+                    f(i, e);
                 }
-            }
-            s.pairs.sort_unstable();
-            counters.ti_range_visits += s.pairs.len() as u64;
-            let mut k = 0;
-            while k < s.pairs.len() {
-                let p = s.pairs[k].0;
-                let part = gen.partitions[p].lock();
-                counters.ti_partition_locks += 1;
-                while k < s.pairs.len() && s.pairs[k].0 == p {
-                    let j = s.pairs[k].1;
-                    let range = s.uniq[j];
-                    let group = &s.order[s.starts[j]..s.starts[j + 1]];
-                    part.run.range_for_each(range, |e| {
-                        for &i in group {
-                            f(i, e);
-                        }
-                    });
-                    k += 1;
-                }
-            }
+            });
         }
         PROBE_SCRATCH.with(|cell| cell.replace(s));
     }
@@ -615,31 +720,16 @@ impl PimTree {
         if gen.ti_len.load(Ordering::Relaxed) == 0 {
             return;
         }
-        // Mutable component, partition-major: route every range to its
-        // partition interval, then lock each overlapped partition once and
-        // answer all of its ranges under that one acquisition.
+        // Mutable component: route every range to its partition interval,
+        // then visit the partitions partition-major (`visit_partitions`).
         let mut s = PROBE_SCRATCH.with(|cell| cell.take());
         s.pairs.clear();
         for (j, &range) in ranges.iter().enumerate() {
             let p_lo = gen.route(Entry::min_for_key(range.lo));
             let p_hi = gen.route(Entry::max_for_key(range.hi));
-            for p in p_lo..=p_hi {
-                s.pairs.push((p, j));
-            }
+            s.pairs.extend((p_lo..=p_hi).map(|p| (p, j)));
         }
-        counters.ti_range_visits += s.pairs.len() as u64;
-        s.pairs.sort_unstable();
-        let mut k = 0;
-        while k < s.pairs.len() {
-            let p = s.pairs[k].0;
-            let part = gen.partitions[p].lock();
-            counters.ti_partition_locks += 1;
-            while k < s.pairs.len() && s.pairs[k].0 == p {
-                let j = s.pairs[k].1;
-                part.run.range_for_each(ranges[j], |e| f(j, e));
-                k += 1;
-            }
-        }
+        visit_partitions(&gen, &mut s.pairs, ranges, counters, f);
         PROBE_SCRATCH.with(|cell| cell.replace(s));
     }
 
@@ -1019,6 +1109,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore)] // 32 000 inserts from eight threads
     fn concurrent_inserts_and_lookups() {
         let t = Arc::new(PimTree::new(config(1 << 14, 1.0, 3)));
         // Pre-populate and merge so that several partitions exist.
@@ -1419,6 +1510,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore)] // four threads spinning on one partition
     fn skewed_inserts_race_probes_across_the_promotion() {
         // Empty TS: one partition takes every insert, from two threads,
         // while two more probe it; it is promoted a quarter of the way in.
@@ -1508,6 +1600,344 @@ mod tests {
         assert_eq!(tree.merge_buffer_bytes, (RUN_PROMOTE_LEN + 1) * entry);
     }
 
+    impl PimTree {
+        /// Everything indexed, as the scalar probe delivers it.
+        fn content(&self) -> Vec<Entry> {
+            self.range_collect_live(KeyRange::new(Key::MIN, Key::MAX), 0)
+        }
+
+        /// `ranges` answered by both staged batch probes, each checked
+        /// against the scalar probe range by range.
+        fn assert_batch_probes_match_scalar(&self, ranges: &[KeyRange]) {
+            let scalar: Vec<Vec<Entry>> = ranges
+                .iter()
+                .map(|&r| self.range_collect_live(r, 0))
+                .collect();
+            let mut counters = ProbeCounters::default();
+            let mut batched = vec![Vec::new(); ranges.len()];
+            self.probe_batch(ranges, &ProbeConfig::default(), &mut counters, |i, e| {
+                batched[i].push(e)
+            });
+            assert_eq!(batched, scalar, "probe_batch");
+            let mut per_range = vec![Vec::new(); ranges.len()];
+            self.probe_ranges_scalar(ranges, &ProbeConfig::scalar(), &mut counters, |i, e| {
+                per_range[i].push(e)
+            });
+            assert_eq!(per_range, scalar, "probe_ranges_scalar");
+        }
+    }
+
+    /// A merged tree over keys `0..w`, eight to a partition (64 partitions
+    /// for `w = 512`, 128 for 1024), its mutable component empty.
+    fn merged_tree(w: usize) -> PimTree {
+        let t = PimTree::new(config(w, 1.0, 3));
+        for i in 0..w as i64 {
+            t.insert(i, i as Seq);
+        }
+        t.merge(0);
+        t
+    }
+
+    #[test]
+    fn batches_around_the_stage_width_match_single_inserts_and_probes() {
+        // One fewer than, exactly, and one more than a stage holds: the
+        // chunked walk neither drops nor repeats an entry or a partition.
+        for n in [STAGE_WIDTH - 1, STAGE_WIDTH, STAGE_WIDTH + 1] {
+            let (staged, single) = (merged_tree(1024), merged_tree(1024));
+            assert!(staged.partition_count() > STAGE_WIDTH + 1);
+            // One entry per partition and then some, so that a stage is full
+            // of distinct partitions; key 3 three times over.
+            let entries: Vec<(Key, Seq)> = (0..n as i64)
+                .map(|i| (if i % 5 == 0 { 3 } else { i * 61 % 1024 }, 5000 + i as Seq))
+                .collect();
+            assert!(!staged.insert_batch(&entries));
+            for &(key, seq) in &entries {
+                single.insert(key, seq);
+            }
+            assert_eq!(staged.ti_len(), n);
+            assert_eq!(staged.content(), single.content(), "{n} entries");
+            assert_eq!(staged.insert_histogram(), single.insert_histogram());
+            // As many disjoint ranges, each in a partition of its own.
+            let ranges: Vec<KeyRange> = (0..n as i64)
+                .map(|i| KeyRange::new(i * 61 % 1024, i * 61 % 1024 + 2))
+                .collect();
+            staged.assert_batch_probes_match_scalar(&ranges);
+        }
+    }
+
+    #[test]
+    fn insert_batch_reports_reaching_the_merge_threshold() {
+        let t = PimTree::new(config(64, 0.5, 2));
+        assert_eq!(t.config().merge_threshold(), 32);
+        assert!(!t.insert_batch(&[]));
+        let batch = |from: u64, n: u64| -> Vec<(Key, Seq)> {
+            (from..from + n).map(|i| (i as Key % 7, i)).collect()
+        };
+        assert!(!t.insert_batch(&batch(0, 30)));
+        assert!(!t.insert_batch(&batch(30, 1)), "31 of 32");
+        assert!(!t.needs_merge());
+        assert!(t.insert_batch(&batch(31, 1)), "a batch of one reaches it");
+        assert!(t.needs_merge());
+        assert!(
+            t.insert_batch(&batch(32, 3)),
+            "and every batch past it says so"
+        );
+        t.merge(0);
+        assert!(!t.insert_batch(&batch(35, 31)));
+        assert!(
+            t.insert_batch(&batch(66, 17)),
+            "crossed in the middle of a batch"
+        );
+        assert_eq!(t.len(), 35 + 31 + 17);
+    }
+
+    #[test]
+    fn peek_skips_a_held_lock_and_a_promoted_run() {
+        let t = merged_tree(512);
+        t.insert(5, 1000);
+        let gen = t.current.read();
+        let hot = gen.route(Entry::new(5, 1000));
+        let run = gen.partitions[hot].peek_run().expect("free lock, flat run");
+        assert_eq!(
+            run.end as usize - run.start as usize,
+            std::mem::size_of::<Entry>()
+        );
+        assert!(gen.partitions[hot + 1]
+            .peek_run()
+            .is_some_and(|r| r.is_empty()));
+        {
+            let _held = gen.partitions[hot].lock();
+            assert!(gen.partitions[hot].peek_run().is_none(), "held: no peek");
+            // A staged walk over the other partitions goes on regardless.
+            gen.insert_staged(&[(400, 1001), (511, 1002), (401, 1003)], 8);
+            let mut pairs = vec![(hot + 1, 0), (gen.partitions.len() - 1, 0)];
+            let mut seen = 0;
+            visit_partitions(
+                &gen,
+                &mut pairs,
+                &[KeyRange::new(Key::MIN, Key::MAX)],
+                &mut ProbeCounters::default(),
+                |_, _| seen += 1,
+            );
+            assert_eq!(seen, 1, "key 511 in the last partition");
+        }
+        for i in 0..RUN_PROMOTE_LEN as u64 {
+            gen.insert(Entry::new(5, 2000 + i), 8);
+        }
+        assert!(matches!(gen.partitions[hot].lock().run, Run::Tree(_)));
+        assert!(
+            gen.partitions[hot].peek_run().is_none(),
+            "promoted: no peek"
+        );
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)] // four busy threads; the peek itself is covered above
+    fn batch_inserts_race_batch_probes_past_a_held_partition_lock() {
+        // Two threads insert and two probe, all through the batch entry
+        // points, on keys that mostly hit one partition of 128 — while a fifth
+        // thread holds that partition's lock when they start and lets go
+        // only after every one of them has entered its first batch, whose
+        // peek therefore finds the lock taken.
+        const PER_THREAD: usize = 3000;
+        let t = merged_tree(1024);
+        let key_of = |i: usize| -> Key {
+            match i % 10 {
+                0 => Key::MIN,
+                1 => Key::MAX,
+                2 | 3 => (i * 37 % 1024) as Key,
+                _ => (i % 6) as Key,
+            }
+        };
+        let entry_of = |i: usize| (key_of(i), (1024 + i) as Seq);
+        let hot = t.current.read().route(Entry::min_for_key(0));
+        let entered = AtomicUsize::new(0);
+        let start = std::sync::Barrier::new(5);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let gen = t.current.read();
+                let held = gen.partitions[hot].lock();
+                start.wait();
+                while entered.load(Ordering::Acquire) < 4 {
+                    std::thread::yield_now();
+                }
+                // Give the last one in time to reach its peek: work on other
+                // partitions, not a sleep.
+                for p in &gen.partitions[hot + 1..] {
+                    let _ = p.peek_run();
+                }
+                drop(held);
+            });
+            for tid in 0..2 {
+                let (t, start, entered) = (&t, &start, &entered);
+                scope.spawn(move || {
+                    start.wait();
+                    entered.fetch_add(1, Ordering::Release);
+                    let mine: Vec<(Key, Seq)> =
+                        (0..PER_THREAD).map(|i| entry_of(2 * i + tid)).collect();
+                    // Batches of 1, 2, ... 19 entries, over and over.
+                    let mut rest = &mine[..];
+                    let mut n = 1;
+                    while !rest.is_empty() {
+                        let (batch, tail) = rest.split_at(n.min(rest.len()));
+                        t.insert_batch(batch);
+                        rest = tail;
+                        n = n % 19 + 1;
+                    }
+                });
+            }
+            for tid in 0..2usize {
+                let (t, start, entered) = (&t, &start, &entered);
+                scope.spawn(move || {
+                    start.wait();
+                    entered.fetch_add(1, Ordering::Release);
+                    let ranges = [
+                        KeyRange::new(0, 5),
+                        KeyRange::new(Key::MIN, 3),
+                        KeyRange::new(1000, Key::MAX),
+                        KeyRange::new(0, 5),
+                        KeyRange::new(2, 700),
+                    ];
+                    let mut counters = ProbeCounters::default();
+                    let mut got = vec![Vec::new(); ranges.len()];
+                    while t.ti_len() < 2 * PER_THREAD {
+                        got.iter_mut().for_each(Vec::clear);
+                        let emit = |i: usize, e: Entry| got[i].push(e);
+                        if tid == 0 {
+                            t.probe_batch(&ranges, &ProbeConfig::default(), &mut counters, emit);
+                        } else {
+                            t.probe_ranges_scalar(
+                                &ranges,
+                                &ProbeConfig::scalar(),
+                                &mut counters,
+                                emit,
+                            );
+                        }
+                        for (range, entries) in ranges.iter().zip(&mut got) {
+                            assert!(entries.iter().all(|e| range.contains(e.key)));
+                            // TS is ascending, and so is TI after it.
+                            let ti = entries.iter().position(|e| e.seq >= 1024);
+                            let (ts, ti) = entries.split_at(ti.unwrap_or(entries.len()));
+                            assert!(ts.windows(2).all(|w| w[0] < w[1]), "{range:?}");
+                            assert!(ti.windows(2).all(|w| w[0] < w[1]), "{range:?}");
+                        }
+                    }
+                });
+            }
+        });
+        let mut oracle: Vec<Entry> = (0..1024)
+            .map(|i| Entry::new(i as Key, i as Seq))
+            .chain((0..2 * PER_THREAD).map(|i| Entry::new(key_of(i), (1024 + i) as Seq)))
+            .collect();
+        let mut got = t.content();
+        oracle.sort();
+        got.sort();
+        assert_eq!(got, oracle);
+        assert_eq!(t.ti_len(), 2 * PER_THREAD);
+        let hist = t.insert_histogram();
+        assert_eq!(hist.iter().sum::<u64>(), (1024 + 2 * PER_THREAD) as u64);
+        assert!(
+            hist[hot] as usize > PER_THREAD,
+            "the held partition is the hot one"
+        );
+        assert!(t.promoted_partitions() >= 1);
+        t.assert_batch_probes_match_scalar(&[
+            KeyRange::new(Key::MIN, Key::MAX),
+            KeyRange::point(Key::MAX),
+            KeyRange::new(0, 5),
+        ]);
+    }
+
+    mod staging_properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn key() -> impl Strategy<Value = Key> {
+            // Both ends of the domain, keys inside one partition of the
+            // merged tree (0..512, eight to a partition), keys spread over it and
+            // keys past its end, all of them repeated often.
+            prop::sample::select(vec![
+                Key::MIN,
+                Key::MIN + 1,
+                -1,
+                0,
+                1,
+                2,
+                3,
+                64,
+                65,
+                200,
+                511,
+                512,
+                9999,
+                Key::MAX - 1,
+                Key::MAX,
+            ])
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Whatever the batch sizes, staged inserts leave the tree as the
+            /// same entries inserted one at a time do, and the staged batch
+            /// probes answer as the scalar probe does — with or without a
+            /// populated `TS`, on either side of a run's promotion and
+            /// across it in the middle of a batch.
+            #[test]
+            #[cfg_attr(miri, ignore)]
+            fn staged_batches_match_one_at_a_time(
+                populated_ts in prop::bool::ANY,
+                // Entries already in the one partition all of `hot` goes to.
+                prefill in prop::sample::select(vec![0usize, RUN_PROMOTE_LEN - 9, RUN_PROMOTE_LEN]),
+                hot in prop::sample::select(vec![Key::MIN, 2, Key::MAX]),
+                sizes in prop::collection::vec(
+                    prop::sample::select(vec![0usize, 1, 2, 16, 17, 40]),
+                    1..5,
+                ),
+                keys in prop::collection::vec(key(), 160..161),
+                bands in prop::collection::vec((key(), key()), 0..24),
+            ) {
+                let make = || if populated_ts {
+                    merged_tree(512)
+                } else {
+                    PimTree::new(config(512, 1.0, 2))
+                };
+                let (staged, single) = (make(), make());
+                let mut seq: Seq = 512;
+                for _ in 0..prefill {
+                    staged.insert(hot, seq);
+                    single.insert(hot, seq);
+                    seq += 1;
+                }
+                let mut keys = keys.into_iter();
+                for n in sizes {
+                    let batch: Vec<(Key, Seq)> = keys
+                        .by_ref()
+                        .take(n)
+                        .map(|k| {
+                            seq += 1;
+                            (k, seq)
+                        })
+                        .collect();
+                    let due = staged.insert_batch(&batch);
+                    for &(k, s) in &batch {
+                        single.insert(k, s);
+                    }
+                    prop_assert_eq!(due, single.needs_merge());
+                    prop_assert_eq!(staged.ti_len(), single.ti_len());
+                }
+                prop_assert_eq!(staged.content(), single.content());
+                prop_assert_eq!(staged.insert_histogram(), single.insert_histogram());
+                prop_assert_eq!(staged.promoted_partitions(), single.promoted_partitions());
+                let ranges: Vec<KeyRange> = bands
+                    .into_iter()
+                    .map(|(a, b)| KeyRange::new(a.min(b), a.max(b)))
+                    .collect();
+                staged.assert_batch_probes_match_scalar(&ranges);
+            }
+        }
+    }
+
     mod run_properties {
         use super::*;
         use proptest::prelude::*;
@@ -1535,6 +1965,7 @@ mod tests {
             /// array, whichever side of the promotion it is on, and crosses
             /// it in the middle of the interleaving.
             #[test]
+            #[cfg_attr(miri, ignore)]
             fn run_matches_btree_and_sorted_vec(
                 prefill in prop::sample::select(vec![
                     0,

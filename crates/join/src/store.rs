@@ -80,13 +80,16 @@ impl StoreIndex {
         }
     }
 
-    fn insert_batch(&self, entries: &[(Key, Seq)]) {
+    /// Returns whether the batch left the index due for a merge (what
+    /// [`StoreIndex::needs_merge`] would say right after it).
+    fn insert_batch(&self, entries: &[(Key, Seq)]) -> bool {
         match self {
             StoreIndex::Pim(t) => t.insert_batch(entries),
             StoreIndex::Bw(t) => {
                 for &(key, seq) in entries {
                     t.insert(key, seq);
                 }
+                false
             }
         }
     }
@@ -764,7 +767,7 @@ impl ShardStore {
         }
         match &self.layout {
             Layout::Shared(s) => {
-                s.indexes[side].insert_batch(entries);
+                let merge_due = s.indexes[side].insert_batch(entries);
                 if let StoreIndex::Bw(bw) = &s.indexes[side] {
                     // Eager expiry deletion with a lag large enough that no
                     // in-flight task can still need the deleted entry.
@@ -781,7 +784,7 @@ impl ShardStore {
                     s.windows[side].mark_indexed(seq);
                 }
                 s.windows[side].try_advance_edge();
-                if s.indexes[side].needs_merge() {
+                if merge_due {
                     self.merge_hint[side].store(true, Ordering::Relaxed);
                 }
             }
@@ -818,7 +821,7 @@ impl ShardStore {
                         stats.store.remote_inserts += n;
                     }
                     let shard = &inner.shards[shard_idx];
-                    shard.indexes[side].insert_batch(&scratch.sub_entries);
+                    let merge_due = shard.indexes[side].insert_batch(&scratch.sub_entries);
                     if let StoreIndex::Bw(bw) = &shard.indexes[side] {
                         let w = self.window_sizes[side] as u64;
                         let newest = scratch
@@ -837,7 +840,7 @@ impl ShardStore {
                         debug_assert!(found, "inserted tuple {seq} missing from its shard window");
                     }
                     shard.windows[side].try_advance_edge();
-                    if shard.indexes[side].needs_merge() {
+                    if merge_due {
                         self.merge_hint[side].store(true, Ordering::Relaxed);
                     }
                 }
@@ -1311,9 +1314,7 @@ impl ShardStore {
                 let [win0, win1] = wins;
                 let build_index = |entries: &[(Key, Seq)]| {
                     let index = StoreIndex::new(self.kind, self.shard_pim);
-                    if !entries.is_empty() {
-                        index.insert_batch(entries);
-                    }
+                    index.insert_batch(entries);
                     index
                 };
                 StoreShard {
@@ -1398,10 +1399,7 @@ impl ShardStore {
                     .map(|(seq, key, _)| (key, seq))
                     .collect();
                 let index = StoreIndex::new(self.kind, self.shard_pim);
-                if !entries.is_empty() {
-                    index.insert_batch(&entries);
-                }
-                if index.needs_merge() {
+                if index.insert_batch(&entries) {
                     self.merge_hint[side].store(true, Ordering::Relaxed);
                 }
                 inner.shards[dst].indexes[side] = index;
@@ -1513,11 +1511,8 @@ impl ShardStore {
                 .filter(|&&(_, _, indexed)| indexed)
                 .map(|&(seq, key, _)| (key, seq))
                 .collect();
-            if !idx_entries.is_empty() {
-                inner.shards[d.dst].indexes[side].insert_batch(&idx_entries);
-                if inner.shards[d.dst].indexes[side].needs_merge() {
-                    self.merge_hint[side].store(true, Ordering::Relaxed);
-                }
+            if inner.shards[d.dst].indexes[side].insert_batch(&idx_entries) {
+                self.merge_hint[side].store(true, Ordering::Relaxed);
             }
             report.index_entries_moved += idx_entries.len() as u64;
             report.window_tuples_moved += moving.len() as u64;
