@@ -2,6 +2,7 @@
 //! the task size, for several window sizes.
 
 use pimtree_bench::harness::*;
+use pimtree_common::{ProbeConfig, RingConfig};
 use pimtree_join::SharedIndexKind;
 use pimtree_workload::KeyDistribution;
 
@@ -29,13 +30,18 @@ fn main() {
                 50.0,
                 opts.seed,
             );
-            let stats = run_parallel(
+            // A fill target of one task per worker pins every claim to one
+            // fixed-size task, which is what the paper's figure sweeps; by
+            // default a claim grows with the ring's depth.
+            let stats = run_parallel_ring(
                 SharedIndexKind::PimTree,
                 w,
                 w,
                 opts.threads,
                 task_size,
                 pim_config(w),
+                RingConfig::default().with_ingest_target(opts.threads * task_size),
+                ProbeConfig::default(),
                 predicate,
                 &tuples,
                 false,

@@ -169,9 +169,15 @@ pub struct RingConfig {
     /// of two and to at least twice the task size.
     pub capacity: usize,
     /// How many ingested-but-unclaimed tuples the engine tries to keep
-    /// available in the ring; `0` selects `threads * task_size` (clamped to a
-    /// quarter of the capacity). Larger targets amortise the ingest token
-    /// better, smaller ones reduce result-propagation latency.
+    /// available in the ring; `0` selects `4 * threads * task_size` (clamped
+    /// to a quarter of the capacity). There is one claim rule and it follows
+    /// the depth it finds: a worker takes an equal share of what is
+    /// available, between one and four tasks. A ring never filled past
+    /// `threads * task_size` therefore never yields more than one task a
+    /// claim — the paper's fixed-size tasks, which is how its task-size
+    /// figures are swept. Larger targets amortise the ingest token and the
+    /// per-claim bookkeeping better, smaller ones reduce result-propagation
+    /// latency.
     pub ingest_target: usize,
     /// Number of idle rounds spent busy-spinning (with exponentially growing
     /// spin windows) before the worker starts yielding its time slice.
@@ -659,8 +665,8 @@ impl ProbeConfig {
     pub fn validate(&self) -> Result<()> {
         if self.prefetch_dist > 1024 {
             return Err(Error::InvalidConfig(format!(
-                "prefetch_dist {} is unreasonably large (max 1024): batches \
-                 never exceed the task size",
+                "prefetch_dist {} is unreasonably large (max 1024): a batch \
+                 never exceeds four tasks",
                 self.prefetch_dist
             )));
         }
@@ -687,7 +693,10 @@ pub struct JoinConfig {
     /// Number of worker threads for parallel operators (ignored by the
     /// single-threaded ones).
     pub threads: usize,
-    /// Task size: tuples handed to a worker per task-acquisition round.
+    /// Task size: the unit in which the ring hands out work. A claim takes
+    /// one task when the ring is shallow and up to four when it is deep
+    /// enough to leave every worker as much (see
+    /// [`RingConfig::ingest_target`]).
     pub task_size: usize,
     /// Chain length `L` for the chained-index variants.
     pub chain_length: usize,

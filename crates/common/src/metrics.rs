@@ -388,6 +388,13 @@ impl LatencyRecorder {
         self.samples_nanos.push(d.as_nanos() as u64);
     }
 
+    /// Records `n` samples of the same latency (the tuples of one batch).
+    #[inline]
+    pub fn record_n(&mut self, d: Duration, n: usize) {
+        let len = self.samples_nanos.len();
+        self.samples_nanos.resize(len + n, d.as_nanos() as u64);
+    }
+
     /// Number of samples recorded.
     pub fn len(&self) -> usize {
         self.samples_nanos.len()

@@ -30,9 +30,10 @@ pub(crate) const RUN_PROMOTE_LEN: usize = 256;
 
 /// Partitions one staged pass over `TI` keeps in flight: the bound of the
 /// stack arrays of [`Generation::insert_staged`] and [`visit_partitions`].
-/// Longer batches are walked in chunks of this many. A task side holds about
-/// four tuples, so one chunk is the rule; sixteen headers and their runs
-/// (some 9 KiB at the usual 32 entries a run) still fit in L1.
+/// Longer batches are walked in chunks of this many. The engine's batch is
+/// up to four tasks — at the default task size about sixteen tuples a side
+/// when the ring is deep — so one full chunk is the rule; sixteen headers and
+/// their runs (some 9 KiB at the usual 32 entries a run) still fit in L1.
 const STAGE_WIDTH: usize = 16;
 
 /// The sorted contents of one mutable partition.

@@ -5,8 +5,9 @@
 //! tuples are arranged in arrival order in a fixed-capacity MPMC task ring
 //! ([`crate::ring::TaskRing`]); each worker repeatedly
 //!
-//! 1. **acquires a task** (up to `task_size` tuples) with a single bounded
-//!    ticket-claim CAS — each slot carries the boundaries of the opposite
+//! 1. **acquires a batch** — an equal share of the ring's available tuples,
+//!    between one and four tasks of `task_size` — with a single bounded
+//!    ticket-claim CAS; each slot carries the boundaries of the opposite
 //!    window captured at ingestion,
 //! 2. **generates results** by probing the opposite index for the already
 //!    indexed window prefix and linearly scanning the window suffix past the
@@ -109,10 +110,14 @@ use crate::shard::ShardedRing;
 use crate::stats::{lap, JoinRunStats, MigrationCounters};
 use crate::store::{ShardStore, StoreParams};
 
-/// Local drift observations a worker buffers while another worker holds the
-/// drift-monitor lock; bounded because the monitor is a sampling window
-/// anyway — dropping overflow under contention only thins the sample.
-const DRIFT_BACKLOG_CAP: usize = 1024;
+/// How many ring tasks (`task_size` tuples each) one claim may take when the
+/// ring is deep enough to leave every worker as much. `task_size` stays the
+/// unit of work *distribution*; the batch a worker pushes through `generate`
+/// and `insert_batch` follows the ring's depth up to this factor, so the
+/// per-visit fixed cost (gate, generation locks, edge and sink try-locks,
+/// claim bookkeeping, clock reads) is paid once per batch. A factor of 8
+/// measured 1–4 % over 4 and lengthens every batch's suffix scan.
+const CLAIM_DEPTH: usize = 4;
 
 /// Which shared index the parallel engine maintains over each window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,10 +153,11 @@ struct ClaimMeta {
 }
 
 /// Shared drift-monitoring state of the live-repartition path, behind one
-/// mutex: workers flush `(key, match count)` observations through a
-/// *try*-lock (contended flushes fall back to a bounded per-worker backlog),
-/// and the periodic drift check turns a triggering sample into a `pending`
-/// plan that whichever worker next passes the maintenance point adopts.
+/// mutex: the worker draining the ring feeds it one `(key, match count)`
+/// observation per propagated tuple — in arrival order, so the sample does
+/// not depend on how the workers' claims carved the input up — and the
+/// periodic drift check turns a triggering sample into a `pending` plan that
+/// whichever worker next passes the maintenance point adopts.
 struct DriftState {
     monitor: DriftMonitor,
     /// The partitioner currently driving ring routing and store placement —
@@ -215,10 +221,12 @@ struct Shared<'a> {
     /// length for the measured phase.
     ingest_limit: usize,
     predicate: BandPredicate,
+    threads: usize,
     task_size: usize,
     /// How many available (not yet claimed) tuples an acquiring worker tries
     /// to keep in the ring: ingesting in bulk keeps every worker supplied
-    /// without re-contending on the ingest token for every task.
+    /// without re-contending on the ingest token for every task, and the
+    /// depth it maintains is what sizes a claim (see [`claim_bound`]).
     ingest_target: usize,
     /// Upper bound on the non-indexed window suffix (head minus edge tuple)
     /// admitted per side. Without a bound, the tuples processed while a merge
@@ -277,16 +285,17 @@ struct Shared<'a> {
     /// touched under the maintenance claim with the engine quiesced.
     handoff: Mutex<Option<HandoffState>>,
     /// Mirrors `handoff.is_some()` so the workers' per-loop peek is one
-    /// relaxed load; while raised, `record_drift` stops staging new plans
+    /// relaxed load; while raised, `check_drift` stops staging new plans
     /// (they would be measured against the partitioner being replaced).
     handoff_active: AtomicBool,
     /// Open-loop arrival pacing; `None` runs closed-loop (as fast as the
     /// engine admits). Armed for the measured phase only.
     open_loop: Option<OpenLoopPacing>,
-    /// Measured-phase slots drained so far, in global arrival order; pairs
-    /// each drained slot with its virtual arrival time under open-loop
-    /// pacing. Only advanced when `open_loop` is armed (the drain token
-    /// makes the increment uncontended).
+    /// Slots drained so far over both phases. Slots drain in global arrival
+    /// order, so this is the input position of the next slot to drain: it
+    /// pairs a drained slot with its key for the drift monitor and with its
+    /// virtual arrival time under open-loop pacing. Written only under the
+    /// sink lock.
     drained_pos: AtomicUsize,
     /// End-to-end arrival→drain latency histogram (open-loop runs only).
     arrival_latency: Mutex<LatencyHistogram>,
@@ -557,20 +566,26 @@ impl ParallelIbwj {
         // Total capacity across shards: the bound on how far any in-flight
         // task can lag the ingest frontier.
         let ring_cap = ring.capacity();
-        let max_unindexed = (8 * threads * task_size).max(1024);
+        let ingest_target = if self.config.ring.ingest_target > 0 {
+            self.config.ring.ingest_target.min(ring_cap)
+        } else {
+            // Deep enough for every worker to claim `CLAIM_DEPTH` tasks at a
+            // visit. Upper bound floors at task_size so a deliberately tiny
+            // ring (capacity down to 2 * task_size) cannot invert the clamp.
+            (CLAIM_DEPTH * threads * task_size).clamp(task_size, (ring_cap / 4).max(task_size))
+        };
+        // The un-indexed suffix in steady state is what waits in the ring
+        // plus what the workers hold claimed; the admission bound sits at
+        // four times that (floored for small engines) so that it only binds
+        // while a merge defers index updates, never on the normal depth.
+        let in_flight = threads * claim_bound(ingest_target, threads, task_size);
+        let max_unindexed = (4 * (ingest_target + in_flight)).max(1024);
         // The window must keep slots readable well past expiry: in-flight
         // tasks reach back up to one ring capacity of ingests, and the
         // Bw-Tree's eager expiry deletion reads keys of tuples that can lag
         // the head by the admission bound plus a window plus a ring lap —
         // so the slack budgets for both the ring and the admission bound.
         let slack = 2 * ring_cap + max_unindexed + 1024;
-        let ingest_target = if self.config.ring.ingest_target > 0 {
-            self.config.ring.ingest_target.min(ring_cap)
-        } else {
-            // Upper bound floors at task_size so a deliberately tiny ring
-            // (capacity down to 2 * task_size) cannot invert the clamp.
-            (threads * task_size).clamp(task_size, (ring_cap / 4).max(task_size))
-        };
 
         let window_sizes = if self.self_join {
             [self.config.window_r, 1]
@@ -599,6 +614,7 @@ impl ParallelIbwj {
             input: tuples,
             ingest_limit: if warmup > 0 { warmup } else { tuples.len() },
             predicate: self.predicate,
+            threads,
             task_size,
             self_join: self.self_join,
             ingest_target,
@@ -831,9 +847,6 @@ struct WorkerScratch {
     /// Per-item collected results (moved into the ring slot when the item
     /// completes).
     collected: Vec<Vec<JoinResult>>,
-    /// Drift observations buffered while the monitor lock was contended
-    /// (bounded; overflow is dropped — the monitor samples anyway).
-    drift_backlog: Vec<(Key, u64)>,
 }
 
 impl WorkerScratch {
@@ -847,7 +860,6 @@ impl WorkerScratch {
             probe_items: [Vec::new(), Vec::new()],
             counts: Vec::new(),
             collected: Vec::new(),
-            drift_backlog: Vec::new(),
         }
     }
 }
@@ -1054,15 +1066,17 @@ fn acquire_task(
     if !shared.gate.try_enter() {
         return false;
     }
-    if shared.ring.available() < shared.ingest_target {
+    let mut available = shared.ring.available();
+    if available < shared.ingest_target {
         let clock = recorder.clock();
         try_ingest(shared, local);
         recorder.commit(EnginePhase::Ingest, clock);
+        available = shared.ring.available();
     }
     scratch.items.clear();
     let Some(claim) = shared.ring.claim(
         home,
-        shared.task_size,
+        claim_bound(available, shared.threads, shared.task_size),
         &mut scratch.items,
         &mut local.ring,
         &mut local.shard,
@@ -1072,16 +1086,32 @@ fn acquire_task(
     };
     scratch.task_shard = claim.shard;
     // Record claim progress per (shard, probe side) for the O(shards) merge
-    // horizon. This happens while the task is counted in `in_flight`, so a
-    // merger that observed quiescence is guaranteed to see it.
+    // horizon, one maximum and one count per side for the whole claim. This
+    // happens while the task is counted in `in_flight`, so a merger that
+    // observed quiescence is guaranteed to see it.
+    let mut claimed = [(0u64, 0u64); 2];
     for task in &scratch.items {
-        let probe = shared.probe_idx(task.tuple.side);
-        let meta = &shared.claim_meta[claim.shard][probe];
-        meta.last_claimed_bound
-            .fetch_max(task.bounds.earliest, Ordering::AcqRel);
-        meta.claimed.fetch_add(1, Ordering::Release);
+        let (n, bound) = &mut claimed[shared.probe_idx(task.tuple.side)];
+        *n += 1;
+        *bound = (*bound).max(task.bounds.earliest);
+    }
+    for (meta, (n, bound)) in shared.claim_meta[claim.shard].iter().zip(claimed) {
+        if n > 0 {
+            meta.last_claimed_bound.fetch_max(bound, Ordering::AcqRel);
+            meta.claimed.fetch_add(n, Ordering::Release);
+        }
     }
     true
+}
+
+/// How many tuples one claim may take from a ring holding `available`: an
+/// equal share of what is there, never less than one task (a shallow ring —
+/// low offered load, end of input — hands out what it has, so latency at low
+/// load is that of `task_size`) and never more than [`CLAIM_DEPTH`] tasks.
+/// With `ingest_target = threads * task_size` the ring never holds more than
+/// a task per worker and every claim is the paper's fixed-size task.
+fn claim_bound(available: usize, threads: usize, task_size: usize) -> usize {
+    (available / threads).clamp(task_size, CLAIM_DEPTH * task_size)
 }
 
 /// Batch-fills the ring through the ingest token (no-op when another worker
@@ -1098,9 +1128,17 @@ fn try_ingest(shared: &Shared<'_>, local: &mut JoinRunStats) {
         local.ring.ingest_token_contended += 1;
         return;
     };
+    // The budgets of this token hold, read once: concurrent claims and edge
+    // advances only widen them, so a fill sized on the values at entry never
+    // overshoots the target or the admission bound — it may stop short, and
+    // the next visit tops the ring up.
+    let room = shared.ingest_target.saturating_sub(shared.ring.available());
+    let mut admit = [0, 1]
+        .map(|side| (shared.max_unindexed as u64).saturating_sub(shared.store.unindexed_len(side)));
     let mut pos = shared.next_ingest.load(Ordering::Relaxed);
+    let end = shared.ingest_limit.min(pos + room);
     let mut ingested_any = false;
-    while pos < shared.ingest_limit && shared.ring.available() < shared.ingest_target {
+    while pos < end {
         // Open-loop pacing: a tuple whose virtual arrival time has not come
         // yet is simply not available — the worker goes back to draining
         // whatever is queued (arrival order is preserved because ingestion
@@ -1126,10 +1164,11 @@ fn try_ingest(shared: &Shared<'_>, local: &mut JoinRunStats) {
             break;
         }
         let own = shared.own_idx(t.side);
-        if shared.store.unindexed_len(own) as usize >= shared.max_unindexed {
+        if admit[own] == 0 {
             local.ring.ingest_stalls += 1;
             break;
         }
+        admit[own] -= 1;
         let probe = shared.probe_idx(t.side);
         let bounds = shared.store.bounds(probe);
         let seq = shared
@@ -1183,14 +1222,7 @@ fn process_task(
     recorder.record_nanos(EnginePhase::Probe, generate_span.as_nanos() as u64);
     // Latency is the task processing time (§5): acquisition to results
     // ready, which is the span just measured.
-    for _ in 0..scratch.items.len() {
-        latency.record(generate_span);
-    }
-    // Feed the drift monitor with this task's `(key, match count)` pairs —
-    // the paper's combined insert+output load signal per key interval.
-    if shared.drift.is_some() {
-        record_drift(shared, scratch);
-    }
+    latency.record_n(generate_span, scratch.items.len());
     // Step 3: index update, batched per side so the generation lock and the
     // shared counters are touched once per task instead of once per tuple.
     // The store routes each entry to the shard owning its key, retires newly
@@ -1305,26 +1337,43 @@ fn propagate(shared: &Shared<'_>, local: &mut JoinRunStats) {
         return;
     };
     let collect = shared.collect_results;
-    // Under open-loop pacing, stamp each drained slot's end-to-end latency:
-    // drain time minus the slot's virtual arrival time. Slots drain in
-    // global arrival order (a structural ring invariant), so the drain
-    // cursor position *is* the arrival index.
+    // Slots drain in global arrival order (a structural ring invariant), so
+    // the drain cursor position *is* the input position. Under open-loop
+    // pacing, stamp each drained slot's end-to-end latency: drain time minus
+    // the slot's virtual arrival time.
     let mut arrivals = shared
         .open_loop
         .as_ref()
         .map(|ol| (ol, shared.arrival_latency.lock(), Instant::now()));
+    // The drift monitor is fed here because this is where tuples pass in
+    // arrival order: its window is the last `window` tuples that arrived —
+    // the paper's combined insert+output load signal per key interval. Fed
+    // by the workers it would hold their last few claims, each a run of
+    // tuples from one ring shard, which a small window reads as imbalance.
+    // Only the elected drainer feeds it, so the lock is free but for a plan
+    // adoption.
+    let mut drift = shared.drift.as_ref().map(|d| d.lock());
+    let start = shared.drained_pos.load(Ordering::Relaxed);
+    let mut pos = start;
     let drained = shared.ring.try_drain(collect, |count, results| {
         sink.0 += count;
         if collect {
             sink.1.extend(results);
         }
         if let Some((ol, hist, now)) = arrivals.as_mut() {
-            let i = shared.drained_pos.fetch_add(1, Ordering::Relaxed) as u64;
-            let due_nanos = i.saturating_mul(ol.nanos_per_tuple);
+            let due_nanos = ((pos - ol.measured_from) as u64).saturating_mul(ol.nanos_per_tuple);
             let elapsed = now.saturating_duration_since(ol.base).as_nanos() as u64;
             hist.record_nanos(elapsed.saturating_sub(due_nanos));
         }
+        if let Some(st) = drift.as_mut() {
+            st.monitor.observe(shared.input[pos].key, count);
+        }
+        pos += 1;
     });
+    shared.drained_pos.store(pos, Ordering::Relaxed);
+    if let Some(st) = drift.as_mut() {
+        check_drift(shared, st, pos - start);
+    }
     if let Some(n) = drained {
         if n > 0 {
             local.ring.drain_batches += 1;
@@ -1335,37 +1384,16 @@ fn propagate(shared: &Shared<'_>, local: &mut JoinRunStats) {
 
 // ------------------------------------------------------------- repartition
 
-/// Flushes a task's `(key, match count)` observations into the drift
+/// Accounts for the `observed` tuples [`propagate`] just fed the drift
 /// monitor and, every `effective_check_interval` observations, turns a
 /// triggering sample into a pending repartition plan.
 ///
-/// The monitor lock is only ever *try*-acquired here: a contended flush
-/// stashes the observations in the worker's bounded backlog instead of
-/// blocking the hot path. Plans that fail the cost gate (or that reproduce
-/// the current boundaries) are rejected and the monitor cools down, so the
-/// same stale sample can neither oscillate nor re-plan every check.
-fn record_drift(shared: &Shared<'_>, scratch: &mut WorkerScratch) {
-    let Some(drift) = &shared.drift else { return };
-    let Some(mut st) = drift.try_lock() else {
-        let room = DRIFT_BACKLOG_CAP.saturating_sub(scratch.drift_backlog.len());
-        for (i, task) in scratch.items.iter().enumerate().take(room) {
-            scratch
-                .drift_backlog
-                .push((task.tuple.key, scratch.counts[i]));
-        }
-        return;
-    };
-    let mut observed = 0u64;
-    for (key, weight) in scratch.drift_backlog.drain(..) {
-        st.monitor.observe(key, weight);
-        observed += 1;
-    }
-    for (i, task) in scratch.items.iter().enumerate() {
-        st.monitor.observe(task.tuple.key, scratch.counts[i]);
-        observed += 1;
-    }
-    st.since_check += observed as usize;
-    st.observations += observed;
+/// Plans that fail the cost gate (or that reproduce the current boundaries)
+/// are rejected and the monitor cools down, so the same stale sample can
+/// neither oscillate nor re-plan every check.
+fn check_drift(shared: &Shared<'_>, st: &mut DriftState, observed: usize) {
+    st.since_check += observed;
+    st.observations += observed as u64;
     // While an incremental handoff is in flight no new plan is staged: it
     // would be measured against the partitioner currently being replaced
     // (observations keep flowing — the sample stays warm for the next
@@ -1442,9 +1470,9 @@ fn maybe_repartition(shared: &Shared<'_>) -> bool {
         }
         _ => None,
     };
-    // Drift-driven adoption: anything pending? One relaxed load — a
-    // try-lock peek here would contend with record_drift's flush try-lock
-    // on every worker-loop iteration and thin the drift sample.
+    // Drift-driven adoption: anything pending? One relaxed load — a lock
+    // peek here would contend with the drainer feeding the monitor on every
+    // worker-loop iteration.
     let drift_pending = forced.is_none() && shared.repartition_pending.load(Ordering::Acquire);
     if forced.is_none() && !drift_pending {
         return false;
@@ -1920,6 +1948,24 @@ mod tests {
             .with_pim(pim)
     }
 
+    /// The probing tuple's position in the input must be non-decreasing
+    /// across the propagated result stream.
+    fn assert_arrival_order(tuples: &[Tuple], results: &[JoinResult], label: &str) {
+        let pos_of: std::collections::HashMap<_, _> = tuples
+            .iter()
+            .enumerate()
+            .map(|(i, t)| ((t.side, t.seq), i))
+            .collect();
+        let positions: Vec<usize> = results
+            .iter()
+            .map(|r| pos_of[&(r.probe.side, r.probe.seq)])
+            .collect();
+        assert!(
+            positions.windows(2).all(|w| w[0] <= w[1]),
+            "result propagation must preserve arrival order ({label})"
+        );
+    }
+
     #[test]
     fn worker_panic_ends_the_run_instead_of_hanging_it() {
         // Small windows and merge ratio 1/4: the surviving workers meet a
@@ -2088,20 +2134,7 @@ mod tests {
         .with_collected_results(true);
         let (_, results) = op.run(&tuples);
         assert!(!results.is_empty());
-        // The probing tuple's position in the input must be non-decreasing
-        // across the propagated result stream.
-        let mut pos_of = std::collections::HashMap::new();
-        for (i, t) in tuples.iter().enumerate() {
-            pos_of.insert((t.side, t.seq), i);
-        }
-        let positions: Vec<usize> = results
-            .iter()
-            .map(|r| pos_of[&(r.probe.side, r.probe.seq)])
-            .collect();
-        assert!(
-            positions.windows(2).all(|w| w[0] <= w[1]),
-            "result propagation must preserve arrival order"
-        );
+        assert_arrival_order(&tuples, &results, "6 workers");
     }
 
     #[test]
@@ -2157,27 +2190,174 @@ mod tests {
     fn ring_counters_reflect_the_run() {
         let tuples = random_tuples(3000, 300, 40);
         let predicate = BandPredicate::new(2);
+        let (threads, task) = (4, 4);
+        // A claim follows the ring's depth up to `CLAIM_DEPTH` tasks; a fill
+        // target of one task per worker pins it to the fixed-size task.
+        for (ingest_target, largest_claim) in [(0, CLAIM_DEPTH * task), (threads * task, task)] {
+            let cfg = config(128, threads, task, 1.0, MergePolicy::NonBlocking)
+                .with_ring(RingConfig::default().with_ingest_target(ingest_target));
+            let op = ParallelIbwj::new(cfg, predicate, SharedIndexKind::PimTree, false);
+            let (stats, _) = op.run(&tuples);
+            assert_eq!(
+                stats.ring.tuples_acquired, 3000,
+                "every tuple claimed exactly once"
+            );
+            assert_eq!(
+                stats.ring.slots_drained, 3000,
+                "every slot propagated exactly once"
+            );
+            assert!(
+                stats.ring.tuples_acquired <= stats.ring.tasks_acquired * largest_claim as u64,
+                "ingest target {ingest_target}: claims hold at most {largest_claim} tuples"
+            );
+            assert!(stats.ring.ingest_batches > 0);
+            assert!(stats.ring.mean_task_size() > 0.0);
+        }
+        // One worker always finds the ring as deep as it filled it, so by
+        // default every claim but the last is `CLAIM_DEPTH` tasks.
         let op = ParallelIbwj::new(
-            config(128, 4, 4, 1.0, MergePolicy::NonBlocking),
+            config(128, 1, task, 1.0, MergePolicy::NonBlocking),
             predicate,
             SharedIndexKind::PimTree,
             false,
         );
         let (stats, _) = op.run(&tuples);
         assert_eq!(
-            stats.ring.tuples_acquired, 3000,
-            "every tuple claimed exactly once"
+            stats.ring.tasks_acquired,
+            3000u64.div_ceil((CLAIM_DEPTH * task) as u64)
         );
+    }
+
+    #[test]
+    fn claim_bound_follows_the_ring_depth_between_one_and_four_tasks() {
+        let (threads, task) = (4, 8);
+        // Shallow ring: what is there, up to a task.
+        assert_eq!(claim_bound(0, threads, task), task);
+        assert_eq!(claim_bound(threads * task, threads, task), task);
+        // Deep ring: an equal share, capped.
+        assert_eq!(claim_bound(2 * threads * task, threads, task), 2 * task);
         assert_eq!(
-            stats.ring.slots_drained, 3000,
-            "every slot propagated exactly once"
+            claim_bound(100 * threads * task, threads, task),
+            CLAIM_DEPTH * task
         );
-        assert!(
-            stats.ring.tasks_acquired >= 3000 / 4,
-            "tasks hold at most task_size tuples"
-        );
-        assert!(stats.ring.ingest_batches > 0);
-        assert!(stats.ring.mean_task_size() > 0.0);
+        // A ring filled to one task per worker never yields a larger claim.
+        for available in 0..=threads * task {
+            assert_eq!(claim_bound(available, threads, task), task);
+        }
+    }
+
+    /// Batch-at-a-time differential: claims that follow the ring's depth
+    /// (the default) and the paper's fixed-size tasks (fill target pinned to
+    /// one task per worker) both produce the nested-loop oracle's result
+    /// set, propagated in arrival order — across worker counts, merge
+    /// policies, a self-join, asymmetric windows, the smallest ring the
+    /// engine accepts, and a 2-shard partitioned store that repartitions
+    /// mid-run (whose per-shard sub-batches are what the larger claim feeds).
+    #[test]
+    fn coalesced_claims_match_fixed_size_tasks_and_reference() {
+        struct Scenario {
+            name: &'static str,
+            tuples: Vec<Tuple>,
+            windows: (usize, usize),
+            self_join: bool,
+            ring_capacity: usize,
+            partitioned: bool,
+        }
+        let task = 4;
+        let base = |name, seed| Scenario {
+            name,
+            tuples: random_tuples(3000, 300, seed),
+            windows: (128, 128),
+            self_join: false,
+            ring_capacity: 0,
+            partitioned: false,
+        };
+        let scenarios = [
+            base("plain", 141),
+            Scenario {
+                tuples: self_join_tuples(3000, 300, 142),
+                self_join: true,
+                ..base("self-join", 0)
+            },
+            Scenario {
+                windows: (64, 512),
+                ..base("asymmetric windows", 143)
+            },
+            Scenario {
+                ring_capacity: 2 * task,
+                ..base("tiny ring", 144)
+            },
+            Scenario {
+                partitioned: true,
+                ..base("partitioned store, forced repartition", 145)
+            },
+        ];
+        let predicate = BandPredicate::new(2);
+        for sc in &scenarios {
+            let (w_r, w_s) = sc.windows;
+            let expected = canonical(&reference_join(
+                &sc.tuples,
+                predicate,
+                w_r,
+                w_s,
+                sc.self_join,
+            ));
+            assert!(!expected.is_empty(), "{}", sc.name);
+            for policy in [MergePolicy::NonBlocking, MergePolicy::Blocking] {
+                for threads in [1usize, 2, 4] {
+                    for ingest_target in [0, threads * task] {
+                        let mut cfg = config(w_r.max(w_s), threads, task, 0.5, policy).with_ring(
+                            RingConfig::default()
+                                .with_capacity(sc.ring_capacity)
+                                .with_ingest_target(ingest_target),
+                        );
+                        cfg.window_r = w_r;
+                        cfg.window_s = w_s;
+                        if sc.partitioned {
+                            cfg = cfg.with_shard(
+                                ShardConfig::default()
+                                    .with_shards(2)
+                                    .with_partition_index(true),
+                            );
+                        }
+                        let mut op = ParallelIbwj::new(
+                            cfg,
+                            predicate,
+                            SharedIndexKind::PimTree,
+                            sc.self_join,
+                        )
+                        .with_collected_results(true);
+                        if sc.partitioned {
+                            let at = sc.tuples.len() / 2;
+                            let sample: Vec<Key> = sc.tuples[at..].iter().map(|t| t.key).collect();
+                            op = op
+                                .with_forced_repartition(
+                                    at,
+                                    RangePartitioner::from_key_sample(2, &sample),
+                                )
+                                .with_migration_mode(env_migration_mode());
+                        }
+                        let label = format!(
+                            "{}, {policy:?}, {threads} workers, ingest target {ingest_target}",
+                            sc.name
+                        );
+                        let (stats, results) = op.run(&sc.tuples);
+                        assert_eq!(canonical(&results), expected, "{label}");
+                        assert_arrival_order(&sc.tuples, &results, &label);
+                        if sc.partitioned {
+                            assert!(stats.migration.epochs >= 1, "{label}");
+                        }
+                        if ingest_target > 0 {
+                            assert!(
+                                stats.ring.tuples_acquired
+                                    <= stats.ring.tasks_acquired * task as u64,
+                                "{label}: pinned claims are fixed-size tasks"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// The tentpole differential: the batched group probe and the scalar
@@ -2667,18 +2847,7 @@ mod tests {
                 .with_collected_results(true);
             let (stats, results) = op.run(&tuples);
             assert!(!results.is_empty());
-            let mut pos_of = std::collections::HashMap::new();
-            for (i, t) in tuples.iter().enumerate() {
-                pos_of.insert((t.side, t.seq), i);
-            }
-            let positions: Vec<usize> = results
-                .iter()
-                .map(|r| pos_of[&(r.probe.side, r.probe.seq)])
-                .collect();
-            assert!(
-                positions.windows(2).all(|w| w[0] <= w[1]),
-                "steals must not reorder result propagation ({shards} shards)"
-            );
+            assert_arrival_order(&tuples, &results, &format!("steals, {shards} shards"));
             assert_eq!(
                 stats.shard.local_tuples + stats.shard.stolen_tuples,
                 3000,
@@ -3361,6 +3530,31 @@ mod tests {
         assert_eq!(hist.len(), 1500, "one sample per measured tuple");
         assert!(hist.p99_micros() >= hist.p50_micros());
         assert!(hist.max_micros() >= hist.p999_micros());
+    }
+
+    /// At a low offered rate the ring stays shallow, so claims stay within
+    /// one task and the latency a tuple sees is that of `task_size`. The rate
+    /// leaves 500 µs between arrivals: a worker the test host deschedules for
+    /// a time slice comes back to a deeper ring and may coalesce once, which
+    /// the mean over 300 tuples absorbs.
+    #[test]
+    fn open_loop_at_a_low_rate_claims_no_more_than_a_task() {
+        let tuples = random_tuples(300, 300, 129);
+        let task = 4;
+        let op = ParallelIbwj::new(
+            config(128, 2, task, 0.5, MergePolicy::NonBlocking),
+            BandPredicate::new(2),
+            SharedIndexKind::PimTree,
+            false,
+        )
+        .with_open_loop(2_000.0);
+        let (stats, _) = op.run(&tuples);
+        assert_eq!(stats.ring.tuples_acquired, 300);
+        assert!(
+            stats.ring.mean_task_size() <= task as f64,
+            "mean claim {} at 2 000 tuples/s",
+            stats.ring.mean_task_size()
+        );
     }
 
     /// Domain-edge keys under the partitioned store: key clusters at

@@ -31,7 +31,11 @@ pub struct JoinRunStats {
     pub merge_time: Duration,
     /// Per-step cost breakdown (populated when instrumentation is enabled).
     pub breakdown: CostBreakdown,
-    /// Per-tuple processing latencies (populated by the parallel operator).
+    /// Per-tuple processing latencies (populated by the parallel operator):
+    /// closed-loop task latency, from a claim to its results being ready.
+    /// A claim is a batch of one to four tasks, so under load the span is a
+    /// batch's, recorded once per tuple of it. Ungated — the benchmark's
+    /// `latency_p50_us` is the open-loop arrival → propagation time.
     pub latency: LatencyRecorder,
     /// Logical bytes loaded by index probes and window scans.
     pub bytes_loaded: u64,

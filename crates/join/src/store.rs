@@ -376,8 +376,8 @@ enum Layout {
 /// state allocates nothing (same idiom as the PIM-Tree's probe scratch).
 #[derive(Default)]
 struct StoreScratch {
-    /// Per-item edge snapshots (shared layout) .
-    edges: Vec<Seq>,
+    /// The suffix scan's probe ranges ordered by `lo` (shared layout).
+    order: Vec<(Key, usize)>,
     /// Per-item match counts for the memory-traffic accounting.
     counts: Vec<u64>,
     /// Per-item covering shard interval (partitioned layout).
@@ -949,24 +949,19 @@ impl ShardStore {
         let n = ranges.len();
         let window = &state.windows[side];
         let mut scratch = STORE_SCRATCH.with(|cell| cell.take());
-        // Per-item edge snapshot, taken before the index probe: everything
-        // below it is findable through the index, everything from it to the
-        // bounds snapshot comes from the linear scan. A snapshot that is a
-        // little stale only lengthens the scan, never changes the result set.
-        scratch.edges.clear();
+        // One edge snapshot for the batch, taken before the index probe:
+        // everything below it is findable through the index, everything from
+        // it to an item's bounds snapshot comes from the suffix scan. A
+        // snapshot that is a little stale only lengthens the scan, never
+        // changes the result set.
         let edge = window.edge();
-        scratch
-            .edges
-            .extend(bounds.iter().map(|b| b.index_horizon(edge)));
-        scratch.counts.clear();
-        scratch.counts.resize(n, 0);
+        // Matches reported, for the memory-traffic accounting.
+        let mut matched = 0u64;
         let mut clock = self.time_steps.then(Instant::now);
         {
-            let edges = &scratch.edges;
-            let counts = &mut scratch.counts;
             let mut cb = |j: usize, e: Entry| {
-                if e.seq >= bounds[j].earliest && e.seq < edges[j] {
-                    counts[j] += 1;
+                if e.seq >= bounds[j].earliest && e.seq < bounds[j].index_horizon(edge) {
+                    matched += 1;
                     f(j, e.seq, e.key);
                 }
             };
@@ -979,21 +974,14 @@ impl ShardStore {
         if let Some(clock) = &mut clock {
             stats.breakdown.record(Step::Search, lap(clock));
         }
-        for j in 0..n {
-            let scan_from = bounds[j].scan_start(scratch.edges[j]);
-            let mut count = scratch.counts[j];
-            let examined = window.scan_linear(
-                scan_from,
-                bounds[j].latest_exclusive,
-                ranges[j],
-                |seq, key| {
-                    count += 1;
-                    f(j, seq, key);
-                },
-            );
-            scratch.counts[j] = count;
-            stats.bytes_loaded += (examined as u64 + count + 8) * entry_bytes;
-        }
+        let examined =
+            window.scan_suffix(edge, ranges, bounds, &mut scratch.order, |j, seq, key| {
+                matched += 1;
+                f(j, seq, key);
+            });
+        // Logical traffic, per probe as before the scans were batched: its
+        // span, its matches and a fixed eight entries of descent.
+        stats.bytes_loaded += (examined as u64 + matched + 8 * n as u64) * entry_bytes;
         if let Some(clock) = &mut clock {
             stats.breakdown.record(Step::Scan, lap(clock));
         }

@@ -247,6 +247,72 @@ impl SlidingWindow {
         examined
     }
 
+    /// The linear scans of a whole batch of probes taken under one `edge`
+    /// snapshot, in one pass over the suffix: probe `j` gets `f(j, seq, key)`
+    /// for every tuple of its scan span — `[scan_start, latest_exclusive)` of
+    /// `bounds[j]` under `edge` — whose key falls into `ranges[j]`, in
+    /// ascending `seq`, exactly what one [`scan_linear`](Self::scan_linear)
+    /// per probe reports. Returns what those scans would: the slots examined
+    /// summed over the probes' spans — the logical memory traffic, which does
+    /// not depend on how the probes were batched (the pass itself loads each
+    /// slot of the spans' union once).
+    ///
+    /// The un-indexed suffix grows with the tuples in flight (threads × batch)
+    /// and so does the batch, so per-probe scans cost their product; here each
+    /// suffix key is loaded once and binary-searched into the ranges ordered
+    /// by `lo`, then walked back over the ranges that can still contain it
+    /// (`lo` within the widest range's width of the key). `order` is scratch
+    /// the caller keeps to save the allocation.
+    pub fn scan_suffix<F: FnMut(usize, Seq, Key)>(
+        &self,
+        edge: Seq,
+        ranges: &[KeyRange],
+        bounds: &[WindowBounds],
+        order: &mut Vec<(Key, usize)>,
+        mut f: F,
+    ) -> usize {
+        debug_assert_eq!(ranges.len(), bounds.len());
+        let span = |b: &WindowBounds| (b.scan_start(b.index_horizon(edge)), b.latest_exclusive);
+        let (mut from, mut to, mut examined) = (Seq::MAX, 0, 0);
+        for (start, end) in bounds.iter().map(span) {
+            if start < end {
+                from = from.min(start);
+                to = to.max(end);
+                examined += (end - start) as usize;
+            }
+        }
+        if from >= to {
+            return 0;
+        }
+        order.clear();
+        order.extend(ranges.iter().enumerate().map(|(j, r)| (r.lo, j)));
+        order.sort_unstable();
+        // Widths and key distances are taken as wrapped differences read as
+        // `u64`: exact for `lo <= hi` and `lo <= key` over the whole `Key`
+        // domain, where `hi - lo` itself overflows for `[Key::MIN, Key::MAX]`.
+        let widest = ranges
+            .iter()
+            .map(|r| r.hi.wrapping_sub(r.lo) as u64)
+            .max()
+            .unwrap_or(0);
+        for seq in from..to {
+            let key = self.key_of(seq);
+            let mut i = order.partition_point(|&(lo, _)| lo <= key);
+            while i > 0 {
+                i -= 1;
+                let (lo, j) = order[i];
+                if key.wrapping_sub(lo) as u64 > widest {
+                    break;
+                }
+                let (start, end) = span(&bounds[j]);
+                if key <= ranges[j].hi && start <= seq && seq < end {
+                    f(j, seq, key);
+                }
+            }
+        }
+        examined
+    }
+
     /// Returns the keys of all live tuples, oldest first (used by NLWJ and by
     /// the merge step to rebuild `TS` from live tuples only).
     pub fn live_tuples(&self) -> Vec<(Seq, Key)> {
@@ -401,6 +467,177 @@ mod tests {
         );
     }
 
+    /// What `scan_suffix` must report: one `scan_linear` per probe over the
+    /// probe's own scan span, and the slots those scans examine.
+    fn per_probe_scans(
+        w: &SlidingWindow,
+        edge: Seq,
+        ranges: &[KeyRange],
+        bounds: &[WindowBounds],
+    ) -> (Vec<Vec<(Seq, Key)>>, usize) {
+        let mut examined = 0;
+        let hits = ranges
+            .iter()
+            .zip(bounds)
+            .map(|(&range, b)| {
+                let start = b.scan_start(b.index_horizon(edge));
+                let mut hits = Vec::new();
+                examined += w.scan_linear(start, b.latest_exclusive, range, |seq, key| {
+                    hits.push((seq, key))
+                });
+                hits
+            })
+            .collect();
+        (hits, examined)
+    }
+
+    fn suffix_scan(
+        w: &SlidingWindow,
+        edge: Seq,
+        ranges: &[KeyRange],
+        bounds: &[WindowBounds],
+    ) -> (Vec<Vec<(Seq, Key)>>, usize) {
+        let mut hits = vec![Vec::new(); ranges.len()];
+        // Stale content: the pass must not depend on what the scratch held.
+        let mut order = vec![(7, 99)];
+        let examined = w.scan_suffix(edge, ranges, bounds, &mut order, |j, seq, key| {
+            hits[j].push((seq, key))
+        });
+        (hits, examined)
+    }
+
+    #[test]
+    fn scan_suffix_matches_per_probe_scans_at_the_edges() {
+        let w = SlidingWindow::new(16, 16);
+        let keys = [
+            Key::MIN,
+            5,
+            5,
+            Key::MAX,
+            -3,
+            5,
+            Key::MAX - 1,
+            0,
+            Key::MIN + 1,
+            12,
+        ];
+        for key in keys {
+            w.append(key).unwrap();
+        }
+        let whole = KeyRange::new(Key::MIN, Key::MAX);
+        let cases: Vec<(Seq, Vec<KeyRange>, Vec<WindowBounds>)> = vec![
+            // Batch of one over the whole key domain (the width must not wrap).
+            (2, vec![whole], vec![WindowBounds::new(0, 10)]),
+            // Mixed widths, duplicate ranges, a different `latest` per probe.
+            (
+                3,
+                vec![
+                    KeyRange::point(5),
+                    whole,
+                    KeyRange::new(Key::MAX - 1, Key::MAX),
+                    KeyRange::point(5),
+                    KeyRange::new(Key::MIN, -3),
+                    KeyRange::new(-3, 12),
+                ],
+                vec![
+                    WindowBounds::new(0, 10),
+                    WindowBounds::new(1, 7),
+                    WindowBounds::new(0, 4),
+                    WindowBounds::new(4, 6),
+                    WindowBounds::new(0, 9),
+                    WindowBounds::new(2, 10),
+                ],
+            ),
+            // Edge behind `earliest`: the expired prefix must not match.
+            (
+                0,
+                vec![whole, KeyRange::point(5)],
+                vec![WindowBounds::new(4, 10), WindowBounds::new(6, 8)],
+            ),
+            // Empty suffix: the edge is at or past every `latest`.
+            (
+                10,
+                vec![whole, whole],
+                vec![WindowBounds::new(0, 10), WindowBounds::new(3, 6)],
+            ),
+            // One probe with a suffix, one without.
+            (
+                6,
+                vec![whole, whole],
+                vec![WindowBounds::new(0, 5), WindowBounds::new(0, 9)],
+            ),
+            (4, vec![], vec![]),
+        ];
+        for (edge, ranges, bounds) in cases {
+            assert_eq!(
+                suffix_scan(&w, edge, &ranges, &bounds),
+                per_probe_scans(&w, edge, &ranges, &bounds),
+                "edge {edge}, ranges {ranges:?}, bounds {bounds:?}"
+            );
+        }
+        // Nothing to scan means nothing examined and nothing sorted.
+        assert_eq!(
+            suffix_scan(&w, 10, &[whole], &[WindowBounds::new(0, 10)]).1,
+            0
+        );
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Spreads a small draw over the key domain's corners and a dense
+        /// middle, so duplicates and `Key::MIN`/`Key::MAX` both come up.
+        fn key_of_draw(k: i64) -> Key {
+            match k {
+                0 => Key::MIN,
+                1 => Key::MIN + 1,
+                38 => Key::MAX - 1,
+                39 => Key::MAX,
+                k => (k - 20) * 2,
+            }
+        }
+
+        proptest! {
+            #[test]
+            #[cfg_attr(miri, ignore)]
+            fn scan_suffix_equals_one_scan_linear_per_probe(
+                keys in proptest::collection::vec(0i64..40, 0..60),
+                probes in proptest::collection::vec(
+                    (0i64..40, 0usize..5, 0u64..101, 0u64..101),
+                    1..12,
+                ),
+                edge_pct in 0u64..121,
+            ) {
+                let w = SlidingWindow::new(64, 64);
+                for &k in &keys {
+                    w.append(key_of_draw(k)).unwrap();
+                }
+                let head = keys.len() as u64;
+                let mut ranges = Vec::new();
+                let mut bounds = Vec::new();
+                for &(lo, width, earliest_pct, len_pct) in &probes {
+                    let lo = key_of_draw(lo);
+                    ranges.push(match width {
+                        0 => KeyRange::point(lo),
+                        1 => KeyRange::new(lo, lo.saturating_add(2)),
+                        2 => KeyRange::new(lo, lo.saturating_add(10)),
+                        3 => KeyRange::new(lo, Key::MAX),
+                        _ => KeyRange::new(Key::MIN, Key::MAX),
+                    });
+                    let earliest = head * earliest_pct / 100;
+                    let latest = earliest + (head - earliest) * len_pct / 100;
+                    bounds.push(WindowBounds::new(earliest, latest));
+                }
+                let edge = head * edge_pct / 100;
+                prop_assert_eq!(
+                    suffix_scan(&w, edge, &ranges, &bounds),
+                    per_probe_scans(&w, edge, &ranges, &bounds)
+                );
+            }
+        }
+    }
+
     #[test]
     fn bounds_snapshot_reflects_live_window() {
         let w = SlidingWindow::new(4, 8);
@@ -416,6 +653,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore)] // eight threads over 1024 slots
     fn concurrent_mark_and_advance() {
         use std::sync::Arc;
         let w = Arc::new(SlidingWindow::new(1024, 1024));
