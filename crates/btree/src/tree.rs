@@ -422,32 +422,43 @@ impl BTreeIndex {
         }
     }
 
-    /// Calls `f` for every entry whose key lies in `range` (bounds inclusive),
-    /// in ascending `(key, seq)` order.
-    pub fn range_for_each<F: FnMut(Entry)>(&self, range: KeyRange, mut f: F) {
-        let (mut leaf_id, mut pos) = self.seek(Entry::min_for_key(range.lo));
+    /// Calls `f` with the entries whose key lies in `range` (bounds
+    /// inclusive) as sorted runs, ascending: one slice per leaf the range
+    /// touches, clipped to the range, never empty. The slices borrow the
+    /// leaves; nothing is copied.
+    pub fn range_runs<F: FnMut(&[Entry])>(&self, range: KeyRange, mut f: F) {
+        let (mut leaf_id, pos) = self.seek(Entry::min_for_key(range.lo));
+        let mut leaf = self.node(leaf_id).as_leaf();
+        let mut tail = &leaf.entries[pos..];
         loop {
-            let leaf = self.node(leaf_id).as_leaf();
-            while pos < leaf.entries.len() {
-                let e = leaf.entries[pos];
-                if e.key > range.hi {
-                    return;
-                }
-                f(e);
-                pos += 1;
+            // A leaf whose last key is inside the range is one run to its
+            // end; only the leaf the range ends in is searched.
+            let inside = match tail.last() {
+                Some(last) if last.key <= range.hi => tail.len(),
+                _ => tail.iter().take_while(|e| e.key <= range.hi).count(),
+            };
+            if inside > 0 {
+                f(&tail[..inside]);
             }
-            if leaf.next == NIL {
+            if inside < tail.len() || leaf.next == NIL {
                 return;
             }
             leaf_id = leaf.next;
-            pos = 0;
+            leaf = self.node(leaf_id).as_leaf();
+            tail = &leaf.entries;
         }
+    }
+
+    /// Calls `f` for every entry whose key lies in `range` (bounds inclusive),
+    /// in ascending `(key, seq)` order.
+    pub fn range_for_each<F: FnMut(Entry)>(&self, range: KeyRange, mut f: F) {
+        self.range_runs(range, |run| run.iter().for_each(|&e| f(e)));
     }
 
     /// Collects every entry whose key lies in `range`.
     pub fn range_collect(&self, range: KeyRange) -> Vec<Entry> {
         let mut out = Vec::new();
-        self.range_for_each(range, |e| out.push(e));
+        self.range_runs(range, |run| out.extend_from_slice(run));
         out
     }
 
@@ -813,6 +824,52 @@ mod tests {
         }
         assert_eq!(t.range_collect(KeyRange::point(5)).len(), 10);
         assert_eq!(t.range_collect(KeyRange::new(5, 6)).len(), 20);
+    }
+
+    /// Every range over a small key domain with duplicates and both corners
+    /// of `Key`: the runs concatenate to the sorted oracle filtered by key,
+    /// and each is non-empty, sorted, inside the range and within one leaf.
+    #[test]
+    fn range_runs_concatenate_to_the_entries_of_the_range() {
+        let fanout = 4;
+        let keys = [Key::MIN, Key::MIN + 1, -3, 0, 0, 0, 0, 0, 0, 2, 5, 5, 9];
+        let mut t = BTreeIndex::with_fanout(fanout);
+        let mut oracle = Vec::new();
+        for round in 0..3 {
+            for (i, &key) in keys.iter().chain(&[Key::MAX - 1, Key::MAX]).enumerate() {
+                let e = Entry::new(key, (round * 100 + i) as Seq);
+                t.insert_entry(e);
+                oracle.push(e);
+            }
+        }
+        oracle.sort_unstable();
+        let bounds = [Key::MIN, Key::MIN + 1, -4, -3, 0, 1, 2, 5, 9, 10];
+        let bounds = bounds.iter().chain(&[Key::MAX - 1, Key::MAX]);
+        for &lo in bounds.clone() {
+            for &hi in bounds.clone().filter(|&&hi| hi >= lo) {
+                let range = KeyRange::new(lo, hi);
+                let mut got = Vec::new();
+                t.range_runs(range, |run| {
+                    assert!(!run.is_empty() && run.len() <= fanout, "{range:?}: {run:?}");
+                    assert!(run.windows(2).all(|w| w[0] < w[1]), "{range:?}: {run:?}");
+                    assert!(run.iter().all(|e| range.contains(e.key)), "{range:?}");
+                    got.extend_from_slice(run);
+                });
+                let want: Vec<Entry> = oracle
+                    .iter()
+                    .copied()
+                    .filter(|e| range.contains(e.key))
+                    .collect();
+                assert_eq!(got, want, "{range:?}");
+                let mut entries = Vec::new();
+                t.range_for_each(range, |e| entries.push(e));
+                assert_eq!(entries, want, "{range:?}");
+            }
+        }
+        let empty = BTreeIndex::with_fanout(fanout);
+        empty.range_runs(KeyRange::new(Key::MIN, Key::MAX), |_| {
+            panic!("an empty tree has no runs")
+        });
     }
 
     #[test]

@@ -105,12 +105,22 @@ impl ImTree {
         }
     }
 
-    /// Calls `f` for every indexed entry whose key lies in `range`, including
+    /// Calls `f` with every indexed entry whose key lies in `range`, including
     /// entries of expired tuples (the caller filters by sequence number, as
-    /// the join operator has to do anyway).
+    /// the join operator has to do anyway), as sorted, non-empty runs: `TS`'s
+    /// as one slice of its leaf array, then `TI`'s, one slice per leaf.
+    pub fn range_runs<F: FnMut(&[Entry])>(&self, range: KeyRange, mut f: F) {
+        let run = self.ts.range_run(range);
+        if !run.is_empty() {
+            f(run);
+        }
+        self.ti.range_runs(range, f);
+    }
+
+    /// Calls `f` for every indexed entry whose key lies in `range`: the
+    /// entries of [`ImTree::range_runs`], one at a time and in its order.
     pub fn range_for_each<F: FnMut(Entry)>(&self, range: KeyRange, mut f: F) {
-        self.ts.range_for_each(range, &mut f);
-        self.ti.range_for_each(range, &mut f);
+        self.range_runs(range, |run| run.iter().for_each(|&e| f(e)));
     }
 
     /// Calls `f` for every *live* entry (sequence number at or after
@@ -145,23 +155,12 @@ impl ImTree {
 
         let scan_start = Instant::now();
         let mut out = Vec::new();
-        let mut pos = ts_pos;
-        while pos < self.ts.len() {
-            let e = self.ts.entry_at(pos);
-            if e.key > range.hi {
-                break;
-            }
-            if e.seq >= earliest_live {
-                out.push(e);
-            }
-            pos += 1;
-        }
+        let mut keep_live = |run: &[Entry]| {
+            out.extend(run.iter().filter(|e| e.seq >= earliest_live));
+        };
+        keep_live(self.ts.run_from(ts_pos, range.hi));
         if ti_first.is_some() {
-            self.ti.range_for_each(range, |e| {
-                if e.seq >= earliest_live {
-                    out.push(e);
-                }
-            });
+            self.ti.range_runs(range, keep_live);
         }
         breakdown.record(Step::Scan, scan_start.elapsed());
         out

@@ -68,20 +68,20 @@ impl Run {
         }
     }
 
-    /// Calls `f` for every entry whose key lies in `range`, ascending.
+    /// Calls `f` with the entries whose key lies in `range` as sorted runs,
+    /// ascending and never empty: a flat run answers with one slice of
+    /// itself, a promoted one with one slice per leaf the range touches.
     #[inline]
-    fn range_for_each<F: FnMut(Entry)>(&self, range: KeyRange, mut f: F) {
+    fn range_runs<F: FnMut(&[Entry])>(&self, range: KeyRange, mut f: F) {
         match self {
             Run::Flat(run) => {
-                let from = run.partition_point(|e| e.key < range.lo);
-                for &e in &run[from..] {
-                    if e.key > range.hi {
-                        break;
-                    }
-                    f(e);
+                let tail = &run[run.partition_point(|e| e.key < range.lo)..];
+                let inside = tail.iter().take_while(|e| e.key <= range.hi).count();
+                if inside > 0 {
+                    f(&tail[..inside]);
                 }
             }
-            Run::Tree(tree) => tree.range_for_each(range, f),
+            Run::Tree(tree) => tree.range_runs(range, f),
         }
     }
 
@@ -259,30 +259,35 @@ impl Generation {
 
 /// Probes one generation for `range`: the immutable component without locks,
 /// then the overlapping mutable partitions one lock at a time (Algorithm 2).
+/// The answer arrives as sorted runs — `TS`'s as one slice of its leaf array,
+/// then each partition's — and `f` runs under the partition's lock.
 /// Shared by the scalar probe and the batch-of-one fast path.
-fn probe_generation(gen: &Generation, range: KeyRange, f: &mut dyn FnMut(Entry)) {
-    gen.ts.range_for_each(range, &mut *f);
+fn probe_generation(gen: &Generation, range: KeyRange, f: &mut dyn FnMut(&[Entry])) {
+    let run = gen.ts.range_run(range);
+    if !run.is_empty() {
+        f(run);
+    }
     if gen.ti_len.load(Ordering::Relaxed) == 0 {
         return;
     }
     let p_lo = gen.route(Entry::min_for_key(range.lo));
     let p_hi = gen.route(Entry::max_for_key(range.hi));
     for p in p_lo..=p_hi {
-        gen.partitions[p].lock().run.range_for_each(range, &mut *f);
+        gen.partitions[p].lock().run.range_runs(range, &mut *f);
     }
 }
 
 /// The mutable half of every multi-range probe: answers `(partition, range
 /// index)` pairs partition-major, so a partition that several of a batch's
 /// ranges overlap is locked once per batch instead of once per range, and
-/// calls `f(range index, entry)` for the entries of `ranges[index]` found
+/// calls `f(range index, run)` for each sorted run of `ranges[index]` found
 /// there. Per range, partitions are visited in ascending order.
 ///
 /// Like [`Generation::insert_staged`], the visit is staged over up to
 /// [`STAGE_WIDTH`] partitions at a time: write-prefetch their headers (the
 /// lock is a read-modify-write), peek and read-prefetch their runs, then
 /// lock and scan. A lone partition is not peeked, for the reason given there.
-fn visit_partitions<F: FnMut(usize, Entry)>(
+fn visit_partitions<F: FnMut(usize, &[Entry])>(
     gen: &Generation,
     pairs: &mut [(usize, usize)],
     ranges: &[KeyRange],
@@ -317,7 +322,7 @@ fn visit_partitions<F: FnMut(usize, Entry)>(
             let part = gen.partitions[visit[0].0].lock();
             counters.ti_partition_locks += 1;
             for &(_, j) in *visit {
-                part.run.range_for_each(ranges[j], |e| f(j, e));
+                part.run.range_runs(ranges[j], |run| f(j, run));
             }
         }
     }
@@ -478,21 +483,31 @@ impl PimTree {
         before + entries.len() >= self.config.merge_threshold()
     }
 
-    /// Calls `f` for every indexed entry whose key lies in `range`, including
-    /// entries of expired tuples (callers filter by sequence number). `TS` is
-    /// scanned without locks; only the partitions overlapping the range are
-    /// locked, one at a time (Algorithm 2).
-    pub fn range_for_each<F: FnMut(Entry)>(&self, range: KeyRange, mut f: F) {
+    /// Calls `f` with every indexed entry whose key lies in `range`, including
+    /// entries of expired tuples (callers filter by sequence number), as
+    /// sorted runs: slices that borrow the index's own storage, never empty,
+    /// each ascending by `(key, seq)` and inside `range`. `TS` answers first
+    /// and without locks, as one slice of its leaf array; then only the
+    /// partitions overlapping the range are locked, one at a time and in
+    /// ascending order (Algorithm 2) — a flat partition answers with one
+    /// slice, a promoted one with one per leaf — and `f` runs under that lock.
+    pub fn range_runs<F: FnMut(&[Entry])>(&self, range: KeyRange, mut f: F) {
         let gen = self.current.read();
         probe_generation(&gen, range, &mut f);
     }
 
-    /// Batched range probe: calls `f(i, entry)` for every indexed entry whose
-    /// key lies in `ranges[i]`, including entries of expired tuples (callers
-    /// filter by sequence number). Per range, entries arrive exactly as the
-    /// scalar [`PimTree::range_for_each`] would deliver them: the immutable
-    /// component's entries in ascending order, then the overlapping mutable
-    /// partitions.
+    /// Calls `f` for every indexed entry whose key lies in `range`: the
+    /// entries of [`PimTree::range_runs`], one at a time and in its order.
+    pub fn range_for_each<F: FnMut(Entry)>(&self, range: KeyRange, mut f: F) {
+        self.range_runs(range, |run| run.iter().for_each(|&e| f(e)));
+    }
+
+    /// Batched range probe: calls `f(i, run)` with the sorted runs of indexed
+    /// entries whose key lies in `ranges[i]`, including entries of expired
+    /// tuples (callers filter by sequence number). Per range, the runs arrive
+    /// exactly as [`PimTree::range_runs`] would deliver them: the immutable
+    /// component's slice, then the overlapping mutable partitions ascending.
+    /// Identical ranges of one batch are handed the same slices.
     ///
     /// The batch is sorted and deduplicated (identical ranges share one
     /// descent), then the immutable component is descended level-by-level for
@@ -517,7 +532,7 @@ impl PimTree {
     /// skipping the batch bookkeeping entirely; the sort/dedup/cursor
     /// buffers of larger batches are reused through a per-thread scratch, so
     /// the steady state allocates nothing.
-    pub fn probe_batch<F: FnMut(usize, Entry)>(
+    pub fn probe_batch<F: FnMut(usize, &[Entry])>(
         &self,
         ranges: &[KeyRange],
         probe: &ProbeConfig,
@@ -534,7 +549,7 @@ impl PimTree {
 
         let gen = self.current.read();
         if n == 1 {
-            probe_generation(&gen, ranges[0], &mut |e| f(0, e));
+            probe_generation(&gen, ranges[0], &mut |run| f(0, run));
             return;
         }
         // Taking the scratch out (instead of borrowing it in place) keeps a
@@ -589,28 +604,22 @@ impl PimTree {
         }
         let ti_populated = gen.ti_len.load(Ordering::Relaxed) > 0;
 
-        // Immutable component first: per unique range, every `TS` entry is
-        // emitted before any `TI` entry, exactly like the scalar probe. The
-        // scan's end position doubles as the upper routing bound for the
-        // mutable side (it lies in, or one short of, the leaf group holding
-        // the first entry past the range).
+        // Immutable component first: per unique range, `TS`'s run is emitted
+        // before any `TI` run, exactly like the scalar probe. The run's end
+        // position doubles as the upper routing bound for the mutable side
+        // (it lies in, or one short of, the leaf group holding the first
+        // entry past the range).
         s.ends.clear();
         for (j, &range) in s.uniq.iter().enumerate() {
-            let group = &s.order[s.starts[j]..s.starts[j + 1]];
-            let mut pos = if gen.ts.is_empty() { 0 } else { s.positions[j] };
-            if !gen.ts.is_empty() {
-                while pos < gen.ts.len() {
-                    let e = gen.ts.entry_at(pos);
-                    if e.key > range.hi {
-                        break;
-                    }
-                    for &i in group {
-                        f(i, e);
-                    }
-                    pos += 1;
+            // No start was resolved in an empty `TS`, whose run is empty.
+            let start = s.positions.get(j).copied().unwrap_or(0);
+            let run = gen.ts.run_from(start, range.hi);
+            if !run.is_empty() {
+                for &i in &s.order[s.starts[j]..s.starts[j + 1]] {
+                    f(i, run);
                 }
             }
-            s.ends.push(pos);
+            s.ends.push(start + run.len());
         }
 
         // Mutable component, batched: each unique range's overlapping
@@ -638,9 +647,9 @@ impl PimTree {
                 debug_assert!(p_hi >= gen.route(Entry::max_for_key(range.hi)));
                 s.pairs.extend((p_lo..=p_hi).map(|p| (p, j)));
             }
-            visit_partitions(&gen, &mut s.pairs, &s.uniq, counters, |j, e| {
+            visit_partitions(&gen, &mut s.pairs, &s.uniq, counters, |j, run| {
                 for &i in &s.order[s.starts[j]..s.starts[j + 1]] {
-                    f(i, e);
+                    f(i, run);
                 }
             });
         }
@@ -658,11 +667,10 @@ impl PimTree {
     /// group-descent counters stay untouched, so runs through this path
     /// remain distinguishable from the batched probe).
     ///
-    /// Per range, entries arrive exactly as the scalar
-    /// [`PimTree::range_for_each`] would deliver them: the immutable
-    /// component's entries in ascending order, then the overlapping mutable
-    /// partitions in ascending partition order. A batch of one degenerates to
-    /// the scalar probe (there is nothing to group).
+    /// Per range, the runs arrive exactly as [`PimTree::range_runs`] would
+    /// deliver them: the immutable component's slice, then the overlapping
+    /// mutable partitions in ascending partition order. A batch of one
+    /// degenerates to the scalar probe (there is nothing to group).
     ///
     /// With `probe.interleave >= 2` the per-range root-to-leaf descents are
     /// replaced by one pass of the AMAC-style interleaved descent ring
@@ -670,7 +678,7 @@ impl PimTree {
     /// undeduplicated (this is still the scalar path), but their start
     /// positions resolve with overlapped cache misses; emission order per
     /// range is unchanged.
-    pub fn probe_ranges_scalar<F: FnMut(usize, Entry)>(
+    pub fn probe_ranges_scalar<F: FnMut(usize, &[Entry])>(
         &self,
         ranges: &[KeyRange],
         probe: &ProbeConfig,
@@ -683,14 +691,15 @@ impl PimTree {
         }
         let gen = self.current.read();
         if n == 1 {
-            probe_generation(&gen, ranges[0], &mut |e| f(0, e));
+            probe_generation(&gen, ranges[0], &mut |run| f(0, run));
             return;
         }
         // Immutable component first, per range, exactly like the scalar
         // probe delivers it (one scalar descent per range, by design —
         // unless interleaving resolves the range starts as a ring).
-        if probe.interleave >= 2 && !gen.ts.is_empty() {
-            let mut s = PROBE_SCRATCH.with(|cell| cell.take());
+        let mut s = PROBE_SCRATCH.with(|cell| cell.take());
+        let interleaved = probe.interleave >= 2 && !gen.ts.is_empty();
+        if interleaved {
             s.targets.clear();
             s.targets
                 .extend(ranges.iter().map(|r| Entry::min_for_key(r.lo)));
@@ -701,36 +710,28 @@ impl PimTree {
                 None,
                 counters,
             );
-            for (j, &range) in ranges.iter().enumerate() {
-                let mut pos = s.positions[j];
-                while pos < gen.ts.len() {
-                    let e = gen.ts.entry_at(pos);
-                    if e.key > range.hi {
-                        break;
-                    }
-                    f(j, e);
-                    pos += 1;
-                }
-            }
-            PROBE_SCRATCH.with(|cell| cell.replace(s));
-        } else {
-            for (j, &range) in ranges.iter().enumerate() {
-                gen.ts.range_for_each(range, &mut |e| f(j, e));
-            }
         }
-        if gen.ti_len.load(Ordering::Relaxed) == 0 {
-            return;
+        for (j, &range) in ranges.iter().enumerate() {
+            let run = if interleaved {
+                gen.ts.run_from(s.positions[j], range.hi)
+            } else {
+                gen.ts.range_run(range)
+            };
+            if !run.is_empty() {
+                f(j, run);
+            }
         }
         // Mutable component: route every range to its partition interval,
         // then visit the partitions partition-major (`visit_partitions`).
-        let mut s = PROBE_SCRATCH.with(|cell| cell.take());
-        s.pairs.clear();
-        for (j, &range) in ranges.iter().enumerate() {
-            let p_lo = gen.route(Entry::min_for_key(range.lo));
-            let p_hi = gen.route(Entry::max_for_key(range.hi));
-            s.pairs.extend((p_lo..=p_hi).map(|p| (p, j)));
+        if gen.ti_len.load(Ordering::Relaxed) > 0 {
+            s.pairs.clear();
+            for (j, &range) in ranges.iter().enumerate() {
+                let p_lo = gen.route(Entry::min_for_key(range.lo));
+                let p_hi = gen.route(Entry::max_for_key(range.hi));
+                s.pairs.extend((p_lo..=p_hi).map(|p| (p, j)));
+            }
+            visit_partitions(&gen, &mut s.pairs, ranges, counters, f);
         }
-        visit_partitions(&gen, &mut s.pairs, ranges, counters, f);
         PROBE_SCRATCH.with(|cell| cell.replace(s));
     }
 
@@ -769,24 +770,16 @@ impl PimTree {
 
         let scan_start = Instant::now();
         let mut out = Vec::new();
-        let mut pos = ts_pos;
-        while pos < gen.ts.len() {
-            let e = gen.ts.entry_at(pos);
-            if e.key > range.hi {
-                break;
-            }
-            if e.seq >= earliest_live {
-                out.push(e);
-            }
-            pos += 1;
-        }
+        let mut keep_live = |run: &[Entry]| {
+            out.extend(run.iter().filter(|e| e.seq >= earliest_live));
+        };
+        keep_live(gen.ts.run_from(ts_pos, range.hi));
         if gen.ti_len.load(Ordering::Relaxed) > 0 {
             for p in p_lo..=p_hi {
-                gen.partitions[p].lock().run.range_for_each(range, |e| {
-                    if e.seq >= earliest_live {
-                        out.push(e);
-                    }
-                });
+                gen.partitions[p]
+                    .lock()
+                    .run
+                    .range_runs(range, &mut keep_live);
             }
         }
         breakdown.record(Step::Scan, scan_start.elapsed());
@@ -1167,7 +1160,9 @@ mod tests {
                 v.clear();
             }
             let probe = ProbeConfig::default().with_prefetch_dist(dist);
-            t.probe_batch(&ranges, &probe, &mut counters, |i, e| batched[i].push(e));
+            t.probe_batch(&ranges, &probe, &mut counters, |i, run| {
+                batched[i].extend_from_slice(run)
+            });
             for (range, got) in ranges.iter().zip(&batched) {
                 let mut scalar = Vec::new();
                 t.range_for_each(*range, |e| scalar.push(e));
@@ -1194,7 +1189,9 @@ mod tests {
                 v.clear();
             }
             let probe = ProbeConfig::default().with_interleave(interleave);
-            t.probe_batch(&ranges, &probe, &mut counters, |i, e| batched[i].push(e));
+            t.probe_batch(&ranges, &probe, &mut counters, |i, run| {
+                batched[i].extend_from_slice(run)
+            });
             for (range, got) in ranges.iter().zip(&batched) {
                 let mut scalar = Vec::new();
                 t.range_for_each(*range, |e| scalar.push(e));
@@ -1239,8 +1236,8 @@ mod tests {
         ];
         let mut counters = ProbeCounters::default();
         let mut batched: Vec<Vec<Entry>> = vec![Vec::new(); ranges.len()];
-        t.probe_batch(&ranges, &ProbeConfig::default(), &mut counters, |i, e| {
-            batched[i].push(e)
+        t.probe_batch(&ranges, &ProbeConfig::default(), &mut counters, |i, run| {
+            batched[i].extend_from_slice(run)
         });
         for (range, got) in ranges.iter().zip(&batched) {
             let mut scalar = Vec::new();
@@ -1286,8 +1283,8 @@ mod tests {
         ];
         let mut counters = ProbeCounters::default();
         let mut got: Vec<Vec<Entry>> = vec![Vec::new(); ranges.len()];
-        t.probe_ranges_scalar(&ranges, &ProbeConfig::scalar(), &mut counters, |i, e| {
-            got[i].push(e)
+        t.probe_ranges_scalar(&ranges, &ProbeConfig::scalar(), &mut counters, |i, run| {
+            got[i].extend_from_slice(run)
         });
         for (range, entries) in ranges.iter().zip(&got) {
             let mut scalar = Vec::new();
@@ -1300,7 +1297,9 @@ mod tests {
             let mut il_counters = ProbeCounters::default();
             let mut il: Vec<Vec<Entry>> = vec![Vec::new(); ranges.len()];
             let probe = ProbeConfig::scalar().with_interleave(interleave);
-            t.probe_ranges_scalar(&ranges, &probe, &mut il_counters, |i, e| il[i].push(e));
+            t.probe_ranges_scalar(&ranges, &probe, &mut il_counters, |i, run| {
+                il[i].extend_from_slice(run)
+            });
             assert_eq!(il, got, "interleave {interleave}");
             assert_eq!(il_counters.interleaved_batches, 1);
             assert_eq!(il_counters.interleaved_descents, ranges.len() as u64);
@@ -1336,9 +1335,9 @@ mod tests {
             &[KeyRange::new(10, 20)],
             &ProbeConfig::scalar(),
             &mut counters,
-            |i, e| {
+            |i, run| {
                 assert_eq!(i, 0);
-                single.push(e);
+                single.extend_from_slice(run);
             },
         );
         assert_eq!(single.len(), 11);
@@ -1373,8 +1372,8 @@ mod tests {
         let ranges = [KeyRange::new(10, 20), KeyRange::new(95, 200)];
         let mut counters = ProbeCounters::default();
         let mut got: Vec<Vec<Entry>> = vec![Vec::new(); ranges.len()];
-        t.probe_batch(&ranges, &ProbeConfig::default(), &mut counters, |i, e| {
-            got[i].push(e)
+        t.probe_batch(&ranges, &ProbeConfig::default(), &mut counters, |i, run| {
+            got[i].extend_from_slice(run)
         });
         assert_eq!(got[0].len(), 11);
         assert_eq!(got[1].len(), 5);
@@ -1616,13 +1615,13 @@ mod tests {
                 .collect();
             let mut counters = ProbeCounters::default();
             let mut batched = vec![Vec::new(); ranges.len()];
-            self.probe_batch(ranges, &ProbeConfig::default(), &mut counters, |i, e| {
-                batched[i].push(e)
+            self.probe_batch(ranges, &ProbeConfig::default(), &mut counters, |i, run| {
+                batched[i].extend_from_slice(run)
             });
             assert_eq!(batched, scalar, "probe_batch");
             let mut per_range = vec![Vec::new(); ranges.len()];
-            self.probe_ranges_scalar(ranges, &ProbeConfig::scalar(), &mut counters, |i, e| {
-                per_range[i].push(e)
+            self.probe_ranges_scalar(ranges, &ProbeConfig::scalar(), &mut counters, |i, run| {
+                per_range[i].extend_from_slice(run)
             });
             assert_eq!(per_range, scalar, "probe_ranges_scalar");
         }
@@ -1803,7 +1802,7 @@ mod tests {
                     let mut got = vec![Vec::new(); ranges.len()];
                     while t.ti_len() < 2 * PER_THREAD {
                         got.iter_mut().for_each(Vec::clear);
-                        let emit = |i: usize, e: Entry| got[i].push(e);
+                        let emit = |i: usize, run: &[Entry]| got[i].extend_from_slice(run);
                         if tid == 0 {
                             t.probe_batch(&ranges, &ProbeConfig::default(), &mut counters, emit);
                         } else {
@@ -1939,6 +1938,202 @@ mod tests {
         }
     }
 
+    mod run_emission_properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Both ends of the domain and a dense middle; `distinct` below cuts
+        /// the list down to its first few, so most entries duplicate a key.
+        const KEYS: [Key; 12] = [
+            2,
+            Key::MAX,
+            Key::MIN,
+            0,
+            1,
+            3,
+            64,
+            65,
+            511,
+            -1,
+            Key::MIN + 1,
+            Key::MAX - 1,
+        ];
+
+        /// "Runs ≡ entries" for one range: every run is non-empty, sorted
+        /// by `(key, seq)` and inside the range, and concatenated the runs
+        /// are exactly `want`.
+        fn check_runs(what: &str, range: KeyRange, runs: &[Vec<Entry>], want: &[Entry]) {
+            for run in runs {
+                assert!(!run.is_empty(), "{what} {range:?}: empty run");
+                assert!(
+                    run.windows(2).all(|w| w[0] < w[1]),
+                    "{what} {range:?}: unsorted run {run:?}"
+                );
+                assert!(
+                    run.iter().all(|e| range.contains(e.key)),
+                    "{what} {range:?}: run outside the range {run:?}"
+                );
+            }
+            let got = runs.concat();
+            let differ = got.iter().zip(want).position(|(g, w)| g != w);
+            assert!(
+                got == want,
+                "{what} {range:?}: {} entries in {} runs, want {}, first difference at {:?}",
+                got.len(),
+                runs.len(),
+                want.len(),
+                differ.unwrap_or(got.len().min(want.len()))
+            );
+        }
+
+        fn in_range(sorted: &[Entry], range: KeyRange) -> Vec<Entry> {
+            sorted
+                .iter()
+                .copied()
+                .filter(|e| range.contains(e.key))
+                .collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Every structure that emits runs answers a range with exactly
+            /// the entries a sorted array filtered by key holds: the B+-Tree
+            /// (a run per leaf), the CSS-Tree (one slice), a partition's run
+            /// on either side of its promotion and across it, and the
+            /// PIM-Tree through each probe entry point — `TS`'s entries, then
+            /// `TI`'s — for a batch of one, duplicate ranges and batches
+            /// around the stage width.
+            #[test]
+            #[cfg_attr(miri, ignore)]
+            fn runs_equal_entries(
+                draws in prop::collection::vec(0usize..KEYS.len(), 304..305),
+                distinct in prop::sample::select(vec![1usize, 3, KEYS.len()]),
+                // Entries in the B+-Tree, the CSS-Tree and the run; the run
+                // takes two more afterwards.
+                n in prop::sample::select(vec![
+                    0usize,
+                    5,
+                    RUN_PROMOTE_LEN - 1,
+                    RUN_PROMOTE_LEN,
+                    RUN_PROMOTE_LEN + 46,
+                ]),
+                // The PIM-Tree's split: merged into `TS`, then left in `TI`
+                // (with an empty `TS` one partition takes it all, promoted
+                // past `RUN_PROMOTE_LEN`).
+                split in prop::sample::select(vec![(0usize, 40usize), (0, 300), (200, 100), (302, 0)]),
+                bands in prop::collection::vec((0usize..KEYS.len(), 0usize..KEYS.len()), 1..20),
+            ) {
+                let entries: Vec<Entry> = draws
+                    .iter()
+                    .enumerate()
+                    .map(|(seq, &d)| Entry::new(KEYS[d % distinct], seq as Seq))
+                    .collect();
+                let mut ranges: Vec<KeyRange> = bands
+                    .iter()
+                    .map(|&(a, b)| KeyRange::new(KEYS[a].min(KEYS[b]), KEYS[a].max(KEYS[b])))
+                    .collect();
+                ranges.push(KeyRange::new(Key::MIN, Key::MAX));
+                let sorted = |entries: &[Entry]| {
+                    let mut v = entries.to_vec();
+                    v.sort_unstable();
+                    v
+                };
+
+                // B+-Tree, CSS-Tree and a partition's run over `entries[..n]`.
+                let fanout = 4;
+                let mut tree = BTreeIndex::with_fanout(fanout);
+                let mut run = Run::Flat(Vec::new());
+                for &e in &entries[..n] {
+                    tree.insert_entry(e);
+                    run.insert(e, 4, fanout);
+                }
+                let oracle = sorted(&entries[..n]);
+                let css = pimtree_css::CssBuilder::new()
+                    .fanout(2)
+                    .leaf_size(4)
+                    .build(oracle.clone());
+                let run_runs = |run: &Run, range| {
+                    let mut runs = Vec::new();
+                    run.range_runs(range, |r| runs.push(r.to_vec()));
+                    runs
+                };
+                for &range in &ranges {
+                    let want = in_range(&oracle, range);
+                    let mut runs = Vec::new();
+                    tree.range_runs(range, |r| runs.push(r.to_vec()));
+                    prop_assert!(runs.iter().all(|r| r.len() <= fanout), "a run per leaf");
+                    check_runs("BTreeIndex", range, &runs, &want);
+                    let css_run = css.range_run(range).to_vec();
+                    let css_runs = if css_run.is_empty() { vec![] } else { vec![css_run] };
+                    check_runs("CssTree", range, &css_runs, &want);
+                    check_runs("Run", range, &run_runs(&run, range), &want);
+                }
+                for &e in &entries[n..n + 2] {
+                    run.insert(e, 4, fanout);
+                }
+                prop_assert_eq!(matches!(run, Run::Tree(_)), n + 2 > RUN_PROMOTE_LEN);
+                let oracle = sorted(&entries[..n + 2]);
+                for &range in &ranges {
+                    check_runs("Run + 2", range, &run_runs(&run, range), &in_range(&oracle, range));
+                }
+
+                // PIM-Tree: `TS`'s entries first, then `TI`'s.
+                let (ts_n, ti_n) = split;
+                let t = PimTree::new(config(512, 1.0, 2));
+                for e in &entries[..ts_n] {
+                    t.insert(e.key, e.seq);
+                }
+                if ts_n > 0 {
+                    t.merge(0);
+                }
+                for e in &entries[ts_n..ts_n + ti_n] {
+                    t.insert(e.key, e.seq);
+                }
+                prop_assert_eq!((t.ts_len(), t.ti_len()), split);
+                let (ts, ti) = (sorted(&entries[..ts_n]), sorted(&entries[ts_n..ts_n + ti_n]));
+                let want: Vec<Vec<Entry>> = ranges
+                    .iter()
+                    .map(|&r| [in_range(&ts, r), in_range(&ti, r)].concat())
+                    .collect();
+                let mut counters = ProbeCounters::default();
+                let batched = |batch: &[KeyRange], counters: &mut ProbeCounters| {
+                    let mut runs = vec![Vec::new(); batch.len()];
+                    t.probe_batch(batch, &ProbeConfig::default(), counters, |i, r| {
+                        runs[i].push(r.to_vec())
+                    });
+                    runs
+                };
+                let per_range = |batch: &[KeyRange], counters: &mut ProbeCounters| {
+                    let mut runs = vec![Vec::new(); batch.len()];
+                    t.probe_ranges_scalar(batch, &ProbeConfig::scalar(), counters, |i, r| {
+                        runs[i].push(r.to_vec())
+                    });
+                    runs
+                };
+                let whole = [batched(&ranges, &mut counters), per_range(&ranges, &mut counters)];
+                for (i, &range) in ranges.iter().enumerate() {
+                    let mut runs = Vec::new();
+                    t.range_runs(range, |r| runs.push(r.to_vec()));
+                    check_runs("range_runs", range, &runs, &want[i]);
+                    let mut one_by_one = Vec::new();
+                    t.range_for_each(range, |e| one_by_one.push(e));
+                    prop_assert_eq!(&one_by_one, &want[i], "range_for_each {:?}", range);
+                    check_runs("probe_batch", range, &whole[0][i], &want[i]);
+                    check_runs("probe_ranges_scalar", range, &whole[1][i], &want[i]);
+                    let one = std::slice::from_ref(&range);
+                    check_runs("probe_batch of one", range, &batched(one, &mut counters)[0], &want[i]);
+                    check_runs(
+                        "probe_ranges_scalar of one",
+                        range,
+                        &per_range(one, &mut counters)[0],
+                        &want[i],
+                    );
+                }
+            }
+        }
+    }
+
     mod run_properties {
         use super::*;
         use proptest::prelude::*;
@@ -2002,7 +2197,7 @@ mod tests {
                             let (lo, hi) = (a.min(b), a.max(b));
                             let range = KeyRange::new(lo, hi);
                             let mut got = Vec::new();
-                            run.range_for_each(range, |e| got.push(e));
+                            run.range_runs(range, |r| got.extend_from_slice(r));
                             let want: Vec<Entry> = oracle
                                 .iter()
                                 .copied()

@@ -15,9 +15,10 @@
 //! The breadth-first layout has a second payoff beyond fan-out: because child
 //! positions are arithmetic, a *group* of lookups can descend level by level
 //! with every next-level node known — and software-prefetched — before it is
-//! touched. [`tree::CssTree::lower_bound_batch`] and
-//! [`tree::CssTree::probe_batch`] implement that batched group probe, which
-//! the join engines use to answer a whole task's probes at once.
+//! touched. [`tree::CssTree::lower_bound_batch`] implements that batched
+//! group descent, which the join engines use to resolve a whole task's probe
+//! starts at once; each answer is then one slice of the leaf array
+//! ([`tree::CssTree::run_from`]).
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]

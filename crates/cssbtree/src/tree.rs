@@ -160,12 +160,6 @@ impl CssTree {
         }
     }
 
-    /// Entry at leaf position `pos`.
-    #[inline]
-    pub fn entry_at(&self, pos: usize) -> Entry {
-        self.leaves[pos]
-    }
-
     /// The sorted leaf array.
     #[inline]
     pub fn entries(&self) -> &[Entry] {
@@ -556,59 +550,37 @@ impl CssTree {
         prefetched
     }
 
-    /// Batched range probe: calls `f(i, entry)` for every entry whose key
-    /// lies in `ranges[i]` (bounds inclusive), entries of each range in
-    /// ascending order. The positions of all range starts are resolved with
-    /// one prefetched group descent ([`CssTree::lower_bound_batch`]); returns
-    /// the number of node blocks prefetched.
-    pub fn probe_batch<F: FnMut(usize, Entry)>(
-        &self,
-        ranges: &[KeyRange],
-        prefetch_dist: usize,
-        mut f: F,
-    ) -> u64 {
-        if ranges.is_empty() || self.leaves.is_empty() {
-            return 0;
-        }
-        let targets: Vec<Entry> = ranges.iter().map(|r| Entry::min_for_key(r.lo)).collect();
-        let mut positions = Vec::with_capacity(ranges.len());
-        let prefetched = self.lower_bound_batch(&targets, prefetch_dist, &mut positions);
-        for (i, (range, &start)) in ranges.iter().zip(positions.iter()).enumerate() {
-            let mut pos = start;
-            while pos < self.leaves.len() {
-                let e = self.leaves[pos];
-                if e.key > range.hi {
-                    break;
-                }
-                f(i, e);
-                pos += 1;
-            }
-        }
-        prefetched
+    /// The sorted run that starts at leaf position `pos` and ends before the
+    /// first key above `hi`: a slice of the leaf array (empty when `pos` is
+    /// `len()` or the entry there is already past `hi`). `pos` comes from a
+    /// lower bound — scalar, batched or interleaved — so a probe that has
+    /// resolved its start gets its whole answer without touching an entry.
+    #[inline]
+    pub fn run_from(&self, pos: usize, hi: Key) -> &[Entry] {
+        let tail = &self.leaves[pos..];
+        &tail[..tail.iter().take_while(|e| e.key <= hi).count()]
     }
 
-    /// Calls `f` for every entry whose key lies in `range` (bounds inclusive),
-    /// in ascending order. Returns the number of entries visited.
+    /// The entries whose key lies in `range` (bounds inclusive), as one
+    /// sorted slice of the leaf array.
+    #[inline]
+    pub fn range_run(&self, range: KeyRange) -> &[Entry] {
+        self.run_from(self.lower_bound_key(range.lo), range.hi)
+    }
+
+    /// Calls `f` for every entry of [`CssTree::range_run`], in ascending
+    /// order, and returns how many there were. The run's end is found while
+    /// visiting it, so an entry-at-a-time caller walks the run once, not
+    /// twice.
     pub fn range_for_each<F: FnMut(Entry)>(&self, range: KeyRange, mut f: F) -> usize {
-        let mut pos = self.lower_bound_key(range.lo);
-        let mut visited = 0;
-        while pos < self.leaves.len() {
-            let e = self.leaves[pos];
-            if e.key > range.hi {
-                break;
-            }
-            f(e);
-            visited += 1;
-            pos += 1;
-        }
-        visited
+        let tail = &self.leaves[self.lower_bound_key(range.lo)..];
+        let inside = tail.iter().take_while(|e| e.key <= range.hi);
+        inside.map(|&e| f(e)).count()
     }
 
     /// Collects every entry whose key lies in `range`.
     pub fn range_collect(&self, range: KeyRange) -> Vec<Entry> {
-        let mut out = Vec::new();
-        self.range_for_each(range, |e| out.push(e));
-        out
+        self.range_run(range).to_vec()
     }
 
     /// The routing boundary of partition `p` at `depth`: the maximum entry of
@@ -739,6 +711,49 @@ mod tests {
         assert!(t.range_collect(KeyRange::new(10_000, 20_000)).is_empty());
     }
 
+    /// Every range over a small key domain with duplicates and both corners
+    /// of `Key`, on a tree whose ranges cross leaf groups: the run is exactly
+    /// the sorted entries filtered by key, as a slice of the leaf array, and
+    /// the entry-at-a-time wrapper visits the same entries.
+    #[test]
+    fn range_run_is_the_slice_of_entries_in_the_range() {
+        let keys = [Key::MIN, Key::MIN + 1, -3, 0, 0, 0, 0, 0, 0, 2, 5, 5, 9];
+        let mut entries: Vec<Entry> = (0..3u64)
+            .flat_map(|round| {
+                keys.iter()
+                    .chain(&[Key::MAX - 1, Key::MAX])
+                    .enumerate()
+                    .map(move |(i, &key)| Entry::new(key, round * 100 + i as u64))
+            })
+            .collect();
+        entries.sort_unstable();
+        let t = crate::CssBuilder::new()
+            .fanout(2)
+            .leaf_size(4)
+            .build(entries.clone());
+        let bounds = [Key::MIN, Key::MIN + 1, -4, -3, 0, 1, 2, 5, 9, 10];
+        let bounds = bounds.iter().chain(&[Key::MAX - 1, Key::MAX]);
+        for &lo in bounds.clone() {
+            for &hi in bounds.clone().filter(|&&hi| hi >= lo) {
+                let range = KeyRange::new(lo, hi);
+                let want: Vec<Entry> = entries
+                    .iter()
+                    .copied()
+                    .filter(|e| range.contains(e.key))
+                    .collect();
+                let run = t.range_run(range);
+                assert_eq!(run, want, "{range:?}");
+                if !run.is_empty() {
+                    assert!(t.entries().as_ptr_range().contains(&run.as_ptr()));
+                }
+                let mut visited = Vec::new();
+                assert_eq!(t.range_for_each(range, |e| visited.push(e)), want.len());
+                assert_eq!(visited, want, "{range:?}");
+            }
+        }
+        assert!(t.run_from(t.len(), Key::MAX).is_empty());
+    }
+
     #[test]
     fn nodes_at_depth_and_partition_bounds() {
         // 4096 entries, leaf groups of 32 -> 128 groups; fan-out 8 ->
@@ -843,9 +858,8 @@ mod tests {
         let prefetched = t.lower_bound_batch(&probes, 4, &mut got);
         assert_eq!(got, vec![0, 0]);
         assert_eq!(prefetched, 0, "nothing to prefetch in an empty tree");
-        t.probe_batch(&[KeyRange::new(0, 100)], 4, |_, _| {
-            panic!("empty tree must produce no entries")
-        });
+        assert!(t.range_run(KeyRange::new(0, 100)).is_empty());
+        assert!(t.run_from(0, Key::MAX).is_empty());
     }
 
     #[test]
@@ -868,16 +882,12 @@ mod tests {
             .build(entries);
         let probes = vec![Entry::min_for_key(42); 16];
         assert_batch_matches_scalar(&t, &probes, &[0, 2, 16]);
-        let mut per_range = vec![0usize; 3];
         let ranges = [
             KeyRange::point(42),
             KeyRange::new(0, 41),
             KeyRange::new(43, 100),
         ];
-        t.probe_batch(&ranges, 4, |i, e| {
-            assert_eq!(e.key, 42);
-            per_range[i] += 1;
-        });
+        let per_range: Vec<usize> = ranges.iter().map(|&r| t.range_run(r).len()).collect();
         assert_eq!(per_range, vec![200, 0, 0]);
     }
 
@@ -892,13 +902,12 @@ mod tests {
             Entry::max_for_key(1998),
         ];
         assert_batch_matches_scalar(&t, &probes, &[0, 1, 3, 8]);
-        let mut hits = 0;
-        t.probe_batch(
-            &[KeyRange::new(-100, -1), KeyRange::new(2000, 9000)],
-            4,
-            |_, _| hits += 1,
-        );
-        assert_eq!(hits, 0, "out-of-range probes must match nothing");
+        for range in [KeyRange::new(-100, -1), KeyRange::new(2000, 9000)] {
+            assert!(
+                t.range_run(range).is_empty(),
+                "out-of-range probes must match nothing"
+            );
+        }
     }
 
     #[test]
@@ -927,11 +936,21 @@ mod tests {
             KeyRange::new(-5, 5),
             KeyRange::new(700, 700),
         ];
-        let mut got: Vec<Vec<Entry>> = vec![Vec::new(); ranges.len()];
-        let prefetched = t.probe_batch(&ranges, 2, |i, e| got[i].push(e));
+        // What a batched probe is made of: one group descent for the starts,
+        // then one slice of the leaf array per range.
+        let targets: Vec<Entry> = ranges.iter().map(|r| Entry::min_for_key(r.lo)).collect();
+        let mut starts = Vec::new();
+        let prefetched = t.lower_bound_batch(&targets, 2, &mut starts);
         assert!(prefetched > 0, "a multi-level tree prefetches nodes");
-        for (range, entries) in ranges.iter().zip(&got) {
-            assert_eq!(entries, &t.range_collect(*range), "range {range:?}");
+        for (range, &start) in ranges.iter().zip(&starts) {
+            let want: Vec<Entry> = t
+                .entries()
+                .iter()
+                .copied()
+                .filter(|e| range.contains(e.key))
+                .collect();
+            assert_eq!(t.run_from(start, range.hi), want, "range {range:?}");
+            assert_eq!(t.range_collect(*range), want, "range {range:?}");
         }
     }
 

@@ -36,54 +36,37 @@ pub trait WindowIndexAdapter {
     /// entry; merge-based and chain-based indexes do nothing.
     fn on_expire(&mut self, key: Key, seq: Seq);
 
-    /// Calls `f` for candidate entries with key in `range`. Entries of
-    /// expired tuples may be reported; the caller filters by sequence number.
-    fn probe(&self, range: KeyRange, f: &mut dyn FnMut(Entry));
+    /// Calls `f` with the candidate entries with key in `range` as sorted
+    /// runs: non-empty slices, ascending by `(key, seq)`, that borrow the
+    /// index's own storage — a leaf, a flat partition, a stretch of the
+    /// immutable leaf array — or a run of one where the index keeps nothing
+    /// contiguous. Entries of expired tuples may be reported; the caller
+    /// filters by sequence number, once per run.
+    fn probe(&self, range: KeyRange, f: &mut dyn FnMut(&[Entry]));
 
-    /// Batched range probe: calls `f(i, entry)` for candidate entries with
-    /// key in `ranges[i]`, entries of each range in the same order as
-    /// [`WindowIndexAdapter::probe`] would deliver them.
+    /// Multi-range probe: calls `f(i, run)` with the runs of `ranges[i]`,
+    /// those of each range in the order [`WindowIndexAdapter::probe`]
+    /// delivers them.
     ///
     /// The default implementation answers each range through the scalar
-    /// probe (recorded in `counters.scalar_probes`); indexes with a genuine
-    /// group probe — the PIM-Tree's prefetched CSS-Tree descent — override
-    /// it. `probe` carries the per-level prefetch lookahead and the
-    /// interleaved-descent ring width.
-    fn probe_batch(
+    /// probe (recorded in `counters.scalar_probes` when `probe.batch` asked
+    /// for a group probe the index does not have). The PIM-Tree overrides
+    /// it: with `probe.batch` the prefetched CSS-Tree group descent, without
+    /// it one scalar descent per range (or the interleaved ring when
+    /// `probe.interleave >= 2`) — either way with the partition routing
+    /// batched, one mutable-partition lock per partition and call.
+    fn probe_runs(
         &self,
         ranges: &[KeyRange],
         probe: &ProbeConfig,
         counters: &mut ProbeCounters,
-        f: &mut dyn FnMut(usize, Entry),
+        f: &mut dyn FnMut(usize, &[Entry]),
     ) {
-        let _ = probe;
-        for (i, &range) in ranges.iter().enumerate() {
-            counters.scalar_probes += 1;
-            self.probe(range, &mut |e| f(i, e));
+        if probe.batch {
+            counters.scalar_probes += ranges.len() as u64;
         }
-    }
-
-    /// Scalar batch probe: answers each of `ranges` with one scalar descent
-    /// (no grouping, deduplication or prefetching), calling `f(i, entry)`
-    /// for candidate entries with key in `ranges[i]` in the same per-range
-    /// order as [`WindowIndexAdapter::probe`].
-    ///
-    /// The default implementation is exactly a loop of scalar probes;
-    /// indexes with partitioned mutable state — the PIM-Tree — override it
-    /// to batch the *partition routing* (one mutable-partition lock per
-    /// unique partition per call instead of one per range, recorded in
-    /// `counters.ti_partition_locks`) while keeping the per-range descents
-    /// scalar (or interleaving them when `probe.interleave >= 2`).
-    fn probe_ranges_scalar(
-        &self,
-        ranges: &[KeyRange],
-        probe: &ProbeConfig,
-        counters: &mut ProbeCounters,
-        f: &mut dyn FnMut(usize, Entry),
-    ) {
-        let _ = (probe, counters);
         for (i, &range) in ranges.iter().enumerate() {
-            self.probe(range, &mut |e| f(i, e));
+            self.probe(range, &mut |run| f(i, run));
         }
     }
 
@@ -102,10 +85,8 @@ pub trait WindowIndexAdapter {
     ) -> Vec<Entry> {
         let timer = StepTimer::start(Step::Search);
         let mut out = Vec::new();
-        self.probe(range, &mut |e| {
-            if e.seq >= earliest_live {
-                out.push(e);
-            }
+        self.probe(range, &mut |run| {
+            out.extend(run.iter().filter(|e| e.seq >= earliest_live));
         });
         timer.finish(breakdown);
         out
@@ -162,8 +143,8 @@ impl WindowIndexAdapter for BTreeAdapter {
         );
     }
 
-    fn probe(&self, range: KeyRange, f: &mut dyn FnMut(Entry)) {
-        self.tree.range_for_each(range, f);
+    fn probe(&self, range: KeyRange, f: &mut dyn FnMut(&[Entry])) {
+        self.tree.range_runs(range, f);
     }
 
     fn maintain(&mut self, _earliest_live: Seq) -> Option<MergeReport> {
@@ -182,10 +163,8 @@ impl WindowIndexAdapter for BTreeAdapter {
         let timer = StepTimer::start(Step::Scan);
         let mut out = Vec::new();
         if first.is_some() {
-            self.tree.range_for_each(range, |e| {
-                if e.seq >= earliest_live {
-                    out.push(e);
-                }
+            self.tree.range_runs(range, |run| {
+                out.extend(run.iter().filter(|e| e.seq >= earliest_live));
             });
         }
         timer.finish(breakdown);
@@ -232,8 +211,9 @@ impl WindowIndexAdapter for ChainedAdapter {
         // rotates; individual expiries are ignored.
     }
 
-    fn probe(&self, range: KeyRange, f: &mut dyn FnMut(Entry)) {
-        self.chain.range_for_each(range, f);
+    fn probe(&self, range: KeyRange, f: &mut dyn FnMut(&[Entry])) {
+        self.chain
+            .range_for_each(range, |e| f(std::slice::from_ref(&e)));
     }
 
     fn maintain(&mut self, _earliest_live: Seq) -> Option<MergeReport> {
@@ -276,8 +256,8 @@ impl WindowIndexAdapter for ImTreeAdapter {
         // Expired tuples are dropped in bulk by the merge.
     }
 
-    fn probe(&self, range: KeyRange, f: &mut dyn FnMut(Entry)) {
-        self.tree.range_for_each(range, f);
+    fn probe(&self, range: KeyRange, f: &mut dyn FnMut(&[Entry])) {
+        self.tree.range_runs(range, f);
     }
 
     fn maintain(&mut self, earliest_live: Seq) -> Option<MergeReport> {
@@ -335,28 +315,22 @@ impl WindowIndexAdapter for PimTreeAdapter {
         // Expired tuples are dropped in bulk by the merge.
     }
 
-    fn probe(&self, range: KeyRange, f: &mut dyn FnMut(Entry)) {
-        self.tree.range_for_each(range, f);
+    fn probe(&self, range: KeyRange, f: &mut dyn FnMut(&[Entry])) {
+        self.tree.range_runs(range, f);
     }
 
-    fn probe_batch(
+    fn probe_runs(
         &self,
         ranges: &[KeyRange],
         probe: &ProbeConfig,
         counters: &mut ProbeCounters,
-        f: &mut dyn FnMut(usize, Entry),
+        f: &mut dyn FnMut(usize, &[Entry]),
     ) {
-        self.tree.probe_batch(ranges, probe, counters, f);
-    }
-
-    fn probe_ranges_scalar(
-        &self,
-        ranges: &[KeyRange],
-        probe: &ProbeConfig,
-        counters: &mut ProbeCounters,
-        f: &mut dyn FnMut(usize, Entry),
-    ) {
-        self.tree.probe_ranges_scalar(ranges, probe, counters, f);
+        if probe.batch {
+            self.tree.probe_batch(ranges, probe, counters, f);
+        } else {
+            self.tree.probe_ranges_scalar(ranges, probe, counters, f);
+        }
     }
 
     fn maintain(&mut self, earliest_live: Seq) -> Option<MergeReport> {
@@ -416,8 +390,10 @@ impl WindowIndexAdapter for BwTreeAdapter {
         );
     }
 
-    fn probe(&self, range: KeyRange, f: &mut dyn FnMut(Entry)) {
-        self.tree.range_for_each(range, f);
+    fn probe(&self, range: KeyRange, f: &mut dyn FnMut(&[Entry])) {
+        // Delta pages hold nothing contiguous: every entry is a run of one.
+        self.tree
+            .range_for_each(range, |e| f(std::slice::from_ref(&e)));
     }
 
     fn maintain(&mut self, _earliest_live: Seq) -> Option<MergeReport> {
@@ -437,11 +413,9 @@ mod tests {
             // Probe before updating, like the join operator does.
             let range = KeyRange::new(key_of(i) - 5, key_of(i) + 5);
             let earliest = (i + 1).saturating_sub(w);
-            let mut matches = Vec::new();
-            adapter.probe(range, &mut |e| {
-                if e.seq >= earliest && e.seq < i {
-                    matches.push(e);
-                }
+            let mut matches: Vec<Entry> = Vec::new();
+            adapter.probe(range, &mut |run| {
+                matches.extend(run.iter().filter(|e| e.seq >= earliest && e.seq < i));
             });
             for e in &matches {
                 assert!(range.contains(e.key));
@@ -505,10 +479,9 @@ mod tests {
                 let mut reference: Option<Vec<(Key, Seq)>> = None;
                 for a in adapters.iter() {
                     let mut got = Vec::new();
-                    a.probe(range, &mut |e| {
-                        if e.seq >= earliest {
-                            got.push((e.key, e.seq));
-                        }
+                    a.probe(range, &mut |run| {
+                        let live = run.iter().filter(|e| e.seq >= earliest);
+                        got.extend(live.map(|e| (e.key, e.seq)));
                     });
                     got.sort_unstable();
                     got.dedup();
@@ -541,10 +514,8 @@ mod tests {
             let mut breakdown = CostBreakdown::new();
             let mut instrumented = a.probe_instrumented(range, 10, &mut breakdown);
             let mut plain = Vec::new();
-            a.probe(range, &mut |e| {
-                if e.seq >= 10 {
-                    plain.push(e);
-                }
+            a.probe(range, &mut |run| {
+                plain.extend(run.iter().filter(|e| e.seq >= 10));
             });
             instrumented.sort();
             plain.sort();
@@ -586,12 +557,12 @@ mod tests {
                 let probe = ProbeConfig::default().with_interleave(interleave);
                 let mut counters = ProbeCounters::default();
                 let mut batched: Vec<Vec<Entry>> = vec![Vec::new(); ranges.len()];
-                a.probe_batch(&ranges, &probe, &mut counters, &mut |i, e| {
-                    batched[i].push(e)
+                a.probe_runs(&ranges, &probe, &mut counters, &mut |i, run| {
+                    batched[i].extend_from_slice(run)
                 });
                 for (range, got) in ranges.iter().zip(&batched) {
                     let mut scalar = Vec::new();
-                    a.probe(*range, &mut |e| scalar.push(e));
+                    a.probe(*range, &mut |run| scalar.extend_from_slice(run));
                     assert_eq!(
                         got,
                         &scalar,
@@ -604,7 +575,7 @@ mod tests {
         // The PIM-Tree adapter routes the batch through the real group probe.
         let pim = PimTreeAdapter::new(pim_cfg);
         let mut counters = ProbeCounters::default();
-        pim.probe_batch(
+        pim.probe_runs(
             &ranges,
             &ProbeConfig::default(),
             &mut counters,
@@ -615,7 +586,7 @@ mod tests {
         // The B+-Tree adapter falls back to scalar probes.
         let bt = BTreeAdapter::new();
         let mut counters = ProbeCounters::default();
-        bt.probe_batch(
+        bt.probe_runs(
             &ranges,
             &ProbeConfig::default(),
             &mut counters,
@@ -654,12 +625,12 @@ mod tests {
                 let probe = ProbeConfig::scalar().with_interleave(interleave);
                 let mut counters = ProbeCounters::default();
                 let mut batched: Vec<Vec<Entry>> = vec![Vec::new(); ranges.len()];
-                a.probe_ranges_scalar(&ranges, &probe, &mut counters, &mut |i, e| {
-                    batched[i].push(e)
+                a.probe_runs(&ranges, &probe, &mut counters, &mut |i, run| {
+                    batched[i].extend_from_slice(run)
                 });
                 for (range, got) in ranges.iter().zip(&batched) {
                     let mut scalar = Vec::new();
-                    a.probe(*range, &mut |e| scalar.push(e));
+                    a.probe(*range, &mut |run| scalar.extend_from_slice(run));
                     assert_eq!(
                         got,
                         &scalar,
@@ -686,7 +657,7 @@ mod tests {
             pim.tree().insert(((i * 7) % 300) as Key, i);
         }
         let mut counters = ProbeCounters::default();
-        pim.probe_ranges_scalar(
+        pim.probe_runs(
             &ranges,
             &ProbeConfig::scalar(),
             &mut counters,

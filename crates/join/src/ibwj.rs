@@ -150,12 +150,11 @@ impl<A: WindowIndexAdapter> IbwjOperator<A> {
         self
     }
 
-    /// Overrides the probe tuning. With batching enabled (the default) each
-    /// tuple's probe goes through the index's batched API as a group of one —
-    /// which degenerates to the scalar descent (no sort/dedup/prefetch
-    /// overhead) but keeps the probe counters and exercises the exact entry
-    /// point the parallel engine batches across a whole task; disabling it
-    /// restores the plain scalar probe call unchanged.
+    /// Overrides the probe tuning. Each tuple's probe goes through the
+    /// index's multi-range entry point as a group of one, which degenerates
+    /// to the scalar descent (no sort/dedup/prefetch overhead) whatever
+    /// `probe.batch` says; with batching enabled (the default) it keeps the
+    /// batch counters the parallel engine's claims fill.
     pub fn with_probe_config(mut self, probe: ProbeConfig) -> Self {
         probe.validate().expect("invalid probe configuration");
         self.probe = probe;
@@ -218,44 +217,26 @@ impl<A: WindowIndexAdapter> SingleThreadJoin for IbwjOperator<A> {
                     ));
                 }
             }
-        } else if self.probe.batch {
-            // A group of one through the batched entry point: the PIM-Tree
-            // answers it with its scalar fast path, so this differs from the
-            // scalar branch only in the counters — but it keeps the
-            // single-threaded engine on the same API the parallel engine
-            // batches across a whole task.
-            let indexes = &self.indexes;
-            indexes[probe_idx].probe_batch(
-                std::slice::from_ref(&range),
-                &self.probe,
-                &mut self.probe_counters,
-                &mut |_, e| {
-                    if probe_bounds.contains(e.seq) {
-                        out.push(JoinResult::new(
-                            tuple,
-                            Tuple::new(matched_side, e.seq, e.key),
-                        ));
-                    }
-                },
-            );
         } else {
-            // A group of one through the scalar-batch entry point: it
-            // degenerates to the plain scalar probe (no partition-lock
-            // grouping for a single range, no counters touched), but keeps
-            // the single-threaded engine on the same API the parallel
-            // engine's scalar path batches across a whole task.
-            let indexes = &self.indexes;
-            indexes[probe_idx].probe_ranges_scalar(
+            // A group of one through the multi-range entry point, which
+            // `probe.batch` steers as it does for the parallel engine: the
+            // PIM-Tree answers it with its scalar fast path either way (no
+            // sort, dedup, prefetch or lock grouping for a single range), so
+            // the single-threaded engine stays on the API the parallel
+            // engine batches across a whole claim. Each run is filtered to
+            // the live window and materialised in one pass — the kernel
+            // `parallel.rs::generate` runs when it collects.
+            self.indexes[probe_idx].probe_runs(
                 std::slice::from_ref(&range),
                 &self.probe,
                 &mut self.probe_counters,
-                &mut |_, e| {
-                    if probe_bounds.contains(e.seq) {
-                        out.push(JoinResult::new(
-                            tuple,
-                            Tuple::new(matched_side, e.seq, e.key),
-                        ));
-                    }
+                &mut |_, run| {
+                    let live = run.iter().filter(|e| probe_bounds.contains(e.seq));
+                    out.extend(
+                        live.map(|e| {
+                            JoinResult::new(tuple, Tuple::new(matched_side, e.seq, e.key))
+                        }),
+                    );
                 },
             );
         }

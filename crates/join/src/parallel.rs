@@ -13,8 +13,10 @@
 //!    indexed window prefix and linearly scanning the window suffix past the
 //!    *edge tuple* (the earliest non-indexed tuple) — by default the task's
 //!    probe keys are sorted, deduplicated and answered with one software-
-//!    prefetched CSS-Tree group descent per side (`generate_batched`;
-//!    [`ProbeConfig`] switches back to the scalar per-tuple path),
+//!    prefetched CSS-Tree group descent per side ([`ProbeConfig`] switches
+//!    back to the scalar per-tuple path); the answers arrive as sorted runs
+//!    of index entries, which `generate` filters to each tuple's live window
+//!    and either counts or materialises, decided once per batch,
 //! 3. **publishes results** with one release store per slot (no lock), and
 //!    **updates the index** with its tuples, trying to advance the edge, and
 //! 4. **propagates results** of the completed ring prefix in arrival order:
@@ -88,6 +90,7 @@
 //! variant (kept for the Figure 13c ablation) stalls all workers for the
 //! duration of the merge.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -1295,6 +1298,19 @@ fn generate(
         let idxs = &scratch.probe_items[side];
         let counts = &mut scratch.counts;
         let collected = &mut scratch.collected;
+        // Count or materialise: decided here, once per batch side, so that
+        // neither loop over a run's entries tests it. Both keep the entries
+        // the store's interval calls live and nothing else.
+        let mut count = |j: usize, run: &[Entry], live: Range<Seq>| {
+            counts[idxs[j]] += run.iter().filter(|e| live.contains(&e.seq)).count() as u64;
+        };
+        let mut materialise = |j: usize, run: &[Entry], live: Range<Seq>| {
+            let tuple = items[idxs[j]].tuple;
+            let matched = shared.matched_side(tuple.side);
+            let live = run.iter().filter(|e| live.contains(&e.seq));
+            collected[idxs[j]]
+                .extend(live.map(|e| JoinResult::new(tuple, Tuple::new(matched, e.seq, e.key))));
+        };
         shared.store.generate(
             side,
             &scratch.probe_ranges[side],
@@ -1302,22 +1318,26 @@ fn generate(
             &shared.probe,
             home,
             local,
-            &mut |j, seq, key| {
-                let i = idxs[j];
-                counts[i] += 1;
-                if collect {
-                    let item = &items[i];
-                    let matched = shared.matched_side(item.tuple.side);
-                    collected[i].push(JoinResult::new(item.tuple, Tuple::new(matched, seq, key)));
-                }
+            if collect {
+                &mut materialise
+            } else {
+                &mut count
             },
         );
     }
     // Slot publication, per tuple, in task order.
     let task_shard = scratch.task_shard;
     for (i, &ClaimedTask { gid, .. }) in scratch.items.iter().enumerate() {
-        let count = scratch.counts[i];
         let results = std::mem::take(&mut scratch.collected[i]);
+        let count = if collect {
+            results.len() as u64
+        } else {
+            scratch.counts[i]
+        };
+        // The matches' share of the logical traffic: each was loaded once
+        // (the store has accounted for the descents and scans) and stored
+        // once as a result.
+        local.bytes_loaded += count * std::mem::size_of::<Entry>() as u64;
         local.bytes_stored += count * std::mem::size_of::<JoinResult>() as u64;
         local.results += count;
         local.tuples += 1;
@@ -2149,6 +2169,84 @@ mod tests {
             .with_collected_results(true);
         let (_, results) = op.run(&tuples);
         assert_eq!(canonical(&results), expected);
+    }
+
+    /// `generate` counts a run's live entries or materialises them — two
+    /// loop bodies, the first under every benchmark and figure binary, the
+    /// second under every differential test: both must report the oracle's
+    /// result count on every store layout, backend and worker count.
+    #[test]
+    fn count_only_matches_collected_and_oracle() {
+        let predicate = BandPredicate::new(2);
+        let check = |label: &str,
+                     tuples: &[Tuple],
+                     self_join: bool,
+                     (wr, ws): (usize, usize),
+                     build: &dyn Fn(usize) -> ParallelIbwj| {
+            let expected = reference_join(tuples, predicate, wr, ws, self_join).len() as u64;
+            assert!(expected > 0, "{label}");
+            for threads in [1, 2, 4] {
+                let (counted, none) = build(threads).with_collected_results(false).run(tuples);
+                assert!(none.is_empty(), "{label}");
+                assert_eq!(
+                    counted.results, expected,
+                    "{label}: counted, {threads} workers"
+                );
+                let (stats, results) = build(threads).with_collected_results(true).run(tuples);
+                assert_eq!(
+                    results.len() as u64,
+                    expected,
+                    "{label}: collected, {threads} workers"
+                );
+                assert_eq!(stats.results, expected, "{label}: {threads} workers");
+            }
+        };
+        let two_way = random_tuples(4000, 400, 181);
+        let cfg = |threads| config(128, threads, 4, 0.5, MergePolicy::NonBlocking);
+        check("shared PIM-Tree", &two_way, false, (128, 128), &|threads| {
+            ParallelIbwj::new(cfg(threads), predicate, SharedIndexKind::PimTree, false)
+        });
+        check("Bw-Tree", &two_way, false, (128, 128), &|threads| {
+            ParallelIbwj::new(cfg(threads), predicate, SharedIndexKind::BwTree, false)
+        });
+        check(
+            "self-join",
+            &self_join_tuples(4000, 300, 182),
+            true,
+            (128, 128),
+            &|threads| ParallelIbwj::new(cfg(threads), predicate, SharedIndexKind::PimTree, true),
+        );
+        check(
+            "asymmetric windows",
+            &two_way,
+            false,
+            (64, 512),
+            &|threads| {
+                let mut cfg = config(512, threads, 4, 1.0, MergePolicy::NonBlocking);
+                cfg.window_r = 64;
+                cfg.window_s = 512;
+                ParallelIbwj::new(cfg, predicate, SharedIndexKind::PimTree, false)
+            },
+        );
+        check(
+            "2-shard partitioned store, forced repartition",
+            &two_way,
+            false,
+            (128, 128),
+            &|threads| {
+                let shard = ShardConfig::default()
+                    .with_shards(2)
+                    .with_partition_index(true);
+                let skewed = RangePartitioner::from_key_sample(2, &[]);
+                ParallelIbwj::new(
+                    cfg(threads).with_shard(shard),
+                    predicate,
+                    SharedIndexKind::PimTree,
+                    false,
+                )
+                .with_forced_repartition(two_way.len() / 2, skewed)
+            },
+        );
     }
 
     #[test]

@@ -42,6 +42,7 @@
 //! numbers, so a per-shard PIM-Tree merge never drops an entry an in-flight
 //! task may still probe.
 
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -101,43 +102,31 @@ impl StoreIndex {
         }
     }
 
-    /// Batched range probe: `f(i, entry)` for entries in `ranges[i]`. The
-    /// PIM-Tree answers the whole batch with one sorted/deduplicated,
-    /// prefetched CSS-Tree group descent; the Bw-Tree has no batched path
-    /// and falls back to per-range scalar probes (counted as such).
-    fn probe_batch(
+    /// Multi-range probe: `f(i, run)` for the sorted runs of `ranges[i]`,
+    /// slices of the index's own storage. With `probe.batch` the PIM-Tree
+    /// answers the whole batch with one sorted/deduplicated, prefetched
+    /// CSS-Tree group descent, without it with one scalar descent per range;
+    /// either way the mutable-side partition routing is batched (one
+    /// partition lock per unique partition per call). The Bw-Tree has no
+    /// group probe — scalar probes, counted as such when one was asked for —
+    /// and its delta pages nothing contiguous to lend: every entry is a run
+    /// of one.
+    fn probe_runs(
         &self,
         ranges: &[KeyRange],
         probe: &ProbeConfig,
         counters: &mut pimtree_common::ProbeCounters,
-        f: &mut dyn FnMut(usize, Entry),
+        f: &mut dyn FnMut(usize, &[Entry]),
     ) {
         match self {
-            StoreIndex::Pim(t) => t.probe_batch(ranges, probe, counters, &mut *f),
+            StoreIndex::Pim(t) if probe.batch => t.probe_batch(ranges, probe, counters, f),
+            StoreIndex::Pim(t) => t.probe_ranges_scalar(ranges, probe, counters, f),
             StoreIndex::Bw(t) => {
-                for (i, &range) in ranges.iter().enumerate() {
-                    counters.scalar_probes += 1;
-                    t.range_for_each(range, &mut |e| f(i, e));
+                if probe.batch {
+                    counters.scalar_probes += ranges.len() as u64;
                 }
-            }
-        }
-    }
-
-    /// Scalar batch probe: one scalar descent per range, with the PIM-Tree's
-    /// mutable-side partition routing batched (one partition lock per unique
-    /// partition per call).
-    fn probe_ranges_scalar(
-        &self,
-        ranges: &[KeyRange],
-        probe: &ProbeConfig,
-        counters: &mut pimtree_common::ProbeCounters,
-        f: &mut dyn FnMut(usize, Entry),
-    ) {
-        match self {
-            StoreIndex::Pim(t) => t.probe_ranges_scalar(ranges, probe, counters, &mut *f),
-            StoreIndex::Bw(t) => {
                 for (i, &range) in ranges.iter().enumerate() {
-                    t.range_for_each(range, &mut |e| f(i, e));
+                    t.range_for_each(range, |e| f(i, std::slice::from_ref(&e)));
                 }
             }
         }
@@ -150,6 +139,16 @@ impl StoreIndex {
         }
     }
 }
+
+/// What [`ShardStore::generate`] hands its caller, one dynamic call per run:
+/// the probe's position in the batch, a sorted run of stored entries whose
+/// keys lie in that probe's range, and the interval of sequence numbers that
+/// are live for the probe *in this run* — `[earliest, index horizon)` under
+/// the batch's edge snapshot for a run out of the index, the hit's own
+/// sequence number for a window-suffix hit, a run of one. The caller keeps
+/// the entries whose `seq` the interval contains — the only work left per
+/// entry — and it is the caller that counts or materialises them.
+pub(crate) type RunSink<'a> = dyn FnMut(usize, &[Entry], Range<Seq>) + 'a;
 
 /// Construction parameters shared by both store layouts.
 pub(crate) struct StoreParams {
@@ -378,8 +377,6 @@ enum Layout {
 struct StoreScratch {
     /// The suffix scan's probe ranges ordered by `lo` (shared layout).
     order: Vec<(Key, usize)>,
-    /// Per-item match counts for the memory-traffic accounting.
-    counts: Vec<u64>,
     /// Per-item covering shard interval (partitioned layout).
     cover: Vec<(usize, usize)>,
     /// Current shard's sub-batch of probe ranges / original item indices.
@@ -427,10 +424,11 @@ fn subtract_rerouted(
 }
 
 /// Probes one shard's index and window over a prepared sub-batch: for
-/// segment `k` (belonging to item `sub_idx[k]`), index entries below the
-/// shard's edge snapshot and the window suffix above it — the §4.1 split,
-/// per shard. Returns the window tuples examined; with `time_steps` the
-/// probe and the scan are timed into `stats.breakdown`.
+/// segment `k` (belonging to item `sub_idx[k]`), the index's runs with the
+/// live interval below the shard's edge snapshot, and the window suffix above
+/// it as runs of one — the §4.1 split, per shard. Returns the window tuples
+/// examined; with `time_steps` the probe and the scan are timed into
+/// `stats.breakdown`.
 #[allow(clippy::too_many_arguments)] // internal worker of generate_partitioned()
 fn probe_shard_segments(
     shard: &StoreShard,
@@ -439,10 +437,9 @@ fn probe_shard_segments(
     sub_idx: &[usize],
     bounds: &[WindowBounds],
     probe: &ProbeConfig,
-    counts: &mut [u64],
     time_steps: bool,
     stats: &mut JoinRunStats,
-    f: &mut dyn FnMut(usize, Seq, Key),
+    f: &mut RunSink<'_>,
 ) -> u64 {
     let window = &shard.windows[side];
     // This shard's edge snapshot, taken before its index probe: the shard's
@@ -452,21 +449,10 @@ fn probe_shard_segments(
     // match exactly once.
     let edge = window.edge_seq();
     let mut clock = time_steps.then(Instant::now);
-    {
-        let probe_counters = &mut stats.probe;
-        let mut cb = |k: usize, e: Entry| {
-            let j = sub_idx[k];
-            if e.seq >= bounds[j].earliest && e.seq < bounds[j].index_horizon(edge) {
-                counts[j] += 1;
-                f(j, e.seq, e.key);
-            }
-        };
-        if probe.batch {
-            shard.indexes[side].probe_batch(sub_ranges, probe, probe_counters, &mut cb);
-        } else {
-            shard.indexes[side].probe_ranges_scalar(sub_ranges, probe, probe_counters, &mut cb);
-        }
-    }
+    shard.indexes[side].probe_runs(sub_ranges, probe, &mut stats.probe, &mut |k, run| {
+        let j = sub_idx[k];
+        f(j, run, bounds[j].earliest..bounds[j].index_horizon(edge));
+    });
     if let Some(clock) = &mut clock {
         stats.breakdown.record(Step::Search, lap(clock));
     }
@@ -474,12 +460,9 @@ fn probe_shard_segments(
     for (k, &j) in sub_idx.iter().enumerate() {
         let b = bounds[j];
         let scan_from = b.scan_start(b.index_horizon(edge));
-        let mut count = counts[j];
         examined += window.scan_linear(scan_from, b.latest_exclusive, sub_ranges[k], |seq, key| {
-            count += 1;
-            f(j, seq, key);
+            f(j, &[Entry::new(key, seq)], seq..seq + 1);
         }) as u64;
-        counts[j] = count;
     }
     if let Some(clock) = &mut clock {
         stats.breakdown.record(Step::Scan, lap(clock));
@@ -901,16 +884,20 @@ impl ShardStore {
 
     /// Generates the matches of a task's probes against `side`'s store
     /// state: for every item `j`, each stored tuple of `side` with key in
-    /// `ranges[j]` and sequence number inside `bounds[j]` is reported exactly
-    /// once via `f(j, seq, key)` — through the index below the (per-shard)
-    /// edge snapshot, through the linear window scan above it (§4.1).
+    /// `ranges[j]` and sequence number inside `bounds[j]` reaches `f` exactly
+    /// once as a *live* entry of a run (see [`RunSink`]) — in the index's
+    /// runs below the (per-shard) edge snapshot, as a run of one from the
+    /// linear window scan above it (§4.1). Per item the runs arrive index
+    /// first (`TS`, then the `TI` partitions ascending), then the suffix hits
+    /// in ascending `seq`.
     ///
     /// `probe.batch` selects the grouped CSS descent or the scalar per-range
     /// path. Under the partitioned layout the probe fans out across exactly
     /// the shards overlapping each range (recorded in `stats.store`, charged
-    /// local/remote against `home`). Probe counters, the logical bytes loaded
-    /// and — with [`StoreParams::time_steps`] — search/scan timings are
-    /// recorded into `stats`.
+    /// local/remote against `home`). Probe counters, the logical bytes the
+    /// descents and scans load — the caller adds the matches it keeps, which
+    /// only it counts — and, with [`StoreParams::time_steps`], search/scan
+    /// timings are recorded into `stats`.
     #[allow(clippy::too_many_arguments)] // one internal call site in the engine
     pub(crate) fn generate(
         &self,
@@ -920,7 +907,7 @@ impl ShardStore {
         probe: &ProbeConfig,
         home: usize,
         stats: &mut JoinRunStats,
-        f: &mut dyn FnMut(usize, Seq, Key),
+        f: &mut RunSink<'_>,
     ) {
         debug_assert_eq!(ranges.len(), bounds.len());
         if ranges.is_empty() {
@@ -943,7 +930,7 @@ impl ShardStore {
         bounds: &[WindowBounds],
         probe: &ProbeConfig,
         stats: &mut JoinRunStats,
-        f: &mut dyn FnMut(usize, Seq, Key),
+        f: &mut RunSink<'_>,
     ) {
         let entry_bytes = std::mem::size_of::<Entry>() as u64;
         let n = ranges.len();
@@ -955,33 +942,21 @@ impl ShardStore {
         // snapshot that is a little stale only lengthens the scan, never
         // changes the result set.
         let edge = window.edge();
-        // Matches reported, for the memory-traffic accounting.
-        let mut matched = 0u64;
         let mut clock = self.time_steps.then(Instant::now);
-        {
-            let mut cb = |j: usize, e: Entry| {
-                if e.seq >= bounds[j].earliest && e.seq < bounds[j].index_horizon(edge) {
-                    matched += 1;
-                    f(j, e.seq, e.key);
-                }
-            };
-            if probe.batch {
-                state.indexes[side].probe_batch(ranges, probe, &mut stats.probe, &mut cb);
-            } else {
-                state.indexes[side].probe_ranges_scalar(ranges, probe, &mut stats.probe, &mut cb);
-            }
-        }
+        state.indexes[side].probe_runs(ranges, probe, &mut stats.probe, &mut |j, run| {
+            f(j, run, bounds[j].earliest..bounds[j].index_horizon(edge));
+        });
         if let Some(clock) = &mut clock {
             stats.breakdown.record(Step::Search, lap(clock));
         }
         let examined =
             window.scan_suffix(edge, ranges, bounds, &mut scratch.order, |j, seq, key| {
-                matched += 1;
-                f(j, seq, key);
+                f(j, &[Entry::new(key, seq)], seq..seq + 1);
             });
         // Logical traffic, per probe as before the scans were batched: its
-        // span, its matches and a fixed eight entries of descent.
-        stats.bytes_loaded += (examined as u64 + matched + 8 * n as u64) * entry_bytes;
+        // span and a fixed eight entries of descent (its matches are the
+        // caller's to add).
+        stats.bytes_loaded += (examined as u64 + 8 * n as u64) * entry_bytes;
         if let Some(clock) = &mut clock {
             stats.breakdown.record(Step::Scan, lap(clock));
         }
@@ -998,14 +973,12 @@ impl ShardStore {
         probe: &ProbeConfig,
         home: usize,
         stats: &mut JoinRunStats,
-        f: &mut dyn FnMut(usize, Seq, Key),
+        f: &mut RunSink<'_>,
     ) {
         let entry_bytes = std::mem::size_of::<Entry>() as u64;
         let n = ranges.len();
         let inner = p.inner.read();
         let mut scratch = STORE_SCRATCH.with(|cell| cell.take());
-        scratch.counts.clear();
-        scratch.counts.resize(n, 0);
         let mut examined_total = 0u64;
         if inner.overlay.is_empty() {
             // Fan-out query: which shards does each band-join range overlap?
@@ -1068,7 +1041,6 @@ impl ShardStore {
                     &scratch.sub_idx,
                     bounds,
                     probe,
-                    &mut scratch.counts,
                     self.time_steps,
                     stats,
                     f,
@@ -1170,15 +1142,13 @@ impl ShardStore {
                     &scratch.sub_idx,
                     bounds,
                     probe,
-                    &mut scratch.counts,
                     self.time_steps,
                     stats,
                     f,
                 );
             }
         }
-        let matches: u64 = scratch.counts.iter().sum();
-        stats.bytes_loaded += (examined_total + matches + 8 * n as u64) * entry_bytes;
+        stats.bytes_loaded += (examined_total + 8 * n as u64) * entry_bytes;
         STORE_SCRATCH.with(|cell| cell.replace(scratch));
     }
 
