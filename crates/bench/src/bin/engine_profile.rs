@@ -32,6 +32,11 @@
 //! so CSV consumers are unaffected. `--telemetry-out=PATH` keeps the traces
 //! (one per swept thread count, at `PATH.<threads>t`); without it the trace
 //! goes to a scratch file that is removed after rendering.
+//!
+//! `--sample=PATH` (Linux x86-64) turns on a `SIGPROF` instruction-pointer
+//! sampler for hosts without `perf`: one sample per 4 ms tick of CPU time,
+//! only those of the measured phase kept, written to `PATH.<threads>t` as
+//! file-relative addresses for `addr2line` (recipe in CONTRIBUTING.md).
 
 use pimtree_bench::harness::*;
 use pimtree_common::{IndexKind, JoinConfig, MigrationMode, TelemetryMode};
@@ -129,6 +134,7 @@ fn main() {
         opts.telemetry
     };
     let trace_base = telemetry_out_from_args();
+    let sample_base = path_arg("--sample");
     for threads in sweep {
         let mut config = JoinConfig::symmetric(w, IndexKind::PimTree)
             .with_threads(threads)
@@ -156,7 +162,16 @@ fn main() {
         if opts.arrival_rate > 0.0 {
             op = op.with_open_loop(opts.arrival_rate);
         }
+        let sampling = sample_base
+            .as_ref()
+            .map(|base| (format!("{base}.{threads}t"), sampler::start()));
         let (stats, _) = op.run_with_warmup(&tuples, (2 * w).min(tuples.len() / 2));
+        if let Some((path, started)) = sampling {
+            match sampler::stop_and_write(started, stats.elapsed, &path) {
+                Ok(kept) => println!("# sampler: {kept} samples of the measured phase in {path}"),
+                Err(e) => eprintln!("sampler: cannot write {path}: {e}"),
+            }
+        }
         let total = stats.phase.total().as_secs_f64().max(1e-12);
         let pct = |d: std::time::Duration| format!("{:.1}", 100.0 * d.as_secs_f64() / total);
         print_row(&[
@@ -226,6 +241,147 @@ fn main() {
             let _ = std::fs::remove_file(&trace_path);
             let _ = std::fs::remove_file(format!("{trace_path}.prom"));
         }
+    }
+}
+
+/// `--sample`: where a run's CPU time goes by instruction address, from the
+/// profiling timer alone. The handler stores the interrupted `RIP` and a
+/// time-stamp counter reading into preallocated arrays; the warm-up's samples
+/// are dropped afterwards by time stamp (on `steady-spill` the `TS`-less
+/// warm-up would otherwise fill a third of the profile with the promoted
+/// partition's tree inserts).
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+mod sampler {
+    use core::arch::x86_64::_rdtsc;
+    use core::ffi::c_void;
+    use std::io::Write;
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
+    use std::time::{Duration, Instant};
+
+    /// Nine minutes of one busy thread at the 4 ms tick.
+    const CAP: usize = 1 << 17;
+    static RIP: [AtomicU64; CAP] = [const { AtomicU64::new(0) }; CAP];
+    static TSC: [AtomicU64; CAP] = [const { AtomicU64::new(0) }; CAP];
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+
+    const SIGPROF: i32 = 27;
+    const ITIMER_PROF: i32 = 2;
+    const SA_SIGINFO: i32 = 4;
+    const SA_RESTART: i32 = 0x1000_0000;
+    /// `ucontext_t.uc_mcontext.gregs[REG_RIP]` in 8-byte words: flags, link
+    /// and the 24-byte `stack_t` come first (5 words), `REG_RIP` is 16.
+    const UCONTEXT_RIP_WORD: usize = 5 + 16;
+
+    /// glibc's x86-64 `struct sigaction`.
+    #[repr(C)]
+    struct SigAction {
+        handler: extern "C" fn(i32, *mut c_void, *mut c_void),
+        mask: [u64; 16],
+        flags: i32,
+        restorer: usize,
+    }
+
+    extern "C" {
+        fn sigaction(signum: i32, act: *const SigAction, old: *mut SigAction) -> i32;
+        /// `struct itimerval`: interval then value, each `{tv_sec, tv_usec}`.
+        fn setitimer(which: i32, new: *const [i64; 4], old: *mut [i64; 4]) -> i32;
+    }
+
+    extern "C" fn on_sigprof(_signal: i32, _info: *mut c_void, ucontext: *mut c_void) {
+        let i = NEXT.fetch_add(1, Relaxed);
+        if i < CAP {
+            // SAFETY: with `SA_SIGINFO` the kernel passes a `ucontext_t` whose
+            // saved general registers hold the interrupted `RIP` at this word.
+            RIP[i].store(
+                unsafe { *(ucontext as *const u64).add(UCONTEXT_RIP_WORD) },
+                Relaxed,
+            );
+            // SAFETY: `RDTSC` has no preconditions in user mode on Linux.
+            TSC[i].store(unsafe { _rdtsc() }, Relaxed);
+        }
+    }
+
+    fn set_timer(micros: i64) {
+        // SAFETY: the argument is a live `itimerval`; no old value is asked for.
+        let rc = unsafe { setitimer(ITIMER_PROF, &[0, micros, 0, micros], std::ptr::null_mut()) };
+        assert_eq!(rc, 0, "setitimer(ITIMER_PROF) failed");
+    }
+
+    /// Installs the handler and arms the timer; returns the clock pair the
+    /// time-stamp counter is calibrated against at the end.
+    pub fn start() -> (Instant, u64) {
+        NEXT.store(0, Relaxed);
+        let action = SigAction {
+            handler: on_sigprof,
+            mask: [0; 16],
+            flags: SA_SIGINFO | SA_RESTART,
+            restorer: 0,
+        };
+        // SAFETY: `action` matches the C layout and outlives the call; the
+        // handler only touches lock-free statics, so it is async-signal-safe.
+        let rc = unsafe { sigaction(SIGPROF, &action, std::ptr::null_mut()) };
+        assert_eq!(rc, 0, "sigaction(SIGPROF) failed");
+        // A millisecond, which the kernel rounds up to its tick.
+        set_timer(1_000);
+        // SAFETY: as in the handler.
+        (Instant::now(), unsafe { _rdtsc() })
+    }
+
+    /// Disarms the timer and writes the samples taken in the last `measured`
+    /// of the interval since [`start`] that lie inside the executable, one
+    /// file-relative address a line; returns how many.
+    pub fn stop_and_write(
+        (t0, tsc0): (Instant, u64),
+        measured: Duration,
+        path: &str,
+    ) -> std::io::Result<usize> {
+        set_timer(0);
+        // SAFETY: as in the handler.
+        let tsc1 = unsafe { _rdtsc() };
+        let ticks_per_sec = (tsc1 - tsc0) as f64 / t0.elapsed().as_secs_f64();
+        let phase_start = tsc1.saturating_sub((measured.as_secs_f64() * ticks_per_sec) as u64);
+        let exe = std::fs::read_link("/proc/self/exe")?;
+        let exe = exe.to_string_lossy();
+        // The executable's mappings: "start-end perms offset dev inode path".
+        let maps = std::fs::read_to_string("/proc/self/maps")?;
+        let spans = maps.lines().filter(|l| l.ends_with(&*exe)).filter_map(|l| {
+            let (start, end) = l.split_whitespace().next()?.split_once('-')?;
+            Some((
+                u64::from_str_radix(start, 16).ok()?,
+                u64::from_str_radix(end, 16).ok()?,
+            ))
+        });
+        let (base, end) = spans.fold((u64::MAX, 0), |(lo, hi), (s, e)| (lo.min(s), hi.max(e)));
+        let taken = NEXT.load(Relaxed).min(CAP);
+        let kept: Vec<u64> = (0..taken)
+            .filter(|&i| TSC[i].load(Relaxed) >= phase_start)
+            .map(|i| RIP[i].load(Relaxed))
+            .collect();
+        let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
+        writeln!(
+            out,
+            "# {taken} samples, {} in the measured phase ({:.3} s); load base {base:#x} of {exe}; \
+             addresses outside the executable are left out",
+            kept.len(),
+            measured.as_secs_f64()
+        )?;
+        let mut written = 0;
+        for rip in kept.into_iter().filter(|rip| (base..end).contains(rip)) {
+            writeln!(out, "{:#x}", rip - base)?;
+            written += 1;
+        }
+        out.flush()?;
+        Ok(written)
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
+mod sampler {
+    pub fn start() {
+        panic!("--sample needs Linux on x86-64")
+    }
+    pub fn stop_and_write(_: (), _: std::time::Duration, _: &str) -> std::io::Result<usize> {
+        Ok(0)
     }
 }
 

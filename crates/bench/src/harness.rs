@@ -212,8 +212,8 @@ impl RunOpts {
                     })
                 }
                 "--telemetry-interval" => opts.telemetry_interval_ms = parse_usize() as u64,
-                // String-valued; consumed by `telemetry_out_from_args`.
-                "--telemetry-out" => {}
+                // String-valued; consumed by `path_arg`.
+                "--telemetry-out" | "--sample" => {}
                 other => eprintln!("note: ignoring unknown argument '{other}'"),
             }
         }
@@ -286,14 +286,19 @@ impl RunOpts {
     }
 }
 
-/// Reads the `--telemetry-out=PATH` option from the command line. Kept out of
-/// [`RunOpts`] (which is `Copy`) because the value is an owned path string;
-/// `None` when the option is absent or empty.
-pub fn telemetry_out_from_args() -> Option<String> {
+/// Reads a `<name>=PATH` option (`name` with its dashes) from the command
+/// line. Kept out of [`RunOpts`] (which is `Copy`) because the value is an
+/// owned path string; `None` when the option is absent or empty.
+pub fn path_arg(name: &str) -> Option<String> {
     std::env::args().skip(1).find_map(|arg| {
-        let path = arg.strip_prefix("--telemetry-out=")?;
+        let path = arg.strip_prefix(name)?.strip_prefix('=')?;
         (!path.is_empty()).then(|| path.to_string())
     })
+}
+
+/// Reads the `--telemetry-out=PATH` option from the command line.
+pub fn telemetry_out_from_args() -> Option<String> {
+    path_arg("--telemetry-out")
 }
 
 /// The paper's default PIM/IM-Tree configuration for a window of `w` tuples:

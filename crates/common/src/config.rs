@@ -634,6 +634,11 @@ impl Default for ProbeConfig {
 }
 
 impl ProbeConfig {
+    /// Largest accepted `interleave`: the in-flight descent ring should stay
+    /// within the L1 miss-queue depth, and the CSS-Tree sizes its ring (a
+    /// stack array) by this.
+    pub const MAX_INTERLEAVE: usize = 64;
+
     /// A configuration with the scalar probe path (no batching).
     pub fn scalar() -> Self {
         ProbeConfig {
@@ -670,11 +675,12 @@ impl ProbeConfig {
                 self.prefetch_dist
             )));
         }
-        if self.interleave > 64 {
+        if self.interleave > Self::MAX_INTERLEAVE {
             return Err(Error::InvalidConfig(format!(
-                "interleave {} is unreasonably large (max 64): the in-flight \
+                "interleave {} is unreasonably large (max {}): the in-flight \
                  descent ring should stay within the L1 miss-queue depth",
-                self.interleave
+                self.interleave,
+                Self::MAX_INTERLEAVE
             )));
         }
         Ok(())

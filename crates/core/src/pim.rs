@@ -384,6 +384,9 @@ pub struct RetiredGeneration(#[allow(dead_code)] Generation); // held only to be
 #[derive(Debug)]
 pub struct PimTree {
     config: PimConfig,
+    /// `config.merge_threshold()`, computed once: the method multiplies and
+    /// rounds in `f64`, and every `insert_batch` / `needs_merge` reads it.
+    merge_threshold: usize,
     current: RwLock<Generation>,
     /// Insert counters of retired generations, folded in at merge time so the
     /// drift experiment can observe a cumulative histogram.
@@ -400,6 +403,7 @@ impl PimTree {
         config.validate().expect("invalid PIM-Tree configuration");
         let generation = Generation::new(&config, build_ts(&config, Vec::new()));
         PimTree {
+            merge_threshold: config.merge_threshold(),
             config,
             current: RwLock::new(generation),
             retired_inserts: Mutex::new(Vec::new()),
@@ -480,7 +484,7 @@ impl PimTree {
             }
         }
         let before = gen.ti_len.fetch_add(entries.len(), Ordering::Relaxed);
-        before + entries.len() >= self.config.merge_threshold()
+        before + entries.len() >= self.merge_threshold
     }
 
     /// Calls `f` with every indexed entry whose key lies in `range`, including
@@ -788,7 +792,7 @@ impl PimTree {
 
     /// Whether the mutable component has reached the merge threshold `m · w`.
     pub fn needs_merge(&self) -> bool {
-        self.ti_len() >= self.config.merge_threshold()
+        self.ti_len() >= self.merge_threshold
     }
 
     /// Blocking merge: waits for in-flight operations, then rebuilds `TS`

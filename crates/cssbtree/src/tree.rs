@@ -1,7 +1,7 @@
 //! The immutable CSS-Tree structure and its search operations.
 
 use pimtree_btree::Entry;
-use pimtree_common::{prefetch_slice, simd, Key, KeyRange, ProbeCounters};
+use pimtree_common::{prefetch_slice, simd, Key, KeyRange, ProbeConfig, ProbeCounters};
 
 /// Lower bound of `target` inside one sorted entry block: a SIMD
 /// compare-mask count over the keys (see `pimtree_common::simd`), then a
@@ -327,10 +327,12 @@ impl CssTree {
     /// the batch is drained.
     ///
     /// `interleave` values below 2 are clamped to 2 (a single-slot ring
-    /// cannot overlap anything); callers disable interleaving by calling the
-    /// batch or scalar paths instead. Work is recorded into `counters`
-    /// (descents, steps, the per-descent step histogram, prefetched blocks
-    /// and SIMD/scalar searches).
+    /// cannot overlap anything) and values above
+    /// [`ProbeConfig::MAX_INTERLEAVE`], which a validated configuration never
+    /// carries, to that cap (the ring lives on the stack); callers disable
+    /// interleaving by calling the batch or scalar paths instead. Work is
+    /// recorded into `counters` (descents, steps, the per-descent step
+    /// histogram, prefetched blocks and SIMD/scalar searches).
     pub fn lower_bound_interleaved(
         &self,
         targets: &[Entry],
@@ -371,15 +373,18 @@ impl CssTree {
             groups.resize(n, 0);
         }
         let levels = self.level_sizes.len();
-        let width = interleave.max(2).min(n);
-        let mut ring: Vec<DescentState> = (0..width)
-            .map(|slot| DescentState {
-                node: 0,
-                level: 0,
-                target: targets[slot],
-                slot,
-            })
-            .collect();
+        let width = interleave.clamp(2, ProbeConfig::MAX_INTERLEAVE).min(n);
+        let mut ring = [DescentState {
+            node: 0,
+            level: 0,
+            target: targets[0],
+            slot: RETIRED,
+        }; ProbeConfig::MAX_INTERLEAVE];
+        let ring = &mut ring[..width];
+        for (slot, state) in ring.iter_mut().enumerate() {
+            state.target = targets[slot];
+            state.slot = slot;
+        }
         let mut next = width; // next target to feed into a freed slot
         let mut live = width;
         let mut searches = 0u64;
@@ -656,6 +661,59 @@ mod tests {
             .fanout(fanout)
             .leaf_size(leaf)
             .build(entries(n))
+    }
+
+    /// `node_lower_bound` is `partition_point` under the full `(key, seq)`
+    /// order, whichever kernel counts the keys: an equal-key run at every
+    /// start and length (so across every 4-entry vector boundary, into the
+    /// sub-vector tail, and the whole block), probed below, inside and above
+    /// its `seq`s; then an inner node padded with sentinel slots, probed with
+    /// the sentinel itself and both corners of `Key`.
+    #[test]
+    fn node_lower_bound_honours_the_seq_tie_break() {
+        let check = |block: &[Entry], target: Entry| {
+            assert_eq!(
+                node_lower_bound(block, target),
+                block.partition_point(|&e| e < target),
+                "{target:?} in {block:?}"
+            );
+        };
+        for len in 0..=18usize {
+            for start in 0..=len {
+                for end in start..=len {
+                    // Keys 3, then a run of 5s with seqs 10, 12, ..., then 8.
+                    let block: Vec<Entry> = (0..len)
+                        .map(|i| {
+                            if i < start {
+                                Entry::new(3, i as u64)
+                            } else if i < end {
+                                Entry::new(5, 10 + 2 * (i - start) as u64)
+                            } else {
+                                Entry::new(8, i as u64)
+                            }
+                        })
+                        .collect();
+                    for seq in (9..=11 + 2 * (end - start) as u64).chain([0, u64::MAX]) {
+                        check(&block, Entry::new(5, seq));
+                    }
+                    for key in [Key::MIN, 2, 3, 4, 6, 8, 9, Key::MAX] {
+                        check(&block, Entry::min_for_key(key));
+                        check(&block, Entry::max_for_key(key));
+                    }
+                }
+            }
+        }
+        for real in 0..=8usize {
+            let mut node: Vec<Entry> = (0..real)
+                .map(|i| Entry::new(Key::MIN + (i / 2) as Key, i as u64))
+                .collect();
+            node.resize(8, Entry::max_for_key(Key::MAX));
+            for key in [Key::MIN, Key::MIN + 1, Key::MIN + 4, -1, 0, Key::MAX] {
+                for seq in [0, 1, 3, u64::MAX - 1, u64::MAX] {
+                    check(&node, Entry::new(key, seq));
+                }
+            }
+        }
     }
 
     #[test]

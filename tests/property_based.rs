@@ -287,4 +287,67 @@ proptest! {
         // Sentinel padding is never counted below a real target.
         prop_assert_eq!(simd::count_keys_below(&pairs, i64::MAX), keys.len());
     }
+
+    /// Every descent of the CSS-Tree — one at a time, routed to a depth and
+    /// finished in the leaf, level-wise batched, interleaved — is
+    /// `partition_point` over the leaf array under the `(key, seq)` order,
+    /// on shapes that put the node-search kernel at its edges: fan-out 2
+    /// over leaves of 4 (every block shorter than a vector), the default 32
+    /// over 32, blocks that are no multiple of a vector, sizes that leave the
+    /// last node and the last leaf group short, and few distinct keys down to
+    /// one, so that equal-key runs span nodes and the `seq` tie-break
+    /// decides. (Runs in CI's scalar-fallback leg too: the name says `simd`.)
+    #[test]
+    fn simd_descents_match_partition_point(
+        draws in prop::collection::vec((0usize..12, any::<u64>()), 0..700),
+        distinct in prop::sample::select(vec![1usize, 3, 12]),
+        shape in prop::sample::select(vec![(2usize, 4usize), (4, 4), (7, 5), (32, 32)]),
+        probes in prop::collection::vec((0usize..12, any::<u64>()), 1..40),
+    ) {
+        const KEYS: [Key; 12] =
+            [0, Key::MAX, Key::MIN, 1, 2, 64, -1, 65, 511, 3, Key::MIN + 1, Key::MAX - 1];
+        let mut entries: Vec<Entry> = draws
+            .iter()
+            .map(|&(k, seq)| Entry::new(KEYS[k % distinct], seq))
+            .collect();
+        entries.sort_unstable();
+        let (fanout, leaf) = shape;
+        let tree = pimtree_css::CssBuilder::new()
+            .fanout(fanout)
+            .leaf_size(leaf)
+            .build(entries.clone());
+        let mut targets: Vec<Entry> = probes.iter().map(|&(k, seq)| Entry::new(KEYS[k], seq)).collect();
+        for key in [Key::MIN, 0, Key::MAX] {
+            targets.extend([Entry::min_for_key(key), Entry::max_for_key(key)]);
+        }
+        targets.extend(entries.iter().step_by(37));
+        let want: Vec<usize> = targets
+            .iter()
+            .map(|t| entries.partition_point(|e| e < t))
+            .collect();
+        let levels = tree.inner_levels();
+        let mut want_groups = Vec::new();
+        for (&t, &w) in targets.iter().zip(&want) {
+            prop_assert_eq!(tree.lower_bound(t), w, "lower_bound {:?}", t);
+            // Insert routing: descend, then search only the leaf group reached.
+            let group = tree.descend_to_depth(t, levels);
+            let start = (group * leaf).min(entries.len());
+            let end = (start + leaf).min(entries.len());
+            let in_leaf = entries[start..end].partition_point(|e| *e < t);
+            prop_assert_eq!(start + in_leaf, w, "descend_to_depth {:?} -> group {}", t, group);
+            want_groups.push(group);
+        }
+        let (mut positions, mut groups) = (Vec::new(), Vec::new());
+        for dist in [0, 4] {
+            tree.lower_bound_batch_groups(&targets, dist, &mut positions, &mut groups);
+            prop_assert_eq!(&positions, &want, "batch, prefetch distance {}", dist);
+            prop_assert_eq!(&groups, &want_groups, "batch groups, prefetch distance {}", dist);
+        }
+        for width in [2, 5, 64] {
+            let mut counters = pimtree_common::ProbeCounters::default();
+            tree.lower_bound_interleaved(&targets, width, &mut positions, Some(&mut groups), &mut counters);
+            prop_assert_eq!(&positions, &want, "interleaved, width {}", width);
+            prop_assert_eq!(&groups, &want_groups, "interleaved groups, width {}", width);
+        }
+    }
 }
