@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use pimtree_bench::harness::{
     pim_config, run_parallel, run_parallel_ring, run_single, two_way_workload,
 };
-use pimtree_common::{IndexKind, ProbeConfig, RingConfig};
+use pimtree_common::{IndexKind, RingConfig};
 use pimtree_join::SharedIndexKind;
 use pimtree_workload::KeyDistribution;
 
@@ -82,7 +82,6 @@ fn bench_join(c: &mut Criterion) {
                 8,
                 pim_config(w),
                 RingConfig::default().with_capacity(256),
-                ProbeConfig::default(),
                 predicate,
                 &tuples,
                 false,

@@ -8,11 +8,9 @@
 //! engine-scaling notes in `docs/ARCHITECTURE.md` and is the tool used to verify
 //! that task distribution and edge-tuple bookkeeping stay off the per-tuple
 //! critical path. Sweep the ring itself with `--ring-cap= --ingest-target=
-//! --spin= --yield= --park-us=`, the batched CSS group probe with
-//! `--probe-batch=on|off --prefetch-dist=` (`--interleave=K` switches the
-//! descent to the AMAC interleaved ring; the descent-step histogram and the
-//! SIMD/scalar intra-node search split print after each row), and the
-//! sharded ring layer with
+//! --spin= --yield= --park-us=` (the batched CSS group probe's counters and
+//! its SIMD/scalar intra-node search split are columns of every row), and
+//! the sharded ring layer with
 //! `--shards= --steal-batch= --steal-threshold=` (shards > 1 routes
 //! ingestion by key range and reports steal/remote-traffic counters).
 //! `--partition-index=on` additionally partitions the index and window state
@@ -61,12 +59,11 @@ fn main() {
     print_header(
         "engine_profile",
         &format!(
-            "parallel IBWJ phase breakdown and ring contention (w = 2^{}, {} tuples, task size {}, ring {:?}, probe {:?}, shard {:?})",
+            "parallel IBWJ phase breakdown and ring contention (w = 2^{}, {} tuples, task size {}, ring {:?}, shard {:?})",
             opts.max_exp,
             tuples.len(),
             opts.task_size,
             opts.ring(),
-            opts.probe(),
             opts.shard()
         ),
         &[
@@ -93,8 +90,6 @@ fn main() {
             "mean_probe_batch",
             "probe_dedup_rate",
             "nodes_prefetched",
-            "interleaved_batches",
-            "mean_descent_steps",
             "simd_search_rate",
             "shards",
             "steal_tasks",
@@ -141,7 +136,6 @@ fn main() {
             .with_task_size(opts.task_size)
             .with_pim(pim_config(w))
             .with_ring(opts.ring())
-            .with_probe(opts.probe())
             .with_shard(opts.shard())
             .with_drift(opts.drift())
             .with_telemetry(opts.telemetry().with_mode(telemetry_mode));
@@ -202,8 +196,6 @@ fn main() {
             format!("{:.2}", stats.probe.mean_batch_size()),
             format!("{:.3}", stats.probe.dedup_rate()),
             stats.probe.nodes_prefetched.to_string(),
-            stats.probe.interleaved_batches.to_string(),
-            format!("{:.2}", stats.probe.mean_descent_steps()),
             format!("{:.3}", stats.probe.simd_search_rate()),
             stats.shard.shards.to_string(),
             stats.shard.steal_tasks.to_string(),
@@ -235,7 +227,6 @@ fn main() {
         if let Some(report) = &stats.telemetry {
             render_phase_table(report, threads);
         }
-        render_descent_histogram(&stats.probe);
         render_gauge_table(&trace_path);
         if trace_base.is_none() {
             let _ = std::fs::remove_file(&trace_path);
@@ -408,37 +399,6 @@ fn render_phase_table(report: &TelemetryReport, threads: usize) {
             nanos as f64 / 1e6,
             100.0 * nanos as f64 / total as f64,
             mean_us
-        );
-    }
-}
-
-/// Renders the batched/interleaved descent-step histogram (one bucket per
-/// steps-per-descent count, the last bucket saturating) plus the SIMD /
-/// scalar intra-node search split, as `#`-prefixed comment lines.
-fn render_descent_histogram(probe: &pimtree_common::ProbeCounters) {
-    let descents: u64 = probe.descent_steps.iter().sum();
-    if descents == 0 {
-        return;
-    }
-    println!(
-        "# descent steps ({} descents, mean {:.2}; node searches simd/scalar {}/{}):",
-        descents,
-        probe.mean_descent_steps(),
-        probe.simd_node_searches,
-        probe.scalar_node_searches,
-    );
-    for (bucket, &count) in probe.descent_steps.iter().enumerate() {
-        if count == 0 {
-            continue;
-        }
-        let label = if bucket + 1 == pimtree_common::ProbeCounters::DESCENT_STEP_BUCKETS {
-            format!("{}+", bucket + 1)
-        } else {
-            format!("{}", bucket + 1)
-        };
-        println!(
-            "#   {label:>3} steps {count:>12} ({:.1}%)",
-            100.0 * count as f64 / descents as f64
         );
     }
 }

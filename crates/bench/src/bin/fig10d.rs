@@ -2,7 +2,7 @@
 //! the PIM-Tree as a function of the task size, for several window sizes.
 
 use pimtree_bench::harness::*;
-use pimtree_common::{ProbeConfig, RingConfig};
+use pimtree_common::RingConfig;
 use pimtree_join::SharedIndexKind;
 use pimtree_workload::KeyDistribution;
 
@@ -41,7 +41,6 @@ fn main() {
                 task_size,
                 pim_config(w),
                 RingConfig::default().with_ingest_target(opts.threads * task_size),
-                ProbeConfig::default(),
                 predicate,
                 &tuples,
                 false,

@@ -67,7 +67,6 @@ fn main() {
             opts.task_size,
             pim_config(w),
             opts.ring(),
-            opts.probe(),
             predicate,
             &two_way,
             false,
@@ -80,7 +79,6 @@ fn main() {
             opts.task_size,
             pim_config(w),
             opts.ring(),
-            opts.probe(),
             self_predicate,
             &self_tuples,
             true,

@@ -40,7 +40,6 @@ fn main() {
                 opts.task_size,
                 pim_config(w),
                 opts.ring(),
-                opts.probe(),
                 predicate,
                 &tuples,
                 false,

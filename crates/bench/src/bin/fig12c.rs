@@ -54,7 +54,6 @@ fn main() {
             opts.task_size,
             pim_config(w),
             opts.ring(),
-            opts.probe(),
             predicate,
             &tuples,
             true,
@@ -67,7 +66,6 @@ fn main() {
             opts.task_size,
             pim_config(w),
             opts.ring(),
-            opts.probe(),
             predicate,
             &tuples,
             true,

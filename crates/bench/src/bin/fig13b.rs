@@ -52,7 +52,6 @@ fn main() {
                 opts.task_size,
                 pim_config(w).with_insertion_depth(4),
                 opts.ring(),
-                opts.probe(),
                 predicate,
                 phase,
                 true,

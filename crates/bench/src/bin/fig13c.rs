@@ -61,7 +61,6 @@ fn main() {
             opts.task_size,
             pim_config(w),
             opts.ring(),
-            opts.probe(),
             predicate,
             &tuples,
             false,
@@ -74,7 +73,6 @@ fn main() {
             opts.task_size,
             pim_config(w),
             opts.ring(),
-            opts.probe(),
             predicate,
             &tuples,
             false,
@@ -87,7 +85,6 @@ fn main() {
             opts.task_size,
             pim_config(w).with_merge_policy(MergePolicy::Blocking),
             opts.ring(),
-            opts.probe(),
             predicate,
             &tuples,
             false,

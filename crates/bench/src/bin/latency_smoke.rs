@@ -89,7 +89,6 @@ fn run_leg(
         .with_task_size(opts.task_size)
         .with_pim(pim_config(w))
         .with_ring(opts.ring())
-        .with_probe(opts.probe())
         .with_shard(
             ShardConfig::default()
                 .with_shards(shards)

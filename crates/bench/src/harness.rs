@@ -1,8 +1,8 @@
 //! Shared helpers for the per-figure benchmark binaries.
 
 use pimtree_common::{
-    BandPredicate, DriftConfig, IndexKind, JoinConfig, MigrationMode, PimConfig, ProbeConfig,
-    RingConfig, ShardConfig, TelemetryConfig, TelemetryMode, Tuple,
+    BandPredicate, DriftConfig, IndexKind, JoinConfig, MigrationMode, PimConfig, RingConfig,
+    ShardConfig, TelemetryConfig, TelemetryMode, Tuple,
 };
 use pimtree_join::{
     build_single_threaded, HandshakeJoin, HandshakeMode, JoinRunStats, ParallelIbwj,
@@ -39,13 +39,6 @@ pub struct RunOpts {
     pub yield_limit: u32,
     /// Idle back-off: park duration in microseconds (0 = never park).
     pub park_micros: u64,
-    /// Whether result generation uses the batched CSS group probe.
-    pub probe_batch: bool,
-    /// Prefetch distance of the batched probe (keys of lookahead per level).
-    pub prefetch_dist: usize,
-    /// AMAC interleave width: in-flight descents per worker (0 = off, use
-    /// the level-synchronous batched descent).
-    pub interleave: usize,
     /// Ring shards (simulated NUMA nodes) for the parallel engine. `0` means
     /// automatic (the single-ring engine; `perf_smoke` additionally sweeps
     /// its default shard counts); an explicit value — including 1 — pins the
@@ -86,9 +79,8 @@ pub struct RunOpts {
 impl RunOpts {
     /// Parses `--min-exp= --max-exp= --tuples= --threads= --task-size=
     /// --seed= --ring-cap= --ingest-target= --spin= --yield= --park-us=
-    /// --probe-batch=on|off --prefetch-dist= --interleave= --shards=
-    /// --steal-batch=
-    /// --steal-threshold= --partition-index=on|off --repartition=on|off
+    /// --shards= --steal-batch= --steal-threshold= --partition-index=on|off
+    /// --repartition=on|off
     /// --drift-window= --drift-trigger= --drift-cost-gate=
     /// --telemetry=off|counters|full --telemetry-interval=ms` from the
     /// command line, with figure-specific defaults. The `--telemetry-out=`
@@ -96,7 +88,6 @@ impl RunOpts {
     /// [`telemetry_out_from_args`].
     pub fn parse(default_min: u32, default_max: u32) -> Self {
         let defaults = RingConfig::default();
-        let probe_defaults = ProbeConfig::default();
         let shard_defaults = ShardConfig::default();
         let drift_defaults = DriftConfig::default();
         let mut opts = RunOpts {
@@ -114,9 +105,6 @@ impl RunOpts {
             spin_limit: defaults.spin_limit,
             yield_limit: defaults.yield_limit,
             park_micros: defaults.park_micros,
-            probe_batch: probe_defaults.batch,
-            prefetch_dist: probe_defaults.prefetch_dist,
-            interleave: probe_defaults.interleave,
             shards: 0,
             steal_batch: shard_defaults.steal_batch,
             steal_threshold: shard_defaults.steal_threshold,
@@ -152,15 +140,6 @@ impl RunOpts {
                 "--spin" => opts.spin_limit = parse_usize() as u32,
                 "--yield" => opts.yield_limit = parse_usize() as u32,
                 "--park-us" => opts.park_micros = parse_usize() as u64,
-                "--probe-batch" => {
-                    opts.probe_batch = match value {
-                        "on" | "true" | "1" => true,
-                        "off" | "false" | "0" => false,
-                        other => panic!("bad value for --probe-batch: {other} (use on/off)"),
-                    }
-                }
-                "--prefetch-dist" => opts.prefetch_dist = parse_usize(),
-                "--interleave" => opts.interleave = parse_usize(),
                 "--shards" => opts.shards = parse_usize(),
                 "--steal-batch" => opts.steal_batch = parse_usize(),
                 "--steal-threshold" => opts.steal_threshold = parse_usize(),
@@ -247,14 +226,6 @@ impl RunOpts {
             .with_backoff(self.spin_limit, self.yield_limit, self.park_micros)
     }
 
-    /// The batched-probe configuration selected on the command line.
-    pub fn probe(&self) -> ProbeConfig {
-        ProbeConfig::default()
-            .with_batch(self.probe_batch)
-            .with_prefetch_dist(self.prefetch_dist)
-            .with_interleave(self.interleave)
-    }
-
     /// The sharded-ring configuration selected on the command line
     /// (`--shards=0`, the automatic default, resolves to the single-ring
     /// engine).
@@ -310,7 +281,7 @@ pub fn pim_config(w: usize) -> PimConfig {
         .with_insertion_depth(3)
 }
 
-/// Generates a two-way workload: `n` interleaved tuples whose keys follow
+/// Generates a two-way workload: `n` tuples of both streams whose keys follow
 /// `dist`, with `s_percent`% of tuples on stream `S`, and a band predicate
 /// calibrated so that a probe against a window of `w` tuples yields about
 /// `match_rate` matches.
@@ -395,7 +366,6 @@ pub fn run_parallel(
         task_size,
         pim,
         RingConfig::default(),
-        ProbeConfig::default(),
         predicate,
         tuples,
         self_join,
@@ -403,8 +373,7 @@ pub fn run_parallel(
 }
 
 /// Runs the parallel shared-index engine with an explicit task-ring / idle
-/// back-off and batched-probe configuration (see [`run_parallel`] for the
-/// warmup convention).
+/// back-off configuration (see [`run_parallel`] for the warmup convention).
 #[allow(clippy::too_many_arguments)]
 pub fn run_parallel_ring(
     kind: SharedIndexKind,
@@ -414,7 +383,6 @@ pub fn run_parallel_ring(
     task_size: usize,
     pim: PimConfig,
     ring: RingConfig,
-    probe: ProbeConfig,
     predicate: BandPredicate,
     tuples: &[Tuple],
     self_join: bool,
@@ -427,7 +395,6 @@ pub fn run_parallel_ring(
         task_size,
         pim,
         ring,
-        probe,
         ShardConfig::default(),
         DriftConfig::default(),
         None,
@@ -453,7 +420,6 @@ pub fn run_parallel_sharded(
     task_size: usize,
     pim: PimConfig,
     ring: RingConfig,
-    probe: ProbeConfig,
     shard: ShardConfig,
     drift: DriftConfig,
     partitioner: Option<RangePartitioner>,
@@ -469,7 +435,6 @@ pub fn run_parallel_sharded(
         task_size,
         pim,
         ring,
-        probe,
         shard,
         drift,
         partitioner,
@@ -494,7 +459,6 @@ pub fn run_parallel_paced(
     task_size: usize,
     pim: PimConfig,
     ring: RingConfig,
-    probe: ProbeConfig,
     shard: ShardConfig,
     drift: DriftConfig,
     partitioner: Option<RangePartitioner>,
@@ -511,7 +475,6 @@ pub fn run_parallel_paced(
         task_size,
         pim,
         ring,
-        probe,
         shard,
         drift,
         partitioner,
@@ -538,7 +501,6 @@ pub fn run_parallel_instrumented(
     task_size: usize,
     pim: PimConfig,
     ring: RingConfig,
-    probe: ProbeConfig,
     shard: ShardConfig,
     drift: DriftConfig,
     partitioner: Option<RangePartitioner>,
@@ -554,7 +516,6 @@ pub fn run_parallel_instrumented(
         .with_task_size(task_size)
         .with_pim(pim)
         .with_ring(ring)
-        .with_probe(probe)
         .with_shard(shard)
         .with_drift(drift)
         .with_telemetry(telemetry);
@@ -630,9 +591,6 @@ mod tests {
             spin_limit: 6,
             yield_limit: 16,
             park_micros: 50,
-            probe_batch: true,
-            prefetch_dist: 4,
-            interleave: 0,
             shards: 1,
             steal_batch: 0,
             steal_threshold: 1,
@@ -665,17 +623,6 @@ mod tests {
         assert_eq!(ring.capacity, 512);
         assert_eq!(ring.spin_limit, 2);
         ring.validate().unwrap();
-        let probe = RunOpts {
-            probe_batch: false,
-            prefetch_dist: 16,
-            interleave: 8,
-            ..opts
-        }
-        .probe();
-        assert!(!probe.batch);
-        assert_eq!(probe.prefetch_dist, 16);
-        assert_eq!(probe.interleave, 8);
-        probe.validate().unwrap();
         let shard = RunOpts {
             shards: 4,
             steal_batch: 2,
@@ -781,7 +728,6 @@ mod tests {
             4,
             pim_config(w),
             RingConfig::default(),
-            ProbeConfig::default(),
             ShardConfig::default().with_shards(2),
             DriftConfig::default(),
             None,
@@ -805,7 +751,6 @@ mod tests {
             4,
             pim_config(w),
             RingConfig::default(),
-            ProbeConfig::default(),
             ShardConfig::default()
                 .with_shards(2)
                 .with_partition_index(true),
@@ -836,7 +781,6 @@ mod tests {
             4,
             pim_config(w),
             RingConfig::default(),
-            ProbeConfig::default(),
             ShardConfig::default().with_shards(2),
             DriftConfig::default(),
             None,

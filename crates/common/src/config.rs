@@ -596,97 +596,6 @@ impl TelemetryConfig {
     }
 }
 
-/// Tuning of the batched CSS-Tree group probe used during result generation.
-///
-/// The hot path of both join engines probes the immutable component of the
-/// PIM-Tree once per tuple. With batching enabled, a task's worth of probe
-/// keys is sorted, deduplicated and descended through the CSS-Tree level by
-/// level as one group, issuing software prefetches for the next level's nodes
-/// before the descent reaches them (see `pimtree-cssbtree`). Disabling
-/// batching restores the scalar one-key-at-a-time probe path unchanged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ProbeConfig {
-    /// Whether to use the batched group probe (`true`) or the scalar
-    /// per-tuple probe (`false`).
-    pub batch: bool,
-    /// Prefetch distance: how many keys ahead of the descent cursor the
-    /// next node's key block is prefetched, within each level of the group
-    /// descent. `0` disables prefetching while keeping the batch descent.
-    pub prefetch_dist: usize,
-    /// Number of in-flight descents per worker for the AMAC-style
-    /// interleaved CSS-Tree descent (see `pimtree-cssbtree`): a ring of
-    /// `interleave` independent root-to-leaf descents is advanced
-    /// round-robin, one node visit at a time, so each descent's cache miss
-    /// overlaps the other descents' compares. `0` (and `1`) disable
-    /// interleaving and keep the level-wise group descent (batched path) or
-    /// the plain per-key descent (scalar path).
-    pub interleave: usize,
-}
-
-impl Default for ProbeConfig {
-    fn default() -> Self {
-        ProbeConfig {
-            batch: true,
-            prefetch_dist: 4,
-            interleave: 0,
-        }
-    }
-}
-
-impl ProbeConfig {
-    /// Largest accepted `interleave`: the in-flight descent ring should stay
-    /// within the L1 miss-queue depth, and the CSS-Tree sizes its ring (a
-    /// stack array) by this.
-    pub const MAX_INTERLEAVE: usize = 64;
-
-    /// A configuration with the scalar probe path (no batching).
-    pub fn scalar() -> Self {
-        ProbeConfig {
-            batch: false,
-            ..Default::default()
-        }
-    }
-
-    /// Enables or disables the batched group probe.
-    pub fn with_batch(mut self, batch: bool) -> Self {
-        self.batch = batch;
-        self
-    }
-
-    /// Sets the prefetch distance (keys of lookahead per level; 0 = no
-    /// prefetching).
-    pub fn with_prefetch_dist(mut self, dist: usize) -> Self {
-        self.prefetch_dist = dist;
-        self
-    }
-
-    /// Sets the number of interleaved in-flight descents (0 = off).
-    pub fn with_interleave(mut self, interleave: usize) -> Self {
-        self.interleave = interleave;
-        self
-    }
-
-    /// Validates the configuration.
-    pub fn validate(&self) -> Result<()> {
-        if self.prefetch_dist > 1024 {
-            return Err(Error::InvalidConfig(format!(
-                "prefetch_dist {} is unreasonably large (max 1024): a batch \
-                 never exceeds four tasks",
-                self.prefetch_dist
-            )));
-        }
-        if self.interleave > Self::MAX_INTERLEAVE {
-            return Err(Error::InvalidConfig(format!(
-                "interleave {} is unreasonably large (max {}): the in-flight \
-                 descent ring should stay within the L1 miss-queue depth",
-                self.interleave,
-                Self::MAX_INTERLEAVE
-            )));
-        }
-        Ok(())
-    }
-}
-
 /// Configuration of a join operator run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct JoinConfig {
@@ -710,8 +619,6 @@ pub struct JoinConfig {
     pub pim: PimConfig,
     /// Task-ring and idle back-off tuning for the parallel engine.
     pub ring: RingConfig,
-    /// Batched-probe tuning for the result-generation path.
-    pub probe: ProbeConfig,
     /// Sharded-ring tuning (shard count, work-stealing shape).
     pub shard: ShardConfig,
     /// Drift-driven live repartitioning of the parallel engine.
@@ -731,7 +638,6 @@ impl Default for JoinConfig {
             chain_length: 2,
             pim: PimConfig::for_window(1 << 16),
             ring: RingConfig::default(),
-            probe: ProbeConfig::default(),
             shard: ShardConfig::default(),
             drift: DriftConfig::default(),
             telemetry: TelemetryConfig::default(),
@@ -781,12 +687,6 @@ impl JoinConfig {
         self
     }
 
-    /// Overrides the batched-probe tuning.
-    pub fn with_probe(mut self, probe: ProbeConfig) -> Self {
-        self.probe = probe;
-        self
-    }
-
     /// Overrides the sharded-ring tuning.
     pub fn with_shard(mut self, shard: ShardConfig) -> Self {
         self.shard = shard;
@@ -827,7 +727,6 @@ impl JoinConfig {
             ));
         }
         self.ring.validate()?;
-        self.probe.validate()?;
         self.shard.validate()?;
         self.drift.validate()?;
         self.telemetry.validate()?;
@@ -958,40 +857,6 @@ mod tests {
         assert!(
             c.validate().is_err(),
             "JoinConfig::validate covers the ring"
-        );
-    }
-
-    #[test]
-    fn probe_config_defaults_validate_and_builders_chain() {
-        let p = ProbeConfig::default();
-        assert!(p.batch, "batched probe is the default");
-        p.validate().unwrap();
-        let p = ProbeConfig::default()
-            .with_batch(false)
-            .with_prefetch_dist(0);
-        assert_eq!(p, ProbeConfig::scalar().with_prefetch_dist(0));
-        p.validate().unwrap();
-        let c = JoinConfig::symmetric(64, IndexKind::PimTree).with_probe(p);
-        assert_eq!(c.probe, p);
-        c.validate().unwrap();
-    }
-
-    #[test]
-    fn probe_config_rejects_bad_values() {
-        assert!(ProbeConfig::default()
-            .with_prefetch_dist(2048)
-            .validate()
-            .is_err());
-        assert!(ProbeConfig::default().with_interleave(8).validate().is_ok());
-        assert!(ProbeConfig::default()
-            .with_interleave(65)
-            .validate()
-            .is_err());
-        let mut c = JoinConfig::symmetric(16, IndexKind::PimTree);
-        c.probe.prefetch_dist = 4096;
-        assert!(
-            c.validate().is_err(),
-            "JoinConfig::validate covers the probe config"
         );
     }
 

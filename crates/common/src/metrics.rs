@@ -153,10 +153,9 @@ pub struct ProbeCounters {
     /// Node key blocks (inner nodes and leaf groups) software-prefetched
     /// ahead of the group descent.
     pub nodes_prefetched: u64,
-    /// Probes a batched call had to answer through the scalar one-key path
-    /// because the index backend has no batched probe (e.g. the Bw-Tree).
-    /// Stays zero when batching is disabled: the engines then take the
-    /// original scalar code path, which records nothing here.
+    /// Probes answered one range at a time by an index without a group
+    /// probe: every backend but the PIM-Tree (Bw-Tree, chained, B+-Tree,
+    /// IM-Tree).
     pub scalar_probes: u64,
     /// Mutable-partition (`TI`) locks taken by the batched probe path, which
     /// groups a batch's unique ranges per partition so every overlapping
@@ -166,31 +165,14 @@ pub struct ProbeCounters {
     /// difference to `ti_partition_locks` is the number of lock round-trips
     /// the per-partition grouping saved.
     pub ti_range_visits: u64,
-    /// Probe calls answered through the AMAC-style interleaved descent ring
-    /// (one per batch or scalar-path range group that took the interleaved
-    /// engine).
-    pub interleaved_batches: u64,
-    /// Root-to-leaf descents resolved by the interleaved engine.
-    pub interleaved_descents: u64,
-    /// Node visits (inner-node compares plus final leaf searches) the
-    /// interleaved engine stepped through across all descents.
-    pub interleave_steps: u64,
-    /// Histogram of steps per interleaved descent: bucket `i` counts
-    /// descents that took `i + 1` node visits; the last bucket collects
-    /// everything at or beyond [`ProbeCounters::DESCENT_STEP_BUCKETS`]
-    /// visits.
-    pub descent_steps: [u64; ProbeCounters::DESCENT_STEP_BUCKETS],
     /// Intra-node lower bounds answered by the runtime-detected SIMD kernel.
     pub simd_node_searches: u64,
     /// Intra-node lower bounds answered by the scalar fallback (counted only
-    /// on instrumented descent paths, like `simd_node_searches`).
+    /// by the group descent, like `simd_node_searches`).
     pub scalar_node_searches: u64,
 }
 
 impl ProbeCounters {
-    /// Buckets of the per-descent step histogram (`descent_steps`).
-    pub const DESCENT_STEP_BUCKETS: usize = 8;
-
     /// Folds another worker's counters into this one. Every field is summed
     /// (except `max_batch`, which is a maximum) so that per-worker counters
     /// aggregate losslessly no matter how many workers report.
@@ -203,35 +185,8 @@ impl ProbeCounters {
         self.scalar_probes += other.scalar_probes;
         self.ti_partition_locks += other.ti_partition_locks;
         self.ti_range_visits += other.ti_range_visits;
-        self.interleaved_batches += other.interleaved_batches;
-        self.interleaved_descents += other.interleaved_descents;
-        self.interleave_steps += other.interleave_steps;
-        for (mine, theirs) in self
-            .descent_steps
-            .iter_mut()
-            .zip(other.descent_steps.iter())
-        {
-            *mine += *theirs;
-        }
         self.simd_node_searches += other.simd_node_searches;
         self.scalar_node_searches += other.scalar_node_searches;
-    }
-
-    /// Records one interleaved descent that took `steps` node visits into
-    /// the per-descent histogram.
-    #[inline]
-    pub fn record_descent_steps(&mut self, steps: usize, descents: u64) {
-        let bucket = steps.saturating_sub(1).min(Self::DESCENT_STEP_BUCKETS - 1);
-        self.descent_steps[bucket] += descents;
-    }
-
-    /// Mean node visits per interleaved descent.
-    pub fn mean_descent_steps(&self) -> f64 {
-        if self.interleaved_descents == 0 {
-            0.0
-        } else {
-            self.interleave_steps as f64 / self.interleaved_descents as f64
-        }
     }
 
     /// Fraction of instrumented intra-node searches answered by the SIMD

@@ -9,7 +9,7 @@ use parking_lot::{Mutex, MutexGuard, RwLock};
 use pimtree_btree::{bulk, BTreeIndex, Entry};
 use pimtree_common::{
     prefetch_range, prefetch_read, prefetch_write, CostBreakdown, Key, KeyRange, PimConfig,
-    ProbeConfig, ProbeCounters, Seq, Step,
+    ProbeCounters, Seq, Step,
 };
 use pimtree_css::CssTree;
 
@@ -516,30 +516,24 @@ impl PimTree {
     /// The batch is sorted and deduplicated (identical ranges share one
     /// descent), then the immutable component is descended level-by-level for
     /// the whole group with software prefetching
-    /// (`CssTree::lower_bound_batch_groups`), all under a single acquisition
-    /// of the generation lock — one lock round-trip per task instead of one
-    /// per tuple. The mutable component is batched too: each range's
-    /// overlapping partition interval is derived *arithmetically* from the
-    /// group descent's leaf group (the routing node at the insertion depth is
-    /// an ancestor of it — no second root-to-leaf walk), and the partitions
-    /// are then visited partition-major, so a partition overlapped by many
+    /// (`CssTree::lower_bound_batch`), all under a single acquisition of the
+    /// generation lock — one lock round-trip per task instead of one per
+    /// tuple. The mutable component is batched too: each range's overlapping
+    /// partition interval is derived *arithmetically* from the group
+    /// descent's leaf group (the routing node at the insertion depth is an
+    /// ancestor of it — no second root-to-leaf walk), and the partitions are
+    /// then visited partition-major, so a partition overlapped by many
     /// ranges is locked once per batch instead of once per range.
-    /// `probe.prefetch_dist` is the per-level prefetch lookahead (0 = no
-    /// prefetching); with `probe.interleave >= 2` the level-wise group
-    /// descent is replaced by the AMAC-style interleaved descent ring
-    /// (`CssTree::lower_bound_interleaved`), which overlaps each descent's
-    /// cache miss with the other in-flight descents' compares instead of
-    /// prefetching ahead within a level. `counters` records batch sizes,
-    /// dedup hits, nodes prefetched, interleave/SIMD work and the
-    /// mutable-side lock grouping. A batch of one degenerates to the scalar
-    /// descent (there is nothing to group, dedup or prefetch ahead of),
+    /// `counters` records batch sizes, dedup hits, nodes prefetched, SIMD
+    /// work and the mutable-side lock grouping. This is the PIM-Tree's one
+    /// multi-range probe: a batch of one degenerates to the scalar descent
+    /// (there is nothing to group, dedup or prefetch ahead of),
     /// skipping the batch bookkeeping entirely; the sort/dedup/cursor
     /// buffers of larger batches are reused through a per-thread scratch, so
     /// the steady state allocates nothing.
     pub fn probe_batch<F: FnMut(usize, &[Entry])>(
         &self,
         ranges: &[KeyRange],
-        probe: &ProbeConfig,
         counters: &mut ProbeCounters,
         mut f: F,
     ) {
@@ -588,23 +582,8 @@ impl PimTree {
             s.targets.clear();
             s.targets
                 .extend(s.uniq.iter().map(|r| Entry::min_for_key(r.lo)));
-            if probe.interleave >= 2 {
-                gen.ts.lower_bound_interleaved(
-                    &s.targets,
-                    probe.interleave,
-                    &mut s.positions,
-                    Some(&mut s.groups),
-                    counters,
-                );
-            } else {
-                gen.ts.lower_bound_batch_groups_counted(
-                    &s.targets,
-                    probe.prefetch_dist,
-                    &mut s.positions,
-                    &mut s.groups,
-                    counters,
-                );
-            }
+            gen.ts
+                .lower_bound_batch(&s.targets, &mut s.positions, &mut s.groups, counters);
         }
         let ti_populated = gen.ti_len.load(Ordering::Relaxed) > 0;
 
@@ -656,85 +635,6 @@ impl PimTree {
                     f(i, run);
                 }
             });
-        }
-        PROBE_SCRATCH.with(|cell| cell.replace(s));
-    }
-
-    /// Scalar batch probe: answers `ranges` with one scalar descent per range
-    /// — no sorting, deduplication or cross-range prefetching — while still
-    /// *batching the mutable-side partition routing* the way
-    /// [`PimTree::probe_batch`] does. Each range's overlapping partition
-    /// interval is computed up front and the partitions are then visited
-    /// partition-major, so a partition overlapped by several of the task's
-    /// ranges is locked once per call instead of once per range
-    /// (`counters.ti_partition_locks` / `counters.ti_range_visits`; the
-    /// group-descent counters stay untouched, so runs through this path
-    /// remain distinguishable from the batched probe).
-    ///
-    /// Per range, the runs arrive exactly as [`PimTree::range_runs`] would
-    /// deliver them: the immutable component's slice, then the overlapping
-    /// mutable partitions in ascending partition order. A batch of one
-    /// degenerates to the scalar probe (there is nothing to group).
-    ///
-    /// With `probe.interleave >= 2` the per-range root-to-leaf descents are
-    /// replaced by one pass of the AMAC-style interleaved descent ring
-    /// (`CssTree::lower_bound_interleaved`) — ranges stay unsorted and
-    /// undeduplicated (this is still the scalar path), but their start
-    /// positions resolve with overlapped cache misses; emission order per
-    /// range is unchanged.
-    pub fn probe_ranges_scalar<F: FnMut(usize, &[Entry])>(
-        &self,
-        ranges: &[KeyRange],
-        probe: &ProbeConfig,
-        counters: &mut ProbeCounters,
-        mut f: F,
-    ) {
-        let n = ranges.len();
-        if n == 0 {
-            return;
-        }
-        let gen = self.current.read();
-        if n == 1 {
-            probe_generation(&gen, ranges[0], &mut |run| f(0, run));
-            return;
-        }
-        // Immutable component first, per range, exactly like the scalar
-        // probe delivers it (one scalar descent per range, by design —
-        // unless interleaving resolves the range starts as a ring).
-        let mut s = PROBE_SCRATCH.with(|cell| cell.take());
-        let interleaved = probe.interleave >= 2 && !gen.ts.is_empty();
-        if interleaved {
-            s.targets.clear();
-            s.targets
-                .extend(ranges.iter().map(|r| Entry::min_for_key(r.lo)));
-            gen.ts.lower_bound_interleaved(
-                &s.targets,
-                probe.interleave,
-                &mut s.positions,
-                None,
-                counters,
-            );
-        }
-        for (j, &range) in ranges.iter().enumerate() {
-            let run = if interleaved {
-                gen.ts.run_from(s.positions[j], range.hi)
-            } else {
-                gen.ts.range_run(range)
-            };
-            if !run.is_empty() {
-                f(j, run);
-            }
-        }
-        // Mutable component: route every range to its partition interval,
-        // then visit the partitions partition-major (`visit_partitions`).
-        if gen.ti_len.load(Ordering::Relaxed) > 0 {
-            s.pairs.clear();
-            for (j, &range) in ranges.iter().enumerate() {
-                let p_lo = gen.route(Entry::min_for_key(range.lo));
-                let p_hi = gen.route(Entry::max_for_key(range.hi));
-                s.pairs.extend((p_lo..=p_hi).map(|p| (p, j)));
-            }
-            visit_partitions(&gen, &mut s.pairs, ranges, counters, f);
         }
         PROBE_SCRATCH.with(|cell| cell.replace(s));
     }
@@ -1157,63 +1057,39 @@ mod tests {
             KeyRange::new(0, 2000),    // everything
             KeyRange::point(300),
         ];
+        // Batch lengths around the group descent's lookahead of four, drawn
+        // from `ranges` in turn; the oracle is the scalar probe.
         let mut counters = ProbeCounters::default();
-        let mut batched: Vec<Vec<Entry>> = vec![Vec::new(); ranges.len()];
-        for dist in [0usize, 1, 4, 64] {
-            for v in batched.iter_mut() {
-                v.clear();
-            }
-            let probe = ProbeConfig::default().with_prefetch_dist(dist);
-            t.probe_batch(&ranges, &probe, &mut counters, |i, run| {
+        let mut dedup_hits = 0;
+        for len in [0usize, 1, 3, 4, 5, 64] {
+            let batch: Vec<KeyRange> = ranges.iter().copied().cycle().take(len).collect();
+            let mut batched: Vec<Vec<Entry>> = vec![Vec::new(); len];
+            t.probe_batch(&batch, &mut counters, |i, run| {
                 batched[i].extend_from_slice(run)
             });
-            for (range, got) in ranges.iter().zip(&batched) {
+            for (range, got) in batch.iter().zip(&batched) {
                 let mut scalar = Vec::new();
                 t.range_for_each(*range, |e| scalar.push(e));
-                assert_eq!(got, &scalar, "range {range:?}, prefetch_dist {dist}");
+                assert_eq!(got, &scalar, "range {range:?}, batch length {len}");
+            }
+            if len > 1 {
+                let mut unique = batch.clone();
+                unique.sort_unstable_by_key(|r| (r.lo, r.hi));
+                unique.dedup();
+                dedup_hits += (len - unique.len()) as u64;
             }
         }
-        assert_eq!(counters.batches, 4);
-        assert_eq!(counters.batched_keys, 4 * ranges.len() as u64);
-        assert_eq!(counters.max_batch, ranges.len() as u64);
-        assert_eq!(counters.dedup_hits, 4, "one duplicate range per call");
+        assert_eq!(counters.batches, 5, "an empty batch is not counted");
+        assert_eq!(counters.batched_keys, 1 + 3 + 4 + 5 + 64);
+        assert_eq!(counters.max_batch, 64);
+        assert_eq!(
+            counters.dedup_hits, dedup_hits,
+            "identical ranges share a descent"
+        );
         assert!(
             counters.nodes_prefetched > 0,
-            "distances > 0 must prefetch nodes of the populated TS"
+            "the group descent prefetches nodes of the populated TS"
         );
-        assert_eq!(
-            counters.interleaved_batches, 0,
-            "interleave 0 never takes the ring"
-        );
-        // Interleaved descents answer the same batch identically on both
-        // components, and record their work.
-        for interleave in [2usize, 4, 8] {
-            let mut counters = ProbeCounters::default();
-            for v in batched.iter_mut() {
-                v.clear();
-            }
-            let probe = ProbeConfig::default().with_interleave(interleave);
-            t.probe_batch(&ranges, &probe, &mut counters, |i, run| {
-                batched[i].extend_from_slice(run)
-            });
-            for (range, got) in ranges.iter().zip(&batched) {
-                let mut scalar = Vec::new();
-                t.range_for_each(*range, |e| scalar.push(e));
-                assert_eq!(got, &scalar, "range {range:?}, interleave {interleave}");
-            }
-            assert_eq!(counters.interleaved_batches, 1);
-            assert_eq!(
-                counters.interleaved_descents,
-                ranges.len() as u64 - 1,
-                "the duplicate range shares one descent"
-            );
-            assert!(counters.interleave_steps >= counters.interleaved_descents);
-            assert_eq!(
-                counters.simd_node_searches + counters.scalar_node_searches,
-                counters.interleave_steps,
-                "each ring step performs exactly one node search"
-            );
-        }
     }
 
     #[test]
@@ -1236,11 +1112,12 @@ mod tests {
             KeyRange::new(100, 700), // overlaps the first range's partitions
             KeyRange::new(100, 700), // duplicate: shares the first's descent
             KeyRange::new(1500, 2047), // disjoint partition interval
+            KeyRange::new(-50, -1),  // below the domain
             KeyRange::point(650),
         ];
         let mut counters = ProbeCounters::default();
         let mut batched: Vec<Vec<Entry>> = vec![Vec::new(); ranges.len()];
-        t.probe_batch(&ranges, &ProbeConfig::default(), &mut counters, |i, run| {
+        t.probe_batch(&ranges, &mut counters, |i, run| {
             batched[i].extend_from_slice(run)
         });
         for (range, got) in ranges.iter().zip(&batched) {
@@ -1263,66 +1140,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn scalar_ranges_probe_matches_scalar_and_batches_partition_locks() {
-        // Mirror of `batched_ti_probe_locks_each_partition_once_per_batch`
-        // for the scalar path: per-range descents, but the TI partitions are
-        // still locked once per call.
-        let t = PimTree::new(config(2048, 1.0, 3));
-        for i in 0..2048i64 {
-            t.insert(i, i as Seq);
-        }
-        t.merge(0);
-        assert!(t.partition_count() > 4);
-        for i in 2048..2560i64 {
-            t.insert(i - 2048, i as Seq);
-        }
-        let ranges = [
-            KeyRange::new(0, 600),
-            KeyRange::new(100, 700),
-            KeyRange::new(100, 700),   // duplicate: no dedup on this path
-            KeyRange::new(1500, 2047), // disjoint partition interval
-            KeyRange::new(-50, -1),    // below the domain
-            KeyRange::point(650),
-        ];
-        let mut counters = ProbeCounters::default();
-        let mut got: Vec<Vec<Entry>> = vec![Vec::new(); ranges.len()];
-        t.probe_ranges_scalar(&ranges, &ProbeConfig::scalar(), &mut counters, |i, run| {
-            got[i].extend_from_slice(run)
-        });
-        for (range, entries) in ranges.iter().zip(&got) {
-            let mut scalar = Vec::new();
-            t.range_for_each(*range, |e| scalar.push(e));
-            assert_eq!(entries, &scalar, "range {range:?}");
-        }
-        // Interleaved start resolution answers the scalar path identically,
-        // range for range, in the same emission order.
-        for interleave in [2usize, 8] {
-            let mut il_counters = ProbeCounters::default();
-            let mut il: Vec<Vec<Entry>> = vec![Vec::new(); ranges.len()];
-            let probe = ProbeConfig::scalar().with_interleave(interleave);
-            t.probe_ranges_scalar(&ranges, &probe, &mut il_counters, |i, run| {
-                il[i].extend_from_slice(run)
-            });
-            assert_eq!(il, got, "interleave {interleave}");
-            assert_eq!(il_counters.interleaved_batches, 1);
-            assert_eq!(il_counters.interleaved_descents, ranges.len() as u64);
-        }
-        assert!(
-            counters.ti_partition_locks <= t.partition_count() as u64,
-            "each partition locked at most once per call"
-        );
-        assert!(
-            counters.ti_partition_locks < counters.ti_range_visits,
-            "overlapping ranges must share partition locks ({} locks / {} visits)",
-            counters.ti_partition_locks,
-            counters.ti_range_visits
-        );
-        assert_eq!(counters.batches, 0, "the scalar path never group-descends");
-        assert_eq!(counters.dedup_hits, 0);
-        assert_eq!(counters.nodes_prefetched, 0);
-    }
-
+    /// The degenerate batches of the range probe: an empty one calls back
+    /// nothing and is not counted, and a batch of one is the scalar descent —
+    /// no group descent, no prefetch, no partition grouping.
     #[test]
     fn scalar_ranges_probe_degenerate_batches() {
         let t = PimTree::new(config(256, 1.0, 2));
@@ -1330,21 +1150,19 @@ mod tests {
             t.insert(i, i as Seq);
         }
         let mut counters = ProbeCounters::default();
-        t.probe_ranges_scalar(&[], &ProbeConfig::scalar(), &mut counters, |_, _| {
+        t.probe_batch(&[], &mut counters, |_, _| {
             panic!("empty batch must not call back")
         });
-        // A batch of one takes the plain scalar probe (nothing to batch).
+        assert_eq!(counters, ProbeCounters::default());
         let mut single = Vec::new();
-        t.probe_ranges_scalar(
-            &[KeyRange::new(10, 20)],
-            &ProbeConfig::scalar(),
-            &mut counters,
-            |i, run| {
-                assert_eq!(i, 0);
-                single.extend_from_slice(run);
-            },
-        );
+        t.probe_batch(&[KeyRange::new(10, 20)], &mut counters, |i, run| {
+            assert_eq!(i, 0);
+            single.extend_from_slice(run);
+        });
+        assert_eq!(single, t.range_collect_live(KeyRange::new(10, 20), 0));
         assert_eq!(single.len(), 11);
+        assert_eq!((counters.batches, counters.max_batch), (1, 1));
+        assert_eq!(counters.nodes_prefetched, 0, "nothing to look ahead of");
         assert_eq!(counters.ti_partition_locks, 0, "batch of one is unbatched");
     }
 
@@ -1352,16 +1170,13 @@ mod tests {
     fn batched_probe_on_empty_tree_and_empty_batch() {
         let t = PimTree::new(config(64, 1.0, 2));
         let mut counters = ProbeCounters::default();
-        t.probe_batch(&[], &ProbeConfig::default(), &mut counters, |_, _| {
+        t.probe_batch(&[], &mut counters, |_, _| {
             panic!("empty batch must not call back")
         });
         assert_eq!(counters.batches, 0, "empty batches are not counted");
-        t.probe_batch(
-            &[KeyRange::new(0, 100)],
-            &ProbeConfig::default(),
-            &mut counters,
-            |_, _| panic!("empty tree must not call back"),
-        );
+        t.probe_batch(&[KeyRange::new(0, 100)], &mut counters, |_, _| {
+            panic!("empty tree must not call back")
+        });
         assert_eq!(counters.batches, 1);
         assert_eq!(counters.nodes_prefetched, 0);
     }
@@ -1376,7 +1191,7 @@ mod tests {
         let ranges = [KeyRange::new(10, 20), KeyRange::new(95, 200)];
         let mut counters = ProbeCounters::default();
         let mut got: Vec<Vec<Entry>> = vec![Vec::new(); ranges.len()];
-        t.probe_batch(&ranges, &ProbeConfig::default(), &mut counters, |i, run| {
+        t.probe_batch(&ranges, &mut counters, |i, run| {
             got[i].extend_from_slice(run)
         });
         assert_eq!(got[0].len(), 11);
@@ -1610,8 +1425,8 @@ mod tests {
             self.range_collect_live(KeyRange::new(Key::MIN, Key::MAX), 0)
         }
 
-        /// `ranges` answered by both staged batch probes, each checked
-        /// against the scalar probe range by range.
+        /// `ranges` answered by the staged batch probe, checked against the
+        /// scalar probe range by range.
         fn assert_batch_probes_match_scalar(&self, ranges: &[KeyRange]) {
             let scalar: Vec<Vec<Entry>> = ranges
                 .iter()
@@ -1619,15 +1434,10 @@ mod tests {
                 .collect();
             let mut counters = ProbeCounters::default();
             let mut batched = vec![Vec::new(); ranges.len()];
-            self.probe_batch(ranges, &ProbeConfig::default(), &mut counters, |i, run| {
+            self.probe_batch(ranges, &mut counters, |i, run| {
                 batched[i].extend_from_slice(run)
             });
             assert_eq!(batched, scalar, "probe_batch");
-            let mut per_range = vec![Vec::new(); ranges.len()];
-            self.probe_ranges_scalar(ranges, &ProbeConfig::scalar(), &mut counters, |i, run| {
-                per_range[i].extend_from_slice(run)
-            });
-            assert_eq!(per_range, scalar, "probe_ranges_scalar");
         }
     }
 
@@ -1806,16 +1616,18 @@ mod tests {
                     let mut got = vec![Vec::new(); ranges.len()];
                     while t.ti_len() < 2 * PER_THREAD {
                         got.iter_mut().for_each(Vec::clear);
-                        let emit = |i: usize, run: &[Entry]| got[i].extend_from_slice(run);
+                        let mut emit = |i: usize, run: &[Entry]| got[i].extend_from_slice(run);
                         if tid == 0 {
-                            t.probe_batch(&ranges, &ProbeConfig::default(), &mut counters, emit);
+                            t.probe_batch(&ranges, &mut counters, &mut emit);
                         } else {
-                            t.probe_ranges_scalar(
-                                &ranges,
-                                &ProbeConfig::scalar(),
-                                &mut counters,
-                                emit,
-                            );
+                            // One range at a time: the scalar descent.
+                            for (i, range) in ranges.iter().enumerate() {
+                                t.probe_batch(
+                                    std::slice::from_ref(range),
+                                    &mut counters,
+                                    |_, run| emit(i, run),
+                                );
+                            }
                         }
                         for (range, entries) in ranges.iter().zip(&mut got) {
                             assert!(entries.iter().all(|e| range.contains(e.key)));
@@ -2103,19 +1915,10 @@ mod tests {
                 let mut counters = ProbeCounters::default();
                 let batched = |batch: &[KeyRange], counters: &mut ProbeCounters| {
                     let mut runs = vec![Vec::new(); batch.len()];
-                    t.probe_batch(batch, &ProbeConfig::default(), counters, |i, r| {
-                        runs[i].push(r.to_vec())
-                    });
+                    t.probe_batch(batch, counters, |i, r| runs[i].push(r.to_vec()));
                     runs
                 };
-                let per_range = |batch: &[KeyRange], counters: &mut ProbeCounters| {
-                    let mut runs = vec![Vec::new(); batch.len()];
-                    t.probe_ranges_scalar(batch, &ProbeConfig::scalar(), counters, |i, r| {
-                        runs[i].push(r.to_vec())
-                    });
-                    runs
-                };
-                let whole = [batched(&ranges, &mut counters), per_range(&ranges, &mut counters)];
+                let whole = batched(&ranges, &mut counters);
                 for (i, &range) in ranges.iter().enumerate() {
                     let mut runs = Vec::new();
                     t.range_runs(range, |r| runs.push(r.to_vec()));
@@ -2123,16 +1926,9 @@ mod tests {
                     let mut one_by_one = Vec::new();
                     t.range_for_each(range, |e| one_by_one.push(e));
                     prop_assert_eq!(&one_by_one, &want[i], "range_for_each {:?}", range);
-                    check_runs("probe_batch", range, &whole[0][i], &want[i]);
-                    check_runs("probe_ranges_scalar", range, &whole[1][i], &want[i]);
+                    check_runs("probe_batch", range, &whole[i], &want[i]);
                     let one = std::slice::from_ref(&range);
                     check_runs("probe_batch of one", range, &batched(one, &mut counters)[0], &want[i]);
-                    check_runs(
-                        "probe_ranges_scalar of one",
-                        range,
-                        &per_range(one, &mut counters)[0],
-                        &want[i],
-                    );
                 }
             }
         }

@@ -1,7 +1,7 @@
 //! The immutable CSS-Tree structure and its search operations.
 
 use pimtree_btree::Entry;
-use pimtree_common::{prefetch_slice, simd, Key, KeyRange, ProbeConfig, ProbeCounters};
+use pimtree_common::{prefetch_slice, simd, Key, KeyRange, ProbeCounters};
 
 /// Lower bound of `target` inside one sorted entry block: a SIMD
 /// compare-mask count over the keys (see `pimtree_common::simd`), then a
@@ -32,20 +32,11 @@ fn count_node_searches(counters: &mut ProbeCounters, searches: u64) {
     }
 }
 
-/// One in-flight root-to-leaf descent of the interleaved probe engine:
-/// which node of which level it sits at, what it searches for, and which
-/// output slot (target index) it resolves.
-#[derive(Debug, Clone, Copy)]
-struct DescentState {
-    node: usize,
-    level: usize,
-    target: Entry,
-    slot: usize,
-}
-
-/// Sentinel `slot` marking a retired ring entry with no descent left to
-/// refill it.
-const RETIRED: usize = usize::MAX;
+/// How many targets ahead of the cursor the group descent prefetches the
+/// node block each level will visit (and how many children of a level seed
+/// the next level's lookahead). Lookaheads of 0 and 8 measured no better end
+/// to end (docs/ARCHITECTURE.md, "Probe paths").
+const PREFETCH_DIST: usize = 4;
 
 /// Structural statistics of a [`CssTree`], used for the memory-footprint
 /// comparison of Figure 11a.
@@ -239,216 +230,6 @@ impl CssTree {
         &self.leaves[start..end]
     }
 
-    /// Batched [`CssTree::lower_bound`]: resolves the leaf position of every
-    /// target in one level-wise group descent, issuing software prefetches
-    /// for the node key blocks the group is about to visit.
-    ///
-    /// Instead of walking root → leaf once per key (each level a dependent
-    /// cache miss), the whole group advances one level at a time: while the
-    /// descent resolves key `i` at a level, the key block that key `i +
-    /// prefetch_dist` will binary-search at the same level is already being
-    /// prefetched, and the first `prefetch_dist` children computed in a pass
-    /// are prefetched immediately so the next level starts with its lookahead
-    /// window in flight. This is the group-probe pattern the cache-sensitive
-    /// breadth-first layout was designed for: node addresses are computed
-    /// arithmetically, so the next level's blocks are known before any of
-    /// them is touched. A `prefetch_dist` of 0 keeps the batch descent but
-    /// issues no prefetches; sorting `targets` improves locality but is not
-    /// required for correctness.
-    ///
-    /// `positions` is cleared and filled with one leaf position per target
-    /// (same order, same values as scalar [`CssTree::lower_bound`]); the
-    /// return value is the number of node blocks prefetched.
-    pub fn lower_bound_batch(
-        &self,
-        targets: &[Entry],
-        prefetch_dist: usize,
-        positions: &mut Vec<usize>,
-    ) -> u64 {
-        let mut scratch = ProbeCounters::default();
-        self.lower_bound_batch_inner(targets, prefetch_dist, positions, None, &mut scratch)
-    }
-
-    /// [`CssTree::lower_bound_batch`] that additionally records, per target,
-    /// the leaf-group index the group descent landed in (always 0 when the
-    /// tree has no inner levels). The group is captured *before* the final
-    /// in-leaf search, so it is exactly the value
-    /// [`CssTree::descend_to_depth`] would return for the full descent —
-    /// callers can derive the routing node at any shallower depth
-    /// arithmetically with [`CssTree::ancestor_at_depth`] instead of
-    /// re-descending from the root.
-    pub fn lower_bound_batch_groups(
-        &self,
-        targets: &[Entry],
-        prefetch_dist: usize,
-        positions: &mut Vec<usize>,
-        groups: &mut Vec<usize>,
-    ) -> u64 {
-        let mut scratch = ProbeCounters::default();
-        self.lower_bound_batch_inner(
-            targets,
-            prefetch_dist,
-            positions,
-            Some(groups),
-            &mut scratch,
-        )
-    }
-
-    /// [`CssTree::lower_bound_batch_groups`] that records its work —
-    /// prefetched node blocks and SIMD/scalar intra-node searches — straight
-    /// into `counters` instead of returning a bare prefetch count.
-    pub fn lower_bound_batch_groups_counted(
-        &self,
-        targets: &[Entry],
-        prefetch_dist: usize,
-        positions: &mut Vec<usize>,
-        groups: &mut Vec<usize>,
-        counters: &mut ProbeCounters,
-    ) {
-        let prefetched =
-            self.lower_bound_batch_inner(targets, prefetch_dist, positions, Some(groups), counters);
-        counters.nodes_prefetched += prefetched;
-    }
-
-    /// Interleaved (AMAC-style) [`CssTree::lower_bound_batch_groups`]: the
-    /// same outputs — one leaf position per target in `positions`, the
-    /// descent's leaf group in `groups` — resolved by a fixed ring of
-    /// `interleave` in-flight descents advanced round-robin.
-    ///
-    /// Where the level-wise group descent hides latency *across* a batch by
-    /// prefetching `prefetch_dist` keys ahead within each level, the
-    /// interleaved engine hides it *within* the ring: each step performs one
-    /// node's lower-bound compare for one descent, issues the prefetch for
-    /// the block that same descent will visit next, and immediately switches
-    /// to the next ring slot. By the time the ring wraps around, the
-    /// prefetched block has had `interleave - 1` other node searches' worth
-    /// of time to arrive, so no descent blocks the pipeline on its own cache
-    /// miss. Finished descents are refilled from the remaining targets until
-    /// the batch is drained.
-    ///
-    /// `interleave` values below 2 are clamped to 2 (a single-slot ring
-    /// cannot overlap anything) and values above
-    /// [`ProbeConfig::MAX_INTERLEAVE`], which a validated configuration never
-    /// carries, to that cap (the ring lives on the stack); callers disable
-    /// interleaving by calling the batch or scalar paths instead. Work is
-    /// recorded into `counters` (descents, steps, the per-descent step
-    /// histogram, prefetched blocks and SIMD/scalar searches).
-    pub fn lower_bound_interleaved(
-        &self,
-        targets: &[Entry],
-        interleave: usize,
-        positions: &mut Vec<usize>,
-        mut groups: Option<&mut Vec<usize>>,
-        counters: &mut ProbeCounters,
-    ) {
-        positions.clear();
-        if let Some(groups) = groups.as_deref_mut() {
-            groups.clear();
-        }
-        let n = targets.len();
-        if n == 0 {
-            return;
-        }
-        counters.interleaved_batches += 1;
-        counters.interleaved_descents += n as u64;
-        if self.leaves.is_empty() || self.level_sizes.is_empty() {
-            // Same degenerate handling as the batch descent: nothing to
-            // interleave — an empty tree answers 0 everywhere, a single leaf
-            // level is one direct search per target.
-            if self.leaves.is_empty() {
-                positions.resize(n, 0);
-            } else {
-                positions.extend(targets.iter().map(|&t| node_lower_bound(&self.leaves, t)));
-                counters.interleave_steps += n as u64;
-                counters.record_descent_steps(1, n as u64);
-                count_node_searches(counters, n as u64);
-            }
-            if let Some(groups) = groups.as_deref_mut() {
-                groups.resize(n, 0);
-            }
-            return;
-        }
-        positions.resize(n, 0);
-        if let Some(groups) = groups.as_deref_mut() {
-            groups.resize(n, 0);
-        }
-        let levels = self.level_sizes.len();
-        let width = interleave.clamp(2, ProbeConfig::MAX_INTERLEAVE).min(n);
-        let mut ring = [DescentState {
-            node: 0,
-            level: 0,
-            target: targets[0],
-            slot: RETIRED,
-        }; ProbeConfig::MAX_INTERLEAVE];
-        let ring = &mut ring[..width];
-        for (slot, state) in ring.iter_mut().enumerate() {
-            state.target = targets[slot];
-            state.slot = slot;
-        }
-        let mut next = width; // next target to feed into a freed slot
-        let mut live = width;
-        let mut searches = 0u64;
-        let mut r = 0usize;
-        while live > 0 {
-            let state = &mut ring[r];
-            if state.slot != RETIRED {
-                if state.level < levels {
-                    // One inner-node step: search, compute the child, then
-                    // prefetch the block this descent touches next and yield
-                    // the pipeline to the other ring slots.
-                    let keys = self.keys_of(state.level, state.node);
-                    let mut k = node_lower_bound(keys, state.target);
-                    searches += 1;
-                    let real = self.real_children(state.level, state.node);
-                    if k >= real {
-                        k = real - 1;
-                    }
-                    let child = state.node * self.fanout + k;
-                    state.node = child;
-                    state.level += 1;
-                    if state.level < levels {
-                        prefetch_slice(self.keys_of(state.level, child));
-                    } else {
-                        prefetch_slice(self.leaf_group_slice(child));
-                    }
-                    counters.nodes_prefetched += 1;
-                    counters.interleave_steps += 1;
-                } else {
-                    // Final leaf step: the cursor holds the leaf group.
-                    let group = state.node;
-                    if let Some(groups) = groups.as_deref_mut() {
-                        groups[state.slot] = group;
-                    }
-                    let start = group * self.leaf_size;
-                    positions[state.slot] =
-                        start + node_lower_bound(self.leaf_group_slice(group), state.target);
-                    searches += 1;
-                    counters.interleave_steps += 1;
-                    if next < n {
-                        *state = DescentState {
-                            node: 0,
-                            level: 0,
-                            target: targets[next],
-                            slot: next,
-                        };
-                        next += 1;
-                    } else {
-                        state.slot = RETIRED;
-                        live -= 1;
-                    }
-                }
-            }
-            r += 1;
-            if r == width {
-                r = 0;
-            }
-        }
-        // Every descent in a balanced CSS-Tree takes `levels` inner visits
-        // plus the leaf search.
-        counters.record_descent_steps(levels + 1, n as u64);
-        count_node_searches(counters, searches);
-    }
-
     /// The ancestor node index at `depth` of a leaf group's descent path
     /// (root = depth 0). Because a descent step computes
     /// `child = node * fanout + k`, the node visited at `depth` is the
@@ -468,21 +249,44 @@ impl CssTree {
         node
     }
 
-    fn lower_bound_batch_inner(
+    /// Batched [`CssTree::lower_bound`]: resolves the leaf position of every
+    /// target in one level-wise group descent, issuing software prefetches
+    /// for the node key blocks the group is about to visit.
+    ///
+    /// Instead of walking root → leaf once per key (each level a dependent
+    /// cache miss), the whole group advances one level at a time: while the
+    /// descent resolves key `i` at a level, the key block that key
+    /// `i + PREFETCH_DIST` will search at the same level is already being
+    /// prefetched, and the first `PREFETCH_DIST` children computed in a pass
+    /// are prefetched immediately so the next level starts with its lookahead
+    /// window in flight. This is the group-probe pattern the cache-sensitive
+    /// breadth-first layout was designed for: node addresses are computed
+    /// arithmetically, so the next level's blocks are known before any of
+    /// them is touched. Sorting `targets` improves locality but is not
+    /// required for correctness.
+    ///
+    /// `positions` is cleared and filled with one leaf position per target
+    /// (same order, same values as scalar [`CssTree::lower_bound`]);
+    /// `groups` with the leaf group each descent landed in (always 0 when the
+    /// tree has no inner levels). A group is captured *before* the final
+    /// in-leaf search, so it is exactly the value
+    /// [`CssTree::descend_to_depth`] would return for the full descent —
+    /// callers derive the routing node at any shallower depth arithmetically
+    /// with [`CssTree::ancestor_at_depth`] instead of re-descending from the
+    /// root. Prefetched node blocks and SIMD/scalar intra-node searches are
+    /// recorded into `counters`.
+    pub fn lower_bound_batch(
         &self,
         targets: &[Entry],
-        prefetch_dist: usize,
         positions: &mut Vec<usize>,
-        groups: Option<&mut Vec<usize>>,
+        groups: &mut Vec<usize>,
         counters: &mut ProbeCounters,
-    ) -> u64 {
+    ) {
         positions.clear();
+        groups.clear();
         let n = targets.len();
         if n == 0 {
-            if let Some(groups) = groups {
-                groups.clear();
-            }
-            return 0;
+            return;
         }
         if self.leaves.is_empty() || self.level_sizes.is_empty() {
             // Empty tree, or a single leaf level: no inner nodes to descend
@@ -493,15 +297,12 @@ impl CssTree {
                 positions.extend(targets.iter().map(|&t| node_lower_bound(&self.leaves, t)));
                 count_node_searches(counters, n as u64);
             }
-            if let Some(groups) = groups {
-                groups.clear();
-                groups.resize(n, 0);
-            }
-            return 0;
+            groups.resize(n, 0);
+            return;
         }
         // `positions` doubles as the per-target node cursor while descending.
         positions.resize(n, 0);
-        let d = prefetch_dist;
+        let d = PREFETCH_DIST;
         let levels = self.level_sizes.len();
         let mut prefetched = 0u64;
         let mut searches = 0u64;
@@ -509,7 +310,7 @@ impl CssTree {
             for i in 0..n {
                 // Rolling lookahead within the level (skipped at the root,
                 // where every key reads the same block).
-                if level > 0 && d > 0 && i + d < n {
+                if level > 0 && i + d < n {
                     prefetch_slice(self.keys_of(level, positions[i + d]));
                     prefetched += 1;
                 }
@@ -524,7 +325,7 @@ impl CssTree {
                 positions[i] = child;
                 // Seed the next level's lookahead window with the first `d`
                 // children computed in this pass.
-                if d > 0 && i < d {
+                if i < d {
                     if level + 1 < levels {
                         prefetch_slice(self.keys_of(level + 1, child));
                     } else {
@@ -536,13 +337,10 @@ impl CssTree {
         }
         // The cursors now hold leaf-group indexes: snapshot them for callers
         // that derive partition-routing ancestors arithmetically.
-        if let Some(groups) = groups {
-            groups.clear();
-            groups.extend_from_slice(positions);
-        }
+        groups.extend_from_slice(positions);
         // Leaf pass.
         for i in 0..n {
-            if d > 0 && i + d < n {
+            if i + d < n {
                 prefetch_slice(self.leaf_group_slice(positions[i + d]));
                 prefetched += 1;
             }
@@ -551,14 +349,14 @@ impl CssTree {
             positions[i] = start + node_lower_bound(group, targets[i]);
             searches += 1;
         }
+        counters.nodes_prefetched += prefetched;
         count_node_searches(counters, searches);
-        prefetched
     }
 
     /// The sorted run that starts at leaf position `pos` and ends before the
     /// first key above `hi`: a slice of the leaf array (empty when `pos` is
     /// `len()` or the entry there is already past `hi`). `pos` comes from a
-    /// lower bound — scalar, batched or interleaved — so a probe that has
+    /// lower bound — scalar or batched — so a probe that has
     /// resolved its start gets its whole answer without touching an entry.
     #[inline]
     pub fn run_from(&self, pos: usize, hi: Key) -> &[Entry] {
@@ -873,38 +671,57 @@ mod tests {
         assert_eq!(s.total_bytes(), s.leaf_bytes + s.inner_bytes);
     }
 
-    /// Scalar/batched parity over every target in `probes`, for every
-    /// prefetch distance in `dists`.
-    fn assert_batch_matches_scalar(t: &CssTree, probes: &[Entry], dists: &[usize]) {
-        let expected: Vec<usize> = probes.iter().map(|&p| t.lower_bound(p)).collect();
-        for &d in dists {
-            let mut got = Vec::new();
-            t.lower_bound_batch(probes, d, &mut got);
-            assert_eq!(got, expected, "prefetch_dist = {d}");
-        }
-        // The interleaved engine must agree position-for-position and
-        // group-for-group with the batch descent at every ring width.
-        let mut batch_pos = Vec::new();
-        let mut batch_groups = Vec::new();
-        t.lower_bound_batch_groups(probes, 4, &mut batch_pos, &mut batch_groups);
-        for k in [0, 1, 2, 3, 4, 8, 16, 64] {
-            let mut pos = Vec::new();
-            let mut groups = Vec::new();
+    /// Batch lengths the batch-descent tests sweep: empty, one, the
+    /// lookahead window and one either side of it, and a batch many windows
+    /// long.
+    const BATCH_LENGTHS: [usize; 6] = [
+        0,
+        1,
+        PREFETCH_DIST - 1,
+        PREFETCH_DIST,
+        PREFETCH_DIST + 1,
+        64,
+    ];
+
+    /// `len` targets drawn from `probes` in order, cycling (none when
+    /// `probes` is empty).
+    fn batch_of(probes: &[Entry], len: usize) -> Vec<Entry> {
+        probes.iter().copied().cycle().take(len).collect()
+    }
+
+    /// Batch/scalar parity for a batch of every length in `BATCH_LENGTHS`
+    /// drawn from `probes`: positions are scalar `lower_bound`'s, groups the
+    /// full `descend_to_depth`'s, and the counters hold exactly one prefetch
+    /// per target and level below the root and one node search per target
+    /// and level plus its leaf group — whatever the batch's length against
+    /// the lookahead window.
+    fn assert_batch_matches_scalar(t: &CssTree, probes: &[Entry]) {
+        let levels = t.inner_levels();
+        for len in BATCH_LENGTHS {
+            let batch = batch_of(probes, len);
+            let mut positions = vec![usize::MAX; 3];
+            let mut groups = vec![usize::MAX; 3];
             let mut counters = ProbeCounters::default();
-            t.lower_bound_interleaved(probes, k, &mut pos, Some(&mut groups), &mut counters);
-            assert_eq!(pos, expected, "interleave = {k}");
-            assert_eq!(groups, batch_groups, "interleave = {k}");
-            if !probes.is_empty() {
-                assert_eq!(counters.interleaved_batches, 1);
-                assert_eq!(counters.interleaved_descents, probes.len() as u64);
-                if !t.is_empty() {
-                    assert_eq!(
-                        counters.descent_steps.iter().sum::<u64>(),
-                        probes.len() as u64,
-                        "every descent lands in exactly one histogram bucket"
-                    );
-                }
-            }
+            t.lower_bound_batch(&batch, &mut positions, &mut groups, &mut counters);
+            let want: Vec<usize> = batch.iter().map(|&p| t.lower_bound(p)).collect();
+            assert_eq!(positions, want, "batch length {len}");
+            let descents: Vec<usize> = batch
+                .iter()
+                .map(|&p| t.descend_to_depth(p, levels))
+                .collect();
+            assert_eq!(groups, descents, "batch length {len}");
+            let n = batch.len() as u64;
+            let (prefetches, searches) = if t.is_empty() {
+                (0, 0)
+            } else {
+                (n * levels as u64, n * (levels as u64 + 1))
+            };
+            assert_eq!(counters.nodes_prefetched, prefetches, "batch length {len}");
+            assert_eq!(
+                counters.simd_node_searches + counters.scalar_node_searches,
+                searches,
+                "batch length {len}"
+            );
         }
     }
 
@@ -912,10 +729,17 @@ mod tests {
     fn batched_lower_bound_on_empty_tree() {
         let t = CssTree::empty();
         let probes = [Entry::min_for_key(0), Entry::min_for_key(100)];
-        let mut got = Vec::new();
-        let prefetched = t.lower_bound_batch(&probes, 4, &mut got);
-        assert_eq!(got, vec![0, 0]);
-        assert_eq!(prefetched, 0, "nothing to prefetch in an empty tree");
+        assert_batch_matches_scalar(&t, &probes);
+        let (mut positions, mut groups) = (Vec::new(), Vec::new());
+        let mut counters = ProbeCounters::default();
+        t.lower_bound_batch(&probes, &mut positions, &mut groups, &mut counters);
+        assert_eq!(positions, vec![0, 0]);
+        assert_eq!(groups, vec![0, 0]);
+        assert_eq!(
+            counters,
+            ProbeCounters::default(),
+            "an empty tree does no work"
+        );
         assert!(t.range_run(KeyRange::new(0, 100)).is_empty());
         assert!(t.run_from(0, Key::MAX).is_empty());
     }
@@ -927,7 +751,7 @@ mod tests {
             let t = tree(n, 4, 8);
             assert_eq!(t.inner_levels(), 0);
             let probes: Vec<Entry> = (-2..2 * n as i64 + 2).map(Entry::min_for_key).collect();
-            assert_batch_matches_scalar(&t, &probes, &[0, 1, 4, 64]);
+            assert_batch_matches_scalar(&t, &probes);
         }
     }
 
@@ -939,7 +763,7 @@ mod tests {
             .leaf_size(4)
             .build(entries);
         let probes = vec![Entry::min_for_key(42); 16];
-        assert_batch_matches_scalar(&t, &probes, &[0, 2, 16]);
+        assert_batch_matches_scalar(&t, &probes);
         let ranges = [
             KeyRange::point(42),
             KeyRange::new(0, 41),
@@ -959,7 +783,7 @@ mod tests {
             Entry::min_for_key(i64::MAX),
             Entry::max_for_key(1998),
         ];
-        assert_batch_matches_scalar(&t, &probes, &[0, 1, 3, 8]);
+        assert_batch_matches_scalar(&t, &probes);
         for range in [KeyRange::new(-100, -1), KeyRange::new(2000, 9000)] {
             assert!(
                 t.range_run(range).is_empty(),
@@ -975,12 +799,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         for (n, fanout, leaf) in [(9, 4, 4), (100, 4, 4), (1000, 8, 8), (5000, 32, 32)] {
             let t = tree(n, fanout, leaf);
-            for batch in [1usize, 2, 8, 33] {
-                let probes: Vec<Entry> = (0..batch)
-                    .map(|_| Entry::new(rng.gen_range(-10..2 * n as i64 + 10), rng.gen()))
-                    .collect();
-                assert_batch_matches_scalar(&t, &probes, &[0, 1, 4, 7, 1024]);
-            }
+            let mut probes: Vec<Entry> = (0..64)
+                .map(|_| Entry::new(rng.gen_range(-10..2 * n as i64 + 10), rng.gen()))
+                .collect();
+            assert_batch_matches_scalar(&t, &probes);
+            // The engine hands the descent its targets sorted.
+            probes.sort_unstable();
+            assert_batch_matches_scalar(&t, &probes);
         }
     }
 
@@ -997,9 +822,13 @@ mod tests {
         // What a batched probe is made of: one group descent for the starts,
         // then one slice of the leaf array per range.
         let targets: Vec<Entry> = ranges.iter().map(|r| Entry::min_for_key(r.lo)).collect();
-        let mut starts = Vec::new();
-        let prefetched = t.lower_bound_batch(&targets, 2, &mut starts);
-        assert!(prefetched > 0, "a multi-level tree prefetches nodes");
+        let (mut starts, mut groups) = (Vec::new(), Vec::new());
+        let mut counters = ProbeCounters::default();
+        t.lower_bound_batch(&targets, &mut starts, &mut groups, &mut counters);
+        assert!(
+            counters.nodes_prefetched > 0,
+            "a multi-level tree prefetches nodes"
+        );
         for (range, &start) in ranges.iter().zip(&starts) {
             let want: Vec<Entry> = t
                 .entries()
@@ -1049,81 +878,66 @@ mod tests {
         let targets: Vec<Entry> = (-2..50).map(|k| Entry::min_for_key(k * 173)).collect();
         let mut positions = Vec::new();
         let mut groups = Vec::new();
-        for dist in [0usize, 1, 4] {
-            let _ = t.lower_bound_batch_groups(&targets, dist, &mut positions, &mut groups);
-            assert_eq!(positions.len(), targets.len());
-            assert_eq!(groups.len(), targets.len());
-            for (i, &target) in targets.iter().enumerate() {
-                assert_eq!(positions[i], t.lower_bound(target), "dist {dist}");
+        let mut counters = ProbeCounters::default();
+        for len in BATCH_LENGTHS {
+            let batch = batch_of(&targets, len);
+            t.lower_bound_batch(&batch, &mut positions, &mut groups, &mut counters);
+            assert_eq!(positions.len(), len);
+            assert_eq!(groups.len(), len);
+            for (i, &target) in batch.iter().enumerate() {
+                assert_eq!(positions[i], t.lower_bound(target), "length {len}");
                 assert_eq!(
                     groups[i],
                     t.descend_to_depth(target, levels),
-                    "dist {dist}, target {target:?}"
+                    "length {len}, target {target:?}"
                 );
             }
         }
         // Degenerate shapes report group 0 for every target.
         for degenerate in [CssTree::empty(), tree(7, 4, 8)] {
-            let _ = degenerate.lower_bound_batch_groups(&targets, 4, &mut positions, &mut groups);
+            degenerate.lower_bound_batch(&targets, &mut positions, &mut groups, &mut counters);
             assert_eq!(groups, vec![0; targets.len()]);
         }
-        let _ = t.lower_bound_batch_groups(&[], 4, &mut positions, &mut groups);
+        t.lower_bound_batch(&[], &mut positions, &mut groups, &mut counters);
         assert!(positions.is_empty() && groups.is_empty());
     }
 
     #[test]
-    fn interleaved_descent_edge_cases_and_counter_accounting() {
-        // Empty tree: every position and group is 0, nothing is stepped.
+    fn batch_descent_edge_cases_and_counter_accounting() {
+        // Empty tree: every position and group is 0, nothing is searched or
+        // prefetched.
         let empty = CssTree::empty();
         let probes = [Entry::min_for_key(0), Entry::min_for_key(100)];
         let mut pos = Vec::new();
         let mut groups = Vec::new();
         let mut c = ProbeCounters::default();
-        empty.lower_bound_interleaved(&probes, 8, &mut pos, Some(&mut groups), &mut c);
+        empty.lower_bound_batch(&probes, &mut pos, &mut groups, &mut c);
         assert_eq!(pos, vec![0, 0]);
         assert_eq!(groups, vec![0, 0]);
-        assert_eq!((c.interleaved_batches, c.interleaved_descents), (1, 2));
-        assert_eq!(c.interleave_steps, 0);
+        assert_eq!(c, ProbeCounters::default());
 
-        // Empty batch: outputs cleared, nothing counted.
+        // Empty batch: stale outputs cleared, nothing counted.
         let t = tree(4096, 8, 32);
-        let mut c = ProbeCounters::default();
-        t.lower_bound_interleaved(&[], 8, &mut pos, Some(&mut groups), &mut c);
+        t.lower_bound_batch(&[], &mut pos, &mut groups, &mut c);
         assert!(pos.is_empty() && groups.is_empty());
         assert_eq!(c, ProbeCounters::default());
 
-        // Multi-level tree: exact step/prefetch/search accounting. Every
-        // descent takes `levels` inner visits plus one leaf search.
+        // Multi-level tree: the counters accumulate across calls, one
+        // prefetch per target and level below the root, one node search per
+        // target and level plus the leaf group.
         let levels = t.inner_levels() as u64;
         assert!(levels >= 2, "test tree must be multi-level");
         let targets: Vec<Entry> = (-3..61).map(|k| Entry::min_for_key(k * 131)).collect();
         let n = targets.len() as u64;
-        for k in [1usize, 2, 5, 8, 64] {
-            let mut c = ProbeCounters::default();
-            t.lower_bound_interleaved(&targets, k, &mut pos, Some(&mut groups), &mut c);
-            assert_eq!(c.interleave_steps, n * (levels + 1), "interleave {k}");
-            assert_eq!(c.nodes_prefetched, n * levels, "interleave {k}");
+        for calls in 1..=2u64 {
+            t.lower_bound_batch(&targets, &mut pos, &mut groups, &mut c);
+            assert_eq!(c.nodes_prefetched, calls * n * levels);
             assert_eq!(
                 c.simd_node_searches + c.scalar_node_searches,
-                c.interleave_steps,
-                "each step performs exactly one node search"
+                calls * n * (levels + 1)
             );
-            let bucket = (levels as usize).min(ProbeCounters::DESCENT_STEP_BUCKETS - 1);
-            assert_eq!(c.descent_steps[bucket], n, "interleave {k}");
-            assert_eq!(c.mean_descent_steps(), (levels + 1) as f64);
         }
-
-        // The counted batch descent records the same prefetch count the
-        // plain one returns, and positions/groups stay identical.
-        let mut plain_pos = Vec::new();
-        let mut plain_groups = Vec::new();
-        let prefetched = t.lower_bound_batch_groups(&targets, 4, &mut plain_pos, &mut plain_groups);
-        let mut c = ProbeCounters::default();
-        t.lower_bound_batch_groups_counted(&targets, 4, &mut pos, &mut groups, &mut c);
-        assert_eq!(pos, plain_pos);
-        assert_eq!(groups, plain_groups);
-        assert_eq!(c.nodes_prefetched, prefetched);
-        assert!(c.simd_node_searches + c.scalar_node_searches > 0);
+        assert_eq!(c.batches, 0, "batch bookkeeping is the PIM-Tree's");
     }
 
     #[test]

@@ -19,7 +19,7 @@ use pimtree_btree::{BTreeIndex, Entry};
 use pimtree_bwtree::BwTreeIndex;
 use pimtree_chained::{ChainVariant, ChainedIndex};
 use pimtree_common::{
-    CostBreakdown, Key, KeyRange, PimConfig, ProbeConfig, ProbeCounters, Seq, Step, StepTimer,
+    CostBreakdown, Key, KeyRange, PimConfig, ProbeCounters, Seq, Step, StepTimer,
 };
 use pimtree_core::{ImTree, MergeReport, PimTree};
 
@@ -49,22 +49,16 @@ pub trait WindowIndexAdapter {
     /// delivers them.
     ///
     /// The default implementation answers each range through the scalar
-    /// probe (recorded in `counters.scalar_probes` when `probe.batch` asked
-    /// for a group probe the index does not have). The PIM-Tree overrides
-    /// it: with `probe.batch` the prefetched CSS-Tree group descent, without
-    /// it one scalar descent per range (or the interleaved ring when
-    /// `probe.interleave >= 2`) — either way with the partition routing
-    /// batched, one mutable-partition lock per partition and call.
+    /// probe, counted in `counters.scalar_probes`. The PIM-Tree overrides it
+    /// with its prefetched CSS-Tree group descent and batched partition
+    /// routing, one mutable-partition lock per partition and call.
     fn probe_runs(
         &self,
         ranges: &[KeyRange],
-        probe: &ProbeConfig,
         counters: &mut ProbeCounters,
         f: &mut dyn FnMut(usize, &[Entry]),
     ) {
-        if probe.batch {
-            counters.scalar_probes += ranges.len() as u64;
-        }
+        counters.scalar_probes += ranges.len() as u64;
         for (i, &range) in ranges.iter().enumerate() {
             self.probe(range, &mut |run| f(i, run));
         }
@@ -322,15 +316,10 @@ impl WindowIndexAdapter for PimTreeAdapter {
     fn probe_runs(
         &self,
         ranges: &[KeyRange],
-        probe: &ProbeConfig,
         counters: &mut ProbeCounters,
         f: &mut dyn FnMut(usize, &[Entry]),
     ) {
-        if probe.batch {
-            self.tree.probe_batch(ranges, probe, counters, f);
-        } else {
-            self.tree.probe_ranges_scalar(ranges, probe, counters, f);
-        }
+        self.tree.probe_batch(ranges, counters, f);
     }
 
     fn maintain(&mut self, earliest_live: Seq) -> Option<MergeReport> {
@@ -551,50 +540,32 @@ mod tests {
             KeyRange::new(290, 400),
         ];
         for a in adapters.iter() {
-            // Every adapter must answer identically at every ring width,
-            // interleaved or not (non-PIM backends simply ignore the knob).
-            for interleave in [0usize, 4, 8] {
-                let probe = ProbeConfig::default().with_interleave(interleave);
+            // Batches around the group descent's lookahead of four.
+            for len in [0usize, 1, 3, 4, 5, 64] {
+                let batch: Vec<KeyRange> = ranges.iter().copied().cycle().take(len).collect();
                 let mut counters = ProbeCounters::default();
-                let mut batched: Vec<Vec<Entry>> = vec![Vec::new(); ranges.len()];
-                a.probe_runs(&ranges, &probe, &mut counters, &mut |i, run| {
+                let mut batched: Vec<Vec<Entry>> = vec![Vec::new(); len];
+                a.probe_runs(&batch, &mut counters, &mut |i, run| {
                     batched[i].extend_from_slice(run)
                 });
-                for (range, got) in ranges.iter().zip(&batched) {
+                for (range, got) in batch.iter().zip(&batched) {
                     let mut scalar = Vec::new();
                     a.probe(*range, &mut |run| scalar.extend_from_slice(run));
-                    assert_eq!(
-                        got,
-                        &scalar,
-                        "{} range {range:?} interleave {interleave}",
-                        a.name()
-                    );
+                    assert_eq!(got, &scalar, "{} range {range:?} length {len}", a.name());
                 }
             }
         }
         // The PIM-Tree adapter routes the batch through the real group probe.
         let pim = PimTreeAdapter::new(pim_cfg);
         let mut counters = ProbeCounters::default();
-        pim.probe_runs(
-            &ranges,
-            &ProbeConfig::default(),
-            &mut counters,
-            &mut |_, _| {},
-        );
+        pim.probe_runs(&ranges, &mut counters, &mut |_, _| {});
         assert_eq!(counters.batches, 1);
         assert_eq!(counters.scalar_probes, 0);
-        // The B+-Tree adapter falls back to scalar probes.
-        let bt = BTreeAdapter::new();
-        let mut counters = ProbeCounters::default();
-        bt.probe_runs(
-            &ranges,
-            &ProbeConfig::default(),
-            &mut counters,
-            &mut |_, _| {},
-        );
-        assert_eq!(counters.scalar_probes, ranges.len() as u64);
     }
 
+    /// The backends without a group probe answer a batch one range at a time
+    /// through their scalar probe, and count each; the PIM-Tree answers
+    /// overlapping ranges with shared mutable-partition locks.
     #[test]
     fn scalar_ranges_probe_matches_scalar_probe_for_every_adapter() {
         let pim_cfg = PimConfig::for_window(256).with_insertion_depth(2);
@@ -621,50 +592,25 @@ mod tests {
             KeyRange::new(290, 400),
         ];
         for a in adapters.iter() {
-            for interleave in [0usize, 8] {
-                let probe = ProbeConfig::scalar().with_interleave(interleave);
-                let mut counters = ProbeCounters::default();
-                let mut batched: Vec<Vec<Entry>> = vec![Vec::new(); ranges.len()];
-                a.probe_runs(&ranges, &probe, &mut counters, &mut |i, run| {
-                    batched[i].extend_from_slice(run)
-                });
-                for (range, got) in ranges.iter().zip(&batched) {
-                    let mut scalar = Vec::new();
-                    a.probe(*range, &mut |run| scalar.extend_from_slice(run));
-                    assert_eq!(
-                        got,
-                        &scalar,
-                        "{} range {range:?} interleave {interleave}",
-                        a.name()
-                    );
-                }
-                assert_eq!(
-                    counters.batches,
-                    0,
-                    "{}: the scalar path never group-descends",
-                    a.name()
-                );
+            let mut counters = ProbeCounters::default();
+            let mut got: Vec<Vec<Entry>> = vec![Vec::new(); ranges.len()];
+            a.probe_runs(&ranges, &mut counters, &mut |i, run| {
+                got[i].extend_from_slice(run)
+            });
+            for (range, got) in ranges.iter().zip(&got) {
+                let mut scalar = Vec::new();
+                a.probe(*range, &mut |run| scalar.extend_from_slice(run));
+                assert_eq!(got, &scalar, "{} range {range:?}", a.name());
+            }
+            if a.name() == "pim-tree" {
+                assert_eq!(counters.scalar_probes, 0);
+                assert!(counters.ti_range_visits > 0);
+                assert!(counters.ti_partition_locks < counters.ti_range_visits);
+            } else {
+                assert_eq!(counters.scalar_probes, ranges.len() as u64, "{}", a.name());
+                assert_eq!(counters.batches, 0, "{}", a.name());
             }
         }
-        // The PIM-Tree adapter batches the mutable-side partition locks; the
-        // overlapping ranges above must share at least one acquisition.
-        let pim = PimTreeAdapter::new(pim_cfg);
-        for i in 0..256u64 {
-            pim.tree().insert(((i * 7) % 300) as Key, i);
-        }
-        pim.tree().merge(0);
-        for i in 256..300u64 {
-            pim.tree().insert(((i * 7) % 300) as Key, i);
-        }
-        let mut counters = ProbeCounters::default();
-        pim.probe_runs(
-            &ranges,
-            &ProbeConfig::scalar(),
-            &mut counters,
-            &mut |_, _| {},
-        );
-        assert!(counters.ti_range_visits > 0);
-        assert!(counters.ti_partition_locks <= counters.ti_range_visits);
     }
 
     #[test]

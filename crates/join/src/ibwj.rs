@@ -11,8 +11,8 @@
 use std::time::Instant;
 
 use pimtree_common::{
-    BandPredicate, IndexKind, JoinConfig, JoinResult, ProbeConfig, ProbeCounters, Step, StepTimer,
-    StreamSide, Tuple,
+    BandPredicate, IndexKind, JoinConfig, JoinResult, ProbeCounters, Step, StepTimer, StreamSide,
+    Tuple,
 };
 use pimtree_window::SlidingWindow;
 
@@ -81,7 +81,6 @@ pub struct IbwjOperator<A: WindowIndexAdapter> {
     predicate: BandPredicate,
     self_join: bool,
     instrument: bool,
-    probe: ProbeConfig,
     probe_counters: ProbeCounters,
     results_count: u64,
     merges: u64,
@@ -107,7 +106,6 @@ impl<A: WindowIndexAdapter> IbwjOperator<A> {
             predicate,
             self_join: false,
             instrument: false,
-            probe: ProbeConfig::default(),
             probe_counters: ProbeCounters::default(),
             results_count: 0,
             merges: 0,
@@ -133,7 +131,6 @@ impl<A: WindowIndexAdapter> IbwjOperator<A> {
             predicate,
             self_join: true,
             instrument: false,
-            probe: ProbeConfig::default(),
             probe_counters: ProbeCounters::default(),
             results_count: 0,
             merges: 0,
@@ -147,17 +144,6 @@ impl<A: WindowIndexAdapter> IbwjOperator<A> {
     /// always takes the scalar path (its purpose is the per-step cost split).
     pub fn with_instrumentation(mut self) -> Self {
         self.instrument = true;
-        self
-    }
-
-    /// Overrides the probe tuning. Each tuple's probe goes through the
-    /// index's multi-range entry point as a group of one, which degenerates
-    /// to the scalar descent (no sort/dedup/prefetch overhead) whatever
-    /// `probe.batch` says; with batching enabled (the default) it keeps the
-    /// batch counters the parallel engine's claims fill.
-    pub fn with_probe_config(mut self, probe: ProbeConfig) -> Self {
-        probe.validate().expect("invalid probe configuration");
-        self.probe = probe;
         self
     }
 
@@ -218,17 +204,15 @@ impl<A: WindowIndexAdapter> SingleThreadJoin for IbwjOperator<A> {
                 }
             }
         } else {
-            // A group of one through the multi-range entry point, which
-            // `probe.batch` steers as it does for the parallel engine: the
-            // PIM-Tree answers it with its scalar fast path either way (no
-            // sort, dedup, prefetch or lock grouping for a single range), so
-            // the single-threaded engine stays on the API the parallel
-            // engine batches across a whole claim. Each run is filtered to
-            // the live window and materialised in one pass — the kernel
+            // A group of one through the multi-range entry point: the
+            // PIM-Tree answers it with its scalar descent (no sort, dedup,
+            // prefetch or lock grouping for a single range), so the
+            // single-threaded engine stays on the API the parallel engine
+            // batches across a whole claim. Each run is filtered to the live
+            // window and materialised in one pass — the kernel
             // `parallel.rs::generate` runs when it collects.
             self.indexes[probe_idx].probe_runs(
                 std::slice::from_ref(&range),
-                &self.probe,
                 &mut self.probe_counters,
                 &mut |_, run| {
                     let live = run.iter().filter(|e| probe_bounds.contains(e.seq));
@@ -294,7 +278,6 @@ pub fn build_single_threaded(
 ) -> Box<dyn SingleThreadJoin> {
     let (wr, ws) = (config.window_r, config.window_s);
     let pim = config.pim;
-    let probe = config.probe;
     match config.index {
         IndexKind::None => {
             if self_join {
@@ -303,28 +286,28 @@ pub fn build_single_threaded(
                 Box::new(crate::nlwj::NlwjOperator::new(wr, ws, predicate))
             }
         }
-        IndexKind::BTree => boxed(wr, ws, predicate, self_join, probe, move || {
+        IndexKind::BTree => boxed(wr, ws, predicate, self_join, move || {
             BTreeAdapter::with_fanout(pim.btree_fanout)
         }),
         IndexKind::BChain => {
             let chain = config.chain_length;
-            boxed(wr, ws, predicate, self_join, probe, move || {
+            boxed(wr, ws, predicate, self_join, move || {
                 ChainedAdapter::new(ChainVariant::BChain, wr, chain)
             })
         }
         IndexKind::IbChain => {
             let chain = config.chain_length;
-            boxed(wr, ws, predicate, self_join, probe, move || {
+            boxed(wr, ws, predicate, self_join, move || {
                 ChainedAdapter::new(ChainVariant::IbChain, wr, chain)
             })
         }
-        IndexKind::ImTree => boxed(wr, ws, predicate, self_join, probe, move || {
+        IndexKind::ImTree => boxed(wr, ws, predicate, self_join, move || {
             ImTreeAdapter::new(pim)
         }),
-        IndexKind::PimTree => boxed(wr, ws, predicate, self_join, probe, move || {
+        IndexKind::PimTree => boxed(wr, ws, predicate, self_join, move || {
             PimTreeAdapter::new(pim)
         }),
-        IndexKind::BwTree => boxed(wr, ws, predicate, self_join, probe, BwTreeAdapter::new),
+        IndexKind::BwTree => boxed(wr, ws, predicate, self_join, BwTreeAdapter::new),
     }
 }
 
@@ -333,13 +316,12 @@ fn boxed<A: WindowIndexAdapter + 'static>(
     ws: usize,
     predicate: BandPredicate,
     self_join: bool,
-    probe: ProbeConfig,
     make_index: impl FnMut() -> A,
 ) -> Box<dyn SingleThreadJoin> {
     if self_join {
-        Box::new(IbwjOperator::new_self_join(wr, predicate, make_index).with_probe_config(probe))
+        Box::new(IbwjOperator::new_self_join(wr, predicate, make_index))
     } else {
-        Box::new(IbwjOperator::new(wr, ws, predicate, make_index).with_probe_config(probe))
+        Box::new(IbwjOperator::new(wr, ws, predicate, make_index))
     }
 }
 
@@ -440,6 +422,10 @@ mod tests {
         assert_eq!(canonical(&results), expected);
     }
 
+    /// Every tuple's probe goes through `probe_runs` as a batch of one: the
+    /// PIM-Tree answers it with its group probe's scalar descent, every other
+    /// backend with its scalar probe, counted as one. Both agree with the
+    /// oracle.
     #[test]
     fn batched_and_scalar_probe_paths_agree_for_every_index_kind() {
         let tuples = random_tuples(2500, 60, 15); // small domain: many dup keys
@@ -453,20 +439,9 @@ mod tests {
             IndexKind::PimTree,
             IndexKind::BwTree,
         ] {
-            let mut config = config_with(kind, w);
-            config.probe = pimtree_common::ProbeConfig::default();
-            let mut batched = build_single_threaded(&config, predicate, false);
-            config.probe = pimtree_common::ProbeConfig::scalar();
-            let mut scalar = build_single_threaded(&config, predicate, false);
+            let mut batched = build_single_threaded(&config_with(kind, w), predicate, false);
             let (batched_stats, batched_results) = batched.run(&tuples, true);
-            let (scalar_stats, scalar_results) = scalar.run(&tuples, true);
             assert_eq!(canonical(&batched_results), expected, "batched {kind}");
-            assert_eq!(canonical(&scalar_results), expected, "scalar {kind}");
-            assert_eq!(
-                scalar_stats.probe,
-                Default::default(),
-                "scalar path must not touch probe counters ({kind})"
-            );
             match kind {
                 IndexKind::PimTree => {
                     assert_eq!(batched_stats.probe.batches, tuples.len() as u64);

@@ -33,14 +33,15 @@
 //!   every operator's output;
 //! * [`stats`] — run statistics shared by all operators.
 //!
-//! The operators consume a pre-generated, interleaved tuple sequence (see
-//! `pimtree-workload`) and produce band-join results in arrival order.
+//! The operators consume a pre-generated tuple sequence of both streams in
+//! arrival order (see `pimtree-workload`) and produce band-join results in
+//! arrival order.
 //!
-//! Result generation in both engines defaults to the **batched CSS group
-//! probe** (`ProbeConfig` in `pimtree-common`): a task's probe keys are
-//! sorted, deduplicated and resolved by one software-prefetched level-wise
-//! descent of the immutable index instead of one root-to-leaf walk per
-//! tuple. `ProbeConfig::scalar()` restores the original per-tuple path.
+//! Result generation in both engines goes through the **batched CSS group
+//! probe** (`PimTree::probe_batch`): a task's probe keys are sorted,
+//! deduplicated and resolved by one software-prefetched level-wise descent
+//! of the immutable index instead of one root-to-leaf walk per tuple; the
+//! single-threaded operator's batch of one is the scalar descent.
 
 #![warn(missing_docs)]
 

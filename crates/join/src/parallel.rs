@@ -11,10 +11,9 @@
 //!    window captured at ingestion,
 //! 2. **generates results** by probing the opposite index for the already
 //!    indexed window prefix and linearly scanning the window suffix past the
-//!    *edge tuple* (the earliest non-indexed tuple) — by default the task's
-//!    probe keys are sorted, deduplicated and answered with one software-
-//!    prefetched CSS-Tree group descent per side ([`ProbeConfig`] switches
-//!    back to the scalar per-tuple path); the answers arrive as sorted runs
+//!    *edge tuple* (the earliest non-indexed tuple) — the task's probe keys
+//!    are sorted, deduplicated and answered with one software-prefetched
+//!    CSS-Tree group descent per side; the answers arrive as sorted runs
 //!    of index entries, which `generate` filters to each tuple's live window
 //!    and either counts or materialises, decided once per batch,
 //! 3. **publishes results** with one release store per slot (no lock), and
@@ -98,7 +97,7 @@ use parking_lot::Mutex;
 use pimtree_btree::Entry;
 use pimtree_common::{
     BandPredicate, DriftConfig, JoinConfig, JoinResult, Key, KeyRange, LatencyHistogram,
-    LatencyRecorder, MergePolicy, MigrationMode, ProbeConfig, Seq, StreamSide, Tuple,
+    LatencyRecorder, MergePolicy, MigrationMode, Seq, StreamSide, Tuple,
 };
 use pimtree_numa::{handoff_steps, DriftMonitor, HandoffStep, RangePartitioner};
 use pimtree_telemetry::{
@@ -247,7 +246,6 @@ struct Shared<'a> {
     merge_policy: MergePolicy,
     collect_results: bool,
     backoff: pimtree_common::RingConfig,
-    probe: ProbeConfig,
 
     ring: ShardedRing,
     /// Next input position to ingest; written only under the ingest token.
@@ -626,7 +624,6 @@ impl ParallelIbwj {
             merge_policy: self.config.pim.merge_policy,
             collect_results: self.collect_results,
             backoff: self.config.ring,
-            probe: self.config.probe,
             ring,
             next_ingest: AtomicUsize::new(0),
             claim_meta: (0..shards).map(|_| Default::default()).collect(),
@@ -728,7 +725,7 @@ impl ParallelIbwj {
                 .map_err(|e| eprintln!("telemetry: cannot create {path}: {e}"))
                 .ok()
         });
-        std::thread::scope(|scope| {
+        let elapsed = std::thread::scope(|scope| {
             let shared = &shared;
             let workers = spawn_workers(scope, shared, threads);
             let sampler = sampler_sink.map(|sink| {
@@ -736,18 +733,22 @@ impl ParallelIbwj {
                 let interval = Duration::from_millis(self.config.telemetry.sample_interval_ms);
                 scope.spawn(move || run_sampler(shared, sink, interval, start, stop))
             });
-            // The sampler must be told to stop before a worker's panic is
-            // re-raised, or the scope would wait for it forever.
+            // The run ends with its last worker, not with the sampler's
+            // current wait. The sampler must be told to stop — and woken —
+            // before a worker's panic is re-raised, or the scope would wait
+            // for it.
             let outcome = join_workers(workers);
+            let elapsed = start.elapsed();
             sampler_stop.store(true, Ordering::Release);
             if let Some(handle) = sampler {
+                handle.thread().unpark();
                 handle.join().expect("telemetry sampler panicked");
             }
             if let Err(panic) = outcome {
                 std::panic::resume_unwind(panic);
             }
+            elapsed
         });
-        let elapsed = start.elapsed();
         // An incremental handoff interrupted by input exhaustion resumes
         // from its frontier and runs to completion before the store is
         // inspected, so post-run state always respects the adopted
@@ -983,7 +984,8 @@ fn is_finished(shared: &Shared<'_>) -> bool {
 /// only — the sampler never blocks a worker; a contended drift or handoff
 /// lock simply reports the idle value for that round. One final sample is
 /// taken after the stop flag rises, so the drained end state is always in
-/// the trace.
+/// the trace. Between samples the sampler parks rather than sleeps, so the
+/// engine's unpark after raising the flag ends the wait at once.
 fn run_sampler(
     shared: &Shared<'_>,
     mut sink: JsonlSink,
@@ -1003,7 +1005,8 @@ fn run_sampler(
         if stopping {
             break;
         }
-        std::thread::sleep(interval);
+        // A spurious early return costs one extra sample, nothing more.
+        std::thread::park_timeout(interval);
     }
     if let Err(e) = sink.finish() {
         eprintln!("telemetry: sink flush failed: {e}");
@@ -1256,10 +1259,9 @@ fn process_task(
 }
 
 /// Result generation: the whole task's probes are gathered per probe side and
-/// answered through the store — the batched CSS group descent or the scalar
-/// per-range path ([`pimtree_common::ProbeConfig::batch`]), against the shared
-/// index/window pair or fanned out across the store shards overlapping each
-/// band-join range.
+/// answered through the store — one batched CSS group descent against the
+/// shared index/window pair, or one per store shard the band-join ranges
+/// overlap.
 ///
 /// Each tuple's edge snapshot is taken inside the store *before* the index
 /// probe it covers and used for both the index filter and the window-scan
@@ -1315,7 +1317,6 @@ fn generate(
             side,
             &scratch.probe_ranges[side],
             &scratch.probe_bounds[side],
-            &shared.probe,
             home,
             local,
             if collect {
@@ -2458,10 +2459,10 @@ mod tests {
         }
     }
 
-    /// The tentpole differential: the batched group probe and the scalar
-    /// probe must produce the exact same result set under both merge
-    /// policies and both shared-index backends, and only the batched run may
-    /// touch the probe-batch counters.
+    /// The tentpole differential: the PIM-Tree's batched group probe and the
+    /// Bw-Tree's scalar probes (it has no group probe) must produce the
+    /// oracle's result set under both merge policies, and only the PIM-Tree
+    /// may touch the probe-batch counters.
     #[test]
     fn batched_probe_matches_scalar_and_reference() {
         let tuples = random_tuples(5000, 400, 81);
@@ -2471,49 +2472,27 @@ mod tests {
         for policy in [MergePolicy::NonBlocking, MergePolicy::Blocking] {
             for kind in [SharedIndexKind::PimTree, SharedIndexKind::BwTree] {
                 for threads in [1usize, 4] {
-                    let base = config(128, threads, 4, 0.5, policy);
-                    let batched = ParallelIbwj::new(
-                        base.with_probe(ProbeConfig::default()),
+                    let op = ParallelIbwj::new(
+                        config(128, threads, 4, 0.5, policy),
                         predicate,
                         kind,
                         false,
                     )
                     .with_collected_results(true);
-                    let scalar = ParallelIbwj::new(
-                        base.with_probe(ProbeConfig::scalar()),
-                        predicate,
-                        kind,
-                        false,
-                    )
-                    .with_collected_results(true);
-                    let (batched_stats, batched_results) = batched.run(&tuples);
-                    let (scalar_stats, scalar_results) = scalar.run(&tuples);
+                    let (stats, results) = op.run(&tuples);
                     let label = format!("{policy:?}/{kind:?}/{threads}T");
-                    assert_eq!(canonical(&batched_results), expected, "batched {label}");
-                    assert_eq!(canonical(&scalar_results), expected, "scalar {label}");
-                    // The scalar path never group-descends, dedups or
-                    // prefetches; its only counters are the batched TI
-                    // partition locks (the ROADMAP's scalar partition-routing
-                    // follow-up), and those only for the PIM-Tree backend.
-                    assert_eq!(scalar_stats.probe.batches, 0, "{label}");
-                    assert_eq!(scalar_stats.probe.batched_keys, 0, "{label}");
-                    assert_eq!(scalar_stats.probe.dedup_hits, 0, "{label}");
-                    assert_eq!(scalar_stats.probe.nodes_prefetched, 0, "{label}");
-                    assert_eq!(scalar_stats.probe.scalar_probes, 0, "{label}");
+                    assert_eq!(canonical(&results), expected, "{label}");
                     if kind == SharedIndexKind::PimTree {
+                        assert!(stats.probe.batches > 0, "{label}");
+                        assert_eq!(stats.probe.scalar_probes, 0, "{label}");
                         assert!(
-                            scalar_stats.probe.ti_partition_locks
-                                <= scalar_stats.probe.ti_range_visits,
-                            "scalar TI partition locks are shared per task ({label})"
+                            stats.probe.ti_partition_locks <= stats.probe.ti_range_visits,
+                            "TI partition locks are shared per batch ({label})"
                         );
-                        assert!(batched_stats.probe.batches > 0, "batched {label}");
-                        assert_eq!(batched_stats.probe.scalar_probes, 0, "{label}");
                     } else {
-                        assert_eq!(scalar_stats.probe.ti_partition_locks, 0, "{label}");
-                        // The Bw-Tree has no batched path: every probe of a
-                        // batched run falls back to the scalar probe.
-                        assert_eq!(batched_stats.probe.batches, 0, "{label}");
-                        assert!(batched_stats.probe.scalar_probes > 0, "{label}");
+                        assert_eq!(stats.probe.batches, 0, "{label}");
+                        assert_eq!(stats.probe.ti_partition_locks, 0, "{label}");
+                        assert!(stats.probe.scalar_probes > 0, "{label}");
                     }
                 }
             }
@@ -2554,40 +2533,40 @@ mod tests {
         let predicate = BandPredicate::new(100); // ranges always overflow the domain
         for w in [1usize, 4096] {
             let expected = canonical(&reference_join(&tuples, predicate, w, w, false));
-            for probe in [
-                ProbeConfig::default(),
-                ProbeConfig::default().with_interleave(8),
-                ProbeConfig::scalar(),
-                ProbeConfig::scalar().with_interleave(8),
-            ] {
+            for kind in [SharedIndexKind::PimTree, SharedIndexKind::BwTree] {
                 let op = ParallelIbwj::new(
-                    config(w, 2, 4, 1.0, MergePolicy::NonBlocking).with_probe(probe),
+                    config(w, 2, 4, 1.0, MergePolicy::NonBlocking),
                     predicate,
-                    SharedIndexKind::PimTree,
+                    kind,
                     false,
                 )
                 .with_collected_results(true);
                 let (_, results) = op.run(&tuples);
-                assert_eq!(canonical(&results), expected, "w={w}, probe={probe:?}");
+                assert_eq!(canonical(&results), expected, "w={w}, {kind:?}");
             }
         }
     }
 
-    /// Self-join through the batched probe, with prefetching disabled and at
-    /// a large distance (the knob must never change results).
+    /// Self-join through the batched probe at batch lengths around the
+    /// group descent's lookahead of four and far past it: with the ingest
+    /// target pinned to a task per worker every claim is at most one task,
+    /// and a self-join probes one side, so the task size bounds the batch.
     #[test]
-    fn batched_probe_prefetch_distance_is_result_invariant() {
+    fn batched_probe_batch_length_is_result_invariant() {
         let tuples = self_join_tuples(3000, 200, 84);
         let predicate = BandPredicate::new(1);
         let expected = canonical(&reference_join(&tuples, predicate, 128, 128, true));
         assert!(!expected.is_empty());
-        for dist in [0usize, 1, 64] {
-            let cfg = config(128, 4, 4, 0.5, MergePolicy::NonBlocking)
-                .with_probe(ProbeConfig::default().with_prefetch_dist(dist));
+        let threads = 2;
+        for task in [1usize, 3, 4, 5, 64] {
+            let cfg = config(128, threads, task, 0.5, MergePolicy::NonBlocking)
+                .with_ring(RingConfig::default().with_ingest_target(threads * task));
             let op = ParallelIbwj::new(cfg, predicate, SharedIndexKind::PimTree, true)
                 .with_collected_results(true);
-            let (_, results) = op.run(&tuples);
-            assert_eq!(canonical(&results), expected, "prefetch_dist {dist}");
+            let (stats, results) = op.run(&tuples);
+            assert_eq!(canonical(&results), expected, "task size {task}");
+            assert!(stats.probe.batches > 0, "task size {task}");
+            assert!(stats.probe.max_batch <= task as u64, "task size {task}");
         }
     }
 
@@ -2712,89 +2691,28 @@ mod tests {
         }
     }
 
-    /// The interleave widths the AMAC differential tests sweep. CI's
-    /// interleave leg pins a single ring width via `PIMTREE_TEST_INTERLEAVE`;
-    /// local runs sweep a narrow and a deep ring.
-    fn interleave_sweep() -> Vec<usize> {
-        match std::env::var("PIMTREE_TEST_INTERLEAVE")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-        {
-            Some(n) => vec![n],
-            None => vec![2, 8],
-        }
-    }
-
-    /// AMAC differential: the interleaved descent ring must produce the
-    /// exact same result set as the batched group probe, the scalar probe
-    /// and the brute-force oracle, under both merge policies and both
-    /// shared-index backends.
+    /// The batched probe across shard counts and both store modes: sub-range
+    /// splitting (partitioned stores probe per-shard segments) must not
+    /// change a single result.
     #[test]
-    fn interleaved_probe_matches_batched_scalar_and_reference() {
-        let tuples = random_tuples(5000, 400, 116);
-        let predicate = BandPredicate::new(2);
-        let expected = canonical(&reference_join(&tuples, predicate, 128, 128, false));
-        assert!(!expected.is_empty());
-        for policy in [MergePolicy::NonBlocking, MergePolicy::Blocking] {
-            for kind in [SharedIndexKind::PimTree, SharedIndexKind::BwTree] {
-                for k in interleave_sweep() {
-                    let cfg = config(128, 4, 4, 0.5, policy)
-                        .with_probe(ProbeConfig::default().with_interleave(k));
-                    let op =
-                        ParallelIbwj::new(cfg, predicate, kind, false).with_collected_results(true);
-                    let (stats, results) = op.run(&tuples);
-                    let label = format!("{policy:?}/{kind:?}/K={k}");
-                    assert_eq!(canonical(&results), expected, "{label}");
-                    if kind == SharedIndexKind::PimTree && k >= 2 {
-                        assert!(stats.probe.interleaved_batches > 0, "{label}");
-                        assert!(
-                            stats.probe.interleaved_descents >= stats.probe.interleaved_batches,
-                            "{label}"
-                        );
-                        assert!(
-                            stats.probe.interleave_steps >= stats.probe.interleaved_descents,
-                            "{label}"
-                        );
-                        assert_eq!(stats.probe.scalar_probes, 0, "{label}");
-                    } else {
-                        // The Bw-Tree backend has no batched descent at all;
-                        // an interleave-off run uses the batched group probe.
-                        assert_eq!(stats.probe.interleaved_batches, 0, "{label}");
-                        assert_eq!(stats.probe.interleave_steps, 0, "{label}");
-                    }
-                }
-            }
-        }
-    }
-
-    /// AMAC differential across shard counts and both store modes: the
-    /// interleaved ring must survive sub-range splitting (partitioned
-    /// stores probe per-shard segments) without changing a single result.
-    #[test]
-    fn interleaved_probe_sharded_both_store_modes_matches_reference() {
+    fn batched_probe_sharded_both_store_modes_matches_reference() {
         let tuples = self_join_tuples(4000, 250, 117);
         let predicate = BandPredicate::new(1);
         let expected = canonical(&reference_join(&tuples, predicate, 128, 128, true));
         assert!(!expected.is_empty());
         for shards in shard_sweep() {
             for partition_index in [false, true] {
-                for k in interleave_sweep() {
-                    let cfg = config(128, 6, 2, 0.5, MergePolicy::NonBlocking)
-                        .with_probe(ProbeConfig::default().with_interleave(k))
-                        .with_shard(
-                            ShardConfig::default()
-                                .with_shards(shards)
-                                .with_partition_index(partition_index),
-                        );
-                    let op = ParallelIbwj::new(cfg, predicate, SharedIndexKind::PimTree, true)
-                        .with_collected_results(true);
-                    let (stats, results) = op.run(&tuples);
-                    let label = format!("shards {shards}, partitioned {partition_index}, K={k}");
-                    assert_eq!(canonical(&results), expected, "{label}");
-                    if k >= 2 {
-                        assert!(stats.probe.interleaved_batches > 0, "{label}");
-                    }
-                }
+                let cfg = config(128, 6, 2, 0.5, MergePolicy::NonBlocking).with_shard(
+                    ShardConfig::default()
+                        .with_shards(shards)
+                        .with_partition_index(partition_index),
+                );
+                let op = ParallelIbwj::new(cfg, predicate, SharedIndexKind::PimTree, true)
+                    .with_collected_results(true);
+                let (stats, results) = op.run(&tuples);
+                let label = format!("shards {shards}, partitioned {partition_index}");
+                assert_eq!(canonical(&results), expected, "{label}");
+                assert!(stats.probe.batches > 0, "{label}");
             }
         }
     }
@@ -2898,7 +2816,7 @@ mod tests {
     }
 
     /// Sharded self-join with tiny per-shard rings: every slot is recycled
-    /// many times and the cross-shard merge cursor interleaves constantly.
+    /// many times and the cross-shard merge cursor switches shards constantly.
     #[test]
     fn sharded_engine_self_join_tiny_rings() {
         let tuples = self_join_tuples(4000, 250, 104);
@@ -3158,8 +3076,9 @@ mod tests {
         }
     }
 
-    /// Partitioned-store self-join through both probe paths (batched and
-    /// scalar), with tiny per-shard rings.
+    /// Partitioned-store self-join through both probe paths — the
+    /// PIM-Tree's group descent and the Bw-Tree's per-range scalar probes —
+    /// with tiny per-shard rings.
     #[test]
     fn partitioned_store_self_join_both_probe_paths() {
         let tuples = self_join_tuples(4000, 250, 114);
@@ -3167,14 +3086,8 @@ mod tests {
         let expected = canonical(&reference_join(&tuples, predicate, 128, 128, true));
         assert!(!expected.is_empty());
         for shards in shard_sweep() {
-            for probe in [
-                ProbeConfig::default(),
-                ProbeConfig::default().with_interleave(8),
-                ProbeConfig::scalar(),
-                ProbeConfig::scalar().with_interleave(8),
-            ] {
+            for kind in [SharedIndexKind::PimTree, SharedIndexKind::BwTree] {
                 let cfg = config(128, 6, 2, 0.5, MergePolicy::NonBlocking)
-                    .with_probe(probe)
                     .with_ring(
                         RingConfig::default()
                             .with_capacity(64)
@@ -3185,14 +3098,9 @@ mod tests {
                             .with_shards(shards)
                             .with_partition_index(true),
                     );
-                let op = ParallelIbwj::new(cfg, predicate, SharedIndexKind::PimTree, true)
-                    .with_collected_results(true);
+                let op = ParallelIbwj::new(cfg, predicate, kind, true).with_collected_results(true);
                 let (_, results) = op.run(&tuples);
-                assert_eq!(
-                    canonical(&results),
-                    expected,
-                    "shards {shards}, probe {probe:?}"
-                );
+                assert_eq!(canonical(&results), expected, "shards {shards}, {kind:?}");
             }
         }
     }
@@ -4068,5 +3976,43 @@ mod tests {
         );
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(format!("{path}.prom"));
+    }
+
+    /// A run that writes a trace ends when its workers do: neither the
+    /// reported `elapsed` nor the call waits out the gauge sampler's
+    /// interval, here five seconds against a run of a few milliseconds.
+    #[test]
+    fn telemetry_trace_does_not_stretch_the_run_to_the_sample_interval() {
+        let tuples = random_tuples(4000, 300, 134);
+        let path = std::env::temp_dir()
+            .join(format!("pimtree_sampler_wake_{}.jsonl", std::process::id()))
+            .to_string_lossy()
+            .into_owned();
+        let cfg = config(64, 2, 4, 1.0, MergePolicy::NonBlocking).with_telemetry(
+            pimtree_common::TelemetryConfig::default()
+                .with_mode(TelemetryMode::Counters)
+                .with_sample_interval_ms(5_000),
+        );
+        let op = ParallelIbwj::new(cfg, BandPredicate::new(2), SharedIndexKind::PimTree, false)
+            .with_telemetry_out(&path);
+        let called = Instant::now();
+        let (stats, _) = op.run_with_warmup(&tuples, 256);
+        let returned = called.elapsed();
+        let trace = std::fs::read_to_string(&path).expect("trace written");
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(format!("{path}.prom"));
+        assert!(
+            stats.elapsed < Duration::from_secs(1),
+            "elapsed {:?} includes the sampler's wait",
+            stats.elapsed
+        );
+        assert!(
+            returned < Duration::from_secs(1),
+            "the call took {returned:?}"
+        );
+        assert!(
+            trace.lines().count() >= 2,
+            "the first sample and the final one"
+        );
     }
 }

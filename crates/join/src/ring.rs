@@ -79,7 +79,7 @@ struct Slot {
     /// Global arrival stamp of the ingested tuple. Within a single ring it
     /// equals the slot's gid; under the sharded engine it is the position in
     /// the *global* arrival order, which the cross-shard merge cursor uses to
-    /// interleave per-shard drains back into one ordered stream.
+    /// merge per-shard drains back into one ordered stream.
     arrival: AtomicU64,
     /// Collected matches; only touched when result collection is enabled
     /// (tests), and then only by the slot's current owner, so the mutex is
@@ -319,7 +319,7 @@ impl TaskRing {
     /// Drains exactly the head slot if it is completed, invoking `emit` and
     /// recycling the slot. Returns `None` when another thread holds the drain
     /// token, otherwise whether a slot was drained. The sharded ring uses
-    /// this to interleave drains across shards one arrival at a time.
+    /// this to merge drains across shards one arrival at a time.
     pub fn drain_one<F: FnOnce(u64, Vec<JoinResult>)>(
         &self,
         collect: bool,

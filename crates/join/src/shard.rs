@@ -743,7 +743,7 @@ mod tests {
     #[test]
     fn cross_shard_drain_preserves_global_arrival_order() {
         // Alternate keys across two shards, complete everything in a
-        // scrambled order, and check the drain interleaves the shards back
+        // scrambled order, and check the drain merges the shards back
         // into the global arrival order.
         let p = RangePartitioner::from_key_sample(2, &(0..100).collect::<Vec<Key>>());
         let boundary = p.boundaries()[0];

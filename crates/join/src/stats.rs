@@ -591,10 +591,6 @@ mod tests {
             s.probe.scalar_probes = w;
             s.probe.ti_partition_locks = 2 * w;
             s.probe.ti_range_visits = 3 * w;
-            s.probe.interleaved_batches = w;
-            s.probe.interleaved_descents = 5 * w;
-            s.probe.interleave_steps = 20 * w;
-            s.probe.record_descent_steps(4, 5 * w);
             s.probe.simd_node_searches = 15 * w;
             s.probe.scalar_node_searches = 5 * w;
             workers.push(s);
@@ -611,15 +607,9 @@ mod tests {
         assert_eq!(total.probe.scalar_probes, 6);
         assert_eq!(total.probe.ti_partition_locks, 12);
         assert_eq!(total.probe.ti_range_visits, 18);
-        assert_eq!(total.probe.interleaved_batches, 6);
-        assert_eq!(total.probe.interleaved_descents, 30);
-        assert_eq!(total.probe.interleave_steps, 120);
-        assert_eq!(total.probe.descent_steps[3], 30, "histogram buckets sum");
         assert_eq!(total.probe.simd_node_searches, 90);
         assert_eq!(total.probe.scalar_node_searches, 30);
-        assert!((total.probe.mean_descent_steps() - 4.0).abs() < 1e-9);
         assert!((total.probe.simd_search_rate() - 0.75).abs() < 1e-9);
-        assert_eq!(ProbeCounters::default().mean_descent_steps(), 0.0);
         assert_eq!(ProbeCounters::default().simd_search_rate(), 0.0);
     }
 

@@ -51,7 +51,7 @@ use pimtree_btree::Entry;
 use pimtree_bwtree::BwTreeIndex;
 use pimtree_common::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use pimtree_common::sync::RwLock;
-use pimtree_common::{Key, KeyRange, PimConfig, ProbeConfig, Result, Seq, Step};
+use pimtree_common::{Key, KeyRange, PimConfig, Result, Seq, Step};
 use pimtree_core::PimTree;
 use pimtree_numa::{NumaTopology, RangePartitioner, TrafficAccount};
 use pimtree_window::{ShardWindow, SlidingWindow, WindowBounds};
@@ -103,28 +103,22 @@ impl StoreIndex {
     }
 
     /// Multi-range probe: `f(i, run)` for the sorted runs of `ranges[i]`,
-    /// slices of the index's own storage. With `probe.batch` the PIM-Tree
-    /// answers the whole batch with one sorted/deduplicated, prefetched
-    /// CSS-Tree group descent, without it with one scalar descent per range;
-    /// either way the mutable-side partition routing is batched (one
-    /// partition lock per unique partition per call). The Bw-Tree has no
-    /// group probe — scalar probes, counted as such when one was asked for —
-    /// and its delta pages nothing contiguous to lend: every entry is a run
-    /// of one.
+    /// slices of the index's own storage. The PIM-Tree answers the whole
+    /// batch with one sorted/deduplicated, prefetched CSS-Tree group descent
+    /// and batched partition routing (one partition lock per unique
+    /// partition per call). The Bw-Tree has no group probe — scalar probes,
+    /// counted as such — and its delta pages nothing contiguous to lend:
+    /// every entry is a run of one.
     fn probe_runs(
         &self,
         ranges: &[KeyRange],
-        probe: &ProbeConfig,
         counters: &mut pimtree_common::ProbeCounters,
         f: &mut dyn FnMut(usize, &[Entry]),
     ) {
         match self {
-            StoreIndex::Pim(t) if probe.batch => t.probe_batch(ranges, probe, counters, f),
-            StoreIndex::Pim(t) => t.probe_ranges_scalar(ranges, probe, counters, f),
+            StoreIndex::Pim(t) => t.probe_batch(ranges, counters, f),
             StoreIndex::Bw(t) => {
-                if probe.batch {
-                    counters.scalar_probes += ranges.len() as u64;
-                }
+                counters.scalar_probes += ranges.len() as u64;
                 for (i, &range) in ranges.iter().enumerate() {
                     t.range_for_each(range, |e| f(i, std::slice::from_ref(&e)));
                 }
@@ -436,7 +430,6 @@ fn probe_shard_segments(
     sub_ranges: &[KeyRange],
     sub_idx: &[usize],
     bounds: &[WindowBounds],
-    probe: &ProbeConfig,
     time_steps: bool,
     stats: &mut JoinRunStats,
     f: &mut RunSink<'_>,
@@ -449,7 +442,7 @@ fn probe_shard_segments(
     // match exactly once.
     let edge = window.edge_seq();
     let mut clock = time_steps.then(Instant::now);
-    shard.indexes[side].probe_runs(sub_ranges, probe, &mut stats.probe, &mut |k, run| {
+    shard.indexes[side].probe_runs(sub_ranges, &mut stats.probe, &mut |k, run| {
         let j = sub_idx[k];
         f(j, run, bounds[j].earliest..bounds[j].index_horizon(edge));
     });
@@ -891,20 +884,17 @@ impl ShardStore {
     /// first (`TS`, then the `TI` partitions ascending), then the suffix hits
     /// in ascending `seq`.
     ///
-    /// `probe.batch` selects the grouped CSS descent or the scalar per-range
-    /// path. Under the partitioned layout the probe fans out across exactly
+    /// Under the partitioned layout the probe fans out across exactly
     /// the shards overlapping each range (recorded in `stats.store`, charged
     /// local/remote against `home`). Probe counters, the logical bytes the
     /// descents and scans load — the caller adds the matches it keeps, which
     /// only it counts — and, with [`StoreParams::time_steps`], search/scan
     /// timings are recorded into `stats`.
-    #[allow(clippy::too_many_arguments)] // one internal call site in the engine
     pub(crate) fn generate(
         &self,
         side: usize,
         ranges: &[KeyRange],
         bounds: &[WindowBounds],
-        probe: &ProbeConfig,
         home: usize,
         stats: &mut JoinRunStats,
         f: &mut RunSink<'_>,
@@ -914,21 +904,19 @@ impl ShardStore {
             return;
         }
         match &self.layout {
-            Layout::Shared(s) => self.generate_shared(s, side, ranges, bounds, probe, stats, f),
+            Layout::Shared(s) => self.generate_shared(s, side, ranges, bounds, stats, f),
             Layout::Partitioned(p) => {
-                self.generate_partitioned(p, side, ranges, bounds, probe, home, stats, f)
+                self.generate_partitioned(p, side, ranges, bounds, home, stats, f)
             }
         }
     }
 
-    #[allow(clippy::too_many_arguments)] // internal worker of generate()
     fn generate_shared(
         &self,
         state: &SharedState,
         side: usize,
         ranges: &[KeyRange],
         bounds: &[WindowBounds],
-        probe: &ProbeConfig,
         stats: &mut JoinRunStats,
         f: &mut RunSink<'_>,
     ) {
@@ -943,7 +931,7 @@ impl ShardStore {
         // changes the result set.
         let edge = window.edge();
         let mut clock = self.time_steps.then(Instant::now);
-        state.indexes[side].probe_runs(ranges, probe, &mut stats.probe, &mut |j, run| {
+        state.indexes[side].probe_runs(ranges, &mut stats.probe, &mut |j, run| {
             f(j, run, bounds[j].earliest..bounds[j].index_horizon(edge));
         });
         if let Some(clock) = &mut clock {
@@ -970,7 +958,6 @@ impl ShardStore {
         side: usize,
         ranges: &[KeyRange],
         bounds: &[WindowBounds],
-        probe: &ProbeConfig,
         home: usize,
         stats: &mut JoinRunStats,
         f: &mut RunSink<'_>,
@@ -1040,7 +1027,6 @@ impl ShardStore {
                     &scratch.sub_ranges,
                     &scratch.sub_idx,
                     bounds,
-                    probe,
                     self.time_steps,
                     stats,
                     f,
@@ -1141,7 +1127,6 @@ impl ShardStore {
                     &scratch.sub_ranges,
                     &scratch.sub_idx,
                     bounds,
-                    probe,
                     self.time_steps,
                     stats,
                     f,

@@ -9,7 +9,7 @@
 //!   need `rand_distr`;
 //! * [`drift`] — the three-phase *shifting Gaussian* workload of Figures
 //!   13a/13b, parameterised by the drift speed `r`;
-//! * [`stream`] — interleaved two-stream tuple sequences with configurable
+//! * [`stream`] — two-stream tuple sequences in arrival order with configurable
 //!   input-rate asymmetry (Figure 11b);
 //! * [`calibrate`] — empirical calibration of the band half-width `diff` to a
 //!   target match rate for any distribution (and the closed form for the

@@ -48,7 +48,7 @@ impl StreamMix {
     }
 }
 
-/// Generates an interleaved sequence of stream tuples with per-stream
+/// Generates one arrival-ordered sequence of tuples of both streams with per-stream
 /// monotonically increasing sequence numbers.
 #[derive(Debug, Clone)]
 pub struct StreamGenerator {
@@ -109,7 +109,7 @@ impl StreamGenerator {
         Tuple::new(side, seq, key)
     }
 
-    /// Generates `n` interleaved tuples.
+    /// Generates `n` tuples of both streams in arrival order.
     pub fn generate<R: Rng + ?Sized>(&mut self, rng: &mut R, n: usize) -> Vec<Tuple> {
         (0..n).map(|_| self.next_tuple(rng)).collect()
     }

@@ -93,8 +93,10 @@ fn all_operators_agree_on_the_same_workload() {
 #[test]
 fn batched_and_scalar_probe_agree_end_to_end() {
     // The batched, prefetched CSS group probe is a pure performance
-    // optimisation: across engines, thread counts and probe tunings the
-    // result set must be exactly the scalar path's (and the oracle's).
+    // optimisation: the single-threaded operator's batches of one (the
+    // scalar descent) and the parallel engine's batches — around the group
+    // descent's lookahead of four and far past it — must all give the
+    // oracle's result set.
     let w = 160usize;
     let tuples = mixed_tuples(4500, 350, 123);
     let predicate = BandPredicate::new(2);
@@ -106,33 +108,26 @@ fn batched_and_scalar_probe_agree_end_to_end() {
     pim.css_fanout = 8;
     pim.css_leaf_size = 8;
     pim.btree_fanout = 8;
-    for probe in [
-        ProbeConfig::default(),
-        ProbeConfig::default().with_prefetch_dist(0),
-        ProbeConfig::default().with_prefetch_dist(64),
-        ProbeConfig::scalar(),
-    ] {
-        let config = JoinConfig::symmetric(w, IndexKind::PimTree)
-            .with_pim(pim)
-            .with_probe(probe);
-        let mut st = build_single_threaded(&config, predicate, false);
-        let (_, results) = st.run(&tuples, true);
-        assert_eq!(canonical(&results), expected, "single-threaded {probe:?}");
-        for threads in [1usize, 4] {
-            let config = config.with_threads(threads).with_task_size(5);
+    let config = JoinConfig::symmetric(w, IndexKind::PimTree).with_pim(pim);
+    let mut st = build_single_threaded(&config, predicate, false);
+    let (stats, results) = st.run(&tuples, true);
+    assert_eq!(canonical(&results), expected, "single-threaded");
+    assert_eq!(stats.probe.max_batch, 1, "one probe at a time");
+    for threads in [1usize, 4] {
+        for task in [1usize, 3, 4, 5, 64] {
+            // A task per worker in the ring: no claim, so no batch side, is
+            // longer than one task.
+            let config = config
+                .with_threads(threads)
+                .with_task_size(task)
+                .with_ring(RingConfig::default().with_ingest_target(threads * task));
             let op = ParallelIbwj::new(config, predicate, SharedIndexKind::PimTree, false)
                 .with_collected_results(true);
             let (stats, results) = op.run(&tuples);
-            assert_eq!(
-                canonical(&results),
-                expected,
-                "parallel {threads}T {probe:?}"
-            );
-            if probe.batch {
-                assert!(stats.probe.batches > 0, "parallel {threads}T {probe:?}");
-            } else {
-                assert_eq!(stats.probe.batches, 0, "parallel {threads}T {probe:?}");
-            }
+            let label = format!("parallel {threads}T, task size {task}");
+            assert_eq!(canonical(&results), expected, "{label}");
+            assert!(stats.probe.batches > 0, "{label}");
+            assert!(stats.probe.max_batch <= task as u64, "{label}");
         }
     }
 }

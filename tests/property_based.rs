@@ -289,7 +289,7 @@ proptest! {
     }
 
     /// Every descent of the CSS-Tree — one at a time, routed to a depth and
-    /// finished in the leaf, level-wise batched, interleaved — is
+    /// finished in the leaf, level-wise batched — is
     /// `partition_point` over the leaf array under the `(key, seq)` order,
     /// on shapes that put the node-search kernel at its edges: fan-out 2
     /// over leaves of 4 (every block shorter than a vector), the default 32
@@ -338,16 +338,9 @@ proptest! {
             want_groups.push(group);
         }
         let (mut positions, mut groups) = (Vec::new(), Vec::new());
-        for dist in [0, 4] {
-            tree.lower_bound_batch_groups(&targets, dist, &mut positions, &mut groups);
-            prop_assert_eq!(&positions, &want, "batch, prefetch distance {}", dist);
-            prop_assert_eq!(&groups, &want_groups, "batch groups, prefetch distance {}", dist);
-        }
-        for width in [2, 5, 64] {
-            let mut counters = pimtree_common::ProbeCounters::default();
-            tree.lower_bound_interleaved(&targets, width, &mut positions, Some(&mut groups), &mut counters);
-            prop_assert_eq!(&positions, &want, "interleaved, width {}", width);
-            prop_assert_eq!(&groups, &want_groups, "interleaved groups, width {}", width);
-        }
+        let mut counters = pimtree_common::ProbeCounters::default();
+        tree.lower_bound_batch(&targets, &mut positions, &mut groups, &mut counters);
+        prop_assert_eq!(&positions, &want, "batch");
+        prop_assert_eq!(&groups, &want_groups, "batch groups");
     }
 }
