@@ -15,10 +15,9 @@
 //! ingestion by key range and reports steal/remote-traffic counters).
 //! `--partition-index=on` additionally partitions the index and window state
 //! per shard (the `ShardStore` layer) and reports its probe fan-out and
-//! simulated store-traffic counters. `--repartition=on` (with
-//! `--migration-mode=epoch|incremental` and `--handoff-budget=`) turns on
-//! drift-driven repartitioning and reports the migration columns (mode,
-//! epochs, handoff steps, worst stall); `--arrival-rate=` paces ingestion
+//! simulated store-traffic counters. `--repartition=on` turns on
+//! drift-driven repartitioning and reports the migration columns (epochs,
+//! worst stall); `--arrival-rate=` paces ingestion
 //! open-loop and reports the arrival-latency tail (p99).
 //!
 //! The engine flight recorder is always armed here (at least `counters`
@@ -37,7 +36,7 @@
 //! file-relative addresses for `addr2line` (recipe in CONTRIBUTING.md).
 
 use pimtree_bench::harness::*;
-use pimtree_common::{IndexKind, JoinConfig, MigrationMode, TelemetryMode};
+use pimtree_common::{IndexKind, JoinConfig, TelemetryMode};
 use pimtree_join::{ParallelIbwj, SharedIndexKind};
 use pimtree_numa::RangePartitioner;
 use pimtree_telemetry::{EnginePhase, TelemetryReport};
@@ -103,9 +102,7 @@ fn main() {
             "single_shard_probes",
             "store_remote_fraction",
             "simulated_store_cost",
-            "migration_mode",
             "migration_epochs",
-            "handoff_steps",
             "max_stall_us",
             "arrival_p99_us",
         ],
@@ -209,12 +206,7 @@ fn main() {
             stats.store.single_shard_probes.to_string(),
             format!("{:.3}", stats.store.remote_fraction()),
             stats.store.simulated_store_cost.to_string(),
-            match opts.migration_mode {
-                MigrationMode::Epoch => "epoch".to_string(),
-                MigrationMode::Incremental => "incremental".to_string(),
-            },
             stats.migration.epochs.to_string(),
-            stats.migration.handoff_steps.to_string(),
             format!("{:.1}", stats.migration.max_stall_micros()),
             format!(
                 "{:.1}",
@@ -441,7 +433,7 @@ fn render_gauge_table(trace_path: &str) {
         .unwrap_or_default();
     println!(
         "# final gauges (sample {} at {}us): in_flight {}, unindexed r/s {}/{}, \
-         window r/s {}/{}, claims local/stolen {}/{}, drift imbalance {}, handoff {}/{}",
+         window r/s {}/{}, claims local/stolen {}/{}, drift imbalance {}",
         field("seq"),
         field("elapsed_us"),
         field("in_flight"),
@@ -452,8 +444,6 @@ fn render_gauge_table(trace_path: &str) {
         field("local_claims"),
         field("stolen_claims"),
         field("drift_imbalance"),
-        field("handoff_steps_done"),
-        field("handoff_steps_total"),
     );
     for (shard, occ) in occupancy.iter().enumerate() {
         println!("#   shard {shard}: ring occupancy {occ}");

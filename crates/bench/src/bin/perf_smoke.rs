@@ -64,7 +64,7 @@ fn entry_json(backend: &str, threads: usize, stats: &JoinRunStats) -> String {
             "\"migration_epochs\": {}, \"migration_plans_rejected\": {}, ",
             "\"migrated_index_entries\": {}, \"migrated_window_tuples\": {}, ",
             "\"simulated_move_cost\": {}, \"migration_stall_us\": {:.2}, ",
-            "\"migration_handoff_steps\": {}, \"migration_max_stall_us\": {:.2}, ",
+            "\"migration_max_stall_us\": {:.2}, ",
             "\"stall_causes_us\": {{\"gate_close\": {:.2}, \"in_flight_drain\": {:.2}, ",
             "\"window_snapshot\": {:.2}, \"rebuild\": {:.2}, \"index_swap\": {:.2}, ",
             "\"router_swap\": {:.2}}}, ",
@@ -104,7 +104,6 @@ fn entry_json(backend: &str, threads: usize, stats: &JoinRunStats) -> String {
         stats.migration.window_tuples_moved,
         stats.migration.simulated_move_cost,
         stats.migration.stall_micros(),
-        stats.migration.handoff_steps,
         stats.migration.max_stall_micros(),
         stats.migration.stall_cause_nanos(StallCause::GateClose) as f64 / 1_000.0,
         stats.migration.stall_cause_nanos(StallCause::InFlightDrain) as f64 / 1_000.0,

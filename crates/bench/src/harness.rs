@@ -1,8 +1,8 @@
 //! Shared helpers for the per-figure benchmark binaries.
 
 use pimtree_common::{
-    BandPredicate, DriftConfig, IndexKind, JoinConfig, MigrationMode, PimConfig, RingConfig,
-    ShardConfig, TelemetryConfig, TelemetryMode, Tuple,
+    BandPredicate, DriftConfig, IndexKind, JoinConfig, PimConfig, RingConfig, ShardConfig,
+    TelemetryConfig, TelemetryMode, Tuple,
 };
 use pimtree_join::{
     build_single_threaded, HandshakeJoin, HandshakeMode, JoinRunStats, ParallelIbwj,
@@ -61,12 +61,6 @@ pub struct RunOpts {
     pub drift_trigger: f64,
     /// Maximum moved-weight fraction a plan may cost and still be adopted.
     pub drift_cost_gate: f64,
-    /// How adopted repartition plans are applied: one wholesale migration
-    /// epoch, or stall-bounded incremental sub-range handoff steps.
-    pub migration_mode: MigrationMode,
-    /// Window tuples moved per incremental handoff step (0 = automatic:
-    /// the drift window).
-    pub handoff_budget: usize,
     /// Open-loop arrival rate in tuples per second for the latency harness;
     /// 0 runs closed-loop (ingest as fast as the engine admits).
     pub arrival_rate: f64,
@@ -113,8 +107,6 @@ impl RunOpts {
             drift_window: drift_defaults.window,
             drift_trigger: drift_defaults.imbalance_trigger,
             drift_cost_gate: drift_defaults.cost_gate,
-            migration_mode: drift_defaults.migration_mode,
-            handoff_budget: drift_defaults.handoff_budget,
             arrival_rate: 0.0,
             telemetry: TelemetryConfig::default().mode,
             telemetry_interval_ms: TelemetryConfig::default().sample_interval_ms,
@@ -168,18 +160,6 @@ impl RunOpts {
                         .parse::<f64>()
                         .unwrap_or_else(|_| panic!("bad value for {key}: {value}"))
                 }
-                "--migration-mode" => {
-                    opts.migration_mode = match value {
-                        "epoch" | "wholesale" => MigrationMode::Epoch,
-                        "incremental" | "handoff" => MigrationMode::Incremental,
-                        other => {
-                            panic!(
-                                "bad value for --migration-mode: {other} (use epoch/incremental)"
-                            )
-                        }
-                    }
-                }
-                "--handoff-budget" => opts.handoff_budget = parse_usize(),
                 "--arrival-rate" => {
                     opts.arrival_rate = value
                         .parse::<f64>()
@@ -245,8 +225,6 @@ impl RunOpts {
             .with_window(self.drift_window)
             .with_imbalance_trigger(self.drift_trigger)
             .with_cost_gate(self.drift_cost_gate)
-            .with_migration_mode(self.migration_mode)
-            .with_handoff_budget(self.handoff_budget)
     }
 
     /// The engine flight-recorder configuration selected on the command line.
@@ -599,8 +577,6 @@ mod tests {
             drift_window: 4096,
             drift_trigger: 1.5,
             drift_cost_gate: 0.9,
-            migration_mode: MigrationMode::Epoch,
-            handoff_budget: 0,
             arrival_rate: 0.0,
             telemetry: TelemetryMode::Off,
             telemetry_interval_ms: 50,
@@ -642,8 +618,6 @@ mod tests {
             drift_window: 256,
             drift_trigger: 2.0,
             drift_cost_gate: 0.5,
-            migration_mode: MigrationMode::Incremental,
-            handoff_budget: 32,
             ..opts
         }
         .drift();
@@ -651,8 +625,6 @@ mod tests {
         assert_eq!(drift.window, 256);
         assert!((drift.imbalance_trigger - 2.0).abs() < 1e-9);
         assert!((drift.cost_gate - 0.5).abs() < 1e-9);
-        assert_eq!(drift.migration_mode, MigrationMode::Incremental);
-        assert_eq!(drift.effective_handoff_budget(), 32);
         drift.validate().unwrap();
         let telemetry = RunOpts {
             telemetry: TelemetryMode::Full,

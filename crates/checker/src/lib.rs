@@ -4,7 +4,7 @@
 //! crates.io (and hence `loom`) is unreachable in this build environment,
 //! yet the engine's correctness rests on four lock-free protocols — the
 //! MPMC ticket ring, the cross-shard arrival-stamp merge cursor, the
-//! migration quiesce gate, and the dual-ownership seq-split handoff — that
+//! migration quiesce gate, and the migration epoch's owner swap — that
 //! stress tests on a 1-core container cannot meaningfully exercise. This
 //! crate explores their interleavings *exhaustively* (for small bounded
 //! executions) instead of probabilistically.

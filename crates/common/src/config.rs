@@ -355,31 +355,6 @@ impl ShardConfig {
     }
 }
 
-/// How an adopted repartition plan is physically migrated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub enum MigrationMode {
-    /// Wholesale migration epoch: one quiesce rebuilds every shard's index
-    /// and window state under the new partitioner. Simple, but the stall is
-    /// proportional to the total resident state.
-    #[default]
-    Epoch,
-    /// Incremental shard-pair handoff: the plan is decomposed into
-    /// per-sub-range steps, each moving a bounded slice of one (src, dst)
-    /// shard pair under a short quiesce while the rest of the engine keeps
-    /// ingesting and probing; the moving sub-range is dual-owned until its
-    /// step completes.
-    Incremental,
-}
-
-impl std::fmt::Display for MigrationMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            MigrationMode::Epoch => "epoch",
-            MigrationMode::Incremental => "incremental",
-        })
-    }
-}
-
 /// Tuning of the parallel engine's drift-driven live repartitioning.
 ///
 /// With `repartition` on (and more than one shard), the engine feeds every
@@ -387,14 +362,11 @@ impl std::fmt::Display for MigrationMode {
 /// window. When the observed load imbalance under the current
 /// `RangePartitioner` exceeds `imbalance_trigger` and the resulting
 /// repartition plan's moved-weight fraction clears `cost_gate`, the engine
-/// migrates to the plan's partitioner under the selected
-/// [`MigrationMode`]: a wholesale **migration epoch** (ingestion and
-/// claiming quiesce behind the merge gate while every index entry and
-/// window tuple whose key changed home shards moves to its new owner), or a
-/// stall-bounded **incremental handoff** that moves at most
-/// `handoff_budget` window tuples per quiesce. Off (the default), the
-/// partitioner chosen at construction stays fixed for the whole run — the
-/// pre-PR-5 behavior.
+/// migrates to the plan's partitioner in one **migration epoch**: ingestion
+/// and claiming quiesce behind the merge gate while every index entry and
+/// window tuple whose key changed home shards moves to its new owner. Off
+/// (the default), the partitioner chosen at construction stays fixed for
+/// the whole run — the pre-PR-5 behavior.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DriftConfig {
     /// Master switch for live repartition adoption. Off keeps the engine's
@@ -415,13 +387,6 @@ pub struct DriftConfig {
     /// (an eighth of the window, at least 64) so the O(window) imbalance
     /// fold stays off the per-task fast path.
     pub check_interval: usize,
-    /// How an adopted plan is migrated: one wholesale epoch or incremental
-    /// per-sub-range handoff.
-    pub migration_mode: MigrationMode,
-    /// Upper bound on the window tuples moved per incremental handoff
-    /// quiesce (the stall bound). `0` selects an automatic budget. Ignored
-    /// in epoch mode.
-    pub handoff_budget: usize,
 }
 
 impl Default for DriftConfig {
@@ -432,8 +397,6 @@ impl Default for DriftConfig {
             imbalance_trigger: 1.5,
             cost_gate: 0.9,
             check_interval: 0,
-            migration_mode: MigrationMode::Epoch,
-            handoff_budget: 0,
         }
     }
 }
@@ -469,36 +432,12 @@ impl DriftConfig {
         self
     }
 
-    /// Sets the migration mode.
-    pub fn with_migration_mode(mut self, mode: MigrationMode) -> Self {
-        self.migration_mode = mode;
-        self
-    }
-
-    /// Sets the per-quiesce handoff move budget (0 = automatic).
-    pub fn with_handoff_budget(mut self, budget: usize) -> Self {
-        self.handoff_budget = budget;
-        self
-    }
-
     /// The effective number of observations between drift checks.
     pub fn effective_check_interval(&self) -> usize {
         if self.check_interval > 0 {
             self.check_interval
         } else {
             (self.window / 8).max(64)
-        }
-    }
-
-    /// The effective per-quiesce handoff move budget. The automatic budget
-    /// matches the drift window: large enough to finish a handoff in a
-    /// handful of steps, small enough that each quiesce touches a bounded
-    /// slice of the resident state.
-    pub fn effective_handoff_budget(&self) -> usize {
-        if self.handoff_budget > 0 {
-            self.handoff_budget
-        } else {
-            self.window.max(1)
         }
     }
 
@@ -529,12 +468,6 @@ impl DriftConfig {
             return Err(Error::InvalidConfig(format!(
                 "check interval {} is unreasonably large (max 2^24)",
                 self.check_interval
-            )));
-        }
-        if self.handoff_budget > 1 << 24 {
-            return Err(Error::InvalidConfig(format!(
-                "handoff budget {} is unreasonably large (max 2^24)",
-                self.handoff_budget
             )));
         }
         Ok(())
@@ -903,30 +836,18 @@ mod tests {
     fn drift_config_defaults_validate_and_builders_chain() {
         let d = DriftConfig::default();
         assert!(!d.repartition, "live repartitioning is opt-in");
-        assert_eq!(d.migration_mode, MigrationMode::Epoch);
         d.validate().unwrap();
         assert_eq!(d.effective_check_interval(), 4096 / 8);
-        assert_eq!(
-            d.effective_handoff_budget(),
-            d.window,
-            "automatic handoff budget matches the drift window"
-        );
         let d = DriftConfig::default()
             .with_repartition(true)
             .with_window(512)
             .with_imbalance_trigger(2.0)
             .with_cost_gate(0.5)
-            .with_check_interval(10)
-            .with_migration_mode(MigrationMode::Incremental)
-            .with_handoff_budget(128);
+            .with_check_interval(10);
         assert!(d.repartition);
         assert_eq!((d.window, d.check_interval), (512, 10));
         assert_eq!(d.effective_check_interval(), 10);
-        assert_eq!(d.migration_mode, MigrationMode::Incremental);
-        assert_eq!(d.effective_handoff_budget(), 128);
         d.validate().unwrap();
-        assert_eq!(MigrationMode::Epoch.to_string(), "epoch");
-        assert_eq!(MigrationMode::Incremental.to_string(), "incremental");
         // Tiny windows floor the automatic check interval at 64.
         assert_eq!(
             DriftConfig::default()
@@ -964,10 +885,6 @@ mod tests {
             .is_err());
         assert!(DriftConfig::default()
             .with_check_interval((1 << 24) + 1)
-            .validate()
-            .is_err());
-        assert!(DriftConfig::default()
-            .with_handoff_budget((1 << 24) + 1)
             .validate()
             .is_err());
         let mut c = JoinConfig::symmetric(16, IndexKind::PimTree);

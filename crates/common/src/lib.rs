@@ -32,8 +32,8 @@ pub mod sync;
 pub mod types;
 
 pub use config::{
-    DriftConfig, IndexKind, JoinConfig, MergePolicy, MigrationMode, PimConfig, RingConfig,
-    ShardConfig, TelemetryConfig,
+    DriftConfig, IndexKind, JoinConfig, MergePolicy, PimConfig, RingConfig, ShardConfig,
+    TelemetryConfig,
 };
 pub use error::{Error, Result};
 pub use memtraffic::MemTraffic;

@@ -97,9 +97,9 @@ use parking_lot::Mutex;
 use pimtree_btree::Entry;
 use pimtree_common::{
     BandPredicate, DriftConfig, JoinConfig, JoinResult, Key, KeyRange, LatencyHistogram,
-    LatencyRecorder, MergePolicy, MigrationMode, Seq, StreamSide, Tuple,
+    LatencyRecorder, MergePolicy, Seq, StreamSide, Tuple,
 };
-use pimtree_numa::{handoff_steps, DriftMonitor, HandoffStep, RangePartitioner};
+use pimtree_numa::{DriftMonitor, RangePartitioner};
 use pimtree_telemetry::{
     EnginePhase, GaugeSample, JsonlSink, StallCause, StallLap, TelemetryMode, TelemetryRegistry,
     WorkerRecorder,
@@ -177,31 +177,6 @@ struct DriftState {
     observations: u64,
     /// Plans rejected by the cost gate (or as no-ops), folded likewise.
     plans_rejected: u64,
-}
-
-/// The frontier of an in-flight incremental handoff (`--migration-mode
-/// incremental`): the adopted plan decomposed into per-sub-range steps, plus
-/// how far the handoff has progressed.
-///
-/// Invariants (all transitions run quiesced under the maintenance claim):
-///
-/// * Steps complete strictly in order; `next` is the first incomplete step.
-/// * At most one step is *active* at a time — only its sub-range is ever
-///   dual-owned in the store ([`crate::store`] tracks the moved-prefix cut
-///   inside the active step).
-/// * The routing swap to `new_partitioner` (and the bump of the store
-///   epoch) happens only after every step completed, so an interrupted
-///   handoff can always resume from `next` — including after the workers
-///   exit with the handoff unfinished (see `complete_handoff`).
-struct HandoffState {
-    /// The partitioner adopted once every step has completed.
-    new_partitioner: RangePartitioner,
-    /// Disjoint key sub-ranges whose owner changes, in ascending key order.
-    steps: Vec<HandoffStep>,
-    /// Index of the first incomplete step.
-    next: usize,
-    /// Whether `steps[next]` has begun (its remainder is dual-owned).
-    step_active: bool,
 }
 
 /// Open-loop arrival pacing for the SLO harness: tuple `measured_from + i`
@@ -282,13 +257,6 @@ struct Shared<'a> {
     /// Run-level migration totals (epochs, moved entries, stall), filled by
     /// whichever workers performed the epochs.
     migration_totals: Mutex<MigrationCounters>,
-    /// In-flight incremental handoff (`--migration-mode incremental`); only
-    /// touched under the maintenance claim with the engine quiesced.
-    handoff: Mutex<Option<HandoffState>>,
-    /// Mirrors `handoff.is_some()` so the workers' per-loop peek is one
-    /// relaxed load; while raised, `check_drift` stops staging new plans
-    /// (they would be measured against the partitioner being replaced).
-    handoff_active: AtomicBool,
     /// Open-loop arrival pacing; `None` runs closed-loop (as fast as the
     /// engine admits). Armed for the measured phase only.
     open_loop: Option<OpenLoopPacing>,
@@ -395,23 +363,14 @@ impl ParallelIbwj {
     }
 
     /// Streams periodic gauge samples (ring occupancy per shard, in-flight
-    /// count, window sizes, steal counters, drift imbalance, handoff
-    /// frontier) as JSON Lines to `path` during the measured phase, sampled
-    /// every `config.telemetry.sample_interval_ms`, and dumps the end-of-run
+    /// count, window sizes, steal counters, drift imbalance) as JSON Lines
+    /// to `path` during the measured phase, sampled every
+    /// `config.telemetry.sample_interval_ms`, and dumps the end-of-run
     /// telemetry report in the Prometheus text format to `path` + `.prom`.
     /// Requires a telemetry mode other than `off` to be useful, but works in
     /// every mode (gauges do not depend on phase timing).
     pub fn with_telemetry_out(mut self, path: impl Into<String>) -> Self {
         self.telemetry_out = Some(path.into());
-        self
-    }
-
-    /// Selects how an adopted repartition plan is applied: one wholesale
-    /// migration epoch ([`MigrationMode::Epoch`]) or a sequence of bounded
-    /// per-sub-range handoff steps ([`MigrationMode::Incremental`]).
-    /// Shorthand for setting `config.drift.migration_mode`.
-    pub fn with_migration_mode(mut self, mode: MigrationMode) -> Self {
-        self.config.drift.migration_mode = mode;
         self
     }
 
@@ -654,8 +613,6 @@ impl ParallelIbwj {
             forced_done: AtomicBool::new(false),
             repartition_pending: AtomicBool::new(false),
             migration_totals: Mutex::new(MigrationCounters::default()),
-            handoff: Mutex::new(None),
-            handoff_active: AtomicBool::new(false),
             open_loop: None,
             drained_pos: AtomicUsize::new(0),
             arrival_latency: Mutex::new(LatencyHistogram::new()),
@@ -749,11 +706,9 @@ impl ParallelIbwj {
             }
             elapsed
         });
-        // An incremental handoff interrupted by input exhaustion resumes
-        // from its frontier and runs to completion before the store is
-        // inspected, so post-run state always respects the adopted
-        // ownership (its remaining stalls still land in the counters).
-        complete_handoff(&shared);
+        // A forced plan armed in the input's tail is adopted before the
+        // store is inspected, so post-run state always respects it.
+        adopt_armed_forced_plan(&shared);
 
         let mut stats = JoinRunStats {
             tuples: measured,
@@ -981,8 +936,8 @@ fn is_finished(shared: &Shared<'_>) -> bool {
 /// The live gauge sampler: snapshots the engine's observable state every
 /// `interval` and appends one JSON line per snapshot (the schema is pinned
 /// by `docs/telemetry-schema.json`). Reads are relaxed loads and try-locks
-/// only — the sampler never blocks a worker; a contended drift or handoff
-/// lock simply reports the idle value for that round. One final sample is
+/// only — the sampler never blocks a worker; a contended drift lock simply
+/// reports the idle value for that round. One final sample is
 /// taken after the stop flag rises, so the drained end state is always in
 /// the trace. Between samples the sampler parks rather than sleeps, so the
 /// engine's unpark after raising the flag ends the wait at once.
@@ -1026,14 +981,6 @@ fn gauge_sample(shared: &Shared<'_>, seq: u64, start: Instant) -> GaugeSample {
         .as_ref()
         .and_then(|d| d.try_lock().map(|st| st.monitor.imbalance(&st.partitioner)))
         .unwrap_or(0.0);
-    let (handoff_steps_done, handoff_steps_total) = shared
-        .handoff
-        .try_lock()
-        .and_then(|slot| {
-            slot.as_ref()
-                .map(|st| (st.next as u64, st.steps.len() as u64))
-        })
-        .unwrap_or((0, 0));
     GaugeSample {
         seq,
         elapsed_us: start.elapsed().as_micros() as u64,
@@ -1048,8 +995,6 @@ fn gauge_sample(shared: &Shared<'_>, seq: u64, start: Instant) -> GaugeSample {
         local_claims: shared.ring.traffic().local(),
         stolen_claims: shared.ring.traffic().remote(),
         drift_imbalance,
-        handoff_steps_done,
-        handoff_steps_total,
         events: shared.telemetry.events(),
     }
 }
@@ -1415,14 +1360,7 @@ fn propagate(shared: &Shared<'_>, local: &mut JoinRunStats) {
 fn check_drift(shared: &Shared<'_>, st: &mut DriftState, observed: usize) {
     st.since_check += observed;
     st.observations += observed as u64;
-    // While an incremental handoff is in flight no new plan is staged: it
-    // would be measured against the partitioner currently being replaced
-    // (observations keep flowing — the sample stays warm for the next
-    // check after the handoff finalizes).
-    if st.pending.is_none()
-        && !shared.handoff_active.load(Ordering::Relaxed)
-        && st.since_check >= shared.drift_cfg.effective_check_interval()
-    {
+    if st.pending.is_none() && st.since_check >= shared.drift_cfg.effective_check_interval() {
         st.since_check = 0;
         if st.monitor.should_repartition(&st.partitioner) {
             let plan = st.monitor.plan(&st.partitioner);
@@ -1471,16 +1409,6 @@ fn check_drift(shared: &Shared<'_>, st: &mut DriftState, observed: usize) {
 /// Returns whether this visit held the maintenance claim, i.e. spent time
 /// the caller's phase clock must not charge to a task phase.
 fn maybe_repartition(shared: &Shared<'_>) -> bool {
-    // Incremental handoff (requires shard state to hand off — without the
-    // partitioned store a "migration" is just the ring router swap, for
-    // which the epoch path below is already minimal).
-    let incremental = shared.drift_cfg.migration_mode == MigrationMode::Incremental
-        && shared.store.is_partitioned();
-    if incremental && shared.handoff_active.load(Ordering::Acquire) {
-        // A handoff is in flight: perform its next bounded transition. New
-        // plan peeks wait until it finalizes.
-        return handoff_visit(shared, None);
-    }
     // Forced adoption (deterministic test/bench hook).
     let forced = match &shared.forced_repartition {
         Some((at, p))
@@ -1497,9 +1425,6 @@ fn maybe_repartition(shared: &Shared<'_>) -> bool {
     let drift_pending = forced.is_none() && shared.repartition_pending.load(Ordering::Acquire);
     if forced.is_none() && !drift_pending {
         return false;
-    }
-    if incremental {
-        return handoff_visit(shared, forced);
     }
     if shared.merge_claimed.swap(true, Ordering::AcqRel) {
         return false; // a merge or another epoch is in progress; retry later
@@ -1583,177 +1508,14 @@ fn maybe_repartition(shared: &Shared<'_>) -> bool {
     true
 }
 
-/// What one quiesced visit of the incremental handoff protocol did.
-enum HandoffTransition {
-    /// Began the next step: its sub-range became dual-owned (new appends
-    /// re-routed to the destination; probes fan out to both homes).
-    Begun,
-    /// Moved one budgeted chunk of the active step between its shard pair.
-    Advanced(crate::store::StoreMigration),
-    /// Every step done: routing and ownership swapped to the new
-    /// partitioner, handoff dismantled.
-    Finalized,
-}
-
-/// Performs one bounded transition of an incremental handoff under the
-/// maintenance claim — the incremental counterpart of the epoch body in
-/// [`maybe_repartition`]. Each visit quiesces the engine only for its own
-/// short transition (consume a plan and begin its first step, move one
-/// budgeted chunk, or finalize); ingestion and probing resume in between,
-/// which is exactly what bounds the per-stall tail (the epoch path pays for
-/// the whole migration in one quiesce).
-fn handoff_visit(shared: &Shared<'_>, forced: Option<RangePartitioner>) -> bool {
-    if shared.merge_claimed.swap(true, Ordering::AcqRel) {
-        return false; // a merge or another maintenance visit is in progress
-    }
-    let mut lap = StallLap::start();
-    if !close_gate_and_wait_attributed(shared, &mut lap) {
-        return true;
-    }
-    let outcome = handoff_transition(shared, forced, &mut lap);
-    open_gate(shared);
-    shared.merge_claimed.store(false, Ordering::Release);
-    // Residual transition bookkeeping + gate reopen, as in the epoch path.
-    lap.lap(StallCause::GateClose);
-    let Some(outcome) = outcome else { return true };
-    let breakdown = lap.finish();
-    shared.telemetry.record_stall(&breakdown);
-    let remote_cost = shared
-        .store
-        .topology()
-        .unwrap_or_else(|| shared.ring.topology())
-        .remote_cost;
-    let mut totals = shared.migration_totals.lock();
-    totals.record_stall_breakdown(&breakdown);
-    match outcome {
-        HandoffTransition::Begun => {}
-        HandoffTransition::Advanced(m) => {
-            totals.handoff_steps += 1;
-            totals.index_entries_moved += m.index_entries_moved;
-            totals.window_tuples_moved += m.window_tuples_moved;
-            totals.simulated_move_cost +=
-                (m.index_entries_moved + m.window_tuples_moved) * remote_cost;
-        }
-        HandoffTransition::Finalized => totals.epochs += 1,
-    }
-    true
-}
-
-/// The transition body of [`handoff_visit`]; runs with the gate closed, the
-/// engine quiescent and the maintenance claim held. Returns `None` when
-/// there was nothing to do (the staged plan was consumed by a racing visit
-/// between the caller's peek and the claim).
-fn handoff_transition(
-    shared: &Shared<'_>,
-    forced: Option<RangePartitioner>,
-    lap: &mut StallLap,
-) -> Option<HandoffTransition> {
-    let mut slot = shared.handoff.lock();
-    if slot.is_none() {
-        // Re-resolve the plan under the claim, exactly like the epoch path.
-        let new = if let Some(p) = forced {
-            (!shared.forced_done.swap(true, Ordering::SeqCst)).then_some(p)
-        } else {
-            shared.drift.as_ref().and_then(|d| {
-                let mut st = d.lock();
-                let p = st.pending.take();
-                if p.is_some() {
-                    // Lowered while the lock is held, for the same reason as
-                    // in the epoch path.
-                    shared.repartition_pending.store(false, Ordering::Release);
-                }
-                p
-            })
-        };
-        let new = new?;
-        let current = shared
-            .store
-            .partitioner()
-            .expect("incremental handoff requires a partitioned store");
-        let steps = handoff_steps(&current, &new);
-        *slot = Some(HandoffState {
-            new_partitioner: new,
-            steps,
-            next: 0,
-            step_active: false,
-        });
-        shared.handoff_active.store(true, Ordering::Release);
-        // Fall through: a no-op plan (no steps) finalizes right away, a
-        // real one begins its first step in this same quiesce.
-    }
-    let st = slot.as_mut().expect("handoff state ensured above");
-    if st.step_active {
-        let adv = shared
-            .store
-            .advance_handoff_step(shared.drift_cfg.effective_handoff_budget());
-        // The frontier cut never leaves the active step's sub-range.
-        debug_assert!(
-            (st.steps[st.next].lo..=st.steps[st.next].hi).contains(&adv.cut),
-            "handoff frontier left its step range"
-        );
-        if adv.done {
-            st.step_active = false;
-            st.next += 1;
-        }
-        // Split the budgeted chunk move over the store's measured sub-phases
-        // (cut selection counts as the snapshot share).
-        lap.lap_split(
-            &[
-                (StallCause::WindowSnapshot, adv.migration.snapshot_nanos),
-                (StallCause::Rebuild, adv.migration.rebuild_nanos),
-                (StallCause::IndexSwap, adv.migration.swap_nanos),
-            ],
-            StallCause::Rebuild,
-        );
-        return Some(HandoffTransition::Advanced(adv.migration));
-    }
-    if let Some(&step) = st.steps.get(st.next) {
-        shared
-            .store
-            .begin_handoff_step(step.lo, step.hi, step.src, step.dst);
-        // New arrivals of the whole step range go to the destination ring
-        // shard immediately (store appends follow suit), so the sub-range
-        // stops accumulating state at the source while it drains.
-        shared.ring.add_route_override(step.lo, step.hi, step.dst);
-        st.step_active = true;
-        // Beginning a step is a routing change: the override install is the
-        // whole cost of this quiesce.
-        lap.lap(StallCause::RouterSwap);
-        return Some(HandoffTransition::Begun);
-    }
-    // Every sub-range is fully moved: swap the routing wholesale (this
-    // clears the per-step overrides), retire the handoff overlay, and do
-    // the same drift bookkeeping as an epoch adoption so staged-but-stale
-    // plans cannot replay against the freshly adopted partitioner.
-    let new = st.new_partitioner.clone();
-    shared.ring.set_partitioner(new.clone());
-    shared.store.finish_handoff(&new);
-    if let Some(drift) = &shared.drift {
-        let mut d = drift.lock();
-        d.partitioner = new;
-        d.pending = None;
-        d.monitor.note_adoption();
-        shared.repartition_pending.store(false, Ordering::Release);
-    }
-    *slot = None;
-    shared.handoff_active.store(false, Ordering::Release);
-    // Finalization swaps the wholesale routing: a router change end to end.
-    lap.lap(StallCause::RouterSwap);
-    Some(HandoffTransition::Finalized)
-}
-
-/// Drives an incremental handoff left in flight by input exhaustion to
-/// completion. The workers have exited, so the remaining transitions run
-/// back to back on the coordinating thread; resumability from the frontier
-/// is exactly what makes this a plain loop.
-fn complete_handoff(shared: &Shared<'_>) {
-    // The forced-repartition hook is a deterministic contract: once its
-    // trigger point has been ingested, the plan is adopted. Workers check
-    // the trigger on their loop, but when the trigger sits in the input's
-    // tail every worker can drain its remaining tasks and exit between the
-    // final ingest and its next maintenance visit — so an armed,
-    // unconsumed trigger is consumed here (epoch adoption runs inline;
-    // incremental begins the handoff the loop below then drains).
+/// Adopts a forced plan whose trigger point was ingested but which no worker
+/// consumed. The forced-repartition hook is a deterministic contract: once
+/// its trigger point has been ingested, the plan is adopted. Workers check
+/// the trigger on their loop, but when the trigger sits in the input's tail
+/// every worker can drain its remaining tasks and exit between the final
+/// ingest and its next maintenance visit — so an armed, unconsumed trigger
+/// is consumed here, on the coordinating thread after the workers exited.
+fn adopt_armed_forced_plan(shared: &Shared<'_>) {
     let forced_armed = matches!(
         &shared.forced_repartition,
         Some((at, _)) if !shared.forced_done.load(Ordering::Acquire)
@@ -1761,9 +1523,6 @@ fn complete_handoff(shared: &Shared<'_>) {
     );
     if forced_armed {
         maybe_repartition(shared);
-    }
-    while shared.handoff_active.load(Ordering::Acquire) {
-        handoff_visit(shared, None);
     }
 }
 
@@ -2429,12 +2188,10 @@ mod tests {
                         if sc.partitioned {
                             let at = sc.tuples.len() / 2;
                             let sample: Vec<Key> = sc.tuples[at..].iter().map(|t| t.key).collect();
-                            op = op
-                                .with_forced_repartition(
-                                    at,
-                                    RangePartitioner::from_key_sample(2, &sample),
-                                )
-                                .with_migration_mode(env_migration_mode());
+                            op = op.with_forced_repartition(
+                                at,
+                                RangePartitioner::from_key_sample(2, &sample),
+                            );
                         }
                         let label = format!(
                             "{}, {policy:?}, {threads} workers, ingest target {ingest_target}",
@@ -2897,21 +2654,9 @@ mod tests {
         )
     }
 
-    /// Which migration mode the env-gated differential sweeps force.
-    /// CI's incremental legs pin `PIMTREE_TEST_MIGRATION=incremental`; the
-    /// default keeps the wholesale epoch protocol.
-    fn env_migration_mode() -> MigrationMode {
-        match std::env::var("PIMTREE_TEST_MIGRATION").ok().as_deref() {
-            Some("incremental") => MigrationMode::Incremental,
-            _ => MigrationMode::Epoch,
-        }
-    }
-
     /// Under `PIMTREE_TEST_REPARTITION=on`, arms `op` with a forced
     /// migration epoch at the stream midpoint, adopting a partitioner
-    /// rebalanced for the second half of the input (applied through the
-    /// `PIMTREE_TEST_MIGRATION` protocol — one wholesale epoch or an
-    /// incremental handoff).
+    /// rebalanced for the second half of the input.
     fn with_env_repartition(op: ParallelIbwj, tuples: &[Tuple], shards: usize) -> ParallelIbwj {
         if !repartition_forced() {
             return op;
@@ -2919,7 +2664,6 @@ mod tests {
         let at = tuples.len() / 2;
         let sample: Vec<Key> = tuples[at..].iter().map(|t| t.key).collect();
         op.with_forced_repartition(at, RangePartitioner::from_key_sample(shards, &sample))
-            .with_migration_mode(env_migration_mode())
     }
 
     /// The tentpole differential: with the per-shard index/window store the
@@ -3361,153 +3105,58 @@ mod tests {
         );
     }
 
-    /// The tentpole differential: a drift-adopted plan applied through the
-    /// incremental handoff protocol (small per-step budget, so the handoff
-    /// spans many bounded quiesces) produces results byte-identical to the
-    /// wholesale epoch protocol and the shared-store oracle, completes at
-    /// least one full handoff, and its worst single stall never exceeds the
-    /// cumulative stall (sanity of the max/total split).
+    /// A forced 4 → 1 collapse armed so late (50 tuples before the input
+    /// ends) that every worker can drain the ring and exit before its next
+    /// maintenance visit: the run-end adoption must still consume the armed
+    /// trigger, leaving the whole live window and index on shard 0. Whether
+    /// a worker gets there first depends on the schedule, so eight inputs
+    /// are run: without the run-end adoption, about half of them end with
+    /// the trigger unconsumed.
     #[test]
-    fn incremental_handoff_matches_epoch_and_oracle() {
-        let tuples = drifting_tuples(8000, 400, 10_000, 125);
+    fn forced_epoch_armed_in_the_input_tail_is_adopted() {
         let predicate = BandPredicate::new(2);
-        let expected = canonical(&reference_join(&tuples, predicate, 128, 128, false));
-        assert!(!expected.is_empty());
-        for shards in [2usize, 4] {
-            let first: Vec<Key> = tuples[..tuples.len() / 2].iter().map(|t| t.key).collect();
-            let partitioner = RangePartitioner::from_key_sample(shards, &first);
-            let shard_cfg = ShardConfig::default()
-                .with_shards(shards)
-                .with_partition_index(true);
-            let drift = pimtree_common::DriftConfig::default()
-                .with_repartition(true)
-                .with_window(512)
-                .with_imbalance_trigger(1.5)
-                .with_migration_mode(MigrationMode::Incremental)
-                .with_handoff_budget(64);
-            let op = ParallelIbwj::new(
-                config(128, 4, 4, 0.5, MergePolicy::NonBlocking)
-                    .with_shard(shard_cfg)
-                    .with_drift(drift),
-                predicate,
-                SharedIndexKind::PimTree,
-                false,
-            )
-            .with_partitioner(partitioner)
-            .with_collected_results(true);
-            let (stats, results) = op.run_with_store_inspector(&tuples, 0, |store| {
-                assert!(
-                    store.handoff_dual().is_none(),
-                    "no sub-range stays dual-owned after the run"
-                );
-            });
-            assert_eq!(canonical(&results), expected, "{shards} shards");
-            assert!(
-                stats.migration.epochs >= 1,
-                "the drifted load must complete a handoff ({shards} shards)"
-            );
-            assert!(stats.migration.epochs <= 8, "{shards} shards");
-            assert!(
-                stats.migration.handoff_steps >= 1,
-                "a full key-range shift must take budgeted steps ({shards} shards)"
-            );
-            assert!(stats.migration.window_tuples_moved > 0, "{shards} shards");
-            assert!(stats.migration.max_stall_nanos > 0, "{shards} shards");
-            assert!(
-                stats.migration.max_stall_nanos <= stats.migration.stall_nanos,
-                "{shards} shards"
-            );
-        }
-    }
-
-    /// A forced worst-case handoff (collapse 4 shards onto one) through the
-    /// incremental protocol, across both backends and merge policies: exact
-    /// results, post-handoff state entirely on shard 0, nothing dual-owned,
-    /// and the store epoch bumped exactly once at finalization.
-    #[test]
-    fn forced_incremental_collapse_preserves_results() {
-        let tuples = random_tuples(4000, 400, 126);
-        let predicate = BandPredicate::new(2);
-        let expected = canonical(&reference_join(&tuples, predicate, 128, 128, false));
-        assert!(!expected.is_empty());
-        for policy in [MergePolicy::NonBlocking, MergePolicy::Blocking] {
-            for kind in [SharedIndexKind::PimTree, SharedIndexKind::BwTree] {
-                let skewed = RangePartitioner::from_key_sample(4, &[]);
-                let cfg = config(128, 4, 4, 0.5, policy)
-                    .with_shard(
-                        ShardConfig::default()
-                            .with_shards(4)
-                            .with_partition_index(true),
-                    )
-                    .with_drift(
-                        pimtree_common::DriftConfig::default()
-                            .with_migration_mode(MigrationMode::Incremental)
-                            .with_handoff_budget(128),
-                    );
-                let op = ParallelIbwj::new(cfg, predicate, kind, false)
-                    .with_forced_repartition(tuples.len() / 2, skewed)
-                    .with_collected_results(true);
-                let label = format!("{policy:?}/{kind:?}");
-                let (stats, results) = op.run_with_store_inspector(&tuples, 0, |store| {
-                    assert!(store.handoff_dual().is_none());
-                    for fp in store.shard_footprints() {
-                        if fp.shard == 0 {
-                            continue;
-                        }
-                        for side in &fp.sides {
-                            assert_eq!(side.window_live, 0, "shard {}", fp.shard);
-                            assert_eq!(side.index_entries, 0, "shard {}", fp.shard);
-                        }
-                    }
-                    assert_eq!(store.epoch(), 1);
-                });
-                assert_eq!(canonical(&results), expected, "{label}");
-                assert_eq!(stats.migration.epochs, 1, "{label}");
-                assert!(stats.migration.handoff_steps >= 1, "{label}");
-                assert!(stats.migration.window_tuples_moved > 0, "{label}");
-                assert!(stats.migration.max_stall_nanos > 0, "{label}");
-            }
-        }
-    }
-
-    /// A handoff forced so late (and with so small a budget) that the input
-    /// ends while sub-ranges are still in flight: the run-end completion
-    /// path must resume from the frontier and finish the handoff, leaving
-    /// ownership fully swapped and nothing dual-owned.
-    #[test]
-    fn incremental_handoff_interrupted_by_input_end_completes() {
-        let tuples = random_tuples(3000, 300, 127);
-        let predicate = BandPredicate::new(2);
-        let expected = canonical(&reference_join(&tuples, predicate, 128, 128, false));
-        let cfg = config(128, 4, 4, 0.5, MergePolicy::NonBlocking)
-            .with_shard(
+        for seed in 127..135 {
+            let tuples = random_tuples(3000, 300, seed);
+            let expected = canonical(&reference_join(&tuples, predicate, 128, 128, false));
+            let cfg = config(128, 4, 4, 0.5, MergePolicy::NonBlocking).with_shard(
                 ShardConfig::default()
                     .with_shards(4)
                     .with_partition_index(true),
-            )
-            .with_drift(
-                pimtree_common::DriftConfig::default()
-                    .with_migration_mode(MigrationMode::Incremental)
-                    .with_handoff_budget(1),
             );
-        let op = ParallelIbwj::new(cfg, predicate, SharedIndexKind::PimTree, false)
-            .with_forced_repartition(tuples.len() - 50, RangePartitioner::from_key_sample(4, &[]))
-            .with_collected_results(true);
-        let (stats, results) = op.run_with_store_inspector(&tuples, 0, |store| {
-            assert!(store.handoff_dual().is_none());
-            for fp in store.shard_footprints() {
-                if fp.shard == 0 {
-                    continue;
+            let op = ParallelIbwj::new(cfg, predicate, SharedIndexKind::PimTree, false)
+                .with_forced_repartition(
+                    tuples.len() - 50,
+                    RangePartitioner::from_key_sample(4, &[]),
+                )
+                .with_collected_results(true);
+            let mut on_shard_zero = [(0usize, 0usize); 2];
+            let (stats, results) = op.run_with_store_inspector(&tuples, 0, |store| {
+                for fp in store.shard_footprints() {
+                    for (side, held) in fp.sides.iter().zip(on_shard_zero.iter_mut()) {
+                        if fp.shard == 0 {
+                            *held = (side.window_live, side.index_entries);
+                        } else {
+                            assert_eq!(side.window_live, 0, "seed {seed}, shard {}", fp.shard);
+                            assert_eq!(side.index_entries, 0, "seed {seed}, shard {}", fp.shard);
+                        }
+                    }
                 }
-                for side in &fp.sides {
-                    assert_eq!(side.window_live, 0, "shard {}", fp.shard);
-                    assert_eq!(side.index_entries, 0, "shard {}", fp.shard);
-                }
+            });
+            assert_eq!(canonical(&results), expected, "seed {seed}");
+            assert_eq!(
+                stats.migration.epochs, 1,
+                "seed {seed}: the armed trigger must be adopted"
+            );
+            let r_count = tuples.iter().filter(|t| t.side == StreamSide::R).count();
+            let live = [r_count.min(128), (tuples.len() - r_count).min(128)];
+            for (side, &(window_live, index_entries)) in on_shard_zero.iter().enumerate() {
+                assert_eq!(window_live, live[side], "seed {seed}, side {side}");
+                assert!(
+                    index_entries >= live[side],
+                    "seed {seed}, side {side}: shard 0 indexes every live tuple"
+                );
             }
-        });
-        assert_eq!(canonical(&results), expected);
-        assert_eq!(stats.migration.epochs, 1, "completion must finalize");
-        assert!(stats.migration.handoff_steps >= 1);
+        }
     }
 
     /// Open-loop pacing: arrival-rate runs report one arrival→drain sample
@@ -3691,80 +3340,6 @@ mod tests {
                 prop_assert_eq!(live_census[1], s_count.min(w), "side S census");
             }
 
-            /// The incremental counterpart: the same randomly placed forced
-            /// migration applied as a budgeted handoff — interrupted and
-            /// resumed at every sub-range boundary by design, possibly cut
-            /// short by input exhaustion and finished by the run-end
-            /// completion path — equals the shared-store oracle across both
-            /// backends and merge policies, leaves nothing dual-owned, and
-            /// drops/duplicates no unexpired tuple.
-            #[test]
-            fn incremental_handoff_matches_oracle_and_drops_no_live_tuple(
-                seed in 1_000u64..2_000,
-                n in 1_000usize..2_500,
-                at_pct in 0usize..101,
-                shards in 2usize..5,
-                budget in 1usize..97,
-                blocking in prop::bool::ANY,
-                bw in prop::bool::ANY,
-                skew in prop::bool::ANY,
-            ) {
-                let tuples = random_tuples(n, 300, seed);
-                let predicate = BandPredicate::new(2);
-                let w = 64usize;
-                let expected = canonical(&reference_join(&tuples, predicate, w, w, false));
-                let at = n * at_pct / 100;
-                let forced = if skew {
-                    RangePartitioner::from_key_sample(shards, &[])
-                } else {
-                    let sample: Vec<Key> = tuples[at.min(n - 1)..].iter().map(|t| t.key).collect();
-                    RangePartitioner::from_key_sample(shards, &sample)
-                };
-                let policy = if blocking {
-                    MergePolicy::Blocking
-                } else {
-                    MergePolicy::NonBlocking
-                };
-                let kind = if bw {
-                    SharedIndexKind::BwTree
-                } else {
-                    SharedIndexKind::PimTree
-                };
-                let cfg = config(w, 4, 4, 0.5, policy)
-                    .with_shard(
-                        ShardConfig::default()
-                            .with_shards(shards)
-                            .with_partition_index(true),
-                    )
-                    .with_drift(
-                        pimtree_common::DriftConfig::default()
-                            .with_migration_mode(MigrationMode::Incremental)
-                            .with_handoff_budget(budget),
-                    );
-                let op = ParallelIbwj::new(cfg, predicate, kind, false)
-                    .with_forced_repartition(at, forced)
-                    .with_collected_results(true);
-                let mut live_census = [0usize; 2];
-                let mut dual = None;
-                let (stats, results) = op.run_with_store_inspector(&tuples, 0, |store| {
-                    dual = store.handoff_dual();
-                    for fp in store.shard_footprints() {
-                        for (side, counts) in fp.sides.iter().zip(live_census.iter_mut()) {
-                            *counts += side.window_live;
-                        }
-                    }
-                });
-                prop_assert_eq!(canonical(&results), expected);
-                prop_assert_eq!(stats.migration.epochs, 1);
-                prop_assert!(dual.is_none(), "handoff fully finalized");
-                if stats.migration.window_tuples_moved > 0 {
-                    prop_assert!(stats.migration.handoff_steps >= 1);
-                }
-                let r_count = tuples.iter().filter(|t| t.side == StreamSide::R).count();
-                let s_count = tuples.len() - r_count;
-                prop_assert_eq!(live_census[0], r_count.min(w), "side R census");
-                prop_assert_eq!(live_census[1], s_count.min(w), "side S census");
-            }
         }
     }
 
@@ -3799,8 +3374,7 @@ mod tests {
 
     /// With the flight recorder in `full` mode, a forced mid-run migration's
     /// stall decomposes into named causes whose sum reproduces the engine's
-    /// total migration stall within 1% (exactly, by lap-timer construction) —
-    /// under both the wholesale epoch and the incremental handoff protocol —
+    /// total migration stall within 1% (exactly, by lap-timer construction),
     /// and the end-of-run report carries per-phase time for every worker.
     #[test]
     fn telemetry_full_attributes_stalls_and_phases() {
@@ -3808,77 +3382,60 @@ mod tests {
         let predicate = BandPredicate::new(2);
         let expected = canonical(&reference_join(&tuples, predicate, 128, 128, false));
         assert!(!expected.is_empty());
-        for mode in [MigrationMode::Epoch, MigrationMode::Incremental] {
-            let first: Vec<Key> = tuples[..tuples.len() / 2].iter().map(|t| t.key).collect();
-            let cfg = config(128, 4, 4, 0.5, MergePolicy::NonBlocking)
-                .with_shard(
-                    ShardConfig::default()
-                        .with_shards(2)
-                        .with_partition_index(true),
-                )
-                .with_drift(
-                    pimtree_common::DriftConfig::default()
-                        .with_migration_mode(mode)
-                        .with_handoff_budget(64),
-                )
-                .with_telemetry(
-                    pimtree_common::TelemetryConfig::default().with_mode(TelemetryMode::Full),
-                );
-            let op = ParallelIbwj::new(cfg, predicate, SharedIndexKind::PimTree, false)
-                .with_partitioner(RangePartitioner::from_key_sample(2, &first))
-                .with_forced_repartition(
-                    tuples.len() / 2,
-                    RangePartitioner::from_key_sample(2, &[]),
-                )
-                .with_collected_results(true);
-            let (stats, results) = op.run(&tuples);
-            assert_eq!(canonical(&results), expected, "{mode:?}");
-            assert!(stats.migration.epochs >= 1, "{mode:?}");
-            assert!(stats.migration.stall_nanos > 0, "{mode:?}");
-            let cause_sum = stats.migration.stall_causes.total_nanos();
-            let total = stats.migration.stall_nanos;
-            assert!(
-                (cause_sum as f64 - total as f64).abs() <= total as f64 * 0.01,
-                "{mode:?}: causes sum {cause_sum} vs total {total}"
+        let first: Vec<Key> = tuples[..tuples.len() / 2].iter().map(|t| t.key).collect();
+        let cfg = config(128, 4, 4, 0.5, MergePolicy::NonBlocking)
+            .with_shard(
+                ShardConfig::default()
+                    .with_shards(2)
+                    .with_partition_index(true),
+            )
+            .with_telemetry(
+                pimtree_common::TelemetryConfig::default().with_mode(TelemetryMode::Full),
             );
-            // Both protocols quiesce through the gate, so the gate causes
-            // must carry weight; a migration must attribute state movement.
-            assert!(
-                stats.migration.stall_cause_nanos(StallCause::GateClose) > 0,
-                "{mode:?}"
-            );
-            if stats.migration.window_tuples_moved > 0 {
-                let moved = stats
-                    .migration
-                    .stall_cause_nanos(StallCause::WindowSnapshot)
-                    + stats.migration.stall_cause_nanos(StallCause::Rebuild)
-                    + stats.migration.stall_cause_nanos(StallCause::IndexSwap);
-                assert!(moved > 0, "{mode:?}: moved state must attribute sub-phases");
-            }
-            let report = stats
-                .telemetry
-                .as_ref()
-                .expect("full mode fills the report");
-            assert_eq!(report.mode, TelemetryMode::Full);
-            assert_eq!(report.per_worker.len(), 4);
-            assert_eq!(report.stall.total_nanos(), total, "{mode:?}");
-            for phase in [EnginePhase::Claim, EnginePhase::Probe, EnginePhase::Expiry] {
-                assert!(report.totals.nanos(phase) > 0, "{mode:?} {phase:?}");
-            }
-            assert!(
-                report.phase_histograms.is_some() && report.stall_histograms.is_some(),
-                "{mode:?}: full mode records histograms"
-            );
-            assert!(report.to_prometheus().contains("pimtree_phase_nanos"));
-            // Full mode is also what pays for the per-probe step split.
-            let search = stats.breakdown.count(pimtree_common::Step::Search);
-            assert!(search > 0, "{mode:?}");
-            assert_eq!(
-                stats.breakdown.count(pimtree_common::Step::Scan),
-                search,
-                "{mode:?}"
-            );
+        let op = ParallelIbwj::new(cfg, predicate, SharedIndexKind::PimTree, false)
+            .with_partitioner(RangePartitioner::from_key_sample(2, &first))
+            .with_forced_repartition(tuples.len() / 2, RangePartitioner::from_key_sample(2, &[]))
+            .with_collected_results(true);
+        let (stats, results) = op.run(&tuples);
+        assert_eq!(canonical(&results), expected);
+        assert!(stats.migration.epochs >= 1);
+        assert!(stats.migration.stall_nanos > 0);
+        let cause_sum = stats.migration.stall_causes.total_nanos();
+        let total = stats.migration.stall_nanos;
+        assert!(
+            (cause_sum as f64 - total as f64).abs() <= total as f64 * 0.01,
+            "causes sum {cause_sum} vs total {total}"
+        );
+        // The epoch quiesces through the gate, so the gate causes must
+        // carry weight; a migration must attribute state movement.
+        assert!(stats.migration.stall_cause_nanos(StallCause::GateClose) > 0);
+        if stats.migration.window_tuples_moved > 0 {
+            let moved = stats
+                .migration
+                .stall_cause_nanos(StallCause::WindowSnapshot)
+                + stats.migration.stall_cause_nanos(StallCause::Rebuild)
+                + stats.migration.stall_cause_nanos(StallCause::IndexSwap);
+            assert!(moved > 0, "moved state must attribute sub-phases");
         }
+        let report = stats
+            .telemetry
+            .as_ref()
+            .expect("full mode fills the report");
+        assert_eq!(report.mode, TelemetryMode::Full);
+        assert_eq!(report.per_worker.len(), 4);
+        assert_eq!(report.stall.total_nanos(), total);
+        for phase in [EnginePhase::Claim, EnginePhase::Probe, EnginePhase::Expiry] {
+            assert!(report.totals.nanos(phase) > 0, "{phase:?}");
+        }
+        assert!(
+            report.phase_histograms.is_some() && report.stall_histograms.is_some(),
+            "full mode records histograms"
+        );
+        assert!(report.to_prometheus().contains("pimtree_phase_nanos"));
+        // Full mode is also what pays for the per-probe step split.
+        let search = stats.breakdown.count(pimtree_common::Step::Search);
+        assert!(search > 0);
+        assert_eq!(stats.breakdown.count(pimtree_common::Step::Scan), search);
     }
 
     /// The default (off) mode leaves the report unset and the results exact —
@@ -3950,8 +3507,6 @@ mod tests {
                 "\"local_claims\":",
                 "\"stolen_claims\":",
                 "\"drift_imbalance\":",
-                "\"handoff_steps_done\":",
-                "\"handoff_steps_total\":",
                 "\"events\":",
             ] {
                 assert!(line.contains(key), "missing {key} in {line}");

@@ -73,13 +73,8 @@ enum Router {
     /// no key-range partitioner is configured.
     RoundRobin,
     /// The shard owning the tuple's key range (`pimtree-numa`'s
-    /// workload-aware partitioning), plus the incremental handoff's route
-    /// overrides: inclusive key intervals already (or currently being)
-    /// re-homed to a new owner, checked before the partitioner so new
-    /// ingests of a moving sub-range go to its new home immediately. Sorted
-    /// and pairwise disjoint (they come from disjoint handoff steps), so a
-    /// binary search finds the covering override.
-    Range(RangePartitioner, Vec<(Key, Key, usize)>),
+    /// workload-aware partitioning).
+    Range(RangePartitioner),
 }
 
 /// One successful claim from the sharded ring: which shard the tuples came
@@ -152,7 +147,7 @@ impl ShardedRing {
                     config.shards,
                     "partitioner and shard config disagree on the shard count"
                 );
-                Router::Range(p, Vec::new())
+                Router::Range(p)
             }
             None => Router::RoundRobin,
         };
@@ -264,49 +259,7 @@ impl ShardedRing {
             self.rings.len(),
             "partitioner and shard config disagree on the shard count"
         );
-        *self.router.write() = Arc::new(Router::Range(partitioner, Vec::new()));
-    }
-
-    /// Adds a route override for the *inclusive* key interval `[lo, hi]`:
-    /// every ingest of a key in it routes to shard `dst`, bypassing the
-    /// partitioner — the ring half of beginning an incremental handoff step
-    /// (the moving sub-range's new inserts must go to the new home while the
-    /// resident slice is still being migrated). Overrides accumulate across
-    /// the steps of one handoff and must stay pairwise disjoint; they are
-    /// cleared when [`set_partitioner`](Self::set_partitioner) installs the
-    /// handoff's final partitioner. Like the swap itself, this must only be
-    /// called while the engine is quiesced (no ingest guard alive).
-    ///
-    /// # Panics
-    ///
-    /// Panics when round-robin routing is active (a handoff needs a
-    /// partitioner to move away from), when `dst` is out of range, when
-    /// `lo > hi`, or when the interval overlaps an existing override.
-    pub fn add_route_override(&self, lo: Key, hi: Key, dst: usize) {
-        assert!(lo <= hi, "override interval [{lo}, {hi}] is empty");
-        assert!(dst < self.rings.len(), "override shard {dst} out of range");
-        let mut router = self.router.write();
-        let Router::Range(partitioner, overrides) = &**router else {
-            panic!("route overrides need range routing");
-        };
-        let mut overrides = overrides.clone();
-        let pos = overrides.partition_point(|&(_, ohi, _)| ohi < lo);
-        if let Some(&(olo, ohi, _)) = overrides.get(pos) {
-            assert!(
-                hi < olo,
-                "override [{lo}, {hi}] overlaps existing [{olo}, {ohi}]"
-            );
-        }
-        overrides.insert(pos, (lo, hi, dst));
-        *router = Arc::new(Router::Range(partitioner.clone(), overrides));
-    }
-
-    /// Number of live route overrides (zero outside an incremental handoff).
-    pub fn route_overrides(&self) -> usize {
-        match &**self.router.read() {
-            Router::RoundRobin => 0,
-            Router::Range(_, overrides) => overrides.len(),
-        }
+        *self.router.write() = Arc::new(Router::Range(partitioner));
     }
 
     /// Claims up to `max` tuples for the worker homed on `home`: from the
@@ -459,15 +412,7 @@ impl ShardIngestGuard<'_> {
                 (self.ring.next_arrival.load(Ordering::Relaxed) % self.ring.rings.len() as u64)
                     as usize
             }
-            Router::Range(p, overrides) => {
-                // Overrides are sorted and disjoint: the first interval with
-                // hi >= key covers key or nobody does.
-                let pos = overrides.partition_point(|&(_, ohi, _)| ohi < key);
-                match overrides.get(pos) {
-                    Some(&(olo, _, dst)) if olo <= key => dst,
-                    _ => p.node_of(key),
-                }
-            }
+            Router::Range(p) => p.node_of(key),
         }
     }
 
@@ -649,38 +594,6 @@ mod tests {
             (0..20).collect::<Vec<u64>>(),
             "drain follows global arrival order across the router swap"
         );
-    }
-
-    #[test]
-    fn route_overrides_redirect_only_their_interval() {
-        // All keys on shard 0 initially; an override re-homes [10, 19] to
-        // shard 1 while the partitioner is untouched.
-        let all_low = RangePartitioner::from_key_sample(2, &[]);
-        let ring = ShardedRing::new(&config(2), 4, 64, Some(all_low));
-        assert_eq!(ring.route_overrides(), 0);
-        ring.add_route_override(10, 19, 1);
-        assert_eq!(ring.route_overrides(), 1);
-        assert_eq!(ingest_keys(&ring, 0, 30, |i| i as Key), 30);
-        assert_eq!(ring.shard_available(0), 20, "keys outside the override");
-        assert_eq!(ring.shard_available(1), 10, "keys 10..=19 rerouted");
-        // A second, disjoint override stacks; overlapping ones are rejected.
-        ring.add_route_override(25, 27, 1);
-        assert_eq!(ring.route_overrides(), 2);
-        assert!(std::panic::catch_unwind(|| ring.add_route_override(19, 26, 0)).is_err());
-        assert!(std::panic::catch_unwind(|| ring.add_route_override(5, 10, 0)).is_err());
-        // Installing the final partitioner clears every override.
-        ring.set_partitioner(RangePartitioner::from_key_sample(
-            2,
-            &(0..30).collect::<Vec<Key>>(),
-        ));
-        assert_eq!(ring.route_overrides(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "route overrides need range routing")]
-    fn route_overrides_require_a_partitioner() {
-        let ring = ShardedRing::new(&config(2), 4, 16, None);
-        ring.add_route_override(0, 10, 1);
     }
 
     #[test]

@@ -94,13 +94,8 @@ pub struct MigrationCounters {
     pub enabled: u64,
     /// `(key, match count)` observations fed into the drift monitor.
     pub observations: u64,
-    /// Repartition plans adopted — one wholesale migration epoch each in
-    /// epoch mode, one completed incremental handoff each in incremental
-    /// mode.
+    /// Repartition plans adopted, one migration epoch each.
     pub epochs: u64,
-    /// Incremental handoff quiesce steps executed (0 in epoch mode). Each
-    /// step moved at most the configured handoff budget of window tuples.
-    pub handoff_steps: u64,
     /// Plans whose moved-weight fraction failed the cost gate (or that were
     /// no-ops against the current partitioner) and were not adopted.
     pub plans_rejected: u64,
@@ -114,14 +109,10 @@ pub struct MigrationCounters {
     /// NUMA topology (remote-access cost per moved entry).
     pub simulated_move_cost: u64,
     /// Wall-clock nanoseconds the engine spent quiesced for migrations
-    /// (gate close through gate reopen), summed over all epochs and handoff
-    /// steps.
+    /// (gate close through gate reopen), summed over all epochs.
     pub stall_nanos: u64,
-    /// Longest single quiesce in nanoseconds — the per-epoch stall in epoch
-    /// mode, the per-step stall in incremental mode. This is the number SLO
-    /// gates assert on: the cumulative `stall_nanos` can be identical
-    /// between the modes while the worst-case pause differs by orders of
-    /// magnitude (`max`-merged, not summed).
+    /// Longest single quiesce in nanoseconds: the worst pause one epoch
+    /// imposed (`max`-merged, not summed).
     pub max_stall_nanos: u64,
     /// Per-cause decomposition of `stall_nanos`: every quiesce interval is
     /// tiled into gate-close / in-flight-drain / snapshot / rebuild / swap
@@ -135,7 +126,6 @@ impl MigrationCounters {
         self.enabled = self.enabled.max(other.enabled);
         self.observations += other.observations;
         self.epochs += other.epochs;
-        self.handoff_steps += other.handoff_steps;
         self.plans_rejected += other.plans_rejected;
         self.index_entries_moved += other.index_entries_moved;
         self.window_tuples_moved += other.window_tuples_moved;
@@ -683,7 +673,6 @@ mod tests {
         let mut b = JoinRunStats::default();
         b.migration.enabled = 1;
         b.migration.epochs = 2;
-        b.migration.handoff_steps = 5;
         b.migration.plans_rejected = 1;
         b.migration.window_tuples_moved = 10;
         b.migration.simulated_move_cost = 1500;
@@ -691,7 +680,6 @@ mod tests {
         a.absorb(&b);
         assert_eq!(a.migration.enabled, 1, "max, not sum");
         assert_eq!(a.migration.epochs, 3);
-        assert_eq!(a.migration.handoff_steps, 5);
         assert_eq!(a.migration.plans_rejected, 1);
         assert_eq!(a.migration.tuples_moved(), 60);
         assert!((a.migration.stall_micros() - 9.0).abs() < 1e-9);

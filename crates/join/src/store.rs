@@ -176,15 +176,6 @@ struct SharedState {
 struct StoreShard {
     windows: [ShardWindow; 2],
     indexes: [StoreIndex; 2],
-    /// Key intervals whose state an incremental handoff moved *out* of this
-    /// shard while their index entries stayed behind (neither tree backend
-    /// supports cheap range deletion). The entries are unreachable — every
-    /// probe of a moved interval is routed to its new owner — so they only
-    /// matter when a later handoff moves an overlapping interval back *in*:
-    /// [`ShardStore::begin_handoff_step`] then rebuilds this shard's indexes
-    /// from its windows before the stale entries could shadow live ones.
-    /// Sorted and pairwise disjoint.
-    stale: Vec<(Key, Key)>,
 }
 
 impl StoreShard {
@@ -195,150 +186,16 @@ impl StoreShard {
                 ShardWindow::new(window_sizes[1], slack),
             ],
             indexes: [StoreIndex::new(kind, pim), StoreIndex::new(kind, pim)],
-            stale: Vec::new(),
         }
-    }
-
-    /// Whether `key` lies in one of the shard's stale (moved-out) intervals.
-    fn is_stale(&self, key: Key) -> bool {
-        let pos = self.stale.partition_point(|&(_, hi)| hi < key);
-        matches!(self.stale.get(pos), Some(&(lo, _)) if lo <= key)
-    }
-
-    /// Records `[lo, hi]` as moved out, coalescing with an adjacent interval.
-    fn push_stale(&mut self, lo: Key, hi: Key) {
-        let pos = self.stale.partition_point(|&(_, shi)| shi < lo);
-        if pos > 0 {
-            let (_, prev_hi) = self.stale[pos - 1];
-            if prev_hi.checked_add(1) == Some(lo) {
-                self.stale[pos - 1].1 = hi;
-                return;
-            }
-        }
-        if let Some(&(nlo, _)) = self.stale.get(pos) {
-            if hi.checked_add(1) == Some(nlo) {
-                self.stale[pos].0 = lo;
-                return;
-            }
-            debug_assert!(hi < nlo, "stale intervals must stay disjoint");
-        }
-        self.stale.insert(pos, (lo, hi));
     }
 }
 
-/// The in-flight remainder of an incremental handoff step: the keys of
-/// `[lo, hi]` are **dual-owned** between `src` and `dst`. Entries of `side`
-/// with `seq < begin_heads[side]` (appended before the step began) still
-/// live at `src`; everything newer was routed to `dst`. The split is by
-/// sequence number, so probing both homes and concatenating reports every
-/// match exactly once.
-#[derive(Debug, Clone, Copy)]
-struct DualRange {
-    lo: Key,
-    hi: Key,
-    src: usize,
-    dst: usize,
-    /// Per-side global head captured when the step began.
-    begin_heads: [Seq; 2],
-}
-
-/// The incremental handoff's view of ownership, layered over the (not yet
-/// swapped) partitioner. Empty outside a handoff, so the hot paths pay one
-/// emptiness check.
-#[derive(Default)]
-struct HandoffOverlay {
-    /// Intervals whose resident state has fully moved to the new owner:
-    /// completed steps plus the moved prefix of the in-flight step. Inserts
-    /// route there and probes visit the new owner *instead of* the old one.
-    /// Sorted and pairwise disjoint.
-    rerouted: Vec<(Key, Key, usize)>,
-    /// The dual-owned remainder of the in-flight step, if any. At most one
-    /// sub-range is ever dual-owned — the handoff frontier invariant.
-    dual: Option<DualRange>,
-}
-
-impl HandoffOverlay {
-    fn is_empty(&self) -> bool {
-        self.rerouted.is_empty() && self.dual.is_none()
-    }
-
-    /// The rerouted interval covering `key`, if any.
-    fn rerouted_to(&self, key: Key) -> Option<usize> {
-        let pos = self.rerouted.partition_point(|&(_, hi, _)| hi < key);
-        match self.rerouted.get(pos) {
-            Some(&(lo, _, dst)) if lo <= key => Some(dst),
-            _ => None,
-        }
-    }
-
-    /// Records `[lo, hi]` as fully moved to `dst`, coalescing with an
-    /// adjacent interval rerouted to the same destination.
-    fn push_rerouted(&mut self, lo: Key, hi: Key, dst: usize) {
-        let pos = self.rerouted.partition_point(|&(_, rhi, _)| rhi < lo);
-        if pos > 0 {
-            let (_, prev_hi, prev_dst) = self.rerouted[pos - 1];
-            if prev_dst == dst && prev_hi.checked_add(1) == Some(lo) {
-                self.rerouted[pos - 1].1 = hi;
-                return;
-            }
-        }
-        debug_assert!(
-            self.rerouted.get(pos).is_none_or(|&(nlo, _, _)| hi < nlo),
-            "rerouted intervals must stay disjoint"
-        );
-        self.rerouted.insert(pos, (lo, hi, dst));
-    }
-}
-
-/// The migratable core of the partitioned layout: the partitioner, the
-/// shard table it routes into and the handoff overlay layered over both
-/// always change together (every migration transition swaps them under one
-/// quiesce), so they live behind one lock.
+/// The migratable core of the partitioned layout: the partitioner and the
+/// shard table it routes into always change together (a migration epoch
+/// swaps both under one quiesce), so they live behind one lock.
 struct PartitionedInner {
     partitioner: RangePartitioner,
     shards: Vec<StoreShard>,
-    overlay: HandoffOverlay,
-}
-
-impl PartitionedInner {
-    /// The shard that owns new *window appends* of `key`: the handoff
-    /// overlay first (a moving sub-range's new tuples go to its new home
-    /// immediately), the partitioner otherwise.
-    fn append_owner(&self, key: Key) -> usize {
-        if !self.overlay.is_empty() {
-            if let Some(dst) = self.overlay.rerouted_to(key) {
-                return dst;
-            }
-            if let Some(d) = &self.overlay.dual {
-                if (d.lo..=d.hi).contains(&key) {
-                    return d.dst;
-                }
-            }
-        }
-        self.partitioner.node_of(key)
-    }
-
-    /// The shard that owns the *index entry* of `(key, seq)` on `side`. In
-    /// the dual-owned sub-range the window entry's residency decides: tuples
-    /// appended before the step began still live (and get probed) at `src`,
-    /// newer ones at `dst` — the seq split that keeps dual probes disjoint.
-    fn index_owner(&self, side: usize, key: Key, seq: Seq) -> usize {
-        if !self.overlay.is_empty() {
-            if let Some(dst) = self.overlay.rerouted_to(key) {
-                return dst;
-            }
-            if let Some(d) = &self.overlay.dual {
-                if (d.lo..=d.hi).contains(&key) {
-                    return if seq >= d.begin_heads[side] {
-                        d.dst
-                    } else {
-                        d.src
-                    };
-                }
-            }
-        }
-        self.partitioner.node_of(key)
-    }
 }
 
 /// The partitioned layout: one [`StoreShard`] per key range, plus the global
@@ -380,41 +237,11 @@ struct StoreScratch {
     sub_entries: Vec<(Key, Seq)>,
     /// Insert routing: `(shard, key, seq)` per entry, grouped shard-major.
     routed: Vec<(usize, Key, Seq)>,
-    /// Probe segments `(shard, item, sub-range)` of the handoff fan-out.
-    seg: Vec<(usize, usize, KeyRange)>,
 }
 
 thread_local! {
     static STORE_SCRATCH: std::cell::RefCell<StoreScratch> =
         std::cell::RefCell::new(StoreScratch::default());
-}
-
-/// Emits `[lo, hi]` minus the sorted, disjoint rerouted intervals as zero or
-/// more maximal remaining pieces, in ascending key order.
-fn subtract_rerouted(
-    rerouted: &[(Key, Key, usize)],
-    lo: Key,
-    hi: Key,
-    mut emit: impl FnMut(Key, Key),
-) {
-    let mut cur = lo;
-    let start = rerouted.partition_point(|&(_, rhi, _)| rhi < lo);
-    for &(rlo, rhi, _) in &rerouted[start..] {
-        if rlo > hi {
-            break;
-        }
-        if rlo > cur {
-            emit(cur, rlo - 1);
-        }
-        match rhi.checked_add(1) {
-            Some(next) if next <= hi => cur = next,
-            // The interval runs to (or past) `hi`: nothing remains.
-            _ => return,
-        }
-    }
-    if cur <= hi {
-        emit(cur, hi);
-    }
 }
 
 /// Probes one shard's index and window over a prepared sub-batch: for
@@ -518,22 +345,9 @@ pub(crate) struct StoreMigration {
     pub snapshot_nanos: u64,
     /// Nanoseconds spent re-splitting and rebuilding shard windows/indexes.
     pub rebuild_nanos: u64,
-    /// Nanoseconds spent swapping the rebuilt state in (shard table /
-    /// overlay / traffic bookkeeping).
+    /// Nanoseconds spent swapping the rebuilt state in (shard table and
+    /// traffic bookkeeping).
     pub swap_nanos: u64,
-}
-
-/// Report of one bounded advance of the in-flight incremental handoff step.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct HandoffAdvance {
-    /// Entries this advance moved between the step's shard pair.
-    pub migration: StoreMigration,
-    /// The step prefix up to (and including) this key is now fully moved
-    /// and rerouted to the destination shard.
-    pub cut: Key,
-    /// Whether the step's whole sub-range has been moved (nothing is
-    /// dual-owned anymore).
-    pub done: bool,
 }
 
 /// Footprint of one store shard (both sides).
@@ -577,7 +391,6 @@ impl ShardStore {
                     inner: RwLock::new(PartitionedInner {
                         partitioner: p,
                         shards,
-                        overlay: HandoffOverlay::default(),
                     }),
                     heads: [
                         CachePadded::new(AtomicU64::new(0)),
@@ -670,7 +483,7 @@ impl ShardStore {
             Layout::Partitioned(p) => {
                 let inner = p.inner.read();
                 let seq = p.heads[side].load(Ordering::Relaxed);
-                let shard = inner.append_owner(key);
+                let shard = inner.partitioner.node_of(key);
                 let earliest_live = seq.saturating_sub(self.window_sizes[side] as u64);
                 inner.shards[shard].windows[side].append(seq, key, earliest_live)?;
                 p.heads[side].store(seq + 1, Ordering::Release);
@@ -773,7 +586,7 @@ impl ShardStore {
                 for &(key, seq) in entries {
                     scratch
                         .routed
-                        .push((inner.index_owner(side, key, seq), key, seq));
+                        .push((inner.partitioner.node_of(key), key, seq));
                 }
                 // Stable sort: entries keep their task order within a shard.
                 scratch.routed.sort_by_key(|&(shard, _, _)| shard);
@@ -967,171 +780,68 @@ impl ShardStore {
         let inner = p.inner.read();
         let mut scratch = STORE_SCRATCH.with(|cell| cell.take());
         let mut examined_total = 0u64;
-        if inner.overlay.is_empty() {
-            // Fan-out query: which shards does each band-join range overlap?
-            scratch.cover.clear();
-            for range in ranges {
-                let covered = inner.partitioner.covering_shards(range.lo, range.hi);
-                stats.store.probes += 1;
-                stats.store.probe_shard_visits += covered.len() as u64;
-                if covered.len() == 1 {
-                    stats.store.single_shard_probes += 1;
-                }
-                stats.store.max_probe_fanout =
-                    stats.store.max_probe_fanout.max(covered.len() as u64);
-                scratch.cover.push((covered.start, covered.end));
+        // Fan-out query: which shards does each band-join range overlap?
+        scratch.cover.clear();
+        for range in ranges {
+            let covered = inner.partitioner.covering_shards(range.lo, range.hi);
+            stats.store.probes += 1;
+            stats.store.probe_shard_visits += covered.len() as u64;
+            if covered.len() == 1 {
+                stats.store.single_shard_probes += 1;
             }
-            for (shard_idx, shard) in inner.shards.iter().enumerate() {
-                // The shard's own key interval, for clipping each band range
-                // to the sub-range this shard can actually answer. Derived
-                // with checked edge math ([`RangePartitioner::shard_interval`]):
-                // at the `Key::MIN`/`Key::MAX` domain edges naive
-                // `boundary ± 1` arithmetic wraps and would turn an edge
-                // probe into a full-domain (or empty) sub-range. A shard
-                // with an empty interval can never be covered, so skipping
-                // it is exact.
-                let Some((shard_lo, shard_hi)) = inner.partitioner.shard_interval(shard_idx) else {
-                    continue;
-                };
-                scratch.sub_ranges.clear();
-                scratch.sub_idx.clear();
-                for (j, &(lo, hi)) in scratch.cover.iter().enumerate() {
-                    if (lo..hi).contains(&shard_idx) {
-                        // Clip to the shard interval; covered shards overlap
-                        // the range by construction, so the clip is never
-                        // empty. The shard holds only keys of its interval,
-                        // so the clipped probe returns exactly the same
-                        // matches with a tighter index descent.
-                        let clipped = KeyRange {
-                            lo: ranges[j].lo.max(shard_lo),
-                            hi: ranges[j].hi.min(shard_hi),
-                        };
-                        debug_assert!(clipped.lo <= clipped.hi, "covered shard overlaps the range");
-                        scratch.sub_ranges.push(clipped);
-                        scratch.sub_idx.push(j);
-                    }
-                }
-                if scratch.sub_ranges.is_empty() {
-                    continue;
-                }
-                let visits = scratch.sub_ranges.len() as u64;
-                p.traffic.record(home, shard_idx, visits);
-                if shard_idx == home {
-                    stats.store.local_probe_visits += visits;
-                } else {
-                    stats.store.remote_probe_visits += visits;
-                }
-                examined_total += probe_shard_segments(
-                    shard,
-                    side,
-                    &scratch.sub_ranges,
-                    &scratch.sub_idx,
-                    bounds,
-                    self.time_steps,
-                    stats,
-                    f,
-                );
-            }
-        } else {
-            // Handoff fan-out: per item, the base covering segments *minus*
-            // the fully-moved (rerouted) intervals — their old owner holds
-            // only stale index entries for those keys — plus one segment per
-            // overlapping rerouted interval at its new home, plus one for
-            // the dual-owned remainder at its new home. The dual interval is
-            // deliberately *not* subtracted from the old owner: its
-            // pre-handoff residents still live there, its newer tuples at
-            // the destination, split by sequence number — the two visits are
-            // disjoint, so concatenation still reports every match once.
-            scratch.seg.clear();
-            for (j, range) in ranges.iter().enumerate() {
-                let seg_start = scratch.seg.len();
-                let covered = inner.partitioner.covering_shards(range.lo, range.hi);
-                for shard_idx in covered {
-                    let Some((shard_lo, shard_hi)) = inner.partitioner.shard_interval(shard_idx)
-                    else {
-                        continue;
-                    };
-                    let (lo, hi) = (range.lo.max(shard_lo), range.hi.min(shard_hi));
-                    subtract_rerouted(&inner.overlay.rerouted, lo, hi, |plo, phi| {
-                        scratch
-                            .seg
-                            .push((shard_idx, j, KeyRange { lo: plo, hi: phi }));
-                    });
-                }
-                let start = inner
-                    .overlay
-                    .rerouted
-                    .partition_point(|&(_, rhi, _)| rhi < range.lo);
-                for &(rlo, rhi, dst) in &inner.overlay.rerouted[start..] {
-                    if rlo > range.hi {
-                        break;
-                    }
+            stats.store.max_probe_fanout = stats.store.max_probe_fanout.max(covered.len() as u64);
+            scratch.cover.push((covered.start, covered.end));
+        }
+        for (shard_idx, shard) in inner.shards.iter().enumerate() {
+            // The shard's own key interval, for clipping each band range
+            // to the sub-range this shard can actually answer. Derived
+            // with checked edge math ([`RangePartitioner::shard_interval`]):
+            // at the `Key::MIN`/`Key::MAX` domain edges naive
+            // `boundary ± 1` arithmetic wraps and would turn an edge
+            // probe into a full-domain (or empty) sub-range. A shard
+            // with an empty interval can never be covered, so skipping
+            // it is exact.
+            let Some((shard_lo, shard_hi)) = inner.partitioner.shard_interval(shard_idx) else {
+                continue;
+            };
+            scratch.sub_ranges.clear();
+            scratch.sub_idx.clear();
+            for (j, &(lo, hi)) in scratch.cover.iter().enumerate() {
+                if (lo..hi).contains(&shard_idx) {
+                    // Clip to the shard interval; covered shards overlap
+                    // the range by construction, so the clip is never
+                    // empty. The shard holds only keys of its interval,
+                    // so the clipped probe returns exactly the same
+                    // matches with a tighter index descent.
                     let clipped = KeyRange {
-                        lo: range.lo.max(rlo),
-                        hi: range.hi.min(rhi),
+                        lo: ranges[j].lo.max(shard_lo),
+                        hi: ranges[j].hi.min(shard_hi),
                     };
-                    scratch.seg.push((dst, j, clipped));
-                }
-                if let Some(d) = &inner.overlay.dual {
-                    if d.lo <= range.hi && range.lo <= d.hi {
-                        let clipped = KeyRange {
-                            lo: range.lo.max(d.lo),
-                            hi: range.hi.min(d.hi),
-                        };
-                        scratch.seg.push((d.dst, j, clipped));
-                    }
-                }
-                // Distinct shards this item visits (segments per shard vary).
-                let item_segs = &scratch.seg[seg_start..];
-                let mut visited = 0u64;
-                for (i, &(s, _, _)) in item_segs.iter().enumerate() {
-                    if !item_segs[..i].iter().any(|&(prev, _, _)| prev == s) {
-                        visited += 1;
-                    }
-                }
-                stats.store.probes += 1;
-                stats.store.probe_shard_visits += visited;
-                if visited == 1 {
-                    stats.store.single_shard_probes += 1;
-                }
-                stats.store.max_probe_fanout = stats.store.max_probe_fanout.max(visited);
-            }
-            // Shard-major over the segments, item order preserved per shard.
-            scratch
-                .seg
-                .sort_unstable_by_key(|&(shard, j, _)| (shard, j));
-            let mut start = 0;
-            while start < scratch.seg.len() {
-                let shard_idx = scratch.seg[start].0;
-                let mut end = start;
-                while end < scratch.seg.len() && scratch.seg[end].0 == shard_idx {
-                    end += 1;
-                }
-                scratch.sub_ranges.clear();
-                scratch.sub_idx.clear();
-                for &(_, j, sub) in &scratch.seg[start..end] {
-                    scratch.sub_ranges.push(sub);
+                    debug_assert!(clipped.lo <= clipped.hi, "covered shard overlaps the range");
+                    scratch.sub_ranges.push(clipped);
                     scratch.sub_idx.push(j);
                 }
-                start = end;
-                let visits = scratch.sub_ranges.len() as u64;
-                p.traffic.record(home, shard_idx, visits);
-                if shard_idx == home {
-                    stats.store.local_probe_visits += visits;
-                } else {
-                    stats.store.remote_probe_visits += visits;
-                }
-                examined_total += probe_shard_segments(
-                    &inner.shards[shard_idx],
-                    side,
-                    &scratch.sub_ranges,
-                    &scratch.sub_idx,
-                    bounds,
-                    self.time_steps,
-                    stats,
-                    f,
-                );
             }
+            if scratch.sub_ranges.is_empty() {
+                continue;
+            }
+            let visits = scratch.sub_ranges.len() as u64;
+            p.traffic.record(home, shard_idx, visits);
+            if shard_idx == home {
+                stats.store.local_probe_visits += visits;
+            } else {
+                stats.store.remote_probe_visits += visits;
+            }
+            examined_total += probe_shard_segments(
+                shard,
+                side,
+                &scratch.sub_ranges,
+                &scratch.sub_idx,
+                bounds,
+                self.time_steps,
+                stats,
+                f,
+            );
         }
         stats.bytes_loaded += (examined_total + 8 * n as u64) * entry_bytes;
         STORE_SCRATCH.with(|cell| cell.replace(scratch));
@@ -1176,10 +886,6 @@ impl ShardStore {
             return None;
         };
         let mut inner = p.inner.write();
-        assert!(
-            inner.overlay.is_empty(),
-            "wholesale adoption cannot run during an incremental handoff"
-        );
         let nodes = inner.shards.len();
         assert_eq!(
             new.nodes(),
@@ -1228,12 +934,7 @@ impl ShardStore {
             let mut collected: Vec<(usize, Key, Seq)> = Vec::new();
             for (old_shard, shard) in inner.shards.iter().enumerate() {
                 shard.indexes[side].probe(full, &mut |e| {
-                    // Entries a past handoff moved out are stale leftovers
-                    // (their window copies live elsewhere): dropping them
-                    // here would otherwise duplicate the real entries.
-                    if !shard.is_stale(e.key) {
-                        collected.push((old_shard, e.key, e.seq));
-                    }
+                    collected.push((old_shard, e.key, e.seq));
                 });
             }
             collected.sort_unstable_by_key(|&(_, _, seq)| seq);
@@ -1266,9 +967,6 @@ impl ShardStore {
                         ShardWindow::from_entries(self.window_sizes[1], self.slack, &win1),
                     ],
                     indexes: [build_index(&idxs[0]), build_index(&idxs[1])],
-                    // The full rebuild re-homed every entry: no stale state
-                    // survives a wholesale epoch.
-                    stale: Vec::new(),
                 }
             })
             .collect();
@@ -1297,237 +995,6 @@ impl ShardStore {
         report.swap_nanos = (clock.elapsed().as_nanos() as u64)
             .saturating_sub(report.snapshot_nanos + report.rebuild_nanos);
         Some(report)
-    }
-
-    /// Opens one incremental handoff step: the sub-range `[lo, hi]` becomes
-    /// dual-owned between `src` and `dst`. From this point new appends (and
-    /// the index entries of post-begin tuples) of the sub-range route to
-    /// `dst` while the pre-begin residents stay probed at `src` — the
-    /// seq-disjoint split that keeps dual probes exact. **The caller must
-    /// hold the engine quiescent** (same contract as
-    /// [`ShardStore::adopt_partitioner`]); the quiesce is O(1) — no state
-    /// moves here.
-    ///
-    /// If the destination still holds stale index entries overlapping the
-    /// incoming sub-range (it migrated *out* through an earlier handoff and
-    /// is now coming back), the destination's indexes are first rebuilt from
-    /// its windows, dropping every stale leftover that would otherwise
-    /// shadow the moved-in entries.
-    pub(crate) fn begin_handoff_step(&self, lo: Key, hi: Key, src: usize, dst: usize) {
-        let Layout::Partitioned(p) = &self.layout else {
-            panic!("an incremental handoff requires the partitioned layout");
-        };
-        let mut inner = p.inner.write();
-        assert!(lo <= hi, "handoff step [{lo}, {hi}] is empty");
-        assert!(
-            inner.overlay.dual.is_none(),
-            "at most one sub-range may be in flight"
-        );
-        let nodes = inner.shards.len();
-        assert!(
-            src != dst && src < nodes && dst < nodes,
-            "handoff step endpoints out of range"
-        );
-        let stale_overlap = {
-            let d = &inner.shards[dst];
-            let pos = d.stale.partition_point(|&(_, shi)| shi < lo);
-            d.stale.get(pos).is_some_and(|&(slo, _)| slo <= hi)
-        };
-        if stale_overlap {
-            for side in 0..2 {
-                let entries: Vec<(Key, Seq)> = inner.shards[dst].windows[side]
-                    .snapshot()
-                    .into_iter()
-                    .filter(|&(_, _, indexed)| indexed)
-                    .map(|(seq, key, _)| (key, seq))
-                    .collect();
-                let index = StoreIndex::new(self.kind, self.shard_pim);
-                if index.insert_batch(&entries) {
-                    self.merge_hint[side].store(true, Ordering::Relaxed);
-                }
-                inner.shards[dst].indexes[side] = index;
-            }
-            inner.shards[dst].stale.clear();
-        }
-        let begin_heads = [
-            p.heads[0].load(Ordering::Acquire),
-            p.heads[1].load(Ordering::Acquire),
-        ];
-        inner.overlay.dual = Some(DualRange {
-            lo,
-            hi,
-            src,
-            dst,
-            begin_heads,
-        });
-    }
-
-    /// Moves one bounded chunk of the in-flight step's sub-range from its
-    /// old home to its new one: the prefix up to the `budget`-th smallest
-    /// resident key (every duplicate of the cut key moves with it, and the
-    /// whole remainder moves when it fits the budget). The source windows
-    /// are rebuilt without the chunk, the destination windows absorb it in
-    /// global seq order, and the chunk's *indexed* entries are re-inserted
-    /// into the destination indexes — the source keeps its (now stale,
-    /// probe-invisible) copies, recorded against the shard. The moved prefix
-    /// flips from dual-owned to rerouted, shrinking the dual remainder; a
-    /// step interrupted between advances resumes from exactly this frontier.
-    /// **The caller must hold the engine quiescent.**
-    pub(crate) fn advance_handoff_step(&self, budget: usize) -> HandoffAdvance {
-        let Layout::Partitioned(p) = &self.layout else {
-            panic!("an incremental handoff requires the partitioned layout");
-        };
-        let mut inner = p.inner.write();
-        let d = inner.overlay.dual.expect("no handoff step in flight");
-        let budget = budget.max(1);
-        let mut report = StoreMigration::default();
-        let clock = std::time::Instant::now();
-
-        // Snapshot the source once per side, keep-horizon filtered — the
-        // set any in-flight reader can still reach, as in adopt_partitioner.
-        let mut snaps: [Vec<(Seq, Key, bool)>; 2] = [Vec::new(), Vec::new()];
-        for (side, snap) in snaps.iter_mut().enumerate() {
-            let head = p.heads[side].load(Ordering::Acquire);
-            let keep = head.saturating_sub((self.window_sizes[side] + self.slack) as u64);
-            *snap = inner.shards[d.src].windows[side]
-                .snapshot()
-                .into_iter()
-                .filter(|&(seq, _, _)| seq >= keep)
-                .collect();
-        }
-
-        // The cut key bounding this chunk.
-        let mut cand_keys: Vec<Key> = snaps
-            .iter()
-            .flatten()
-            .filter(|&&(_, key, _)| (d.lo..=d.hi).contains(&key))
-            .map(|&(_, key, _)| key)
-            .collect();
-        let cut = if cand_keys.len() <= budget {
-            d.hi
-        } else {
-            // Only the budget-th smallest key matters, not the full order.
-            *cand_keys.select_nth_unstable(budget - 1).1
-        };
-        report.snapshot_nanos = clock.elapsed().as_nanos() as u64;
-
-        for (side, snap) in snaps.into_iter().enumerate() {
-            let head = p.heads[side].load(Ordering::Acquire);
-            let keep = head.saturating_sub((self.window_sizes[side] + self.slack) as u64);
-            let (moving, keeping): (Vec<_>, Vec<_>) = snap
-                .into_iter()
-                .partition(|&(_, key, _)| (d.lo..=cut).contains(&key));
-            // In place: reallocating the slack-dominated slot arrays on
-            // every budgeted step would put an O(capacity) floor under the
-            // per-step stall — the very thing the handoff protocol bounds.
-            inner.shards[d.src].windows[side].rebuild_in_place(&keeping);
-            if moving.is_empty() {
-                continue;
-            }
-            // Absorb the chunk in global seq order, the append contract of
-            // the rebuilt destination window. Both inputs are already
-            // seq-ascending (snapshots are, and `partition` keeps order), so
-            // a two-pointer merge does it in one linear pass — re-sorting
-            // the whole destination every step dominated the per-step stall.
-            let dst_snap: Vec<(Seq, Key, bool)> = inner.shards[d.dst].windows[side]
-                .snapshot()
-                .into_iter()
-                .filter(|&(seq, _, _)| seq >= keep)
-                .collect();
-            let mut merged: Vec<(Seq, Key, bool)> =
-                Vec::with_capacity(dst_snap.len() + moving.len());
-            let (mut a, mut b) = (0, 0);
-            while a < dst_snap.len() && b < moving.len() {
-                if dst_snap[a].0 < moving[b].0 {
-                    merged.push(dst_snap[a]);
-                    a += 1;
-                } else {
-                    merged.push(moving[b]);
-                    b += 1;
-                }
-            }
-            merged.extend_from_slice(&dst_snap[a..]);
-            merged.extend_from_slice(&moving[b..]);
-            inner.shards[d.dst].windows[side].rebuild_in_place(&merged);
-            let idx_entries: Vec<(Key, Seq)> = moving
-                .iter()
-                .filter(|&&(_, _, indexed)| indexed)
-                .map(|&(seq, key, _)| (key, seq))
-                .collect();
-            if inner.shards[d.dst].indexes[side].insert_batch(&idx_entries) {
-                self.merge_hint[side].store(true, Ordering::Relaxed);
-            }
-            report.index_entries_moved += idx_entries.len() as u64;
-            report.window_tuples_moved += moving.len() as u64;
-        }
-
-        report.rebuild_nanos =
-            (clock.elapsed().as_nanos() as u64).saturating_sub(report.snapshot_nanos);
-
-        // The moved prefix leaves its index entries behind at the source.
-        inner.shards[d.src].push_stale(d.lo, cut);
-        inner.overlay.push_rerouted(d.lo, cut, d.dst);
-        let done = cut == d.hi;
-        inner.overlay.dual = (!done).then(|| DualRange { lo: cut + 1, ..d });
-        drop(inner);
-        let moved = report.window_tuples_moved + report.index_entries_moved;
-        if moved > 0 {
-            p.traffic.record(d.src, d.dst, moved);
-        }
-        report.swap_nanos = (clock.elapsed().as_nanos() as u64)
-            .saturating_sub(report.snapshot_nanos + report.rebuild_nanos);
-        HandoffAdvance {
-            migration: report,
-            cut,
-            done,
-        }
-    }
-
-    /// Completes an incremental handoff once every step's sub-range has
-    /// moved: the rebalanced partitioner becomes the store's base routing,
-    /// the (now redundant) overlay is dropped and the migration epoch
-    /// advances. **The caller must hold the engine quiescent.**
-    pub(crate) fn finish_handoff(&self, new: &RangePartitioner) {
-        let Layout::Partitioned(p) = &self.layout else {
-            return;
-        };
-        let mut inner = p.inner.write();
-        assert!(
-            inner.overlay.dual.is_none(),
-            "cannot finish a handoff with a sub-range still in flight"
-        );
-        assert_eq!(
-            new.nodes(),
-            inner.shards.len(),
-            "a handoff cannot change the shard count"
-        );
-        debug_assert!(
-            inner
-                .overlay
-                .rerouted
-                .iter()
-                .all(|&(lo, hi, dst)| new.node_of(lo) == dst && new.node_of(hi) == dst),
-            "rerouted intervals disagree with the adopted partitioner"
-        );
-        inner.partitioner = new.clone();
-        inner.overlay.rerouted.clear();
-        drop(inner);
-        p.epoch.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// The dual-owned sub-range of the in-flight handoff step, if any:
-    /// `(lo, hi, src, dst)`. Diagnostic/test accessor.
-    #[cfg(test)]
-    pub(crate) fn handoff_dual(&self) -> Option<(Key, Key, usize, usize)> {
-        match &self.layout {
-            Layout::Shared(_) => None,
-            Layout::Partitioned(p) => p
-                .inner
-                .read()
-                .overlay
-                .dual
-                .map(|d| (d.lo, d.hi, d.src, d.dst)),
-        }
     }
 
     /// Per-shard footprint of the store's windows and indexes — how many
@@ -1573,12 +1040,8 @@ impl ShardStore {
                             span_fold(&mut out.window_key_span, key);
                         }
                         shard.indexes[side].probe(full, &mut |e| {
-                            // Stale leftovers of a past handoff are logically
-                            // deleted: probes never reach them.
-                            if !shard.is_stale(e.key) {
-                                out.index_entries += 1;
-                                span_fold(&mut out.index_key_span, e.key);
-                            }
+                            out.index_entries += 1;
+                            span_fold(&mut out.index_key_span, e.key);
                         });
                     }
                     StoreShardFootprint {

@@ -27,7 +27,5 @@ pub mod partition;
 pub mod topology;
 
 pub use join::{reference_band_join, NumaPartitionedJoin, PlacementStrategy};
-pub use partition::{
-    handoff_steps, DriftMonitor, HandoffStep, PartitionLoad, RangePartitioner, RepartitionPlan,
-};
+pub use partition::{DriftMonitor, PartitionLoad, RangePartitioner, RepartitionPlan};
 pub use topology::{AccessKind, NumaTopology, TrafficAccount};

@@ -335,69 +335,6 @@ pub struct RepartitionPlan {
     pub moved_fraction: f64,
 }
 
-/// One sub-range move of an incremental migration: every key in the
-/// *inclusive* interval `[lo, hi]` changes owner from shard `src` (under the
-/// outgoing partitioner) to shard `dst` (under the incoming one).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HandoffStep {
-    /// Inclusive lower end of the moving key interval.
-    pub lo: Key,
-    /// Inclusive upper end of the moving key interval.
-    pub hi: Key,
-    /// Owner of the interval under the outgoing partitioner.
-    pub src: usize,
-    /// Owner of the interval under the incoming partitioner.
-    pub dst: usize,
-}
-
-/// Decomposes the migration from `old` to `new` into per-sub-range handoff
-/// steps, sorted ascending and pairwise disjoint. Merging both partitioners'
-/// boundary sets cuts the key domain into maximal intervals with a constant
-/// owner under each partitioner; every interval whose owner changes becomes
-/// one step. Keys not covered by any step keep their owner, so executing the
-/// steps in any order — or resuming after an interruption — converges on
-/// `new` without touching stable ranges.
-///
-/// # Panics
-///
-/// Panics if the two partitioners cover different node counts.
-pub fn handoff_steps(old: &RangePartitioner, new: &RangePartitioner) -> Vec<HandoffStep> {
-    assert_eq!(
-        old.nodes(),
-        new.nodes(),
-        "handoff requires equal shard counts"
-    );
-    let mut cuts: Vec<Key> = old
-        .boundaries
-        .iter()
-        .chain(new.boundaries.iter())
-        .copied()
-        .collect();
-    cuts.sort_unstable();
-    cuts.dedup();
-    let mut steps = Vec::new();
-    let emit = |steps: &mut Vec<HandoffStep>, lo: Key, hi: Key| {
-        let (src, dst) = (old.node_of(lo), new.node_of(lo));
-        debug_assert_eq!(src, old.node_of(hi), "cut interval spans an old boundary");
-        debug_assert_eq!(dst, new.node_of(hi), "cut interval spans a new boundary");
-        if src != dst {
-            steps.push(HandoffStep { lo, hi, src, dst });
-        }
-    };
-    let mut lo = Key::MIN;
-    for &cut in &cuts {
-        emit(&mut steps, lo, cut);
-        // A boundary at the domain edge leaves nothing above it: checked, not
-        // wrapping, exactly as in `shard_interval`.
-        match cut.checked_add(1) {
-            Some(next) => lo = next,
-            None => return steps,
-        }
-    }
-    emit(&mut steps, lo, Key::MAX);
-    steps
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -725,95 +662,7 @@ mod tests {
         assert!(noop.moved_fraction < 0.05, "moved {}", noop.moved_fraction);
     }
 
-    #[test]
-    fn handoff_steps_cover_exactly_the_owner_changes() {
-        // Initial distribution around 0..1000; drifted to 5000..6000.
-        let old = RangePartitioner::from_key_sample(4, &(0..1000).collect::<Vec<Key>>());
-        let drifted: Vec<(Key, u64)> = (5000..6000).map(|k| (k as Key, 0)).collect();
-        let new = old.repartition(&drifted).new_partitioner;
-        let steps = handoff_steps(&old, &new);
-        assert!(!steps.is_empty(), "a full drift must move something");
-        // Steps are sorted, disjoint, and each really changes the owner.
-        for w in steps.windows(2) {
-            assert!(w[0].hi < w[1].lo, "steps overlap: {w:?}");
-        }
-        for s in &steps {
-            assert!(s.lo <= s.hi);
-            assert_ne!(s.src, s.dst);
-            assert_eq!(old.node_of(s.lo), s.src);
-            assert_eq!(old.node_of(s.hi), s.src);
-            assert_eq!(new.node_of(s.lo), s.dst);
-            assert_eq!(new.node_of(s.hi), s.dst);
-        }
-        // Identity migrations decompose into nothing.
-        assert!(handoff_steps(&old, &old).is_empty());
-        assert!(handoff_steps(&new, &new).is_empty());
-    }
-
-    #[test]
-    fn handoff_steps_handle_domain_edge_boundaries() {
-        // A trailing Key::MAX boundary (empty shard) must not wrap the cut
-        // arithmetic or produce a bogus step above the domain edge.
-        let old = RangePartitioner::from_weighted_sample(2, &[(Key::MAX, 0), (Key::MAX, 0)]);
-        assert_eq!(old.boundaries(), &[Key::MAX]);
-        let new = RangePartitioner::from_key_sample(2, &(0..100).collect::<Vec<Key>>());
-        let steps = handoff_steps(&old, &new);
-        // Everything above new's boundary moves from shard 0 to shard 1.
-        assert_eq!(steps.len(), 1);
-        let s = steps[0];
-        assert_eq!((s.src, s.dst), (0, 1));
-        assert_eq!(s.hi, Key::MAX);
-        assert_eq!(s.lo, new.boundaries()[0] + 1);
-        // And the reverse direction moves the same interval back.
-        let back = handoff_steps(&new, &old);
-        assert_eq!(back.len(), 1);
-        assert_eq!((back[0].src, back[0].dst), (1, 0));
-        assert_eq!((back[0].lo, back[0].hi), (s.lo, s.hi));
-    }
-
-    #[test]
-    #[should_panic(expected = "equal shard counts")]
-    fn handoff_steps_reject_mismatched_node_counts() {
-        let a = RangePartitioner::from_key_sample(2, &[1, 2, 3, 4]);
-        let b = RangePartitioner::from_key_sample(4, &[1, 2, 3, 4]);
-        let _ = handoff_steps(&a, &b);
-    }
-
     proptest! {
-        /// The frontier invariant the incremental migration relies on: for
-        /// every key, either some step covers it and rehomes it from its old
-        /// owner to its new owner, or no step covers it and its owner is
-        /// unchanged — so applying any prefix of the steps yields a
-        /// consistent hybrid ownership, and applying all of them yields
-        /// exactly `new`.
-        #[test]
-        fn handoff_steps_rehome_every_key_exactly_once(
-            old_keys in proptest::collection::vec(-1000i64..1000, 1..100),
-            new_keys in proptest::collection::vec(-1000i64..1000, 1..100),
-            nodes in 1usize..8,
-            probe in any::<i64>(),
-        ) {
-            let old = RangePartitioner::from_key_sample(nodes, &old_keys);
-            let new = RangePartitioner::from_key_sample(nodes, &new_keys);
-            let steps = handoff_steps(&old, &new);
-            for w in steps.windows(2) {
-                prop_assert!(w[0].hi < w[1].lo);
-            }
-            let covering: Vec<&HandoffStep> = steps
-                .iter()
-                .filter(|s| (s.lo..=s.hi).contains(&probe))
-                .collect();
-            prop_assert!(covering.len() <= 1, "steps must be disjoint");
-            match covering.first() {
-                Some(s) => {
-                    prop_assert_eq!(s.src, old.node_of(probe));
-                    prop_assert_eq!(s.dst, new.node_of(probe));
-                    prop_assert_ne!(s.src, s.dst);
-                }
-                None => prop_assert_eq!(old.node_of(probe), new.node_of(probe)),
-            }
-        }
-
         #[test]
         fn every_key_is_owned_by_exactly_one_node(
             keys in proptest::collection::vec(any::<i64>(), 1..200),

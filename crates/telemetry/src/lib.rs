@@ -19,7 +19,7 @@
 //!   per-cause sum equals the measured stall by construction;
 //! * [`GaugeSample`] / [`JsonlSink`] — periodic engine gauge snapshots
 //!   (ring occupancy, in-flight count, window sizes, steal traffic, drift
-//!   imbalance, handoff frontier) appended as JSON Lines, plus a
+//!   imbalance) appended as JSON Lines, plus a
 //!   Prometheus-style text rendering of the final [`TelemetryReport`].
 //!
 //! The recorder design keeps the hot path honest: every instrumentation
@@ -903,10 +903,6 @@ pub struct GaugeSample {
     /// Most recent drift imbalance observed by the monitor (0 when drift
     /// monitoring is off).
     pub drift_imbalance: f64,
-    /// Handoff sub-ranges migrated so far in the active incremental plan.
-    pub handoff_steps_done: u64,
-    /// Total sub-ranges in the active incremental plan (0 when idle).
-    pub handoff_steps_total: u64,
     /// Total instrumentation events recorded so far.
     pub events: u64,
 }
@@ -927,7 +923,6 @@ impl GaugeSample {
                 "\"window_r\": {}, \"window_s\": {}, ",
                 "\"local_claims\": {}, \"stolen_claims\": {}, ",
                 "\"drift_imbalance\": {:.6}, ",
-                "\"handoff_steps_done\": {}, \"handoff_steps_total\": {}, ",
                 "\"events\": {}}}"
             ),
             self.seq,
@@ -941,8 +936,6 @@ impl GaugeSample {
             self.local_claims,
             self.stolen_claims,
             imbalance,
-            self.handoff_steps_done,
-            self.handoff_steps_total,
             self.events,
         )
     }
@@ -1329,8 +1322,6 @@ mod tests {
             local_claims: 50,
             stolen_claims: 2,
             drift_imbalance: 0.25,
-            handoff_steps_done: 1,
-            handoff_steps_total: 4,
             events: 999,
         };
         let json = sample.to_json();

@@ -347,49 +347,6 @@ impl ShardWindow {
         w
     }
 
-    /// Rebuilds the slice in place from `entries` — semantically identical
-    /// to replacing the window with [`ShardWindow::from_entries`] of the
-    /// same configuration, but reusing the already-allocated slot arrays.
-    /// The incremental handoff path rebuilds the source and destination
-    /// windows on *every* budgeted step; allocating fresh (slack-dominated)
-    /// slot arrays there would cost more than the step's actual data
-    /// movement and put an O(capacity) floor under the per-step stall.
-    /// Exclusive access (`&mut`) stands in for the quiesce the migration
-    /// paths already hold: no reader can observe the intermediate state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the entries exceed the capacity (the migration keep-horizon
-    /// guarantees they never do).
-    pub fn rebuild_in_place(&mut self, entries: &[(Seq, Key, bool)]) {
-        assert!(
-            entries.len() <= self.capacity,
-            "{} migrated entries exceed the shard window capacity {}",
-            entries.len(),
-            self.capacity
-        );
-        for (i, &(seq, key, indexed)) in entries.iter().enumerate() {
-            debug_assert!(
-                i == 0 || entries[i - 1].0 < seq,
-                "entries must ascend in seq"
-            );
-            *self.seqs[i].get_mut() = seq;
-            *self.keys[i].get_mut() = key;
-            *self.flags[i].get_mut() = if indexed { FLAG_INDEXED } else { 0 };
-        }
-        // Same derived state as `from_entries`: the edge sits on the first
-        // non-indexed entry and the eager-expiry cursor restarts at the
-        // oldest entry (re-reporting an already-deleted entry is a harmless
-        // no-op removal; skipping one would leak it).
-        let edge = entries
-            .iter()
-            .position(|&(_, _, indexed)| !indexed)
-            .unwrap_or(entries.len()) as u64;
-        *self.len.get_mut() = entries.len() as u64;
-        *self.edge_idx.get_mut() = edge;
-        *self.expire_cursor.get_mut() = 0;
-    }
-
     /// Collects the local entries that are still live under the global expiry
     /// horizon `earliest_live`, oldest first (footprint inspection; not on
     /// the hot path).
@@ -577,27 +534,6 @@ mod tests {
         assert_eq!(full.local_len(), cap as u64);
         assert_eq!(full.edge_seq(), Seq::MAX, "all indexed");
         assert_eq!(full.snapshot(), entries);
-    }
-
-    #[test]
-    fn rebuild_in_place_matches_from_entries() {
-        let mut w = window(8, 8);
-        // Dirty the slice first: the rebuild must fully supersede it.
-        for seq in 0..10u64 {
-            w.append(seq, (seq * 2) as Key, 0).unwrap();
-            w.mark_indexed(seq);
-        }
-        w.try_advance_edge();
-        let entries: Vec<(Seq, Key, bool)> = vec![(3, 30, true), (7, 70, false), (9, 90, true)];
-        w.rebuild_in_place(&entries);
-        let fresh = ShardWindow::from_entries(8, 8, &entries);
-        assert_eq!(w.snapshot(), fresh.snapshot());
-        assert_eq!(w.local_len(), fresh.local_len());
-        assert_eq!(w.edge_seq(), fresh.edge_seq());
-        // And again down to empty, the other boundary.
-        w.rebuild_in_place(&[]);
-        assert_eq!(w.local_len(), 0);
-        assert_eq!(w.edge_seq(), Seq::MAX);
     }
 
     #[test]

@@ -166,7 +166,8 @@ proptest! {
             .collect();
         let w = 1usize << window_exp;
         let predicate = BandPredicate::new(2);
-        let expected = pimtree_join::canonical(&pimtree_join::reference_join(&tuples, predicate, w, w, false));
+        let expected =
+            pimtree_join::canonical(&pimtree_join::reference_join(&tuples, predicate, w, w, false));
         let mut pim = PimConfig::for_window(w).with_merge_ratio(0.5).with_insertion_depth(2);
         pim.css_fanout = 4;
         pim.css_leaf_size = 4;
@@ -228,7 +229,8 @@ proptest! {
             .collect();
         let w = 1usize << window_exp;
         let predicate = BandPredicate::new(diff);
-        let expected = pimtree_join::canonical(&pimtree_join::reference_join(&tuples, predicate, w, w, false));
+        let expected =
+            pimtree_join::canonical(&pimtree_join::reference_join(&tuples, predicate, w, w, false));
         for kind in [IndexKind::BTree, IndexKind::PimTree] {
             let mut pim = PimConfig::for_window(w).with_merge_ratio(0.5).with_insertion_depth(1);
             pim.css_fanout = 4;
@@ -342,5 +344,88 @@ proptest! {
         tree.lower_bound_batch(&targets, &mut positions, &mut groups, &mut counters);
         prop_assert_eq!(&positions, &want, "batch");
         prop_assert_eq!(&groups, &want_groups, "batch groups");
+    }
+}
+
+proptest! {
+    // Each case runs six engine configurations; 32 cases keep tier-1 fast.
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The parallel engine equals the brute-force oracle on the input shapes
+    /// where edge arithmetic and window bookkeeping break first — keys in a
+    /// band at `Key::MIN` and at `Key::MAX`, all-duplicate keys, a window of
+    /// one, fewer tuples than the window — at 1 and 2 workers, on the shared
+    /// store and on a 2-shard partitioned store with and without a migration
+    /// epoch forced at a random input position.
+    #[test]
+    fn parallel_engine_matches_reference_on_domain_edge_shapes(
+        shape in 0usize..4,
+        offsets in prop::collection::vec(0i64..64, 20..160),
+        sides in prop::collection::vec(prop::bool::ANY, 160..161),
+        at_pct in 0usize..101,
+    ) {
+        let n = offsets.len();
+        let mut seqs = [0u64, 0u64];
+        let tuples: Vec<Tuple> = (0..n)
+            .map(|i| {
+                let side = if sides[i] { StreamSide::R } else { StreamSide::S };
+                let seq = seqs[side.index()];
+                seqs[side.index()] += 1;
+                let key = match shape {
+                    // Half the keys hug each end of the domain.
+                    0 if i % 2 == 0 => Key::MIN + offsets[i],
+                    0 => Key::MAX - offsets[i],
+                    1 => 7,
+                    _ => offsets[i],
+                };
+                Tuple::new(side, seq, key)
+            })
+            .collect();
+        let w = match shape {
+            2 => 1,
+            3 => 256, // more than the 159 tuples an input holds at most
+            _ => 16,
+        };
+        let predicate = BandPredicate::new(4);
+        let expected =
+            pimtree_join::canonical(&pimtree_join::reference_join(&tuples, predicate, w, w, false));
+        let mut pim = PimConfig::for_window(w).with_merge_ratio(0.5).with_insertion_depth(2);
+        pim.css_fanout = 4;
+        pim.css_leaf_size = 4;
+        pim.btree_fanout = 4;
+        let at = n * at_pct / 100;
+        for threads in [1usize, 2] {
+            for (partitioned, forced) in [(false, false), (true, false), (true, true)] {
+                let mut config = JoinConfig::symmetric(w, IndexKind::PimTree)
+                    .with_threads(threads)
+                    .with_task_size(2)
+                    .with_pim(pim);
+                if partitioned {
+                    config = config.with_shard(
+                        ShardConfig::default().with_shards(2).with_partition_index(true),
+                    );
+                }
+                let mut op = ParallelIbwj::new(config, predicate, SharedIndexKind::PimTree, false)
+                    .with_collected_results(true);
+                if forced {
+                    let sample: Vec<Key> = tuples[at.min(n - 1)..].iter().map(|t| t.key).collect();
+                    let target = RangePartitioner::from_key_sample(2, &sample);
+                    op = op.with_forced_repartition(at, target);
+                }
+                let (stats, results) = op.run(&tuples);
+                prop_assert_eq!(
+                    pimtree_join::canonical(&results),
+                    expected.clone(),
+                    "shape {}, {} workers, partitioned {}, forced {}",
+                    shape,
+                    threads,
+                    partitioned,
+                    forced
+                );
+                if forced {
+                    prop_assert_eq!(stats.migration.epochs, 1, "the forced epoch must be adopted");
+                }
+            }
+        }
     }
 }
