@@ -34,10 +34,17 @@
 //! sampler for hosts without `perf`: one sample per 4 ms tick of CPU time,
 //! only those of the measured phase kept, written to `PATH.<threads>t` as
 //! file-relative addresses for `addr2line` (recipe in CONTRIBUTING.md).
+//!
+//! After the sweep one more `#` line reports the paper's baseline on the
+//! same input and warm-up: the single-threaded IBWJ operator over the
+//! PIM-Tree at merge ratio 0.125, as the repository benchmark's
+//! `single_thread_mtps` runs it, and the one-worker row's rate divided by
+//! it — what batching alone buys. Under `--sample` its profile goes to
+//! `PATH.st`.
 
 use pimtree_bench::harness::*;
-use pimtree_common::{IndexKind, JoinConfig, TelemetryMode};
-use pimtree_join::{ParallelIbwj, SharedIndexKind};
+use pimtree_common::{IndexKind, JoinConfig, PimConfig, TelemetryMode};
+use pimtree_join::{build_single_threaded, ParallelIbwj, SharedIndexKind};
 use pimtree_numa::RangePartitioner;
 use pimtree_telemetry::{EnginePhase, TelemetryReport};
 use pimtree_workload::KeyDistribution;
@@ -127,6 +134,8 @@ fn main() {
     };
     let trace_base = telemetry_out_from_args();
     let sample_base = path_arg("--sample");
+    let warmup = (2 * w).min(tuples.len() / 2);
+    let mut one_worker_mtps = 0.0;
     for threads in sweep {
         let mut config = JoinConfig::symmetric(w, IndexKind::PimTree)
             .with_threads(threads)
@@ -156,12 +165,15 @@ fn main() {
         let sampling = sample_base
             .as_ref()
             .map(|base| (format!("{base}.{threads}t"), sampler::start()));
-        let (stats, _) = op.run_with_warmup(&tuples, (2 * w).min(tuples.len() / 2));
+        let (stats, _) = op.run_with_warmup(&tuples, warmup);
         if let Some((path, started)) = sampling {
-            match sampler::stop_and_write(started, stats.elapsed, &path) {
-                Ok(kept) => println!("# sampler: {kept} samples of the measured phase in {path}"),
-                Err(e) => eprintln!("sampler: cannot write {path}: {e}"),
-            }
+            report_samples(
+                sampler::stop_and_write(started, stats.elapsed, &path),
+                &path,
+            );
+        }
+        if threads == 1 {
+            one_worker_mtps = stats.million_tuples_per_second();
         }
         let total = stats.phase.total().as_secs_f64().max(1e-12);
         let pct = |d: std::time::Duration| format!("{:.1}", 100.0 * d.as_secs_f64() / total);
@@ -224,6 +236,35 @@ fn main() {
             let _ = std::fs::remove_file(&trace_path);
             let _ = std::fs::remove_file(format!("{trace_path}.prom"));
         }
+    }
+
+    let config = JoinConfig::symmetric(w, IndexKind::PimTree)
+        .with_pim(PimConfig::for_window(w).with_merge_ratio(0.125));
+    let mut single = build_single_threaded(&config, predicate, false);
+    let sampling = sample_base
+        .as_ref()
+        .map(|base| (format!("{base}.st"), sampler::start()));
+    single.run(&tuples[..warmup], false);
+    let (stats, _) = single.run(&tuples[warmup..], false);
+    if let Some((path, started)) = sampling {
+        report_samples(
+            sampler::stop_and_write(started, stats.elapsed, &path),
+            &path,
+        );
+    }
+    let single_mtps = stats.million_tuples_per_second();
+    println!(
+        "# single-threaded IBWJ (PIM-Tree, merge ratio 0.125): {single_mtps:.4} Mtuples/s; \
+         1 worker / single-threaded = {:.3}",
+        one_worker_mtps / single_mtps
+    );
+}
+
+/// Reports what `sampler::stop_and_write` did with `path`.
+fn report_samples(written: std::io::Result<usize>, path: &str) {
+    match written {
+        Ok(kept) => println!("# sampler: {kept} samples of the measured phase in {path}"),
+        Err(e) => eprintln!("sampler: cannot write {path}: {e}"),
     }
 }
 

@@ -1,7 +1,7 @@
 //! The Partitioned In-memory Merge-Tree (PIM-Tree, §3.3): the paper's
 //! concurrent sliding-window index.
 
-use std::ops::Range;
+use std::ops::{Range, RangeInclusive};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -185,6 +185,9 @@ impl Generation {
         }
     }
 
+    /// The partition `entry` is inserted into: `TS` descended to the
+    /// insertion depth. Probes never call it; they derive their partitions
+    /// from the descent they already made ([`Generation::overlapped_partitions`]).
     #[inline]
     fn route(&self, entry: Entry) -> usize {
         if self.ts.is_empty() {
@@ -192,6 +195,47 @@ impl Generation {
         } else {
             self.ts.descend_to_depth(entry, self.depth)
         }
+    }
+
+    /// `TS`'s run of `range` and the partitions `range` overlaps, from one
+    /// descent of `TS`.
+    #[inline]
+    fn locate(&self, range: KeyRange) -> (&[Entry], RangeInclusive<usize>) {
+        let (start, group) = self.ts.lower_bound_with_group(Entry::min_for_key(range.lo));
+        let run = self.ts.run_from(start, range.hi);
+        (
+            run,
+            self.overlapped_partitions(range, group, start + run.len()),
+        )
+    }
+
+    /// The partitions a probe of `range` overlaps, derived from its one `TS`
+    /// descent without descending again: `group` is the leaf group the descent for
+    /// `range.lo` landed in, `end` the position one past `TS`'s run of the
+    /// range (the first entry keyed above `range.hi`, or `len()`). Partitions
+    /// hang off `TS`'s nodes at the insertion depth, and the node a descent
+    /// passes there is its leaf group divided by the fan-out once per level
+    /// below ([`CssTree::ancestor_at_depth`]). So `group` names the first
+    /// partition — the route of `range.lo` — and the leaf group holding `end`
+    /// names the last: the route of the first key past the range, beyond
+    /// which no entry of the range is routed.
+    #[inline]
+    fn overlapped_partitions(
+        &self,
+        range: KeyRange,
+        group: usize,
+        end: usize,
+    ) -> RangeInclusive<usize> {
+        if self.ts.is_empty() {
+            return 0..=0;
+        }
+        let end_group = (end / self.ts.leaf_size()).min(self.ts.leaf_groups() - 1);
+        let span = self.ts.ancestor_at_depth(group, self.depth)
+            ..=self.ts.ancestor_at_depth(end_group, self.depth);
+        debug_assert_eq!(*span.start(), self.route(Entry::min_for_key(range.lo)));
+        debug_assert!(*span.end() >= self.route(Entry::max_for_key(range.hi)));
+        debug_assert!(*span.end() < self.partitions.len());
+        span
     }
 
     /// Routes `entry` to its partition and inserts it under that
@@ -260,19 +304,18 @@ impl Generation {
 /// Probes one generation for `range`: the immutable component without locks,
 /// then the overlapping mutable partitions one lock at a time (Algorithm 2).
 /// The answer arrives as sorted runs — `TS`'s as one slice of its leaf array,
-/// then each partition's — and `f` runs under the partition's lock.
-/// Shared by the scalar probe and the batch-of-one fast path.
+/// then each partition's — and `f` runs under the partition's lock. One
+/// descent of `TS` finds both the run and the partitions
+/// ([`Generation::locate`]). Shared by the scalar probe and the batch of one.
 fn probe_generation(gen: &Generation, range: KeyRange, f: &mut dyn FnMut(&[Entry])) {
-    let run = gen.ts.range_run(range);
+    let (run, partitions) = gen.locate(range);
     if !run.is_empty() {
         f(run);
     }
     if gen.ti_len.load(Ordering::Relaxed) == 0 {
         return;
     }
-    let p_lo = gen.route(Entry::min_for_key(range.lo));
-    let p_hi = gen.route(Entry::max_for_key(range.hi));
-    for p in p_lo..=p_hi {
+    for p in partitions {
         gen.partitions[p].lock().run.range_runs(range, &mut *f);
     }
 }
@@ -448,11 +491,10 @@ impl PimTree {
 
     /// Inserts a newly arrived tuple: route through `TS` to the insertion
     /// depth, then insert into the corresponding partition under its lock
-    /// (Algorithm 1).
-    pub fn insert(&self, key: Key, seq: Seq) {
-        let gen = self.current.read();
-        gen.insert(Entry::new(key, seq), self.config.btree_fanout);
-        gen.ti_len.fetch_add(1, Ordering::Relaxed);
+    /// (Algorithm 1). Returns whether the mutable component has reached the
+    /// merge threshold, as [`PimTree::insert_batch`] does.
+    pub fn insert(&self, key: Key, seq: Seq) -> bool {
+        self.insert_batch(&[(key, seq)])
     }
 
     /// Inserts a batch of newly arrived tuples under a single acquisition of
@@ -464,8 +506,8 @@ impl PimTree {
     /// shared counter update for every tuple.
     ///
     /// A batch of two or more is inserted in stages over the whole batch
-    /// (see "Staged access" in `docs/ARCHITECTURE.md`); a batch of one takes
-    /// the path of [`PimTree::insert`], having nothing to overlap with.
+    /// (see "Staged access" in `docs/ARCHITECTURE.md`); a batch of one, which
+    /// has nothing to overlap with, is routed and inserted directly.
     ///
     /// Returns whether this batch carried the mutable component to or past
     /// the merge threshold, i.e. what [`PimTree::needs_merge`] would answer
@@ -527,8 +569,9 @@ impl PimTree {
     /// `counters` records batch sizes, dedup hits, nodes prefetched, SIMD
     /// work and the mutable-side lock grouping. This is the PIM-Tree's one
     /// multi-range probe: a batch of one degenerates to the scalar descent
-    /// (there is nothing to group, dedup or prefetch ahead of),
-    /// skipping the batch bookkeeping entirely; the sort/dedup/cursor
+    /// (there is nothing to group, dedup or prefetch ahead of), which derives
+    /// its partitions by the same arithmetic and skips the batch bookkeeping
+    /// entirely; either way a range costs one descent. The sort/dedup/cursor
     /// buffers of larger batches are reused through a per-thread scratch, so
     /// the steady state allocates nothing.
     pub fn probe_batch<F: FnMut(usize, &[Entry])>(
@@ -576,26 +619,20 @@ impl PimTree {
         // descent landed in — the partition-routing node at the insertion
         // depth is an arithmetic ancestor of that group, so the mutable-side
         // routing below never re-descends from the root.
-        s.positions.clear();
-        s.groups.clear();
-        if !gen.ts.is_empty() {
-            s.targets.clear();
-            s.targets
-                .extend(s.uniq.iter().map(|r| Entry::min_for_key(r.lo)));
-            gen.ts
-                .lower_bound_batch(&s.targets, &mut s.positions, &mut s.groups, counters);
-        }
+        s.targets.clear();
+        s.targets
+            .extend(s.uniq.iter().map(|r| Entry::min_for_key(r.lo)));
+        gen.ts
+            .lower_bound_batch(&s.targets, &mut s.positions, &mut s.groups, counters);
         let ti_populated = gen.ti_len.load(Ordering::Relaxed) > 0;
 
         // Immutable component first: per unique range, `TS`'s run is emitted
         // before any `TI` run, exactly like the scalar probe. The run's end
         // position doubles as the upper routing bound for the mutable side
-        // (it lies in, or one short of, the leaf group holding the first
-        // entry past the range).
+        // (`Generation::overlapped_partitions`).
         s.ends.clear();
         for (j, &range) in s.uniq.iter().enumerate() {
-            // No start was resolved in an empty `TS`, whose run is empty.
-            let start = s.positions.get(j).copied().unwrap_or(0);
+            let start = s.positions[j];
             let run = gen.ts.run_from(start, range.hi);
             if !run.is_empty() {
                 for &i in &s.order[s.starts[j]..s.starts[j + 1]] {
@@ -610,25 +647,9 @@ impl PimTree {
         // are visited partition-major (`visit_partitions`).
         if ti_populated {
             s.pairs.clear();
-            let leaf_size = gen.ts.leaf_size().max(1);
-            let last_group = gen.ts.leaf_groups().saturating_sub(1);
             for (j, &range) in s.uniq.iter().enumerate() {
-                let (p_lo, p_hi) = if gen.ts.is_empty() {
-                    (0, 0)
-                } else {
-                    // `p_lo` is exact (the descent group's ancestor); `p_hi`
-                    // derived from the scan end is conservative — it can
-                    // overshoot the true routing node by at most one leaf
-                    // group's ancestor, never undershoot it.
-                    let p_lo = gen.ts.ancestor_at_depth(s.groups[j], gen.depth);
-                    let end_group = (s.ends[j] / leaf_size).min(last_group);
-                    let p_hi = gen.ts.ancestor_at_depth(end_group, gen.depth).max(p_lo);
-                    (p_lo, p_hi)
-                };
-                debug_assert!(p_hi < gen.partitions.len());
-                debug_assert_eq!(p_lo, gen.route(Entry::min_for_key(range.lo)));
-                debug_assert!(p_hi >= gen.route(Entry::max_for_key(range.hi)));
-                s.pairs.extend((p_lo..=p_hi).map(|p| (p, j)));
+                let partitions = gen.overlapped_partitions(range, s.groups[j], s.ends[j]);
+                s.pairs.extend(partitions.map(|p| (p, j)));
             }
             visit_partitions(&gen, &mut s.pairs, &s.uniq, counters, |j, run| {
                 for &i in &s.order[s.starts[j]..s.starts[j + 1]] {
@@ -657,7 +678,10 @@ impl PimTree {
     }
 
     /// Instrumented probe separating index traversal ("search") from leaf
-    /// scanning ("scan"), used by the Figure 9b experiment.
+    /// scanning ("scan"), used by the Figure 9b experiment. It takes the path
+    /// of [`PimTree::range_runs`]: "search" is its one descent of `TS`, and
+    /// "scan" the rest — `TS`'s run, the partitions derived from the run's
+    /// end (a few divisions) and their runs.
     pub fn probe_with_breakdown(
         &self,
         range: KeyRange,
@@ -667,9 +691,7 @@ impl PimTree {
         let gen = self.current.read();
 
         let search_start = Instant::now();
-        let ts_pos = gen.ts.lower_bound_key(range.lo);
-        let p_lo = gen.route(Entry::min_for_key(range.lo));
-        let p_hi = gen.route(Entry::max_for_key(range.hi));
+        let (start, group) = gen.ts.lower_bound_with_group(Entry::min_for_key(range.lo));
         breakdown.record(Step::Search, search_start.elapsed());
 
         let scan_start = Instant::now();
@@ -677,9 +699,10 @@ impl PimTree {
         let mut keep_live = |run: &[Entry]| {
             out.extend(run.iter().filter(|e| e.seq >= earliest_live));
         };
-        keep_live(gen.ts.run_from(ts_pos, range.hi));
+        let run = gen.ts.run_from(start, range.hi);
+        keep_live(run);
         if gen.ti_len.load(Ordering::Relaxed) > 0 {
-            for p in p_lo..=p_hi {
+            for p in gen.overlapped_partitions(range, group, start + run.len()) {
                 gen.partitions[p]
                     .lock()
                     .run
@@ -1058,7 +1081,7 @@ mod tests {
             KeyRange::point(300),
         ];
         // Batch lengths around the group descent's lookahead of four, drawn
-        // from `ranges` in turn; the oracle is the scalar probe.
+        // from `ranges` in turn; the oracle is brute force.
         let mut counters = ProbeCounters::default();
         let mut dedup_hits = 0;
         for len in [0usize, 1, 3, 4, 5, 64] {
@@ -1068,9 +1091,8 @@ mod tests {
                 batched[i].extend_from_slice(run)
             });
             for (range, got) in batch.iter().zip(&batched) {
-                let mut scalar = Vec::new();
-                t.range_for_each(*range, |e| scalar.push(e));
-                assert_eq!(got, &scalar, "range {range:?}, batch length {len}");
+                let want = t.brute_force(*range);
+                assert_eq!(got, &want, "range {range:?}, batch length {len}");
             }
             if len > 1 {
                 let mut unique = batch.clone();
@@ -1097,7 +1119,7 @@ mod tests {
         // A populated TS (many partitions) plus a populated TI, probed with
         // several wide, overlapping ranges: the partition-major TI path must
         // lock every partition at most once per batch while producing the
-        // exact scalar result per range.
+        // exact brute-force result per range.
         let t = PimTree::new(config(2048, 1.0, 3));
         for i in 0..2048i64 {
             t.insert(i, i as Seq);
@@ -1121,9 +1143,7 @@ mod tests {
             batched[i].extend_from_slice(run)
         });
         for (range, got) in ranges.iter().zip(&batched) {
-            let mut scalar = Vec::new();
-            t.range_for_each(*range, |e| scalar.push(e));
-            assert_eq!(got, &scalar, "range {range:?}");
+            assert_eq!(got, &t.brute_force(*range), "range {range:?}");
         }
         assert!(counters.ti_range_visits > 0);
         assert!(
@@ -1159,7 +1179,7 @@ mod tests {
             assert_eq!(i, 0);
             single.extend_from_slice(run);
         });
-        assert_eq!(single, t.range_collect_live(KeyRange::new(10, 20), 0));
+        assert_eq!(single, t.brute_force(KeyRange::new(10, 20)));
         assert_eq!(single.len(), 11);
         assert_eq!((counters.batches, counters.max_batch), (1, 1));
         assert_eq!(counters.nodes_prefetched, 0, "nothing to look ahead of");
@@ -1197,9 +1217,7 @@ mod tests {
         assert_eq!(got[0].len(), 11);
         assert_eq!(got[1].len(), 5);
         for (range, entries) in ranges.iter().zip(&got) {
-            let mut scalar = Vec::new();
-            t.range_for_each(*range, |e| scalar.push(e));
-            assert_eq!(entries, &scalar);
+            assert_eq!(entries, &t.brute_force(*range));
         }
     }
 
@@ -1215,11 +1233,10 @@ mod tests {
         }
         let range = KeyRange::new(100, 800);
         let mut breakdown = CostBreakdown::new();
-        let mut a = t.probe_with_breakdown(range, 10, &mut breakdown);
-        let mut b = t.range_collect_live(range, 10);
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
+        let a = t.probe_with_breakdown(range, 10, &mut breakdown);
+        let mut b = t.brute_force(range);
+        b.retain(|e| e.seq >= 10);
+        assert_eq!(a, b, "TS's entries, then TI's");
         assert!(breakdown.count(Step::Search) == 1 && breakdown.count(Step::Scan) == 1);
     }
 
@@ -1265,6 +1282,17 @@ mod tests {
     }
 
     impl PimTree {
+        /// The brute-force answer to a probe of `range`: `TS`'s leaf array,
+        /// then every entry of `TI` sorted, each filtered by key — no
+        /// descent, route or partition arithmetic involved.
+        fn brute_force(&self, range: KeyRange) -> Vec<Entry> {
+            let gen = self.current.read();
+            let mut ti = gen.ti_snapshot();
+            ti.sort_unstable();
+            let all = gen.ts.entries().iter().chain(&ti);
+            all.copied().filter(|e| range.contains(e.key)).collect()
+        }
+
         /// Partitions of the current generation whose run is a tree.
         fn promoted_partitions(&self) -> usize {
             let gen = self.current.read();
@@ -1425,19 +1453,21 @@ mod tests {
             self.range_collect_live(KeyRange::new(Key::MIN, Key::MAX), 0)
         }
 
-        /// `ranges` answered by the staged batch probe, checked against the
-        /// scalar probe range by range.
-        fn assert_batch_probes_match_scalar(&self, ranges: &[KeyRange]) {
-            let scalar: Vec<Vec<Entry>> = ranges
-                .iter()
-                .map(|&r| self.range_collect_live(r, 0))
-                .collect();
+        /// `ranges` answered by the staged batch probe and one at a time by
+        /// the scalar probe, both checked against brute force.
+        fn assert_probes_match_brute_force(&self, ranges: &[KeyRange]) {
+            let want: Vec<Vec<Entry>> = ranges.iter().map(|&r| self.brute_force(r)).collect();
             let mut counters = ProbeCounters::default();
             let mut batched = vec![Vec::new(); ranges.len()];
             self.probe_batch(ranges, &mut counters, |i, run| {
                 batched[i].extend_from_slice(run)
             });
-            assert_eq!(batched, scalar, "probe_batch");
+            assert_eq!(batched, want, "probe_batch");
+            let scalar: Vec<Vec<Entry>> = ranges
+                .iter()
+                .map(|&r| self.range_collect_live(r, 0))
+                .collect();
+            assert_eq!(scalar, want, "range_runs");
         }
     }
 
@@ -1475,7 +1505,7 @@ mod tests {
             let ranges: Vec<KeyRange> = (0..n as i64)
                 .map(|i| KeyRange::new(i * 61 % 1024, i * 61 % 1024 + 2))
                 .collect();
-            staged.assert_batch_probes_match_scalar(&ranges);
+            staged.assert_probes_match_brute_force(&ranges);
         }
     }
 
@@ -1657,7 +1687,7 @@ mod tests {
             "the held partition is the hot one"
         );
         assert!(t.promoted_partitions() >= 1);
-        t.assert_batch_probes_match_scalar(&[
+        t.assert_probes_match_brute_force(&[
             KeyRange::new(Key::MIN, Key::MAX),
             KeyRange::point(Key::MAX),
             KeyRange::new(0, 5),
@@ -1696,7 +1726,7 @@ mod tests {
 
             /// Whatever the batch sizes, staged inserts leave the tree as the
             /// same entries inserted one at a time do, and the staged batch
-            /// probes answer as the scalar probe does — with or without a
+            /// and scalar probes answer as brute force does — with or without a
             /// populated `TS`, on either side of a run's promotion and
             /// across it in the middle of a batch.
             #[test]
@@ -1749,7 +1779,7 @@ mod tests {
                     .into_iter()
                     .map(|(a, b)| KeyRange::new(a.min(b), a.max(b)))
                     .collect();
-                staged.assert_batch_probes_match_scalar(&ranges);
+                staged.assert_probes_match_brute_force(&ranges);
             }
         }
     }
@@ -1929,6 +1959,138 @@ mod tests {
                     check_runs("probe_batch", range, &whole[i], &want[i]);
                     let one = std::slice::from_ref(&range);
                     check_runs("probe_batch of one", range, &batched(one, &mut counters)[0], &want[i]);
+                }
+            }
+        }
+    }
+
+    mod descent_properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Both ends of the domain and a few keys between them; `distinct`
+        /// below cuts the list down to its first few, so most entries share a
+        /// key, and at 1 every key is the same.
+        const KEYS: [Key; 8] = [7, Key::MAX, Key::MIN, 0, 8, -5, 100, Key::MAX - 1];
+
+        /// A tree of `fanout`-wide, `leaf`-entry CSS nodes at insertion
+        /// depth `depth`, whose `TS` holds `ts` and whose `TI` holds `ti`.
+        fn tree_of(
+            fanout: usize,
+            leaf: usize,
+            depth: usize,
+            ts: &[Entry],
+            ti: &[Entry],
+        ) -> PimTree {
+            let mut c = PimConfig::for_window(4096).with_insertion_depth(depth);
+            c.css_fanout = fanout;
+            c.css_leaf_size = leaf;
+            c.btree_fanout = 8;
+            let t = PimTree::new(c);
+            for e in ts {
+                t.insert(e.key, e.seq);
+            }
+            if !ts.is_empty() {
+                t.merge(0);
+            }
+            for e in ti {
+                t.insert(e.key, e.seq);
+            }
+            t
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            /// One descent per probe names every partition the scalar route
+            /// would: at every insertion depth from 0 to 4 on trees of 0 to 4
+            /// inner levels and fan-out 2 to 4 — so also with the partitions
+            /// above the leaf groups, which the benchmark never builds — over
+            /// duplicate keys, `Key::MIN` and `Key::MAX`, and ranges that end
+            /// past the last leaf group. The derived first partition is the
+            /// route of `range.lo`, the last one the route of the first key
+            /// past the range (never short of the route of `range.hi`, never
+            /// a leaf group beyond it), and every probe entry point answers
+            /// as a sorted array filtered by key does.
+            #[test]
+            #[cfg_attr(miri, ignore)]
+            fn one_descent_finds_the_partitions_the_route_does(
+                draws in prop::collection::vec(0usize..KEYS.len(), 808..809),
+                distinct in prop::sample::select(vec![1usize, 2, KEYS.len()]),
+                leaf in 1usize..4,
+                // Where in the band of sizes that have the wanted height the
+                // `TS` size falls.
+                size in 0usize..1 << 16,
+                ti_n in prop::sample::select(vec![0usize, 1, 9, 40]),
+                bands in prop::collection::vec((0usize..KEYS.len(), 0usize..KEYS.len()), 1..10),
+            ) {
+                let entries: Vec<Entry> = draws
+                    .iter()
+                    .enumerate()
+                    .map(|(seq, &d)| Entry::new(KEYS[d % distinct], seq as Seq))
+                    .collect();
+                let mut ranges: Vec<KeyRange> = bands
+                    .iter()
+                    .map(|&(a, b)| KeyRange::new(KEYS[a].min(KEYS[b]), KEYS[a].max(KEYS[b])))
+                    .collect();
+                ranges.extend([
+                    KeyRange::new(Key::MIN, Key::MAX),
+                    KeyRange::point(Key::MAX),
+                    KeyRange::point(Key::MIN),
+                    KeyRange::new(KEYS[distinct - 1].saturating_add(1), Key::MAX),
+                ]);
+                let in_range = |sorted: &[Entry], range: KeyRange| -> Vec<Entry> {
+                    sorted.iter().copied().filter(|e| range.contains(e.key)).collect()
+                };
+                for fanout in 2..=4usize {
+                    for levels in 0..=4u32 {
+                        // Leaf groups that need exactly `levels` inner levels,
+                        // and the entries that make that many groups.
+                        let groups = if levels == 0 {
+                            1
+                        } else {
+                            let (lo, hi) = (fanout.pow(levels - 1) + 1, fanout.pow(levels));
+                            lo + size % (hi - lo + 1)
+                        };
+                        let ts_n = (groups - 1) * leaf + 1 + size % leaf;
+                        let (ts, ti) = entries[..ts_n + ti_n].split_at(ts_n);
+                        let mut ts_sorted = ts.to_vec();
+                        ts_sorted.sort_unstable();
+                        let mut ti_sorted = ti.to_vec();
+                        ti_sorted.sort_unstable();
+                        for depth in 0..=4 {
+                            let t = tree_of(fanout, leaf, depth, ts, ti);
+                            let what = format!("fan-out {fanout}, leaf {leaf}, {levels} levels, depth {depth}");
+                            let gen = t.current.read();
+                            prop_assert_eq!(gen.ts.inner_levels(), levels as usize, "{}", what);
+                            prop_assert_eq!(gen.depth, depth.min(levels as usize));
+                            for &range in &ranges {
+                                let (run, span) = gen.locate(range);
+                                prop_assert_eq!(run, &in_range(&ts_sorted, range)[..], "{} {:?}", what, range);
+                                let route = |e| gen.route(e);
+                                let past = range.hi.checked_add(1).map_or(Entry::max_for_key(Key::MAX), Entry::min_for_key);
+                                prop_assert_eq!(*span.start(), route(Entry::min_for_key(range.lo)), "{} {:?}", what, range);
+                                prop_assert!(*span.end() >= route(Entry::max_for_key(range.hi)), "{} {:?}", what, range);
+                                prop_assert_eq!(*span.end(), route(past), "{} {:?}", what, range);
+                            }
+                            drop(gen);
+                            let want: Vec<Vec<Entry>> = ranges
+                                .iter()
+                                .map(|&r| [in_range(&ts_sorted, r), in_range(&ti_sorted, r)].concat())
+                                .collect();
+                            let mut counters = ProbeCounters::default();
+                            let mut batched = vec![Vec::new(); ranges.len()];
+                            t.probe_batch(&ranges, &mut counters, |i, run| batched[i].extend_from_slice(run));
+                            prop_assert_eq!(&batched, &want, "probe_batch, {}", what);
+                            for (&range, want) in ranges.iter().zip(&want) {
+                                let mut one = Vec::new();
+                                t.range_runs(range, |run| one.extend_from_slice(run));
+                                prop_assert_eq!(&one, want, "range_runs, {} {:?}", what, range);
+                                let timed = t.probe_with_breakdown(range, 0, &mut CostBreakdown::new());
+                                prop_assert_eq!(&timed, want, "probe_with_breakdown, {} {:?}", what, range);
+                            }
+                        }
+                    }
                 }
             }
         }

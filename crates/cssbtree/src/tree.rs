@@ -203,17 +203,29 @@ impl CssTree {
 
     /// Position of the first entry `>= target` in the leaf array (equals
     /// `len()` when every entry is smaller).
+    #[inline]
     pub fn lower_bound(&self, target: Entry) -> usize {
+        self.lower_bound_with_group(target).0
+    }
+
+    /// [`CssTree::lower_bound`] and the leaf group its descent landed in,
+    /// from one root-to-leaf walk: the scalar counterpart of what
+    /// [`CssTree::lower_bound_batch`] reports per target. The group is
+    /// exactly [`CssTree::descend_to_depth`] over every inner level (0 when
+    /// there is none), so a caller derives the node at any shallower depth
+    /// with [`CssTree::ancestor_at_depth`] instead of descending again.
+    #[inline]
+    pub fn lower_bound_with_group(&self, target: Entry) -> (usize, usize) {
         if self.leaves.is_empty() {
-            return 0;
+            return (0, 0);
         }
         if self.level_sizes.is_empty() {
-            return node_lower_bound(&self.leaves, target);
+            return (node_lower_bound(&self.leaves, target), 0);
         }
         let group = self.descend_to_depth(target, self.level_sizes.len());
         let start = group * self.leaf_size;
-        let end = (start + self.leaf_size).min(self.leaves.len());
-        start + node_lower_bound(&self.leaves[start..end], target)
+        let pos = start + node_lower_bound(self.leaf_group_slice(group), target);
+        (pos, group)
     }
 
     /// Position of the first entry with key `>= key`.
@@ -691,10 +703,10 @@ mod tests {
 
     /// Batch/scalar parity for a batch of every length in `BATCH_LENGTHS`
     /// drawn from `probes`: positions are scalar `lower_bound`'s, groups the
-    /// full `descend_to_depth`'s, and the counters hold exactly one prefetch
-    /// per target and level below the root and one node search per target
-    /// and level plus its leaf group — whatever the batch's length against
-    /// the lookahead window.
+    /// full `descend_to_depth`'s, both together `lower_bound_with_group`'s,
+    /// and the counters hold exactly one prefetch per target and level below
+    /// the root and one node search per target and level plus its leaf group
+    /// — whatever the batch's length against the lookahead window.
     fn assert_batch_matches_scalar(t: &CssTree, probes: &[Entry]) {
         let levels = t.inner_levels();
         for len in BATCH_LENGTHS {
@@ -710,6 +722,10 @@ mod tests {
                 .map(|&p| t.descend_to_depth(p, levels))
                 .collect();
             assert_eq!(groups, descents, "batch length {len}");
+            let scalar: Vec<(usize, usize)> =
+                batch.iter().map(|&p| t.lower_bound_with_group(p)).collect();
+            let batched: Vec<(usize, usize)> = positions.iter().copied().zip(groups).collect();
+            assert_eq!(scalar, batched, "one descent, batch length {len}");
             let n = batch.len() as u64;
             let (prefetches, searches) = if t.is_empty() {
                 (0, 0)

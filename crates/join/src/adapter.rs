@@ -280,6 +280,10 @@ impl WindowIndexAdapter for ImTreeAdapter {
 #[derive(Debug)]
 pub struct PimTreeAdapter {
     tree: PimTree,
+    /// What the last insert answered: whether `TI` has reached the merge
+    /// threshold. `maintain` reads it instead of asking the tree, which
+    /// would take the generation lock a second time per tuple.
+    merge_due: bool,
 }
 
 impl PimTreeAdapter {
@@ -287,6 +291,7 @@ impl PimTreeAdapter {
     pub fn new(config: PimConfig) -> Self {
         PimTreeAdapter {
             tree: PimTree::new(config),
+            merge_due: false,
         }
     }
 
@@ -302,7 +307,7 @@ impl WindowIndexAdapter for PimTreeAdapter {
     }
 
     fn insert(&mut self, key: Key, seq: Seq) {
-        self.tree.insert(key, seq);
+        self.merge_due = self.tree.insert(key, seq);
     }
 
     fn on_expire(&mut self, _key: Key, _seq: Seq) {
@@ -323,11 +328,9 @@ impl WindowIndexAdapter for PimTreeAdapter {
     }
 
     fn maintain(&mut self, earliest_live: Seq) -> Option<MergeReport> {
-        if self.tree.needs_merge() {
-            Some(self.tree.merge(earliest_live))
-        } else {
-            None
-        }
+        // `TI` only grows between merges, so the last insert's answer is
+        // still the tree's.
+        std::mem::take(&mut self.merge_due).then(|| self.tree.merge(earliest_live))
     }
 
     fn probe_instrumented(
@@ -632,6 +635,32 @@ mod tests {
         }
         assert_eq!(im_merges, 4);
         assert_eq!(pim_merges, 4);
+        // The PIM-Tree adapter keeps the insert's answer instead of polling
+        // `needs_merge`: it merges at exactly the tuples polling does, with a
+        // `maintain` after every insert and after every third.
+        for stride in [1, 3] {
+            let polled = PimTree::new(cfg);
+            let mut kept = PimTreeAdapter::new(cfg);
+            let (mut polled_at, mut kept_at) = (Vec::new(), Vec::new());
+            for i in 0..200u64 {
+                let key = (i * 37 % 50) as Key;
+                polled.insert(key, i);
+                kept.insert(key, i);
+                if i % stride != 0 {
+                    continue;
+                }
+                if polled.needs_merge() {
+                    polled.merge(i.saturating_sub(32));
+                    polled_at.push(i);
+                }
+                if kept.maintain(i.saturating_sub(32)).is_some() {
+                    kept_at.push(i);
+                }
+            }
+            assert!(polled_at.len() >= 200 / 16 - 1, "stride {stride}");
+            assert_eq!(kept_at, polled_at, "stride {stride}");
+            assert_eq!(kept.tree().ti_len(), polled.ti_len());
+        }
         // Eager indexes never merge.
         let mut b = BTreeAdapter::new();
         b.insert(1, 1);
