@@ -39,8 +39,9 @@
 //! same input and warm-up: the single-threaded IBWJ operator over the
 //! PIM-Tree at merge ratio 0.125, as the repository benchmark's
 //! `single_thread_mtps` runs it, and the one-worker row's rate divided by
-//! it — what batching alone buys. Under `--sample` its profile goes to
-//! `PATH.st`.
+//! it — what batching alone buys — then the operator's merge share (its
+//! merge time over its elapsed time) and merge time per tuple. Under
+//! `--sample` its profile goes to `PATH.st`.
 
 use pimtree_bench::harness::*;
 use pimtree_common::{IndexKind, JoinConfig, PimConfig, TelemetryMode};
@@ -255,8 +256,10 @@ fn main() {
     let single_mtps = stats.million_tuples_per_second();
     println!(
         "# single-threaded IBWJ (PIM-Tree, merge ratio 0.125): {single_mtps:.4} Mtuples/s; \
-         1 worker / single-threaded = {:.3}",
-        one_worker_mtps / single_mtps
+         1 worker / single-threaded = {:.3}; merge share {:.3}, {:.1} merge ns/tuple",
+        one_worker_mtps / single_mtps,
+        stats.merge_time.as_secs_f64() / stats.elapsed.as_secs_f64(),
+        stats.merge_time.as_nanos() as f64 / stats.tuples as f64
     );
 }
 

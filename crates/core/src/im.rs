@@ -8,7 +8,7 @@ use pimtree_common::{CostBreakdown, Key, KeyRange, PimConfig, Seq, Step};
 use pimtree_css::CssTree;
 
 use crate::footprint::PimFootprint;
-use crate::merge::{build_ts, merge_live, MergeReport};
+use crate::merge::{build_ts, LiveMerge, MergeReport};
 
 /// The In-memory Merge-Tree: a mutable B+-Tree `TI` for new tuples plus an
 /// immutable CSS-Tree `TS` for the bulk of the window, merged whenever `TI`
@@ -71,21 +71,19 @@ impl ImTree {
     }
 
     /// Merges `TI` into `TS`, dropping entries whose sequence number lies
-    /// before `earliest_live`.
+    /// before `earliest_live`: the drained `TI` is the one run of the
+    /// PIM-Tree's merge pass (`LiveMerge`).
     pub fn merge(&mut self, earliest_live: Seq) -> MergeReport {
         let start = Instant::now();
-        let ti_entries = self.ti.drain_sorted();
-        let (merged, kept_from_ts, dropped_expired, from_ti) =
-            merge_live(&self.ts, &ti_entries, earliest_live);
-        let new_len = merged.len();
+        let ti = self.ti.drain_sorted();
+        let mut merge = LiveMerge::new(self.ts.entries(), ti.len(), earliest_live);
+        merge.push_run(&ti);
+        let (merged, report) = merge.finish();
         self.ts = build_ts(&self.config, merged);
         MergeReport {
             duration: start.elapsed(),
-            kept_from_ts,
-            dropped_expired,
-            from_ti,
-            new_len,
             partitions: 1,
+            ..report
         }
     }
 

@@ -14,7 +14,7 @@ use pimtree_common::{
 use pimtree_css::CssTree;
 
 use crate::footprint::PimFootprint;
-use crate::merge::{build_ts, merge_live, MergeReport};
+use crate::merge::{build_ts, LiveMerge, MergeReport};
 
 /// Largest flat run a partition holds. The insert that would grow a run past
 /// this bulk-loads it into a B+-Tree, which it stays until the next merge.
@@ -85,11 +85,22 @@ impl Run {
         }
     }
 
-    /// Appends every entry to `out`, ascending.
-    fn append_to(&self, out: &mut Vec<Entry>) {
+    /// Calls `f` with every entry as sorted runs, ascending: a flat run as
+    /// one slice of itself, possibly empty, a promoted one leaf by leaf.
+    fn for_each_run<F: FnMut(&[Entry])>(&self, mut f: F) {
         match self {
-            Run::Flat(run) => out.extend_from_slice(run),
-            Run::Tree(tree) => tree.for_each(|e| out.push(e)),
+            Run::Flat(run) => f(run),
+            Run::Tree(tree) => tree.range_runs(KeyRange::new(Key::MIN, Key::MAX), f),
+        }
+    }
+
+    /// Empties the run for the next generation. A flat run keeps its
+    /// allocation, so the next cycle's inserts land in a run already
+    /// reserved; a promoted one becomes an empty flat run.
+    fn reset(&mut self) {
+        match self {
+            Run::Flat(run) => run.clear(),
+            Run::Tree(_) => *self = Run::Flat(Vec::new()),
         }
     }
 
@@ -152,7 +163,8 @@ impl Partition {
 
 /// One generation of the two-stage structure: an immutable `TS` plus the
 /// mutable partitions attached to its inner nodes at the insertion depth.
-/// A merge replaces the whole generation.
+/// The blocking merge refits the generation in place; the non-blocking one
+/// replaces it whole.
 #[derive(Debug)]
 struct Generation {
     ts: CssTree,
@@ -160,9 +172,10 @@ struct Generation {
     /// of inner levels actually present in `TS`).
     depth: usize,
     partitions: Vec<Partition>,
-    /// Entries a partition's run is reserved to on its first insert: the
-    /// fill a uniformly fed partition reaches by the next merge, so that run
-    /// never re-allocates on the way there.
+    /// Entries a partition's run is reserved to on its first insert, unless
+    /// it kept an allocation through a blocking merge: the fill a uniformly
+    /// fed partition reaches by the next merge, so that run never
+    /// re-allocates on the way there.
     run_reserve: usize,
     ti_len: AtomicUsize,
 }
@@ -170,19 +183,35 @@ struct Generation {
 impl Generation {
     /// Allocates the partition table and nothing per partition.
     fn new(config: &PimConfig, ts: CssTree) -> Self {
-        let depth = config.insertion_depth.min(ts.inner_levels());
-        let count = if ts.is_empty() {
+        let mut gen = Generation {
+            ts,
+            depth: 0,
+            partitions: Vec::new(),
+            run_reserve: 0,
+            ti_len: AtomicUsize::new(0),
+        };
+        gen.refit(config);
+        gen
+    }
+
+    /// Fits the partition table to `TS`: one partition per node at the
+    /// insertion depth (one for an empty `TS`), each run emptied by
+    /// [`Run::reset`]. Partitions past the new count are freed, missing ones
+    /// added empty. Insert counters are left to the caller, which folds them
+    /// first.
+    fn refit(&mut self, config: &PimConfig) {
+        self.depth = config.insertion_depth.min(self.ts.inner_levels());
+        let count = if self.ts.is_empty() {
             1
         } else {
-            ts.nodes_at_depth(depth)
+            self.ts.nodes_at_depth(self.depth)
         };
-        Generation {
-            ts,
-            depth,
-            partitions: (0..count).map(|_| Partition::new()).collect(),
-            run_reserve: (config.merge_threshold() / count).clamp(4, RUN_PROMOTE_LEN),
-            ti_len: AtomicUsize::new(0),
+        self.partitions.resize_with(count, Partition::new);
+        for p in &mut self.partitions {
+            p.0.get_mut().run.reset();
         }
+        self.run_reserve = (config.merge_threshold() / count).clamp(4, RUN_PROMOTE_LEN);
+        *self.ti_len.get_mut() = 0;
     }
 
     /// The partition `entry` is inserted into: `TS` descended to the
@@ -284,20 +313,6 @@ impl Generation {
         for (&p, &(key, seq)) in routed.iter().zip(chunk) {
             self.insert_into(p, Entry::new(key, seq), fanout);
         }
-    }
-
-    /// Sorted snapshot of the mutable component (partitions are disjoint,
-    /// ascending key ranges, so concatenating their runs preserves order).
-    fn ti_snapshot(&self) -> Vec<Entry> {
-        let mut out = Vec::with_capacity(self.ti_len.load(Ordering::Relaxed));
-        for p in &self.partitions {
-            p.lock().run.append_to(&mut out);
-        }
-        debug_assert!(
-            out.windows(2).all(|w| w[0] <= w[1]),
-            "TI snapshot must be sorted"
-        );
-        out
     }
 }
 
@@ -719,40 +734,50 @@ impl PimTree {
     }
 
     /// Blocking merge: waits for in-flight operations, then rebuilds `TS`
-    /// from the live entries of both components and resets the partitions.
+    /// from the live entries of both components in one pass
+    /// (`LiveMerge`, fed the partitions' runs in partition order) and
+    /// refits the partition table in place. Nothing is allocated per
+    /// partition; the old `TS` is freed (with the partitions a smaller `TS`
+    /// no longer has), and the reported duration includes freeing it.
     pub fn merge(&self, earliest_live: Seq) -> MergeReport {
         let started = Instant::now();
         let mut guard = self.current.write();
-        let ti = guard.ti_snapshot();
-        let (merged, kept_from_ts, dropped_expired, from_ti) =
-            merge_live(&guard.ts, &ti, earliest_live);
-        let new_len = merged.len();
-        let new_gen = Generation::new(&self.config, build_ts(&self.config, merged));
-        let partitions = new_gen.partitions.len();
-        let mut old = std::mem::replace(&mut *guard, new_gen);
+        let gen = &mut *guard;
+        self.fold_retired_counters(&mut gen.partitions);
+        let mut merge = LiveMerge::new(gen.ts.entries(), *gen.ti_len.get_mut(), earliest_live);
+        for p in &mut gen.partitions {
+            p.0.get_mut().run.for_each_run(|run| merge.push_run(run));
+        }
+        let (merged, report) = merge.finish();
+        let old_ts = std::mem::replace(&mut gen.ts, build_ts(&self.config, merged));
+        gen.refit(&self.config);
+        let partitions = gen.partitions.len();
         drop(guard);
-        self.fold_retired_counters(&mut old);
+        drop(old_ts);
         MergeReport {
             duration: started.elapsed(),
-            kept_from_ts,
-            dropped_expired,
-            from_ti,
-            new_len,
             partitions,
+            ..report
         }
     }
 
     /// Phase 1 of the non-blocking merge (§4.2): build the next generation
-    /// from a snapshot of the current one, without modifying it. Lookups may
-    /// proceed concurrently; the caller must ensure no inserts happen until
-    /// [`PimTree::install_merge`] has returned.
+    /// from the current one, without modifying it: the same one-pass merge
+    /// as [`PimTree::merge`], each partition's run read under its lock.
+    /// Lookups may proceed concurrently; the caller must ensure no inserts
+    /// happen until [`PimTree::install_merge`] has returned.
     pub fn begin_merge(&self, earliest_live: Seq) -> PreparedMerge {
         let started = Instant::now();
         let gen = self.current.read();
-        let ti = gen.ti_snapshot();
-        let (merged, kept_from_ts, dropped_expired, from_ti) =
-            merge_live(&gen.ts, &ti, earliest_live);
-        let new_len = merged.len();
+        let mut merge = LiveMerge::new(
+            gen.ts.entries(),
+            gen.ti_len.load(Ordering::Relaxed),
+            earliest_live,
+        );
+        for p in &gen.partitions {
+            p.lock().run.for_each_run(|run| merge.push_run(run));
+        }
+        let (merged, report) = merge.finish();
         drop(gen);
         let generation = Generation::new(&self.config, build_ts(&self.config, merged));
         let partitions = generation.partitions.len();
@@ -760,11 +785,8 @@ impl PimTree {
             generation,
             report: MergeReport {
                 duration: started.elapsed(),
-                kept_from_ts,
-                dropped_expired,
-                from_ti,
-                new_len,
                 partitions,
+                ..report
             },
             started,
         }
@@ -785,20 +807,21 @@ impl PimTree {
         let mut guard = self.current.write();
         let mut old = std::mem::replace(&mut *guard, generation);
         drop(guard);
-        self.fold_retired_counters(&mut old);
+        self.fold_retired_counters(&mut old.partitions);
         report.duration = started.elapsed();
         (report, RetiredGeneration(old))
     }
 
-    /// `old` is owned, so its counters are read through the locks, not under
-    /// them.
-    fn fold_retired_counters(&self, old: &mut Generation) {
+    /// Moves the insert counters of `partitions` into the cumulative
+    /// histogram, leaving them at zero. They are borrowed mutably, so the
+    /// counters are read through the locks, not under them.
+    fn fold_retired_counters(&self, partitions: &mut [Partition]) {
         let mut retired = self.retired_inserts.lock();
-        if retired.len() < old.partitions.len() {
-            retired.resize(old.partitions.len(), 0);
+        if retired.len() < partitions.len() {
+            retired.resize(partitions.len(), 0);
         }
-        for (sum, p) in retired.iter_mut().zip(&mut old.partitions) {
-            *sum += p.0.get_mut().inserts;
+        for (sum, p) in retired.iter_mut().zip(partitions) {
+            *sum += std::mem::take(&mut p.0.get_mut().inserts);
         }
     }
 
@@ -1287,7 +1310,10 @@ mod tests {
         /// descent, route or partition arithmetic involved.
         fn brute_force(&self, range: KeyRange) -> Vec<Entry> {
             let gen = self.current.read();
-            let mut ti = gen.ti_snapshot();
+            let mut ti = Vec::new();
+            for p in &gen.partitions {
+                p.lock().run.for_each_run(|run| ti.extend_from_slice(run));
+            }
             ti.sort_unstable();
             let all = gen.ts.entries().iter().chain(&ti);
             all.copied().filter(|e| range.contains(e.key)).collect()
@@ -1480,6 +1506,95 @@ mod tests {
         }
         t.merge(0);
         t
+    }
+
+    /// Growth (the `TS`-less first generation, its one partition promoted),
+    /// a steady state, and a shrink in which most entries expire: after
+    /// every blocking merge the refitted table is sized to `TS`, empty,
+    /// unpromoted, its counters folded, and the tree answers as brute force
+    /// and as the live entries inserted so far do. A twin driven through
+    /// `begin_merge` + `install_merge` ends every merge as the same tree.
+    #[test]
+    fn repeated_blocking_merges_refit_the_table() {
+        let w = 2048usize;
+        let (t, twin) = (
+            PimTree::new(config(w, 0.25, 2)),
+            PimTree::new(config(w, 0.25, 2)),
+        );
+        let key_of = |seq: u64| -> Key {
+            match seq % 11 {
+                0 => Key::MIN,
+                1 => Key::MAX,
+                _ => (seq * 7919 % 3000) as Key,
+            }
+        };
+        let ranges = [
+            KeyRange::new(Key::MIN, Key::MAX),
+            KeyRange::point(Key::MAX),
+            KeyRange::new(0, 40),
+            KeyRange::new(1000, 2600),
+        ];
+        let mut inserted: Vec<Entry> = Vec::new();
+        let mut steady_partitions = 0;
+        // (inserts before the merge, entries it keeps live): phase 0 fills
+        // the `TS`-less generation, 1-5 slide the window, 6 shrinks it.
+        let phases = [(512, w); 6].into_iter().chain([(64, 64)]);
+        for (i, (n, live)) in phases.enumerate() {
+            let from = inserted.len() as u64;
+            for seq in from..from + n as u64 {
+                t.insert(key_of(seq), seq);
+                twin.insert(key_of(seq), seq);
+                inserted.push(Entry::new(key_of(seq), seq));
+            }
+            assert_eq!(t.promoted_partitions(), usize::from(i == 0), "phase {i}");
+            t.assert_probes_match_brute_force(&ranges);
+            let earliest = (inserted.len() - live.min(inserted.len())) as Seq;
+            let (ts_len, ti_len) = (t.ts_len(), t.ti_len());
+            let report = t.merge(earliest);
+            let (twin_report, _) = twin.install_merge(twin.begin_merge(earliest));
+            assert_eq!(
+                report.kept_from_ts + report.dropped_expired + report.from_ti,
+                ts_len + ti_len
+            );
+            assert_eq!(
+                MergeReport {
+                    duration: report.duration,
+                    ..twin_report
+                },
+                report
+            );
+
+            let gen = t.current.read();
+            assert_eq!(gen.partitions.len(), gen.ts.nodes_at_depth(gen.depth));
+            drop(gen);
+            assert_eq!(report.partitions, t.partition_count(), "phase {i}");
+            assert_eq!(t.ti_len(), 0);
+            assert_eq!(t.promoted_partitions(), 0);
+            assert_eq!(
+                t.insert_histogram().iter().sum::<u64>(),
+                inserted.len() as u64
+            );
+            let mut live: Vec<Entry> = inserted
+                .iter()
+                .copied()
+                .filter(|e| e.seq >= earliest)
+                .collect();
+            live.sort_unstable();
+            assert_eq!(t.content(), live, "phase {i}");
+            t.assert_probes_match_brute_force(&ranges);
+
+            assert_eq!(twin.content(), live);
+            assert_eq!(twin.partition_count(), t.partition_count());
+            assert_eq!(twin.effective_depth(), t.effective_depth());
+            assert_eq!(twin.ti_len(), 0);
+            assert_eq!(twin.insert_histogram(), t.insert_histogram());
+            steady_partitions = steady_partitions.max(t.partition_count());
+        }
+        assert!(
+            t.partition_count() < steady_partitions,
+            "the shrink refits to fewer partitions: {} of {steady_partitions}",
+            t.partition_count()
+        );
     }
 
     #[test]
@@ -2170,7 +2285,7 @@ mod tests {
                         }
                         _ => {
                             let mut got = Vec::new();
-                            run.append_to(&mut got);
+                            run.for_each_run(|r| got.extend_from_slice(r));
                             prop_assert_eq!(&got, &oracle, "ascending on either side");
                             prop_assert_eq!(got, tree.to_sorted_vec());
                         }
