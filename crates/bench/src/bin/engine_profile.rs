@@ -20,15 +20,15 @@
 //! worst stall); `--arrival-rate=` paces ingestion
 //! open-loop and reports the arrival-latency tail (p99).
 //!
-//! The engine flight recorder is always armed here (at least `counters`
-//! mode; `--telemetry=full` adds phase histograms). After each CSV row the
-//! binary renders the recorder's per-phase table (events, time, percent of
-//! recorded time, mean) and a per-shard gauge table from the final sample
-//! of a short-interval JSONL trace — ring occupancy per shard, unindexed
-//! suffix and window sizes, drift imbalance — as `#`-prefixed comment lines
-//! so CSV consumers are unaffected. `--telemetry-out=PATH` keeps the traces
-//! (one per swept thread count, at `PATH.<threads>t`); without it the trace
-//! goes to a scratch file that is removed after rendering.
+//! The phase columns come from the engine's own phase spans
+//! (`JoinRunStats::phase`). After each CSV row the binary renders a
+//! per-shard gauge table from the final sample of the run's JSONL gauge
+//! trace — ring occupancy per shard, unindexed suffix and window sizes,
+//! drift imbalance — as `#`-prefixed comment lines so CSV consumers are
+//! unaffected. `--telemetry-out=PATH` keeps the traces (one per swept thread
+//! count, at `PATH.<threads>t`, sampled every `--telemetry-interval=` ms);
+//! without it the trace goes to a scratch file that is removed after
+//! rendering.
 //!
 //! `--sample=PATH` (Linux x86-64) turns on a `SIGPROF` instruction-pointer
 //! sampler for hosts without `perf`: one sample per 4 ms tick of CPU time,
@@ -44,10 +44,9 @@
 //! `--sample` its profile goes to `PATH.st`.
 
 use pimtree_bench::harness::*;
-use pimtree_common::{IndexKind, JoinConfig, PimConfig, TelemetryMode};
+use pimtree_common::{IndexKind, JoinConfig, PimConfig};
 use pimtree_join::{build_single_threaded, ParallelIbwj, SharedIndexKind};
 use pimtree_numa::RangePartitioner;
-use pimtree_telemetry::{EnginePhase, TelemetryReport};
 use pimtree_workload::KeyDistribution;
 
 fn main() {
@@ -85,7 +84,6 @@ fn main() {
             "merge_ms",
             "mean_latency_us",
             "loaded_mb",
-            "recorder_events",
             "claim_retries_per_task",
             "mean_task_size",
             "ingest_contended",
@@ -126,13 +124,6 @@ fn main() {
         let sample: Vec<i64> = tuples.iter().step_by(step).map(|t| t.key).collect();
         RangePartitioner::from_key_sample(opts.shards, &sample)
     });
-    // The profiler's whole point is attribution, so the flight recorder is
-    // always at least in `counters` mode here; `--telemetry=full` upgrades.
-    let telemetry_mode = if opts.telemetry == TelemetryMode::Off {
-        TelemetryMode::Counters
-    } else {
-        opts.telemetry
-    };
     let trace_base = telemetry_out_from_args();
     let sample_base = path_arg("--sample");
     let warmup = (2 * w).min(tuples.len() / 2);
@@ -144,8 +135,7 @@ fn main() {
             .with_pim(pim_config(w))
             .with_ring(opts.ring())
             .with_shard(opts.shard())
-            .with_drift(opts.drift())
-            .with_telemetry(opts.telemetry().with_mode(telemetry_mode));
+            .with_drift(opts.drift());
         config.window_r = w;
         config.window_s = w;
         let trace_path = match &trace_base {
@@ -156,7 +146,7 @@ fn main() {
                 .into_owned(),
         };
         let mut op = ParallelIbwj::new(config, predicate, SharedIndexKind::PimTree, false)
-            .with_telemetry_out(&trace_path);
+            .with_telemetry_out(&trace_path, opts.telemetry_interval());
         if let Some(p) = &partitioner {
             op = op.with_partitioner(p.clone());
         }
@@ -190,11 +180,6 @@ fn main() {
             format!("{:.1}", stats.merge_time.as_secs_f64() * 1e3),
             format!("{:.1}", stats.latency.mean_micros()),
             format!("{:.1}", stats.bytes_loaded as f64 / 1e6),
-            stats
-                .telemetry
-                .as_ref()
-                .map_or(0, |r| r.totals.events)
-                .to_string(),
             format!("{:.3}", stats.ring.claim_contention()),
             format!("{:.2}", stats.ring.mean_task_size()),
             stats.ring.ingest_token_contended.to_string(),
@@ -229,13 +214,9 @@ fn main() {
                     .map_or(0.0, |h| h.p99_micros())
             ),
         ]);
-        if let Some(report) = &stats.telemetry {
-            render_phase_table(report, threads);
-        }
         render_gauge_table(&trace_path);
         if trace_base.is_none() {
             let _ = std::fs::remove_file(&trace_path);
-            let _ = std::fs::remove_file(format!("{trace_path}.prom"));
         }
     }
 
@@ -412,37 +393,10 @@ mod sampler {
     }
 }
 
-/// Renders the flight recorder's per-phase totals as `#`-prefixed comment
-/// lines (CSV consumers skip them).
-fn render_phase_table(report: &TelemetryReport, threads: usize) {
-    let total = report.totals.total_nanos().max(1);
-    println!(
-        "# flight recorder ({threads} threads, mode {}): phase count time_ms pct mean_us",
-        report.mode
-    );
-    for phase in EnginePhase::ALL {
-        let nanos = report.totals.nanos(phase);
-        let count = report.totals.count(phase);
-        let mean_us = if count == 0 {
-            0.0
-        } else {
-            nanos as f64 / count as f64 / 1_000.0
-        };
-        println!(
-            "#   {:<6} {:>12} {:>10.2} {:>5.1} {:>9.3}",
-            phase.label(),
-            count,
-            nanos as f64 / 1e6,
-            100.0 * nanos as f64 / total as f64,
-            mean_us
-        );
-    }
-}
-
 /// Renders the per-shard gauge table from the final sample of the run's
-/// JSONL trace. The trace format is the flat one-line-per-sample JSON that
-/// `pimtree_telemetry::GaugeSample::to_json` emits, so scalar fields can be
-/// sliced out positionally without a JSON parser.
+/// JSONL trace. The trace format is the flat one-line-per-sample JSON of
+/// `docs/telemetry-schema.json`, so scalar fields can be sliced out
+/// positionally without a JSON parser.
 fn render_gauge_table(trace_path: &str) {
     let Ok(trace) = std::fs::read_to_string(trace_path) else {
         return;

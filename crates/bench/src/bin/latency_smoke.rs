@@ -16,19 +16,18 @@
 //! counters — including the per-cause `stall_causes_us` decomposition — to
 //! `BENCH_latency.json`, and asserts on every leg that each measured tuple
 //! has one latency sample, that the plan was adopted and that the stall
-//! causes sum to the total stall within 1%. `--telemetry=` arms the engine
-//! flight recorder per leg and `--telemetry-out=PATH` streams gauge samples
-//! to `PATH.<shards>shards.<rate>tps` (one trace per leg).
+//! causes sum to the total stall. `--telemetry-out=PATH` streams gauge
+//! samples every `--telemetry-interval=` ms (default 50) to
+//! `PATH.<shards>shards.<rate>tps`, one trace per leg.
 
 use std::io::Write;
 
 use pimtree_bench::harness::{
-    pim_config, print_header, telemetry_out_from_args, two_way_workload, RunOpts,
+    pim_config, print_header, stall_causes_json, telemetry_out_from_args, two_way_workload, RunOpts,
 };
 use pimtree_common::{IndexKind, JoinConfig, ShardConfig, Tuple};
 use pimtree_join::{JoinRunStats, ParallelIbwj, SharedIndexKind};
 use pimtree_numa::RangePartitioner;
-use pimtree_telemetry::StallCause;
 use pimtree_workload::KeyDistribution;
 
 /// Offered load as a fraction of the calibrated closed-loop throughput:
@@ -63,8 +62,7 @@ fn run_leg(
                 .with_shards(shards)
                 .with_partition_index(true),
         )
-        .with_drift(opts.drift())
-        .with_telemetry(opts.telemetry());
+        .with_drift(opts.drift());
     config.window_r = w;
     config.window_s = w;
     let mut op = ParallelIbwj::new(config, predicate, SharedIndexKind::PimTree, false)
@@ -72,7 +70,10 @@ fn run_leg(
         .with_forced_repartition(tuples.len() / 2, target.clone());
     if let Some(path) = telemetry_out_from_args() {
         // One trace per leg would clobber the file; suffix by configuration.
-        op = op.with_telemetry_out(format!("{path}.{shards}shards.{}tps", arrival_rate as u64));
+        op = op.with_telemetry_out(
+            format!("{path}.{shards}shards.{}tps", arrival_rate as u64),
+            opts.telemetry_interval(),
+        );
     }
     if arrival_rate > 0.0 {
         op = op.with_open_loop(arrival_rate);
@@ -167,15 +168,9 @@ fn main() {
             "the forced plan must be adopted ({shards} shards)"
         );
         assert!(stats.migration.tuples_moved() > 0);
-        // Per-cause stall attribution must reproduce the total stall (within
-        // 1%).
-        let cause_sum: u64 = StallCause::ALL
-            .iter()
-            .map(|&c| stats.migration.stall_cause_nanos(c))
-            .sum();
-        assert!(
-            (cause_sum as f64 - stats.migration.stall_nanos as f64).abs()
-                <= stats.migration.stall_nanos as f64 * 0.01,
+        assert_eq!(
+            stats.migration.stall_causes.total_nanos(),
+            stats.migration.stall_nanos,
             "stall causes must sum to the total stall ({shards} shards)"
         );
         println!(
@@ -208,10 +203,7 @@ fn main() {
                     "\"max_us\": {:.2}, \"migration_epochs\": {}, ",
                     "\"migrated_tuples\": {}, ",
                     "\"migration_stall_us\": {:.2}, \"migration_max_stall_us\": {:.2}, ",
-                    "\"stall_causes_us\": {{\"gate_close\": {:.2}, ",
-                    "\"in_flight_drain\": {:.2}, \"window_snapshot\": {:.2}, ",
-                    "\"rebuild\": {:.2}, \"index_swap\": {:.2}, ",
-                    "\"router_swap\": {:.2}}}}}"
+                    "\"stall_causes_us\": {}}}"
                 ),
                 l.shards,
                 l.offered_tps,
@@ -224,18 +216,7 @@ fn main() {
                 l.stats.migration.tuples_moved(),
                 l.stats.migration.stall_micros(),
                 l.stats.migration.max_stall_micros(),
-                l.stats.migration.stall_cause_nanos(StallCause::GateClose) as f64 / 1_000.0,
-                l.stats
-                    .migration
-                    .stall_cause_nanos(StallCause::InFlightDrain) as f64
-                    / 1_000.0,
-                l.stats
-                    .migration
-                    .stall_cause_nanos(StallCause::WindowSnapshot) as f64
-                    / 1_000.0,
-                l.stats.migration.stall_cause_nanos(StallCause::Rebuild) as f64 / 1_000.0,
-                l.stats.migration.stall_cause_nanos(StallCause::IndexSwap) as f64 / 1_000.0,
-                l.stats.migration.stall_cause_nanos(StallCause::RouterSwap) as f64 / 1_000.0,
+                stall_causes_json(&l.stats.migration),
             )
         })
         .collect();

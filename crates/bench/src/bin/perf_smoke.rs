@@ -27,22 +27,17 @@
 //! arms at every swept shard count above 1; `--drift-window=`,
 //! `--drift-trigger=` and `--drift-cost-gate=` tune its monitor.
 //!
-//! A telemetry-overhead arm re-runs the 2-thread single-shard configuration
-//! with the engine flight recorder off, in `counters` mode and in `full`
-//! mode (alternating rounds, best observation per mode, stopping early once
-//! the bound clears) and asserts that `counters` stays within 5% of
-//! off — the flight recorder's cost gate. The ratios land in the JSON under
-//! `telemetry_overhead`, and every result row carries the per-cause
-//! migration-stall decomposition (`stall_causes_us`) plus the per-tuple
-//! step-cost breakdown (`cost_ns_per_tuple`).
+//! Every result row carries the per-cause migration-stall decomposition
+//! (`stall_causes_us`) plus the per-tuple step-cost breakdown
+//! (`cost_ns_per_tuple`; the engine times phases, not probes, so its
+//! `search` and `scan` are 0).
 
 use std::io::Write;
 
 use pimtree_bench::harness::*;
-use pimtree_common::{simd, DriftConfig, Step, TelemetryConfig, TelemetryMode, Tuple};
+use pimtree_common::{simd, DriftConfig, Step, Tuple};
 use pimtree_join::{JoinRunStats, SharedIndexKind};
 use pimtree_numa::RangePartitioner;
-use pimtree_telemetry::StallCause;
 use pimtree_workload::KeyDistribution;
 
 fn entry_json(backend: &str, threads: usize, stats: &JoinRunStats) -> String {
@@ -65,9 +60,7 @@ fn entry_json(backend: &str, threads: usize, stats: &JoinRunStats) -> String {
             "\"migrated_index_entries\": {}, \"migrated_window_tuples\": {}, ",
             "\"simulated_move_cost\": {}, \"migration_stall_us\": {:.2}, ",
             "\"migration_max_stall_us\": {:.2}, ",
-            "\"stall_causes_us\": {{\"gate_close\": {:.2}, \"in_flight_drain\": {:.2}, ",
-            "\"window_snapshot\": {:.2}, \"rebuild\": {:.2}, \"index_swap\": {:.2}, ",
-            "\"router_swap\": {:.2}}}, ",
+            "\"stall_causes_us\": {}, ",
             "\"cost_ns_per_tuple\": {{\"search\": {:.2}, \"scan\": {:.2}, ",
             "\"insert\": {:.2}, \"delete\": {:.2}, \"merge\": {:.2}}}}}"
         ),
@@ -105,15 +98,7 @@ fn entry_json(backend: &str, threads: usize, stats: &JoinRunStats) -> String {
         stats.migration.simulated_move_cost,
         stats.migration.stall_micros(),
         stats.migration.max_stall_micros(),
-        stats.migration.stall_cause_nanos(StallCause::GateClose) as f64 / 1_000.0,
-        stats.migration.stall_cause_nanos(StallCause::InFlightDrain) as f64 / 1_000.0,
-        stats
-            .migration
-            .stall_cause_nanos(StallCause::WindowSnapshot) as f64
-            / 1_000.0,
-        stats.migration.stall_cause_nanos(StallCause::Rebuild) as f64 / 1_000.0,
-        stats.migration.stall_cause_nanos(StallCause::IndexSwap) as f64 / 1_000.0,
-        stats.migration.stall_cause_nanos(StallCause::RouterSwap) as f64 / 1_000.0,
+        stall_causes_json(&stats.migration),
         stats.breakdown.per_tuple_nanos(Step::Search),
         stats.breakdown.per_tuple_nanos(Step::Scan),
         stats.breakdown.per_tuple_nanos(Step::Insert),
@@ -314,16 +299,11 @@ fn main() {
                     "a full key-range shift must migrate shard state"
                 );
                 // Stall-cause attribution tiles every quiesce, so the
-                // per-cause decomposition must reproduce the total stall
-                // (within 1%, the acceptance bound; exact by construction).
-                let cause_sum: u64 = StallCause::ALL
-                    .iter()
-                    .map(|&c| stats.migration.stall_cause_nanos(c))
-                    .sum();
-                let total = stats.migration.stall_nanos;
-                assert!(
-                    (cause_sum as f64 - total as f64).abs() <= total as f64 * 0.01,
-                    "stall causes ({cause_sum}ns) must sum to the total stall ({total}ns)"
+                // per-cause decomposition is the total stall.
+                assert_eq!(
+                    stats.migration.stall_causes.total_nanos(),
+                    stats.migration.stall_nanos,
+                    "stall causes must sum to the total stall"
                 );
             } else {
                 assert_eq!(
@@ -334,61 +314,6 @@ fn main() {
             entries.push(entry_json("pim_tree_drift", 2, &stats));
         }
     }
-    // Flight-recorder overhead gate: the engine with telemetry armed must
-    // stay within 5% of the telemetry-off throughput. Single-core CI
-    // containers see run-to-run drift well past 5%, so the gate measures
-    // alternating rounds (one run per mode, adjacent in time) and keeps the
-    // best observation per mode, stopping as soon as counters-best clears
-    // the bound: a genuine, persistent overhead regression fails every
-    // round, while scheduler noise only costs extra rounds.
-    const OVERHEAD_MIN_ROUNDS: usize = 2;
-    const OVERHEAD_MAX_ROUNDS: usize = 7;
-    let overhead_modes = [
-        TelemetryMode::Off,
-        TelemetryMode::Counters,
-        TelemetryMode::Full,
-    ];
-    let mut overhead_best = [0.0f64; 3];
-    let mut overhead_rounds = 0usize;
-    while overhead_rounds < OVERHEAD_MAX_ROUNDS {
-        for (arm, &mode) in overhead_modes.iter().enumerate() {
-            let stats = run_parallel_instrumented(
-                SharedIndexKind::PimTree,
-                w,
-                w,
-                2,
-                opts.task_size,
-                pim_config(w),
-                opts.ring(),
-                opts.shard().with_shards(1).with_partition_index(false),
-                DriftConfig::default(),
-                None,
-                0.0,
-                TelemetryConfig::default().with_mode(mode),
-                None,
-                predicate,
-                &tuples,
-                false,
-            );
-            overhead_best[arm] = overhead_best[arm].max(stats.million_tuples_per_second());
-        }
-        overhead_rounds += 1;
-        if overhead_rounds >= OVERHEAD_MIN_ROUNDS && overhead_best[1] >= 0.95 * overhead_best[0] {
-            break;
-        }
-    }
-    let counters_vs_off = overhead_best[1] / overhead_best[0];
-    let full_vs_off = overhead_best[2] / overhead_best[0];
-    println!(
-        "perf_smoke telemetry overhead: counters {counters_vs_off:.4}x off, \
-         full {full_vs_off:.4}x off ({overhead_rounds} rounds)"
-    );
-    assert!(
-        counters_vs_off >= 0.95,
-        "telemetry counters mode must stay within 5% of off \
-         ({counters_vs_off:.4}x after {overhead_rounds} alternating rounds)"
-    );
-
     let ring = opts.ring();
     let shard = opts.shard();
     let drift = opts.drift();
@@ -408,8 +333,6 @@ fn main() {
             "\"steal_threshold\": {}, \"partition_index_swept\": true}}, ",
             "\"drift\": {{\"repartition_swept\": {}, \"window\": {}, ",
             "\"imbalance_trigger\": {:.2}, \"cost_gate\": {:.2}}}}},\n",
-            "  \"telemetry_overhead\": {{\"counters_vs_off\": {:.4}, ",
-            "\"full_vs_off\": {:.4}, \"rounds\": {}}},\n",
             "  \"results\": [\n{}\n  ]\n",
             "}}\n"
         ),
@@ -433,9 +356,6 @@ fn main() {
         drift.window,
         drift.imbalance_trigger,
         drift.cost_gate,
-        counters_vs_off,
-        full_vs_off,
-        overhead_rounds,
         entries.join(",\n"),
     );
     let path = "BENCH_parallel.json";

@@ -1,12 +1,13 @@
 //! Shared helpers for the per-figure benchmark binaries.
 
+use std::time::Duration;
+
 use pimtree_common::{
-    BandPredicate, DriftConfig, IndexKind, JoinConfig, PimConfig, RingConfig, ShardConfig,
-    TelemetryConfig, TelemetryMode, Tuple,
+    BandPredicate, DriftConfig, IndexKind, JoinConfig, PimConfig, RingConfig, ShardConfig, Tuple,
 };
 use pimtree_join::{
-    build_single_threaded, HandshakeJoin, HandshakeMode, JoinRunStats, ParallelIbwj,
-    SharedIndexKind,
+    build_single_threaded, HandshakeJoin, HandshakeMode, JoinRunStats, MigrationCounters,
+    ParallelIbwj, SharedIndexKind, StallCause,
 };
 use pimtree_numa::RangePartitioner;
 use pimtree_workload::{calibrate_diff, KeyDistribution, StreamGenerator, StreamMix};
@@ -64,8 +65,6 @@ pub struct RunOpts {
     /// Open-loop arrival rate in tuples per second for the latency harness;
     /// 0 runs closed-loop (ingest as fast as the engine admits).
     pub arrival_rate: f64,
-    /// Engine flight-recorder mode (`off`, `counters` or `full`).
-    pub telemetry: TelemetryMode,
     /// Gauge sampler period in milliseconds for `--telemetry-out` traces.
     pub telemetry_interval_ms: u64,
 }
@@ -76,10 +75,9 @@ impl RunOpts {
     /// --shards= --steal-batch= --steal-threshold= --partition-index=on|off
     /// --repartition=on|off
     /// --drift-window= --drift-trigger= --drift-cost-gate=
-    /// --telemetry=off|counters|full --telemetry-interval=ms` from the
-    /// command line, with figure-specific defaults. The `--telemetry-out=`
-    /// path is a separate string-valued option read via
-    /// [`telemetry_out_from_args`].
+    /// --telemetry-interval=ms` from the command line, with figure-specific
+    /// defaults. The `--telemetry-out=` path is a separate string-valued
+    /// option read via [`telemetry_out_from_args`].
     pub fn parse(default_min: u32, default_max: u32) -> Self {
         let defaults = RingConfig::default();
         let shard_defaults = ShardConfig::default();
@@ -108,8 +106,7 @@ impl RunOpts {
             drift_trigger: drift_defaults.imbalance_trigger,
             drift_cost_gate: drift_defaults.cost_gate,
             arrival_rate: 0.0,
-            telemetry: TelemetryConfig::default().mode,
-            telemetry_interval_ms: TelemetryConfig::default().sample_interval_ms,
+            telemetry_interval_ms: 50,
         };
         for arg in std::env::args().skip(1) {
             let mut split = arg.splitn(2, '=');
@@ -164,11 +161,6 @@ impl RunOpts {
                     opts.arrival_rate = value
                         .parse::<f64>()
                         .unwrap_or_else(|_| panic!("bad value for {key}: {value}"))
-                }
-                "--telemetry" => {
-                    opts.telemetry = value.parse::<TelemetryMode>().unwrap_or_else(|_| {
-                        panic!("bad value for --telemetry: {value} (use off/counters/full)")
-                    })
                 }
                 "--telemetry-interval" => opts.telemetry_interval_ms = parse_usize() as u64,
                 // String-valued; consumed by `path_arg`.
@@ -227,11 +219,9 @@ impl RunOpts {
             .with_cost_gate(self.drift_cost_gate)
     }
 
-    /// The engine flight-recorder configuration selected on the command line.
-    pub fn telemetry(&self) -> TelemetryConfig {
-        TelemetryConfig::default()
-            .with_mode(self.telemetry)
-            .with_sample_interval_ms(self.telemetry_interval_ms)
+    /// The gauge sampler period selected on the command line.
+    pub fn telemetry_interval(&self) -> Duration {
+        Duration::from_millis(self.telemetry_interval_ms)
     }
 }
 
@@ -248,6 +238,19 @@ pub fn path_arg(name: &str) -> Option<String> {
 /// Reads the `--telemetry-out=PATH` option from the command line.
 pub fn telemetry_out_from_args() -> Option<String> {
     path_arg("--telemetry-out")
+}
+
+/// The per-cause migration stall as a JSON object of microseconds, one key
+/// per [`StallCause`] label (`{"gate_close": 1.25, ...}`).
+pub fn stall_causes_json(migration: &MigrationCounters) -> String {
+    let fields: Vec<String> = StallCause::ALL
+        .iter()
+        .map(|&c| {
+            let micros = migration.stall_cause_nanos(c) as f64 / 1_000.0;
+            format!("\"{}\": {micros:.2}", c.label())
+        })
+        .collect();
+    format!("{{{}}}", fields.join(", "))
 }
 
 /// The paper's default PIM/IM-Tree configuration for a window of `w` tuples:
@@ -445,64 +448,16 @@ pub fn run_parallel_paced(
     tuples: &[Tuple],
     self_join: bool,
 ) -> JoinRunStats {
-    run_parallel_instrumented(
-        kind,
-        window_r,
-        window_s,
-        threads,
-        task_size,
-        pim,
-        ring,
-        shard,
-        drift,
-        partitioner,
-        arrival_rate,
-        TelemetryConfig::default(),
-        None,
-        predicate,
-        tuples,
-        self_join,
-    )
-}
-
-/// Runs the parallel engine like [`run_parallel_paced`] with the engine
-/// flight recorder armed: `telemetry` selects the recorder mode and gauge
-/// sampler period, and `telemetry_out` (when set) streams JSONL gauge
-/// samples to that path during the measured phase plus a Prometheus-style
-/// text dump to `PATH.prom` at drain.
-#[allow(clippy::too_many_arguments)]
-pub fn run_parallel_instrumented(
-    kind: SharedIndexKind,
-    window_r: usize,
-    window_s: usize,
-    threads: usize,
-    task_size: usize,
-    pim: PimConfig,
-    ring: RingConfig,
-    shard: ShardConfig,
-    drift: DriftConfig,
-    partitioner: Option<RangePartitioner>,
-    arrival_rate: f64,
-    telemetry: TelemetryConfig,
-    telemetry_out: Option<&str>,
-    predicate: BandPredicate,
-    tuples: &[Tuple],
-    self_join: bool,
-) -> JoinRunStats {
     let mut config = JoinConfig::symmetric(window_r.max(window_s), IndexKind::PimTree)
         .with_threads(threads)
         .with_task_size(task_size)
         .with_pim(pim)
         .with_ring(ring)
         .with_shard(shard)
-        .with_drift(drift)
-        .with_telemetry(telemetry);
+        .with_drift(drift);
     config.window_r = window_r;
     config.window_s = window_s;
     let mut op = ParallelIbwj::new(config, predicate, kind, self_join);
-    if let Some(path) = telemetry_out {
-        op = op.with_telemetry_out(path);
-    }
     if arrival_rate > 0.0 {
         op = op.with_open_loop(arrival_rate);
     }
@@ -578,7 +533,6 @@ mod tests {
             drift_trigger: 1.5,
             drift_cost_gate: 0.9,
             arrival_rate: 0.0,
-            telemetry: TelemetryMode::Off,
             telemetry_interval_ms: 50,
         };
         assert_eq!(opts.tuples_for(1 << 10), 1 << 16);
@@ -626,15 +580,12 @@ mod tests {
         assert!((drift.imbalance_trigger - 2.0).abs() < 1e-9);
         assert!((drift.cost_gate - 0.5).abs() < 1e-9);
         drift.validate().unwrap();
-        let telemetry = RunOpts {
-            telemetry: TelemetryMode::Full,
+        let interval = RunOpts {
             telemetry_interval_ms: 10,
             ..opts
         }
-        .telemetry();
-        assert_eq!(telemetry.mode, TelemetryMode::Full);
-        assert_eq!(telemetry.sample_interval_ms, 10);
-        telemetry.validate().unwrap();
+        .telemetry_interval();
+        assert_eq!(interval, Duration::from_millis(10));
     }
 
     #[test]

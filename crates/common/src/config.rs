@@ -5,7 +5,6 @@
 //! (Figures 8c/8d), task size (Figures 10c/10d), thread count (Figure 12a) and
 //! the blocking/non-blocking merge ablation (Figure 13c).
 
-use pimtree_telemetry::TelemetryMode;
 use serde::{Deserialize, Serialize};
 
 use crate::error::{Error, Result};
@@ -474,61 +473,6 @@ impl DriftConfig {
     }
 }
 
-/// Configuration of the engine flight recorder (see `pimtree-telemetry`).
-///
-/// The mode selects how much the engine records about itself while running:
-/// `off` costs one relaxed counter increment per instrumentation point,
-/// `counters` accumulates per-worker per-phase time/count cells, and `full`
-/// additionally keeps per-worker phase histograms and per-cause stall
-/// histograms. The sample interval paces the gauge sampler thread that the
-/// engine spawns when an export path is configured.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TelemetryConfig {
-    /// Recording mode (`off` | `counters` | `full`).
-    pub mode: TelemetryMode,
-    /// Milliseconds between gauge samples when live export is enabled.
-    pub sample_interval_ms: u64,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig {
-            mode: TelemetryMode::Off,
-            sample_interval_ms: 50,
-        }
-    }
-}
-
-impl TelemetryConfig {
-    /// Sets the recording mode.
-    pub fn with_mode(mut self, mode: TelemetryMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Sets the gauge sampling interval in milliseconds.
-    pub fn with_sample_interval_ms(mut self, ms: u64) -> Self {
-        self.sample_interval_ms = ms;
-        self
-    }
-
-    /// Validates the configuration.
-    pub fn validate(&self) -> Result<()> {
-        if self.sample_interval_ms == 0 {
-            return Err(Error::InvalidConfig(
-                "telemetry sample interval must be positive".into(),
-            ));
-        }
-        if self.sample_interval_ms > 3_600_000 {
-            return Err(Error::InvalidConfig(format!(
-                "telemetry sample interval {} ms is unreasonably large (max 1h)",
-                self.sample_interval_ms
-            )));
-        }
-        Ok(())
-    }
-}
-
 /// Configuration of a join operator run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct JoinConfig {
@@ -556,8 +500,6 @@ pub struct JoinConfig {
     pub shard: ShardConfig,
     /// Drift-driven live repartitioning of the parallel engine.
     pub drift: DriftConfig,
-    /// Engine flight-recorder (telemetry) settings.
-    pub telemetry: TelemetryConfig,
 }
 
 impl Default for JoinConfig {
@@ -573,7 +515,6 @@ impl Default for JoinConfig {
             ring: RingConfig::default(),
             shard: ShardConfig::default(),
             drift: DriftConfig::default(),
-            telemetry: TelemetryConfig::default(),
         }
     }
 }
@@ -632,12 +573,6 @@ impl JoinConfig {
         self
     }
 
-    /// Overrides the flight-recorder (telemetry) settings.
-    pub fn with_telemetry(mut self, telemetry: TelemetryConfig) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
     /// Largest of the two window sizes.
     pub fn max_window(&self) -> usize {
         self.window_r.max(self.window_s)
@@ -662,7 +597,6 @@ impl JoinConfig {
         self.ring.validate()?;
         self.shard.validate()?;
         self.drift.validate()?;
-        self.telemetry.validate()?;
         self.pim.validate()
     }
 }
@@ -892,46 +826,6 @@ mod tests {
         assert!(
             c.validate().is_err(),
             "JoinConfig::validate covers the drift config"
-        );
-    }
-
-    #[test]
-    fn telemetry_config_defaults_validate_and_builders_chain() {
-        let t = TelemetryConfig::default();
-        assert_eq!(t.mode, TelemetryMode::Off, "telemetry is opt-in");
-        assert_eq!(t.sample_interval_ms, 50);
-        t.validate().unwrap();
-        let t = TelemetryConfig::default()
-            .with_mode(TelemetryMode::Full)
-            .with_sample_interval_ms(10);
-        assert_eq!(t.mode, TelemetryMode::Full);
-        assert_eq!(t.sample_interval_ms, 10);
-        t.validate().unwrap();
-        let c = JoinConfig::symmetric(64, IndexKind::PimTree).with_telemetry(t);
-        assert_eq!(c.telemetry, t);
-        c.validate().unwrap();
-        assert_eq!(
-            JoinConfig::default().telemetry.mode,
-            TelemetryMode::Off,
-            "JoinConfig defaults to telemetry off"
-        );
-    }
-
-    #[test]
-    fn telemetry_config_rejects_bad_values() {
-        assert!(TelemetryConfig::default()
-            .with_sample_interval_ms(0)
-            .validate()
-            .is_err());
-        assert!(TelemetryConfig::default()
-            .with_sample_interval_ms(4_000_000)
-            .validate()
-            .is_err());
-        let mut c = JoinConfig::symmetric(16, IndexKind::PimTree);
-        c.telemetry.sample_interval_ms = 0;
-        assert!(
-            c.validate().is_err(),
-            "JoinConfig::validate covers the telemetry config"
         );
     }
 

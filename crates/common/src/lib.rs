@@ -5,8 +5,8 @@
 //!
 //! * [`types`] — keys, stream tuples, the band-join predicate and join results;
 //! * [`config`] — runtime configuration for indexes and join operators;
-//! * [`metrics`] — per-step cost breakdowns, throughput and latency meters
-//!   (used to reproduce Figure 9b and Figure 10d of the paper);
+//! * [`metrics`] — per-step cost breakdowns and the latency histogram (used
+//!   to reproduce Figure 9b and Figure 10d of the paper);
 //! * [`memtraffic`] — logical load/store byte accounting, the software
 //!   substitute for the hardware memory-bandwidth counters of Figure 11d;
 //! * [`simd`] — runtime-detected SIMD lower-bound kernels for intra-node
@@ -33,15 +33,10 @@ pub mod types;
 
 pub use config::{
     DriftConfig, IndexKind, JoinConfig, MergePolicy, PimConfig, RingConfig, ShardConfig,
-    TelemetryConfig,
 };
 pub use error::{Error, Result};
 pub use memtraffic::MemTraffic;
-pub use metrics::{
-    CostBreakdown, LatencyHistogram, LatencyRecorder, ProbeCounters, Step, StepTimer,
-    ThroughputMeter,
-};
-pub use pimtree_telemetry::TelemetryMode;
+pub use metrics::{CostBreakdown, LatencyHistogram, ProbeCounters, Step, StepTimer};
 pub use prefetch::{
     prefetch_range, prefetch_read, prefetch_slice, prefetch_write, CACHE_LINE_BYTES,
 };

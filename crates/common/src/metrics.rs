@@ -1,10 +1,9 @@
-//! Measurement utilities: per-step cost breakdowns, throughput and latency.
+//! Measurement utilities: per-step cost breakdowns and latency.
 //!
 //! Figure 9b of the paper splits the per-tuple cost of index-based window join
 //! into *search*, *scan*, *insert*, *delete* and *merge* time. [`CostBreakdown`]
-//! accumulates exactly those buckets. [`ThroughputMeter`] and
-//! [`LatencyRecorder`] back the throughput/latency series of the remaining
-//! figures.
+//! accumulates exactly those buckets. [`LatencyHistogram`] backs the latency
+//! series (Figure 10d) and the engine's open-loop arrival tail.
 
 use std::time::{Duration, Instant};
 
@@ -254,153 +253,174 @@ impl StepTimer {
     }
 }
 
-/// Tuples-per-second throughput meter.
+/// Sub-bucket resolution of [`LatencyHistogram`]: every power-of-two octave
+/// is split into `2^SUB_BITS` linear sub-buckets, bounding the relative
+/// quantization error at `2^-SUB_BITS` (~6 %).
+const SUB_BITS: u32 = 4;
+const SUB_BUCKETS: u64 = 1 << SUB_BITS;
+/// Sub-linear region (values below `SUB_BUCKETS` are exact) plus one group of
+/// sub-buckets per remaining octave of the `u64` nanosecond range.
+const HIST_BUCKETS: usize = (SUB_BUCKETS + (64 - SUB_BITS as u64) * SUB_BUCKETS) as usize;
+
+/// Fixed-footprint log-bucketed latency histogram.
+///
+/// An exact recorder keeps every sample, which is precise but unbounded — an
+/// open-loop run at a sustained arrival rate records one sample per tuple and
+/// would grow without limit. The histogram instead spreads nanosecond values
+/// over power-of-two octaves with `2^SUB_BITS` linear sub-buckets each
+/// (HdrHistogram's bucketing), so recording is O(1), the footprint is a few
+/// kilobytes regardless of run length, and quantiles are accurate to ~6 %
+/// relative error — plenty for p50/p99/p999 tail reporting. The maximum is
+/// tracked exactly so the worst observed latency is never quantized away.
 #[derive(Debug, Clone)]
-pub struct ThroughputMeter {
-    started: Instant,
-    tuples: u64,
+pub struct LatencyHistogram {
+    buckets: Vec<u64>,
+    count: u64,
+    sum_nanos: u128,
+    max_nanos: u64,
 }
 
-impl Default for ThroughputMeter {
+impl Default for LatencyHistogram {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl ThroughputMeter {
-    /// Starts a meter at the current instant.
+impl LatencyHistogram {
+    /// Creates an empty histogram.
     pub fn new() -> Self {
-        ThroughputMeter {
-            started: Instant::now(),
-            tuples: 0,
+        LatencyHistogram {
+            buckets: vec![0; HIST_BUCKETS],
+            count: 0,
+            sum_nanos: 0,
+            max_nanos: 0,
         }
     }
 
-    /// Adds `n` processed tuples.
     #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.tuples += n;
-    }
-
-    /// Total tuples recorded so far.
-    pub fn tuples(&self) -> u64 {
-        self.tuples
-    }
-
-    /// Elapsed wall-clock time since the meter was created.
-    pub fn elapsed(&self) -> Duration {
-        self.started.elapsed()
-    }
-
-    /// Throughput in million tuples per second — the unit used on the y-axis
-    /// of most figures in the paper.
-    pub fn million_tuples_per_second(&self) -> f64 {
-        let secs = self.elapsed().as_secs_f64();
-        if secs <= 0.0 {
-            0.0
+    fn bucket_of(nanos: u64) -> usize {
+        if nanos < SUB_BUCKETS {
+            nanos as usize
         } else {
-            self.tuples as f64 / secs / 1.0e6
+            let exp = 63 - nanos.leading_zeros(); // >= SUB_BITS
+            let octave = (exp - SUB_BITS) as u64;
+            let sub = (nanos >> octave) - SUB_BUCKETS; // in [0, SUB_BUCKETS)
+            (SUB_BUCKETS + octave * SUB_BUCKETS + sub) as usize
         }
     }
 
-    /// Throughput computed against an externally supplied duration (used when
-    /// the measured region is narrower than the meter's lifetime).
-    pub fn million_tuples_per_second_over(&self, elapsed: Duration) -> f64 {
-        let secs = elapsed.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
+    /// Midpoint of a bucket's value interval (the quantile estimate).
+    fn bucket_mid(idx: usize) -> u64 {
+        let idx = idx as u64;
+        if idx < SUB_BUCKETS {
+            idx
         } else {
-            self.tuples as f64 / secs / 1.0e6
-        }
-    }
-}
-
-/// Records per-tuple processing latencies and reports order statistics.
-///
-/// Latency is defined as in §5 ("task processing time"): the time from a tuple
-/// being picked up by a worker until its join results are ready.
-#[derive(Debug, Clone, Default)]
-pub struct LatencyRecorder {
-    samples_nanos: Vec<u64>,
-}
-
-impl LatencyRecorder {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a recorder pre-allocated for `n` samples.
-    pub fn with_capacity(n: usize) -> Self {
-        LatencyRecorder {
-            samples_nanos: Vec::with_capacity(n),
+            let octave = (idx - SUB_BUCKETS) / SUB_BUCKETS;
+            let sub = (idx - SUB_BUCKETS) % SUB_BUCKETS;
+            let lo = (SUB_BUCKETS + sub) << octave;
+            lo + ((1u64 << octave) >> 1)
         }
     }
 
     /// Records one latency sample.
     #[inline]
     pub fn record(&mut self, d: Duration) {
-        self.samples_nanos.push(d.as_nanos() as u64);
+        self.record_n(d, 1);
     }
 
     /// Records `n` samples of the same latency (the tuples of one batch).
+    /// A duration beyond `u64::MAX` nanoseconds saturates.
     #[inline]
-    pub fn record_n(&mut self, d: Duration, n: usize) {
-        let len = self.samples_nanos.len();
-        self.samples_nanos.resize(len + n, d.as_nanos() as u64);
+    pub fn record_n(&mut self, d: Duration, n: u64) {
+        self.add(d.as_nanos().min(u64::MAX as u128) as u64, n);
+    }
+
+    /// Records one latency sample given in nanoseconds.
+    #[inline]
+    pub fn record_nanos(&mut self, nanos: u64) {
+        self.add(nanos, 1);
+    }
+
+    #[inline]
+    fn add(&mut self, nanos: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.buckets[Self::bucket_of(nanos)] += n;
+        self.count += n;
+        self.sum_nanos += nanos as u128 * n as u128;
+        self.max_nanos = self.max_nanos.max(nanos);
     }
 
     /// Number of samples recorded.
-    pub fn len(&self) -> usize {
-        self.samples_nanos.len()
+    pub fn len(&self) -> u64 {
+        self.count
     }
 
     /// Whether no samples have been recorded.
     pub fn is_empty(&self) -> bool {
-        self.samples_nanos.is_empty()
+        self.count == 0
     }
 
-    /// Merges another recorder's samples into this one.
-    pub fn merge_from(&mut self, other: &LatencyRecorder) {
-        self.samples_nanos.extend_from_slice(&other.samples_nanos);
+    /// Merges another histogram's samples into this one.
+    pub fn merge_from(&mut self, other: &LatencyHistogram) {
+        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
+            *mine += theirs;
+        }
+        self.count += other.count;
+        self.sum_nanos += other.sum_nanos;
+        self.max_nanos = self.max_nanos.max(other.max_nanos);
     }
 
-    /// Mean latency in microseconds (the unit of Figure 10d).
+    /// Mean latency in microseconds.
     pub fn mean_micros(&self) -> f64 {
-        if self.samples_nanos.is_empty() {
-            return 0.0;
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum_nanos as f64 / self.count as f64 / 1.0e3
         }
-        let sum: u128 = self.samples_nanos.iter().map(|&n| n as u128).sum();
-        sum as f64 / self.samples_nanos.len() as f64 / 1.0e3
     }
 
-    /// Latency percentile (`q` in `[0, 1]`) in microseconds.
+    /// Latency quantile (`q` in `[0, 1]`) in microseconds, estimated at the
+    /// covering bucket's midpoint and clamped to the exact maximum.
     pub fn percentile_micros(&self, q: f64) -> f64 {
-        if self.samples_nanos.is_empty() {
+        if self.count == 0 {
             return 0.0;
         }
-        let mut sorted = self.samples_nanos.clone();
-        sorted.sort_unstable();
         let q = q.clamp(0.0, 1.0);
-        let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-        sorted[idx] as f64 / 1.0e3
+        // Rank of the requested order statistic, matching the exact
+        // recorder's nearest-rank convention over the sorted sample.
+        let rank = ((self.count - 1) as f64 * q).round() as u64;
+        let mut seen = 0u64;
+        for (idx, &c) in self.buckets.iter().enumerate() {
+            seen += c;
+            if seen > rank {
+                return Self::bucket_mid(idx).min(self.max_nanos) as f64 / 1.0e3;
+            }
+        }
+        self.max_micros()
     }
 
-    /// Maximum observed latency in microseconds.
+    /// Median latency in microseconds.
+    pub fn p50_micros(&self) -> f64 {
+        self.percentile_micros(0.50)
+    }
+
+    /// 99th-percentile latency in microseconds.
+    pub fn p99_micros(&self) -> f64 {
+        self.percentile_micros(0.99)
+    }
+
+    /// 99.9th-percentile latency in microseconds.
+    pub fn p999_micros(&self) -> f64 {
+        self.percentile_micros(0.999)
+    }
+
+    /// Maximum observed latency in microseconds (exact, not quantized).
     pub fn max_micros(&self) -> f64 {
-        self.samples_nanos
-            .iter()
-            .max()
-            .map(|&n| n as f64 / 1.0e3)
-            .unwrap_or(0.0)
+        self.max_nanos as f64 / 1.0e3
     }
 }
-
-/// Fixed-footprint log-bucketed latency histogram, promoted into
-/// `pimtree-telemetry` (the engine flight recorder) and re-exported here so
-/// existing `pimtree_common::LatencyHistogram` imports keep working. See the
-/// telemetry crate for the bucketing scheme and its pinning tests.
-pub use pimtree_telemetry::LatencyHistogram;
 
 #[cfg(test)]
 mod tests {
@@ -466,69 +486,125 @@ mod tests {
     }
 
     #[test]
-    fn throughput_meter_counts_tuples() {
-        let mut m = ThroughputMeter::new();
-        m.add(500);
-        m.add(500);
-        assert_eq!(m.tuples(), 1000);
-        let mtps = m.million_tuples_per_second_over(Duration::from_millis(1));
-        assert!(
-            (mtps - 1.0).abs() < 1e-9,
-            "1000 tuples in 1ms = 1 Mtps, got {mtps}"
-        );
-        assert_eq!(m.million_tuples_per_second_over(Duration::ZERO), 0.0);
-    }
-
-    #[test]
-    fn latency_recorder_percentiles() {
-        let mut l = LatencyRecorder::with_capacity(100);
-        assert!(l.is_empty());
-        assert_eq!(l.mean_micros(), 0.0);
-        assert_eq!(l.percentile_micros(0.5), 0.0);
-        for i in 1..=100u64 {
-            l.record(Duration::from_micros(i));
+    fn histogram_buckets_partition_the_value_range() {
+        // Every value maps into exactly one bucket whose interval contains
+        // it, and bucket indices are monotone in the value.
+        let mut values: Vec<u64> = Vec::new();
+        for exp in 0..64u32 {
+            for off in [0u64, 1, 7] {
+                values.push((1u64 << exp).saturating_add(off << exp.saturating_sub(5)));
+            }
         }
-        assert_eq!(l.len(), 100);
-        assert!((l.mean_micros() - 50.5).abs() < 1e-6);
-        assert!((l.percentile_micros(0.0) - 1.0).abs() < 1e-6);
-        assert!((l.percentile_micros(1.0) - 100.0).abs() < 1e-6);
-        let p50 = l.percentile_micros(0.5);
-        assert!((49.0..=52.0).contains(&p50), "p50 = {p50}");
-        assert!((l.max_micros() - 100.0).abs() < 1e-6);
+        values.sort_unstable();
+        let mut last = 0usize;
+        for &v in &values {
+            let idx = LatencyHistogram::bucket_of(v);
+            assert!(idx < HIST_BUCKETS, "value {v} -> bucket {idx}");
+            assert!(idx >= last, "bucketing must be monotone at {v}");
+            last = idx;
+        }
+        assert_eq!(LatencyHistogram::bucket_of(0), 0);
+        assert_eq!(LatencyHistogram::bucket_of(u64::MAX), HIST_BUCKETS - 1);
+        // Sub-linear region is exact; midpoints stay within their octave's
+        // ~6 % relative error above it.
+        for v in [3u64, 100, 1_000, 65_537, 1 << 40] {
+            let mid = LatencyHistogram::bucket_mid(LatencyHistogram::bucket_of(v));
+            let err = (mid as f64 - v as f64).abs() / v as f64;
+            assert!(err <= 0.07, "value {v}: midpoint {mid}, error {err}");
+        }
+    }
+
+    /// Nearest-rank percentile over the exact sample, the convention the
+    /// histogram approximates.
+    fn exact_percentile_micros(samples: &[u64], q: f64) -> f64 {
+        let mut sorted = samples.to_vec();
+        sorted.sort_unstable();
+        let idx = ((sorted.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
+        sorted[idx] as f64 / 1.0e3
     }
 
     #[test]
-    fn histogram_reexport_still_tracks_the_exact_recorder() {
-        // The histogram now lives in pimtree-telemetry (where its bucketing
-        // is pinned); this keeps the re-exported type interoperating with
-        // the exact recorder it approximates.
-        let mut exact = LatencyRecorder::new();
+    fn histogram_quantiles_track_the_exact_recorder() {
+        let mut samples = Vec::new();
         let mut hist = LatencyHistogram::new();
+        assert!(hist.is_empty());
+        assert_eq!(hist.percentile_micros(0.99), 0.0);
+        // A long-tailed sample: mostly microseconds, a few milliseconds.
         for i in 1..=1000u64 {
             let nanos = if i % 100 == 0 { i * 10_000 } else { i * 10 };
-            exact.record(Duration::from_nanos(nanos));
+            samples.push(nanos);
             hist.record_nanos(nanos);
         }
         assert_eq!(hist.len(), 1000);
         for q in [0.0, 0.5, 0.9, 0.99, 0.999, 1.0] {
-            let (e, h) = (exact.percentile_micros(q), hist.percentile_micros(q));
+            let e = exact_percentile_micros(&samples, q);
+            let h = hist.percentile_micros(q);
             let tolerance = (e * 0.07).max(0.002);
             assert!(
                 (e - h).abs() <= tolerance,
                 "q={q}: exact {e}, histogram {h}"
             );
         }
-        assert_eq!(hist.max_micros(), exact.max_micros(), "max is exact");
+        let exact_mean =
+            samples.iter().map(|&n| n as f64).sum::<f64>() / samples.len() as f64 / 1.0e3;
+        assert!((hist.mean_micros() - exact_mean).abs() < 1e-6);
+        let exact_max = *samples.iter().max().unwrap() as f64 / 1.0e3;
+        assert_eq!(hist.max_micros(), exact_max, "max is exact");
+        assert_eq!(hist.percentile_micros(1.0), hist.max_micros());
+        // p-helpers agree with the generic quantile.
+        assert_eq!(hist.p50_micros(), hist.percentile_micros(0.5));
+        assert_eq!(hist.p99_micros(), hist.percentile_micros(0.99));
+        assert_eq!(hist.p999_micros(), hist.percentile_micros(0.999));
     }
 
     #[test]
-    fn latency_recorder_merge() {
-        let mut a = LatencyRecorder::new();
-        a.record(Duration::from_micros(10));
-        let mut b = LatencyRecorder::new();
-        b.record(Duration::from_micros(30));
+    fn histogram_merge_matches_recording_into_one() {
+        let mut all = LatencyHistogram::new();
+        let mut a = LatencyHistogram::new();
+        let mut b = LatencyHistogram::new();
+        for i in 0..500u64 {
+            let nanos = i * 997;
+            all.record_nanos(nanos);
+            if i % 2 == 0 {
+                a.record_nanos(nanos);
+            } else {
+                b.record_nanos(nanos);
+            }
+        }
         a.merge_from(&b);
-        assert_eq!(a.len(), 2);
-        assert!((a.mean_micros() - 20.0).abs() < 1e-6);
+        assert_eq!(a.len(), all.len());
+        assert_eq!(a.max_micros(), all.max_micros());
+        for q in [0.5, 0.99, 0.999] {
+            assert_eq!(a.percentile_micros(q), all.percentile_micros(q));
+        }
+
+        // `record_n(d, n)` is `n` calls of `record(d)`.
+        let mut batched = LatencyHistogram::new();
+        let mut one_by_one = LatencyHistogram::new();
+        for (i, n) in [3u64, 1, 64, 7, 1000].into_iter().enumerate() {
+            let d = Duration::from_nanos(13 + 7_919 * i as u64 * i as u64);
+            batched.record_n(d, n);
+            for _ in 0..n {
+                one_by_one.record(d);
+            }
+        }
+        assert_eq!(batched.len(), one_by_one.len());
+        assert_eq!(batched.mean_micros(), one_by_one.mean_micros());
+        assert_eq!(batched.max_micros(), one_by_one.max_micros());
+        for q in [0.0, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0] {
+            assert_eq!(
+                batched.percentile_micros(q),
+                one_by_one.percentile_micros(q)
+            );
+        }
+        let mut empty = LatencyHistogram::new();
+        empty.record_n(Duration::from_secs(1), 0);
+        assert!(empty.is_empty());
+        assert_eq!(empty.max_micros(), 0.0);
+        assert_eq!(empty.mean_micros(), 0.0);
+        let mut huge = LatencyHistogram::new();
+        huge.record_n(Duration::MAX, 2);
+        assert_eq!(huge.len(), 2);
+        assert_eq!(huge.max_micros(), u64::MAX as f64 / 1.0e3, "saturates");
     }
 }

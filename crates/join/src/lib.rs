@@ -31,7 +31,9 @@
 //!   applies to time-based windows without technical limitation (§2.1);
 //! * [`reference`](mod@reference) — a brute-force oracle used by the test suite to validate
 //!   every operator's output;
-//! * [`stats`] — run statistics shared by all operators.
+//! * [`stats`] — run statistics shared by all operators, including the
+//!   migration stall's per-cause split; the engine's live gauge trace
+//!   (JSON Lines, `docs/telemetry-schema.json`) is written by `gauge`.
 //!
 //! The operators consume a pre-generated tuple sequence of both streams in
 //! arrival order (see `pimtree-workload`) and produce band-join results in
@@ -47,6 +49,7 @@
 
 pub mod adapter;
 pub mod gate;
+mod gauge;
 pub mod handshake;
 pub mod ibwj;
 pub mod nlwj;
@@ -70,7 +73,8 @@ pub use reference::{canonical, reference_join};
 pub use ring::{Backoff, ClaimedTask, IdleKind, TaskRing};
 pub use shard::{ShardClaim, ShardIngestGuard, ShardedRing};
 pub use stats::{
-    EnginePhaseTimes, JoinRunStats, MigrationCounters, RingCounters, ShardCounters, StoreCounters,
+    EnginePhaseTimes, JoinRunStats, MigrationCounters, RingCounters, ShardCounters, StallBreakdown,
+    StallCause, StoreCounters,
 };
 pub use store::{ShardStore, StoreShardFootprint, StoreSideFootprint};
 pub use timejoin::{reference_time_join, TimeBasedIbwj, TimedStreamTuple};

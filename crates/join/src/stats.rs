@@ -2,8 +2,7 @@
 
 use std::time::{Duration, Instant};
 
-use pimtree_common::{CostBreakdown, LatencyHistogram, LatencyRecorder, ProbeCounters};
-use pimtree_telemetry::{StallBreakdown, StallCause, TelemetryReport};
+use pimtree_common::{CostBreakdown, LatencyHistogram, ProbeCounters};
 
 /// Reads the clock once at a phase boundary: returns the time since `*mark`
 /// — the phase that just ended — and makes the reading the start of the next
@@ -31,12 +30,12 @@ pub struct JoinRunStats {
     pub merge_time: Duration,
     /// Per-step cost breakdown (populated when instrumentation is enabled).
     pub breakdown: CostBreakdown,
-    /// Per-tuple processing latencies (populated by the parallel operator):
+    /// Histogram of per-tuple processing latencies (parallel operator only):
     /// closed-loop task latency, from a claim to its results being ready.
     /// A claim is a batch of one to four tasks, so under load the span is a
     /// batch's, recorded once per tuple of it. Ungated — the benchmark's
     /// `latency_p50_us` is the open-loop arrival → propagation time.
-    pub latency: LatencyRecorder,
+    pub latency: LatencyHistogram,
     /// Logical bytes loaded by index probes and window scans.
     pub bytes_loaded: u64,
     /// Logical bytes stored by window appends, index inserts and result
@@ -74,11 +73,6 @@ pub struct JoinRunStats {
     /// toward the tail — closed-loop task latency cannot see it
     /// (coordinated omission). `None` unless an arrival rate was armed.
     pub arrival_latency: Option<LatencyHistogram>,
-    /// End-of-run telemetry report (per-worker phase totals, stall-cause
-    /// breakdown and histograms, Prometheus rendering). `None` for operators
-    /// without the flight recorder; filled once per run by the parallel
-    /// engine, so [`JoinRunStats::absorb`] leaves it untouched.
-    pub telemetry: Option<TelemetryReport>,
 }
 
 /// Counters of the drift-driven live repartitioning: how many observations
@@ -169,6 +163,193 @@ impl MigrationCounters {
     /// Nanoseconds of migration stall attributed to `cause`.
     pub fn stall_cause_nanos(&self, cause: StallCause) -> u64 {
         self.stall_causes.nanos(cause)
+    }
+}
+
+/// Named causes a migration quiesce interval decomposes into.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum StallCause {
+    /// Closing the admission gate (storing the flag, before draining).
+    GateClose,
+    /// Spinning until in-flight workers retire their current task.
+    InFlightDrain,
+    /// Snapshotting window contents for redistribution.
+    WindowSnapshot,
+    /// Rebuilding per-shard indexes over the redistributed entries.
+    Rebuild,
+    /// Swapping the rebuilt index/window shards into place.
+    IndexSwap,
+    /// Re-resolving the plan and swapping the router / route overrides.
+    RouterSwap,
+}
+
+impl StallCause {
+    /// All causes in reporting order.
+    pub const ALL: [StallCause; 6] = [
+        StallCause::GateClose,
+        StallCause::InFlightDrain,
+        StallCause::WindowSnapshot,
+        StallCause::Rebuild,
+        StallCause::IndexSwap,
+        StallCause::RouterSwap,
+    ];
+
+    /// Stable array index for the cause.
+    #[inline]
+    pub fn index(self) -> usize {
+        match self {
+            StallCause::GateClose => 0,
+            StallCause::InFlightDrain => 1,
+            StallCause::WindowSnapshot => 2,
+            StallCause::Rebuild => 3,
+            StallCause::IndexSwap => 4,
+            StallCause::RouterSwap => 5,
+        }
+    }
+
+    /// Stable snake-case label used in JSON output.
+    pub fn label(self) -> &'static str {
+        match self {
+            StallCause::GateClose => "gate_close",
+            StallCause::InFlightDrain => "in_flight_drain",
+            StallCause::WindowSnapshot => "window_snapshot",
+            StallCause::Rebuild => "rebuild",
+            StallCause::IndexSwap => "index_swap",
+            StallCause::RouterSwap => "router_swap",
+        }
+    }
+}
+
+/// Number of distinct [`StallCause`] values.
+pub const STALL_CAUSE_COUNT: usize = 6;
+
+/// Accumulated per-cause stall time and occurrence counts.
+///
+/// `Copy` on purpose: the join engine embeds one in its `Copy` migration
+/// counter block and merges per-epoch breakdowns into it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StallBreakdown {
+    nanos: [u64; STALL_CAUSE_COUNT],
+    counts: [u64; STALL_CAUSE_COUNT],
+}
+
+impl StallBreakdown {
+    /// Creates an empty breakdown.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Adds `nanos` to `cause` and bumps its occurrence count.
+    #[inline]
+    pub fn record(&mut self, cause: StallCause, nanos: u64) {
+        self.nanos[cause.index()] += nanos;
+        self.counts[cause.index()] += 1;
+    }
+
+    /// Total accumulated nanoseconds for `cause`.
+    pub fn nanos(&self, cause: StallCause) -> u64 {
+        self.nanos[cause.index()]
+    }
+
+    /// Number of times `cause` was recorded.
+    pub fn count(&self, cause: StallCause) -> u64 {
+        self.counts[cause.index()]
+    }
+
+    /// Sum of all causes, in nanoseconds. Because `StallLap` partitions a
+    /// quiesce interval into consecutive cause segments, this equals the
+    /// measured stall total exactly.
+    pub fn total_nanos(&self) -> u64 {
+        self.nanos.iter().sum()
+    }
+
+    /// Whether nothing has been recorded.
+    pub fn is_empty(&self) -> bool {
+        self.counts.iter().all(|&c| c == 0)
+    }
+
+    /// Folds another breakdown into this one.
+    pub fn merge_from(&mut self, other: &StallBreakdown) {
+        for i in 0..STALL_CAUSE_COUNT {
+            self.nanos[i] += other.nanos[i];
+            self.counts[i] += other.counts[i];
+        }
+    }
+}
+
+/// A lap timer that partitions one quiesce interval into consecutive
+/// [`StallCause`] segments.
+///
+/// Each [`StallLap::lap`] call attributes the time since the previous lap
+/// (or since [`StallLap::start`]) to one cause and advances the cursor, so
+/// the segments tile the interval with no gaps or overlaps: the breakdown's
+/// [`StallBreakdown::total_nanos`] equals the elapsed wall-clock time of the
+/// interval exactly. [`StallLap::lap_split`] distributes one segment over
+/// several causes using externally measured sub-phase timings, attributing
+/// any remainder to a designated cause so coverage stays exact.
+#[derive(Debug)]
+pub(crate) struct StallLap {
+    last: Instant,
+    breakdown: StallBreakdown,
+}
+
+impl StallLap {
+    /// Starts a lap timer at the current instant.
+    pub(crate) fn start() -> Self {
+        StallLap {
+            last: Instant::now(),
+            breakdown: StallBreakdown::new(),
+        }
+    }
+
+    /// Attributes the time since the previous lap to `cause`. Returns the
+    /// segment length in nanoseconds.
+    pub(crate) fn lap(&mut self, cause: StallCause) -> u64 {
+        let now = Instant::now();
+        let nanos = now.duration_since(self.last).as_nanos() as u64;
+        self.last = now;
+        self.breakdown.record(cause, nanos);
+        nanos
+    }
+
+    /// Attributes the time since the previous lap to several causes using
+    /// externally measured sub-phase nanoseconds; whatever the splits do not
+    /// cover goes to `remainder` (splits exceeding the segment are scaled
+    /// down proportionally so the total stays exact). Returns the segment
+    /// length in nanoseconds.
+    pub(crate) fn lap_split(&mut self, splits: &[(StallCause, u64)], remainder: StallCause) -> u64 {
+        let now = Instant::now();
+        let total = now.duration_since(self.last).as_nanos() as u64;
+        self.last = now;
+        let claimed: u64 = splits.iter().map(|&(_, n)| n).sum();
+        if claimed > 0 && claimed <= total {
+            for &(cause, n) in splits {
+                self.breakdown.record(cause, n);
+            }
+            self.breakdown.record(remainder, total - claimed);
+        } else if claimed > total {
+            // Sub-phase clocks overshot the outer segment (scheduling skew);
+            // scale them down so the partition still tiles exactly.
+            let mut assigned = 0u64;
+            for (i, &(cause, n)) in splits.iter().enumerate() {
+                let share = if i + 1 == splits.len() {
+                    total - assigned
+                } else {
+                    ((n as u128 * total as u128) / claimed as u128) as u64
+                };
+                assigned += share;
+                self.breakdown.record(cause, share);
+            }
+            self.breakdown.record(remainder, 0);
+        } else {
+            self.breakdown.record(remainder, total);
+        }
+        total
+    }
+
+    /// Finishes the lap and returns the per-cause breakdown.
+    pub(crate) fn finish(self) -> StallBreakdown {
+        self.breakdown
     }
 }
 
@@ -712,5 +893,80 @@ mod tests {
         assert_eq!(a.bytes_loaded, 150);
         assert_eq!(a.bytes_stored, 9);
         assert_eq!(a.merges, 2);
+    }
+
+    #[test]
+    fn stall_cause_indices_are_dense_and_labels_distinct() {
+        let mut seen = [false; STALL_CAUSE_COUNT];
+        for c in StallCause::ALL {
+            assert!(!seen[c.index()], "duplicate index for {c:?}");
+            seen[c.index()] = true;
+        }
+        let labels: std::collections::HashSet<_> =
+            StallCause::ALL.iter().map(|c| c.label()).collect();
+        assert_eq!(labels.len(), STALL_CAUSE_COUNT);
+    }
+
+    #[test]
+    fn stall_breakdown_records_and_merges() {
+        let mut a = StallBreakdown::new();
+        assert!(a.is_empty());
+        a.record(StallCause::GateClose, 100);
+        a.record(StallCause::Rebuild, 400);
+        let mut b = StallBreakdown::new();
+        b.record(StallCause::GateClose, 50);
+        b.record(StallCause::RouterSwap, 25);
+        a.merge_from(&b);
+        assert_eq!(a.nanos(StallCause::GateClose), 150);
+        assert_eq!(a.count(StallCause::GateClose), 2);
+        assert_eq!(a.nanos(StallCause::Rebuild), 400);
+        assert_eq!(a.nanos(StallCause::RouterSwap), 25);
+        assert_eq!(a.total_nanos(), 575);
+        assert!(!a.is_empty());
+    }
+
+    #[test]
+    fn stall_lap_partitions_the_interval_exactly() {
+        let started = Instant::now();
+        let mut lap = StallLap::start();
+        std::hint::black_box((0..1000).sum::<u64>());
+        lap.lap(StallCause::GateClose);
+        std::hint::black_box((0..1000).sum::<u64>());
+        lap.lap_split(
+            &[(StallCause::WindowSnapshot, 1), (StallCause::IndexSwap, 1)],
+            StallCause::Rebuild,
+        );
+        lap.lap(StallCause::RouterSwap);
+        let upper = started.elapsed().as_nanos() as u64;
+        let b = lap.finish();
+        // The segments tile the interval: every cause the laps touched is
+        // counted once, and the sum is bounded by the outer elapsed time.
+        assert_eq!(b.count(StallCause::GateClose), 1);
+        assert_eq!(b.count(StallCause::WindowSnapshot), 1);
+        assert_eq!(b.count(StallCause::IndexSwap), 1);
+        assert_eq!(b.count(StallCause::Rebuild), 1);
+        assert_eq!(b.count(StallCause::RouterSwap), 1);
+        assert_eq!(b.count(StallCause::InFlightDrain), 0);
+        assert!(b.total_nanos() <= upper);
+        assert_eq!(
+            b.nanos(StallCause::WindowSnapshot) + b.nanos(StallCause::IndexSwap),
+            2,
+            "externally measured sub-phases pass through verbatim"
+        );
+    }
+
+    #[test]
+    fn stall_lap_split_scales_down_overshooting_subphases() {
+        let mut lap = StallLap::start();
+        // Claimed sub-phase nanos far exceed any real elapsed segment.
+        let seg = lap.lap_split(
+            &[
+                (StallCause::WindowSnapshot, u64::MAX / 4),
+                (StallCause::IndexSwap, u64::MAX / 4),
+            ],
+            StallCause::Rebuild,
+        );
+        let b = lap.finish();
+        assert_eq!(b.total_nanos(), seg, "scaling preserves the exact total");
     }
 }

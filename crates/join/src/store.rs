@@ -44,20 +44,19 @@
 
 use std::ops::Range;
 use std::sync::Arc;
-use std::time::Instant;
 
 use crossbeam::utils::CachePadded;
 use pimtree_btree::Entry;
 use pimtree_bwtree::BwTreeIndex;
 use pimtree_common::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use pimtree_common::sync::RwLock;
-use pimtree_common::{Key, KeyRange, PimConfig, Result, Seq, Step};
+use pimtree_common::{Key, KeyRange, PimConfig, Result, Seq};
 use pimtree_core::PimTree;
 use pimtree_numa::{NumaTopology, RangePartitioner, TrafficAccount};
 use pimtree_window::{ShardWindow, SlidingWindow, WindowBounds};
 
 use crate::parallel::SharedIndexKind;
-use crate::stats::{lap, JoinRunStats};
+use crate::stats::JoinRunStats;
 
 /// One index instance of the store: the PIM-Tree with its merge machinery or
 /// the Bw-Tree-style eager-deletion index.
@@ -158,11 +157,6 @@ pub(crate) struct StoreParams {
     /// deletion trails the expiry horizon by, so no in-flight task can still
     /// need the deleted entry).
     pub deletion_lag: u64,
-    /// Whether `generate` reads the clock around each index probe and each
-    /// window scan to split its time into `Step::Search` and `Step::Scan`
-    /// (the flight recorder's `full` mode). Four clock reads per task and
-    /// side; without it the two buckets stay empty.
-    pub time_steps: bool,
 }
 
 /// The engine's original layout: one shared window and index per side.
@@ -248,8 +242,7 @@ thread_local! {
 /// segment `k` (belonging to item `sub_idx[k]`), the index's runs with the
 /// live interval below the shard's edge snapshot, and the window suffix above
 /// it as runs of one — the §4.1 split, per shard. Returns the window tuples
-/// examined; with `time_steps` the probe and the scan are timed into
-/// `stats.breakdown`.
+/// examined.
 #[allow(clippy::too_many_arguments)] // internal worker of generate_partitioned()
 fn probe_shard_segments(
     shard: &StoreShard,
@@ -257,7 +250,6 @@ fn probe_shard_segments(
     sub_ranges: &[KeyRange],
     sub_idx: &[usize],
     bounds: &[WindowBounds],
-    time_steps: bool,
     stats: &mut JoinRunStats,
     f: &mut RunSink<'_>,
 ) -> u64 {
@@ -268,14 +260,10 @@ fn probe_shard_segments(
     // shard currently owns, so the union over visited shards reports every
     // match exactly once.
     let edge = window.edge_seq();
-    let mut clock = time_steps.then(Instant::now);
     shard.indexes[side].probe_runs(sub_ranges, &mut stats.probe, &mut |k, run| {
         let j = sub_idx[k];
         f(j, run, bounds[j].earliest..bounds[j].index_horizon(edge));
     });
-    if let Some(clock) = &mut clock {
-        stats.breakdown.record(Step::Search, lap(clock));
-    }
     let mut examined = 0u64;
     for (k, &j) in sub_idx.iter().enumerate() {
         let b = bounds[j];
@@ -283,9 +271,6 @@ fn probe_shard_segments(
         examined += window.scan_linear(scan_from, b.latest_exclusive, sub_ranges[k], |seq, key| {
             f(j, &[Entry::new(key, seq)], seq..seq + 1);
         }) as u64;
-    }
-    if let Some(clock) = &mut clock {
-        stats.breakdown.record(Step::Scan, lap(clock));
     }
     examined
 }
@@ -300,8 +285,6 @@ pub struct ShardStore {
     /// Extra window slots retained past expiry (the migration keep-horizon
     /// and the rebuilt shard windows are derived from it).
     slack: usize,
-    /// See [`StoreParams::time_steps`].
-    time_steps: bool,
     /// Index backend, kept so a migration can build fresh per-shard indexes.
     kind: SharedIndexKind,
     /// Per-shard PIM-Tree tuning (window size already divided per shard).
@@ -417,7 +400,6 @@ impl ShardStore {
             window_sizes: params.window_sizes,
             deletion_lag: params.deletion_lag,
             slack: params.slack,
-            time_steps: params.time_steps,
             kind: params.kind,
             shard_pim,
             merge_hint: [AtomicBool::new(false), AtomicBool::new(false)],
@@ -701,8 +683,7 @@ impl ShardStore {
     /// the shards overlapping each range (recorded in `stats.store`, charged
     /// local/remote against `home`). Probe counters, the logical bytes the
     /// descents and scans load — the caller adds the matches it keeps, which
-    /// only it counts — and, with [`StoreParams::time_steps`], search/scan
-    /// timings are recorded into `stats`.
+    /// only it counts — are recorded into `stats`.
     pub(crate) fn generate(
         &self,
         side: usize,
@@ -743,13 +724,9 @@ impl ShardStore {
         // snapshot that is a little stale only lengthens the scan, never
         // changes the result set.
         let edge = window.edge();
-        let mut clock = self.time_steps.then(Instant::now);
         state.indexes[side].probe_runs(ranges, &mut stats.probe, &mut |j, run| {
             f(j, run, bounds[j].earliest..bounds[j].index_horizon(edge));
         });
-        if let Some(clock) = &mut clock {
-            stats.breakdown.record(Step::Search, lap(clock));
-        }
         let examined =
             window.scan_suffix(edge, ranges, bounds, &mut scratch.order, |j, seq, key| {
                 f(j, &[Entry::new(key, seq)], seq..seq + 1);
@@ -758,9 +735,6 @@ impl ShardStore {
         // span and a fixed eight entries of descent (its matches are the
         // caller's to add).
         stats.bytes_loaded += (examined as u64 + 8 * n as u64) * entry_bytes;
-        if let Some(clock) = &mut clock {
-            stats.breakdown.record(Step::Scan, lap(clock));
-        }
         STORE_SCRATCH.with(|cell| cell.replace(scratch));
     }
 
@@ -838,7 +812,6 @@ impl ShardStore {
                 &scratch.sub_ranges,
                 &scratch.sub_idx,
                 bounds,
-                self.time_steps,
                 stats,
                 f,
             );

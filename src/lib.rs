@@ -37,7 +37,6 @@ pub use pimtree_join as join;
 pub use pimtree_model as model;
 pub use pimtree_multidim as multidim;
 pub use pimtree_numa as numa;
-pub use pimtree_telemetry as telemetry;
 pub use pimtree_window as window;
 pub use pimtree_workload as workload;
 
