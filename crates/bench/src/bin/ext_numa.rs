@@ -1,34 +1,21 @@
-//! Extension study (no paper figure): NUMA placement policies.
+//! Extension study (no paper figure): range placement on the simulated NUMA
+//! substrate.
 //!
-//! Compares the paper's proposed workload-aware range partitioning against
-//! context-insensitive round-robin placement on the simulated NUMA substrate
-//! (`pimtree-numa`), reporting remote-access share, simulated memory cost and
-//! node load imbalance for a range of node counts, for both a uniform and a
-//! heavily skewed key distribution.
+//! Runs the parallel engine (`ParallelIbwj`) with the partitioned store on:
+//! each simulated node owns one key range of a workload-aware
+//! `RangePartitioner` fitted to a key sample, and with it one ring shard, one
+//! index and one window slice per side. For 2, 4 and 8 nodes and for a uniform
+//! and a heavily skewed key distribution it reports the share of store
+//! accesses that crossed nodes, the store's simulated memory cost per tuple,
+//! the mean number of nodes a probe visits and the share of tuples workers
+//! stole from another node's ring shard. Every node gets at least one home
+//! worker (`--threads` is raised to the node count).
 
 use pimtree_bench::harness::*;
-use pimtree_common::BandPredicate;
-use pimtree_numa::{NumaPartitionedJoin, NumaTopology, PlacementStrategy, RangePartitioner};
+use pimtree_common::DriftConfig;
+use pimtree_join::SharedIndexKind;
+use pimtree_numa::RangePartitioner;
 use pimtree_workload::KeyDistribution;
-
-fn run_case(
-    strategy: PlacementStrategy,
-    nodes: usize,
-    w: usize,
-    tuples: &[pimtree_common::Tuple],
-    predicate: BandPredicate,
-) -> (f64, u64, f64) {
-    let sample: Vec<i64> = tuples.iter().step_by(7).map(|t| t.key).collect();
-    let topology = NumaTopology::new(nodes, 90, 180);
-    let partitioner = RangePartitioner::from_key_sample(nodes, &sample);
-    let mut op = NumaPartitionedJoin::new(topology, strategy, partitioner, w, predicate);
-    op.run(tuples);
-    (
-        op.traffic().remote_fraction(),
-        op.total_cost(),
-        op.load_imbalance(),
-    )
-}
 
 fn main() {
     let opts = RunOpts::parse(14, 14);
@@ -38,16 +25,17 @@ fn main() {
     print_header(
         "ext_numa",
         &format!(
-            "NUMA placement study on the simulated substrate (w = 2^{}, {} tuples)",
+            "range placement on the partitioned store (w = 2^{}, {} tuples)",
             opts.max_exp, n
         ),
         &[
             "distribution",
             "nodes",
-            "strategy",
+            "threads",
             "remote_fraction",
             "simulated_cost_per_tuple",
-            "load_imbalance",
+            "mean_probe_fanout",
+            "steal_fraction",
         ],
     );
 
@@ -57,21 +45,36 @@ fn main() {
     ];
     for (name, dist) in distributions {
         let (tuples, predicate) = two_way_workload(n, w, 2.0, dist, 50.0, opts.seed);
+        let sample: Vec<i64> = tuples.iter().step_by(7).map(|t| t.key).collect();
         for nodes in [2usize, 4, 8] {
-            for (label, strategy) in [
-                ("range", PlacementStrategy::RangePartitioned),
-                ("round_robin", PlacementStrategy::RoundRobin),
-            ] {
-                let (remote, cost, imbalance) = run_case(strategy, nodes, w, &tuples, predicate);
-                print_row(&[
-                    name.to_string(),
-                    nodes.to_string(),
-                    label.to_string(),
-                    format!("{remote:.3}"),
-                    format!("{:.0}", cost as f64 / tuples.len() as f64),
-                    format!("{imbalance:.2}"),
-                ]);
-            }
+            let threads = opts.threads.max(nodes);
+            let stats = run_parallel_sharded(
+                SharedIndexKind::PimTree,
+                w,
+                w,
+                threads,
+                opts.task_size,
+                pim_config(w),
+                opts.ring(),
+                opts.shard().with_shards(nodes).with_partition_index(true),
+                DriftConfig::default(),
+                Some(RangePartitioner::from_key_sample(nodes, &sample)),
+                predicate,
+                &tuples,
+                false,
+            );
+            print_row(&[
+                name.to_string(),
+                nodes.to_string(),
+                threads.to_string(),
+                format!("{:.3}", stats.store.remote_fraction()),
+                format!(
+                    "{:.0}",
+                    stats.store.simulated_store_cost as f64 / tuples.len() as f64
+                ),
+                format!("{:.2}", stats.store.mean_probe_fanout()),
+                format!("{:.3}", stats.shard.steal_fraction()),
+            ]);
         }
     }
 }

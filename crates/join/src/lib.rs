@@ -26,9 +26,6 @@
 //!   out across exactly the shards overlapping the band-join range, all
 //!   charged to a simulated NUMA traffic account (one shard short-circuits
 //!   to the original shared index/window pair);
-//! * [`timejoin`] — a time-based (event-time) window band join over the same
-//!   PIM-Tree index, substantiating the paper's claim that the approach
-//!   applies to time-based windows without technical limitation (§2.1);
 //! * [`reference`](mod@reference) — a brute-force oracle used by the test suite to validate
 //!   every operator's output;
 //! * [`stats`] — run statistics shared by all operators, including the
@@ -59,7 +56,6 @@ pub mod ring;
 pub mod shard;
 pub mod stats;
 pub mod store;
-pub mod timejoin;
 
 pub use adapter::{
     BTreeAdapter, BwTreeAdapter, ChainedAdapter, ImTreeAdapter, PimTreeAdapter, WindowIndexAdapter,
@@ -77,4 +73,3 @@ pub use stats::{
     StallCause, StoreCounters,
 };
 pub use store::{ShardStore, StoreShardFootprint, StoreSideFootprint};
-pub use timejoin::{reference_time_join, TimeBasedIbwj, TimedStreamTuple};

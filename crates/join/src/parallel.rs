@@ -2670,6 +2670,23 @@ mod tests {
                             );
                             assert!(stats.store.max_probe_fanout <= shards as u64, "{label}");
                             assert!(stats.store.simulated_store_cost > 0, "{label}");
+                            // Range placement keeps inserts local: the ring and
+                            // the store route with one partitioner, so a home
+                            // claim inserts on its own shard and a stolen tuple
+                            // inserts remotely. Not under `NonBlocking`, whose
+                            // post-merge replay of the pending list inserts
+                            // with the merging worker's home, nor under a
+                            // forced epoch, which re-homes keys mid-run.
+                            if policy == MergePolicy::Blocking && !repartition_forced() {
+                                assert_eq!(
+                                    stats.store.local_inserts, stats.shard.local_tuples,
+                                    "home claims insert locally ({label})"
+                                );
+                                assert_eq!(
+                                    stats.store.remote_inserts, stats.shard.stolen_tuples,
+                                    "stolen tuples insert remotely ({label})"
+                                );
+                            }
                         } else {
                             // Shared store (partitioning off, or one shard):
                             // the store counters must stay untouched.

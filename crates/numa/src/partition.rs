@@ -139,12 +139,6 @@ impl RangePartitioner {
         (lo <= hi).then_some((lo, hi))
     }
 
-    /// The nodes whose intervals overlap `[lo, hi]` (a band-join probe range),
-    /// as an inclusive node-index range.
-    pub fn nodes_overlapping(&self, lo: Key, hi: Key) -> (usize, usize) {
-        (self.node_of(lo), self.node_of(hi))
-    }
-
     /// The shards whose key intervals overlap the *inclusive* range
     /// `[lo, hi]`, as a half-open shard-index range — the probe fan-out
     /// query of the partitioned index store.
@@ -159,8 +153,7 @@ impl RangePartitioner {
         if lo > hi {
             return 0..0;
         }
-        let (first, last) = self.nodes_overlapping(lo, hi);
-        first..last + 1
+        self.node_of(lo)..self.node_of(hi) + 1
     }
 
     /// Computes a repartitioning from freshly observed per-node loads: new
@@ -399,8 +392,7 @@ mod tests {
         let b = p.boundaries()[0];
         assert_eq!(p.node_of(b), 0, "boundary key belongs to the lower node");
         assert_eq!(p.node_of(b + 1), 1);
-        let (lo, hi) = p.nodes_overlapping(b - 1, b + 1);
-        assert_eq!((lo, hi), (0, 1));
+        assert_eq!(p.covering_shards(b - 1, b + 1), 0..2);
     }
 
     #[test]

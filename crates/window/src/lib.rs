@@ -13,16 +13,12 @@
 //!   it acquires a task;
 //! * [`ShardWindow`] — one shard's *slice* of a sliding window (the sparse
 //!   `(seq, key)` subsequence routed to the shard) for the partitioned index
-//!   store, with a shard-local edge tuple and an eager-expiry cursor;
-//! * [`TimeWindow`] — a simple time-based window used by the examples to show
-//!   that the indexing approach is not tied to count-based semantics.
+//!   store, with a shard-local edge tuple and an eager-expiry cursor.
 
 pub mod bounds;
 pub mod count;
 pub mod sparse;
-pub mod time;
 
 pub use bounds::WindowBounds;
 pub use count::SlidingWindow;
 pub use sparse::ShardWindow;
-pub use time::TimeWindow;

@@ -35,7 +35,6 @@ pub use pimtree_core as core;
 pub use pimtree_css as css;
 pub use pimtree_join as join;
 pub use pimtree_model as model;
-pub use pimtree_multidim as multidim;
 pub use pimtree_numa as numa;
 pub use pimtree_window as window;
 pub use pimtree_workload as workload;
@@ -51,14 +50,10 @@ pub mod prelude {
     pub use pimtree_css::CssTree;
     pub use pimtree_join::{
         build_single_threaded, HandshakeJoin, HandshakeMode, IbwjOperator, JoinRunStats,
-        NlwjOperator, ParallelIbwj, SharedIndexKind, SingleThreadJoin, TimeBasedIbwj,
-        TimedStreamTuple,
+        NlwjOperator, ParallelIbwj, SharedIndexKind, SingleThreadJoin,
     };
-    pub use pimtree_multidim::{MdBandPredicate, MdPimTree, MdTuple, MultiDimIbwj};
-    pub use pimtree_numa::{
-        DriftMonitor, NumaPartitionedJoin, NumaTopology, PlacementStrategy, RangePartitioner,
-    };
-    pub use pimtree_window::{SlidingWindow, TimeWindow};
+    pub use pimtree_numa::{DriftMonitor, NumaTopology, RangePartitioner};
+    pub use pimtree_window::SlidingWindow;
     pub use pimtree_workload::{
         calibrate_diff, KeyDistribution, ShiftingGaussian, StreamGenerator, StreamMix,
     };

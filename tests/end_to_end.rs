@@ -331,27 +331,3 @@ fn analytical_model_orders_approaches_like_the_implementation() {
     assert!(pim_tree_cost(&params, 0.125, 3).total() < btree_cost(&params).total());
     assert!(chained_cost(&params, 8).search > chained_cost(&params, 2).search);
 }
-
-#[test]
-fn time_based_window_composes_with_the_btree_index() {
-    // The indexing approach is not tied to count-based windows: maintain a
-    // B+-Tree next to a time-based window and keep them consistent.
-    let mut window = TimeWindow::new(100);
-    let mut index = BTreeIndex::new();
-    let mut live: std::collections::HashSet<u64> = std::collections::HashSet::new();
-    for i in 0..1000u64 {
-        let key = (i * 37 % 500) as i64;
-        let seq = window.append(key, i * 3);
-        index.insert(key, seq);
-        live.insert(seq);
-        // Evict from the index whatever the window evicted.
-        let still_live: std::collections::HashSet<u64> = window.iter().map(|t| t.seq).collect();
-        for gone in live.difference(&still_live).copied().collect::<Vec<_>>() {
-            let key_gone = (gone * 37 % 500) as i64;
-            assert!(index.remove(key_gone, gone));
-            live.remove(&gone);
-        }
-        assert_eq!(index.len(), window.len());
-    }
-    index.check_invariants();
-}
