@@ -73,8 +73,8 @@ fn migration_epoch_rehomes_without_loss_or_duplication() {
             gate.await_quiesce();
             {
                 let mut homes = homes.write();
-                let (mut stay, mut moved) = (Vec::new(), homes[1].snapshot());
-                for entry in homes[0].snapshot() {
+                let (mut stay, mut moved) = (Vec::new(), homes[1].snapshot(0));
+                for entry in homes[0].snapshot(0) {
                     if home_of(entry.1, 1) == 0 {
                         stay.push(entry);
                     } else {
@@ -95,7 +95,7 @@ fn migration_epoch_rehomes_without_loss_or_duplication() {
             let homes = homes.read();
             let mut live: Vec<u64> = Vec::new();
             for (home, window) in homes.iter().enumerate() {
-                for (seq, key, _) in window.snapshot() {
+                for (seq, key, _) in window.snapshot(0) {
                     assert_eq!(
                         home,
                         home_of(key, owner_now),

@@ -386,6 +386,21 @@ fn visit_partitions<F: FnMut(usize, &[Entry])>(
     }
 }
 
+/// One `LiveMerge` pass over `gen`, each partition's run read under its
+/// lock: the live entries (sequence number at or after `earliest_live`) in
+/// `(key, seq)` order, with the merge's counts.
+fn merge_locked(gen: &Generation, earliest_live: Seq) -> (Vec<Entry>, MergeReport) {
+    let mut merge = LiveMerge::new(
+        gen.ts.entries(),
+        gen.ti_len.load(Ordering::Relaxed),
+        earliest_live,
+    );
+    for p in &gen.partitions {
+        p.lock().run.for_each_run(|run| merge.push_run(run));
+    }
+    merge.finish()
+}
+
 /// Sort/dedup bookkeeping and group-descent cursors of
 /// [`PimTree::probe_batch`], kept per thread so the hot path reuses its
 /// buffers instead of allocating five vectors per task.
@@ -458,8 +473,25 @@ impl PimTree {
     ///
     /// Panics if the configuration is invalid.
     pub fn new(config: PimConfig) -> Self {
+        Self::from_sorted(config, Vec::new())
+    }
+
+    /// Bulk-builds a PIM-Tree over `entries`, sorted by `(key, seq)`: they
+    /// become the immutable component, and the mutable one starts empty with
+    /// one partition per `TS` node at the insertion depth — the state a merge
+    /// leaves behind. [`PimTree::sorted_entries`] reads a tree back in the
+    /// same form.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is invalid.
+    pub fn from_sorted(config: PimConfig, entries: Vec<Entry>) -> Self {
         config.validate().expect("invalid PIM-Tree configuration");
-        let generation = Generation::new(&config, build_ts(&config, Vec::new()));
+        debug_assert!(
+            entries.windows(2).all(|w| w[0] <= w[1]),
+            "entries must be sorted"
+        );
+        let generation = Generation::new(&config, build_ts(&config, entries));
         PimTree {
             merge_threshold: config.merge_threshold(),
             config,
@@ -768,17 +800,7 @@ impl PimTree {
     /// happen until [`PimTree::install_merge`] has returned.
     pub fn begin_merge(&self, earliest_live: Seq) -> PreparedMerge {
         let started = Instant::now();
-        let gen = self.current.read();
-        let mut merge = LiveMerge::new(
-            gen.ts.entries(),
-            gen.ti_len.load(Ordering::Relaxed),
-            earliest_live,
-        );
-        for p in &gen.partitions {
-            p.lock().run.for_each_run(|run| merge.push_run(run));
-        }
-        let (merged, report) = merge.finish();
-        drop(gen);
+        let (merged, report) = merge_locked(&self.current.read(), earliest_live);
         let generation = Generation::new(&self.config, build_ts(&self.config, merged));
         let partitions = generation.partitions.len();
         PreparedMerge {
@@ -790,6 +812,13 @@ impl PimTree {
             },
             started,
         }
+    }
+
+    /// Every indexed entry, live and expired, in `(key, seq)` order: the
+    /// merge's one pass over `TS` and the partitions' runs with nothing
+    /// dropped. [`PimTree::from_sorted`] builds a tree back from it.
+    pub fn sorted_entries(&self) -> Vec<Entry> {
+        merge_locked(&self.current.read(), 0).0
     }
 
     /// Phase 2 of the non-blocking merge: atomically swap in the prepared
@@ -1506,6 +1535,74 @@ mod tests {
         }
         t.merge(0);
         t
+    }
+
+    /// A tree read back through `sorted_entries` — `TS`, one promoted
+    /// partition and flat ones, duplicate keys and both domain edges — and
+    /// bulk-built again by `from_sorted` holds the same entries, all of them
+    /// in `TS` under the partition table a merge would fit, and answers
+    /// every probe as brute force over the original does. So does an empty
+    /// tree.
+    #[test]
+    fn sorted_entries_round_trip_through_from_sorted() {
+        let w = 4 * RUN_PROMOTE_LEN;
+        let cfg = config(w, 1.0, 2);
+        let key_of = |seq: u64| -> Key {
+            match seq % 7 {
+                0 => Key::MIN,
+                1 => Key::MAX,
+                _ => (seq % 40) as Key,
+            }
+        };
+        let t = PimTree::new(cfg);
+        for seq in 0..w as u64 {
+            t.insert(key_of(seq), seq);
+        }
+        t.merge(0);
+        // `Key::MAX` routes past every other key: one partition outgrows a
+        // flat run while the others stay flat.
+        for seq in w as u64..(w + RUN_PROMOTE_LEN + 1) as u64 {
+            t.insert(Key::MAX, seq);
+        }
+        for seq in (w + RUN_PROMOTE_LEN + 1) as u64..(w + RUN_PROMOTE_LEN + 65) as u64 {
+            t.insert(key_of(seq), seq);
+        }
+        assert_eq!(t.promoted_partitions(), 1);
+        let full = KeyRange::new(Key::MIN, Key::MAX);
+        let ranges = [
+            full,
+            KeyRange::point(Key::MIN),
+            KeyRange::point(Key::MAX),
+            KeyRange::new(3, 17),
+            KeyRange::new(39, Key::MAX - 1),
+        ];
+        let oracle = |range: KeyRange| {
+            let mut want = t.brute_force(range);
+            want.sort_unstable();
+            want
+        };
+        let sorted = t.sorted_entries();
+        assert_eq!(sorted, oracle(full));
+        let built = PimTree::from_sorted(cfg, sorted);
+        assert_eq!((built.ts_len(), built.ti_len()), (t.len(), 0));
+        let gen = built.current.read();
+        assert_eq!(built.partition_count(), gen.ts.nodes_at_depth(gen.depth));
+        drop(gen);
+        built.assert_probes_match_brute_force(&ranges);
+        for &range in &ranges {
+            assert_eq!(
+                built.range_collect_live(range, 0),
+                oracle(range),
+                "{range:?}"
+            );
+        }
+
+        let empty = PimTree::new(cfg);
+        assert!(empty.sorted_entries().is_empty());
+        let built = PimTree::from_sorted(cfg, Vec::new());
+        assert!(built.is_empty());
+        assert_eq!(built.partition_count(), 1);
+        built.assert_probes_match_brute_force(&ranges);
     }
 
     /// Growth (the `TS`-less first generation, its one partition promoted),

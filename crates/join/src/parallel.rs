@@ -912,9 +912,11 @@ fn run_sampler(
     start: Instant,
     stop: &AtomicBool,
 ) {
-    let mut seq = 0u64;
+    // The first sample never reads the flag: a run that ends before the
+    // sampler starts still leaves the first sample and the final one, since
+    // the engine's earlier unpark makes the first wait return at once.
+    let (mut seq, mut stopping) = (0u64, false);
     loop {
-        let stopping = stop.load(Ordering::Acquire);
         let sample = gauge_sample(shared, seq, start);
         if let Err(e) = sink.append(&sample) {
             eprintln!("telemetry: sample write failed: {e}");
@@ -926,6 +928,7 @@ fn run_sampler(
         }
         // A spurious early return costs one extra sample, nothing more.
         std::thread::park_timeout(interval);
+        stopping = stop.load(Ordering::Acquire);
     }
     if let Err(e) = sink.finish() {
         eprintln!("telemetry: sink flush failed: {e}");

@@ -93,8 +93,8 @@ pub struct MigrationCounters {
     /// Plans whose moved-weight fraction failed the cost gate (or that were
     /// no-ops against the current partitioner) and were not adopted.
     pub plans_rejected: u64,
-    /// Index entries whose home shard changed and were re-inserted into the
-    /// new owner, summed over epochs.
+    /// Index entries whose home shard changed and were rebuilt into the new
+    /// owner's index, summed over epochs.
     pub index_entries_moved: u64,
     /// Window tuples whose home shard changed and were re-homed, summed over
     /// epochs.

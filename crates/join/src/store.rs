@@ -73,10 +73,32 @@ pub(crate) enum StoreIndex {
 }
 
 impl StoreIndex {
-    fn new(kind: SharedIndexKind, pim: PimConfig) -> Self {
+    /// A fresh index of `kind` holding `entries`, sorted by `(key, seq)`:
+    /// the PIM-Tree bulk-builds them into its immutable component, the
+    /// Bw-Tree inserts them in that order.
+    fn from_sorted(kind: SharedIndexKind, pim: PimConfig, entries: Vec<Entry>) -> Self {
         match kind {
-            SharedIndexKind::PimTree => StoreIndex::Pim(Arc::new(PimTree::new(pim))),
-            SharedIndexKind::BwTree => StoreIndex::Bw(BwTreeIndex::new()),
+            SharedIndexKind::PimTree => {
+                StoreIndex::Pim(Arc::new(PimTree::from_sorted(pim, entries)))
+            }
+            SharedIndexKind::BwTree => {
+                let tree = BwTreeIndex::new();
+                for e in entries {
+                    tree.insert(e.key, e.seq);
+                }
+                StoreIndex::Bw(tree)
+            }
+        }
+    }
+
+    /// Appends every indexed entry, live and expired, to `out` in `(key,
+    /// seq)` order — the input [`StoreIndex::from_sorted`] takes.
+    fn append_sorted(&self, out: &mut Vec<Entry>) {
+        match self {
+            StoreIndex::Pim(t) => out.append(&mut t.sorted_entries()),
+            StoreIndex::Bw(t) => {
+                t.range_for_each(KeyRange::new(Key::MIN, Key::MAX), |e| out.push(e))
+            }
         }
     }
 
@@ -179,7 +201,10 @@ impl StoreShard {
                 ShardWindow::new(window_sizes[0], slack),
                 ShardWindow::new(window_sizes[1], slack),
             ],
-            indexes: [StoreIndex::new(kind, pim), StoreIndex::new(kind, pim)],
+            indexes: [
+                StoreIndex::from_sorted(kind, pim, Vec::new()),
+                StoreIndex::from_sorted(kind, pim, Vec::new()),
+            ],
         }
     }
 }
@@ -390,8 +415,8 @@ impl ShardStore {
                     SlidingWindow::new(params.window_sizes[1], params.slack),
                 ],
                 indexes: [
-                    StoreIndex::new(params.kind, params.pim),
-                    StoreIndex::new(params.kind, params.pim),
+                    StoreIndex::from_sorted(params.kind, params.pim, Vec::new()),
+                    StoreIndex::from_sorted(params.kind, params.pim, Vec::new()),
                 ],
             }),
         };
@@ -831,18 +856,23 @@ impl ShardStore {
     ///
     /// Per side, the migration:
     ///
-    /// 1. snapshots every shard window's resident slice and keeps the
-    ///    entries above the *keep horizon* (`head − window − slack`): the
-    ///    set any unclaimed ring task's bounds snapshot or pending
-    ///    `mark_indexed` can still reach. At most `window + slack` entries
-    ///    survive per side, so even a fully skewed re-partitioning fits one
-    ///    shard window's capacity;
-    /// 2. enumerates every shard index's entries (live and expired-but-
-    ///    unmerged alike — expiry stays a probe/merge-time decision against
-    ///    the global heads, which migration never touches);
-    /// 3. re-splits both sets by the new partitioner and rebuilds each
-    ///    shard's windows (preserving indexed flags and re-deriving edges)
-    ///    and indexes (fresh per-shard trees, entries re-inserted);
+    /// 1. snapshots every shard window's slice from the *keep horizon*
+    ///    (`head − window − slack`) up: the set any unclaimed ring task's
+    ///    bounds snapshot or pending `mark_indexed` can still reach. At most
+    ///    `window + slack` entries survive per side, so even a fully skewed
+    ///    re-partitioning fits one shard window's capacity. Each new shard's
+    ///    entries arrive as one ascending run per old shard, and a stable
+    ///    sort merges the runs by `seq`;
+    /// 2. reads every shard index's entries (live and expired-but-unmerged
+    ///    alike — expiry stays a probe/merge-time decision against the global
+    ///    heads, which migration never touches) in `(key, seq)` order and
+    ///    concatenates them in shard order. Old shards cover ascending key
+    ///    ranges, so the concatenation is one sorted array;
+    /// 3. cuts that array by the new partitioner — `node_of` is monotone in
+    ///    the key, so each new shard's entries are one contiguous slice — and
+    ///    bulk-builds each shard's index from its slice (a PIM-Tree's `TS` is
+    ///    the slice and its `TI` is empty); the windows are rebuilt from
+    ///    their merged runs, indexed flags preserved and edges re-derived;
     /// 4. charges every entry whose home shard changed to the store's
     ///    simulated [`TrafficAccount`] as one `old → new` interconnect
     ///    traversal — the data-transfer cost the paper's §7 worries about.
@@ -870,91 +900,84 @@ impl ShardStore {
         let mut report = StoreMigration::default();
         let clock = std::time::Instant::now();
 
-        // Windows: snapshot → keep-horizon filter → re-split → rebuild.
         let mut window_entries: Vec<[Vec<(Seq, Key, bool)>; 2]> =
-            (0..nodes).map(|_| [Vec::new(), Vec::new()]).collect();
+            (0..nodes).map(|_| Default::default()).collect();
+        let mut sorted: [Vec<Entry>; 2] = Default::default();
+        // Per side, where each old shard's entries start in `sorted`.
+        let mut old_starts: [Vec<usize>; 2] = Default::default();
         for side in [0usize, 1] {
             let head = p.heads[side].load(Ordering::Acquire);
             let keep = head.saturating_sub((self.window_sizes[side] + self.slack) as u64);
-            let mut collected: Vec<(usize, Seq, Key, bool)> = Vec::new();
             for (old_shard, shard) in inner.shards.iter().enumerate() {
-                for (seq, key, indexed) in shard.windows[side].snapshot() {
-                    if seq >= keep {
-                        collected.push((old_shard, seq, key, indexed));
+                for entry in shard.windows[side].snapshot(keep) {
+                    let dest = new.node_of(entry.1);
+                    if dest != old_shard {
+                        report.window_tuples_moved += 1;
+                        pair_moves[old_shard * nodes + dest] += 1;
                     }
+                    window_entries[dest][side].push(entry);
                 }
+                old_starts[side].push(sorted[side].len());
+                shard.indexes[side].append_sorted(&mut sorted[side]);
             }
-            // Global seq order: each rebuilt slice receives its subsequence
-            // ascending, the ShardWindow append contract.
-            collected.sort_unstable_by_key(|&(_, seq, _, _)| seq);
-            for (old_shard, seq, key, indexed) in collected {
-                let dest = new.node_of(key);
-                if dest != old_shard {
-                    report.window_tuples_moved += 1;
-                    pair_moves[old_shard * nodes + dest] += 1;
-                }
-                window_entries[dest][side].push((seq, key, indexed));
-            }
-        }
-
-        // Indexes: enumerate → re-split → rebuild. Entry order within a
-        // shard is irrelevant to index correctness; seq order keeps the
-        // rebuild deterministic.
-        let full = KeyRange::new(Key::MIN, Key::MAX);
-        let mut index_entries: Vec<[Vec<(Key, Seq)>; 2]> =
-            (0..nodes).map(|_| [Vec::new(), Vec::new()]).collect();
-        for side in [0usize, 1] {
-            let mut collected: Vec<(usize, Key, Seq)> = Vec::new();
-            for (old_shard, shard) in inner.shards.iter().enumerate() {
-                shard.indexes[side].probe(full, &mut |e| {
-                    collected.push((old_shard, e.key, e.seq));
-                });
-            }
-            collected.sort_unstable_by_key(|&(_, _, seq)| seq);
-            for (old_shard, key, seq) in collected {
-                let dest = new.node_of(key);
-                if dest != old_shard {
-                    report.index_entries_moved += 1;
-                    pair_moves[old_shard * nodes + dest] += 1;
-                }
-                index_entries[dest][side].push((key, seq));
+            for entries in &mut window_entries {
+                entries[side].sort_by_key(|&(seq, _, _)| seq);
             }
         }
 
         report.snapshot_nanos = clock.elapsed().as_nanos() as u64;
 
-        // Rebuild the shard table against the new partitioner.
+        // Cut each side's sorted array from the back, so every new index is
+        // built from an owned slice without a second copy. The slice
+        // `[start, end)` of new shard `dest` overlaps old shard `o`'s
+        // `[old_starts[o], old_starts[o + 1])`; whatever of it came from
+        // another shard moved.
+        let mut new_indexes: [Vec<StoreIndex>; 2] = Default::default();
+        for side in [0usize, 1] {
+            let all = &mut sorted[side];
+            for dest in (0..nodes).rev() {
+                let (start, end) = (
+                    all.partition_point(|e| new.node_of(e.key) < dest),
+                    all.len(),
+                );
+                for (old_shard, &old_start) in old_starts[side].iter().enumerate() {
+                    let old_end = old_starts[side]
+                        .get(old_shard + 1)
+                        .copied()
+                        .unwrap_or(usize::MAX);
+                    let overlap = old_end.min(end).saturating_sub(old_start.max(start)) as u64;
+                    if old_shard != dest {
+                        report.index_entries_moved += overlap;
+                        pair_moves[old_shard * nodes + dest] += overlap;
+                    }
+                }
+                // `split_off(0)` would allocate `all`'s capacity again for
+                // the empty rest; shard 0 takes the buffer itself.
+                let slice = if dest == 0 {
+                    std::mem::take(all)
+                } else {
+                    all.split_off(start)
+                };
+                new_indexes[side].push(StoreIndex::from_sorted(self.kind, self.shard_pim, slice));
+            }
+            new_indexes[side].reverse();
+        }
+        let [indexes0, indexes1] = new_indexes;
         let new_shards: Vec<StoreShard> = window_entries
             .into_iter()
-            .zip(index_entries)
-            .map(|(wins, idxs)| {
-                let [win0, win1] = wins;
-                let build_index = |entries: &[(Key, Seq)]| {
-                    let index = StoreIndex::new(self.kind, self.shard_pim);
-                    index.insert_batch(entries);
-                    index
-                };
-                StoreShard {
-                    windows: [
-                        ShardWindow::from_entries(self.window_sizes[0], self.slack, &win0),
-                        ShardWindow::from_entries(self.window_sizes[1], self.slack, &win1),
-                    ],
-                    indexes: [build_index(&idxs[0]), build_index(&idxs[1])],
-                }
+            .zip(indexes0.into_iter().zip(indexes1))
+            .map(|([win0, win1], (index0, index1))| StoreShard {
+                windows: [
+                    ShardWindow::from_entries(self.window_sizes[0], self.slack, &win0),
+                    ShardWindow::from_entries(self.window_sizes[1], self.slack, &win1),
+                ],
+                indexes: [index0, index1],
             })
             .collect();
         report.rebuild_nanos =
             (clock.elapsed().as_nanos() as u64).saturating_sub(report.snapshot_nanos);
         inner.shards = new_shards;
         inner.partitioner = new.clone();
-        // Re-inserted entries land in the mutable components: re-raise the
-        // merge hints so the normal poll notices any tree pushed over its
-        // threshold by the migration.
-        for side in 0..2 {
-            if inner.shards.iter().any(|sh| sh.indexes[side].needs_merge()) {
-                self.merge_hint[side].store(true, Ordering::Relaxed);
-            }
-        }
         drop(inner);
         for old in 0..nodes {
             for dest in 0..nodes {
@@ -1023,6 +1046,222 @@ impl ShardStore {
                     }
                 })
                 .collect(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const WINDOW: usize = 256;
+    const SLACK: usize = 64;
+    const TUPLES: u64 = 1000;
+    /// Tuples at the end of each side that are appended but never inserted.
+    const UNINDEXED_TAIL: u64 = 20;
+
+    /// Both domain edges, a run of one duplicated key, and a run of
+    /// `Key::MAX` long enough to promote its `TI` partition (inserted after
+    /// the trees merged), over a spread of small keys.
+    fn key_of(side: usize, seq: u64) -> Key {
+        match seq {
+            400..=459 => 42,
+            550..=849 => Key::MAX,
+            _ => match seq % 13 {
+                0 => Key::MIN,
+                1 => Key::MAX,
+                _ => (seq * 7919 + side as u64 * 31) as Key % 2000 - 1000,
+            },
+        }
+    }
+
+    /// A partitioned store over `nodes` shards, fed `TUPLES` per side: the
+    /// first 500 inserted and every PIM shard merged, then the rest inserted
+    /// but for an unindexed tail.
+    fn populated(kind: SharedIndexKind, nodes: usize) -> ShardStore {
+        let mut pim = PimConfig::for_window(WINDOW)
+            .with_merge_ratio(1.0)
+            .with_insertion_depth(2);
+        pim.css_fanout = 8;
+        pim.css_leaf_size = 8;
+        let sample: Vec<Key> = (0..TUPLES).map(|seq| key_of(0, seq)).collect();
+        let params = StoreParams {
+            kind,
+            pim,
+            window_sizes: [WINDOW; 2],
+            slack: SLACK,
+            deletion_lag: 8,
+        };
+        let store = ShardStore::new(
+            params,
+            Some(RangePartitioner::from_key_sample(nodes, &sample)),
+        );
+        let mut stats = JoinRunStats::default();
+        let insert = |from: u64, to: u64, stats: &mut JoinRunStats| {
+            for side in 0..2 {
+                let entries: Vec<(Key, Seq)> =
+                    (from..to).map(|seq| (key_of(side, seq), seq)).collect();
+                for chunk in entries.chunks(8) {
+                    store.insert_batch(side, chunk, 0, stats);
+                }
+            }
+        };
+        for seq in 0..TUPLES {
+            for side in 0..2 {
+                assert_eq!(store.append(side, key_of(side, seq)).unwrap(), seq);
+            }
+        }
+        insert(0, 500, &mut stats);
+        for side in 0..2 {
+            for shard in 0..nodes {
+                if let Some(tree) = store.pim(side, shard) {
+                    tree.merge(store.earliest_live(side));
+                }
+            }
+        }
+        insert(500, TUPLES - UNINDEXED_TAIL, &mut stats);
+        store
+    }
+
+    /// `side`'s index entries `(shard, key, seq)` and window entries `(shard,
+    /// seq, key, indexed)` at or above `keep`, read through the probe and
+    /// snapshot paths, each sorted by everything but the shard.
+    #[allow(clippy::type_complexity)]
+    fn side_state(
+        store: &ShardStore,
+        side: usize,
+        keep: Seq,
+    ) -> (Vec<(usize, Key, Seq)>, Vec<(usize, Seq, Key, bool)>) {
+        let Layout::Partitioned(p) = &store.layout else {
+            unreachable!("the tests build a partitioned store")
+        };
+        let (mut index, mut window) = (Vec::new(), Vec::new());
+        for (shard, sh) in p.inner.read().shards.iter().enumerate() {
+            sh.indexes[side].probe(KeyRange::new(Key::MIN, Key::MAX), &mut |e| {
+                index.push((shard, e.key, e.seq))
+            });
+            for (seq, key, indexed) in sh.windows[side].snapshot(keep) {
+                window.push((shard, seq, key, indexed));
+            }
+        }
+        index.sort_unstable_by_key(|&(_, key, seq)| (key, seq));
+        window.sort_unstable_by_key(|&(_, seq, _, _)| seq);
+        (index, window)
+    }
+
+    /// A migration to a rebalanced partitioner and to one that homes every
+    /// key on shard 0, on 2 and 4 shards of both backends, moves exactly
+    /// what a brute-force recount says and loses nothing: per side the
+    /// index holds the same `(key, seq)` multiset and the window the same
+    /// `(seq, key, indexed)` entries from the keep horizon up, every shard's
+    /// state lies inside its new interval, every PIM-Tree starts with an
+    /// empty `TI`, and every shard's edge is its first unindexed tuple.
+    #[test]
+    fn migration_cuts_sorted_runs_exactly() {
+        let keep = TUPLES - (WINDOW + SLACK) as u64;
+        // Distinct keys, so the long `Key::MAX` run cannot pull every
+        // boundary onto itself: the rebalanced target gives each shard keys.
+        let mut recent: Vec<Key> = (keep..TUPLES).map(|seq| key_of(1, seq)).collect();
+        recent.sort_unstable();
+        recent.dedup();
+        for kind in [SharedIndexKind::PimTree, SharedIndexKind::BwTree] {
+            for nodes in [2usize, 4] {
+                let targets = [
+                    (true, RangePartitioner::from_key_sample(nodes, &recent)),
+                    (false, RangePartitioner::from_weighted_sample(nodes, &[])),
+                ];
+                for (rebalanced, new) in targets {
+                    let store = populated(kind, nodes);
+                    let case = format!("{kind:?}, {nodes} shards, target {:?}", new.boundaries());
+                    if kind == SharedIndexKind::PimTree {
+                        let promoted = (0..nodes).any(|shard| {
+                            store.pim(1, shard).unwrap().ti_len() > 256 + UNINDEXED_TAIL as usize
+                        });
+                        assert!(promoted, "a `TI` past a flat run's length: {case}");
+                    }
+                    let before = [side_state(&store, 0, keep), side_state(&store, 1, keep)];
+                    let report = store.adopt_partitioner(&new).expect("partitioned");
+
+                    let (mut index_moved, mut window_moved) = (0, 0);
+                    for (side, (index, window)) in before.iter().enumerate() {
+                        index_moved += index
+                            .iter()
+                            .filter(|&&(old, key, _)| new.node_of(key) != old)
+                            .count();
+                        window_moved += window
+                            .iter()
+                            .filter(|&&(old, _, key, _)| new.node_of(key) != old)
+                            .count();
+                        let (index_after, window_after) = side_state(&store, side, keep);
+                        let strip = |v: &[(usize, Key, Seq)]| -> Vec<(Key, Seq)> {
+                            v.iter().map(|&(_, key, seq)| (key, seq)).collect()
+                        };
+                        assert_eq!(
+                            strip(&index_after),
+                            strip(index),
+                            "index, side {side}: {case}"
+                        );
+                        let strip = |v: &[(usize, Seq, Key, bool)]| -> Vec<(Seq, Key, bool)> {
+                            v.iter()
+                                .map(|&(_, seq, key, indexed)| (seq, key, indexed))
+                                .collect()
+                        };
+                        assert_eq!(
+                            strip(&window_after),
+                            strip(window),
+                            "window, side {side}: {case}"
+                        );
+
+                        let Layout::Partitioned(p) = &store.layout else {
+                            unreachable!()
+                        };
+                        let inner = p.inner.read();
+                        for (shard, sh) in inner.shards.iter().enumerate() {
+                            let first_unindexed = window
+                                .iter()
+                                .find(|&&(_, _, key, indexed)| {
+                                    new.node_of(key) == shard && !indexed
+                                })
+                                .map_or(Seq::MAX, |&(_, seq, _, _)| seq);
+                            assert_eq!(
+                                sh.windows[side].edge_seq(),
+                                first_unindexed,
+                                "edge of shard {shard}, side {side}: {case}"
+                            );
+                            if let StoreIndex::Pim(tree) = &sh.indexes[side] {
+                                assert_eq!(tree.ti_len(), 0, "shard {shard}, side {side}: {case}");
+                            }
+                        }
+                    }
+                    assert_eq!(report.index_entries_moved, index_moved as u64, "{case}");
+                    assert_eq!(report.window_tuples_moved, window_moved as u64, "{case}");
+                    assert!(report.index_entries_moved > 0, "{case}");
+
+                    let inside = |span: Option<(Key, Key)>, interval: Option<(Key, Key)>| match span
+                    {
+                        None => true,
+                        Some((lo, hi)) => interval.is_some_and(|(a, b)| a <= lo && hi <= b),
+                    };
+                    for fp in store.shard_footprints() {
+                        let interval = new.shard_interval(fp.shard);
+                        if rebalanced {
+                            assert!(fp.sides[1].index_entries > 0, "shard {}: {case}", fp.shard);
+                        }
+                        for s in &fp.sides {
+                            assert!(
+                                inside(s.index_key_span, interval),
+                                "shard {}: {case}",
+                                fp.shard
+                            );
+                            assert!(
+                                inside(s.window_key_span, interval),
+                                "shard {}: {case}",
+                                fp.shard
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 }

@@ -294,15 +294,16 @@ impl ShardWindow {
         }
     }
 
-    /// Collects every resident local entry — `(seq, key, indexed)` ascending
-    /// in `seq` — including entries past the expiry horizon that the slack
-    /// budget still keeps readable. This is the migration path's view of the
-    /// slice: the caller must hold the engine quiescent (no concurrent
-    /// appends, scans or flag updates), so the snapshot is exact.
-    pub fn snapshot(&self) -> Vec<(Seq, Key, bool)> {
+    /// Collects the resident local entries with `seq >= keep` — `(seq, key,
+    /// indexed)` ascending in `seq` — found by walking back from the append
+    /// cursor, so entries below `keep` are never copied; `keep = 0` takes
+    /// every resident entry, including those past the expiry horizon that
+    /// the slack budget still keeps readable. This is the migration path's
+    /// view of the slice: the caller must hold the engine quiescent (no
+    /// concurrent appends, scans or flag updates), so the snapshot is exact.
+    pub fn snapshot(&self, keep: Seq) -> Vec<(Seq, Key, bool)> {
         let len = self.len.load(Ordering::Acquire);
-        let floor = self.floor(len);
-        (floor..len)
+        (self.lower_bound(keep, len)..len)
             .map(|idx| {
                 let pos = self.pos(idx);
                 (
@@ -316,11 +317,12 @@ impl ShardWindow {
 
     /// Builds a fresh shard slice holding `entries` — `(seq, key, indexed)`
     /// strictly ascending in `seq` — the migration path's constructor when a
-    /// repartition moves window tuples to a new owner shard. Indexed flags
-    /// are preserved, the edge is re-derived (first non-indexed entry), and
-    /// the eager-expiry cursor restarts at the oldest entry: a re-reported
-    /// already-deleted entry is a harmless no-op removal, whereas skipping a
-    /// migrated entry would leak it in an eager-deletion index.
+    /// repartition moves window tuples to a new owner shard. The entries are
+    /// written straight into the slots, indexed flags preserved; the edge is
+    /// the first non-indexed entry, and the eager-expiry cursor restarts at
+    /// the oldest entry: a re-reported already-deleted entry is a harmless
+    /// no-op removal, whereas skipping a migrated entry would leak it in an
+    /// eager-deletion index.
     ///
     /// # Panics
     ///
@@ -328,22 +330,25 @@ impl ShardWindow {
     /// `window_size + slack` (the migration keep-horizon guarantees they do)
     /// or are not strictly ascending.
     pub fn from_entries(window_size: usize, slack: usize, entries: &[(Seq, Key, bool)]) -> Self {
-        let w = ShardWindow::new(window_size, slack);
+        let mut w = ShardWindow::new(window_size, slack);
         assert!(
             entries.len() <= w.capacity,
             "{} migrated entries exceed the shard window capacity {}",
             entries.len(),
             w.capacity
         );
-        for &(seq, key, indexed) in entries {
-            w.append(seq, key, 0)
-                .expect("capacity was checked; no recycling can occur");
-            if indexed {
-                let found = w.mark_indexed(seq);
-                debug_assert!(found);
-            }
+        assert!(
+            entries.windows(2).all(|p| p[0].0 < p[1].0),
+            "migrated entries must be strictly ascending in seq"
+        );
+        for (i, &(seq, key, indexed)) in entries.iter().enumerate() {
+            *w.seqs[i].get_mut() = seq;
+            *w.keys[i].get_mut() = key;
+            *w.flags[i].get_mut() = if indexed { FLAG_INDEXED } else { 0 };
         }
-        w.try_advance_edge();
+        let edge = entries.iter().position(|&(_, _, indexed)| !indexed);
+        *w.len.get_mut() = entries.len() as u64;
+        *w.edge_idx.get_mut() = edge.unwrap_or(entries.len()) as u64;
         w
     }
 
@@ -491,7 +496,7 @@ mod tests {
         w.mark_indexed(5);
         w.mark_indexed(14); // out-of-order: 9 stays unindexed
         w.try_advance_edge();
-        let snap = w.snapshot();
+        let snap = w.snapshot(0);
         assert_eq!(
             snap,
             vec![
@@ -502,8 +507,12 @@ mod tests {
                 (21, 63, false)
             ]
         );
+        // A keep horizon drops exactly the entries below it.
+        assert_eq!(w.snapshot(9), snap[2..]);
+        assert_eq!(w.snapshot(10), snap[3..]);
+        assert!(w.snapshot(22).is_empty());
         let rebuilt = ShardWindow::from_entries(16, 16, &snap);
-        assert_eq!(rebuilt.snapshot(), snap, "round trip is lossless");
+        assert_eq!(rebuilt.snapshot(0), snap, "round trip is lossless");
         assert_eq!(
             rebuilt.edge_seq(),
             9,
@@ -533,7 +542,7 @@ mod tests {
         let full = ShardWindow::from_entries(4, 4, &entries);
         assert_eq!(full.local_len(), cap as u64);
         assert_eq!(full.edge_seq(), Seq::MAX, "all indexed");
-        assert_eq!(full.snapshot(), entries);
+        assert_eq!(full.snapshot(0), entries);
     }
 
     #[test]
