@@ -45,7 +45,7 @@
 
 use pimtree_bench::harness::*;
 use pimtree_common::{IndexKind, JoinConfig, PimConfig};
-use pimtree_join::{build_single_threaded, ParallelIbwj, SharedIndexKind};
+use pimtree_join::{build_single_threaded, SharedIndexKind};
 use pimtree_numa::RangePartitioner;
 use pimtree_workload::KeyDistribution;
 
@@ -117,27 +117,17 @@ fn main() {
     if opts.threads > 0 && !sweep.contains(&opts.threads) {
         sweep.push(opts.threads);
     }
-    // One partitioner for the whole sweep, from a bounded strided key
-    // subsample — the partitioner only needs N − 1 quantiles, not every key.
-    let partitioner = (opts.shards > 1).then(|| {
-        let step = (tuples.len() / 4096).max(1);
-        let sample: Vec<i64> = tuples.iter().step_by(step).map(|t| t.key).collect();
-        RangePartitioner::from_key_sample(opts.shards, &sample)
-    });
-    let trace_base = telemetry_out_from_args();
-    let sample_base = path_arg("--sample");
-    let warmup = (2 * w).min(tuples.len() / 2);
+    // One partitioner for the whole sweep.
+    let partitioner = (opts.shards > 1)
+        .then(|| RangePartitioner::from_key_sample(opts.shards, &key_sample(&tuples, 4096)));
+    let trace_base = &opts.telemetry_out;
+    let sample_base = &opts.sample;
     let mut one_worker_mtps = 0.0;
     for threads in sweep {
-        let mut config = JoinConfig::symmetric(w, IndexKind::PimTree)
-            .with_threads(threads)
-            .with_task_size(opts.task_size)
-            .with_pim(pim_config(w))
-            .with_ring(opts.ring())
+        let config = opts
+            .engine_config(w, threads)
             .with_shard(opts.shard())
             .with_drift(opts.drift());
-        config.window_r = w;
-        config.window_s = w;
         let trace_path = match &trace_base {
             Some(base) => format!("{base}.{threads}t"),
             None => std::env::temp_dir()
@@ -145,18 +135,26 @@ fn main() {
                 .to_string_lossy()
                 .into_owned(),
         };
-        let mut op = ParallelIbwj::new(config, predicate, SharedIndexKind::PimTree, false)
-            .with_telemetry_out(&trace_path, opts.telemetry_interval());
-        if let Some(p) = &partitioner {
-            op = op.with_partitioner(p.clone());
-        }
-        if opts.arrival_rate > 0.0 {
-            op = op.with_open_loop(opts.arrival_rate);
-        }
         let sampling = sample_base
             .as_ref()
             .map(|base| (format!("{base}.{threads}t"), sampler::start()));
-        let (stats, _) = op.run_with_warmup(&tuples, warmup);
+        let stats = run_engine(
+            config,
+            SharedIndexKind::PimTree,
+            predicate,
+            &tuples,
+            false,
+            |mut op| {
+                op = op.with_telemetry_out(&trace_path, opts.telemetry_interval());
+                if let Some(p) = &partitioner {
+                    op = op.with_partitioner(p.clone());
+                }
+                if opts.arrival_rate > 0.0 {
+                    op = op.with_open_loop(opts.arrival_rate);
+                }
+                op
+            },
+        );
         if let Some((path, started)) = sampling {
             report_samples(
                 sampler::stop_and_write(started, stats.elapsed, &path),
@@ -222,6 +220,7 @@ fn main() {
 
     let config = JoinConfig::symmetric(w, IndexKind::PimTree)
         .with_pim(PimConfig::for_window(w).with_merge_ratio(0.125));
+    let warmup = (2 * w).min(tuples.len() / 2);
     let mut single = build_single_threaded(&config, predicate, false);
     let sampling = sample_base
         .as_ref()

@@ -12,7 +12,6 @@
 //! worker (`--threads` is raised to the node count).
 
 use pimtree_bench::harness::*;
-use pimtree_common::DriftConfig;
 use pimtree_join::SharedIndexKind;
 use pimtree_numa::RangePartitioner;
 use pimtree_workload::KeyDistribution;
@@ -48,20 +47,16 @@ fn main() {
         let sample: Vec<i64> = tuples.iter().step_by(7).map(|t| t.key).collect();
         for nodes in [2usize, 4, 8] {
             let threads = opts.threads.max(nodes);
-            let stats = run_parallel_sharded(
+            let config = opts
+                .engine_config(w, threads)
+                .with_shard(opts.shard().with_shards(nodes).with_partition_index(true));
+            let stats = run_engine(
+                config,
                 SharedIndexKind::PimTree,
-                w,
-                w,
-                threads,
-                opts.task_size,
-                pim_config(w),
-                opts.ring(),
-                opts.shard().with_shards(nodes).with_partition_index(true),
-                DriftConfig::default(),
-                Some(RangePartitioner::from_key_sample(nodes, &sample)),
                 predicate,
                 &tuples,
                 false,
+                |op| op.with_partitioner(RangePartitioner::from_key_sample(nodes, &sample)),
             );
             print_row(&[
                 name.to_string(),

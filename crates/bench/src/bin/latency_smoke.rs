@@ -23,10 +23,11 @@
 use std::io::Write;
 
 use pimtree_bench::harness::{
-    pim_config, print_header, stall_causes_json, telemetry_out_from_args, two_way_workload, RunOpts,
+    drift_second_half, key_sample, print_header, run_engine, stall_causes_json, two_way_workload,
+    RunOpts, DRIFT_SHIFT,
 };
-use pimtree_common::{IndexKind, JoinConfig, ShardConfig, Tuple};
-use pimtree_join::{JoinRunStats, ParallelIbwj, SharedIndexKind};
+use pimtree_common::{ShardConfig, Tuple};
+use pimtree_join::{JoinRunStats, SharedIndexKind};
 use pimtree_numa::RangePartitioner;
 use pimtree_workload::KeyDistribution;
 
@@ -52,35 +53,38 @@ fn run_leg(
     initial: &RangePartitioner,
     target: &RangePartitioner,
 ) -> JoinRunStats {
-    let mut config = JoinConfig::symmetric(w, IndexKind::PimTree)
-        .with_threads(opts.threads)
-        .with_task_size(opts.task_size)
-        .with_pim(pim_config(w))
-        .with_ring(opts.ring())
+    let config = opts
+        .engine_config(w, opts.threads)
         .with_shard(
             ShardConfig::default()
                 .with_shards(shards)
                 .with_partition_index(true),
         )
         .with_drift(opts.drift());
-    config.window_r = w;
-    config.window_s = w;
-    let mut op = ParallelIbwj::new(config, predicate, SharedIndexKind::PimTree, false)
-        .with_partitioner(initial.clone())
-        .with_forced_repartition(tuples.len() / 2, target.clone());
-    if let Some(path) = telemetry_out_from_args() {
-        // One trace per leg would clobber the file; suffix by configuration.
-        op = op.with_telemetry_out(
-            format!("{path}.{shards}shards.{}tps", arrival_rate as u64),
-            opts.telemetry_interval(),
-        );
-    }
-    if arrival_rate > 0.0 {
-        op = op.with_open_loop(arrival_rate);
-    }
-    let warmup = (2 * w).min(tuples.len() / 2);
-    let (stats, _) = op.run_with_warmup(tuples, warmup);
-    stats
+    run_engine(
+        config,
+        SharedIndexKind::PimTree,
+        predicate,
+        tuples,
+        false,
+        |mut op| {
+            op = op
+                .with_partitioner(initial.clone())
+                .with_forced_repartition(tuples.len() / 2, target.clone());
+            if let Some(path) = &opts.telemetry_out {
+                // One trace per leg would clobber the file; suffix by
+                // configuration.
+                op = op.with_telemetry_out(
+                    format!("{path}.{shards}shards.{}tps", arrival_rate as u64),
+                    opts.telemetry_interval(),
+                );
+            }
+            if arrival_rate > 0.0 {
+                op = op.with_open_loop(arrival_rate);
+            }
+            op
+        },
+    )
 }
 
 fn main() {
@@ -96,27 +100,9 @@ fn main() {
         two_way_workload(n, w, 2.0, KeyDistribution::uniform(), 50.0, opts.seed);
     // Drifting skew: the second half of the stream moves to a disjoint key
     // range, so the plan fitted to it re-homes essentially every live tuple.
-    let drift_shift = 2_000_000_000i64;
-    let drifting: Vec<Tuple> = tuples
-        .iter()
-        .enumerate()
-        .map(|(i, t)| {
-            if i >= tuples.len() / 2 {
-                Tuple::new(t.side, t.seq, t.key + drift_shift)
-            } else {
-                *t
-            }
-        })
-        .collect();
-    let sample_of = |slice: &[Tuple]| -> Vec<i64> {
-        slice
-            .iter()
-            .step_by((slice.len() / 8192).max(1))
-            .map(|t| t.key)
-            .collect()
-    };
-    let first_sample = sample_of(&drifting[..drifting.len() / 2]);
-    let second_sample = sample_of(&drifting[drifting.len() / 2..]);
+    let drifting = drift_second_half(&tuples);
+    let first_sample = key_sample(&drifting[..drifting.len() / 2], 8192);
+    let second_sample = key_sample(&drifting[drifting.len() / 2..], 8192);
 
     print_header(
         "latency_smoke",
@@ -238,7 +224,7 @@ fn main() {
         opts.threads,
         opts.task_size,
         OFFERED_FRACTION,
-        drift_shift,
+        DRIFT_SHIFT,
         entries.join(",\n"),
     );
     let path = "BENCH_latency.json";

@@ -35,8 +35,8 @@
 use std::io::Write;
 
 use pimtree_bench::harness::*;
-use pimtree_common::{simd, DriftConfig, Step, Tuple};
-use pimtree_join::{JoinRunStats, SharedIndexKind};
+use pimtree_common::{simd, Step};
+use pimtree_join::{JoinRunStats, ParallelIbwj, SharedIndexKind};
 use pimtree_numa::RangePartitioner;
 use pimtree_workload::KeyDistribution;
 
@@ -129,44 +129,20 @@ fn main() {
         .map(|p| p.get())
         .unwrap_or(1);
     let mut entries = Vec::new();
-    for threads in [1usize, 2, 4, 8] {
-        let stats = run_parallel_ring(
-            SharedIndexKind::PimTree,
-            w,
-            w,
-            threads,
-            opts.task_size,
-            pim_config(w),
-            opts.ring(),
-            predicate,
-            &tuples,
-            false,
-        );
-        println!(
-            "perf_smoke pim_tree threads={threads}: {:.4} Mtps",
-            stats.million_tuples_per_second()
-        );
-        entries.push(entry_json("pim_tree", threads, &stats));
-    }
-    // Bw-Tree backend for reference (it has no batched probe path).
-    for threads in [1usize, 2, 4, 8] {
-        let stats = run_parallel_ring(
-            SharedIndexKind::BwTree,
-            w,
-            w,
-            threads,
-            opts.task_size,
-            pim_config(w),
-            opts.ring(),
-            predicate,
-            &tuples,
-            false,
-        );
-        println!(
-            "perf_smoke bw_tree threads={threads}: {:.4} Mtps",
-            stats.million_tuples_per_second()
-        );
-        entries.push(entry_json("bw_tree", threads, &stats));
+    // The Bw-Tree backend is for reference (it has no batched probe path).
+    for (backend, kind) in [
+        ("pim_tree", SharedIndexKind::PimTree),
+        ("bw_tree", SharedIndexKind::BwTree),
+    ] {
+        for threads in [1usize, 2, 4, 8] {
+            let config = opts.engine_config(w, threads);
+            let stats = run_engine(config, kind, predicate, &tuples, false, |op| op);
+            println!(
+                "perf_smoke {backend} threads={threads}: {:.4} Mtps",
+                stats.million_tuples_per_second()
+            );
+            entries.push(entry_json(backend, threads, &stats));
+        }
     }
     // Sharded-ring sweep: key-range routed shards with cross-shard stealing.
     // An explicit `--shards=` — including 1 — pins a single count (the CI
@@ -178,61 +154,50 @@ fn main() {
         vec![1, 2, 4]
     };
     let numa_nodes_simulated = shard_counts.iter().copied().max().unwrap_or(1);
-    for &shards in &shard_counts {
-        for threads in [2usize, 8] {
-            let stats = run_parallel_sharded(
-                SharedIndexKind::PimTree,
-                w,
-                w,
-                threads,
-                opts.task_size,
-                pim_config(w),
-                opts.ring(),
-                opts.shard().with_shards(shards).with_partition_index(false),
-                DriftConfig::default(),
-                None,
-                predicate,
-                &tuples,
-                false,
-            );
-            println!(
-                "perf_smoke pim_tree sharded shards={shards} threads={threads}: \
-                 {:.4} Mtps (steal fraction {:.3})",
-                stats.million_tuples_per_second(),
-                stats.shard.steal_fraction()
-            );
-            entries.push(entry_json("pim_tree_sharded", threads, &stats));
+    // Sharded arms route ingestion by key range.
+    let sample = key_sample(&tuples, 4096);
+    let routed = |op: ParallelIbwj, shards: usize| {
+        if shards > 1 {
+            op.with_partitioner(RangePartitioner::from_key_sample(shards, &sample))
+        } else {
+            op
         }
-    }
-    // Partitioned-store sweep: the same sharded configurations with the
-    // per-shard index/window store on — the shared-store arm directly above
-    // is its baseline. With one shard the store short-circuits to the shared
-    // path, so that row doubles as a no-overhead check.
-    for &shards in &shard_counts {
-        for threads in [2usize, 8] {
-            let stats = run_parallel_sharded(
-                SharedIndexKind::PimTree,
-                w,
-                w,
-                threads,
-                opts.task_size,
-                pim_config(w),
-                opts.ring(),
-                opts.shard().with_shards(shards).with_partition_index(true),
-                DriftConfig::default(),
-                None,
-                predicate,
-                &tuples,
-                false,
-            );
-            println!(
-                "perf_smoke pim_tree partitioned shards={shards} threads={threads}: \
-                 {:.4} Mtps (mean probe fan-out {:.3}, store remote fraction {:.3})",
-                stats.million_tuples_per_second(),
-                stats.store.mean_probe_fanout(),
-                stats.store.remote_fraction()
-            );
-            entries.push(entry_json("pim_tree_partitioned", threads, &stats));
+    };
+    // Then the partitioned-store sweep: the same sharded configurations with
+    // the per-shard index/window store on, the shared-store arm its
+    // baseline. With one shard the store short-circuits to the shared path,
+    // so that row doubles as a no-overhead check.
+    for partition_index in [false, true] {
+        for &shards in &shard_counts {
+            for threads in [2usize, 8] {
+                let shard = opts
+                    .shard()
+                    .with_shards(shards)
+                    .with_partition_index(partition_index);
+                let config = opts.engine_config(w, threads).with_shard(shard);
+                let kind = SharedIndexKind::PimTree;
+                let stats = run_engine(config, kind, predicate, &tuples, false, |op| {
+                    routed(op, shards)
+                });
+                let (arm, detail) = if partition_index {
+                    let (fanout, remote) = (
+                        stats.store.mean_probe_fanout(),
+                        stats.store.remote_fraction(),
+                    );
+                    let detail = format!(
+                        "mean probe fan-out {fanout:.3}, store remote fraction {remote:.3}"
+                    );
+                    ("partitioned", detail)
+                } else {
+                    let steals = stats.shard.steal_fraction();
+                    ("sharded", format!("steal fraction {steals:.3}"))
+                };
+                println!(
+                    "perf_smoke pim_tree {arm} shards={shards} threads={threads}: {:.4} Mtps ({detail})",
+                    stats.million_tuples_per_second(),
+                );
+                entries.push(entry_json(&format!("pim_tree_{arm}"), threads, &stats));
+            }
         }
     }
     // Drift-workload sweep: the key distribution shifts to a disjoint range
@@ -241,45 +206,29 @@ fn main() {
     // must adopt at least one plan mid-run (a migration epoch: quiesce,
     // partitioner swap, shard-state migration); the off arm is its baseline
     // and doubles as the "flag off leaves the counters untouched" check.
-    let drift_shift = 2_000_000_000i64; // 2x the uniform key scale: disjoint
-    let drifting: Vec<Tuple> = tuples
-        .iter()
-        .enumerate()
-        .map(|(i, t)| {
-            if i >= tuples.len() / 2 {
-                Tuple::new(t.side, t.seq, t.key + drift_shift)
-            } else {
-                *t
-            }
-        })
-        .collect();
-    let first_half_sample: Vec<i64> = drifting[..drifting.len() / 2]
-        .iter()
-        .step_by((drifting.len() / 8192).max(1))
-        .map(|t| t.key)
-        .collect();
+    let drifting = drift_second_half(&tuples);
+    let first_half_sample = key_sample(&drifting[..drifting.len() / 2], 4096);
     for &shards in &shard_counts {
         if shards <= 1 {
             continue; // drift adoption needs a sharded, range-routed engine
         }
         for repartition in [false, true] {
-            let stats = run_parallel_sharded(
+            let config = opts
+                .engine_config(w, 2)
+                .with_shard(opts.shard().with_shards(shards).with_partition_index(true))
+                .with_drift(opts.drift().with_repartition(repartition));
+            let stats = run_engine(
+                config,
                 SharedIndexKind::PimTree,
-                w,
-                w,
-                2,
-                opts.task_size,
-                pim_config(w),
-                opts.ring(),
-                opts.shard().with_shards(shards).with_partition_index(true),
-                opts.drift().with_repartition(repartition),
-                Some(RangePartitioner::from_key_sample(
-                    shards,
-                    &first_half_sample,
-                )),
                 predicate,
                 &drifting,
                 false,
+                |op| {
+                    op.with_partitioner(RangePartitioner::from_key_sample(
+                        shards,
+                        &first_half_sample,
+                    ))
+                },
             );
             println!(
                 "perf_smoke pim_tree drift shards={shards} repartition={repartition}: \

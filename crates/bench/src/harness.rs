@@ -1,4 +1,6 @@
-//! Shared helpers for the per-figure benchmark binaries.
+//! Shared helpers for the `figs` binary and the engine smokes and profilers:
+//! the flag parser, workload generation with match-rate calibration, and one
+//! runner per operator kind.
 
 use std::time::Duration;
 
@@ -9,13 +11,12 @@ use pimtree_join::{
     build_single_threaded, HandshakeJoin, HandshakeMode, JoinRunStats, MigrationCounters,
     ParallelIbwj, SharedIndexKind, StallCause,
 };
-use pimtree_numa::RangePartitioner;
 use pimtree_workload::{calibrate_diff, KeyDistribution, StreamGenerator, StreamMix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Command-line options shared by the figure binaries.
-#[derive(Debug, Clone, Copy)]
+/// Command-line options shared by `figs`, the smokes and the profilers.
+#[derive(Debug, Clone)]
 pub struct RunOpts {
     /// Smallest window-size exponent in a sweep (`w = 2^min_exp`).
     pub min_exp: u32,
@@ -67,24 +68,57 @@ pub struct RunOpts {
     pub arrival_rate: f64,
     /// Gauge sampler period in milliseconds for `--telemetry-out` traces.
     pub telemetry_interval_ms: u64,
+    /// `--telemetry-out=PATH`: where to stream the gauge trace.
+    pub telemetry_out: Option<String>,
+    /// `--sample=PATH`: where `engine_profile` writes its address samples.
+    pub sample: Option<String>,
+    /// Positional arguments: the figure ids `figs` runs (empty = all).
+    pub ids: Vec<String>,
+    /// The `--min-exp` / `--max-exp` values given on the command line.
+    exp_flags: (Option<u32>, Option<u32>),
 }
 
 impl RunOpts {
-    /// Parses `--min-exp= --max-exp= --tuples= --threads= --task-size=
-    /// --seed= --ring-cap= --ingest-target= --spin= --yield= --park-us=
-    /// --shards= --steal-batch= --steal-threshold= --partition-index=on|off
-    /// --repartition=on|off
-    /// --drift-window= --drift-trigger= --drift-cost-gate=
-    /// --telemetry-interval=ms` from the command line, with figure-specific
-    /// defaults. The `--telemetry-out=` path is a separate string-valued
-    /// option read via [`telemetry_out_from_args`].
+    /// Parses the command line of a smoke or profiler binary with its default
+    /// window exponents. A bad argument prints the error and exits with
+    /// status 2.
     pub fn parse(default_min: u32, default_max: u32) -> Self {
-        let defaults = RingConfig::default();
-        let shard_defaults = ShardConfig::default();
-        let drift_defaults = DriftConfig::default();
+        Self::from_env((default_min, default_max), false)
+    }
+
+    /// Parses the command line of `figs`: figure ids and the flags the
+    /// figures read. Resolve the window exponents per figure with
+    /// [`RunOpts::with_default_exps`].
+    pub fn parse_figures() -> Self {
+        Self::from_env((0, 0), true)
+    }
+
+    fn from_env(defaults: (u32, u32), figures: bool) -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Self::parse_from(&args, defaults, figures).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        })
+    }
+
+    /// Parses `args` (without the program name). `figures` selects the
+    /// `figs` command line: positional figure ids are allowed and only the
+    /// flags up to `--park-us=` are; otherwise every flag is and no
+    /// positional argument is. An unknown flag, an unparsable value, or a
+    /// window exponent `e` with `1 << e` out of `usize` range is an error
+    /// naming the flag. A lone `--min-exp` or `--max-exp` moves the other
+    /// bound along with it; both given in the wrong order is an error.
+    pub fn parse_from(
+        args: &[String],
+        defaults: (u32, u32),
+        figures: bool,
+    ) -> Result<Self, String> {
+        let ring = RingConfig::default();
+        let shard = ShardConfig::default();
+        let drift = DriftConfig::default();
         let mut opts = RunOpts {
-            min_exp: default_min,
-            max_exp: default_max,
+            min_exp: defaults.0,
+            max_exp: defaults.1,
             tuples: 0,
             threads: std::thread::available_parallelism()
                 .map(|p| p.get())
@@ -92,87 +126,103 @@ impl RunOpts {
                 .min(16),
             task_size: 8,
             seed: 42,
-            ring_cap: defaults.capacity,
-            ingest_target: defaults.ingest_target,
-            spin_limit: defaults.spin_limit,
-            yield_limit: defaults.yield_limit,
-            park_micros: defaults.park_micros,
+            ring_cap: ring.capacity,
+            ingest_target: ring.ingest_target,
+            spin_limit: ring.spin_limit,
+            yield_limit: ring.yield_limit,
+            park_micros: ring.park_micros,
             shards: 0,
-            steal_batch: shard_defaults.steal_batch,
-            steal_threshold: shard_defaults.steal_threshold,
-            partition_index: shard_defaults.partition_index,
-            repartition: drift_defaults.repartition,
-            drift_window: drift_defaults.window,
-            drift_trigger: drift_defaults.imbalance_trigger,
-            drift_cost_gate: drift_defaults.cost_gate,
+            steal_batch: shard.steal_batch,
+            steal_threshold: shard.steal_threshold,
+            partition_index: shard.partition_index,
+            repartition: drift.repartition,
+            drift_window: drift.window,
+            drift_trigger: drift.imbalance_trigger,
+            drift_cost_gate: drift.cost_gate,
             arrival_rate: 0.0,
             telemetry_interval_ms: 50,
+            telemetry_out: None,
+            sample: None,
+            ids: Vec::new(),
+            exp_flags: (None, None),
         };
-        for arg in std::env::args().skip(1) {
-            let mut split = arg.splitn(2, '=');
-            let key = split.next().unwrap_or_default();
-            let value = split.next().unwrap_or_default();
-            let parse_usize = || {
-                value
-                    .parse::<usize>()
-                    .unwrap_or_else(|_| panic!("bad value for {key}: {value}"))
+        for arg in args {
+            if !arg.starts_with("--") {
+                if !figures {
+                    return Err(format!("unexpected argument '{arg}'"));
+                }
+                opts.ids.push(arg.clone());
+                continue;
+            }
+            let (key, value) = arg.split_once('=').unwrap_or((arg, ""));
+            let bad = || format!("bad value for {key}: '{value}'");
+            let num = || value.parse::<u64>().map_err(|_| bad());
+            let real = || value.parse::<f64>().map_err(|_| bad());
+            let on_off = || match value {
+                "on" | "true" | "1" => Ok(true),
+                "off" | "false" | "0" => Ok(false),
+                _ => Err(format!("bad value for {key}: '{value}' (use on/off)")),
+            };
+            let exp = || match value.parse::<u32>() {
+                Ok(e) if e < usize::BITS => Ok(e),
+                Ok(_) => Err(format!("{key}={value}: 1 << {value} overflows usize")),
+                Err(_) => Err(bad()),
+            };
+            let path = || match value {
+                "" => Err(bad()),
+                p => Ok(Some(p.to_string())),
             };
             match key {
-                "--min-exp" => opts.min_exp = parse_usize() as u32,
-                "--max-exp" => opts.max_exp = parse_usize() as u32,
-                "--tuples" => opts.tuples = parse_usize(),
-                "--threads" => opts.threads = parse_usize(),
-                "--task-size" => opts.task_size = parse_usize(),
-                "--seed" => opts.seed = parse_usize() as u64,
-                "--ring-cap" => opts.ring_cap = parse_usize(),
-                "--ingest-target" => opts.ingest_target = parse_usize(),
-                "--spin" => opts.spin_limit = parse_usize() as u32,
-                "--yield" => opts.yield_limit = parse_usize() as u32,
-                "--park-us" => opts.park_micros = parse_usize() as u64,
-                "--shards" => opts.shards = parse_usize(),
-                "--steal-batch" => opts.steal_batch = parse_usize(),
-                "--steal-threshold" => opts.steal_threshold = parse_usize(),
-                "--partition-index" => {
-                    opts.partition_index = match value {
-                        "on" | "true" | "1" => true,
-                        "off" | "false" | "0" => false,
-                        other => panic!("bad value for --partition-index: {other} (use on/off)"),
-                    }
-                }
-                "--repartition" => {
-                    opts.repartition = match value {
-                        "on" | "true" | "1" => true,
-                        "off" | "false" | "0" => false,
-                        other => panic!("bad value for --repartition: {other} (use on/off)"),
-                    }
-                }
-                "--drift-window" => opts.drift_window = parse_usize(),
-                "--drift-trigger" => {
-                    opts.drift_trigger = value
-                        .parse::<f64>()
-                        .unwrap_or_else(|_| panic!("bad value for {key}: {value}"))
-                }
-                "--drift-cost-gate" => {
-                    opts.drift_cost_gate = value
-                        .parse::<f64>()
-                        .unwrap_or_else(|_| panic!("bad value for {key}: {value}"))
-                }
-                "--arrival-rate" => {
-                    opts.arrival_rate = value
-                        .parse::<f64>()
-                        .unwrap_or_else(|_| panic!("bad value for {key}: {value}"))
-                }
-                "--telemetry-interval" => opts.telemetry_interval_ms = parse_usize() as u64,
-                // String-valued; consumed by `path_arg`.
-                "--telemetry-out" | "--sample" => {}
-                other => eprintln!("note: ignoring unknown argument '{other}'"),
+                "--min-exp" => opts.exp_flags.0 = Some(exp()?),
+                "--max-exp" => opts.exp_flags.1 = Some(exp()?),
+                "--tuples" => opts.tuples = num()? as usize,
+                "--threads" => opts.threads = num()? as usize,
+                "--task-size" => opts.task_size = num()? as usize,
+                "--seed" => opts.seed = num()?,
+                "--ring-cap" => opts.ring_cap = num()? as usize,
+                "--ingest-target" => opts.ingest_target = num()? as usize,
+                "--spin" => opts.spin_limit = num()? as u32,
+                "--yield" => opts.yield_limit = num()? as u32,
+                "--park-us" => opts.park_micros = num()?,
+                _ if figures => return Err(format!("unknown flag '{key}'")),
+                "--shards" => opts.shards = num()? as usize,
+                "--steal-batch" => opts.steal_batch = num()? as usize,
+                "--steal-threshold" => opts.steal_threshold = num()? as usize,
+                "--partition-index" => opts.partition_index = on_off()?,
+                "--repartition" => opts.repartition = on_off()?,
+                "--drift-window" => opts.drift_window = num()? as usize,
+                "--drift-trigger" => opts.drift_trigger = real()?,
+                "--drift-cost-gate" => opts.drift_cost_gate = real()?,
+                "--arrival-rate" => opts.arrival_rate = real()?,
+                "--telemetry-interval" => opts.telemetry_interval_ms = num()?,
+                "--telemetry-out" => opts.telemetry_out = path()?,
+                "--sample" => opts.sample = path()?,
+                _ => return Err(format!("unknown flag '{key}'")),
             }
         }
-        assert!(
-            opts.min_exp <= opts.max_exp,
-            "--min-exp must not exceed --max-exp"
-        );
-        opts
+        if let (Some(min), Some(max)) = opts.exp_flags {
+            if min > max {
+                return Err(format!("--min-exp={min} exceeds --max-exp={max}"));
+            }
+        }
+        Ok(opts.with_default_exps(defaults))
+    }
+
+    /// These options with the window exponents a figure defaults to: the
+    /// bounds given on the command line win, and a lone one moves the other
+    /// bound along with it.
+    pub fn with_default_exps(&self, (min, max): (u32, u32)) -> Self {
+        let (min_exp, max_exp) = match self.exp_flags {
+            (Some(lo), Some(hi)) => (lo, hi),
+            (Some(lo), None) => (lo, max.max(lo)),
+            (None, Some(hi)) => (min.min(hi), hi),
+            (None, None) => (min, max),
+        };
+        RunOpts {
+            min_exp,
+            max_exp,
+            ..self.clone()
+        }
     }
 
     /// The window-size exponents of the sweep.
@@ -223,21 +273,17 @@ impl RunOpts {
     pub fn telemetry_interval(&self) -> Duration {
         Duration::from_millis(self.telemetry_interval_ms)
     }
-}
 
-/// Reads a `<name>=PATH` option (`name` with its dashes) from the command
-/// line. Kept out of [`RunOpts`] (which is `Copy`) because the value is an
-/// owned path string; `None` when the option is absent or empty.
-pub fn path_arg(name: &str) -> Option<String> {
-    std::env::args().skip(1).find_map(|arg| {
-        let path = arg.strip_prefix(name)?.strip_prefix('=')?;
-        (!path.is_empty()).then(|| path.to_string())
-    })
-}
-
-/// Reads the `--telemetry-out=PATH` option from the command line.
-pub fn telemetry_out_from_args() -> Option<String> {
-    path_arg("--telemetry-out")
+    /// The parallel engine's configuration for windows of `w` tuples at
+    /// `threads` workers: the paper's PIM-Tree defaults, the task size and
+    /// the ring flags, on one ring shard without repartitioning.
+    pub fn engine_config(&self, w: usize, threads: usize) -> JoinConfig {
+        JoinConfig::symmetric(w, IndexKind::PimTree)
+            .with_threads(threads)
+            .with_task_size(self.task_size)
+            .with_pim(pim_config(w))
+            .with_ring(self.ring())
+    }
 }
 
 /// The per-cause migration stall as a JSON object of microseconds, one key
@@ -297,202 +343,83 @@ pub fn self_join_workload(
     (tuples, BandPredicate::new(diff))
 }
 
-/// Runs a single-threaded operator (NLWJ or IBWJ over the given index kind)
-/// over `tuples` after warming the windows with the first `warmup` tuples.
-#[allow(clippy::too_many_arguments)]
+/// How far [`drift_second_half`] moves keys: twice the uniform key scale, so
+/// the moved keys are disjoint from the rest.
+pub const DRIFT_SHIFT: i64 = 2_000_000_000;
+
+/// `tuples` with the keys of the second half moved by [`DRIFT_SHIFT`]: a
+/// partitioner fitted to the first half goes maximally out of balance.
+pub fn drift_second_half(tuples: &[Tuple]) -> Vec<Tuple> {
+    let (head, tail) = tuples.split_at(tuples.len() / 2);
+    let moved = tail
+        .iter()
+        .map(|t| Tuple::new(t.side, t.seq, t.key + DRIFT_SHIFT));
+    head.iter().copied().chain(moved).collect()
+}
+
+/// About `keys` keys of `tuples`, strided: a range partitioner needs only
+/// its N − 1 quantiles, not every key.
+pub fn key_sample(tuples: &[Tuple], keys: usize) -> Vec<i64> {
+    let step = (tuples.len() / keys).max(1);
+    tuples.iter().step_by(step).map(|t| t.key).collect()
+}
+
+/// Runs the single-threaded operator `config` selects (NLWJ or IBWJ over its
+/// index kind). The first `window_r + window_s` tuples warm the windows and
+/// are not measured.
 pub fn run_single(
-    kind: IndexKind,
-    window: usize,
-    chain_length: usize,
-    pim: PimConfig,
+    config: &JoinConfig,
     predicate: BandPredicate,
     tuples: &[Tuple],
-    warmup: usize,
     self_join: bool,
 ) -> JoinRunStats {
-    let config = JoinConfig::symmetric(window, kind)
-        .with_chain_length(chain_length)
-        .with_pim(pim);
-    let mut op = build_single_threaded(&config, predicate, self_join);
-    let warmup = warmup.min(tuples.len());
-    let (_, _) = op.run(&tuples[..warmup], false);
-    let (stats, _) = op.run(&tuples[warmup..], false);
-    stats
+    let mut op = build_single_threaded(config, predicate, self_join);
+    let warmup = (config.window_r + config.window_s).min(tuples.len());
+    op.run(&tuples[..warmup], false);
+    op.run(&tuples[warmup..], false).0
 }
 
-/// Runs the parallel shared-index engine over `tuples`.
+/// Runs the parallel engine over `tuples`; `setup` may add a partitioner,
+/// open-loop pacing or a trace to the operator first.
 ///
-/// The first `window_r + window_s` tuples (at most half the sequence) are
-/// treated as warmup: they fill the sliding windows and take the PIM-Tree
-/// through its first merge so that it has its partition structure, exactly
-/// like the single-threaded runners are measured on warm windows. Statistics
+/// The first `window_r + window_s` tuples (at most half the input) are warm
+/// up: they fill the sliding windows and take the PIM-Tree through its first
+/// merge, as the single-threaded runner measures on warm windows. Statistics
 /// cover only the remaining tuples.
-#[allow(clippy::too_many_arguments)]
-pub fn run_parallel(
+pub fn run_engine(
+    config: JoinConfig,
     kind: SharedIndexKind,
-    window_r: usize,
-    window_s: usize,
-    threads: usize,
-    task_size: usize,
-    pim: PimConfig,
     predicate: BandPredicate,
     tuples: &[Tuple],
     self_join: bool,
+    setup: impl FnOnce(ParallelIbwj) -> ParallelIbwj,
 ) -> JoinRunStats {
-    run_parallel_ring(
-        kind,
-        window_r,
-        window_s,
-        threads,
-        task_size,
-        pim,
-        RingConfig::default(),
-        predicate,
-        tuples,
-        self_join,
-    )
+    let warmup = (config.window_r + config.window_s).min(tuples.len() / 2);
+    let op = setup(ParallelIbwj::new(config, predicate, kind, self_join));
+    op.run_with_warmup(tuples, warmup).0
 }
 
-/// Runs the parallel shared-index engine with an explicit task-ring / idle
-/// back-off configuration (see [`run_parallel`] for the warmup convention).
-#[allow(clippy::too_many_arguments)]
-pub fn run_parallel_ring(
-    kind: SharedIndexKind,
-    window_r: usize,
-    window_s: usize,
-    threads: usize,
-    task_size: usize,
-    pim: PimConfig,
-    ring: RingConfig,
-    predicate: BandPredicate,
-    tuples: &[Tuple],
-    self_join: bool,
-) -> JoinRunStats {
-    run_parallel_sharded(
-        kind,
-        window_r,
-        window_s,
-        threads,
-        task_size,
-        pim,
-        ring,
-        ShardConfig::default(),
-        DriftConfig::default(),
-        None,
-        predicate,
-        tuples,
-        self_join,
-    )
-}
-
-/// Runs the parallel shared-index engine on a sharded task ring. When
-/// `shard.shards > 1` and no `partitioner` is given, one is built from the
-/// input's key sample so that ingestion routes by key range (the paper's
-/// NUMA partitioning); pass `Some(partitioner)` to control routing, or use
-/// `shard.shards == 1` for the plain single-ring engine. `drift` arms live
-/// repartition adoption (migration epochs) when its `repartition` flag is
-/// on.
-#[allow(clippy::too_many_arguments)]
-pub fn run_parallel_sharded(
-    kind: SharedIndexKind,
-    window_r: usize,
-    window_s: usize,
-    threads: usize,
-    task_size: usize,
-    pim: PimConfig,
-    ring: RingConfig,
-    shard: ShardConfig,
-    drift: DriftConfig,
-    partitioner: Option<RangePartitioner>,
-    predicate: BandPredicate,
-    tuples: &[Tuple],
-    self_join: bool,
-) -> JoinRunStats {
-    run_parallel_paced(
-        kind,
-        window_r,
-        window_s,
-        threads,
-        task_size,
-        pim,
-        ring,
-        shard,
-        drift,
-        partitioner,
-        0.0,
-        predicate,
-        tuples,
-        self_join,
-    )
-}
-
-/// Runs the parallel engine like [`run_parallel_sharded`], additionally
-/// pacing measured-phase ingestion as an open-loop arrival process at
-/// `arrival_rate` tuples per second (0 = closed loop). Open-loop runs fill
-/// [`JoinRunStats::arrival_latency`] with one arrival → propagation sample
-/// per measured tuple, which is what the tail-latency SLO harness reads.
-#[allow(clippy::too_many_arguments)]
-pub fn run_parallel_paced(
-    kind: SharedIndexKind,
-    window_r: usize,
-    window_s: usize,
-    threads: usize,
-    task_size: usize,
-    pim: PimConfig,
-    ring: RingConfig,
-    shard: ShardConfig,
-    drift: DriftConfig,
-    partitioner: Option<RangePartitioner>,
-    arrival_rate: f64,
-    predicate: BandPredicate,
-    tuples: &[Tuple],
-    self_join: bool,
-) -> JoinRunStats {
-    let mut config = JoinConfig::symmetric(window_r.max(window_s), IndexKind::PimTree)
-        .with_threads(threads)
-        .with_task_size(task_size)
-        .with_pim(pim)
-        .with_ring(ring)
-        .with_shard(shard)
-        .with_drift(drift);
-    config.window_r = window_r;
-    config.window_s = window_s;
-    let mut op = ParallelIbwj::new(config, predicate, kind, self_join);
-    if arrival_rate > 0.0 {
-        op = op.with_open_loop(arrival_rate);
-    }
-    if shard.shards > 1 {
-        let partitioner = partitioner.unwrap_or_else(|| {
-            // Bounded strided subsample: the partitioner only needs N − 1
-            // quantiles, not a sorted copy of every key.
-            let step = (tuples.len() / 4096).max(1);
-            let sample: Vec<i64> = tuples.iter().step_by(step).map(|t| t.key).collect();
-            RangePartitioner::from_key_sample(shard.shards, &sample)
-        });
-        op = op.with_partitioner(partitioner);
-    }
-    let warmup = (window_r + window_s).min(tuples.len() / 2);
-    let (stats, _) = op.run_with_warmup(tuples, warmup);
-    stats
-}
-
-/// Runs the round-robin partitioned (handshake-style) join.
+/// Runs the round-robin partitioned (handshake-style) join with the windows
+/// and thread count of `config`.
 pub fn run_handshake(
     mode: HandshakeMode,
-    threads: usize,
-    window_r: usize,
-    window_s: usize,
+    config: &JoinConfig,
     predicate: BandPredicate,
     tuples: &[Tuple],
 ) -> JoinRunStats {
-    let op = HandshakeJoin::new(threads, window_r, window_s, predicate, mode);
-    let (stats, _) = op.run(tuples);
-    stats
+    let op = HandshakeJoin::new(
+        config.threads,
+        config.window_r,
+        config.window_s,
+        predicate,
+        mode,
+    );
+    op.run(tuples).0
 }
 
-/// Prints the figure banner and CSV header.
-pub fn print_header(figure: &str, description: &str, columns: &[&str]) {
-    println!("# {figure}: {description}");
+/// Prints the banner and CSV header of a table.
+pub fn print_header(name: &str, description: &str, columns: &[&str]) {
+    println!("# {name}: {description}");
     println!("{}", columns.join(","));
 }
 
@@ -509,83 +436,113 @@ pub fn mtps(stats: &JoinRunStats) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pimtree_numa::RangePartitioner;
+
+    /// Parses a space-separated command line of a smoke (defaults 14..=17)
+    /// or, with `figures`, of `figs`.
+    fn parse(line: &str, figures: bool) -> Result<RunOpts, String> {
+        let args: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+        RunOpts::parse_from(&args, (14, 17), figures)
+    }
 
     #[test]
     fn tuples_for_scales_with_window_and_respects_override() {
-        let opts = RunOpts {
-            min_exp: 10,
-            max_exp: 12,
-            tuples: 0,
-            threads: 4,
-            task_size: 8,
-            seed: 1,
-            ring_cap: 0,
-            ingest_target: 0,
-            spin_limit: 6,
-            yield_limit: 16,
-            park_micros: 50,
-            shards: 1,
-            steal_batch: 0,
-            steal_threshold: 1,
-            partition_index: false,
-            repartition: false,
-            drift_window: 4096,
-            drift_trigger: 1.5,
-            drift_cost_gate: 0.9,
-            arrival_rate: 0.0,
-            telemetry_interval_ms: 50,
-        };
+        let opts = parse("--min-exp=10 --max-exp=12", false).unwrap();
         assert_eq!(opts.tuples_for(1 << 10), 1 << 16);
         assert_eq!(opts.tuples_for(1 << 18), 1 << 20);
         assert_eq!(opts.tuples_for(1 << 24), 4 << 20);
-        let fixed = RunOpts {
-            tuples: 1234,
-            ..opts
-        };
-        assert_eq!(fixed.tuples_for(1 << 24), 1234);
         assert_eq!(opts.window_exps(), vec![10, 11, 12]);
-        let ring = RunOpts {
-            ring_cap: 512,
-            spin_limit: 2,
-            ..opts
-        }
-        .ring();
-        assert_eq!(ring.capacity, 512);
-        assert_eq!(ring.spin_limit, 2);
+        let fixed = parse("--tuples=1234", false).unwrap();
+        assert_eq!(fixed.tuples_for(1 << 24), 1234);
+        let ring = parse("--ring-cap=512 --spin=2", false).unwrap().ring();
+        assert_eq!((ring.capacity, ring.spin_limit), (512, 2));
         ring.validate().unwrap();
-        let shard = RunOpts {
-            shards: 4,
-            steal_batch: 2,
-            steal_threshold: 3,
-            partition_index: true,
-            ..opts
-        }
-        .shard();
+        let line = "--shards=4 --steal-batch=2 --steal-threshold=3 --partition-index=on";
+        let shard = parse(line, false).unwrap().shard();
         assert_eq!(
             (shard.shards, shard.steal_batch, shard.steal_threshold),
             (4, 2, 3)
         );
         assert!(shard.partition_index);
         shard.validate().unwrap();
-        let drift = RunOpts {
-            repartition: true,
-            drift_window: 256,
-            drift_trigger: 2.0,
-            drift_cost_gate: 0.5,
-            ..opts
-        }
-        .drift();
+        let line = "--repartition=on --drift-window=256 --drift-trigger=2.0 --drift-cost-gate=0.5";
+        let drift = parse(line, false).unwrap().drift();
         assert!(drift.repartition);
         assert_eq!(drift.window, 256);
         assert!((drift.imbalance_trigger - 2.0).abs() < 1e-9);
         assert!((drift.cost_gate - 0.5).abs() < 1e-9);
         drift.validate().unwrap();
-        let interval = RunOpts {
-            telemetry_interval_ms: 10,
-            ..opts
+        let opts = parse(
+            "--telemetry-interval=10 --telemetry-out=t --sample=/tmp/p",
+            false,
+        );
+        let opts = opts.unwrap();
+        assert_eq!(opts.telemetry_interval(), Duration::from_millis(10));
+        assert_eq!(opts.telemetry_out.as_deref(), Some("t"));
+        assert_eq!(opts.sample.as_deref(), Some("/tmp/p"));
+    }
+
+    #[test]
+    fn every_documented_command_line_parses() {
+        // The smokes' and profilers' command lines in CI and the docs, and
+        // every other flag they read.
+        for line in [
+            "--tuples=65536",
+            "--tuples=65536 --shards=4",
+            "--telemetry-out=telemetry_trace",
+            "--ring-cap=64 --task-size=2",
+            "--ring-cap=3",
+            "--park-us=2000000",
+            "--min-exp=12 --max-exp=12 --tuples=30000 --threads=4",
+            "--threads=1 --sample=/tmp/prof",
+            "--partition-index=off --repartition=on --arrival-rate=500000 --ingest-target=16",
+            "--yield=4 --seed=7 --drift-trigger=1.25",
+        ] {
+            parse(line, false).unwrap_or_else(|e| panic!("{line}: {e}"));
         }
-        .telemetry_interval();
-        assert_eq!(interval, Duration::from_millis(10));
+        // `figs` takes figure ids and the sweep, workload and ring flags.
+        let line = "13c 9a --min-exp=10 --max-exp=11 --tuples=4096 --threads=2 --spin=2";
+        let opts = parse(line, true).unwrap();
+        assert_eq!(opts.ids, ["13c", "9a"]);
+        assert_eq!((opts.tuples, opts.threads), (4096, 2));
+        assert_eq!(opts.with_default_exps((14, 17)).window_exps(), vec![10, 11]);
+    }
+
+    #[test]
+    fn argument_errors_name_the_flag() {
+        for (line, figures, named) in [
+            ("--max-exps=12", false, "--max-exps"),
+            ("--tuples=lots", false, "--tuples"),
+            ("--tuples", false, "--tuples"),
+            ("--partition-index=maybe", false, "--partition-index"),
+            ("--drift-trigger=x", false, "--drift-trigger"),
+            ("--telemetry-out=", false, "--telemetry-out"),
+            ("--max-exp=64", false, "overflows"),
+            ("--min-exp=12 --max-exp=11", false, "--min-exp"),
+            // The smokes take no positional argument; `figs` reads no
+            // engine flag.
+            ("9a", false, "9a"),
+            ("--shards=2", true, "--shards"),
+            ("--sample=/tmp/p", true, "--sample"),
+        ] {
+            let err = parse(line, figures).unwrap_err();
+            assert!(err.contains(named), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_lone_window_bound_moves_the_other() {
+        for (line, exps) in [
+            ("", (14, 17)),
+            ("--max-exp=12", (12, 12)),
+            ("--max-exp=15", (14, 15)),
+            ("--min-exp=19", (19, 19)),
+            ("--min-exp=10", (10, 17)),
+            ("--min-exp=16 --max-exp=16", (16, 16)),
+        ] {
+            let opts = parse(line, false).unwrap();
+            assert_eq!((opts.min_exp, opts.max_exp), exps, "{line}");
+        }
     }
 
     #[test]
@@ -593,17 +550,8 @@ mod tests {
         let w = 1 << 12;
         let (tuples, predicate) =
             two_way_workload(6 * w, w, 2.0, KeyDistribution::uniform(), 50.0, 7);
-        let stats = run_single(
-            IndexKind::BTree,
-            w,
-            2,
-            pim_config(w),
-            predicate,
-            &tuples,
-            2 * w,
-            false,
-        );
-        let rate = stats.observed_match_rate();
+        let config = JoinConfig::symmetric(w, IndexKind::BTree).with_pim(pim_config(w));
+        let rate = run_single(&config, predicate, &tuples, false).observed_match_rate();
         assert!(
             (0.8..=4.0).contains(&rate),
             "observed match rate {rate}, expected about 2"
@@ -614,108 +562,44 @@ mod tests {
     fn single_and_parallel_runners_produce_stats() {
         let w = 1 << 10;
         let (tuples, predicate) = self_join_workload(4 * w, w, 2.0, KeyDistribution::uniform(), 3);
-        let st = run_single(
-            IndexKind::PimTree,
-            w,
-            2,
-            pim_config(w),
-            predicate,
-            &tuples,
-            w,
-            true,
-        );
+        let config = JoinConfig::symmetric(w, IndexKind::PimTree)
+            .with_threads(2)
+            .with_task_size(4)
+            .with_pim(pim_config(w));
+        // Both runners exclude their window-fill warmup (2w here) from the
+        // reported statistics.
+        let st = run_single(&config, predicate, &tuples, true);
         assert!(st.million_tuples_per_second() > 0.0);
-        let par = run_parallel(
-            SharedIndexKind::PimTree,
-            w,
-            w,
-            2,
-            4,
-            pim_config(w),
-            predicate,
-            &tuples,
-            true,
-        );
-        // The parallel runner excludes its window-fill warmup (2w here) from
-        // the reported statistics.
+        assert_eq!(st.tuples as usize, tuples.len() - 2 * w);
+        let kind = SharedIndexKind::PimTree;
+        let par = run_engine(config, kind, predicate, &tuples, true, |op| op);
         assert_eq!(par.tuples as usize, tuples.len() - 2 * w);
-        let hs = run_handshake(HandshakeMode::Ibwj, 2, w, w, predicate, &tuples);
+        assert!(par.arrival_latency.is_none());
+        let hs = run_handshake(HandshakeMode::Ibwj, &config, predicate, &tuples);
         assert_eq!(hs.tuples as usize, tuples.len());
-        // The sharded runner reports the shard provenance and accounts every
-        // post-warmup claim in the simulated traffic model.
-        let sharded = run_parallel_sharded(
-            SharedIndexKind::PimTree,
-            w,
-            w,
-            2,
-            4,
-            pim_config(w),
-            RingConfig::default(),
-            ShardConfig::default().with_shards(2),
-            DriftConfig::default(),
-            None,
+        // `setup` reaches the operator: a partitioner routes the sharded
+        // store, and open-loop pacing records one arrival latency sample
+        // per measured tuple.
+        let keys: Vec<i64> = tuples.iter().map(|t| t.key).collect();
+        let shard = ShardConfig::default()
+            .with_shards(2)
+            .with_partition_index(true);
+        let paced = run_engine(
+            config.with_shard(shard),
+            kind,
             predicate,
             &tuples,
             true,
+            |op| {
+                op.with_partitioner(RangePartitioner::from_key_sample(2, &keys))
+                    .with_open_loop(5_000_000.0)
+            },
         );
-        assert_eq!(sharded.tuples, par.tuples);
-        assert_eq!(sharded.shard.shards, 2);
-        assert_eq!(
-            sharded.shard.local_accesses + sharded.shard.remote_accesses,
-            sharded.tuples
-        );
-        // The partitioned-store runner routes every post-warmup insert and
-        // probe through the per-shard store and charges its traffic model.
-        let partitioned = run_parallel_sharded(
-            SharedIndexKind::PimTree,
-            w,
-            w,
-            2,
-            4,
-            pim_config(w),
-            RingConfig::default(),
-            ShardConfig::default()
-                .with_shards(2)
-                .with_partition_index(true),
-            DriftConfig::default(),
-            None,
-            predicate,
-            &tuples,
-            true,
-        );
-        assert_eq!(partitioned.tuples, par.tuples);
-        assert_eq!(partitioned.results, sharded.results);
-        assert_eq!(partitioned.store.partitioned, 1);
-        assert_eq!(partitioned.store.store_shards, 2);
-        assert_eq!(
-            partitioned.store.local_inserts + partitioned.store.remote_inserts,
-            partitioned.tuples
-        );
-        assert_eq!(partitioned.store.probes, partitioned.tuples);
-        assert!(partitioned.store.simulated_store_cost > 0);
-        // The open-loop runner reports one arrival→drain latency sample per
-        // measured tuple; the closed-loop runs above report none.
-        assert!(partitioned.arrival_latency.is_none());
-        let paced = run_parallel_paced(
-            SharedIndexKind::PimTree,
-            w,
-            w,
-            2,
-            4,
-            pim_config(w),
-            RingConfig::default(),
-            ShardConfig::default().with_shards(2),
-            DriftConfig::default(),
-            None,
-            5_000_000.0,
-            predicate,
-            &tuples,
-            true,
-        );
+        assert_eq!(paced.results, par.results);
+        assert_eq!(paced.store.store_shards, 2);
         let hist = paced
             .arrival_latency
-            .as_ref()
-            .expect("open-loop run records arrival latency");
+            .expect("open-loop run records latency");
         assert_eq!(hist.len(), paced.tuples);
     }
 }

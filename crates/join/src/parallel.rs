@@ -1089,7 +1089,7 @@ fn try_ingest(shared: &Shared<'_>, local: &mut JoinRunStats) {
             .store
             .append(own, t.key)
             .expect("sliding window slack exhausted");
-        debug_assert_eq!(
+        assert_eq!(
             seq, t.seq,
             "input sequence numbers must match arrival order"
         );
@@ -1731,6 +1731,45 @@ mod tests {
                     "{threads} workers, {policy:?}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn misnumbered_input_fails_instead_of_hanging_or_misjoining() {
+        // Sequence numbers that start at 2w, as a slice cut from the middle
+        // of a longer stream keeps them, disagree with the ones the windows
+        // assign from 0.
+        let w = 64;
+        let tuples: Vec<Tuple> = random_tuples(4_000, 400, 43)
+            .into_iter()
+            .map(|t| Tuple::new(t.side, t.seq + 2 * w as u64, t.key))
+            .collect();
+        for threads in [1, 2, 4] {
+            let op = ParallelIbwj::new(
+                config(w, threads, 4, 0.25, MergePolicy::NonBlocking),
+                BandPredicate::new(2),
+                SharedIndexKind::PimTree,
+                false,
+            );
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let input = tuples.clone();
+            std::thread::spawn(move || {
+                let outcome =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| op.run(&input)));
+                let _ = done_tx.send(outcome.map(|_| ()));
+            });
+            let outcome = done_rx
+                .recv_timeout(Duration::from_secs(1))
+                .unwrap_or_else(|_| panic!("{threads} workers: run hangs"));
+            let panic = outcome.expect_err("mis-numbered input must fail the run");
+            let message = panic
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .unwrap_or_default();
+            assert!(
+                message.contains("input sequence numbers must match arrival order"),
+                "{threads} workers: {message}"
+            );
         }
     }
 
