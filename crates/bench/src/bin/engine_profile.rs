@@ -33,7 +33,9 @@
 //! `--sample=PATH` (Linux x86-64) turns on a `SIGPROF` instruction-pointer
 //! sampler for hosts without `perf`: one sample per 4 ms tick of CPU time,
 //! only those of the measured phase kept, written to `PATH.<threads>t` as
-//! file-relative addresses for `addr2line` (recipe in CONTRIBUTING.md).
+//! file-relative addresses for `addr2line` (recipe in CONTRIBUTING.md), with
+//! the samples outside the executable counted per object in a `# outside:`
+//! line.
 //!
 //! After the sweep one more `#` line reports the paper's baseline on the
 //! same input and warm-up: the single-threaded IBWJ operator over the
@@ -45,7 +47,7 @@
 
 use pimtree_bench::harness::*;
 use pimtree_common::{IndexKind, JoinConfig, PimConfig};
-use pimtree_join::{build_single_threaded, SharedIndexKind};
+use pimtree_join::{build_single_threaded, ParallelIbwj, SharedIndexKind};
 use pimtree_numa::RangePartitioner;
 use pimtree_workload::KeyDistribution;
 
@@ -138,26 +140,26 @@ fn main() {
         let sampling = sample_base
             .as_ref()
             .map(|base| (format!("{base}.{threads}t"), sampler::start()));
-        let stats = run_engine(
-            config,
-            SharedIndexKind::PimTree,
-            predicate,
-            &tuples,
-            false,
-            |mut op| {
-                op = op.with_telemetry_out(&trace_path, opts.telemetry_interval());
-                if let Some(p) = &partitioner {
-                    op = op.with_partitioner(p.clone());
-                }
-                if opts.arrival_rate > 0.0 {
-                    op = op.with_open_loop(opts.arrival_rate);
-                }
-                op
-            },
-        );
+        let mut op = ParallelIbwj::new(config, predicate, SharedIndexKind::PimTree, false)
+            .with_telemetry_out(&trace_path, opts.telemetry_interval());
+        if let Some(p) = &partitioner {
+            op = op.with_partitioner(p.clone());
+        }
+        if opts.arrival_rate > 0.0 {
+            op = op.with_open_loop(opts.arrival_rate);
+        }
+        // The measured phase ends when the last worker leaves, before the
+        // engine tears its state down: the sampler's cut is read there, in
+        // the inspector the engine calls between the two.
+        let mut phase_end = None;
+        let (stats, _) =
+            op.run_with_store_inspector(&tuples, engine_warmup(&config, tuples.len()), |_| {
+                phase_end = Some(sampler::now());
+            });
         if let Some((path, started)) = sampling {
+            let phase_end = phase_end.expect("the engine calls its inspector");
             report_samples(
-                sampler::stop_and_write(started, stats.elapsed, &path),
+                sampler::stop_and_write(started, phase_end, stats.elapsed, &path),
                 &path,
             );
         }
@@ -227,9 +229,10 @@ fn main() {
         .map(|base| (format!("{base}.st"), sampler::start()));
     single.run(&tuples[..warmup], false);
     let (stats, _) = single.run(&tuples[warmup..], false);
+    let phase_end = sampler::now();
     if let Some((path, started)) = sampling {
         report_samples(
-            sampler::stop_and_write(started, stats.elapsed, &path),
+            sampler::stop_and_write(started, phase_end, stats.elapsed, &path),
             &path,
         );
     }
@@ -314,9 +317,20 @@ mod sampler {
         assert_eq!(rc, 0, "setitimer(ITIMER_PROF) failed");
     }
 
-    /// Installs the handler and arms the timer; returns the clock pair the
-    /// time-stamp counter is calibrated against at the end.
-    pub fn start() -> (Instant, u64) {
+    /// What [`start`] hands [`stop_and_write`]: the clock pair the
+    /// time-stamp counter is calibrated against, and the process's mappings
+    /// when sampling began.
+    pub struct Started {
+        t0: Instant,
+        tsc0: u64,
+        maps: String,
+    }
+
+    /// Snapshots the mappings, installs the handler and arms the timer.
+    pub fn start() -> Started {
+        // Read before the timer is armed: the text is what every sample is
+        // attributed against, the executable or the object it landed in.
+        let maps = std::fs::read_to_string("/proc/self/maps").unwrap_or_default();
         NEXT.store(0, Relaxed);
         let action = SigAction {
             handler: on_sigprof,
@@ -330,55 +344,55 @@ mod sampler {
         assert_eq!(rc, 0, "sigaction(SIGPROF) failed");
         // A millisecond, which the kernel rounds up to its tick.
         set_timer(1_000);
-        // SAFETY: as in the handler.
-        (Instant::now(), unsafe { _rdtsc() })
+        Started {
+            t0: Instant::now(),
+            tsc0: now(),
+            maps,
+        }
     }
 
-    /// Disarms the timer and writes the samples taken in the last `measured`
-    /// of the interval since [`start`] that lie inside the executable, one
-    /// file-relative address a line; returns how many.
+    /// The time-stamp counter, read where the measured phase ends.
+    pub fn now() -> u64 {
+        // SAFETY: as in the handler.
+        unsafe { _rdtsc() }
+    }
+
+    /// Disarms the timer and writes the samples of the `measured` interval
+    /// that ended at `phase_end` (a [`now`] reading) that lie inside the
+    /// executable, one file-relative address a line, and a count of the rest
+    /// by the object they landed in; returns how many were written.
     pub fn stop_and_write(
-        (t0, tsc0): (Instant, u64),
+        started: Started,
+        phase_end: u64,
         measured: Duration,
         path: &str,
     ) -> std::io::Result<usize> {
         set_timer(0);
-        // SAFETY: as in the handler.
-        let tsc1 = unsafe { _rdtsc() };
-        let ticks_per_sec = (tsc1 - tsc0) as f64 / t0.elapsed().as_secs_f64();
-        let phase_start = tsc1.saturating_sub((measured.as_secs_f64() * ticks_per_sec) as u64);
+        let ticks_per_sec = (now() - started.tsc0) as f64 / started.t0.elapsed().as_secs_f64();
+        let phase_start = phase_end.saturating_sub((measured.as_secs_f64() * ticks_per_sec) as u64);
         let exe = std::fs::read_link("/proc/self/exe")?;
         let exe = exe.to_string_lossy();
-        // The executable's mappings: "start-end perms offset dev inode path".
-        let maps = std::fs::read_to_string("/proc/self/maps")?;
-        let spans = maps.lines().filter(|l| l.ends_with(&*exe)).filter_map(|l| {
-            let (start, end) = l.split_whitespace().next()?.split_once('-')?;
-            Some((
-                u64::from_str_radix(start, 16).ok()?,
-                u64::from_str_radix(end, 16).ok()?,
-            ))
-        });
-        let (base, end) = spans.fold((u64::MAX, 0), |(lo, hi), (s, e)| (lo.min(s), hi.max(e)));
         let taken = NEXT.load(Relaxed).min(CAP);
         let kept: Vec<u64> = (0..taken)
-            .filter(|&i| TSC[i].load(Relaxed) >= phase_start)
+            .filter(|&i| (phase_start..=phase_end).contains(&TSC[i].load(Relaxed)))
             .map(|i| RIP[i].load(Relaxed))
             .collect();
+        let split = super::attribute(&super::parse_maps(&started.maps), &exe, &kept);
         let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
         writeln!(
             out,
-            "# {taken} samples, {} in the measured phase ({:.3} s); load base {base:#x} of {exe}; \
-             addresses outside the executable are left out",
+            "# {taken} samples, {} in the measured phase ({:.3} s); load base {:#x} of {exe}; \
+             addresses outside the executable are counted below, not listed",
             kept.len(),
-            measured.as_secs_f64()
+            measured.as_secs_f64(),
+            split.base,
         )?;
-        let mut written = 0;
-        for rip in kept.into_iter().filter(|rip| (base..end).contains(rip)) {
-            writeln!(out, "{:#x}", rip - base)?;
-            written += 1;
+        writeln!(out, "{}", super::outside_line(&split.outside))?;
+        for offset in &split.inside {
+            writeln!(out, "{offset:#x}")?;
         }
         out.flush()?;
-        Ok(written)
+        Ok(split.inside.len())
     }
 }
 
@@ -387,9 +401,94 @@ mod sampler {
     pub fn start() {
         panic!("--sample needs Linux on x86-64")
     }
-    pub fn stop_and_write(_: (), _: std::time::Duration, _: &str) -> std::io::Result<usize> {
+    pub fn now() {}
+    pub fn stop_and_write(_: (), _: (), _: std::time::Duration, _: &str) -> std::io::Result<usize> {
         Ok(0)
     }
+}
+
+/// One mapping of a `/proc/<pid>/maps` text: its address range and what is
+/// mapped there — a file's path, a kernel pseudo-name such as `[vdso]` or
+/// `[heap]`, or `[anon]` for an anonymous mapping.
+#[derive(Debug, PartialEq)]
+struct Mapping {
+    start: u64,
+    end: u64,
+    object: String,
+}
+
+/// Parses a maps text, line by line: `start-end perms offset dev inode
+/// [path]`. Lines that do not parse are skipped.
+fn parse_maps(maps: &str) -> Vec<Mapping> {
+    maps.lines()
+        .filter_map(|line| {
+            let mut fields = line.split_whitespace();
+            let (start, end) = fields.next()?.split_once('-')?;
+            let object = fields.nth(4).map_or("[anon]", |path| path);
+            Some(Mapping {
+                start: u64::from_str_radix(start, 16).ok()?,
+                end: u64::from_str_radix(end, 16).ok()?,
+                object: object.to_string(),
+            })
+        })
+        .collect()
+}
+
+/// Sample addresses split by where they landed.
+#[derive(Debug, PartialEq)]
+struct Attribution {
+    /// The executable's load base: the lowest start of its mappings.
+    base: u64,
+    /// Addresses inside the executable, relative to `base`, in sample order.
+    inside: Vec<u64>,
+    /// The rest, counted per object (a path's file name, a pseudo-name, or
+    /// `[unmapped]` when no mapping held the address), most first.
+    outside: Vec<(String, usize)>,
+}
+
+fn attribute(maps: &[Mapping], exe: &str, addresses: &[u64]) -> Attribution {
+    let base = maps
+        .iter()
+        .filter(|m| m.object == exe)
+        .map(|m| m.start)
+        .min()
+        .unwrap_or(0);
+    let mut inside = Vec::new();
+    let mut outside: Vec<(String, usize)> = Vec::new();
+    for &addr in addresses {
+        let object = maps
+            .iter()
+            .find(|m| (m.start..m.end).contains(&addr))
+            .map_or("[unmapped]", |m| m.object.as_str());
+        if object == exe {
+            inside.push(addr - base);
+            continue;
+        }
+        let name = object.rsplit('/').next().unwrap_or(object);
+        match outside.iter_mut().find(|(n, _)| n == name) {
+            Some((_, count)) => *count += 1,
+            None => outside.push((name.to_string(), 1)),
+        }
+    }
+    outside.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    Attribution {
+        base,
+        inside,
+        outside,
+    }
+}
+
+/// The profile's count line for the samples outside the executable, e.g.
+/// `# outside: 41 libc.so.6, 12 [vdso]`.
+fn outside_line(outside: &[(String, usize)]) -> String {
+    if outside.is_empty() {
+        return "# outside: none".to_string();
+    }
+    let counts: Vec<String> = outside
+        .iter()
+        .map(|(name, n)| format!("{n} {name}"))
+        .collect();
+    format!("# outside: {}", counts.join(", "))
 }
 
 /// Renders the per-shard gauge table from the final sample of the run's
@@ -444,5 +543,55 @@ fn render_gauge_table(trace_path: &str) {
     );
     for (shard, occ) in occupancy.iter().enumerate() {
         println!("#   shard {shard}: ring occupancy {occ}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const MAPS: &str = "\
+5581a0000000-5581a0100000 r--p 00000000 fd:01 1234   /usr/local/bin/engine_profile
+5581a0100000-5581a0400000 r-xp 00100000 fd:01 1234   /usr/local/bin/engine_profile
+5581a1000000-5581a1021000 rw-p 00000000 00:00 0      [heap]
+7f3a10000000-7f3a10021000 rw-p 00000000 00:00 0
+7f3a20000000-7f3a20028000 r--p 00000000 fd:01 99     /usr/lib/x86_64-linux-gnu/libc.so.6
+7f3a20028000-7f3a201bd000 r-xp 00028000 fd:01 99     /usr/lib/x86_64-linux-gnu/libc.so.6
+7ffd3c5f2000-7ffd3c5f4000 r-xp 00000000 00:00 0      [vdso]
+not a mapping line
+";
+
+    #[test]
+    fn samples_are_split_into_the_executable_and_counts_per_object() {
+        let maps = parse_maps(MAPS);
+        assert_eq!(maps.len(), 7, "the malformed line is skipped");
+        assert_eq!(maps[3].object, "[anon]");
+        let exe = "/usr/local/bin/engine_profile";
+        let addresses = [
+            0x5581a0100010, // executable text
+            0x7f3a20030000, // libc text
+            0x7ffd3c5f2100, // vDSO
+            0x7f3a20000040, // libc, read-only part
+            0x5581a0000008, // executable, first mapping
+            0x7f3a10000100, // anonymous
+            0x1000,         // nothing mapped
+        ];
+        let split = attribute(&maps, exe, &addresses);
+        assert_eq!(split.base, 0x5581a0000000);
+        assert_eq!(split.inside, vec![0x100010, 0x8]);
+        assert_eq!(
+            split.outside,
+            vec![
+                ("libc.so.6".to_string(), 2),
+                ("[anon]".to_string(), 1),
+                ("[unmapped]".to_string(), 1),
+                ("[vdso]".to_string(), 1),
+            ]
+        );
+        assert_eq!(
+            outside_line(&split.outside),
+            "# outside: 2 libc.so.6, 1 [anon], 1 [unmapped], 1 [vdso]"
+        );
+        assert_eq!(outside_line(&[]), "# outside: none");
     }
 }

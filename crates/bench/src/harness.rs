@@ -379,13 +379,17 @@ pub fn run_single(
     op.run(&tuples[warmup..], false).0
 }
 
+/// The engine's warm-up over an input of `len` tuples: the first
+/// `window_r + window_s` tuples, at most half the input. They fill the
+/// sliding windows and take the PIM-Tree through its first merge, as the
+/// single-threaded runner measures on warm windows.
+pub fn engine_warmup(config: &JoinConfig, len: usize) -> usize {
+    (config.window_r + config.window_s).min(len / 2)
+}
+
 /// Runs the parallel engine over `tuples`; `setup` may add a partitioner,
-/// open-loop pacing or a trace to the operator first.
-///
-/// The first `window_r + window_s` tuples (at most half the input) are warm
-/// up: they fill the sliding windows and take the PIM-Tree through its first
-/// merge, as the single-threaded runner measures on warm windows. Statistics
-/// cover only the remaining tuples.
+/// open-loop pacing or a trace to the operator first. Statistics cover only
+/// the tuples after the [`engine_warmup`].
 pub fn run_engine(
     config: JoinConfig,
     kind: SharedIndexKind,
@@ -394,7 +398,7 @@ pub fn run_engine(
     self_join: bool,
     setup: impl FnOnce(ParallelIbwj) -> ParallelIbwj,
 ) -> JoinRunStats {
-    let warmup = (config.window_r + config.window_s).min(tuples.len() / 2);
+    let warmup = engine_warmup(&config, tuples.len());
     let op = setup(ParallelIbwj::new(config, predicate, kind, self_join));
     op.run_with_warmup(tuples, warmup).0
 }

@@ -44,7 +44,7 @@ fn merge_cursor_drains_in_global_arrival_order_under_steals() {
             // Publish N tuples round-robin before the worker starts; the
             // races explored are claim/steal/complete vs the drain cursor.
             {
-                let guard = ring.try_ingest().expect("fresh ring: token free");
+                let mut guard = ring.try_ingest().expect("fresh ring: token free");
                 for seq in 0..N {
                     let t = Tuple::new(StreamSide::R, seq, seq as i64);
                     let shard = guard.route(t.key);
@@ -103,5 +103,55 @@ fn merge_cursor_drains_in_global_arrival_order_under_steals() {
         })
         .expect("sharded merge-cursor protocol violated");
 
+    assert!(report.schedules > 1);
+}
+
+/// Two ingest fills, each publishing its pushes to the ring's available
+/// total once, when its guard drops, race a worker that claims one tuple
+/// (two shards, so `available()` reads the total). Invariant pinned: after
+/// the last guard drops and the claim is done, the total equals the sum over
+/// shards of `tail − next_claim` — no fill's pushes are left out of it, and
+/// the claim's decrement is not lost, whichever lands first.
+#[test]
+fn available_total_settles_to_the_unclaimed_count_after_fills() {
+    let report = Builder::default()
+        .check_report(|| {
+            let cfg = ShardConfig {
+                shards: 2,
+                steal_batch: 1,
+                steal_threshold: 1,
+                partition_index: false,
+            };
+            let ring = Arc::new(ShardedRing::new(&cfg, 1, 4, None));
+            let ingester = {
+                let ring = Arc::clone(&ring);
+                thread::spawn(move || {
+                    let mut seq = 0u64;
+                    for fill in [2u64, 1] {
+                        let mut guard = ring.try_ingest().expect("one ingester: token free");
+                        for _ in 0..fill {
+                            let t = Tuple::new(StreamSide::R, seq, seq as i64);
+                            let shard = guard.route(t.key);
+                            guard.push(shard, t, WindowBounds::new(seq, seq + 1));
+                            seq += 1;
+                        }
+                    }
+                })
+            };
+            let mut out = Vec::new();
+            let (mut rc, mut sc) = (RingCounters::default(), ShardCounters::default());
+            while ring.claim(0, 1, &mut out, &mut rc, &mut sc).is_none() {
+                thread::yield_now();
+            }
+            ingester.join().unwrap();
+            let unclaimed: usize = (0..ring.shards()).map(|s| ring.shard_available(s)).sum();
+            assert_eq!(unclaimed, 2, "three pushed, one claimed");
+            assert_eq!(
+                ring.available(),
+                unclaimed,
+                "available total drifted from the shards' unclaimed tuples"
+            );
+        })
+        .expect("per-fill available-total publish violated");
     assert!(report.schedules > 1);
 }

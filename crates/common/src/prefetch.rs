@@ -67,9 +67,9 @@ pub fn prefetch_write<T>(p: *const T) {
 /// same count on every architecture, so statistics stay comparable across
 /// hosts).
 ///
-/// The pointers are never dereferenced, so the range may be stale — a run
-/// peeked under a lock that has since been released, say; a hint on a freed
-/// or unmapped line is merely wasted.
+/// The pointers are never dereferenced, so the range may be stale — a run's
+/// location mirrored at an earlier insert, since grown or moved, say; a hint
+/// on a freed or unmapped line is merely wasted.
 #[inline]
 pub fn prefetch_range<T>(range: Range<*const T>, hint: impl Fn(*const u8)) -> u64 {
     let base = range.start as *const u8;
@@ -168,8 +168,8 @@ mod tests {
 
     #[test]
     fn stale_and_empty_ranges_are_harmless() {
-        // What a peek hands over once its lock is released: pointers into a
-        // buffer that is gone by the time the hints are issued.
+        // What a stale peek hands over: pointers into a buffer that is gone
+        // by the time the hints are issued.
         let stale = {
             let gone = vec![0u64; 64];
             gone.as_ptr_range()

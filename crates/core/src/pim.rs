@@ -2,7 +2,7 @@
 //! concurrent sliding-window index.
 
 use std::ops::{Range, RangeInclusive};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 use std::time::Instant;
 
 use parking_lot::{Mutex, MutexGuard, RwLock};
@@ -127,39 +127,74 @@ struct PartitionState {
 
 /// One mutable partition. Aligned so that neighbouring partitions, which
 /// different threads lock at the same time, never share a cache line.
+///
+/// Beside the lock, the header mirrors where the partition's flat run lies —
+/// its pointer and length, each a `Relaxed` atomic that only the lock holder
+/// writes ([`Partition::publish_hint`]) — so that a staged pass can prefetch
+/// the run without a lock round trip ([`Partition::peek_run`]).
 #[derive(Debug)]
 #[repr(align(64))]
-struct Partition(Mutex<PartitionState>);
+struct Partition {
+    state: Mutex<PartitionState>,
+    hint_ptr: AtomicPtr<Entry>,
+    hint_len: AtomicUsize,
+}
 
 impl Partition {
     /// An empty partition; allocates nothing.
     fn new() -> Self {
-        Partition(Mutex::new(PartitionState {
-            run: Run::Flat(Vec::new()),
-            inserts: 0,
-        }))
+        Partition {
+            state: Mutex::new(PartitionState {
+                run: Run::Flat(Vec::new()),
+                inserts: 0,
+            }),
+            hint_ptr: AtomicPtr::new(std::ptr::null_mut()),
+            hint_len: AtomicUsize::new(0),
+        }
     }
 
     #[inline]
     fn lock(&self) -> MutexGuard<'_, PartitionState> {
-        self.0.lock()
+        self.state.lock()
     }
 
-    /// Where this partition's flat run lies right now, for prefetching only:
-    /// the pointers are stale as soon as the lock is released, which a hint
-    /// tolerates and nothing else may. `None` — there is nothing worth
-    /// prefetching — when another thread holds the lock (it is pulling the
-    /// lines to its own core anyway) and for a promoted run (a tree's nodes
-    /// are found by descending it, and a partition that hot is the one place
-    /// where an extra lock round trip per batch would be felt).
+    /// Mirrors `run` into the prefetch hint; called with the lock held, right
+    /// after the run changed. A promoted run mirrors as empty: a tree's nodes
+    /// are found by descending it, not by a range of lines.
+    #[inline]
+    fn publish_hint(&self, run: &Run) {
+        let (ptr, len) = match run {
+            Run::Flat(run) => (run.as_ptr().cast_mut(), run.len()),
+            Run::Tree(_) => (std::ptr::null_mut(), 0),
+        };
+        self.hint_ptr.store(ptr, Ordering::Relaxed);
+        self.hint_len.store(len, Ordering::Relaxed);
+    }
+
+    /// Where this partition's flat run lay at some recent insert, for
+    /// prefetching only: two `Relaxed` loads, no lock. The pair may be torn
+    /// or stale — the run may have grown, moved or been freed since — which a
+    /// prefetch hint tolerates and nothing else may: the range is never
+    /// dereferenced, and it spans at most [`RUN_PROMOTE_LEN`] entries.
+    /// `None` for an empty, reset or promoted run.
     #[inline]
     fn peek_run(&self) -> Option<Range<*const Entry>> {
-        match &self.0.try_lock()?.run {
-            Run::Flat(run) => Some(run.as_ptr_range()),
-            Run::Tree(_) => None,
+        let len = self.hint_len.load(Ordering::Relaxed);
+        if len == 0 {
+            return None;
         }
+        let start = self.hint_ptr.load(Ordering::Relaxed).cast_const();
+        Some(start..start.wrapping_add(len))
     }
 }
+
+/// `TI`'s entry count on a cache line of its own: every insert batch adds to
+/// it, and sharing a line with `TS`'s descriptor and the partition table's
+/// pointer — which every probe reads — would make each batch invalidate that
+/// line in every other worker's cache.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct TiLen(AtomicUsize);
 
 /// One generation of the two-stage structure: an immutable `TS` plus the
 /// mutable partitions attached to its inner nodes at the insertion depth.
@@ -177,7 +212,7 @@ struct Generation {
     /// fed partition reaches by the next merge, so that run never
     /// re-allocates on the way there.
     run_reserve: usize,
-    ti_len: AtomicUsize,
+    ti_len: TiLen,
 }
 
 impl Generation {
@@ -188,7 +223,7 @@ impl Generation {
             depth: 0,
             partitions: Vec::new(),
             run_reserve: 0,
-            ti_len: AtomicUsize::new(0),
+            ti_len: TiLen::default(),
         };
         gen.refit(config);
         gen
@@ -208,10 +243,11 @@ impl Generation {
         };
         self.partitions.resize_with(count, Partition::new);
         for p in &mut self.partitions {
-            p.0.get_mut().run.reset();
+            p.state.get_mut().run.reset();
+            *p.hint_len.get_mut() = 0;
         }
         self.run_reserve = (config.merge_threshold() / count).clamp(4, RUN_PROMOTE_LEN);
-        *self.ti_len.get_mut() = 0;
+        *self.ti_len.0.get_mut() = 0;
     }
 
     /// The partition `entry` is inserted into: `TS` descended to the
@@ -276,9 +312,11 @@ impl Generation {
 
     #[inline]
     fn insert_into(&self, partition: usize, entry: Entry, fanout: usize) {
-        let mut part = self.partitions[partition].lock();
+        let partition = &self.partitions[partition];
+        let mut part = partition.lock();
         part.inserts += 1;
         part.run.insert(entry, self.run_reserve, fanout);
+        partition.publish_hint(&part.run);
     }
 
     /// Inserts up to [`STAGE_WIDTH`] entries in three passes over the whole
@@ -286,14 +324,14 @@ impl Generation {
     /// dependent chain *header → run pointer → run lines* — with a second
     /// worker, each a line the other core wrote last — overlap with the
     /// other entries' instead of queueing behind them: (1) route every entry
-    /// and write-prefetch its partition header, (2) peek each distinct
-    /// partition's run and write-prefetch its lines, (3) lock and insert as
+    /// and write-prefetch its partition header, (2) read each distinct
+    /// partition's run from the header's hint ([`Partition::peek_run`], no
+    /// lock) and write-prefetch its lines, (3) lock and insert as
     /// [`Generation::insert`] does, in the order given.
     ///
-    /// A chunk that lands in a single partition has a single chain to walk,
-    /// and that partition is hot by that very fact — skewed keys, or the one
-    /// partition of a `TS`-less generation, which every worker is inserting
-    /// into: it gets no peek, which would be one more lock round trip there.
+    /// A chunk that lands in a single partition has a single chain to walk
+    /// and nothing to overlap it with: the lock that follows waits on the
+    /// same header line the hint is read from, so it gets no peek.
     fn insert_staged(&self, chunk: &[(Key, Seq)], fanout: usize) {
         let mut routed = [0usize; STAGE_WIDTH];
         let routed = &mut routed[..chunk.len()];
@@ -327,7 +365,7 @@ fn probe_generation(gen: &Generation, range: KeyRange, f: &mut dyn FnMut(&[Entry
     if !run.is_empty() {
         f(run);
     }
-    if gen.ti_len.load(Ordering::Relaxed) == 0 {
+    if gen.ti_len.0.load(Ordering::Relaxed) == 0 {
         return;
     }
     for p in partitions {
@@ -343,8 +381,13 @@ fn probe_generation(gen: &Generation, range: KeyRange, f: &mut dyn FnMut(&[Entry
 ///
 /// Like [`Generation::insert_staged`], the visit is staged over up to
 /// [`STAGE_WIDTH`] partitions at a time: write-prefetch their headers (the
-/// lock is a read-modify-write), peek and read-prefetch their runs, then
-/// lock and scan. A lone partition is not peeked, for the reason given there.
+/// lock is a read-modify-write), read-prefetch their runs from the headers'
+/// hints, then lock and scan. A lone partition is not peeked, for the reason
+/// given there.
+///
+/// `pairs` usually arrives sorted — one range per partition, and ranges
+/// ascending because the engine sorts each batch by key — and is then used
+/// as it is; otherwise it is sorted here.
 fn visit_partitions<F: FnMut(usize, &[Entry])>(
     gen: &Generation,
     pairs: &mut [(usize, usize)],
@@ -352,7 +395,9 @@ fn visit_partitions<F: FnMut(usize, &[Entry])>(
     counters: &mut ProbeCounters,
     mut f: F,
 ) {
-    pairs.sort_unstable();
+    if !pairs.is_sorted() {
+        pairs.sort_unstable();
+    }
     counters.ti_range_visits += pairs.len() as u64;
     let mut visits = pairs.chunk_by(|a, b| a.0 == b.0);
     loop {
@@ -392,7 +437,7 @@ fn visit_partitions<F: FnMut(usize, &[Entry])>(
 fn merge_locked(gen: &Generation, earliest_live: Seq) -> (Vec<Entry>, MergeReport) {
     let mut merge = LiveMerge::new(
         gen.ts.entries(),
-        gen.ti_len.load(Ordering::Relaxed),
+        gen.ti_len.0.load(Ordering::Relaxed),
         earliest_live,
     );
     for p in &gen.partitions {
@@ -507,7 +552,7 @@ impl PimTree {
 
     /// Entries currently held by the mutable component.
     pub fn ti_len(&self) -> usize {
-        self.current.read().ti_len.load(Ordering::Relaxed)
+        self.current.read().ti_len.0.load(Ordering::Relaxed)
     }
 
     /// Entries currently held by the immutable component (live and expired).
@@ -518,7 +563,7 @@ impl PimTree {
     /// Total indexed entries (live and expired).
     pub fn len(&self) -> usize {
         let gen = self.current.read();
-        gen.ts.len() + gen.ti_len.load(Ordering::Relaxed)
+        gen.ts.len() + gen.ti_len.0.load(Ordering::Relaxed)
     }
 
     /// Whether no entries are indexed.
@@ -572,7 +617,7 @@ impl PimTree {
                 gen.insert_staged(chunk, fanout);
             }
         }
-        let before = gen.ti_len.fetch_add(entries.len(), Ordering::Relaxed);
+        let before = gen.ti_len.0.fetch_add(entries.len(), Ordering::Relaxed);
         before + entries.len() >= self.merge_threshold
     }
 
@@ -602,8 +647,8 @@ impl PimTree {
     /// component's slice, then the overlapping mutable partitions ascending.
     /// Identical ranges of one batch are handed the same slices.
     ///
-    /// The batch is sorted and deduplicated (identical ranges share one
-    /// descent), then the immutable component is descended level-by-level for
+    /// The batch is sorted (unless it arrives sorted by `(lo, hi)`) and
+    /// deduplicated (identical ranges share one descent), then the immutable component is descended level-by-level for
     /// the whole group with software prefetching
     /// (`CssTree::lower_bound_batch`), all under a single acquisition of the
     /// generation lock — one lock round-trip per task instead of one per
@@ -645,11 +690,15 @@ impl PimTree {
         // from an empty default and the outer buffers win the put-back.
         let mut s = PROBE_SCRATCH.with(|cell| cell.take());
         // Sort the batch so equal ranges are adjacent (deduplicated below)
-        // and the group descent visits nodes left to right.
+        // and the group descent visits nodes left to right. The engine hands
+        // its batches over sorted by key already; a linear check then
+        // replaces the sort.
         s.order.clear();
         s.order.extend(0..n);
-        s.order
-            .sort_unstable_by_key(|&i| (ranges[i].lo, ranges[i].hi));
+        if !ranges.is_sorted_by_key(|r| (r.lo, r.hi)) {
+            s.order
+                .sort_unstable_by_key(|&i| (ranges[i].lo, ranges[i].hi));
+        }
         s.uniq.clear();
         s.starts.clear();
         for (pos, &i) in s.order.iter().enumerate() {
@@ -671,7 +720,7 @@ impl PimTree {
             .extend(s.uniq.iter().map(|r| Entry::min_for_key(r.lo)));
         gen.ts
             .lower_bound_batch(&s.targets, &mut s.positions, &mut s.groups, counters);
-        let ti_populated = gen.ti_len.load(Ordering::Relaxed) > 0;
+        let ti_populated = gen.ti_len.0.load(Ordering::Relaxed) > 0;
 
         // Immutable component first: per unique range, `TS`'s run is emitted
         // before any `TI` run, exactly like the scalar probe. The run's end
@@ -748,7 +797,7 @@ impl PimTree {
         };
         let run = gen.ts.run_from(start, range.hi);
         keep_live(run);
-        if gen.ti_len.load(Ordering::Relaxed) > 0 {
+        if gen.ti_len.0.load(Ordering::Relaxed) > 0 {
             for p in gen.overlapped_partitions(range, group, start + run.len()) {
                 gen.partitions[p]
                     .lock()
@@ -776,9 +825,12 @@ impl PimTree {
         let mut guard = self.current.write();
         let gen = &mut *guard;
         self.fold_retired_counters(&mut gen.partitions);
-        let mut merge = LiveMerge::new(gen.ts.entries(), *gen.ti_len.get_mut(), earliest_live);
+        let mut merge = LiveMerge::new(gen.ts.entries(), *gen.ti_len.0.get_mut(), earliest_live);
         for p in &mut gen.partitions {
-            p.0.get_mut().run.for_each_run(|run| merge.push_run(run));
+            p.state
+                .get_mut()
+                .run
+                .for_each_run(|run| merge.push_run(run));
         }
         let (merged, report) = merge.finish();
         let old_ts = std::mem::replace(&mut gen.ts, build_ts(&self.config, merged));
@@ -850,7 +902,7 @@ impl PimTree {
             retired.resize(partitions.len(), 0);
         }
         for (sum, p) in retired.iter_mut().zip(partitions) {
-            *sum += std::mem::take(&mut p.0.get_mut().inserts);
+            *sum += std::mem::take(&mut p.state.get_mut().inserts);
         }
     }
 
@@ -1748,22 +1800,25 @@ mod tests {
     }
 
     #[test]
-    fn peek_skips_a_held_lock_and_a_promoted_run() {
+    fn peek_reads_the_hint_under_a_held_lock_and_none_for_a_promoted_run() {
         let t = merged_tree(512);
         t.insert(5, 1000);
         let gen = t.current.read();
         let hot = gen.route(Entry::new(5, 1000));
-        let run = gen.partitions[hot].peek_run().expect("free lock, flat run");
-        assert_eq!(
-            run.end as usize - run.start as usize,
-            std::mem::size_of::<Entry>()
+        let flat_run = |p: usize| match &gen.partitions[p].lock().run {
+            Run::Flat(run) => run.as_ptr_range(),
+            Run::Tree(_) => unreachable!("flat until promoted"),
+        };
+        let run = gen.partitions[hot].peek_run().expect("a flat run of one");
+        assert_eq!(run, flat_run(hot), "the hint mirrors the run");
+        assert!(
+            gen.partitions[hot + 1].peek_run().is_none(),
+            "an empty run: no peek"
         );
-        assert!(gen.partitions[hot + 1]
-            .peek_run()
-            .is_some_and(|r| r.is_empty()));
         {
             let _held = gen.partitions[hot].lock();
-            assert!(gen.partitions[hot].peek_run().is_none(), "held: no peek");
+            // The hint is no lock: a held partition still reports its run.
+            assert_eq!(gen.partitions[hot].peek_run(), Some(run), "held");
             // A staged walk over the other partitions goes on regardless.
             gen.insert_staged(&[(400, 1001), (511, 1002), (401, 1003)], 8);
             let mut pairs = vec![(hot + 1, 0), (gen.partitions.len() - 1, 0)];
@@ -1777,6 +1832,8 @@ mod tests {
             );
             assert_eq!(seen, 1, "key 511 in the last partition");
         }
+        let last = gen.partitions.len() - 1;
+        assert_eq!(gen.partitions[last].peek_run(), Some(flat_run(last)));
         for i in 0..RUN_PROMOTE_LEN as u64 {
             gen.insert(Entry::new(5, 2000 + i), 8);
         }
@@ -1784,6 +1841,13 @@ mod tests {
         assert!(
             gen.partitions[hot].peek_run().is_none(),
             "promoted: no peek"
+        );
+        drop(gen);
+        t.merge(0);
+        let gen = t.current.read();
+        assert!(
+            gen.partitions.iter().all(|p| p.peek_run().is_none()),
+            "a merge resets every partition, and its hint with it"
         );
     }
 
@@ -1794,7 +1858,7 @@ mod tests {
         // points, on keys that mostly hit one partition of 128 — while a fifth
         // thread holds that partition's lock when they start and lets go
         // only after every one of them has entered its first batch, whose
-        // peek therefore finds the lock taken.
+        // peek therefore reads the hint of a locked partition.
         const PER_THREAD: usize = 3000;
         let t = merged_tree(1024);
         let key_of = |i: usize| -> Key {
@@ -1904,6 +1968,136 @@ mod tests {
             KeyRange::point(Key::MAX),
             KeyRange::new(0, 5),
         ]);
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)] // five busy threads; the hint itself is covered above
+    fn staged_inserts_promotions_and_merges_race_batch_probes() {
+        // Two threads insert through the staged batch path, mostly into one
+        // partition so that its run is promoted between merges; a third
+        // merges every `MERGE_EVERY` inserts; two probe in batches, one
+        // sorted by key and one not. Every probe must find each entry that
+        // was inserted before it started, every entry it reports must have
+        // been inserted, and each entry comes once: the lock-free hints,
+        // read while runs grow, promote and reset, only ever prefetch.
+        const PER_THREAD: usize = 4000;
+        const MERGE_EVERY: usize = 1500;
+        let t = merged_tree(1024);
+        let key_of = |i: usize| -> Key {
+            match i % 8 {
+                0 => Key::MIN,
+                1 => Key::MAX,
+                2 | 3 => (i * 37 % 1100) as Key,
+                _ => 3,
+            }
+        };
+        // Thread `tid`'s `i`-th entry.
+        let entry_of =
+            |tid: usize, i: usize| Entry::new(key_of(2 * i + tid), (1024 + 2 * i + tid) as Seq);
+        let done = [AtomicUsize::new(0), AtomicUsize::new(0)];
+        let (merges, promoted) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let finished = || done.iter().all(|d| d.load(Ordering::Acquire) == PER_THREAD);
+        std::thread::scope(|scope| {
+            for tid in 0..2 {
+                let (t, done) = (&t, &done);
+                scope.spawn(move || {
+                    let mine: Vec<(Key, Seq)> = (0..PER_THREAD)
+                        .map(|i| entry_of(tid, i))
+                        .map(|e| (e.key, e.seq))
+                        .collect();
+                    let (mut at, mut n) = (0, 2);
+                    while at < PER_THREAD {
+                        let end = (at + n).min(PER_THREAD);
+                        t.insert_batch(&mine[at..end]);
+                        done[tid].store(end, Ordering::Release);
+                        at = end;
+                        n = n % 23 + 2;
+                    }
+                });
+            }
+            scope.spawn(|| {
+                let mut next = MERGE_EVERY;
+                while !finished() {
+                    let inserted: usize = done.iter().map(|d| d.load(Ordering::Acquire)).sum();
+                    if inserted < next {
+                        std::thread::yield_now();
+                        continue;
+                    }
+                    promoted.fetch_max(t.promoted_partitions(), Ordering::Relaxed);
+                    t.merge(0);
+                    merges.fetch_add(1, Ordering::Relaxed);
+                    next = inserted + MERGE_EVERY;
+                }
+            });
+            for sorted in [true, false] {
+                let (t, done, finished) = (&t, &done, &finished);
+                scope.spawn(move || {
+                    let mut ranges = vec![
+                        KeyRange::new(Key::MIN, 2),
+                        KeyRange::new(0, 5),
+                        KeyRange::new(3, 3),
+                        KeyRange::new(2, 700),
+                        KeyRange::new(1000, Key::MAX),
+                    ];
+                    if !sorted {
+                        ranges.reverse();
+                    }
+                    let mut counters = ProbeCounters::default();
+                    let mut got = vec![Vec::new(); ranges.len()];
+                    loop {
+                        // The last round starts after every insert: it probes
+                        // the final state too.
+                        let last = finished();
+                        let seen = [0, 1].map(|tid| done[tid].load(Ordering::Acquire));
+                        got.iter_mut().for_each(Vec::clear);
+                        t.probe_batch(&ranges, &mut counters, |i, run| {
+                            got[i].extend_from_slice(run)
+                        });
+                        for (range, got) in ranges.iter().zip(&mut got) {
+                            got.sort_unstable();
+                            assert!(got.windows(2).all(|w| w[0] < w[1]), "{range:?}: twice");
+                            let known = |e: &Entry| match e.seq.checked_sub(1024) {
+                                None => e.key == e.seq as Key,
+                                Some(i) => {
+                                    let i = i as usize;
+                                    i / 2 < PER_THREAD && entry_of(i % 2, i / 2) == *e
+                                }
+                            };
+                            assert!(got.iter().all(|e| range.contains(e.key) && known(e)));
+                            let expected =
+                                (0..1024)
+                                    .map(|i| Entry::new(i as Key, i as Seq))
+                                    .chain((0..2).flat_map(|tid| {
+                                        (0..seen[tid]).map(move |i| entry_of(tid, i))
+                                    }))
+                                    .filter(|e| range.contains(e.key));
+                            for e in expected {
+                                assert!(got.binary_search(&e).is_ok(), "{range:?}: {e:?} missing");
+                            }
+                        }
+                        if last {
+                            break;
+                        }
+                    }
+                });
+            }
+        });
+        assert!(
+            merges.load(Ordering::Relaxed) >= 2,
+            "merges raced the probes"
+        );
+        assert!(
+            promoted.load(Ordering::Relaxed) >= 1,
+            "a run was promoted between merges"
+        );
+        let mut oracle: Vec<Entry> = (0..1024)
+            .map(|i| Entry::new(i as Key, i as Seq))
+            .chain((0..2).flat_map(|tid| (0..PER_THREAD).map(move |i| entry_of(tid, i))))
+            .collect();
+        let mut got = t.content();
+        oracle.sort();
+        got.sort();
+        assert_eq!(got, oracle);
     }
 
     mod staging_properties {

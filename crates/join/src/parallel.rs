@@ -279,6 +279,8 @@ struct Shared<'a> {
     poisoned: AtomicBool,
     #[cfg(test)]
     fault_at: Option<u64>,
+    #[cfg(test)]
+    merge_storm: bool,
 }
 
 impl<'a> Shared<'a> {
@@ -326,6 +328,9 @@ pub struct ParallelIbwj {
     /// Fault hook: the worker that claims this ring slot panics.
     #[cfg(test)]
     fault_at: Option<u64>,
+    /// Merge hook: see [`merge_storm`].
+    #[cfg(test)]
+    merge_storm: bool,
 }
 
 impl ParallelIbwj {
@@ -352,6 +357,8 @@ impl ParallelIbwj {
             telemetry_out: None,
             #[cfg(test)]
             fault_at: None,
+            #[cfg(test)]
+            merge_storm: false,
         }
     }
 
@@ -458,9 +465,9 @@ impl ParallelIbwj {
         self.run_inner(
             tuples,
             warmup,
-            Some(&mut |store: &ShardStore| {
+            Some(&mut |shared: &Shared<'_>| {
                 if let Some(f) = inspect.take() {
-                    f(store);
+                    f(&shared.store);
                 }
             }),
         )
@@ -470,7 +477,7 @@ impl ParallelIbwj {
         &self,
         tuples: &[Tuple],
         warmup: usize,
-        inspect: Option<&mut dyn FnMut(&ShardStore)>,
+        inspect: Option<&mut dyn FnMut(&Shared<'_>)>,
     ) -> (JoinRunStats, Vec<JoinResult>) {
         let warmup = warmup.min(tuples.len());
         let threads = self.config.threads;
@@ -613,6 +620,8 @@ impl ParallelIbwj {
             poisoned: AtomicBool::new(false),
             #[cfg(test)]
             fault_at: self.fault_at,
+            #[cfg(test)]
+            merge_storm: self.merge_storm,
         };
 
         // Warmup phase: process the prefix with the same engine state, then
@@ -744,7 +753,7 @@ impl ParallelIbwj {
         stats.migration.enabled =
             (shared.drift.is_some() || shared.forced_repartition.is_some()) as u64;
         if let Some(inspect) = inspect {
-            inspect(&shared.store);
+            inspect(&shared);
         }
         let (merges, merge_time) = *shared.merge_stats.lock();
         stats.merges = merges;
@@ -784,6 +793,9 @@ struct WorkerScratch {
     /// Per-item collected results (moved into the ring slot when the item
     /// completes).
     collected: Vec<Vec<JoinResult>>,
+    /// Tuples one ingest fill pushed per (shard, probe side), published to
+    /// `claim_meta` once at the end of the fill.
+    ingested: Vec<[u64; 2]>,
 }
 
 impl WorkerScratch {
@@ -797,6 +809,7 @@ impl WorkerScratch {
             probe_items: [Vec::new(), Vec::new()],
             counts: Vec::new(),
             collected: Vec::new(),
+            ingested: Vec::new(),
         }
     }
 }
@@ -984,7 +997,7 @@ fn acquire_task(
     }
     let mut available = shared.ring.available();
     if available < shared.ingest_target {
-        try_ingest(shared, local);
+        try_ingest(shared, &mut scratch.ingested, local);
         available = shared.ring.available();
     }
     scratch.items.clear();
@@ -1037,8 +1050,15 @@ fn claim_bound(available: usize, threads: usize, task_size: usize) -> usize {
 /// range (round-robin without a partitioner); a full *routed* shard stalls
 /// ingestion entirely, because admitting later arrivals on other shards
 /// would break the global arrival order the merge cursor relies on.
-fn try_ingest(shared: &Shared<'_>, local: &mut JoinRunStats) {
-    let Some(guard) = shared.ring.try_ingest() else {
+///
+/// The shared counters a fill advances — `claim_meta`'s ingested counts, the
+/// input cursor and the ring's available total — are published once per
+/// fill, not once per tuple: only the token holder advances them, and the
+/// only reader that needs them exact, [`merge_horizon`], runs quiesced,
+/// while a fill runs inside its worker's gate admission. `ingested` is
+/// scratch for the fill's per-(shard, side) counts.
+fn try_ingest(shared: &Shared<'_>, ingested: &mut Vec<[u64; 2]>, local: &mut JoinRunStats) {
+    let Some(mut guard) = shared.ring.try_ingest() else {
         local.ring.ingest_token_contended += 1;
         return;
     };
@@ -1049,9 +1069,11 @@ fn try_ingest(shared: &Shared<'_>, local: &mut JoinRunStats) {
     let room = shared.ingest_target.saturating_sub(shared.ring.available());
     let mut admit = [0, 1]
         .map(|side| (shared.max_unindexed as u64).saturating_sub(shared.store.unindexed_len(side)));
-    let mut pos = shared.next_ingest.load(Ordering::Relaxed);
-    let end = shared.ingest_limit.min(pos + room);
-    let mut ingested_any = false;
+    let start = shared.next_ingest.load(Ordering::Relaxed);
+    let end = shared.ingest_limit.min(start + room);
+    ingested.clear();
+    ingested.resize(shared.ring.shards(), [0; 2]);
+    let mut pos = start;
     while pos < end {
         // Open-loop pacing: a tuple whose virtual arrival time has not come
         // yet is simply not available — the worker goes back to draining
@@ -1094,16 +1116,22 @@ fn try_ingest(shared: &Shared<'_>, local: &mut JoinRunStats) {
             "input sequence numbers must match arrival order"
         );
         guard.push(shard, t, bounds);
-        shared.claim_meta[shard][probe]
-            .ingested
-            .fetch_add(1, Ordering::Release);
+        ingested[shard][probe] += 1;
         pos += 1;
-        shared.next_ingest.store(pos, Ordering::Release);
-        ingested_any = true;
     }
-    if ingested_any {
-        local.ring.ingest_batches += 1;
+    if pos == start {
+        return;
     }
+    for (meta, counts) in shared.claim_meta.iter().zip(ingested.iter()) {
+        for (meta, &n) in meta.iter().zip(counts) {
+            if n > 0 {
+                meta.ingested.fetch_add(n, Ordering::Release);
+            }
+        }
+    }
+    shared.next_ingest.store(pos, Ordering::Release);
+    local.ring.ingest_batches += 1;
+    // Dropping the guard publishes the fill to the ring's available total.
 }
 
 /// Steps 2 and 3 of a claimed task. `mark` is the moment the task was
@@ -1180,6 +1208,13 @@ fn generate(
     scratch: &mut WorkerScratch,
     local: &mut JoinRunStats,
 ) {
+    // One sort of the batch by key: each side's probe ranges then arrive
+    // ordered by `(lo, hi)` — `probe_range` is monotone in the key — and the
+    // index probe, its partition visit and the suffix scan each find them
+    // sorted with one linear check instead of sorting them again. The index
+    // update after it inserts in key order too, and the slots below complete
+    // in key order.
+    scratch.items.sort_unstable_by_key(|task| task.tuple.key);
     let n = scratch.items.len();
     let collect = shared.collect_results;
     scratch.counts.clear();
@@ -1545,13 +1580,53 @@ fn merge_horizon(shared: &Shared<'_>, side: usize) -> Seq {
     horizon
 }
 
+/// Whether merges stand back for a repartition plan waiting to be adopted.
+///
+/// An epoch and a merge need the same maintenance claim. At a small window
+/// and a high merge ratio a merge is due every few tasks, and without this
+/// rule the merges can win the claim from the epoch visit after visit until
+/// the run ends with the plan never adopted. The epoch goes first; the
+/// merges it deferred follow at the next visits.
+#[inline]
+fn merges_defer_to_epoch(shared: &Shared<'_>) -> bool {
+    shared.repartition_pending.load(Ordering::Acquire)
+}
+
+/// Test hook: merges due back to back. The visit that wins the maintenance
+/// claim keeps it, as if one merge followed another under it, and each
+/// further merge starts only as a merge visit may: a pending epoch makes it
+/// let go. Otherwise the last merge outlasts the input and the claim is
+/// never released, so no epoch can slip in between the last task and the
+/// workers' exit either.
+#[cfg(test)]
+fn merge_storm(shared: &Shared<'_>) -> bool {
+    if shared.merge_claimed.swap(true, Ordering::AcqRel) {
+        return false;
+    }
+    loop {
+        if merges_defer_to_epoch(shared) {
+            shared.merge_claimed.store(false, Ordering::Release);
+            return true;
+        }
+        if is_finished(shared) || shared.poisoned.load(Ordering::SeqCst) {
+            return true;
+        }
+        std::thread::yield_now();
+    }
+}
+
 /// Merges every side whose mutable component reached its threshold, unless
-/// another thread holds the maintenance claim. Returns whether this visit
+/// another thread holds the maintenance claim or a repartition plan is
+/// waiting for it ([`merges_defer_to_epoch`]). Returns whether this visit
 /// merged anything (see [`maybe_repartition`]).
 fn maybe_merge(shared: &Shared<'_>, home: usize, local: &mut JoinRunStats) -> bool {
+    #[cfg(test)]
+    if shared.merge_storm {
+        return merge_storm(shared);
+    }
     let mut merged = false;
     for side in 0..if shared.self_join { 1 } else { 2 } {
-        if shared.store.merge_candidate(side).is_none() {
+        if merges_defer_to_epoch(shared) || shared.store.merge_candidate(side).is_none() {
             continue;
         }
         if shared.merge_claimed.swap(true, Ordering::AcqRel) {
@@ -2034,6 +2109,55 @@ mod tests {
         assert!(stats.latency.mean_micros() > 0.0);
         assert!(stats.bytes_loaded > 0);
         assert!(stats.bytes_stored > 0);
+    }
+
+    /// Ingest publishes its counters once per fill; after a run they must
+    /// still balance exactly: every shard and side has claimed what it
+    /// ingested, and the ring's available total is back to zero — at any
+    /// worker and shard count, with and without a warm-up phase.
+    #[test]
+    fn per_fill_counters_settle_after_every_run() {
+        let tuples = random_tuples(3000, 300, 130);
+        for threads in [1usize, 2, 4] {
+            for shards in [1usize, 2, 4] {
+                for warmup in [0, 700] {
+                    let op = ParallelIbwj::new(
+                        config(128, threads, 3, 0.5, MergePolicy::NonBlocking)
+                            .with_shard(ShardConfig::default().with_shards(shards)),
+                        BandPredicate::new(2),
+                        SharedIndexKind::PimTree,
+                        false,
+                    );
+                    let label = format!("{threads} workers, {shards} shards, warm-up {warmup}");
+                    let mut checked = false;
+                    op.run_inner(
+                        &tuples,
+                        warmup,
+                        Some(&mut |shared: &Shared<'_>| {
+                            for (shard, meta) in shared.claim_meta.iter().enumerate() {
+                                for (side, meta) in meta.iter().enumerate() {
+                                    assert_eq!(
+                                        meta.ingested.load(Ordering::Relaxed),
+                                        meta.claimed.load(Ordering::Relaxed),
+                                        "{label}: shard {shard}, side {side}"
+                                    );
+                                }
+                            }
+                            let ingested: u64 = shared
+                                .claim_meta
+                                .iter()
+                                .flatten()
+                                .map(|m| m.ingested.load(Ordering::Relaxed))
+                                .sum();
+                            assert_eq!(ingested, tuples.len() as u64, "{label}");
+                            assert_eq!(shared.ring.available_total(), 0, "{label}");
+                            checked = true;
+                        }),
+                    );
+                    assert!(checked, "{label}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -3021,6 +3145,47 @@ mod tests {
                 off_stats.migration,
                 Default::default(),
                 "repartition off must leave the migration counters untouched"
+            );
+        }
+    }
+
+    /// The drifting workload with merges due back to back ([`merge_storm`]):
+    /// one worker holds the maintenance claim from its first visit, merge
+    /// after merge, so the epoch only gets the claim if merges stand back
+    /// for a pending plan. Without that rule the plan stays pending until
+    /// the run ends and no epoch is adopted.
+    #[test]
+    fn drifting_workload_adopts_its_plan_while_merges_recur() {
+        let tuples = drifting_tuples(8000, 400, 10_000, 121);
+        let predicate = BandPredicate::new(2);
+        let expected = canonical(&reference_join(&tuples, predicate, 128, 128, false));
+        for shards in [2usize, 4] {
+            let first: Vec<Key> = tuples[..tuples.len() / 2].iter().map(|t| t.key).collect();
+            let mut op = ParallelIbwj::new(
+                config(128, 4, 4, 0.5, MergePolicy::NonBlocking)
+                    .with_shard(
+                        ShardConfig::default()
+                            .with_shards(shards)
+                            .with_partition_index(true),
+                    )
+                    .with_drift(
+                        pimtree_common::DriftConfig::default()
+                            .with_repartition(true)
+                            .with_window(512)
+                            .with_imbalance_trigger(1.5),
+                    ),
+                predicate,
+                SharedIndexKind::PimTree,
+                false,
+            )
+            .with_partitioner(RangePartitioner::from_key_sample(shards, &first))
+            .with_collected_results(true);
+            op.merge_storm = true;
+            let (stats, results) = op.run(&tuples);
+            assert_eq!(canonical(&results), expected, "{shards} shards");
+            assert!(
+                stats.migration.epochs >= 1,
+                "recurring merges starved the epoch ({shards} shards)"
             );
         }
     }

@@ -106,12 +106,13 @@ pub struct ShardedRing {
     /// Next global arrival stamp; written only under the global ingest token.
     next_arrival: CachePadded<AtomicU64>,
     /// Running total of ingested-but-unclaimed tuples across all shards
-    /// (incremented per push, decremented per claim). Kept so the engine's
-    /// per-claim-round and per-ingested-tuple "is the ring running low?"
-    /// checks are one relaxed load instead of an O(shards) sweep over every
-    /// shard's tail/ticket cache lines — the cross-shard traffic sharding
-    /// exists to avoid. Signed because a claim's decrement can land before a
-    /// racing reader observed the matching increment.
+    /// (incremented once per ingest fill, when its guard drops, and
+    /// decremented per claim). Kept so the engine's per-claim-round "is the
+    /// ring running low?" check is one relaxed load instead of an O(shards)
+    /// sweep over every shard's tail/ticket cache lines — the cross-shard
+    /// traffic sharding exists to avoid. Signed because a claim of a tuple
+    /// whose fill has not dropped its guard yet decrements before the fill
+    /// adds. Exact whenever no guard is alive and no claim is in progress.
     available_total: CachePadded<AtomicI64>,
     /// Serialises ingestion across all shards (routing decisions and arrival
     /// stamps must be assigned in input order).
@@ -208,6 +209,13 @@ impl ShardedRing {
         self.rings.iter().map(|r| r.len()).sum()
     }
 
+    /// The raw running total behind [`available`](Self::available), for
+    /// tests that check it settles.
+    #[cfg(test)]
+    pub(crate) fn available_total(&self) -> i64 {
+        self.available_total.load(Ordering::Relaxed)
+    }
+
     /// Ingested-but-unclaimed tuples currently available on one shard.
     pub fn shard_available(&self, shard: usize) -> usize {
         self.rings[shard].available()
@@ -239,7 +247,11 @@ impl ShardedRing {
         // swaps the router while no guard is alive) can never change a
         // guard's routing mid-batch.
         let router = Arc::clone(&self.router.read());
-        Some(ShardIngestGuard { ring: self, router })
+        Some(ShardIngestGuard {
+            ring: self,
+            router,
+            pushed: 0,
+        })
     }
 
     /// Swaps the routing policy to key-range routing under `partitioner` —
@@ -394,11 +406,15 @@ impl ShardedRing {
 
 /// Exclusive sharded-ingestion handle; released on drop. Routing (and with
 /// it the arrival-stamp assignment) is only valid while the guard is held.
+/// Dropping it also adds the fill's pushes to the ring's available total,
+/// one read-modify-write per fill instead of one per tuple.
 pub struct ShardIngestGuard<'a> {
     ring: &'a ShardedRing,
     /// Routing policy snapshot taken when the token was won (see
     /// [`ShardedRing::try_ingest`]).
     router: Arc<Router>,
+    /// Tuples pushed under this guard, not yet in `available_total`.
+    pushed: i64,
 }
 
 impl ShardIngestGuard<'_> {
@@ -428,17 +444,24 @@ impl ShardIngestGuard<'_> {
     /// [`route`](Self::route) returned for the tuple's key), stamping it with
     /// the next global arrival index. The caller must gate on
     /// [`can_push`](Self::can_push).
-    pub fn push(&self, shard: usize, tuple: Tuple, bounds: WindowBounds) {
+    pub fn push(&mut self, shard: usize, tuple: Tuple, bounds: WindowBounds) {
         debug_assert_eq!(shard, self.route(tuple.key), "push must follow route");
         let arrival = self.ring.next_arrival.load(Ordering::Relaxed);
         self.ring.rings[shard].push_unguarded(tuple, bounds, arrival);
-        self.ring.available_total.fetch_add(1, Ordering::Relaxed);
+        self.pushed += 1;
         self.ring.next_arrival.store(arrival + 1, Ordering::Release);
     }
 }
 
 impl Drop for ShardIngestGuard<'_> {
     fn drop(&mut self) {
+        // The fill's one publish of its pushes, before the token goes: the
+        // next fill sizes itself on `available()` once it holds the token.
+        if self.pushed > 0 {
+            self.ring
+                .available_total
+                .fetch_add(self.pushed, Ordering::Relaxed);
+        }
         self.ring.ingest_token.store(false, Ordering::Release);
     }
 }
@@ -458,7 +481,7 @@ mod tests {
 
     /// Ingests `n` tuples with keys from `key_of`, gated on capacity.
     fn ingest_keys(ring: &ShardedRing, start: u64, n: u64, key_of: impl Fn(u64) -> Key) -> u64 {
-        let guard = ring.try_ingest().expect("token free");
+        let mut guard = ring.try_ingest().expect("token free");
         let mut pushed = 0;
         for i in start..start + n {
             let key = key_of(i);
@@ -743,7 +766,7 @@ mod tests {
     #[test]
     fn ingest_guard_is_exclusive_and_routed_capacity_gates() {
         let ring = ShardedRing::new(&config(2), 2, 4, None);
-        let guard = ring.try_ingest().expect("token free");
+        let mut guard = ring.try_ingest().expect("token free");
         assert!(ring.try_ingest().is_none(), "second global token denied");
         // Fill shard 0 (arrivals 0, 2, 4, 6 under round-robin: push only when
         // routed there).
@@ -818,7 +841,7 @@ mod tests {
             scope.spawn(move || {
                 let mut next = 0u64;
                 while next < total {
-                    if let Some(guard) = ring.try_ingest() {
+                    if let Some(mut guard) = ring.try_ingest() {
                         while next < total {
                             let key = (next % 97) as Key;
                             let shard = guard.route(key);

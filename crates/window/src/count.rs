@@ -164,9 +164,16 @@ impl SlidingWindow {
     }
 
     /// Marks the tuple `seq` as inserted into the window's index.
+    ///
+    /// A plain `Release` store of the whole flag byte, not a read-modify-
+    /// write: between its append and the recycling of its slot, the byte of
+    /// `seq` has one writer after [`append`](Self::append) — the task that
+    /// indexes the tuple, or the merge replay standing in for it — so there
+    /// is no concurrent bit to preserve. The caller must have appended `seq`
+    /// and not let its slot be recycled.
     #[inline]
     pub fn mark_indexed(&self, seq: Seq) {
-        self.flags[self.pos(seq)].fetch_or(FLAG_INDEXED, Ordering::Release);
+        self.flags[self.pos(seq)].store(FLAG_OCCUPIED | FLAG_INDEXED, Ordering::Release);
     }
 
     /// Whether tuple `seq` has been marked as indexed.
@@ -286,7 +293,11 @@ impl SlidingWindow {
         }
         order.clear();
         order.extend(ranges.iter().enumerate().map(|(j, r)| (r.lo, j)));
-        order.sort_unstable();
+        // Ranges that arrive ordered by `lo` (the engine sorts each batch by
+        // key) need no sort; a linear check is all they pay.
+        if !order.is_sorted() {
+            order.sort_unstable();
+        }
         // Widths and key distances are taken as wrapped differences read as
         // `u64`: exact for `lo <= hi` and `lo <= key` over the whole `Key`
         // domain, where `hi - lo` itself overflows for `[Key::MIN, Key::MAX]`.
