@@ -2,15 +2,17 @@
 //! time goes (task acquisition, result generation, index update, propagation,
 //! idle back-off, merging) as the number of threads grows, plus the lock-free
 //! task ring's contention counters (claim-CAS retries, ingest-token and
-//! drain-token collisions, idle back-off stage mix).
+//! drain-token collisions, idle back-off stage mix). `--threads=N` runs one
+//! row at exactly N workers; without it the rows sweep the powers of two up
+//! to the host's available parallelism. Nothing but the engine's workers
+//! runs while a row is measured.
 //!
 //! This binary is not tied to a specific paper figure; it backs the
 //! engine-scaling notes in `docs/ARCHITECTURE.md` and is the tool used to verify
 //! that task distribution and edge-tuple bookkeeping stay off the per-tuple
 //! critical path. Sweep the ring itself with `--ring-cap= --ingest-target=
-//! --spin= --yield= --park-us=` (the batched CSS group probe's counters and
-//! its SIMD/scalar intra-node search split are columns of every row), and
-//! the sharded ring layer with
+//! --spin= --yield= --park-us=` (the batched CSS group probe's counters are
+//! columns of every row), and the sharded ring layer with
 //! `--shards= --steal-batch= --steal-threshold=` (shards > 1 routes
 //! ingestion by key range and reports steal/remote-traffic counters).
 //! `--partition-index=on` additionally partitions the index and window state
@@ -21,14 +23,7 @@
 //! open-loop and reports the arrival-latency tail (p99).
 //!
 //! The phase columns come from the engine's own phase spans
-//! (`JoinRunStats::phase`). After each CSV row the binary renders a
-//! per-shard gauge table from the final sample of the run's JSONL gauge
-//! trace — ring occupancy per shard, unindexed suffix and window sizes,
-//! drift imbalance — as `#`-prefixed comment lines so CSV consumers are
-//! unaffected. `--telemetry-out=PATH` keeps the traces (one per swept thread
-//! count, at `PATH.<threads>t`, sampled every `--telemetry-interval=` ms);
-//! without it the trace goes to a scratch file that is removed after
-//! rendering.
+//! (`JoinRunStats::phase`).
 //!
 //! `--sample=PATH` (Linux x86-64) turns on a `SIGPROF` instruction-pointer
 //! sampler for hosts without `perf`: one sample per 4 ms tick of CPU time,
@@ -40,14 +35,16 @@
 //! After the sweep one more `#` line reports the paper's baseline on the
 //! same input and warm-up: the single-threaded IBWJ operator over the
 //! PIM-Tree at merge ratio 0.125, as the repository benchmark's
-//! `single_thread_mtps` runs it, and the one-worker row's rate divided by
-//! it — what batching alone buys — then the operator's merge share (its
-//! merge time over its elapsed time) and merge time per tuple. Under
-//! `--sample` its profile goes to `PATH.st`.
+//! `single_thread_mtps` runs it. It is the median of five passes, each a
+//! fresh operator with the same warm-up, with the slowest and fastest pass
+//! beside it; then, when a one-worker row ran, that row's rate divided by
+//! the median — what batching alone buys — and the median pass's merge
+//! share (its merge time over its elapsed time) and merge time per tuple.
+//! Under `--sample` the first pass's profile goes to `PATH.st`.
 
 use pimtree_bench::harness::*;
 use pimtree_common::{IndexKind, JoinConfig, PimConfig};
-use pimtree_join::{build_single_threaded, ParallelIbwj, SharedIndexKind};
+use pimtree_join::{build_single_threaded, JoinRunStats, ParallelIbwj, SharedIndexKind};
 use pimtree_numa::RangePartitioner;
 use pimtree_workload::KeyDistribution;
 
@@ -97,7 +94,6 @@ fn main() {
             "mean_probe_batch",
             "probe_dedup_rate",
             "nodes_prefetched",
-            "simd_search_rate",
             "shards",
             "steal_tasks",
             "stolen_tuples",
@@ -115,33 +111,20 @@ fn main() {
             "arrival_p99_us",
         ],
     );
-    let mut sweep = vec![1, 2, 4, 8];
-    if opts.threads > 0 && !sweep.contains(&opts.threads) {
-        sweep.push(opts.threads);
-    }
     // One partitioner for the whole sweep.
     let partitioner = (opts.shards > 1)
         .then(|| RangePartitioner::from_key_sample(opts.shards, &key_sample(&tuples, 4096)));
-    let trace_base = &opts.telemetry_out;
     let sample_base = &opts.sample;
-    let mut one_worker_mtps = 0.0;
-    for threads in sweep {
+    let mut one_worker_mtps = None;
+    for threads in opts.thread_sweep() {
         let config = opts
             .engine_config(w, threads)
             .with_shard(opts.shard())
             .with_drift(opts.drift());
-        let trace_path = match &trace_base {
-            Some(base) => format!("{base}.{threads}t"),
-            None => std::env::temp_dir()
-                .join(format!("engine_profile_trace_{threads}t.jsonl"))
-                .to_string_lossy()
-                .into_owned(),
-        };
         let sampling = sample_base
             .as_ref()
             .map(|base| (format!("{base}.{threads}t"), sampler::start()));
-        let mut op = ParallelIbwj::new(config, predicate, SharedIndexKind::PimTree, false)
-            .with_telemetry_out(&trace_path, opts.telemetry_interval());
+        let mut op = ParallelIbwj::new(config, predicate, SharedIndexKind::PimTree, false);
         if let Some(p) = &partitioner {
             op = op.with_partitioner(p.clone());
         }
@@ -164,7 +147,7 @@ fn main() {
             );
         }
         if threads == 1 {
-            one_worker_mtps = stats.million_tuples_per_second();
+            one_worker_mtps = Some(stats.million_tuples_per_second());
         }
         let total = stats.phase.total().as_secs_f64().max(1e-12);
         let pct = |d: std::time::Duration| format!("{:.1}", 100.0 * d.as_secs_f64() / total);
@@ -191,7 +174,6 @@ fn main() {
             format!("{:.2}", stats.probe.mean_batch_size()),
             format!("{:.3}", stats.probe.dedup_rate()),
             stats.probe.nodes_prefetched.to_string(),
-            format!("{:.3}", stats.probe.simd_search_rate()),
             stats.shard.shards.to_string(),
             stats.shard.steal_tasks.to_string(),
             stats.shard.stolen_tuples.to_string(),
@@ -214,37 +196,52 @@ fn main() {
                     .map_or(0.0, |h| h.p99_micros())
             ),
         ]);
-        render_gauge_table(&trace_path);
-        if trace_base.is_none() {
-            let _ = std::fs::remove_file(&trace_path);
-        }
     }
 
     let config = JoinConfig::symmetric(w, IndexKind::PimTree)
         .with_pim(PimConfig::for_window(w).with_merge_ratio(0.125));
     let warmup = (2 * w).min(tuples.len() / 2);
-    let mut single = build_single_threaded(&config, predicate, false);
-    let sampling = sample_base
-        .as_ref()
-        .map(|base| (format!("{base}.st"), sampler::start()));
-    single.run(&tuples[..warmup], false);
-    let (stats, _) = single.run(&tuples[warmup..], false);
-    let phase_end = sampler::now();
-    if let Some((path, started)) = sampling {
-        report_samples(
-            sampler::stop_and_write(started, phase_end, stats.elapsed, &path),
-            &path,
-        );
-    }
-    let single_mtps = stats.million_tuples_per_second();
+    let mut passes: Vec<JoinRunStats> = (0..BASELINE_PASSES)
+        .map(|pass| {
+            let mut single = build_single_threaded(&config, predicate, false);
+            let sampling = sample_base
+                .as_ref()
+                .filter(|_| pass == 0)
+                .map(|base| (format!("{base}.st"), sampler::start()));
+            single.run(&tuples[..warmup], false);
+            let (stats, _) = single.run(&tuples[warmup..], false);
+            let phase_end = sampler::now();
+            if let Some((path, started)) = sampling {
+                report_samples(
+                    sampler::stop_and_write(started, phase_end, stats.elapsed, &path),
+                    &path,
+                );
+            }
+            stats
+        })
+        .collect();
+    passes.sort_by(|a, b| {
+        a.million_tuples_per_second()
+            .total_cmp(&b.million_tuples_per_second())
+    });
+    let median = &passes[BASELINE_PASSES / 2];
+    let single_mtps = median.million_tuples_per_second();
+    let ratio = one_worker_mtps.map_or(String::new(), |one| {
+        format!("; 1 worker / single-threaded = {:.3}", one / single_mtps)
+    });
     println!(
-        "# single-threaded IBWJ (PIM-Tree, merge ratio 0.125): {single_mtps:.4} Mtuples/s; \
-         1 worker / single-threaded = {:.3}; merge share {:.3}, {:.1} merge ns/tuple",
-        one_worker_mtps / single_mtps,
-        stats.merge_time.as_secs_f64() / stats.elapsed.as_secs_f64(),
-        stats.merge_time.as_nanos() as f64 / stats.tuples as f64
+        "# single-threaded IBWJ (PIM-Tree, merge ratio 0.125), median of {BASELINE_PASSES} passes: \
+         {single_mtps:.4} Mtuples/s (min {:.4}, max {:.4}){ratio}; merge share {:.3}, \
+         {:.1} merge ns/tuple",
+        passes[0].million_tuples_per_second(),
+        passes[BASELINE_PASSES - 1].million_tuples_per_second(),
+        median.merge_time.as_secs_f64() / median.elapsed.as_secs_f64(),
+        median.merge_time.as_nanos() as f64 / median.tuples as f64
     );
 }
+
+/// Passes of the single-threaded baseline; the line reports their median.
+const BASELINE_PASSES: usize = 5;
 
 /// Reports what `sampler::stop_and_write` did with `path`.
 fn report_samples(written: std::io::Result<usize>, path: &str) {
@@ -489,61 +486,6 @@ fn outside_line(outside: &[(String, usize)]) -> String {
         .map(|(name, n)| format!("{n} {name}"))
         .collect();
     format!("# outside: {}", counts.join(", "))
-}
-
-/// Renders the per-shard gauge table from the final sample of the run's
-/// JSONL trace. The trace format is the flat one-line-per-sample JSON of
-/// `docs/telemetry-schema.json`, so scalar fields can be sliced out
-/// positionally without a JSON parser.
-fn render_gauge_table(trace_path: &str) {
-    let Ok(trace) = std::fs::read_to_string(trace_path) else {
-        return;
-    };
-    let Some(last) = trace.lines().rev().find(|l| !l.trim().is_empty()) else {
-        return;
-    };
-    let field = |key: &str| -> String {
-        let pat = format!("\"{key}\": ");
-        let Some(start) = last.find(&pat).map(|i| i + pat.len()) else {
-            return "?".to_string();
-        };
-        let rest = &last[start..];
-        match rest.find([',', '}']) {
-            Some(end) => rest[..end].trim().to_string(),
-            None => "?".to_string(),
-        }
-    };
-    let occupancy: Vec<String> = last
-        .find("\"shard_occupancy\": [")
-        .and_then(|i| {
-            let rest = &last[i + "\"shard_occupancy\": [".len()..];
-            let close = rest.find(']')?;
-            Some(
-                rest[..close]
-                    .split(',')
-                    .map(|s| s.trim().to_string())
-                    .filter(|s| !s.is_empty())
-                    .collect(),
-            )
-        })
-        .unwrap_or_default();
-    println!(
-        "# final gauges (sample {} at {}us): in_flight {}, unindexed r/s {}/{}, \
-         window r/s {}/{}, claims local/stolen {}/{}, drift imbalance {}",
-        field("seq"),
-        field("elapsed_us"),
-        field("in_flight"),
-        field("unindexed_r"),
-        field("unindexed_s"),
-        field("window_r"),
-        field("window_s"),
-        field("local_claims"),
-        field("stolen_claims"),
-        field("drift_imbalance"),
-    );
-    for (shard, occ) in occupancy.iter().enumerate() {
-        println!("#   shard {shard}: ring occupancy {occ}");
-    }
 }
 
 #[cfg(test)]

@@ -46,7 +46,7 @@ fn main() {
         let (tuples, predicate) = two_way_workload(n, w, 2.0, dist, 50.0, opts.seed);
         let sample: Vec<i64> = tuples.iter().step_by(7).map(|t| t.key).collect();
         for nodes in [2usize, 4, 8] {
-            let threads = opts.threads.max(nodes);
+            let threads = opts.workers().max(nodes);
             let config = opts
                 .engine_config(w, threads)
                 .with_shard(opts.shard().with_shards(nodes).with_partition_index(true));

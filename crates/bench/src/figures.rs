@@ -156,7 +156,7 @@ impl Point {
             dist: KeyDistribution::uniform(),
             s_percent: 50.0,
             self_join: false,
-            threads: opts.threads,
+            threads: opts.workers(),
             task_size: opts.task_size,
             ring: opts.ring(),
             chain_length: 2,
@@ -310,7 +310,7 @@ fn task_sizes(_: &RunOpts) -> Vec<Tick> {
 }
 
 fn thread_counts(opts: &RunOpts) -> Vec<Tick> {
-    ticks(1..=opts.threads, |t| t.to_string(), |p, t| p.threads = t)
+    ticks(1..=opts.workers(), |t| t.to_string(), |p, t| p.threads = t)
 }
 
 /// The single-threaded operator over `kind` at merge ratio 1/8, the
@@ -832,7 +832,7 @@ fn fig13b(opts: &RunOpts, emit: Emit<'_>) {
     let diff = calibrate_diff(KeyDistribution::gaussian_paper(), w, 2.0, opts.seed);
     let predicate = BandPredicate::new(diff);
     let config = JoinConfig::symmetric(w, IndexKind::PimTree)
-        .with_threads(opts.threads)
+        .with_threads(opts.workers())
         .with_task_size(opts.task_size)
         .with_pim(pim_config(w).with_insertion_depth(4))
         .with_ring(opts.ring());

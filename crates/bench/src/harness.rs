@@ -1,21 +1,19 @@
-//! Shared helpers for the `figs` binary and the engine smokes and profilers:
-//! the flag parser, workload generation with match-rate calibration, and one
+//! Shared helpers for the `figs` binary and the engine profilers: the flag
+//! parser, workload generation with match-rate calibration, and one
 //! runner per operator kind.
-
-use std::time::Duration;
 
 use pimtree_common::{
     BandPredicate, DriftConfig, IndexKind, JoinConfig, PimConfig, RingConfig, ShardConfig, Tuple,
 };
 use pimtree_join::{
-    build_single_threaded, HandshakeJoin, HandshakeMode, JoinRunStats, MigrationCounters,
-    ParallelIbwj, SharedIndexKind, StallCause,
+    build_single_threaded, HandshakeJoin, HandshakeMode, JoinRunStats, ParallelIbwj,
+    SharedIndexKind,
 };
 use pimtree_workload::{calibrate_diff, KeyDistribution, StreamGenerator, StreamMix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Command-line options shared by `figs`, the smokes and the profilers.
+/// Command-line options shared by `figs` and the profilers.
 #[derive(Debug, Clone)]
 pub struct RunOpts {
     /// Smallest window-size exponent in a sweep (`w = 2^min_exp`).
@@ -25,7 +23,9 @@ pub struct RunOpts {
     /// Measured tuples per data point; 0 means "choose automatically from the
     /// window size".
     pub tuples: usize,
-    /// Worker threads for the parallel operators.
+    /// Worker threads for the parallel operators; 0 means "choose
+    /// automatically" (see [`RunOpts::workers`] and
+    /// [`RunOpts::thread_sweep`]).
     pub threads: usize,
     /// Task size for the parallel operators.
     pub task_size: usize,
@@ -42,9 +42,7 @@ pub struct RunOpts {
     /// Idle back-off: park duration in microseconds (0 = never park).
     pub park_micros: u64,
     /// Ring shards (simulated NUMA nodes) for the parallel engine. `0` means
-    /// automatic (the single-ring engine; `perf_smoke` additionally sweeps
-    /// its default shard counts); an explicit value — including 1 — pins the
-    /// shard count everywhere.
+    /// automatic (the single-ring engine).
     pub shards: usize,
     /// Tuples claimed per cross-shard steal (0 = the task size).
     pub steal_batch: usize,
@@ -63,13 +61,9 @@ pub struct RunOpts {
     pub drift_trigger: f64,
     /// Maximum moved-weight fraction a plan may cost and still be adopted.
     pub drift_cost_gate: f64,
-    /// Open-loop arrival rate in tuples per second for the latency harness;
-    /// 0 runs closed-loop (ingest as fast as the engine admits).
+    /// Open-loop arrival rate in tuples per second; 0 runs closed-loop
+    /// (ingest as fast as the engine admits).
     pub arrival_rate: f64,
-    /// Gauge sampler period in milliseconds for `--telemetry-out` traces.
-    pub telemetry_interval_ms: u64,
-    /// `--telemetry-out=PATH`: where to stream the gauge trace.
-    pub telemetry_out: Option<String>,
     /// `--sample=PATH`: where `engine_profile` writes its address samples.
     pub sample: Option<String>,
     /// Positional arguments: the figure ids `figs` runs (empty = all).
@@ -79,7 +73,7 @@ pub struct RunOpts {
 }
 
 impl RunOpts {
-    /// Parses the command line of a smoke or profiler binary with its default
+    /// Parses the command line of a profiler binary with its default
     /// window exponents. A bad argument prints the error and exits with
     /// status 2.
     pub fn parse(default_min: u32, default_max: u32) -> Self {
@@ -120,10 +114,7 @@ impl RunOpts {
             min_exp: defaults.0,
             max_exp: defaults.1,
             tuples: 0,
-            threads: std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(8)
-                .min(16),
+            threads: 0,
             task_size: 8,
             seed: 42,
             ring_cap: ring.capacity,
@@ -140,8 +131,6 @@ impl RunOpts {
             drift_trigger: drift.imbalance_trigger,
             drift_cost_gate: drift.cost_gate,
             arrival_rate: 0.0,
-            telemetry_interval_ms: 50,
-            telemetry_out: None,
             sample: None,
             ids: Vec::new(),
             exp_flags: (None, None),
@@ -194,8 +183,6 @@ impl RunOpts {
                 "--drift-trigger" => opts.drift_trigger = real()?,
                 "--drift-cost-gate" => opts.drift_cost_gate = real()?,
                 "--arrival-rate" => opts.arrival_rate = real()?,
-                "--telemetry-interval" => opts.telemetry_interval_ms = num()?,
-                "--telemetry-out" => opts.telemetry_out = path()?,
                 "--sample" => opts.sample = path()?,
                 _ => return Err(format!("unknown flag '{key}'")),
             }
@@ -269,9 +256,26 @@ impl RunOpts {
             .with_cost_gate(self.drift_cost_gate)
     }
 
-    /// The gauge sampler period selected on the command line.
-    pub fn telemetry_interval(&self) -> Duration {
-        Duration::from_millis(self.telemetry_interval_ms)
+    /// The worker count: `--threads=`, or without it the host's available
+    /// parallelism (at most 16).
+    pub fn workers(&self) -> usize {
+        match self.threads {
+            0 => host_parallelism().min(16),
+            n => n,
+        }
+    }
+
+    /// The worker counts a profiler sweeps: exactly `--threads=` when it is
+    /// given, otherwise the powers of two up to the host's available
+    /// parallelism.
+    pub fn thread_sweep(&self) -> Vec<usize> {
+        match self.threads {
+            0 => (0..usize::BITS)
+                .map(|e| 1usize << e)
+                .take_while(|&t| t <= host_parallelism())
+                .collect(),
+            n => vec![n],
+        }
     }
 
     /// The parallel engine's configuration for windows of `w` tuples at
@@ -286,17 +290,9 @@ impl RunOpts {
     }
 }
 
-/// The per-cause migration stall as a JSON object of microseconds, one key
-/// per [`StallCause`] label (`{"gate_close": 1.25, ...}`).
-pub fn stall_causes_json(migration: &MigrationCounters) -> String {
-    let fields: Vec<String> = StallCause::ALL
-        .iter()
-        .map(|&c| {
-            let micros = migration.stall_cause_nanos(c) as f64 / 1_000.0;
-            format!("\"{}\": {micros:.2}", c.label())
-        })
-        .collect();
-    format!("{{{}}}", fields.join(", "))
+/// The host's available parallelism (1 when it cannot be read).
+fn host_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, |p| p.get())
 }
 
 /// The paper's default PIM/IM-Tree configuration for a window of `w` tuples:
@@ -341,20 +337,6 @@ pub fn self_join_workload(
         .map(|i| Tuple::r(i, dist.sample(&mut rng)))
         .collect();
     (tuples, BandPredicate::new(diff))
-}
-
-/// How far [`drift_second_half`] moves keys: twice the uniform key scale, so
-/// the moved keys are disjoint from the rest.
-pub const DRIFT_SHIFT: i64 = 2_000_000_000;
-
-/// `tuples` with the keys of the second half moved by [`DRIFT_SHIFT`]: a
-/// partitioner fitted to the first half goes maximally out of balance.
-pub fn drift_second_half(tuples: &[Tuple]) -> Vec<Tuple> {
-    let (head, tail) = tuples.split_at(tuples.len() / 2);
-    let moved = tail
-        .iter()
-        .map(|t| Tuple::new(t.side, t.seq, t.key + DRIFT_SHIFT));
-    head.iter().copied().chain(moved).collect()
 }
 
 /// About `keys` keys of `tuples`, strided: a range partitioner needs only
@@ -442,8 +424,8 @@ mod tests {
     use super::*;
     use pimtree_numa::RangePartitioner;
 
-    /// Parses a space-separated command line of a smoke (defaults 14..=17)
-    /// or, with `figures`, of `figs`.
+    /// Parses a space-separated command line of a profiler (defaults
+    /// 14..=17) or, with `figures`, of `figs`.
     fn parse(line: &str, figures: bool) -> Result<RunOpts, String> {
         let args: Vec<String> = line.split_whitespace().map(str::to_string).collect();
         RunOpts::parse_from(&args, (14, 17), figures)
@@ -476,34 +458,38 @@ mod tests {
         assert!((drift.imbalance_trigger - 2.0).abs() < 1e-9);
         assert!((drift.cost_gate - 0.5).abs() < 1e-9);
         drift.validate().unwrap();
-        let opts = parse(
-            "--telemetry-interval=10 --telemetry-out=t --sample=/tmp/p",
-            false,
-        );
-        let opts = opts.unwrap();
-        assert_eq!(opts.telemetry_interval(), Duration::from_millis(10));
-        assert_eq!(opts.telemetry_out.as_deref(), Some("t"));
+        let opts = parse("--sample=/tmp/p", false).unwrap();
         assert_eq!(opts.sample.as_deref(), Some("/tmp/p"));
     }
 
     #[test]
     fn every_documented_command_line_parses() {
-        // The smokes' and profilers' command lines in CI and the docs, and
-        // every other flag they read.
+        // The profilers' command lines in the docs, and every other flag
+        // they read.
         for line in [
-            "--tuples=65536",
             "--tuples=65536 --shards=4",
-            "--telemetry-out=telemetry_trace",
             "--ring-cap=64 --task-size=2",
             "--ring-cap=3",
             "--park-us=2000000",
             "--min-exp=12 --max-exp=12 --tuples=30000 --threads=4",
             "--threads=1 --sample=/tmp/prof",
+            "--min-exp=14 --max-exp=14 --tuples=1000000 --threads=1",
             "--partition-index=off --repartition=on --arrival-rate=500000 --ingest-target=16",
             "--yield=4 --seed=7 --drift-trigger=1.25",
         ] {
             parse(line, false).unwrap_or_else(|e| panic!("{line}: {e}"));
         }
+        // `--threads=N` runs exactly N workers; without it a profiler
+        // sweeps the powers of two up to the host's parallelism.
+        let pinned = parse("--threads=3", false).unwrap();
+        assert_eq!((pinned.workers(), pinned.thread_sweep()), (3, vec![3]));
+        let auto = parse("", false).unwrap();
+        let host = host_parallelism();
+        assert_eq!(auto.workers(), host.min(16));
+        let sweep = auto.thread_sweep();
+        assert_eq!(sweep[0], 1);
+        assert!(sweep.windows(2).all(|p| p[1] == 2 * p[0]));
+        assert!(*sweep.last().unwrap() <= host && 2 * sweep.last().unwrap() > host);
         // `figs` takes figure ids and the sweep, workload and ring flags.
         let line = "13c 9a --min-exp=10 --max-exp=11 --tuples=4096 --threads=2 --spin=2";
         let opts = parse(line, true).unwrap();
@@ -520,10 +506,10 @@ mod tests {
             ("--tuples", false, "--tuples"),
             ("--partition-index=maybe", false, "--partition-index"),
             ("--drift-trigger=x", false, "--drift-trigger"),
-            ("--telemetry-out=", false, "--telemetry-out"),
+            ("--sample=", false, "--sample"),
             ("--max-exp=64", false, "overflows"),
             ("--min-exp=12 --max-exp=11", false, "--min-exp"),
-            // The smokes take no positional argument; `figs` reads no
+            // The profilers take no positional argument; `figs` reads no
             // engine flag.
             ("9a", false, "9a"),
             ("--shards=2", true, "--shards"),

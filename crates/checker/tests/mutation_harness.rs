@@ -1,4 +1,4 @@
-//! Mutation harness: checker-only test doubles of the engine's four atomic
+//! Mutation harness: checker-only test doubles of the engine's three atomic
 //! protocols, each in a *correct* variant (must pass exhaustive exploration)
 //! and a *weakened* variant seeding the exact bug class the real code's
 //! orderings exist to prevent (must be caught, with a printed failing
@@ -17,10 +17,6 @@
 //!   merge cursor pairs it with an `Acquire` tail load. Weakening the tail
 //!   publish lets the cursor peek a stale stamp and drain out of global
 //!   arrival order.
-//! * **fill publish** — `shard.rs` `ShardIngestGuard` counts a fill's pushes
-//!   and adds them to the ring's available total once, when it drops.
-//!   Dropping that publish leaves the total below the shards' unclaimed
-//!   tuples for good.
 //! * **quiesce gate** — `gate.rs` `try_enter()` must *re-check* `closed`
 //!   (SeqCst) after raising `in_flight` (SeqCst), the Dekker handshake.
 //!   Dropping the re-check, or weakening the closed load to `Relaxed`, lets
@@ -32,9 +28,7 @@
 
 use std::sync::Arc;
 
-use pimtree_check::sync::atomic::{
-    AtomicBool, AtomicI64, AtomicU64, AtomicU8, AtomicUsize, Ordering,
-};
+use pimtree_check::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use pimtree_check::{thread, Builder, Failure};
 
 // ------------------------------------------------------------------ ring
@@ -134,74 +128,6 @@ fn shard_stamp_relaxed_mutant_is_caught() {
         .expect_err("weakened tail publish must be caught");
     assert!(failure.message.contains("stale stamp"));
     print_caught("shard tail publish Release→Relaxed", &failure);
-}
-
-// ------------------------------------------------------------ fill publish
-
-/// Double of the ring's per-fill available-total publish: a fill pushes
-/// (raises a shard's tail) and counts, and its guard adds the count to the
-/// shared total once, on drop — `shard.rs` `ShardIngestGuard::drop`. A
-/// worker claims one tuple and subtracts it. `flush` false drops the
-/// publish: the fill's pushes stay claimable but never counted.
-fn fill_publish_double(flush: bool) {
-    let tail = Arc::new(AtomicU64::new(0));
-    let next_claim = Arc::new(AtomicU64::new(0));
-    let total = Arc::new(AtomicI64::new(0));
-
-    let ingester = {
-        let (tail, total) = (Arc::clone(&tail), Arc::clone(&total));
-        thread::spawn(move || {
-            for fill in [2u64, 1] {
-                let mut pushed = 0;
-                for _ in 0..fill {
-                    tail.fetch_add(1, Ordering::Release);
-                    pushed += 1;
-                }
-                if flush {
-                    total.fetch_add(pushed, Ordering::Relaxed);
-                }
-            }
-        })
-    };
-
-    // One claim: ticket CAS under the tail, then the total's decrement.
-    loop {
-        let claim = next_claim.load(Ordering::Relaxed);
-        if claim < tail.load(Ordering::Acquire)
-            && next_claim
-                .compare_exchange(claim, claim + 1, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-        {
-            total.fetch_sub(1, Ordering::Relaxed);
-            break;
-        }
-        thread::yield_now();
-    }
-    ingester.join().unwrap();
-    let unclaimed = tail.load(Ordering::Relaxed) - next_claim.load(Ordering::Relaxed);
-    let total = total.load(Ordering::Relaxed);
-    assert_eq!(
-        total, unclaimed as i64,
-        "available total {total} after the last fill, {unclaimed} unclaimed: a fill went unpublished"
-    );
-}
-
-#[test]
-fn fill_publish_on_drop_passes_exhaustively() {
-    let report = Builder::default()
-        .check_report(|| fill_publish_double(true))
-        .expect("the per-fill publish must verify");
-    assert!(report.schedules > 1);
-    assert!(report.complete);
-}
-
-#[test]
-fn fill_publish_dropped_mutant_is_caught() {
-    let failure = Builder::default()
-        .check_report(|| fill_publish_double(false))
-        .expect_err("a dropped per-fill publish must be caught");
-    assert!(failure.message.contains("went unpublished"));
-    print_caught("per-fill available-total publish dropped", &failure);
 }
 
 // ------------------------------------------------------------------ gate

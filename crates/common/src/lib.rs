@@ -40,5 +40,4 @@ pub use metrics::{CostBreakdown, LatencyHistogram, ProbeCounters, Step, StepTime
 pub use prefetch::{
     prefetch_range, prefetch_read, prefetch_slice, prefetch_write, CACHE_LINE_BYTES,
 };
-pub use simd::SimdLevel;
 pub use types::{BandPredicate, JoinResult, Key, KeyRange, Seq, StreamSide, Tuple};

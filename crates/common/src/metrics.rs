@@ -164,11 +164,9 @@ pub struct ProbeCounters {
     /// difference to `ti_partition_locks` is the number of lock round-trips
     /// the per-partition grouping saved.
     pub ti_range_visits: u64,
-    /// Intra-node lower bounds answered by the runtime-detected SIMD kernel.
-    pub simd_node_searches: u64,
-    /// Intra-node lower bounds answered by the scalar fallback (counted only
-    /// by the group descent, like `simd_node_searches`).
-    pub scalar_node_searches: u64,
+    /// Intra-node lower bounds taken by the group descent, whichever form
+    /// of the node-search kernel the CPU selected.
+    pub node_searches: u64,
 }
 
 impl ProbeCounters {
@@ -184,19 +182,7 @@ impl ProbeCounters {
         self.scalar_probes += other.scalar_probes;
         self.ti_partition_locks += other.ti_partition_locks;
         self.ti_range_visits += other.ti_range_visits;
-        self.simd_node_searches += other.simd_node_searches;
-        self.scalar_node_searches += other.scalar_node_searches;
-    }
-
-    /// Fraction of instrumented intra-node searches answered by the SIMD
-    /// kernel.
-    pub fn simd_search_rate(&self) -> f64 {
-        let total = self.simd_node_searches + self.scalar_node_searches;
-        if total == 0 {
-            0.0
-        } else {
-            self.simd_node_searches as f64 / total as f64
-        }
+        self.node_searches += other.node_searches;
     }
 
     /// Mean keys per batched probe call.

@@ -15,69 +15,20 @@
 //!
 //! The AVX2 path is selected at runtime via `is_x86_feature_detected!` and
 //! cached process-wide; everything degrades to the scalar
-//! `slice::partition_point` on other architectures, on x86-64 parts without
-//! AVX2, and when the [`SIMD_ENV`] environment variable force-disables it
-//! (used by CI to keep the fallback covered on AVX2-capable runners). Both
-//! paths return bit-identical results — the unit tests call the two forms
-//! side by side on every block shape, and the property-based tests pin
-//! SIMD == scalar on arbitrary sorted blocks, including the
-//! `Key::MAX`-padded sentinel slots CSS inner nodes carry.
+//! `slice::partition_point` on other architectures and on x86-64 parts
+//! without AVX2. Both paths return bit-identical results — the unit tests
+//! call the two forms side by side on every block shape, and the
+//! property-based tests pin the dispatcher to `partition_point` on arbitrary
+//! sorted blocks, including the `Key::MAX`-padded sentinel slots CSS inner
+//! nodes carry.
 
-use std::sync::OnceLock;
-
-/// Environment variable consulted once (first use) to force the scalar
-/// fallback: set to `off`, `scalar`, `0` or `false` to disable the SIMD
-/// kernels regardless of what the CPU supports. Any other value — or the
-/// variable being unset — leaves runtime feature detection in charge.
-pub const SIMD_ENV: &str = "PIMTREE_SIMD";
-
-/// The instruction-set level the lower-bound kernels dispatch to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimdLevel {
-    /// Portable scalar fallback (`slice::partition_point`).
-    Scalar,
-    /// AVX2 64-bit compare-mask kernels (x86-64 only).
-    Avx2,
-}
-
-impl SimdLevel {
-    /// Stable label for logs and benchmark provenance.
-    pub fn label(self) -> &'static str {
-        match self {
-            SimdLevel::Scalar => "scalar",
-            SimdLevel::Avx2 => "avx2",
-        }
-    }
-}
-
-fn detect_level() -> SimdLevel {
-    if let Ok(v) = std::env::var(SIMD_ENV) {
-        let v = v.to_ascii_lowercase();
-        if v == "off" || v == "scalar" || v == "0" || v == "false" {
-            return SimdLevel::Scalar;
-        }
-    }
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return SimdLevel::Avx2;
-        }
-    }
-    SimdLevel::Scalar
-}
-
-/// The instruction-set level in effect for this process (detected once,
-/// then cached).
-pub fn active_level() -> SimdLevel {
-    static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
-    *LEVEL.get_or_init(detect_level)
-}
-
-/// Whether the SIMD kernels (rather than the scalar fallback) answer
-/// lower-bound calls in this process.
+/// Whether the CPU has AVX2, so the vector kernels answer lower-bound calls
+/// (detected once, then cached).
+#[cfg(target_arch = "x86_64")]
 #[inline]
-pub fn simd_active() -> bool {
-    active_level() == SimdLevel::Avx2
+fn avx2() -> bool {
+    static AVX2: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
 }
 
 /// Position of the first value `>= target` in a sorted `u64` slice —
@@ -91,9 +42,9 @@ pub fn simd_active() -> bool {
 pub fn lower_bound_u64(values: &[u64], target: u64) -> usize {
     #[cfg(target_arch = "x86_64")]
     {
-        if simd_active() {
-            // SAFETY: `simd_active()` is true only after runtime AVX2
-            // detection succeeded.
+        if avx2() {
+            // SAFETY: `avx2()` is true only after runtime AVX2 detection
+            // succeeded.
             return unsafe { lower_bound_u64_avx2(values, target) };
         }
     }
@@ -122,9 +73,9 @@ pub fn lower_bound_u64(values: &[u64], target: u64) -> usize {
 pub fn count_keys_below(pairs: &[[i64; 2]], key: i64) -> usize {
     #[cfg(target_arch = "x86_64")]
     {
-        if simd_active() {
-            // SAFETY: `simd_active()` is true only after runtime AVX2
-            // detection succeeded.
+        if avx2() {
+            // SAFETY: `avx2()` is true only after runtime AVX2 detection
+            // succeeded.
             return unsafe { count_keys_below_avx2(pairs, key) };
         }
     }
@@ -214,8 +165,8 @@ mod tests {
     use super::*;
 
     /// The lower bound by definition — a count, no search — against the
-    /// scalar form, the dispatcher and (where the CPU has it, whatever
-    /// [`SIMD_ENV`] says) the vector form, side by side.
+    /// scalar form, the dispatcher and (where the CPU has it) the vector
+    /// form, side by side.
     fn assert_u64_forms_agree(values: &[u64], t: u64) {
         let want = values.iter().filter(|&&v| v < t).count();
         assert_eq!(
@@ -317,14 +268,6 @@ mod tests {
                 assert_key_forms_agree(&keys, t);
             }
         }
-    }
-
-    #[test]
-    fn active_level_is_cached_and_consistent() {
-        let first = active_level();
-        assert_eq!(active_level(), first);
-        assert_eq!(simd_active(), first == SimdLevel::Avx2);
-        assert!(!first.label().is_empty());
     }
 
     #[test]

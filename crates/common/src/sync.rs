@@ -3,9 +3,9 @@
 //!
 //! Normally these are zero-cost aliases for `std::sync::atomic` and
 //! `parking_lot`. Under `RUSTFLAGS="--cfg pimtree_model"` they resolve to
-//! the instrumented types of [`pimtree_check`], so the *same* ring, shard
-//! cursor, quiesce gate and window code runs under the deterministic model
-//! checker without modification. Code that participates in a lock-free
+//! the instrumented types of `pimtree_check` (a dependency of that build
+//! only), so the *same* ring, shard cursor, quiesce gate and window code
+//! runs under the deterministic model checker without modification. Code that participates in a lock-free
 //! protocol must go through this module — `docs/ARCHITECTURE.md` documents
 //! the audit, and `CONTRIBUTING.md` requires a model test for any new
 //! atomic protocol added behind it.

@@ -21,17 +21,6 @@ fn node_lower_bound(block: &[Entry], target: Entry) -> usize {
     i
 }
 
-/// Attributes `searches` intra-node lower bounds to the kernel that answered
-/// them (the dispatch level is fixed process-wide).
-#[inline]
-fn count_node_searches(counters: &mut ProbeCounters, searches: u64) {
-    if simd::simd_active() {
-        counters.simd_node_searches += searches;
-    } else {
-        counters.scalar_node_searches += searches;
-    }
-}
-
 /// How many targets ahead of the cursor the group descent prefetches the
 /// node block each level will visit (and how many children of a level seed
 /// the next level's lookahead). Lookaheads of 0 and 8 measured no better end
@@ -307,7 +296,7 @@ impl CssTree {
                 positions.resize(n, 0);
             } else {
                 positions.extend(targets.iter().map(|&t| node_lower_bound(&self.leaves, t)));
-                count_node_searches(counters, n as u64);
+                counters.node_searches += n as u64;
             }
             groups.resize(n, 0);
             return;
@@ -362,7 +351,7 @@ impl CssTree {
             searches += 1;
         }
         counters.nodes_prefetched += prefetched;
-        count_node_searches(counters, searches);
+        counters.node_searches += searches;
     }
 
     /// The sorted run that starts at leaf position `pos` and ends before the
@@ -733,11 +722,7 @@ mod tests {
                 (n * levels as u64, n * (levels as u64 + 1))
             };
             assert_eq!(counters.nodes_prefetched, prefetches, "batch length {len}");
-            assert_eq!(
-                counters.simd_node_searches + counters.scalar_node_searches,
-                searches,
-                "batch length {len}"
-            );
+            assert_eq!(counters.node_searches, searches, "batch length {len}");
         }
     }
 
@@ -948,10 +933,7 @@ mod tests {
         for calls in 1..=2u64 {
             t.lower_bound_batch(&targets, &mut pos, &mut groups, &mut c);
             assert_eq!(c.nodes_prefetched, calls * n * levels);
-            assert_eq!(
-                c.simd_node_searches + c.scalar_node_searches,
-                calls * n * (levels + 1)
-            );
+            assert_eq!(c.node_searches, calls * n * (levels + 1));
         }
         assert_eq!(c.batches, 0, "batch bookkeeping is the PIM-Tree's");
     }

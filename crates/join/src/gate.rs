@@ -98,9 +98,4 @@ impl QuiesceGate {
     pub fn open(&self) {
         self.closed.store(false, Ordering::SeqCst);
     }
-
-    /// Snapshot of the in-flight count (telemetry only; racy by nature).
-    pub fn in_flight(&self) -> usize {
-        self.in_flight.load(Ordering::Relaxed)
-    }
 }

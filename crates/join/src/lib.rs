@@ -29,8 +29,7 @@
 //! * [`reference`](mod@reference) — a brute-force oracle used by the test suite to validate
 //!   every operator's output;
 //! * [`stats`] — run statistics shared by all operators, including the
-//!   migration stall's per-cause split; the engine's live gauge trace
-//!   (JSON Lines, `docs/telemetry-schema.json`) is written by `gauge`.
+//!   migration stall's per-cause split.
 //!
 //! The operators consume a pre-generated tuple sequence of both streams in
 //! arrival order (see `pimtree-workload`) and produce band-join results in
@@ -46,7 +45,6 @@
 
 pub mod adapter;
 pub mod gate;
-mod gauge;
 pub mod handshake;
 pub mod ibwj;
 pub mod nlwj;

@@ -103,7 +103,6 @@ use pimtree_numa::{DriftMonitor, RangePartitioner};
 use pimtree_window::WindowBounds;
 
 use crate::gate::QuiesceGate;
-use crate::gauge::{GaugeSample, JsonlSink};
 use crate::ring::{Backoff, ClaimedTask, IdleKind};
 use crate::shard::ShardedRing;
 use crate::stats::{lap, JoinRunStats, MigrationCounters, StallCause, StallLap};
@@ -323,8 +322,6 @@ pub struct ParallelIbwj {
     partitioner: Option<RangePartitioner>,
     forced_repartition: Option<(usize, RangePartitioner)>,
     open_loop_rate: Option<f64>,
-    /// Gauge trace path and sample interval (see [`Self::with_telemetry_out`]).
-    telemetry_out: Option<(String, Duration)>,
     /// Fault hook: the worker that claims this ring slot panics.
     #[cfg(test)]
     fault_at: Option<u64>,
@@ -354,24 +351,11 @@ impl ParallelIbwj {
             partitioner: None,
             forced_repartition: None,
             open_loop_rate: None,
-            telemetry_out: None,
             #[cfg(test)]
             fault_at: None,
             #[cfg(test)]
             merge_storm: false,
         }
-    }
-
-    /// Streams periodic gauge samples (ring occupancy per shard, in-flight
-    /// count, window sizes, steal counters, drift imbalance) as JSON Lines
-    /// to `path` during the measured phase, one every `interval`.
-    pub fn with_telemetry_out(mut self, path: impl Into<String>, interval: Duration) -> Self {
-        assert!(
-            !interval.is_zero(),
-            "telemetry sample interval must be positive"
-        );
-        self.telemetry_out = Some((path.into(), interval));
-        self
     }
 
     /// Paces ingestion as an open-loop arrival process at `rate` tuples per
@@ -628,11 +612,7 @@ impl ParallelIbwj {
         // discard the counters it accumulated (results are kept).
         let mut warmup_results = Vec::new();
         if warmup > 0 {
-            let outcome =
-                std::thread::scope(|scope| join_workers(spawn_workers(scope, &shared, threads)));
-            if let Err(panic) = outcome {
-                std::panic::resume_unwind(panic);
-            }
+            run_workers(&shared, threads);
             shared.worker_stats.lock().clear();
             *shared.merge_stats.lock() = (0, Duration::ZERO);
             // Migration totals follow the same convention as the merge
@@ -671,40 +651,8 @@ impl ParallelIbwj {
             nanos_per_tuple: (1.0e9 / rate).round().max(0.0) as u64,
             measured_from: warmup,
         });
-        // Live gauge export: a sampler thread runs alongside the measured
-        // phase, appending one JSONL record per interval; the stop flag is
-        // raised once every worker has exited so the sampler never outlives
-        // the engine state it reads.
-        let sampler_stop = AtomicBool::new(false);
-        let sampler_sink = self.telemetry_out.as_ref().and_then(|(path, interval)| {
-            JsonlSink::create(path)
-                .map_err(|e| eprintln!("telemetry: cannot create {path}: {e}"))
-                .ok()
-                .map(|sink| (sink, *interval))
-        });
-        let elapsed = std::thread::scope(|scope| {
-            let shared = &shared;
-            let workers = spawn_workers(scope, shared, threads);
-            let sampler = sampler_sink.map(|(sink, interval)| {
-                let stop = &sampler_stop;
-                scope.spawn(move || run_sampler(shared, sink, interval, start, stop))
-            });
-            // The run ends with its last worker, not with the sampler's
-            // current wait. The sampler must be told to stop — and woken —
-            // before a worker's panic is re-raised, or the scope would wait
-            // for it.
-            let outcome = join_workers(workers);
-            let elapsed = start.elapsed();
-            sampler_stop.store(true, Ordering::Release);
-            if let Some(handle) = sampler {
-                handle.thread().unpark();
-                handle.join().expect("telemetry sampler panicked");
-            }
-            if let Err(panic) = outcome {
-                std::panic::resume_unwind(panic);
-            }
-            elapsed
-        });
+        run_workers(&shared, threads);
+        let elapsed = start.elapsed();
         // A forced plan armed in the input's tail is adopted before the
         // store is inspected, so post-run state always respects it.
         adopt_armed_forced_plan(&shared);
@@ -814,30 +762,27 @@ impl WorkerScratch {
     }
 }
 
-type WorkerHandle<'scope> = std::thread::ScopedJoinHandle<'scope, ()>;
-
-fn spawn_workers<'scope>(
-    scope: &'scope std::thread::Scope<'scope, '_>,
-    shared: &'scope Shared<'_>,
-    threads: usize,
-) -> Vec<WorkerHandle<'scope>> {
-    (0..threads)
-        .map(|worker| scope.spawn(move || worker_loop(shared, worker)))
-        .collect()
-}
-
-/// Waits for every worker; `Err` carries the first panic among them, for
-/// the caller to re-raise once nothing else needs stopping. The poison flag
-/// is what lets the surviving workers, and so this wait, come to an end.
-fn join_workers(workers: Vec<WorkerHandle<'_>>) -> std::thread::Result<()> {
-    let mut outcome = Ok(());
-    for handle in workers {
-        let joined = handle.join();
-        if outcome.is_ok() {
-            outcome = joined;
+/// Runs `threads` workers over `shared` until the input is drained, then
+/// re-raises the first worker panic, once every worker has exited. The
+/// poison flag is what lets the surviving workers, and so this wait, come
+/// to an end.
+fn run_workers(shared: &Shared<'_>, threads: usize) {
+    let outcome = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|worker| scope.spawn(move || worker_loop(shared, worker)))
+            .collect();
+        let mut outcome = Ok(());
+        for handle in workers {
+            let joined = handle.join();
+            if outcome.is_ok() {
+                outcome = joined;
+            }
         }
+        outcome
+    });
+    if let Err(panic) = outcome {
+        std::panic::resume_unwind(panic);
     }
-    outcome
 }
 
 /// Raises the poison flag when the worker it lives in unwinds.
@@ -906,76 +851,6 @@ fn worker_loop(shared: &Shared<'_>, worker: usize) {
 
 fn is_finished(shared: &Shared<'_>) -> bool {
     shared.next_ingest.load(Ordering::Acquire) == shared.ingest_limit && shared.ring.is_empty()
-}
-
-// --------------------------------------------------------------- telemetry
-
-/// The live gauge sampler: snapshots the engine's observable state every
-/// `interval` and appends one JSON line per snapshot (the schema is pinned
-/// by `docs/telemetry-schema.json`). Reads are relaxed loads and try-locks
-/// only — the sampler never blocks a worker; a contended drift lock simply
-/// reports the idle value for that round. One final sample is
-/// taken after the stop flag rises, so the drained end state is always in
-/// the trace. Between samples the sampler parks rather than sleeps, so the
-/// engine's unpark after raising the flag ends the wait at once.
-fn run_sampler(
-    shared: &Shared<'_>,
-    mut sink: JsonlSink,
-    interval: Duration,
-    start: Instant,
-    stop: &AtomicBool,
-) {
-    // The first sample never reads the flag: a run that ends before the
-    // sampler starts still leaves the first sample and the final one, since
-    // the engine's earlier unpark makes the first wait return at once.
-    let (mut seq, mut stopping) = (0u64, false);
-    loop {
-        let sample = gauge_sample(shared, seq, start);
-        if let Err(e) = sink.append(&sample) {
-            eprintln!("telemetry: sample write failed: {e}");
-            return;
-        }
-        seq += 1;
-        if stopping {
-            break;
-        }
-        // A spurious early return costs one extra sample, nothing more.
-        std::thread::park_timeout(interval);
-        stopping = stop.load(Ordering::Acquire);
-    }
-    if let Err(e) = sink.finish() {
-        eprintln!("telemetry: sink flush failed: {e}");
-    }
-}
-
-/// Snapshots the engine gauges for one sampler round. Counters read here are
-/// individually monotone but not mutually consistent — the sample is a
-/// statistical observation, not a transaction.
-fn gauge_sample(shared: &Shared<'_>, seq: u64, start: Instant) -> GaugeSample {
-    let window = |side: usize| {
-        let b = shared.store.bounds(side);
-        b.latest_exclusive.saturating_sub(b.earliest)
-    };
-    let drift_imbalance = shared
-        .drift
-        .as_ref()
-        .and_then(|d| d.try_lock().map(|st| st.monitor.imbalance(&st.partitioner)))
-        .unwrap_or(0.0);
-    GaugeSample {
-        seq,
-        elapsed_us: start.elapsed().as_micros() as u64,
-        in_flight: shared.gate.in_flight() as u64,
-        shard_occupancy: (0..shared.ring.shards())
-            .map(|s| shared.ring.shard_available(s) as u64)
-            .collect(),
-        unindexed_r: shared.store.unindexed_len(0),
-        unindexed_s: shared.store.unindexed_len(1),
-        window_r: window(0),
-        window_s: window(1),
-        local_claims: shared.ring.traffic().local(),
-        stolen_claims: shared.ring.traffic().remote(),
-        drift_imbalance,
-    }
 }
 
 /// Tries to acquire a task from the ring, topping the ring up through the
@@ -2113,8 +1988,9 @@ mod tests {
 
     /// Ingest publishes its counters once per fill; after a run they must
     /// still balance exactly: every shard and side has claimed what it
-    /// ingested, and the ring's available total is back to zero — at any
-    /// worker and shard count, with and without a warm-up phase.
+    /// ingested, and the ring's available count, the sum over its shards,
+    /// is back to zero — at any worker and shard count, with and without a
+    /// warm-up phase.
     #[test]
     fn per_fill_counters_settle_after_every_run() {
         let tuples = random_tuples(3000, 300, 130);
@@ -2150,7 +2026,11 @@ mod tests {
                                 .map(|m| m.ingested.load(Ordering::Relaxed))
                                 .sum();
                             assert_eq!(ingested, tuples.len() as u64, "{label}");
-                            assert_eq!(shared.ring.available_total(), 0, "{label}");
+                            let per_shard: usize = (0..shared.ring.shards())
+                                .map(|s| shared.ring.shard_available(s))
+                                .sum();
+                            assert_eq!(shared.ring.available(), per_shard, "{label}");
+                            assert_eq!(per_shard, 0, "{label}");
                             checked = true;
                         }),
                     );
@@ -3610,101 +3490,6 @@ mod tests {
             stats.breakdown.count(pimtree_common::Step::Search)
                 + stats.breakdown.count(pimtree_common::Step::Scan),
             0
-        );
-    }
-
-    /// `with_telemetry_out` streams gauge samples as JSONL during the
-    /// measured phase: every line is one flat JSON object with the schema's
-    /// required keys and a strictly increasing `seq`.
-    #[test]
-    fn telemetry_out_writes_jsonl_trace() {
-        let tuples = random_tuples(4000, 300, 133);
-        let predicate = BandPredicate::new(2);
-        let expected = canonical(&reference_join(&tuples, predicate, 64, 64, false));
-        let dir = std::env::temp_dir();
-        let path = dir
-            .join(format!(
-                "pimtree_telemetry_test_{}.jsonl",
-                std::process::id()
-            ))
-            .to_string_lossy()
-            .into_owned();
-        let cfg = config(64, 2, 4, 1.0, MergePolicy::NonBlocking);
-        let op = ParallelIbwj::new(cfg, predicate, SharedIndexKind::PimTree, false)
-            .with_telemetry_out(&path, Duration::from_millis(1))
-            .with_collected_results(true);
-        let (_, results) = op.run(&tuples);
-        assert_eq!(canonical(&results), expected);
-        let trace = std::fs::read_to_string(&path).expect("trace written");
-        let mut last_seq = None;
-        let mut lines = 0usize;
-        for line in trace.lines().filter(|l| !l.trim().is_empty()) {
-            lines += 1;
-            assert!(
-                line.starts_with('{') && line.ends_with('}'),
-                "flat JSON: {line}"
-            );
-            for key in [
-                "\"seq\":",
-                "\"elapsed_us\":",
-                "\"in_flight\":",
-                "\"shard_occupancy\":",
-                "\"unindexed_r\":",
-                "\"unindexed_s\":",
-                "\"window_r\":",
-                "\"window_s\":",
-                "\"local_claims\":",
-                "\"stolen_claims\":",
-                "\"drift_imbalance\":",
-            ] {
-                assert!(line.contains(key), "missing {key} in {line}");
-            }
-            let seq: u64 = line["{\"seq\": ".len()..]
-                .split(',')
-                .next()
-                .unwrap()
-                .trim()
-                .parse()
-                .expect("numeric seq");
-            if let Some(prev) = last_seq {
-                assert!(seq > prev, "seq must increase");
-            }
-            last_seq = Some(seq);
-        }
-        assert!(lines >= 1, "the sampler takes at least the final sample");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    /// A run that writes a trace ends when its workers do: neither the
-    /// reported `elapsed` nor the call waits out the gauge sampler's
-    /// interval, here five seconds against a run of a few milliseconds.
-    #[test]
-    fn telemetry_trace_does_not_stretch_the_run_to_the_sample_interval() {
-        let tuples = random_tuples(4000, 300, 134);
-        let path = std::env::temp_dir()
-            .join(format!("pimtree_sampler_wake_{}.jsonl", std::process::id()))
-            .to_string_lossy()
-            .into_owned();
-        let cfg = config(64, 2, 4, 1.0, MergePolicy::NonBlocking);
-        let op = ParallelIbwj::new(cfg, BandPredicate::new(2), SharedIndexKind::PimTree, false)
-            .with_telemetry_out(&path, Duration::from_secs(5));
-        let called = Instant::now();
-        let (stats, _) = op.run_with_warmup(&tuples, 256);
-        let returned = called.elapsed();
-        let trace = std::fs::read_to_string(&path).expect("trace written");
-        let _ = std::fs::remove_file(&path);
-        assert!(
-            stats.elapsed < Duration::from_secs(1),
-            "elapsed {:?} includes the sampler's wait",
-            stats.elapsed
-        );
-        assert!(
-            returned < Duration::from_secs(1),
-            "the call took {returned:?}"
-        );
-        assert!(
-            trace.lines().count() >= 2,
-            "the first sample and the final one"
         );
     }
 }

@@ -58,7 +58,7 @@
 use std::sync::Arc;
 
 use crossbeam::utils::CachePadded;
-use pimtree_common::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use pimtree_common::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use pimtree_common::sync::RwLock;
 use pimtree_common::{JoinResult, Key, ShardConfig, Tuple};
 use pimtree_numa::{NumaTopology, RangePartitioner, TrafficAccount};
@@ -105,15 +105,6 @@ pub struct ShardedRing {
     steal_threshold: usize,
     /// Next global arrival stamp; written only under the global ingest token.
     next_arrival: CachePadded<AtomicU64>,
-    /// Running total of ingested-but-unclaimed tuples across all shards
-    /// (incremented once per ingest fill, when its guard drops, and
-    /// decremented per claim). Kept so the engine's per-claim-round "is the
-    /// ring running low?" check is one relaxed load instead of an O(shards)
-    /// sweep over every shard's tail/ticket cache lines — the cross-shard
-    /// traffic sharding exists to avoid. Signed because a claim of a tuple
-    /// whose fill has not dropped its guard yet decrements before the fill
-    /// adds. Exact whenever no guard is alive and no claim is in progress.
-    available_total: CachePadded<AtomicI64>,
     /// Serialises ingestion across all shards (routing decisions and arrival
     /// stamps must be assigned in input order).
     ingest_token: CachePadded<AtomicBool>,
@@ -169,7 +160,6 @@ impl ShardedRing {
             },
             steal_threshold: config.steal_threshold.max(1),
             next_arrival: CachePadded::new(AtomicU64::new(0)),
-            available_total: CachePadded::new(AtomicI64::new(0)),
             ingest_token: CachePadded::new(AtomicBool::new(false)),
             drain_token: CachePadded::new(AtomicBool::new(false)),
             topology,
@@ -188,15 +178,12 @@ impl ShardedRing {
         self.rings.iter().map(|r| r.capacity()).sum()
     }
 
-    /// Ingested-but-unclaimed tuples across all shards. One relaxed load of
-    /// a maintained counter, not a per-shard sweep — under concurrent claims
-    /// the value can transiently lag by in-flight claims, which is fine for
-    /// its only use as the engine's "is the ring running low?" gate.
+    /// Ingested-but-unclaimed tuples across all shards: the sum of every
+    /// shard's [`TaskRing::available`]. Under concurrent claims the sum can
+    /// lag by in-flight claims, which is fine for its use as the engine's
+    /// "is the ring running low?" gate.
     pub fn available(&self) -> usize {
-        if self.rings.len() == 1 {
-            return self.rings[0].available();
-        }
-        self.available_total.load(Ordering::Relaxed).max(0) as usize
+        self.rings.iter().map(|r| r.available()).sum()
     }
 
     /// Whether every ingested slot of every shard has been drained.
@@ -207,13 +194,6 @@ impl ShardedRing {
     /// Occupied slots (ingested and not yet drained) across all shards.
     pub fn len(&self) -> usize {
         self.rings.iter().map(|r| r.len()).sum()
-    }
-
-    /// The raw running total behind [`available`](Self::available), for
-    /// tests that check it settles.
-    #[cfg(test)]
-    pub(crate) fn available_total(&self) -> i64 {
-        self.available_total.load(Ordering::Relaxed)
     }
 
     /// Ingested-but-unclaimed tuples currently available on one shard.
@@ -247,11 +227,7 @@ impl ShardedRing {
         // swaps the router while no guard is alive) can never change a
         // guard's routing mid-batch.
         let router = Arc::clone(&self.router.read());
-        Some(ShardIngestGuard {
-            ring: self,
-            router,
-            pushed: 0,
-        })
+        Some(ShardIngestGuard { ring: self, router })
     }
 
     /// Swaps the routing policy to key-range routing under `partitioner` —
@@ -290,7 +266,6 @@ impl ShardedRing {
         let home = home % shards;
         let n = self.rings[home].claim(max, out, ring);
         if n > 0 {
-            self.available_total.fetch_sub(n as i64, Ordering::Relaxed);
             shard.local_tasks += 1;
             shard.local_tuples += n as u64;
             self.traffic.record(home, home, n as u64);
@@ -317,7 +292,6 @@ impl ShardedRing {
                 }
                 let n = self.rings[victim].claim(steal, out, ring);
                 if n > 0 {
-                    self.available_total.fetch_sub(n as i64, Ordering::Relaxed);
                     shard.steal_tasks += 1;
                     shard.stolen_tuples += n as u64;
                     self.traffic.record(home, victim, n as u64);
@@ -406,15 +380,11 @@ impl ShardedRing {
 
 /// Exclusive sharded-ingestion handle; released on drop. Routing (and with
 /// it the arrival-stamp assignment) is only valid while the guard is held.
-/// Dropping it also adds the fill's pushes to the ring's available total,
-/// one read-modify-write per fill instead of one per tuple.
 pub struct ShardIngestGuard<'a> {
     ring: &'a ShardedRing,
     /// Routing policy snapshot taken when the token was won (see
     /// [`ShardedRing::try_ingest`]).
     router: Arc<Router>,
-    /// Tuples pushed under this guard, not yet in `available_total`.
-    pushed: i64,
 }
 
 impl ShardIngestGuard<'_> {
@@ -448,20 +418,12 @@ impl ShardIngestGuard<'_> {
         debug_assert_eq!(shard, self.route(tuple.key), "push must follow route");
         let arrival = self.ring.next_arrival.load(Ordering::Relaxed);
         self.ring.rings[shard].push_unguarded(tuple, bounds, arrival);
-        self.pushed += 1;
         self.ring.next_arrival.store(arrival + 1, Ordering::Release);
     }
 }
 
 impl Drop for ShardIngestGuard<'_> {
     fn drop(&mut self) {
-        // The fill's one publish of its pushes, before the token goes: the
-        // next fill sizes itself on `available()` once it holds the token.
-        if self.pushed > 0 {
-            self.ring
-                .available_total
-                .fetch_add(self.pushed, Ordering::Relaxed);
-        }
         self.ring.ingest_token.store(false, Ordering::Release);
     }
 }

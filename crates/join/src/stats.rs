@@ -762,8 +762,7 @@ mod tests {
             s.probe.scalar_probes = w;
             s.probe.ti_partition_locks = 2 * w;
             s.probe.ti_range_visits = 3 * w;
-            s.probe.simd_node_searches = 15 * w;
-            s.probe.scalar_node_searches = 5 * w;
+            s.probe.node_searches = 20 * w;
             workers.push(s);
         }
         let mut total = JoinRunStats::default();
@@ -778,10 +777,7 @@ mod tests {
         assert_eq!(total.probe.scalar_probes, 6);
         assert_eq!(total.probe.ti_partition_locks, 12);
         assert_eq!(total.probe.ti_range_visits, 18);
-        assert_eq!(total.probe.simd_node_searches, 90);
-        assert_eq!(total.probe.scalar_node_searches, 30);
-        assert!((total.probe.simd_search_rate() - 0.75).abs() < 1e-9);
-        assert_eq!(ProbeCounters::default().simd_search_rate(), 0.0);
+        assert_eq!(total.probe.node_searches, 120);
     }
 
     #[test]

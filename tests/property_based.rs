@@ -245,8 +245,8 @@ proptest! {
 
     /// The SIMD u64 lower bound must equal `partition_point` on arbitrary
     /// sorted contents — including duplicates, extremes and targets probing
-    /// past both ends. (CI re-runs this with `PIMTREE_SIMD=off` so the
-    /// scalar fallback is pinned to the same oracle.)
+    /// past both ends. (`simd::tests::every_form_agrees_on_every_block_shape`
+    /// holds the scalar and vector forms to the same oracle side by side.)
     #[test]
     fn simd_u64_lower_bound_matches_partition_point(
         values in prop::collection::vec(any::<u64>(), 0..80),
