@@ -98,14 +98,12 @@ fn main() {
             "steal_tasks",
             "stolen_tuples",
             "steal_fraction",
-            "shard_remote_fraction",
             "shard_full_stalls",
             "partition_index",
             "store_shards",
             "mean_probe_fanout",
             "single_shard_probes",
             "store_remote_fraction",
-            "simulated_store_cost",
             "migration_epochs",
             "max_stall_us",
             "arrival_p99_us",
@@ -178,14 +176,12 @@ fn main() {
             stats.shard.steal_tasks.to_string(),
             stats.shard.stolen_tuples.to_string(),
             format!("{:.3}", stats.shard.steal_fraction()),
-            format!("{:.3}", stats.shard.remote_fraction()),
             stats.shard.shard_full_stalls.to_string(),
             stats.store.partitioned.to_string(),
             stats.store.store_shards.max(1).to_string(),
             format!("{:.3}", stats.store.mean_probe_fanout()),
             stats.store.single_shard_probes.to_string(),
             format!("{:.3}", stats.store.remote_fraction()),
-            stats.store.simulated_store_cost.to_string(),
             stats.migration.epochs.to_string(),
             format!("{:.1}", stats.migration.max_stall_micros()),
             format!(

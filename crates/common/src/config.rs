@@ -382,10 +382,6 @@ pub struct DriftConfig {
     /// its data transfer; costlier plans are rejected (counted, and the
     /// monitor cools down so the decision is retried on fresh data).
     pub cost_gate: f64,
-    /// Observations between drift checks. `0` selects an automatic interval
-    /// (an eighth of the window, at least 64) so the O(window) imbalance
-    /// fold stays off the per-task fast path.
-    pub check_interval: usize,
 }
 
 impl Default for DriftConfig {
@@ -395,7 +391,6 @@ impl Default for DriftConfig {
             window: 4096,
             imbalance_trigger: 1.5,
             cost_gate: 0.9,
-            check_interval: 0,
         }
     }
 }
@@ -425,19 +420,11 @@ impl DriftConfig {
         self
     }
 
-    /// Sets the observations between drift checks (0 = automatic).
-    pub fn with_check_interval(mut self, interval: usize) -> Self {
-        self.check_interval = interval;
-        self
-    }
-
-    /// The effective number of observations between drift checks.
-    pub fn effective_check_interval(&self) -> usize {
-        if self.check_interval > 0 {
-            self.check_interval
-        } else {
-            (self.window / 8).max(64)
-        }
+    /// Observations between drift checks: an eighth of the window, at
+    /// least 64, so the O(window) imbalance fold stays off the per-task
+    /// fast path.
+    pub fn check_interval(&self) -> usize {
+        (self.window / 8).max(64)
     }
 
     /// Validates the configuration.
@@ -461,12 +448,6 @@ impl DriftConfig {
             return Err(Error::InvalidConfig(format!(
                 "cost gate must be in (0, 1], got {}",
                 self.cost_gate
-            )));
-        }
-        if self.check_interval > 1 << 24 {
-            return Err(Error::InvalidConfig(format!(
-                "check interval {} is unreasonably large (max 2^24)",
-                self.check_interval
             )));
         }
         Ok(())
@@ -771,24 +752,18 @@ mod tests {
         let d = DriftConfig::default();
         assert!(!d.repartition, "live repartitioning is opt-in");
         d.validate().unwrap();
-        assert_eq!(d.effective_check_interval(), 4096 / 8);
+        assert_eq!(d.check_interval(), 4096 / 8);
         let d = DriftConfig::default()
             .with_repartition(true)
             .with_window(512)
             .with_imbalance_trigger(2.0)
-            .with_cost_gate(0.5)
-            .with_check_interval(10);
+            .with_cost_gate(0.5);
         assert!(d.repartition);
-        assert_eq!((d.window, d.check_interval), (512, 10));
-        assert_eq!(d.effective_check_interval(), 10);
+        assert_eq!(d.window, 512);
+        assert_eq!(d.check_interval(), 64);
         d.validate().unwrap();
-        // Tiny windows floor the automatic check interval at 64.
-        assert_eq!(
-            DriftConfig::default()
-                .with_window(100)
-                .effective_check_interval(),
-            64
-        );
+        // Tiny windows floor the check interval at 64.
+        assert_eq!(DriftConfig::default().with_window(100).check_interval(), 64);
         let c = JoinConfig::symmetric(64, IndexKind::PimTree).with_drift(d);
         assert_eq!(c.drift, d);
         c.validate().unwrap();
@@ -815,10 +790,6 @@ mod tests {
             .is_err());
         assert!(DriftConfig::default()
             .with_cost_gate(1.5)
-            .validate()
-            .is_err());
-        assert!(DriftConfig::default()
-            .with_check_interval((1 << 24) + 1)
             .validate()
             .is_err());
         let mut c = JoinConfig::symmetric(16, IndexKind::PimTree);

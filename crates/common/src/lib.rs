@@ -7,8 +7,6 @@
 //! * [`config`] — runtime configuration for indexes and join operators;
 //! * [`metrics`] — per-step cost breakdowns and the latency histogram (used
 //!   to reproduce Figure 9b and Figure 10d of the paper);
-//! * [`memtraffic`] — logical load/store byte accounting, the software
-//!   substitute for the hardware memory-bandwidth counters of Figure 11d;
 //! * [`simd`] — runtime-detected SIMD lower-bound kernels for intra-node
 //!   search, with a guaranteed scalar fallback;
 //! * [`sync`] — the synchronization facade every lock-free file imports:
@@ -24,7 +22,6 @@
 
 pub mod config;
 pub mod error;
-pub mod memtraffic;
 pub mod metrics;
 pub mod prefetch;
 pub mod simd;
@@ -35,7 +32,6 @@ pub use config::{
     DriftConfig, IndexKind, JoinConfig, MergePolicy, PimConfig, RingConfig, ShardConfig,
 };
 pub use error::{Error, Result};
-pub use memtraffic::MemTraffic;
 pub use metrics::{CostBreakdown, LatencyHistogram, ProbeCounters, Step, StepTimer};
 pub use prefetch::{
     prefetch_range, prefetch_read, prefetch_slice, prefetch_write, CACHE_LINE_BYTES,

@@ -85,12 +85,6 @@ pub trait WindowIndexAdapter {
         timer.finish(breakdown);
         out
     }
-
-    /// Approximate number of bytes a probe touches per visited entry, used
-    /// for the logical memory-traffic accounting.
-    fn entry_bytes(&self) -> u64 {
-        std::mem::size_of::<Entry>() as u64
-    }
 }
 
 // ---------------------------------------------------------------- B+-Tree

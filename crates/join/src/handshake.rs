@@ -25,6 +25,9 @@ use pimtree_common::{BandPredicate, JoinResult, Seq, StreamSide, Tuple};
 
 use crate::stats::JoinRunStats;
 
+/// Tuples handed to every join core in one batch.
+const BATCH_SIZE: usize = 256;
+
 /// Whether join cores keep a local index over their partition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HandshakeMode {
@@ -43,7 +46,6 @@ pub struct HandshakeJoin {
     window_s: usize,
     predicate: BandPredicate,
     mode: HandshakeMode,
-    batch_size: usize,
     collect_results: bool,
 }
 
@@ -72,7 +74,6 @@ impl HandshakeJoin {
             window_s,
             predicate,
             mode,
-            batch_size: 256,
             collect_results: false,
         }
     }
@@ -80,13 +81,6 @@ impl HandshakeJoin {
     /// Collect result tuples (for tests); by default only counts are kept.
     pub fn with_collected_results(mut self, collect: bool) -> Self {
         self.collect_results = collect;
-        self
-    }
-
-    /// Overrides the driver batch size.
-    pub fn with_batch_size(mut self, batch: usize) -> Self {
-        assert!(batch >= 1);
-        self.batch_size = batch;
         self
     }
 
@@ -122,7 +116,7 @@ impl HandshakeJoin {
                 });
             }
             drop(result_tx);
-            for chunk in enriched.chunks(self.batch_size) {
+            for chunk in enriched.chunks(BATCH_SIZE) {
                 let batch = std::sync::Arc::new(chunk.to_vec());
                 for tx in &batch_txs {
                     tx.send(std::sync::Arc::clone(&batch))

@@ -146,16 +146,6 @@ impl<A: WindowIndexAdapter> IbwjOperator<A> {
         self.instrument = true;
         self
     }
-
-    /// Access to the index of stream `R`'s window (for stats).
-    pub fn index_r(&self) -> &A {
-        &self.indexes[0]
-    }
-
-    /// Access to the index of stream `S`'s window (for stats).
-    pub fn index_s(&self) -> &A {
-        &self.indexes[1]
-    }
 }
 
 impl<A: WindowIndexAdapter> SingleThreadJoin for IbwjOperator<A> {

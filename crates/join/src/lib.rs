@@ -17,15 +17,14 @@
 //!   between the engine's threads, plus the adaptive idle back-off;
 //! * [`shard`] — the NUMA-aware sharded ring layer: per-node ring shards
 //!   behind a key-range router (`pimtree-numa`'s `RangePartitioner`),
-//!   home-shard claiming with bounded cross-shard work stealing charged to a
-//!   simulated NUMA traffic account, and a cross-shard merge cursor that
-//!   keeps result propagation in global arrival order;
+//!   home-shard claiming with bounded cross-shard work stealing, and a
+//!   cross-shard merge cursor that keeps result propagation in global
+//!   arrival order;
 //! * [`store`] — the per-shard index/window store: with `partition_index`
 //!   on, each shard owns one index plus one window slice per side covering
 //!   only its key range; inserts route to the owning shard and probes fan
-//!   out across exactly the shards overlapping the band-join range, all
-//!   charged to a simulated NUMA traffic account (one shard short-circuits
-//!   to the original shared index/window pair);
+//!   out across exactly the shards overlapping the band-join range (one
+//!   shard short-circuits to the original shared index/window pair);
 //! * [`reference`](mod@reference) — a brute-force oracle used by the test suite to validate
 //!   every operator's output;
 //! * [`stats`] — run statistics shared by all operators, including the

@@ -23,11 +23,9 @@
 //!   `steal_batch` tuples from the first shard holding at least
 //!   `steal_threshold` available tuples, and a second pass ignores the
 //!   threshold so below-threshold work can never be stranded (a shard may
-//!   have no home worker at all when `shards > threads`). Each claim is
-//!   charged to a [`TrafficAccount`] under a [`NumaTopology`] — home claims
-//!   as local accesses, steals as interconnect traversals — so the simulated
-//!   NUMA cost model quantifies what the stealing policy would cost in
-//!   hardware.
+//!   have no home worker at all when `shards > threads`). The claiming
+//!   worker counts home claims and steals in its own [`ShardCounters`]; on
+//!   a multi-socket host a steal is the claim that crosses the interconnect.
 //! * **A cross-shard merge cursor.** Results must still leave in *global*
 //!   arrival order. Every slot carries the tuple's global arrival stamp
 //!   (assigned by the serialised ingest), and per shard the stamps are
@@ -61,7 +59,7 @@ use crossbeam::utils::CachePadded;
 use pimtree_common::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use pimtree_common::sync::RwLock;
 use pimtree_common::{JoinResult, Key, ShardConfig, Tuple};
-use pimtree_numa::{NumaTopology, RangePartitioner, TrafficAccount};
+use pimtree_numa::RangePartitioner;
 use pimtree_window::WindowBounds;
 
 use crate::ring::{ClaimedTask, TaskRing};
@@ -99,8 +97,10 @@ pub struct ShardedRing {
     /// `Arc` once per ingest-token acquisition, so the per-tuple routing
     /// path costs no lock; the swap itself only happens while the engine is
     /// quiesced (no ingest guard alive), so a guard never observes a torn
-    /// routing decision.
-    router: RwLock<Arc<Router>>,
+    /// routing decision. Padded: taking the read lock writes the lock word
+    /// on every ingest, and the line it sits on must not also hold `rings`,
+    /// which every claim, drain and depth check reads.
+    router: CachePadded<RwLock<Arc<Router>>>,
     steal_batch: usize,
     steal_threshold: usize,
     /// Next global arrival stamp; written only under the global ingest token.
@@ -110,8 +110,6 @@ pub struct ShardedRing {
     ingest_token: CachePadded<AtomicBool>,
     /// Serialises the cross-shard merge cursor.
     drain_token: CachePadded<AtomicBool>,
-    topology: NumaTopology,
-    traffic: TrafficAccount,
 }
 
 impl ShardedRing {
@@ -143,16 +141,11 @@ impl ShardedRing {
             }
             None => Router::RoundRobin,
         };
-        let topology = if config.shards == 1 {
-            NumaTopology::new(1, 90, 90)
-        } else {
-            NumaTopology::new(config.shards, 90, 150)
-        };
         ShardedRing {
             rings: (0..config.shards)
                 .map(|_| TaskRing::with_capacity(per_shard_capacity))
                 .collect(),
-            router: RwLock::new(Arc::new(router)),
+            router: CachePadded::new(RwLock::new(Arc::new(router))),
             steal_batch: if config.steal_batch > 0 {
                 config.steal_batch
             } else {
@@ -162,8 +155,6 @@ impl ShardedRing {
             next_arrival: CachePadded::new(AtomicU64::new(0)),
             ingest_token: CachePadded::new(AtomicBool::new(false)),
             drain_token: CachePadded::new(AtomicBool::new(false)),
-            topology,
-            traffic: TrafficAccount::new(),
         }
     }
 
@@ -199,17 +190,6 @@ impl ShardedRing {
     /// Ingested-but-unclaimed tuples currently available on one shard.
     pub fn shard_available(&self, shard: usize) -> usize {
         self.rings[shard].available()
-    }
-
-    /// The simulated NUMA topology claims are charged under.
-    pub fn topology(&self) -> &NumaTopology {
-        &self.topology
-    }
-
-    /// The simulated local/remote access account (home claims are local,
-    /// steals are remote).
-    pub fn traffic(&self) -> &TrafficAccount {
-        &self.traffic
     }
 
     /// Tries to win the global ingest token. At most one token exists at a
@@ -268,7 +248,6 @@ impl ShardedRing {
         if n > 0 {
             shard.local_tasks += 1;
             shard.local_tuples += n as u64;
-            self.traffic.record(home, home, n as u64);
             return Some(ShardClaim {
                 shard: home,
                 tuples: n,
@@ -294,7 +273,6 @@ impl ShardedRing {
                 if n > 0 {
                     shard.steal_tasks += 1;
                     shard.stolen_tuples += n as u64;
-                    self.traffic.record(home, victim, n as u64);
                     return Some(ShardClaim {
                         shard: victim,
                         tuples: n,
@@ -475,7 +453,6 @@ mod tests {
         let mut drained = 0;
         assert_eq!(ring.try_drain(false, |_, _| drained += 1), Some(3));
         assert_eq!(drained, 3);
-        assert_eq!(ring.traffic().remote(), 0);
     }
 
     #[test]
@@ -604,10 +581,7 @@ mod tests {
         assert_eq!((claim.shard, claim.tuples, claim.stolen), (0, 2, true));
         assert_eq!(sc.steal_tasks, 1);
         assert_eq!(sc.stolen_tuples, 2);
-        assert_eq!(ring.traffic().local(), 4);
-        assert_eq!(ring.traffic().remote(), 2);
-        assert!(ring.traffic().remote_fraction() > 0.0);
-        // Draining everything claimed keeps the account intact.
+        assert_eq!(sc.local_tuples, 4);
         for t in &out {
             ring.complete(0, t.gid, 0, Vec::new());
         }
@@ -771,34 +745,37 @@ mod tests {
         let total = 20_000u64;
         let claimed = std::sync::Arc::new(Counter::new(0));
         let drained = std::sync::Arc::new(Counter::new(0));
-        std::thread::scope(|scope| {
-            for worker in 0..8usize {
-                let ring = ring.clone();
-                let claimed = claimed.clone();
-                let drained = drained.clone();
-                scope.spawn(move || {
-                    let (mut rc, mut sc) = counters();
-                    let mut out = Vec::new();
-                    loop {
-                        out.clear();
-                        if let Some(claim) = ring.claim(worker, 3, &mut out, &mut rc, &mut sc) {
-                            for t in &out {
-                                ring.complete(claim.shard, t.gid, 1, Vec::new());
+        let counted = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..8usize)
+                .map(|worker| {
+                    let ring = ring.clone();
+                    let claimed = claimed.clone();
+                    let drained = drained.clone();
+                    scope.spawn(move || {
+                        let (mut rc, mut sc) = counters();
+                        let mut out = Vec::new();
+                        loop {
+                            out.clear();
+                            if let Some(claim) = ring.claim(worker, 3, &mut out, &mut rc, &mut sc) {
+                                for t in &out {
+                                    ring.complete(claim.shard, t.gid, 1, Vec::new());
+                                }
+                                claimed.fetch_add(claim.tuples as u64, Ordering::Relaxed);
                             }
-                            claimed.fetch_add(claim.tuples as u64, Ordering::Relaxed);
+                            let mut local = 0;
+                            if let Some(n) = ring.try_drain(false, |count, _| local += count) {
+                                assert_eq!(local, n);
+                                drained.fetch_add(n, Ordering::Relaxed);
+                            }
+                            if drained.load(Ordering::Relaxed) == total {
+                                break;
+                            }
+                            std::hint::spin_loop();
                         }
-                        let mut local = 0;
-                        if let Some(n) = ring.try_drain(false, |count, _| local += count) {
-                            assert_eq!(local, n);
-                            drained.fetch_add(n, Ordering::Relaxed);
-                        }
-                        if drained.load(Ordering::Relaxed) == total {
-                            break;
-                        }
-                        std::hint::spin_loop();
-                    }
-                });
-            }
+                        sc
+                    })
+                })
+                .collect();
             let ring = ring.clone();
             scope.spawn(move || {
                 let mut next = 0u64;
@@ -817,12 +794,19 @@ mod tests {
                     std::thread::yield_now();
                 }
             });
+            let mut counted = ShardCounters::default();
+            for w in workers {
+                counted.merge_from(&w.join().unwrap());
+            }
+            counted
         });
         assert_eq!(claimed.load(Ordering::Relaxed), total);
         assert_eq!(drained.load(Ordering::Relaxed), total);
         assert!(ring.is_empty());
-        let t = ring.traffic();
-        assert_eq!(t.local() + t.remote(), total);
-        assert!(t.total_cost(ring.topology()) >= total * 90);
+        assert_eq!(
+            counted.local_tuples + counted.stolen_tuples,
+            total,
+            "every claimed tuple is a home claim or a steal"
+        );
     }
 }

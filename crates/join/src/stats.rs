@@ -53,19 +53,19 @@ pub struct JoinRunStats {
     /// Batched-probe counters (batch sizes, dedup hits, nodes prefetched),
     /// summed over all workers. All zero when the scalar probe path is used.
     pub probe: ProbeCounters,
-    /// Sharded-ring counters (home-shard claims, cross-shard steals,
-    /// simulated NUMA traffic), summed over all workers. With one shard the
-    /// claim accounting is still filled (every claim is a home claim charged
-    /// as a local access); only the steal and routed-shard-stall counters
-    /// are necessarily zero.
+    /// Sharded-ring counters (home-shard claims, cross-shard steals),
+    /// summed over all workers. With one shard the claim accounting is still
+    /// filled (every claim is a home claim); only the steal and
+    /// routed-shard-stall counters are necessarily zero.
     pub shard: ShardCounters,
-    /// Partitioned index/window store counters (probe fan-out, routed
-    /// inserts, simulated store traffic), summed over all workers. All zero
+    /// Partitioned index/window store counters (probe fan-out, local and
+    /// remote inserts and probe visits), summed over all workers. All zero
     /// when the shared store is active (`partition_index` off or one shard).
     pub store: StoreCounters,
     /// Live-repartition counters (drift observations, adopted migration
-    /// epochs, moved entries, quiesce stall). All zero when `--repartition`
-    /// is off and no forced adoption was requested — the pre-PR-5 behavior.
+    /// epochs, moved entries, quiesce stall), summed over all workers. All
+    /// zero when `--repartition` is off and no forced adoption was
+    /// requested.
     pub migration: MigrationCounters,
     /// End-to-end arrival → propagation latency histogram of the open-loop
     /// harness: per tuple, drain time minus scheduled (virtual) arrival
@@ -79,8 +79,8 @@ pub struct JoinRunStats {
 /// the drift monitor consumed, how many repartition plans were adopted
 /// (migration epochs) or rejected by the cost gate, how much shard state the
 /// migrations moved, and how long the engine was stalled behind the quiesce
-/// gate. Filled once per run from the engine's shared migration totals (not
-/// per worker).
+/// gate. The drainer counts observations and rejected plans, the worker that
+/// runs an epoch counts it, and [`JoinRunStats::absorb`] sums them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MigrationCounters {
     /// 1 when live repartitioning (or a forced adoption) was armed for the
@@ -99,9 +99,6 @@ pub struct MigrationCounters {
     /// Window tuples whose home shard changed and were re-homed, summed over
     /// epochs.
     pub window_tuples_moved: u64,
-    /// Simulated interconnect cost of the moved entries under the store's
-    /// NUMA topology (remote-access cost per moved entry).
-    pub simulated_move_cost: u64,
     /// Wall-clock nanoseconds the engine spent quiesced for migrations
     /// (gate close through gate reopen), summed over all epochs.
     pub stall_nanos: u64,
@@ -123,7 +120,6 @@ impl MigrationCounters {
         self.plans_rejected += other.plans_rejected;
         self.index_entries_moved += other.index_entries_moved;
         self.window_tuples_moved += other.window_tuples_moved;
-        self.simulated_move_cost += other.simulated_move_cost;
         self.stall_nanos += other.stall_nanos;
         self.max_stall_nanos = self.max_stall_nanos.max(other.max_stall_nanos);
         self.stall_causes.merge_from(&other.stall_causes);
@@ -354,12 +350,9 @@ impl StallLap {
 }
 
 /// Counters of the partitioned index/window store (`ShardStore`): how inserts
-/// were routed to their owning shard, how far probes fanned out across the
-/// shards overlapping their band-join range, and what the cross-shard
-/// accesses cost under the store's simulated NUMA topology. Routing and
-/// fan-out counts are per worker and summed by [`JoinRunStats::absorb`]; the
-/// traffic-cost fields are filled once per run from the store's global
-/// `TrafficAccount`.
+/// were routed to their owning shard and how far probes fanned out across
+/// the shards overlapping their band-join range. Counted per worker and
+/// summed by [`JoinRunStats::absorb`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreCounters {
     /// 1 when the partitioned store was active, 0 under the shared store
@@ -381,15 +374,12 @@ pub struct StoreCounters {
     /// worker's home shard.
     pub local_inserts: u64,
     /// Tuples whose owning shard differed from the inserting worker's home
-    /// shard (simulated interconnect traversals).
+    /// shard.
     pub remote_inserts: u64,
     /// Probe shard visits that hit the probing worker's home shard.
     pub local_probe_visits: u64,
     /// Probe shard visits that crossed to a remote shard.
     pub remote_probe_visits: u64,
-    /// Total simulated memory-access cost of the store's probe and insert
-    /// traffic under its `NumaTopology` (filled once per run).
-    pub simulated_store_cost: u64,
 }
 
 impl StoreCounters {
@@ -405,7 +395,6 @@ impl StoreCounters {
         self.remote_inserts += other.remote_inserts;
         self.local_probe_visits += other.local_probe_visits;
         self.remote_probe_visits += other.remote_probe_visits;
-        self.simulated_store_cost += other.simulated_store_cost;
     }
 
     /// Mean shards visited per routed probe (0 when nothing was routed).
@@ -431,11 +420,8 @@ impl StoreCounters {
 }
 
 /// Counters of the sharded task-ring layer: how work was routed across the
-/// per-NUMA-node ring shards, how often workers had to steal from a remote
-/// shard, and what the steals cost under the simulated NUMA topology.
-/// Claim/steal counts are per worker and summed by [`JoinRunStats::absorb`];
-/// the traffic fields are filled once per run from the ring's global
-/// `TrafficAccount`.
+/// per-node ring shards and how often workers had to steal from a remote
+/// shard. Counted per worker and summed by [`JoinRunStats::absorb`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ShardCounters {
     /// Number of ring shards the engine ran with (`max`-merged, not summed).
@@ -455,14 +441,6 @@ pub struct ShardCounters {
     /// shards still had room — the cost of preserving global arrival order
     /// under a skewed key distribution.
     pub shard_full_stalls: u64,
-    /// Simulated node-local memory accesses charged by the ring's traffic
-    /// account (claims from the home shard).
-    pub local_accesses: u64,
-    /// Simulated remote (interconnect) accesses charged by the ring's
-    /// traffic account (steals).
-    pub remote_accesses: u64,
-    /// Total simulated memory-access cost under the ring's `NumaTopology`.
-    pub simulated_numa_cost: u64,
 }
 
 impl ShardCounters {
@@ -475,9 +453,6 @@ impl ShardCounters {
         self.stolen_tuples += other.stolen_tuples;
         self.claim_rounds_empty += other.claim_rounds_empty;
         self.shard_full_stalls += other.shard_full_stalls;
-        self.local_accesses += other.local_accesses;
-        self.remote_accesses += other.remote_accesses;
-        self.simulated_numa_cost += other.simulated_numa_cost;
     }
 
     /// Fraction of acquired tuples that came from a remote shard (0 when
@@ -488,17 +463,6 @@ impl ShardCounters {
             0.0
         } else {
             self.stolen_tuples as f64 / total as f64
-        }
-    }
-
-    /// Fraction of simulated accesses that crossed the interconnect (0 when
-    /// nothing was recorded).
-    pub fn remote_fraction(&self) -> f64 {
-        let total = self.local_accesses + self.remote_accesses;
-        if total == 0 {
-            0.0
-        } else {
-            self.remote_accesses as f64 / total as f64
         }
     }
 }
@@ -792,17 +756,13 @@ mod tests {
         b.shard.shards = 4;
         b.shard.local_tuples = 4;
         b.shard.claim_rounds_empty = 2;
-        b.shard.local_accesses = 7;
-        b.shard.remote_accesses = 1;
         a.absorb(&b);
         assert_eq!(a.shard.shards, 4, "max, not sum");
         assert_eq!(a.shard.local_tuples, 16);
         assert_eq!(a.shard.stolen_tuples, 4);
         assert_eq!(a.shard.claim_rounds_empty, 2);
         assert!((a.shard.steal_fraction() - 0.2).abs() < 1e-9);
-        assert!((a.shard.remote_fraction() - 0.125).abs() < 1e-9);
         assert_eq!(ShardCounters::default().steal_fraction(), 0.0);
-        assert_eq!(ShardCounters::default().remote_fraction(), 0.0);
     }
 
     #[test]
@@ -852,7 +812,6 @@ mod tests {
         b.migration.epochs = 2;
         b.migration.plans_rejected = 1;
         b.migration.window_tuples_moved = 10;
-        b.migration.simulated_move_cost = 1500;
         b.migration.record_stall(4_000);
         a.absorb(&b);
         assert_eq!(a.migration.enabled, 1, "max, not sum");

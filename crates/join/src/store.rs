@@ -16,14 +16,14 @@
 //! Under the partitioned store:
 //!
 //! * **Inserts route to the owning shard.** An insert touches exactly one
-//!   shard's index and window; inserts from a worker homed on another shard
-//!   are charged as remote accesses to the store's simulated
-//!   [`TrafficAccount`].
+//!   shard's index and window; the inserting worker counts it local or
+//!   remote (homed on another shard) in its own
+//!   [`StoreCounters`](crate::StoreCounters).
 //! * **Probes fan out across overlapping shards only.** A band-join probe
 //!   range `[k − w, k + w]` is routed through
 //!   [`RangePartitioner::covering_shards`]; only the shards whose key ranges
 //!   overlap it are visited (most narrow-band probes visit exactly one), and
-//!   each visit is charged local/remote like an insert. Per visited shard the
+//!   each visit is counted local/remote like an insert. Per visited shard the
 //!   probe splits at *that shard's* edge tuple: index lookups below it, a
 //!   linear scan of the shard's window suffix above it. The per-shard results
 //!   merge by concatenation — shards own disjoint key ranges, so no
@@ -52,7 +52,7 @@ use pimtree_common::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use pimtree_common::sync::RwLock;
 use pimtree_common::{Key, KeyRange, PimConfig, Result, Seq};
 use pimtree_core::PimTree;
-use pimtree_numa::{NumaTopology, RangePartitioner, TrafficAccount};
+use pimtree_numa::RangePartitioner;
 use pimtree_window::{ShardWindow, SlidingWindow, WindowBounds};
 
 use crate::parallel::SharedIndexKind;
@@ -231,8 +231,6 @@ struct PartitionedState {
     heads: [CachePadded<AtomicU64>; 2],
     /// Number of adopted repartition epochs (0 before the first migration).
     epoch: AtomicU64,
-    topology: NumaTopology,
-    traffic: TrafficAccount,
 }
 
 #[allow(clippy::large_enum_variant)] // one instance per run; size is irrelevant
@@ -341,7 +339,7 @@ pub struct StoreSideFootprint {
 
 /// What one shard-state migration moved: entries whose key's home shard
 /// changed under the adopted partitioner. Entries that stayed home are
-/// rebuilt in place and never charged.
+/// rebuilt in place and not counted.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct StoreMigration {
     /// Index entries re-homed to a different shard (both sides).
@@ -353,8 +351,8 @@ pub(crate) struct StoreMigration {
     pub snapshot_nanos: u64,
     /// Nanoseconds spent re-splitting and rebuilding shard windows/indexes.
     pub rebuild_nanos: u64,
-    /// Nanoseconds spent swapping the rebuilt state in (shard table and
-    /// traffic bookkeeping).
+    /// Nanoseconds spent swapping the rebuilt state in (the shard table and
+    /// the epoch counter).
     pub swap_nanos: u64,
 }
 
@@ -389,8 +387,7 @@ impl ShardStore {
         }
         let layout = match partitioner {
             Some(p) if p.nodes() > 1 => {
-                let nodes = p.nodes();
-                let shards = (0..nodes)
+                let shards = (0..p.nodes())
                     .map(|_| {
                         StoreShard::new(params.window_sizes, params.slack, params.kind, shard_pim)
                     })
@@ -405,8 +402,6 @@ impl ShardStore {
                         CachePadded::new(AtomicU64::new(0)),
                     ],
                     epoch: AtomicU64::new(0),
-                    topology: NumaTopology::new(nodes, 90, 150),
-                    traffic: TrafficAccount::new(),
                 })
             }
             _ => Layout::Shared(SharedState {
@@ -460,24 +455,6 @@ impl ShardStore {
         match &self.layout {
             Layout::Shared(_) => 0,
             Layout::Partitioned(p) => p.epoch.load(Ordering::Acquire),
-        }
-    }
-
-    /// The simulated NUMA topology store accesses are charged under
-    /// (partitioned layout only).
-    pub fn topology(&self) -> Option<&NumaTopology> {
-        match &self.layout {
-            Layout::Shared(_) => None,
-            Layout::Partitioned(p) => Some(&p.topology),
-        }
-    }
-
-    /// The simulated local/remote access account of the store (partitioned
-    /// layout only; inserts and probe shard visits).
-    pub fn traffic(&self) -> Option<&TrafficAccount> {
-        match &self.layout {
-            Layout::Shared(_) => None,
-            Layout::Partitioned(p) => Some(&p.traffic),
         }
     }
 
@@ -610,7 +587,6 @@ impl ShardStore {
                         .extend(scratch.routed[start..end].iter().map(|&(_, k, s)| (k, s)));
                     start = end;
                     let n = scratch.sub_entries.len() as u64;
-                    p.traffic.record(home, shard_idx, n);
                     if shard_idx == home {
                         stats.store.local_inserts += n;
                     } else {
@@ -825,7 +801,6 @@ impl ShardStore {
                 continue;
             }
             let visits = scratch.sub_ranges.len() as u64;
-            p.traffic.record(home, shard_idx, visits);
             if shard_idx == home {
                 stats.store.local_probe_visits += visits;
             } else {
@@ -873,9 +848,9 @@ impl ShardStore {
     ///    bulk-builds each shard's index from its slice (a PIM-Tree's `TS` is
     ///    the slice and its `TI` is empty); the windows are rebuilt from
     ///    their merged runs, indexed flags preserved and edges re-derived;
-    /// 4. charges every entry whose home shard changed to the store's
-    ///    simulated [`TrafficAccount`] as one `old → new` interconnect
-    ///    traversal — the data-transfer cost the paper's §7 worries about.
+    /// 4. counts every entry whose home shard changed in the returned
+    ///    [`StoreMigration`]: the data transferred between nodes that the
+    ///    paper's §7 worries about.
     ///
     /// Expiry of migrated tuples stays count-based on the global per-side
     /// heads: bounds snapshots, merge horizons and the probe-time liveness
@@ -895,8 +870,6 @@ impl ShardStore {
             nodes,
             "a repartition epoch cannot change the shard count"
         );
-        // (old, new) moved-entry counts for the traffic charge.
-        let mut pair_moves = vec![0u64; nodes * nodes];
         let mut report = StoreMigration::default();
         let clock = std::time::Instant::now();
 
@@ -913,7 +886,6 @@ impl ShardStore {
                     let dest = new.node_of(entry.1);
                     if dest != old_shard {
                         report.window_tuples_moved += 1;
-                        pair_moves[old_shard * nodes + dest] += 1;
                     }
                     window_entries[dest][side].push(entry);
                 }
@@ -948,7 +920,6 @@ impl ShardStore {
                     let overlap = old_end.min(end).saturating_sub(old_start.max(start)) as u64;
                     if old_shard != dest {
                         report.index_entries_moved += overlap;
-                        pair_moves[old_shard * nodes + dest] += overlap;
                     }
                 }
                 // `split_off(0)` would allocate `all`'s capacity again for
@@ -979,14 +950,6 @@ impl ShardStore {
         inner.shards = new_shards;
         inner.partitioner = new.clone();
         drop(inner);
-        for old in 0..nodes {
-            for dest in 0..nodes {
-                let moved = pair_moves[old * nodes + dest];
-                if moved > 0 {
-                    p.traffic.record(old, dest, moved);
-                }
-            }
-        }
         p.epoch.fetch_add(1, Ordering::AcqRel);
         report.swap_nanos = (clock.elapsed().as_nanos() as u64)
             .saturating_sub(report.snapshot_nanos + report.rebuild_nanos);

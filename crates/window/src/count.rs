@@ -223,12 +223,6 @@ impl SlidingWindow {
         true
     }
 
-    /// Forces the edge to `seq` (used by the single-threaded operators, which
-    /// index every tuple synchronously).
-    pub fn set_edge(&self, seq: Seq) {
-        self.edge.store(seq, Ordering::Release);
-    }
-
     /// Linearly scans tuples with sequence numbers in `[from, to)` whose keys
     /// fall into `range`, invoking `f(seq, key)` for each. Returns the number
     /// of slots examined (used for memory-traffic accounting).

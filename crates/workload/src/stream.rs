@@ -6,7 +6,7 @@
 
 use rand::Rng;
 
-use pimtree_common::{Key, Seq, StreamSide, Tuple};
+use pimtree_common::{Seq, StreamSide, Tuple};
 
 use crate::dist::KeyDistribution;
 
@@ -94,19 +94,6 @@ impl StreamGenerator {
         let seq = self.next_seq[side.index()];
         self.next_seq[side.index()] += 1;
         Tuple::new(side, seq, self.dist.sample(rng))
-    }
-
-    /// Emits a tuple with an externally supplied key (used by the drifting
-    /// workload, which controls the key sequence itself).
-    pub fn next_tuple_with_key<R: Rng + ?Sized>(&mut self, rng: &mut R, key: Key) -> Tuple {
-        let side = if rng.gen::<f64>() < self.mix.s_fraction {
-            StreamSide::S
-        } else {
-            StreamSide::R
-        };
-        let seq = self.next_seq[side.index()];
-        self.next_seq[side.index()] += 1;
-        Tuple::new(side, seq, key)
     }
 
     /// Generates `n` tuples of both streams in arrival order.

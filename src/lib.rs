@@ -52,7 +52,7 @@ pub mod prelude {
         build_single_threaded, HandshakeJoin, HandshakeMode, IbwjOperator, JoinRunStats,
         NlwjOperator, ParallelIbwj, SharedIndexKind, SingleThreadJoin,
     };
-    pub use pimtree_numa::{DriftMonitor, NumaTopology, RangePartitioner};
+    pub use pimtree_numa::{DriftMonitor, RangePartitioner};
     pub use pimtree_window::SlidingWindow;
     pub use pimtree_workload::{
         calibrate_diff, KeyDistribution, ShiftingGaussian, StreamGenerator, StreamMix,
