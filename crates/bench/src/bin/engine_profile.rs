@@ -10,14 +10,13 @@
 //! This binary is not tied to a specific paper figure; it backs the
 //! engine-scaling notes in `docs/ARCHITECTURE.md` and is the tool used to verify
 //! that task distribution and edge-tuple bookkeeping stay off the per-tuple
-//! critical path. Sweep the ring itself with `--ring-cap= --ingest-target=
-//! --spin= --yield= --park-us=` (the batched CSS group probe's counters are
-//! columns of every row), and the sharded ring layer with
-//! `--shards= --steal-batch= --steal-threshold=` (shards > 1 routes
-//! ingestion by key range and reports steal/remote-traffic counters).
-//! `--partition-index=on` additionally partitions the index and window state
-//! per shard (the `ShardStore` layer) and reports its probe fan-out and
-//! simulated store-traffic counters. `--repartition=on` turns on
+//! critical path. Sweep the ring's fill target with `--ingest-target=` (the
+//! batched CSS group probe's counters are columns of every row), and the
+//! sharded ring layer with `--shards=` (shards > 1 routes ingestion by key
+//! range and reports the steal counters). `--partition-index=on`
+//! additionally partitions the index and window state per shard (the
+//! `ShardStore` layer) and reports its probe fan-out and its local and
+//! remote store accesses. `--repartition=on` turns on
 //! drift-driven repartitioning and reports the migration columns (epochs,
 //! worst stall); `--arrival-rate=` paces ingestion
 //! open-loop and reports the arrival-latency tail (p99).
@@ -64,11 +63,11 @@ fn main() {
     print_header(
         "engine_profile",
         &format!(
-            "parallel IBWJ phase breakdown and ring contention (w = 2^{}, {} tuples, task size {}, ring {:?}, shard {:?})",
+            "parallel IBWJ phase breakdown and ring contention (w = 2^{}, {} tuples, task size {}, ingest target {} (0 = auto), shard {:?})",
             opts.max_exp,
             tuples.len(),
             opts.task_size,
-            opts.ring(),
+            opts.ingest_target,
             opts.shard()
         ),
         &[

@@ -1,6 +1,6 @@
 //! Regenerates the paper's figures 8–14: `figs [ID…] [--min-exp=N
-//! --max-exp=N --tuples=N --threads=N --task-size=N --seed=N --ring-cap=N
-//! --ingest-target=N --spin=N --yield=N --park-us=N]`.
+//! --max-exp=N --tuples=N --threads=N --task-size=N --seed=N
+//! --ingest-target=N]`.
 //!
 //! An id names a figure with or without its `fig` prefix and leading zero
 //! (`9a`, `fig09a`); no id runs every figure. Each figure prints a `#`

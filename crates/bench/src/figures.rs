@@ -9,7 +9,7 @@
 //! keep a function of their own.
 
 use pimtree_btree::BTreeIndex;
-use pimtree_common::{BandPredicate, IndexKind, JoinConfig, MergePolicy, RingConfig, Step, Tuple};
+use pimtree_common::{BandPredicate, IndexKind, JoinConfig, MergePolicy, Step, Tuple};
 use pimtree_core::PimTree;
 use pimtree_join::{
     BTreeAdapter, HandshakeMode, IbwjOperator, ImTreeAdapter, JoinRunStats, PimTreeAdapter,
@@ -139,7 +139,7 @@ struct Point {
     self_join: bool,
     threads: usize,
     task_size: usize,
-    ring: RingConfig,
+    ingest_target: usize,
     chain_length: usize,
     merge_ratio: f64,
     insertion_depth: usize,
@@ -158,7 +158,7 @@ impl Point {
             self_join: false,
             threads: opts.workers(),
             task_size: opts.task_size,
-            ring: opts.ring(),
+            ingest_target: opts.ingest_target,
             chain_length: 2,
             merge_ratio: 1.0,
             insertion_depth: 3,
@@ -195,9 +195,9 @@ impl Point {
         let mut config = JoinConfig::symmetric(self.w(), index)
             .with_threads(self.threads)
             .with_task_size(self.task_size)
+            .with_ingest_target(self.ingest_target)
             .with_chain_length(self.chain_length)
-            .with_pim(pim)
-            .with_ring(self.ring);
+            .with_pim(pim);
         config.window_r = 1 << self.exps.0;
         config.window_s = 1 << self.exps.1;
         config
@@ -304,7 +304,7 @@ fn task_sizes(_: &RunOpts) -> Vec<Tick> {
         |t| t.to_string(),
         |p, t| {
             p.task_size = t;
-            p.ring = p.ring.with_ingest_target(p.threads * t);
+            p.ingest_target = p.threads * t;
         },
     )
 }
@@ -834,8 +834,8 @@ fn fig13b(opts: &RunOpts, emit: Emit<'_>) {
     let config = JoinConfig::symmetric(w, IndexKind::PimTree)
         .with_threads(opts.workers())
         .with_task_size(opts.task_size)
-        .with_pim(pim_config(w).with_insertion_depth(4))
-        .with_ring(opts.ring());
+        .with_ingest_target(opts.ingest_target)
+        .with_pim(pim_config(w).with_insertion_depth(4));
     for r in [0.0, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0] {
         let mut rng = StdRng::seed_from_u64(opts.seed);
         let keys = ShiftingGaussian::scaled(r, 2 * w, 4 * w, 2 * w).generate(&mut rng);

@@ -3,7 +3,7 @@
 //! runner per operator kind.
 
 use pimtree_common::{
-    BandPredicate, DriftConfig, IndexKind, JoinConfig, PimConfig, RingConfig, ShardConfig, Tuple,
+    BandPredicate, DriftConfig, IndexKind, JoinConfig, PimConfig, ShardConfig, Tuple,
 };
 use pimtree_join::{
     build_single_threaded, HandshakeJoin, HandshakeMode, JoinRunStats, ParallelIbwj,
@@ -12,6 +12,27 @@ use pimtree_join::{
 use pimtree_workload::{calibrate_diff, KeyDistribution, StreamGenerator, StreamMix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Every flag a command line may carry, in the order of README's two flag
+/// tables: `figs` reads the first [`FIGURE_FLAGS`], the profilers all of
+/// them.
+const FLAGS: [&str; 12] = [
+    "--min-exp",
+    "--max-exp",
+    "--tuples",
+    "--threads",
+    "--task-size",
+    "--seed",
+    "--ingest-target",
+    "--shards",
+    "--partition-index",
+    "--repartition",
+    "--arrival-rate",
+    "--sample",
+];
+
+/// How many of [`FLAGS`] `figs` reads.
+const FIGURE_FLAGS: usize = 7;
 
 /// Command-line options shared by `figs` and the profilers.
 #[derive(Debug, Clone)]
@@ -31,23 +52,11 @@ pub struct RunOpts {
     pub task_size: usize,
     /// Workload seed.
     pub seed: u64,
-    /// Task-ring capacity for the parallel engine (0 = automatic).
-    pub ring_cap: usize,
     /// Ring ingest target (0 = automatic).
     pub ingest_target: usize,
-    /// Idle back-off: spin rounds before yielding.
-    pub spin_limit: u32,
-    /// Idle back-off: yield rounds before parking.
-    pub yield_limit: u32,
-    /// Idle back-off: park duration in microseconds (0 = never park).
-    pub park_micros: u64,
     /// Ring shards (simulated NUMA nodes) for the parallel engine. `0` means
     /// automatic (the single-ring engine).
     pub shards: usize,
-    /// Tuples claimed per cross-shard steal (0 = the task size).
-    pub steal_batch: usize,
-    /// First-pass steal threshold (minimum backlog of a steal victim).
-    pub steal_threshold: usize,
     /// Whether the engine partitions its index and window state per shard
     /// (the `ShardStore` layer) instead of sharing one index/window pair per
     /// side. Only meaningful with more than one shard.
@@ -55,12 +64,6 @@ pub struct RunOpts {
     /// Whether the engine adopts drift-driven repartition plans live
     /// (migration epochs). Only meaningful with more than one shard.
     pub repartition: bool,
-    /// Drift monitor observation window (tuples).
-    pub drift_window: usize,
-    /// Imbalance ratio that triggers a repartition plan.
-    pub drift_trigger: f64,
-    /// Maximum moved-weight fraction a plan may cost and still be adopted.
-    pub drift_cost_gate: f64,
     /// Open-loop arrival rate in tuples per second; 0 runs closed-loop
     /// (ingest as fast as the engine admits).
     pub arrival_rate: f64,
@@ -97,8 +100,8 @@ impl RunOpts {
 
     /// Parses `args` (without the program name). `figures` selects the
     /// `figs` command line: positional figure ids are allowed and only the
-    /// flags up to `--park-us=` are; otherwise every flag is and no
-    /// positional argument is. An unknown flag, an unparsable value, or a
+    /// flags of README's first flag table are; otherwise every flag is and
+    /// no positional argument is. An unknown flag, an unparsable value, or a
     /// window exponent `e` with `1 << e` out of `usize` range is an error
     /// naming the flag. A lone `--min-exp` or `--max-exp` moves the other
     /// bound along with it; both given in the wrong order is an error.
@@ -107,29 +110,18 @@ impl RunOpts {
         defaults: (u32, u32),
         figures: bool,
     ) -> Result<Self, String> {
-        let ring = RingConfig::default();
-        let shard = ShardConfig::default();
-        let drift = DriftConfig::default();
+        let config = JoinConfig::default();
         let mut opts = RunOpts {
             min_exp: defaults.0,
             max_exp: defaults.1,
             tuples: 0,
             threads: 0,
-            task_size: 8,
+            task_size: config.task_size,
             seed: 42,
-            ring_cap: ring.capacity,
-            ingest_target: ring.ingest_target,
-            spin_limit: ring.spin_limit,
-            yield_limit: ring.yield_limit,
-            park_micros: ring.park_micros,
+            ingest_target: config.ingest_target,
             shards: 0,
-            steal_batch: shard.steal_batch,
-            steal_threshold: shard.steal_threshold,
-            partition_index: shard.partition_index,
-            repartition: drift.repartition,
-            drift_window: drift.window,
-            drift_trigger: drift.imbalance_trigger,
-            drift_cost_gate: drift.cost_gate,
+            partition_index: config.shard.partition_index,
+            repartition: config.drift.repartition,
             arrival_rate: 0.0,
             sample: None,
             ids: Vec::new(),
@@ -144,6 +136,14 @@ impl RunOpts {
                 continue;
             }
             let (key, value) = arg.split_once('=').unwrap_or((arg, ""));
+            let known = if figures {
+                &FLAGS[..FIGURE_FLAGS]
+            } else {
+                &FLAGS[..]
+            };
+            if !known.contains(&key) {
+                return Err(format!("unknown flag '{key}'"));
+            }
             let bad = || format!("bad value for {key}: '{value}'");
             let num = || value.parse::<u64>().map_err(|_| bad());
             let real = || value.parse::<f64>().map_err(|_| bad());
@@ -168,23 +168,13 @@ impl RunOpts {
                 "--threads" => opts.threads = num()? as usize,
                 "--task-size" => opts.task_size = num()? as usize,
                 "--seed" => opts.seed = num()?,
-                "--ring-cap" => opts.ring_cap = num()? as usize,
                 "--ingest-target" => opts.ingest_target = num()? as usize,
-                "--spin" => opts.spin_limit = num()? as u32,
-                "--yield" => opts.yield_limit = num()? as u32,
-                "--park-us" => opts.park_micros = num()?,
-                _ if figures => return Err(format!("unknown flag '{key}'")),
                 "--shards" => opts.shards = num()? as usize,
-                "--steal-batch" => opts.steal_batch = num()? as usize,
-                "--steal-threshold" => opts.steal_threshold = num()? as usize,
                 "--partition-index" => opts.partition_index = on_off()?,
                 "--repartition" => opts.repartition = on_off()?,
-                "--drift-window" => opts.drift_window = num()? as usize,
-                "--drift-trigger" => opts.drift_trigger = real()?,
-                "--drift-cost-gate" => opts.drift_cost_gate = real()?,
                 "--arrival-rate" => opts.arrival_rate = real()?,
                 "--sample" => opts.sample = path()?,
-                _ => return Err(format!("unknown flag '{key}'")),
+                _ => unreachable!("{key} is in FLAGS but has no arm"),
             }
         }
         if let (Some(min), Some(max)) = opts.exp_flags {
@@ -227,33 +217,19 @@ impl RunOpts {
         }
     }
 
-    /// The task-ring configuration selected on the command line.
-    pub fn ring(&self) -> RingConfig {
-        RingConfig::default()
-            .with_capacity(self.ring_cap)
-            .with_ingest_target(self.ingest_target)
-            .with_backoff(self.spin_limit, self.yield_limit, self.park_micros)
-    }
-
     /// The sharded-ring configuration selected on the command line
     /// (`--shards=0`, the automatic default, resolves to the single-ring
     /// engine).
     pub fn shard(&self) -> ShardConfig {
         ShardConfig::default()
             .with_shards(self.shards.max(1))
-            .with_steal_batch(self.steal_batch)
-            .with_steal_threshold(self.steal_threshold)
             .with_partition_index(self.partition_index)
     }
 
     /// The drift / live-repartition configuration selected on the command
     /// line.
     pub fn drift(&self) -> DriftConfig {
-        DriftConfig::default()
-            .with_repartition(self.repartition)
-            .with_window(self.drift_window)
-            .with_imbalance_trigger(self.drift_trigger)
-            .with_cost_gate(self.drift_cost_gate)
+        DriftConfig::default().with_repartition(self.repartition)
     }
 
     /// The worker count: `--threads=`, or without it the host's available
@@ -280,13 +256,13 @@ impl RunOpts {
 
     /// The parallel engine's configuration for windows of `w` tuples at
     /// `threads` workers: the paper's PIM-Tree defaults, the task size and
-    /// the ring flags, on one ring shard without repartitioning.
+    /// the ingest target, on one ring shard without repartitioning.
     pub fn engine_config(&self, w: usize, threads: usize) -> JoinConfig {
         JoinConfig::symmetric(w, IndexKind::PimTree)
             .with_threads(threads)
             .with_task_size(self.task_size)
+            .with_ingest_target(self.ingest_target)
             .with_pim(pim_config(w))
-            .with_ring(self.ring())
     }
 }
 
@@ -440,23 +416,19 @@ mod tests {
         assert_eq!(opts.window_exps(), vec![10, 11, 12]);
         let fixed = parse("--tuples=1234", false).unwrap();
         assert_eq!(fixed.tuples_for(1 << 24), 1234);
-        let ring = parse("--ring-cap=512 --spin=2", false).unwrap().ring();
-        assert_eq!((ring.capacity, ring.spin_limit), (512, 2));
-        ring.validate().unwrap();
-        let line = "--shards=4 --steal-batch=2 --steal-threshold=3 --partition-index=on";
-        let shard = parse(line, false).unwrap().shard();
-        assert_eq!(
-            (shard.shards, shard.steal_batch, shard.steal_threshold),
-            (4, 2, 3)
-        );
+        let config = parse("--ingest-target=64", false)
+            .unwrap()
+            .engine_config(1 << 10, 2);
+        assert_eq!(config.ingest_target, 64);
+        config.validate().unwrap();
+        let shard = parse("--shards=4 --partition-index=on", false)
+            .unwrap()
+            .shard();
+        assert_eq!(shard.shards, 4);
         assert!(shard.partition_index);
         shard.validate().unwrap();
-        let line = "--repartition=on --drift-window=256 --drift-trigger=2.0 --drift-cost-gate=0.5";
-        let drift = parse(line, false).unwrap().drift();
+        let drift = parse("--repartition=on", false).unwrap().drift();
         assert!(drift.repartition);
-        assert_eq!(drift.window, 256);
-        assert!((drift.imbalance_trigger - 2.0).abs() < 1e-9);
-        assert!((drift.cost_gate - 0.5).abs() < 1e-9);
         drift.validate().unwrap();
         let opts = parse("--sample=/tmp/p", false).unwrap();
         assert_eq!(opts.sample.as_deref(), Some("/tmp/p"));
@@ -468,14 +440,13 @@ mod tests {
         // they read.
         for line in [
             "--tuples=65536 --shards=4",
-            "--ring-cap=64 --task-size=2",
-            "--ring-cap=3",
-            "--park-us=2000000",
+            "--ingest-target=64 --task-size=2",
+            "--task-size=0",
             "--min-exp=12 --max-exp=12 --tuples=30000 --threads=4",
             "--threads=1 --sample=/tmp/prof",
             "--min-exp=14 --max-exp=14 --tuples=1000000 --threads=1",
             "--partition-index=off --repartition=on --arrival-rate=500000 --ingest-target=16",
-            "--yield=4 --seed=7 --drift-trigger=1.25",
+            "--seed=7",
         ] {
             parse(line, false).unwrap_or_else(|e| panic!("{line}: {e}"));
         }
@@ -491,7 +462,7 @@ mod tests {
         assert!(sweep.windows(2).all(|p| p[1] == 2 * p[0]));
         assert!(*sweep.last().unwrap() <= host && 2 * sweep.last().unwrap() > host);
         // `figs` takes figure ids and the sweep, workload and ring flags.
-        let line = "13c 9a --min-exp=10 --max-exp=11 --tuples=4096 --threads=2 --spin=2";
+        let line = "13c 9a --min-exp=10 --max-exp=11 --tuples=4096 --threads=2 --ingest-target=8";
         let opts = parse(line, true).unwrap();
         assert_eq!(opts.ids, ["13c", "9a"]);
         assert_eq!((opts.tuples, opts.threads), (4096, 2));
@@ -505,7 +476,7 @@ mod tests {
             ("--tuples=lots", false, "--tuples"),
             ("--tuples", false, "--tuples"),
             ("--partition-index=maybe", false, "--partition-index"),
-            ("--drift-trigger=x", false, "--drift-trigger"),
+            ("--arrival-rate=x", false, "--arrival-rate"),
             ("--sample=", false, "--sample"),
             ("--max-exp=64", false, "overflows"),
             ("--min-exp=12 --max-exp=11", false, "--min-exp"),
@@ -517,6 +488,57 @@ mod tests {
         ] {
             let err = parse(line, figures).unwrap_err();
             assert!(err.contains(named), "{line}: {err}");
+        }
+    }
+
+    /// README's flag tables and the parser cannot drift apart: the first
+    /// table lists exactly the flags `figs` accepts, the second exactly the
+    /// ones only the profilers accept, and every documented flag parses
+    /// with a value of its documented form.
+    #[test]
+    fn readme_flag_tables_match_the_parser() {
+        let readme = include_str!("../../../README.md");
+        let section = &readme[readme
+            .find("## Benchmarks")
+            .expect("README has a Benchmarks section")..];
+        // One list of `(flag, value form)` per table, in row order.
+        let mut tables: Vec<Vec<(&str, &str)>> = Vec::new();
+        let mut in_table = false;
+        for line in section.lines() {
+            if !line.starts_with("| `--") {
+                in_table = false;
+                continue;
+            }
+            if !in_table {
+                tables.push(Vec::new());
+                in_table = true;
+            }
+            let first_cell = line[2..].split(" | ").next().unwrap();
+            for flag in first_cell.split('`').filter(|f| f.starts_with("--")) {
+                let (name, form) = flag.split_once('=').expect("a flag cell shows its value");
+                tables.last_mut().unwrap().push((name, form));
+            }
+        }
+        assert_eq!(tables.len(), 2, "two flag tables: {tables:?}");
+        let names: Vec<Vec<&str>> = tables
+            .iter()
+            .map(|table| table.iter().map(|f| f.0).collect())
+            .collect();
+        assert_eq!(names[0], FLAGS[..FIGURE_FLAGS]);
+        assert_eq!(names[1], FLAGS[FIGURE_FLAGS..]);
+        for (table, figs_reads) in tables.iter().zip([true, false]) {
+            for &(name, form) in table {
+                let value = match form {
+                    "N" => "3",
+                    "X" => "2.5",
+                    "PATH" => "/tmp/p",
+                    "on\\|off" => "on",
+                    other => panic!("{name}: undocumented value form '{other}'"),
+                };
+                let arg = format!("{name}={value}");
+                parse(&arg, false).unwrap_or_else(|e| panic!("{arg}: {e}"));
+                assert_eq!(parse(&arg, true).is_ok(), figs_reads, "figs and {arg}");
+            }
         }
     }
 

@@ -33,12 +33,8 @@ fn merge_cursor_drains_in_global_arrival_order_under_steals() {
     const N: u64 = 2; // one tuple per shard; arrival stamps 0 and 1
     let report = Builder::default()
         .check_report(|| {
-            let cfg = ShardConfig {
-                shards: 2,
-                steal_batch: 1,
-                steal_threshold: 1,
-                partition_index: false,
-            };
+            // Task size 1: a steal takes a single tuple.
+            let cfg = ShardConfig::default().with_shards(2);
             let ring = Arc::new(ShardedRing::new(&cfg, 1, 4, None));
 
             // Publish N tuples round-robin before the worker starts; the

@@ -155,109 +155,6 @@ impl PimConfig {
     }
 }
 
-/// Tuning of the parallel engine's lock-free task ring and idle back-off.
-///
-/// The parallel IBWJ engine distributes work through a fixed-capacity MPMC
-/// ring buffer (see `pimtree-join`'s `ring` module). These knobs size the
-/// ring and shape the spin → yield → park back-off a worker goes through
-/// when it finds no task to acquire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RingConfig {
-    /// Ring capacity in slots. `0` selects an automatic capacity from the
-    /// thread count and task size. Non-zero values are rounded up to a power
-    /// of two and to at least twice the task size.
-    pub capacity: usize,
-    /// How many ingested-but-unclaimed tuples the engine tries to keep
-    /// available in the ring; `0` selects `4 * threads * task_size` (clamped
-    /// to a quarter of the capacity). There is one claim rule and it follows
-    /// the depth it finds: a worker takes an equal share of what is
-    /// available, between one and four tasks. A ring never filled past
-    /// `threads * task_size` therefore never yields more than one task a
-    /// claim — the paper's fixed-size tasks, which is how its task-size
-    /// figures are swept. Larger targets amortise the ingest token and the
-    /// per-claim bookkeeping better, smaller ones reduce result-propagation
-    /// latency.
-    pub ingest_target: usize,
-    /// Number of idle rounds spent busy-spinning (with exponentially growing
-    /// spin windows) before the worker starts yielding its time slice.
-    pub spin_limit: u32,
-    /// Number of idle rounds spent calling `yield_now` after spinning and
-    /// before parking.
-    pub yield_limit: u32,
-    /// Sleep duration of one park once spinning and yielding both found no
-    /// work, in microseconds. `0` keeps yielding forever (never parks).
-    pub park_micros: u64,
-}
-
-impl Default for RingConfig {
-    fn default() -> Self {
-        RingConfig {
-            capacity: 0,
-            ingest_target: 0,
-            spin_limit: 6,
-            yield_limit: 16,
-            park_micros: 50,
-        }
-    }
-}
-
-impl RingConfig {
-    /// Sets an explicit ring capacity (0 = automatic).
-    pub fn with_capacity(mut self, capacity: usize) -> Self {
-        self.capacity = capacity;
-        self
-    }
-
-    /// Sets the ingest target (0 = automatic).
-    pub fn with_ingest_target(mut self, target: usize) -> Self {
-        self.ingest_target = target;
-        self
-    }
-
-    /// Sets the idle back-off shape.
-    pub fn with_backoff(mut self, spin_limit: u32, yield_limit: u32, park_micros: u64) -> Self {
-        self.spin_limit = spin_limit;
-        self.yield_limit = yield_limit;
-        self.park_micros = park_micros;
-        self
-    }
-
-    /// Validates the configuration.
-    pub fn validate(&self) -> Result<()> {
-        if self.capacity != 0 && self.capacity < 4 {
-            return Err(Error::InvalidConfig(format!(
-                "ring capacity must be 0 (auto) or at least 4, got {}",
-                self.capacity
-            )));
-        }
-        if self.capacity != 0 && self.capacity > (1 << 28) {
-            return Err(Error::InvalidConfig(format!(
-                "ring capacity {} exceeds the 2^28-slot ceiling",
-                self.capacity
-            )));
-        }
-        if self.spin_limit > 1 << 16 {
-            return Err(Error::InvalidConfig(format!(
-                "spin_limit {} is unreasonably large (max 65536)",
-                self.spin_limit
-            )));
-        }
-        if self.yield_limit > 1 << 16 {
-            return Err(Error::InvalidConfig(format!(
-                "yield_limit {} is unreasonably large (max 65536)",
-                self.yield_limit
-            )));
-        }
-        if self.park_micros > 1_000_000 {
-            return Err(Error::InvalidConfig(format!(
-                "park_micros {} exceeds one second; workers would stall",
-                self.park_micros
-            )));
-        }
-        Ok(())
-    }
-}
-
 /// Tuning of the parallel engine's sharded task-ring layer.
 ///
 /// With more than one shard, the engine splits its MPMC task ring into an
@@ -265,20 +162,14 @@ impl RingConfig {
 /// shard has its own ingest cursor, claim ticket and drain cursor, a router
 /// assigns every ingested tuple to the shard owning its key range (or
 /// round-robin without a partitioner), and workers claim from their *home*
-/// shard first, stealing from remote shards only when the home shard runs
-/// dry. `shards = 1` keeps the original single-ring path bit for bit.
+/// shard first, stealing one task from a remote shard only when the home
+/// shard runs dry. `shards = 1` keeps the original single-ring path bit for
+/// bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardConfig {
     /// Number of ring shards (simulated NUMA nodes). `1` disables sharding
     /// and runs the plain single-ring engine.
     pub shards: usize,
-    /// How many tuples a worker claims per successful steal from a remote
-    /// shard. `0` selects the engine's task size.
-    pub steal_batch: usize,
-    /// Minimum number of available (ingested, unclaimed) tuples a remote
-    /// shard must hold before the first steal pass targets it; a second pass
-    /// ignores the threshold so below-threshold work can never be stranded.
-    pub steal_threshold: usize,
     /// Whether the engine also partitions its *index and window state* per
     /// shard (the `ShardStore` layer): each shard owns one index plus one
     /// window slice per side covering only its key range, inserts are routed
@@ -293,8 +184,6 @@ impl Default for ShardConfig {
     fn default() -> Self {
         ShardConfig {
             shards: 1,
-            steal_batch: 0,
-            steal_threshold: 1,
             partition_index: false,
         }
     }
@@ -304,18 +193,6 @@ impl ShardConfig {
     /// Sets the number of ring shards.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// Sets the steal batch size (0 = the engine's task size).
-    pub fn with_steal_batch(mut self, steal_batch: usize) -> Self {
-        self.steal_batch = steal_batch;
-        self
-    }
-
-    /// Sets the first-pass steal threshold.
-    pub fn with_steal_threshold(mut self, steal_threshold: usize) -> Self {
-        self.steal_threshold = steal_threshold;
         self
     }
 
@@ -338,18 +215,6 @@ impl ShardConfig {
                 self.shards
             )));
         }
-        if self.steal_batch > 4096 {
-            return Err(Error::InvalidConfig(format!(
-                "steal_batch {} is unreasonably large (max 4096)",
-                self.steal_batch
-            )));
-        }
-        if self.steal_threshold > 1 << 20 {
-            return Err(Error::InvalidConfig(format!(
-                "steal_threshold {} is unreasonably large (max 2^20)",
-                self.steal_threshold
-            )));
-        }
         Ok(())
     }
 }
@@ -359,14 +224,14 @@ impl ShardConfig {
 /// With `repartition` on (and more than one shard), the engine feeds every
 /// processed tuple's `(key, match count)` into a `DriftMonitor` sliding
 /// window. When the observed load imbalance under the current
-/// `RangePartitioner` exceeds `imbalance_trigger` and the resulting
-/// repartition plan's moved-weight fraction clears `cost_gate`, the engine
-/// migrates to the plan's partitioner in one **migration epoch**: ingestion
-/// and claiming quiesce behind the merge gate while every index entry and
-/// window tuple whose key changed home shards moves to its new owner. Off
-/// (the default), the partitioner chosen at construction stays fixed for
-/// the whole run — the pre-PR-5 behavior.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// `RangePartitioner` exceeds 1.5 and the resulting repartition plan moves
+/// at most 90 % of the observed weight (both constants of the engine), the
+/// engine migrates to the plan's partitioner in one **migration epoch**:
+/// ingestion and claiming quiesce behind the merge gate while every index
+/// entry and window tuple whose key changed home shards moves to its new
+/// owner. Off (the default), the partitioner chosen at construction stays
+/// fixed for the whole run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DriftConfig {
     /// Master switch for live repartition adoption. Off keeps the engine's
     /// partitioner (ring routing and store placement) fixed for the run.
@@ -374,14 +239,6 @@ pub struct DriftConfig {
     /// Capacity of the drift monitor's sliding observation window (and the
     /// cooldown after a plan decision), in tuples.
     pub window: usize,
-    /// Observed max-node/ideal load ratio above which a repartition plan is
-    /// computed (1.0 = perfectly balanced; typical triggers are 1.5–2.0).
-    pub imbalance_trigger: f64,
-    /// Cost gate on plan adoption: the fraction of observed weight whose
-    /// home shard changes must be **at most** this for the plan to be worth
-    /// its data transfer; costlier plans are rejected (counted, and the
-    /// monitor cools down so the decision is retried on fresh data).
-    pub cost_gate: f64,
 }
 
 impl Default for DriftConfig {
@@ -389,8 +246,6 @@ impl Default for DriftConfig {
         DriftConfig {
             repartition: false,
             window: 4096,
-            imbalance_trigger: 1.5,
-            cost_gate: 0.9,
         }
     }
 }
@@ -405,18 +260,6 @@ impl DriftConfig {
     /// Sets the drift observation window (tuples).
     pub fn with_window(mut self, window: usize) -> Self {
         self.window = window;
-        self
-    }
-
-    /// Sets the imbalance trigger.
-    pub fn with_imbalance_trigger(mut self, trigger: f64) -> Self {
-        self.imbalance_trigger = trigger;
-        self
-    }
-
-    /// Sets the moved-fraction cost gate.
-    pub fn with_cost_gate(mut self, gate: f64) -> Self {
-        self.cost_gate = gate;
         self
     }
 
@@ -438,18 +281,6 @@ impl DriftConfig {
                 self.window
             )));
         }
-        if self.imbalance_trigger.is_nan() || self.imbalance_trigger < 1.0 {
-            return Err(Error::InvalidConfig(format!(
-                "imbalance trigger must be at least 1.0, got {}",
-                self.imbalance_trigger
-            )));
-        }
-        if !(self.cost_gate > 0.0 && self.cost_gate <= 1.0) {
-            return Err(Error::InvalidConfig(format!(
-                "cost gate must be in (0, 1], got {}",
-                self.cost_gate
-            )));
-        }
         Ok(())
     }
 }
@@ -469,14 +300,23 @@ pub struct JoinConfig {
     /// Task size: the unit in which the ring hands out work. A claim takes
     /// one task when the ring is shallow and up to four when it is deep
     /// enough to leave every worker as much (see
-    /// [`RingConfig::ingest_target`]).
+    /// [`ingest_target`](Self::ingest_target)).
     pub task_size: usize,
+    /// How many ingested-but-unclaimed tuples the parallel engine tries to
+    /// keep available in its task ring; `0` selects `4 * threads *
+    /// task_size` (clamped to a quarter of the ring's capacity). There is
+    /// one claim rule and it follows the depth it finds: a worker takes an
+    /// equal share of what is available, between one and four tasks. A ring
+    /// never filled past `threads * task_size` therefore never yields more
+    /// than one task a claim — the paper's fixed-size tasks, which is how
+    /// its task-size figures are swept. Larger targets amortise the ingest
+    /// token and the per-claim bookkeeping better, smaller ones reduce
+    /// result-propagation latency.
+    pub ingest_target: usize,
     /// Chain length `L` for the chained-index variants.
     pub chain_length: usize,
     /// Index tuning shared by IM-Tree / PIM-Tree.
     pub pim: PimConfig,
-    /// Task-ring and idle back-off tuning for the parallel engine.
-    pub ring: RingConfig,
     /// Sharded-ring tuning (shard count, work-stealing shape).
     pub shard: ShardConfig,
     /// Drift-driven live repartitioning of the parallel engine.
@@ -491,9 +331,9 @@ impl Default for JoinConfig {
             index: IndexKind::PimTree,
             threads: 1,
             task_size: 8,
+            ingest_target: 0,
             chain_length: 2,
             pim: PimConfig::for_window(1 << 16),
-            ring: RingConfig::default(),
             shard: ShardConfig::default(),
             drift: DriftConfig::default(),
         }
@@ -536,9 +376,9 @@ impl JoinConfig {
         self
     }
 
-    /// Overrides the parallel engine's ring / back-off tuning.
-    pub fn with_ring(mut self, ring: RingConfig) -> Self {
-        self.ring = ring;
+    /// Sets the parallel engine's ring fill target (0 = automatic).
+    pub fn with_ingest_target(mut self, target: usize) -> Self {
+        self.ingest_target = target;
         self
     }
 
@@ -575,7 +415,6 @@ impl JoinConfig {
                 "chained index requires chain_length >= 2".into(),
             ));
         }
-        self.ring.validate()?;
         self.shard.validate()?;
         self.drift.validate()?;
         self.pim.validate()
@@ -638,11 +477,13 @@ mod tests {
         let c = JoinConfig::symmetric(1 << 12, IndexKind::PimTree)
             .with_threads(8)
             .with_task_size(4)
+            .with_ingest_target(64)
             .with_chain_length(3);
         assert_eq!(c.window_r, 1 << 12);
         assert_eq!(c.window_s, 1 << 12);
         assert_eq!(c.threads, 8);
         assert_eq!(c.task_size, 4);
+        assert_eq!(c.ingest_target, 64);
         assert_eq!(c.chain_length, 3);
         assert_eq!(c.max_window(), 1 << 12);
         c.validate().unwrap();
@@ -665,50 +506,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_config_defaults_validate_and_builders_chain() {
-        let r = RingConfig::default();
-        r.validate().unwrap();
-        let r = RingConfig::default()
-            .with_capacity(256)
-            .with_ingest_target(64)
-            .with_backoff(8, 4, 100);
-        assert_eq!(r.capacity, 256);
-        assert_eq!(r.ingest_target, 64);
-        assert_eq!((r.spin_limit, r.yield_limit, r.park_micros), (8, 4, 100));
-        r.validate().unwrap();
-        let c = JoinConfig::symmetric(64, IndexKind::PimTree).with_ring(r);
-        assert_eq!(c.ring, r);
-        c.validate().unwrap();
-    }
-
-    #[test]
-    fn ring_config_rejects_bad_values() {
-        assert!(RingConfig::default().with_capacity(2).validate().is_err());
-        assert!(RingConfig::default()
-            .with_capacity(1 << 29)
-            .validate()
-            .is_err());
-        assert!(RingConfig::default()
-            .with_backoff(1 << 17, 0, 0)
-            .validate()
-            .is_err());
-        assert!(RingConfig::default()
-            .with_backoff(0, u32::MAX, 0)
-            .validate()
-            .is_err());
-        assert!(RingConfig::default()
-            .with_backoff(0, 0, 2_000_000)
-            .validate()
-            .is_err());
-        let mut c = JoinConfig::symmetric(16, IndexKind::PimTree);
-        c.ring.capacity = 3;
-        assert!(
-            c.validate().is_err(),
-            "JoinConfig::validate covers the ring"
-        );
-    }
-
-    #[test]
     fn shard_config_defaults_validate_and_builders_chain() {
         let s = ShardConfig::default();
         assert_eq!(s.shards, 1, "sharding is off by default");
@@ -716,10 +513,8 @@ mod tests {
         s.validate().unwrap();
         let s = ShardConfig::default()
             .with_shards(4)
-            .with_steal_batch(16)
-            .with_steal_threshold(8)
             .with_partition_index(true);
-        assert_eq!((s.shards, s.steal_batch, s.steal_threshold), (4, 16, 8));
+        assert_eq!(s.shards, 4);
         assert!(s.partition_index);
         s.validate().unwrap();
         let c = JoinConfig::symmetric(64, IndexKind::PimTree).with_shard(s);
@@ -731,14 +526,6 @@ mod tests {
     fn shard_config_rejects_bad_values() {
         assert!(ShardConfig::default().with_shards(0).validate().is_err());
         assert!(ShardConfig::default().with_shards(65).validate().is_err());
-        assert!(ShardConfig::default()
-            .with_steal_batch(5000)
-            .validate()
-            .is_err());
-        assert!(ShardConfig::default()
-            .with_steal_threshold((1 << 20) + 1)
-            .validate()
-            .is_err());
         let mut c = JoinConfig::symmetric(16, IndexKind::PimTree);
         c.shard.shards = 0;
         assert!(
@@ -755,9 +542,7 @@ mod tests {
         assert_eq!(d.check_interval(), 4096 / 8);
         let d = DriftConfig::default()
             .with_repartition(true)
-            .with_window(512)
-            .with_imbalance_trigger(2.0)
-            .with_cost_gate(0.5);
+            .with_window(512);
         assert!(d.repartition);
         assert_eq!(d.window, 512);
         assert_eq!(d.check_interval(), 64);
@@ -774,22 +559,6 @@ mod tests {
         assert!(DriftConfig::default().with_window(0).validate().is_err());
         assert!(DriftConfig::default()
             .with_window((1 << 24) + 1)
-            .validate()
-            .is_err());
-        assert!(DriftConfig::default()
-            .with_imbalance_trigger(0.5)
-            .validate()
-            .is_err());
-        assert!(DriftConfig::default()
-            .with_imbalance_trigger(f64::NAN)
-            .validate()
-            .is_err());
-        assert!(DriftConfig::default()
-            .with_cost_gate(0.0)
-            .validate()
-            .is_err());
-        assert!(DriftConfig::default()
-            .with_cost_gate(1.5)
             .validate()
             .is_err());
         let mut c = JoinConfig::symmetric(16, IndexKind::PimTree);

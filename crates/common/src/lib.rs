@@ -28,9 +28,7 @@ pub mod simd;
 pub mod sync;
 pub mod types;
 
-pub use config::{
-    DriftConfig, IndexKind, JoinConfig, MergePolicy, PimConfig, RingConfig, ShardConfig,
-};
+pub use config::{DriftConfig, IndexKind, JoinConfig, MergePolicy, PimConfig, ShardConfig};
 pub use error::{Error, Result};
 pub use metrics::{CostBreakdown, LatencyHistogram, ProbeCounters, Step, StepTimer};
 pub use prefetch::{

@@ -53,9 +53,9 @@
 //! With `ShardConfig::shards > 1` the single ring becomes a
 //! [`crate::shard::ShardedRing`]: per-NUMA-node ring shards behind a
 //! key-range router ([`ParallelIbwj::with_partitioner`]), home-shard
-//! claiming with bounded cross-shard stealing (charged to a simulated NUMA
-//! traffic account), and a cross-shard merge cursor that preserves global
-//! arrival-order propagation. One shard short-circuits to the plain ring.
+//! claiming with one-task cross-shard steals, and a cross-shard merge
+//! cursor that preserves global arrival-order propagation. One shard
+//! short-circuits to the plain ring.
 //!
 //! With `ShardConfig::partition_index` on top, the *index and window state*
 //! is partitioned as well ([`crate::store::ShardStore`]): each shard owns one
@@ -97,8 +97,8 @@ use crossbeam::utils::CachePadded;
 use parking_lot::Mutex;
 use pimtree_btree::Entry;
 use pimtree_common::{
-    BandPredicate, DriftConfig, JoinConfig, JoinResult, Key, KeyRange, LatencyHistogram,
-    MergePolicy, Seq, StreamSide, Tuple,
+    BandPredicate, JoinConfig, JoinResult, Key, KeyRange, LatencyHistogram, MergePolicy, Seq,
+    StreamSide, Tuple,
 };
 use pimtree_numa::{DriftMonitor, RangePartitioner};
 use pimtree_window::WindowBounds;
@@ -117,6 +117,14 @@ use crate::store::{ShardStore, StoreParams};
 /// claim bookkeeping, clock reads) is paid once per batch. A factor of 8
 /// measured 1–4 % over 4 and lengthens every batch's suffix scan.
 const CLAIM_DEPTH: usize = 4;
+
+/// Observed max-shard/ideal load ratio above which the drift monitor computes
+/// a repartition plan (1.0 = perfectly balanced).
+const IMBALANCE_TRIGGER: f64 = 1.5;
+
+/// Cost gate on plan adoption: a plan whose moved fraction of the observed
+/// weight exceeds this is not worth its data transfer and is rejected.
+const COST_GATE: f64 = 0.9;
 
 /// Which shared index the parallel engine maintains over each window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,6 +176,9 @@ struct DriftState {
     /// Observations since the last drift check (the O(window) imbalance fold
     /// runs every `check_interval` observations, not per task).
     since_check: usize,
+    /// Observations between drift checks
+    /// ([`DriftConfig::check_interval`](pimtree_common::DriftConfig::check_interval)).
+    check_interval: usize,
 }
 
 /// Open-loop arrival pacing for the SLO harness: tuple `measured_from + i`
@@ -211,7 +222,6 @@ struct Shared<'a> {
     store: ShardStore,
     merge_policy: MergePolicy,
     collect_results: bool,
-    backoff: pimtree_common::RingConfig,
 
     ring: ShardedRing,
     /// Next input position to ingest; written only under the ingest token.
@@ -238,7 +248,6 @@ struct Shared<'a> {
     /// feature is off (or the engine runs unsharded / unrouted), in which
     /// case the whole path costs one branch per task.
     drift: Option<Mutex<DriftState>>,
-    drift_cfg: DriftConfig,
     /// Test/bench hook: adopt this partitioner once the ingest cursor passes
     /// the given input position, regardless of observed drift.
     forced_repartition: Option<(usize, RangePartitioner)>,
@@ -324,13 +333,22 @@ pub struct ParallelIbwj {
     /// Merge hook: see [`merge_storm`].
     #[cfg(test)]
     merge_storm: bool,
+    /// Ring hook: the ring's total capacity in slots instead of the automatic
+    /// one (0 keeps it), so that tests can recycle every slot many times.
+    #[cfg(test)]
+    ring_capacity: usize,
 }
 
 impl ParallelIbwj {
     /// Creates the operator. `config.threads` worker threads are used,
     /// `config.pim` configures the PIM-Tree (including its merge policy),
-    /// `config.ring` tunes the task ring and idle back-off, and
+    /// `config.ingest_target` sets the ring's fill target, and
     /// `config.shard` shards the ring across simulated NUMA nodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`InvalidConfig`](pimtree_common::Error::InvalidConfig)
+    /// message when `config` does not validate.
     pub fn new(
         config: JoinConfig,
         predicate: BandPredicate,
@@ -351,6 +369,8 @@ impl ParallelIbwj {
             fault_at: None,
             #[cfg(test)]
             merge_storm: false,
+            #[cfg(test)]
+            ring_capacity: 0,
         }
     }
 
@@ -463,14 +483,15 @@ impl ParallelIbwj {
         let threads = self.config.threads;
         let task_size = self.config.task_size;
         let shards = self.config.shard.shards;
-        let ring_cap = if self.config.ring.capacity > 0 {
-            self.config.ring.capacity
-        } else {
-            (threads * task_size * 64).max(4096)
+        let ring_cap = (threads * task_size * 64).max(4096);
+        #[cfg(test)]
+        let ring_cap = match self.ring_capacity {
+            0 => ring_cap,
+            cap => cap,
         };
-        // `ring.capacity` configures the *total* capacity; each shard gets an
-        // equal slice, floored so even a deliberately tiny ring leaves every
-        // shard room for a whole task.
+        // The capacity is the *total* across shards; each shard gets an equal
+        // slice, floored so that every shard has room for a whole task even
+        // when there are many shards (or the test hook's tiny ring).
         let per_shard_cap = (ring_cap / shards)
             .max(2 * task_size)
             .max(4)
@@ -506,12 +527,12 @@ impl ParallelIbwj {
         // Total capacity across shards: the bound on how far any in-flight
         // task can lag the ingest frontier.
         let ring_cap = ring.capacity();
-        let ingest_target = if self.config.ring.ingest_target > 0 {
-            self.config.ring.ingest_target.min(ring_cap)
+        let ingest_target = if self.config.ingest_target > 0 {
+            self.config.ingest_target.min(ring_cap)
         } else {
             // Deep enough for every worker to claim `CLAIM_DEPTH` tasks at a
-            // visit. Upper bound floors at task_size so a deliberately tiny
-            // ring (capacity down to 2 * task_size) cannot invert the clamp.
+            // visit. Upper bound floors at task_size so a tiny ring (capacity
+            // down to 2 * task_size) cannot invert the clamp.
             (CLAIM_DEPTH * threads * task_size).clamp(task_size, (ring_cap / 4).max(task_size))
         };
         // The un-indexed suffix in steady state is what waits in the ring
@@ -561,7 +582,6 @@ impl ParallelIbwj {
             store,
             merge_policy: self.config.pim.merge_policy,
             collect_results: self.collect_results,
-            backoff: self.config.ring,
             ring,
             next_ingest: AtomicUsize::new(0),
             claim_meta: (0..shards).map(|_| Default::default()).collect(),
@@ -572,19 +592,16 @@ impl ParallelIbwj {
             drift: if drift_on {
                 partitioner.clone().map(|p| {
                     Mutex::new(DriftState {
-                        monitor: DriftMonitor::new(
-                            self.config.drift.window,
-                            self.config.drift.imbalance_trigger,
-                        ),
+                        monitor: DriftMonitor::new(self.config.drift.window, IMBALANCE_TRIGGER),
                         partitioner: p,
                         pending: None,
                         since_check: 0,
+                        check_interval: self.config.drift.check_interval(),
                     })
                 })
             } else {
                 None
             },
-            drift_cfg: self.config.drift,
             forced_repartition: self.forced_repartition.clone(),
             forced_done: AtomicBool::new(false),
             repartition_pending: AtomicBool::new(false),
@@ -604,10 +621,15 @@ impl ParallelIbwj {
         // discard the counters it accumulated (results are kept). Every
         // count is a worker's own, so dropping the workers' stats drops all
         // of them; merges and epochs adopted during warmup keep their effect
-        // (the partitioner stays adopted) but are not reported.
+        // (the partitioner stays adopted) but are not reported. A merge
+        // that the prefix's last tasks made due is warm-up work too: the
+        // last worker out can find the maintenance claim held and exit, so
+        // every due merge runs here, before the measured clock starts.
         let mut warmup_results = Vec::new();
         if warmup > 0 {
             run_workers(&shared, threads);
+            let mut discarded = JoinRunStats::default();
+            while merge_due(&shared, 0, &mut discarded) {}
             shared.worker_stats.lock().clear();
             let (_, results) = std::mem::take(&mut *shared.sink.lock());
             warmup_results = results;
@@ -742,7 +764,7 @@ impl Drop for PoisonOnPanic<'_> {
 fn worker_loop(shared: &Shared<'_>, worker: usize) {
     let mut local = JoinRunStats::default();
     let mut scratch = WorkerScratch::new();
-    let mut backoff = Backoff::new(&shared.backoff);
+    let mut backoff = Backoff::default();
     // Workers are pinned round-robin to a home shard; on a real NUMA host
     // this is where the worker's thread would also be pinned to the shard's
     // socket.
@@ -1178,13 +1200,11 @@ fn check_drift(
 ) {
     st.since_check += observed;
     counters.observations += observed as u64;
-    if st.pending.is_none() && st.since_check >= shared.drift_cfg.check_interval() {
+    if st.pending.is_none() && st.since_check >= st.check_interval {
         st.since_check = 0;
         if st.monitor.should_repartition(&st.partitioner) {
             let plan = st.monitor.plan(&st.partitioner);
-            if plan.moved_fraction <= shared.drift_cfg.cost_gate
-                && plan.new_partitioner != st.partitioner
-            {
+            if plan.moved_fraction <= COST_GATE && plan.new_partitioner != st.partitioner {
                 st.pending = Some(plan.new_partitioner);
                 shared.repartition_pending.store(true, Ordering::Release);
             } else {
@@ -1432,15 +1452,21 @@ fn merge_storm(shared: &Shared<'_>) -> bool {
     }
 }
 
-/// Merges every side whose mutable component reached its threshold, unless
-/// another thread holds the maintenance claim or a repartition plan is
-/// waiting for it ([`merges_defer_to_epoch`]). Returns whether this visit
-/// merged anything (see [`maybe_repartition`]).
+/// A worker's merge visit: [`merge_due`], or under the test hook
+/// [`merge_storm`].
 fn maybe_merge(shared: &Shared<'_>, home: usize, local: &mut JoinRunStats) -> bool {
     #[cfg(test)]
     if shared.merge_storm {
         return merge_storm(shared);
     }
+    merge_due(shared, home, local)
+}
+
+/// Merges every side whose mutable component reached its threshold, unless
+/// another thread holds the maintenance claim or a repartition plan is
+/// waiting for it ([`merges_defer_to_epoch`]). Returns whether this visit
+/// merged anything (see [`maybe_repartition`]).
+fn merge_due(shared: &Shared<'_>, home: usize, local: &mut JoinRunStats) -> bool {
     let mut merged = false;
     for side in 0..if shared.self_join { 1 } else { 2 } {
         if merges_defer_to_epoch(shared) || shared.store.merge_candidate(side).is_none() {
@@ -1522,7 +1548,7 @@ fn maybe_merge(shared: &Shared<'_>, home: usize, local: &mut JoinRunStats) -> bo
 mod tests {
     use super::*;
     use crate::reference::{canonical, reference_join};
-    use pimtree_common::{IndexKind, PimConfig, RingConfig, ShardConfig};
+    use pimtree_common::{IndexKind, PimConfig, ShardConfig};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::time::Duration;
@@ -1989,7 +2015,7 @@ mod tests {
         // target of one task per worker pins it to the fixed-size task.
         for (ingest_target, largest_claim) in [(0, CLAIM_DEPTH * task), (threads * task, task)] {
             let cfg = config(128, threads, task, 1.0, MergePolicy::NonBlocking)
-                .with_ring(RingConfig::default().with_ingest_target(ingest_target));
+                .with_ingest_target(ingest_target);
             let op = ParallelIbwj::new(cfg, predicate, SharedIndexKind::PimTree, false);
             let (stats, _) = op.run(&tuples);
             assert_eq!(
@@ -2100,11 +2126,8 @@ mod tests {
             for policy in [MergePolicy::NonBlocking, MergePolicy::Blocking] {
                 for threads in [1usize, 2, 4] {
                     for ingest_target in [0, threads * task] {
-                        let mut cfg = config(w_r.max(w_s), threads, task, 0.5, policy).with_ring(
-                            RingConfig::default()
-                                .with_capacity(sc.ring_capacity)
-                                .with_ingest_target(ingest_target),
-                        );
+                        let mut cfg = config(w_r.max(w_s), threads, task, 0.5, policy)
+                            .with_ingest_target(ingest_target);
                         cfg.window_r = w_r;
                         cfg.window_s = w_s;
                         if sc.partitioned {
@@ -2121,6 +2144,7 @@ mod tests {
                             sc.self_join,
                         )
                         .with_collected_results(true);
+                        op.ring_capacity = sc.ring_capacity;
                         if sc.partitioned {
                             let at = sc.tuples.len() / 2;
                             let sample: Vec<Key> = sc.tuples[at..].iter().map(|t| t.key).collect();
@@ -2253,7 +2277,7 @@ mod tests {
         let threads = 2;
         for task in [1usize, 3, 4, 5, 64] {
             let cfg = config(128, threads, task, 0.5, MergePolicy::NonBlocking)
-                .with_ring(RingConfig::default().with_ingest_target(threads * task));
+                .with_ingest_target(threads * task);
             let op = ParallelIbwj::new(cfg, predicate, SharedIndexKind::PimTree, true)
                 .with_collected_results(true);
             let (stats, results) = op.run(&tuples);
@@ -2275,13 +2299,10 @@ mod tests {
         for policy in [MergePolicy::NonBlocking, MergePolicy::Blocking] {
             for (threads, task) in [(8, 1), (16, 2)] {
                 // Capacity 64 over 6000 tuples: ~94 wraparounds per run.
-                let cfg = config(128, threads, task, 0.5, policy).with_ring(
-                    RingConfig::default()
-                        .with_capacity(64)
-                        .with_backoff(2, 4, 10),
-                );
-                let op = ParallelIbwj::new(cfg, predicate, SharedIndexKind::PimTree, false)
+                let cfg = config(128, threads, task, 0.5, policy);
+                let mut op = ParallelIbwj::new(cfg, predicate, SharedIndexKind::PimTree, false)
                     .with_collected_results(true);
+                op.ring_capacity = 64;
                 let (stats, results) = op.run(&tuples);
                 assert_eq!(
                     canonical(&results),
@@ -2301,13 +2322,10 @@ mod tests {
         let expected = canonical(&reference_join(&tuples, predicate, 128, 128, true));
         assert!(!expected.is_empty());
         for policy in [MergePolicy::NonBlocking, MergePolicy::Blocking] {
-            let cfg = config(128, 8, 1, 0.5, policy).with_ring(
-                RingConfig::default()
-                    .with_capacity(32)
-                    .with_backoff(2, 4, 10),
-            );
-            let op = ParallelIbwj::new(cfg, predicate, SharedIndexKind::PimTree, true)
+            let cfg = config(128, 8, 1, 0.5, policy);
+            let mut op = ParallelIbwj::new(cfg, predicate, SharedIndexKind::PimTree, true)
                 .with_collected_results(true);
+            op.ring_capacity = 32;
             let (_, results) = op.run(&tuples);
             assert_eq!(canonical(&results), expected, "policy {policy:?}");
         }
@@ -2319,15 +2337,12 @@ mod tests {
         let predicate = BandPredicate::new(1);
         let expected = canonical(&reference_join(&tuples, predicate, 64, 512, false));
         assert!(!expected.is_empty());
-        let mut cfg = config(512, 12, 2, 0.5, MergePolicy::NonBlocking).with_ring(
-            RingConfig::default()
-                .with_capacity(64)
-                .with_backoff(2, 4, 10),
-        );
+        let mut cfg = config(512, 12, 2, 0.5, MergePolicy::NonBlocking);
         cfg.window_r = 64;
         cfg.window_s = 512;
-        let op = ParallelIbwj::new(cfg, predicate, SharedIndexKind::PimTree, false)
+        let mut op = ParallelIbwj::new(cfg, predicate, SharedIndexKind::PimTree, false)
             .with_collected_results(true);
+        op.ring_capacity = 64;
         let (_, results) = op.run(&tuples);
         assert_eq!(canonical(&results), expected);
     }
@@ -2335,16 +2350,15 @@ mod tests {
     #[test]
     fn tiny_explicit_capacity_with_large_task_size_runs() {
         // Regression: capacity 16 with the default task size 8 used to panic
-        // in the auto ingest-target clamp (`min > max`). The configuration
-        // passes validation, so the engine must accept it.
+        // in the auto ingest-target clamp (`min > max`).
         let tuples = random_tuples(1500, 150, 95);
         let predicate = BandPredicate::new(2);
         let expected = canonical(&reference_join(&tuples, predicate, 64, 64, false));
         for cap in [16, 32] {
-            let cfg = config(64, 2, 8, 1.0, MergePolicy::NonBlocking)
-                .with_ring(RingConfig::default().with_capacity(cap));
-            let op = ParallelIbwj::new(cfg, predicate, SharedIndexKind::PimTree, false)
+            let cfg = config(64, 2, 8, 1.0, MergePolicy::NonBlocking);
+            let mut op = ParallelIbwj::new(cfg, predicate, SharedIndexKind::PimTree, false)
                 .with_collected_results(true);
+            op.ring_capacity = cap;
             let (_, results) = op.run(&tuples);
             assert_eq!(canonical(&results), expected, "capacity {cap}");
         }
@@ -2360,13 +2374,10 @@ mod tests {
         let tuples = random_tuples(6000, 400, 96);
         let predicate = BandPredicate::new(2);
         let expected = canonical(&reference_join(&tuples, predicate, 128, 128, false));
-        let cfg = config(128, 16, 16, 1.0, MergePolicy::NonBlocking).with_ring(
-            RingConfig::default()
-                .with_capacity(64)
-                .with_backoff(2, 4, 10),
-        );
-        let op = ParallelIbwj::new(cfg, predicate, SharedIndexKind::BwTree, false)
+        let cfg = config(128, 16, 16, 1.0, MergePolicy::NonBlocking);
+        let mut op = ParallelIbwj::new(cfg, predicate, SharedIndexKind::BwTree, false)
             .with_collected_results(true);
+        op.ring_capacity = 64;
         let (_, results) = op.run(&tuples);
         assert_eq!(canonical(&results), expected);
     }
@@ -2541,18 +2552,10 @@ mod tests {
         assert!(!expected.is_empty());
         for shards in SHARDS {
             let cfg = config(128, 6, 2, 0.5, MergePolicy::NonBlocking)
-                .with_ring(
-                    RingConfig::default()
-                        .with_capacity(64)
-                        .with_backoff(2, 4, 10),
-                )
-                .with_shard(
-                    ShardConfig::default()
-                        .with_shards(shards)
-                        .with_steal_batch(1),
-                );
-            let op = ParallelIbwj::new(cfg, predicate, SharedIndexKind::PimTree, true)
+                .with_shard(ShardConfig::default().with_shards(shards));
+            let mut op = ParallelIbwj::new(cfg, predicate, SharedIndexKind::PimTree, true)
                 .with_collected_results(true);
+            op.ring_capacity = 64;
             let (_, results) = op.run(&tuples);
             assert_eq!(canonical(&results), expected, "shards {shards}");
         }
@@ -2569,11 +2572,8 @@ mod tests {
             // An empty-sample partitioner routes every key to shard 0, so
             // with several shards the workers homed elsewhere can only steal.
             let partitioner = RangePartitioner::from_key_sample(shards, &[]);
-            let cfg = config(128, 6, 2, 1.0, MergePolicy::NonBlocking).with_shard(
-                ShardConfig::default()
-                    .with_shards(shards)
-                    .with_steal_batch(2),
-            );
+            let cfg = config(128, 6, 2, 1.0, MergePolicy::NonBlocking)
+                .with_shard(ShardConfig::default().with_shards(shards));
             let op = ParallelIbwj::new(cfg, predicate, SharedIndexKind::PimTree, false)
                 .with_partitioner(partitioner)
                 .with_collected_results(true);
@@ -2768,18 +2768,14 @@ mod tests {
         assert!(!expected.is_empty());
         for shards in SHARDS {
             for kind in [SharedIndexKind::PimTree, SharedIndexKind::BwTree] {
-                let cfg = config(128, 6, 2, 0.5, MergePolicy::NonBlocking)
-                    .with_ring(
-                        RingConfig::default()
-                            .with_capacity(64)
-                            .with_backoff(2, 4, 10),
-                    )
-                    .with_shard(
-                        ShardConfig::default()
-                            .with_shards(shards)
-                            .with_partition_index(true),
-                    );
-                let op = ParallelIbwj::new(cfg, predicate, kind, true).with_collected_results(true);
+                let cfg = config(128, 6, 2, 0.5, MergePolicy::NonBlocking).with_shard(
+                    ShardConfig::default()
+                        .with_shards(shards)
+                        .with_partition_index(true),
+                );
+                let mut op =
+                    ParallelIbwj::new(cfg, predicate, kind, true).with_collected_results(true);
+                op.ring_capacity = 64;
                 let (_, results) = op.run(&tuples);
                 assert_eq!(canonical(&results), expected, "shards {shards}, {kind:?}");
             }
@@ -2858,9 +2854,10 @@ mod tests {
 
     /// The warm-up contract for the counts a worker keeps itself: merges
     /// and a forced epoch that fall inside the `run_with_warmup` prefix keep
-    /// their effect but are not reported; an epoch in the measured phase is
-    /// reported exactly once. One worker makes the runs deterministic, so the
-    /// prefix's merges and the measured merges add up to a full run's.
+    /// their effect but are not reported, a merge not even when the prefix's
+    /// last tasks make it due; an epoch in the measured phase is reported
+    /// exactly once. One worker makes the runs deterministic, so the prefix's merges
+    /// and the measured merges add up to a full run's.
     #[test]
     fn warmup_excludes_its_merges_and_epochs_from_the_report() {
         let tuples = random_tuples(4000, 400, 118);
@@ -2905,6 +2902,27 @@ mod tests {
             stats.merges,
             full.merges
         );
+
+        // The whole input as warm-up: nothing is measured, so nothing is
+        // reported, not even a merge the last warm-up tasks made due. With
+        // several workers the last one out can find the maintenance claim
+        // held and exit with a merge still due, which the warm-up must run
+        // itself rather than leave to the measured phase.
+        let (stats, results) = op(warmup / 2).run_with_warmup(&tuples, tuples.len());
+        assert_eq!(canonical(&results), expected);
+        assert_eq!(stats.tuples, 0);
+        assert_eq!(stats.merges, 0);
+        assert_eq!(stats.migration.epochs, 0);
+        for seed in 0..16 {
+            let tuples = random_tuples(4000, 400, 300 + seed);
+            for shards in [1, 2] {
+                let cfg = config(128, 4, 4, 1.0, MergePolicy::NonBlocking)
+                    .with_shard(ShardConfig::default().with_shards(shards));
+                let op = ParallelIbwj::new(cfg, predicate, SharedIndexKind::PimTree, false);
+                let (stats, _) = op.run_with_warmup(&tuples, tuples.len());
+                assert_eq!(stats.merges, 0, "seed {seed}, {shards} shards");
+            }
+        }
 
         // Epoch in the measured phase: reported exactly once.
         let (stats, results) = op(3 * warmup / 2).run_with_warmup(&tuples, warmup);
@@ -2958,8 +2976,7 @@ mod tests {
                 .with_partition_index(true);
             let drift = pimtree_common::DriftConfig::default()
                 .with_repartition(true)
-                .with_window(512)
-                .with_imbalance_trigger(1.5);
+                .with_window(512);
             let on = ParallelIbwj::new(
                 config(128, 4, 4, 0.5, MergePolicy::NonBlocking)
                     .with_shard(shard_cfg)
@@ -3036,8 +3053,7 @@ mod tests {
                     .with_drift(
                         pimtree_common::DriftConfig::default()
                             .with_repartition(true)
-                            .with_window(512)
-                            .with_imbalance_trigger(1.5),
+                            .with_window(512),
                     ),
                 predicate,
                 SharedIndexKind::PimTree,
@@ -3118,8 +3134,7 @@ mod tests {
         let first: Vec<Key> = tuples[..tuples.len() / 2].iter().map(|t| t.key).collect();
         let drift = pimtree_common::DriftConfig::default()
             .with_repartition(true)
-            .with_window(512)
-            .with_imbalance_trigger(1.5);
+            .with_window(512);
         let cfg = config(128, 4, 4, 0.5, MergePolicy::NonBlocking)
             .with_shard(
                 ShardConfig::default()
@@ -3308,6 +3323,97 @@ mod tests {
         }
     }
 
+    mod config_properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Every `JoinConfig` is either run or refused: one that
+            /// validates runs to completion with the oracle's results in
+            /// arrival order, and one that does not is refused by
+            /// `ParallelIbwj::new` — which spawns no thread — with the
+            /// `InvalidConfig` message `validate` names. The case starts from
+            /// valid values of every field and, in about half the cases,
+            /// breaks one of them.
+            #[test]
+            fn a_valid_config_runs_to_the_oracle_and_an_invalid_one_is_refused(
+                seed in 0u64..1_000,
+                n in 0usize..600,
+                window_r in prop::sample::select(vec![1usize, 7, 64, 200]),
+                window_s in prop::sample::select(vec![1usize, 7, 64, 200]),
+                threads in 1usize..5,
+                task_size in prop::sample::select(vec![1usize, 2, 3, 8, 64]),
+                ingest_target in prop::sample::select(vec![0usize, 1, 5, 32, 100_000]),
+                merge_ratio in prop::sample::select(vec![0.01, 0.125, 0.5, 1.0]),
+                insertion_depth in 0usize..5,
+                blocking in prop::bool::ANY,
+                shards in 1usize..5,
+                partition_index in prop::bool::ANY,
+                repartition in prop::bool::ANY,
+                drift_window in prop::sample::select(vec![1usize, 64, 4096]),
+                broken in 0usize..16,
+            ) {
+                let policy = if blocking {
+                    MergePolicy::Blocking
+                } else {
+                    MergePolicy::NonBlocking
+                };
+                let mut cfg = config(window_r.max(window_s), threads, task_size, merge_ratio, policy)
+                    .with_ingest_target(ingest_target)
+                    .with_shard(
+                        ShardConfig::default()
+                            .with_shards(shards)
+                            .with_partition_index(partition_index),
+                    )
+                    .with_drift(
+                        pimtree_common::DriftConfig::default()
+                            .with_repartition(repartition)
+                            .with_window(drift_window),
+                    );
+                cfg.window_r = window_r;
+                cfg.window_s = window_s;
+                cfg.pim.insertion_depth = insertion_depth;
+                match broken {
+                    0 => cfg.window_r = 0,
+                    1 => cfg.window_s = 0,
+                    2 => cfg.threads = 0,
+                    3 => cfg.task_size = 0,
+                    4 => cfg.pim.merge_ratio = [0.0, 1.5, f64::NAN][seed as usize % 3],
+                    5 => cfg.shard.shards = [0, 65][seed as usize % 2],
+                    6 => cfg.drift.window = 0,
+                    _ => {}
+                }
+                let predicate = BandPredicate::new(2);
+                let new = move || ParallelIbwj::new(cfg, predicate, SharedIndexKind::PimTree, false);
+                let Ok(()) = cfg.validate() else {
+                    let refusal = std::panic::catch_unwind(new)
+                        .expect_err("an invalid config must be refused");
+                    let message = refusal.downcast_ref::<String>().cloned().unwrap_or_default();
+                    let named = format!("{:?}", cfg.validate().unwrap_err());
+                    prop_assert!(named.starts_with("InvalidConfig("), "{named}");
+                    prop_assert!(message.contains(&named), "{message} does not name {named}");
+                    return;
+                };
+                let tuples = random_tuples(n, 300, seed);
+                let expected = canonical(&reference_join(&tuples, predicate, window_r, window_s, false));
+                let op = new().with_collected_results(true);
+                let (done_tx, done_rx) = std::sync::mpsc::channel();
+                let input = tuples.clone();
+                std::thread::spawn(move || {
+                    let _ = done_tx.send(op.run(&input));
+                });
+                let (stats, results) = done_rx
+                    .recv_timeout(Duration::from_secs(60))
+                    .unwrap_or_else(|_| panic!("{cfg:?}: the run does not terminate"));
+                prop_assert_eq!(canonical(&results), expected, "{:?}", cfg);
+                assert_arrival_order(&tuples, &results, &format!("{cfg:?}"));
+                prop_assert_eq!(stats.ring.tuples_acquired, n as u64, "{:?}", cfg);
+            }
+        }
+    }
+
     mod repartition_properties {
         use super::*;
         use proptest::prelude::*;
@@ -3393,22 +3499,17 @@ mod tests {
 
     #[test]
     fn explicit_ring_configuration_is_honoured() {
-        // A run with an explicit tiny ring and yield-only back-off still
-        // matches the reference (sanity check for the config plumbing).
+        // A tiny ring with a fill target below one task per worker still
+        // matches the reference.
         let tuples = random_tuples(2000, 200, 94);
         let predicate = BandPredicate::new(2);
         let expected = canonical(&reference_join(&tuples, predicate, 64, 64, false));
-        let cfg = config(64, 3, 2, 1.0, MergePolicy::NonBlocking).with_ring(
-            RingConfig::default()
-                .with_capacity(16)
-                .with_ingest_target(4)
-                .with_backoff(1, 2, 0),
-        );
-        let op = ParallelIbwj::new(cfg, predicate, SharedIndexKind::PimTree, false)
+        let cfg = config(64, 3, 2, 1.0, MergePolicy::NonBlocking).with_ingest_target(4);
+        let mut op = ParallelIbwj::new(cfg, predicate, SharedIndexKind::PimTree, false)
             .with_collected_results(true);
-        let (stats, results) = op.run(&tuples);
+        op.ring_capacity = 16;
+        let (_, results) = op.run(&tuples);
         assert_eq!(canonical(&results), expected);
-        assert_eq!(stats.ring.idle_parks, 0, "park_micros = 0 never parks");
     }
 
     /// A forced mid-run migration's stall decomposes into named causes whose

@@ -50,12 +50,10 @@
 //! * Results leave the ring in `gid` order — the drain cursor never skips a
 //!   slot, so arrival-order propagation is structural, not scheduled.
 
-use std::time::Duration;
-
 use crossbeam::utils::CachePadded;
 use pimtree_common::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, Ordering};
 use pimtree_common::sync::Mutex;
-use pimtree_common::{JoinResult, RingConfig, StreamSide, Tuple};
+use pimtree_common::{JoinResult, StreamSide, Tuple};
 use pimtree_window::WindowBounds;
 
 use crate::stats::RingCounters;
@@ -435,35 +433,33 @@ pub enum IdleKind {
     Spin,
     /// Yielded the time slice to the scheduler.
     Yield,
-    /// Slept for the configured short park duration.
+    /// Slept for a short park (50 µs).
     Park,
 }
 
-/// Adaptive idle back-off: exponentially growing busy-spin windows, then
-/// yields, then short parks. Replaces the engine's former fixed 20µs sleep —
-/// a worker that just missed a task burns a few nanoseconds spinning instead
-/// of handing its core to the OS, while a genuinely starved worker backs off
-/// to a park and stops hammering the shared counters the productive workers
-/// need.
-#[derive(Debug)]
+/// Idle rounds a worker busy-spins (with exponentially growing spin
+/// windows) before it starts yielding its time slice.
+const SPIN_LIMIT: u32 = 6;
+
+/// Idle rounds a worker yields after spinning and before it parks.
+const YIELD_LIMIT: u32 = 16;
+
+/// How long one park sleeps once spinning and yielding both found no work
+/// (under the model checker a park degrades to a yield).
+#[cfg(not(pimtree_model))]
+const PARK: std::time::Duration = std::time::Duration::from_micros(50);
+
+/// Adaptive idle back-off: six exponentially growing busy-spin windows, then
+/// 16 yields, then 50 µs parks. A worker that just missed a task burns a few
+/// nanoseconds spinning instead of handing its core to the OS, while a
+/// genuinely starved worker backs off to a park and stops hammering the
+/// shared counters the productive workers need.
+#[derive(Debug, Default)]
 pub struct Backoff {
-    spin_limit: u32,
-    yield_limit: u32,
-    park: Duration,
     step: u32,
 }
 
 impl Backoff {
-    /// Creates a back-off following the limits in `config`.
-    pub fn new(config: &RingConfig) -> Self {
-        Backoff {
-            spin_limit: config.spin_limit,
-            yield_limit: config.yield_limit,
-            park: Duration::from_micros(config.park_micros),
-            step: 0,
-        }
-    }
-
     /// Forgets accumulated back-off after useful work was found.
     #[inline]
     pub fn reset(&mut self) {
@@ -472,22 +468,20 @@ impl Backoff {
 
     /// Performs one idle round and reports which stage it used.
     pub fn idle(&mut self) -> IdleKind {
-        let kind = if self.step < self.spin_limit {
-            // 2^step spin hints, capped at 2^10 per round.
-            for _ in 0..(1u32 << self.step.min(10)) {
+        let kind = if self.step < SPIN_LIMIT {
+            // 2^step spin hints.
+            for _ in 0..(1u32 << self.step) {
                 pimtree_common::sync::hint::spin_loop();
             }
             IdleKind::Spin
-        } else if self.step < self.spin_limit.saturating_add(self.yield_limit)
-            || self.park.is_zero()
-        {
+        } else if self.step < SPIN_LIMIT + YIELD_LIMIT {
             pimtree_common::sync::hint::yield_now();
             IdleKind::Yield
         } else {
             // Parking blocks the OS thread, which would stall the model
             // scheduler's baton; under the checker it degrades to a yield.
             #[cfg(not(pimtree_model))]
-            std::thread::sleep(self.park);
+            std::thread::sleep(PARK);
             #[cfg(pimtree_model)]
             pimtree_common::sync::hint::yield_now();
             IdleKind::Park
@@ -500,7 +494,6 @@ impl Backoff {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pimtree_common::RingConfig;
 
     fn counters() -> RingCounters {
         RingCounters::default()
@@ -772,21 +765,16 @@ mod tests {
 
     #[test]
     fn backoff_escalates_spin_yield_park_and_resets() {
-        let config = RingConfig::default().with_backoff(2, 2, 1);
-        let mut b = Backoff::new(&config);
-        assert_eq!(b.idle(), IdleKind::Spin);
-        assert_eq!(b.idle(), IdleKind::Spin);
-        assert_eq!(b.idle(), IdleKind::Yield);
-        assert_eq!(b.idle(), IdleKind::Yield);
+        let mut b = Backoff::default();
+        for _ in 0..SPIN_LIMIT {
+            assert_eq!(b.idle(), IdleKind::Spin);
+        }
+        for _ in 0..YIELD_LIMIT {
+            assert_eq!(b.idle(), IdleKind::Yield);
+        }
         assert_eq!(b.idle(), IdleKind::Park);
         assert_eq!(b.idle(), IdleKind::Park);
         b.reset();
         assert_eq!(b.idle(), IdleKind::Spin);
-        // park_micros == 0 never parks.
-        let mut b = Backoff::new(&RingConfig::default().with_backoff(1, 1, 0));
-        b.idle();
-        b.idle();
-        assert_eq!(b.idle(), IdleKind::Yield);
-        assert_eq!(b.idle(), IdleKind::Yield);
     }
 }

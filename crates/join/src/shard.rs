@@ -19,11 +19,10 @@
 //!   too.
 //! * **Home-shard claiming with bounded cross-shard stealing.** Every worker
 //!   is pinned to a *home* shard and claims there first. Only when the home
-//!   shard runs dry does it scan the other shards: a first pass steals
-//!   `steal_batch` tuples from the first shard holding at least
-//!   `steal_threshold` available tuples, and a second pass ignores the
-//!   threshold so below-threshold work can never be stranded (a shard may
-//!   have no home worker at all when `shards > threads`). The claiming
+//!   shard runs dry does it scan the other shards, in one pass, and steal
+//!   one task from the first shard with any work available — so no work is
+//!   ever stranded, even on a shard with no home worker at all
+//!   (`shards > threads`). The claiming
 //!   worker counts home claims and steals in its own [`ShardCounters`]; on
 //!   a multi-socket host a steal is the claim that crosses the interconnect.
 //! * **A cross-shard merge cursor.** Results must still leave in *global*
@@ -101,8 +100,8 @@ pub struct ShardedRing {
     /// on every ingest, and the line it sits on must not also hold `rings`,
     /// which every claim, drain and depth check reads.
     router: CachePadded<RwLock<Arc<Router>>>,
-    steal_batch: usize,
-    steal_threshold: usize,
+    /// Tuples one steal takes: one task.
+    steal: usize,
     /// Next global arrival stamp; written only under the global ingest token.
     next_arrival: CachePadded<AtomicU64>,
     /// Serialises ingestion across all shards (routing decisions and arrival
@@ -115,9 +114,9 @@ pub struct ShardedRing {
 impl ShardedRing {
     /// Creates a sharded ring with `config.shards` shards of
     /// `per_shard_capacity` slots each (rounded like
-    /// [`TaskRing::with_capacity`]). `task_size` resolves the automatic
-    /// steal-batch size; `partitioner` enables key-range routing and must
-    /// cover exactly `config.shards` nodes.
+    /// [`TaskRing::with_capacity`]). A steal takes `task_size` tuples;
+    /// `partitioner` enables key-range routing and must cover exactly
+    /// `config.shards` nodes.
     ///
     /// # Panics
     ///
@@ -146,12 +145,7 @@ impl ShardedRing {
                 .map(|_| TaskRing::with_capacity(per_shard_capacity))
                 .collect(),
             router: CachePadded::new(RwLock::new(Arc::new(router))),
-            steal_batch: if config.steal_batch > 0 {
-                config.steal_batch
-            } else {
-                task_size.max(1)
-            },
-            steal_threshold: config.steal_threshold.max(1),
+            steal: task_size.max(1),
             next_arrival: CachePadded::new(AtomicU64::new(0)),
             ingest_token: CachePadded::new(AtomicBool::new(false)),
             drain_token: CachePadded::new(AtomicBool::new(false)),
@@ -231,9 +225,9 @@ impl ShardedRing {
     }
 
     /// Claims up to `max` tuples for the worker homed on `home`: from the
-    /// home shard if it has work, otherwise by stealing `steal_batch` tuples
-    /// from a remote shard (threshold-gated first pass, unconditional second
-    /// pass). Returns `None` when no shard had claimable work.
+    /// home shard if it has work, otherwise by stealing one task from the
+    /// first remote shard that has any. Returns `None` when no shard had
+    /// claimable work.
     pub fn claim(
         &self,
         home: usize,
@@ -258,30 +252,17 @@ impl ShardedRing {
             shard.claim_rounds_empty += 1;
             return None;
         }
-        let steal = self.steal_batch.max(1);
-        // First pass: only shards with a meaningful backlog, so stealing does
-        // not strip a shard whose own worker is about to come back for its
-        // last few tuples. Second pass: anything goes — a shard without a
-        // home worker (shards > threads) must still be drained by someone.
-        for pass in 0..2 {
-            for offset in 1..shards {
-                let victim = (home + offset) % shards;
-                if pass == 0 && self.rings[victim].available() < self.steal_threshold {
-                    continue;
-                }
-                let n = self.rings[victim].claim(steal, out, ring);
-                if n > 0 {
-                    shard.steal_tasks += 1;
-                    shard.stolen_tuples += n as u64;
-                    return Some(ShardClaim {
-                        shard: victim,
-                        tuples: n,
-                        stolen: true,
-                    });
-                }
-            }
-            if self.steal_threshold <= 1 {
-                break; // the first pass was already unconditional
+        for offset in 1..shards {
+            let victim = (home + offset) % shards;
+            let n = self.rings[victim].claim(self.steal, out, ring);
+            if n > 0 {
+                shard.steal_tasks += 1;
+                shard.stolen_tuples += n as u64;
+                return Some(ShardClaim {
+                    shard: victim,
+                    tuples: n,
+                    stolen: true,
+                });
             }
         }
         shard.claim_rounds_empty += 1;
@@ -563,12 +544,7 @@ mod tests {
         // All keys route to shard 0 under this partitioner (single hot
         // range), so workers homed elsewhere must steal.
         let p = RangePartitioner::from_key_sample(3, &[]);
-        let ring = ShardedRing::new(
-            &ShardConfig::default().with_shards(3).with_steal_batch(2),
-            4,
-            32,
-            Some(p),
-        );
+        let ring = ShardedRing::new(&config(3), 2, 32, Some(p));
         assert_eq!(ingest_keys(&ring, 0, 10, |i| i as Key), 10);
         assert_eq!(ring.shard_available(0), 10);
         let (mut rc, mut sc) = counters();
@@ -576,7 +552,7 @@ mod tests {
         // Home worker of shard 0 claims locally at full task size.
         let claim = ring.claim(0, 4, &mut out, &mut rc, &mut sc).unwrap();
         assert_eq!((claim.shard, claim.tuples, claim.stolen), (0, 4, false));
-        // A worker homed on shard 1 must steal, at the steal batch size.
+        // A worker homed on shard 1 must steal, one task of 2.
         let claim = ring.claim(1, 4, &mut out, &mut rc, &mut sc).unwrap();
         assert_eq!((claim.shard, claim.tuples, claim.stolen), (0, 2, true));
         assert_eq!(sc.steal_tasks, 1);
@@ -589,26 +565,28 @@ mod tests {
     }
 
     #[test]
-    fn steal_threshold_defers_but_never_strands_work() {
-        let p = RangePartitioner::from_key_sample(2, &[]);
-        let ring = ShardedRing::new(
-            &ShardConfig::default()
-                .with_shards(2)
-                .with_steal_batch(8)
-                .with_steal_threshold(100),
-            4,
-            32,
-            Some(p),
-        );
-        assert_eq!(ingest_keys(&ring, 0, 3, |i| i as Key), 3);
-        // Shard 0 holds 3 tuples, far below the threshold of 100 — the
-        // second (unconditional) pass must still pick them up for the worker
-        // homed on shard 1.
+    fn a_shard_without_a_home_worker_is_drained_by_stealing() {
+        // Four shards and every key on shard 3, while the only workers are
+        // homed on shards 0 and 1: shard 3's work reaches them through
+        // steals alone, a task (here 8 tuples) at a time, down to a last
+        // partial task.
+        let p = RangePartitioner::from_key_sample(4, &(0..400).collect::<Vec<Key>>());
+        let hot = 399;
+        assert_eq!(p.node_of(hot), 3);
+        let ring = ShardedRing::new(&config(4), 8, 32, Some(p));
+        assert_eq!(ingest_keys(&ring, 0, 19, |_| hot), 19);
+        assert_eq!(ring.shard_available(3), 19);
         let (mut rc, mut sc) = counters();
         let mut out = Vec::new();
-        let claim = ring.claim(1, 4, &mut out, &mut rc, &mut sc).unwrap();
-        assert_eq!((claim.shard, claim.tuples, claim.stolen), (0, 3, true));
-        assert!(ring.claim(1, 4, &mut out, &mut rc, &mut sc).is_none());
+        let mut taken = Vec::new();
+        for home in [0, 1, 0] {
+            let claim = ring.claim(home, 32, &mut out, &mut rc, &mut sc).unwrap();
+            assert_eq!((claim.shard, claim.stolen), (3, true));
+            taken.push(claim.tuples);
+        }
+        assert_eq!(taken, [8, 8, 3]);
+        assert!(ring.claim(1, 32, &mut out, &mut rc, &mut sc).is_none());
+        assert_eq!((sc.steal_tasks, sc.stolen_tuples), (3, 19));
         assert_eq!(sc.claim_rounds_empty, 1);
     }
 
@@ -736,12 +714,7 @@ mod tests {
     #[cfg_attr(miri, ignore)]
     fn concurrent_sharded_claims_and_drains_account_every_tuple() {
         use std::sync::atomic::AtomicU64 as Counter;
-        let ring = std::sync::Arc::new(ShardedRing::new(
-            &ShardConfig::default().with_shards(4).with_steal_batch(2),
-            2,
-            64,
-            None,
-        ));
+        let ring = std::sync::Arc::new(ShardedRing::new(&config(4), 2, 64, None));
         let total = 20_000u64;
         let claimed = std::sync::Arc::new(Counter::new(0));
         let drained = std::sync::Arc::new(Counter::new(0));

@@ -44,7 +44,7 @@ pub mod prelude {
     pub use pimtree_btree::{BTreeIndex, Entry};
     pub use pimtree_common::{
         BandPredicate, IndexKind, JoinConfig, JoinResult, Key, KeyRange, MergePolicy, PimConfig,
-        ProbeCounters, RingConfig, Seq, ShardConfig, StreamSide, Tuple,
+        ProbeCounters, Seq, ShardConfig, StreamSide, Tuple,
     };
     pub use pimtree_core::{ImTree, PimTree};
     pub use pimtree_css::CssTree;

@@ -120,7 +120,7 @@ fn batched_and_scalar_probe_agree_end_to_end() {
             let config = config
                 .with_threads(threads)
                 .with_task_size(task)
-                .with_ring(RingConfig::default().with_ingest_target(threads * task));
+                .with_ingest_target(threads * task);
             let op = ParallelIbwj::new(config, predicate, SharedIndexKind::PimTree, false)
                 .with_collected_results(true);
             let (stats, results) = op.run(&tuples);

@@ -150,7 +150,7 @@ proptest! {
         sides in prop::collection::vec(prop::bool::ANY, 40..250),
         shards in 1usize..5,
         threads in 1usize..5,
-        steal_batch in 0usize..5,
+        task_size in 1usize..5,
         range_routed in prop::bool::ANY,
         window_exp in 3usize..6,
     ) {
@@ -174,13 +174,9 @@ proptest! {
         pim.btree_fanout = 4;
         let config = JoinConfig::symmetric(w, IndexKind::PimTree)
             .with_threads(threads)
-            .with_task_size(2)
+            .with_task_size(task_size)
             .with_pim(pim)
-            .with_shard(
-                ShardConfig::default()
-                    .with_shards(shards)
-                    .with_steal_batch(steal_batch),
-            );
+            .with_shard(ShardConfig::default().with_shards(shards));
         let mut op = ParallelIbwj::new(config, predicate, SharedIndexKind::PimTree, false)
             .with_collected_results(true);
         if range_routed {
