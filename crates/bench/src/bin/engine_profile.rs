@@ -37,7 +37,9 @@
 //! `single_thread_mtps` runs it. It is the median of five passes, each a
 //! fresh operator with the same warm-up, with the slowest and fastest pass
 //! beside it; then, when a one-worker row ran, that row's rate divided by
-//! the median — what batching alone buys — and the median pass's merge
+//! the median — what batching alone buys — and, when a two-worker row ran
+//! too, its rate divided by the one-worker row's — what parallelism buys;
+//! then the median pass's merge
 //! share (its merge time over its elapsed time) and merge time per tuple.
 //! Under `--sample` the first pass's profile goes to `PATH.st`.
 
@@ -112,7 +114,7 @@ fn main() {
     let partitioner = (opts.shards > 1)
         .then(|| RangePartitioner::from_key_sample(opts.shards, &key_sample(&tuples, 4096)));
     let sample_base = &opts.sample;
-    let mut one_worker_mtps = None;
+    let mut worker_mtps = [None; 2];
     for threads in opts.thread_sweep() {
         let config = opts
             .engine_config(w, threads)
@@ -143,8 +145,8 @@ fn main() {
                 &path,
             );
         }
-        if threads == 1 {
-            one_worker_mtps = Some(stats.million_tuples_per_second());
+        if let Some(slot) = worker_mtps.get_mut(threads - 1) {
+            *slot = Some(stats.million_tuples_per_second());
         }
         let total = stats.phase.total().as_secs_f64().max(1e-12);
         let pct = |d: std::time::Duration| format!("{:.1}", 100.0 * d.as_secs_f64() / total);
@@ -221,9 +223,7 @@ fn main() {
     });
     let median = &passes[BASELINE_PASSES / 2];
     let single_mtps = median.million_tuples_per_second();
-    let ratio = one_worker_mtps.map_or(String::new(), |one| {
-        format!("; 1 worker / single-threaded = {:.3}", one / single_mtps)
-    });
+    let ratio = scaling_ratios(single_mtps, worker_mtps[0], worker_mtps[1]);
     println!(
         "# single-threaded IBWJ (PIM-Tree, merge ratio 0.125), median of {BASELINE_PASSES} passes: \
          {single_mtps:.4} Mtuples/s (min {:.4}, max {:.4}){ratio}; merge share {:.3}, \

@@ -8,13 +8,12 @@
 //! figures whose cells are not one run's number (9b, 11a, 13a, 13b and 14)
 //! keep a function of their own.
 
+use std::cell::RefCell;
+
 use pimtree_btree::BTreeIndex;
 use pimtree_common::{BandPredicate, IndexKind, JoinConfig, MergePolicy, Step, Tuple};
-use pimtree_core::PimTree;
-use pimtree_join::{
-    BTreeAdapter, HandshakeMode, IbwjOperator, ImTreeAdapter, JoinRunStats, PimTreeAdapter,
-    SharedIndexKind, SingleThreadJoin,
-};
+use pimtree_core::{ImTree, PimTree};
+use pimtree_join::{HandshakeMode, IbwjOperator, JoinRunStats, SharedIndexKind, SingleThreadJoin};
 use pimtree_workload::{calibrate_diff, KeyDistribution, ShiftingGaussian};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -702,21 +701,21 @@ fn fig09b(opts: &RunOpts, emit: Emit<'_>) {
             (
                 IndexKind::PimTree,
                 Box::new(
-                    IbwjOperator::new(w, w, predicate, || PimTreeAdapter::new(pim))
-                        .with_instrumentation(),
+                    IbwjOperator::new(w, w, predicate, || PimTree::new(pim)).with_instrumentation(),
                 ),
             ),
             (
                 IndexKind::ImTree,
                 Box::new(
-                    IbwjOperator::new(w, w, predicate, || ImTreeAdapter::new(pim))
+                    IbwjOperator::new(w, w, predicate, || RefCell::new(ImTree::new(pim)))
                         .with_instrumentation(),
                 ),
             ),
             (
                 IndexKind::BTree,
                 Box::new(
-                    IbwjOperator::new(w, w, predicate, BTreeAdapter::new).with_instrumentation(),
+                    IbwjOperator::new(w, w, predicate, || RefCell::new(BTreeIndex::new()))
+                        .with_instrumentation(),
                 ),
             ),
         ];

@@ -395,6 +395,21 @@ pub fn mtps(stats: &JoinRunStats) -> String {
     format!("{:.4}", stats.million_tuples_per_second())
 }
 
+/// `engine_profile`'s two ratios, each only when its rows ran: batching, the
+/// one-worker row over the single-threaded operator `single`, and
+/// parallelism, the two-worker row over the one-worker row (rates in
+/// Mtuples/s).
+pub fn scaling_ratios(single: f64, one_worker: Option<f64>, two_workers: Option<f64>) -> String {
+    let mut out = String::new();
+    if let Some(one) = one_worker {
+        out += &format!("; 1 worker / single-threaded = {:.3}", one / single);
+        if let Some(two) = two_workers {
+            out += &format!("; 2 workers / 1 worker = {:.3}", two / one);
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -405,6 +420,20 @@ mod tests {
     fn parse(line: &str, figures: bool) -> Result<RunOpts, String> {
         let args: Vec<String> = line.split_whitespace().map(str::to_string).collect();
         RunOpts::parse_from(&args, (14, 17), figures)
+    }
+
+    #[test]
+    fn scaling_ratios_print_only_the_rows_that_ran() {
+        assert_eq!(scaling_ratios(2.0, None, None), "");
+        assert_eq!(scaling_ratios(2.0, None, Some(3.0)), "");
+        assert_eq!(
+            scaling_ratios(2.0, Some(1.0), None),
+            "; 1 worker / single-threaded = 0.500"
+        );
+        assert_eq!(
+            scaling_ratios(2.0, Some(1.0), Some(1.5)),
+            "; 1 worker / single-threaded = 0.500; 2 workers / 1 worker = 1.500"
+        );
     }
 
     #[test]

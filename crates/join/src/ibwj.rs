@@ -3,24 +3,26 @@
 //! Processing a tuple `r` arriving on stream `R` follows the three steps of
 //! §2.1: (1) probe the index of the opposite window for matches, (2) remove
 //! the tuple that expires from `R`'s window (how — eagerly, lazily or in bulk
-//! — is the index adapter's business), and (3) insert `r` into `R`'s window
-//! and index. The operator is generic over the index through
-//! [`WindowIndexAdapter`], which is how the paper's single-threaded comparison
-//! (Figures 8b, 9, 10a/10b) is produced from one code path.
+//! — is the index's business), and (3) insert `r` into `R`'s window and
+//! index. [`IbwjOperator`] runs steps 1 and 2–3 through the same two
+//! functions as the parallel engine's shared store, `index::probe` and
+//! `index::insert`, with a batch of one and nothing in flight. It is
+//! generic over the [`WindowIndex`], which is how the paper's
+//! single-threaded comparison (Figures 8b, 9, 10a/10b) is produced from one
+//! code path.
 
+use std::cell::RefCell;
 use std::time::Instant;
 
-use pimtree_common::{
-    BandPredicate, IndexKind, JoinConfig, JoinResult, ProbeCounters, Step, StepTimer, StreamSide,
-    Tuple,
-};
+use pimtree_btree::BTreeIndex;
+use pimtree_bwtree::BwTreeIndex;
+use pimtree_chained::{ChainVariant, ChainedIndex};
+use pimtree_common::{BandPredicate, IndexKind, JoinConfig, JoinResult, Step, StreamSide, Tuple};
+use pimtree_core::{ImTree, PimTree};
 use pimtree_window::SlidingWindow;
 
-use crate::adapter::{
-    BTreeAdapter, BwTreeAdapter, ChainedAdapter, ImTreeAdapter, PimTreeAdapter, WindowIndexAdapter,
-};
+use crate::index::{self, WindowIndex};
 use crate::stats::JoinRunStats;
-use pimtree_chained::ChainVariant;
 
 /// A single-threaded stream-join operator processing one tuple at a time.
 pub trait SingleThreadJoin {
@@ -74,44 +76,26 @@ pub trait SingleThreadJoin {
 
 /// The single-threaded IBWJ operator, generic over the window index.
 #[derive(Debug)]
-pub struct IbwjOperator<A: WindowIndexAdapter> {
+pub struct IbwjOperator<A: WindowIndex> {
     windows: [SlidingWindow; 2],
-    window_sizes: [usize; 2],
     indexes: [A; 2],
     predicate: BandPredicate,
     self_join: bool,
     instrument: bool,
-    probe_counters: ProbeCounters,
-    results_count: u64,
-    merges: u64,
-    merge_time: std::time::Duration,
-    breakdown: pimtree_common::CostBreakdown,
+    /// Running totals: results, merges, merge time, per-step costs and probe
+    /// counters.
+    stats: JoinRunStats,
 }
 
-impl<A: WindowIndexAdapter> IbwjOperator<A> {
+impl<A: WindowIndex> IbwjOperator<A> {
     /// Creates a two-way IBWJ with one index per window, built by `make_index`.
     pub fn new(
         window_r: usize,
         window_s: usize,
         predicate: BandPredicate,
-        mut make_index: impl FnMut() -> A,
+        make_index: impl FnMut() -> A,
     ) -> Self {
-        IbwjOperator {
-            windows: [
-                SlidingWindow::with_default_slack(window_r),
-                SlidingWindow::with_default_slack(window_s),
-            ],
-            window_sizes: [window_r, window_s],
-            indexes: [make_index(), make_index()],
-            predicate,
-            self_join: false,
-            instrument: false,
-            probe_counters: ProbeCounters::default(),
-            results_count: 0,
-            merges: 0,
-            merge_time: std::time::Duration::ZERO,
-            breakdown: pimtree_common::CostBreakdown::new(),
-        }
+        Self::with_windows([window_r, window_s], predicate, false, make_index)
     }
 
     /// Creates a self-join IBWJ: a single window and index probed and updated
@@ -119,23 +103,24 @@ impl<A: WindowIndexAdapter> IbwjOperator<A> {
     pub fn new_self_join(
         window: usize,
         predicate: BandPredicate,
+        make_index: impl FnMut() -> A,
+    ) -> Self {
+        Self::with_windows([window, 1], predicate, true, make_index)
+    }
+
+    fn with_windows(
+        sizes: [usize; 2],
+        predicate: BandPredicate,
+        self_join: bool,
         mut make_index: impl FnMut() -> A,
     ) -> Self {
         IbwjOperator {
-            windows: [
-                SlidingWindow::with_default_slack(window),
-                SlidingWindow::with_default_slack(1),
-            ],
-            window_sizes: [window, 1],
+            windows: sizes.map(SlidingWindow::with_default_slack),
             indexes: [make_index(), make_index()],
             predicate,
-            self_join: true,
+            self_join,
             instrument: false,
-            probe_counters: ProbeCounters::default(),
-            results_count: 0,
-            merges: 0,
-            merge_time: std::time::Duration::ZERO,
-            breakdown: pimtree_common::CostBreakdown::new(),
+            stats: JoinRunStats::default(),
         }
     }
 
@@ -148,20 +133,13 @@ impl<A: WindowIndexAdapter> IbwjOperator<A> {
     }
 }
 
-impl<A: WindowIndexAdapter> SingleThreadJoin for IbwjOperator<A> {
+impl<A: WindowIndex> SingleThreadJoin for IbwjOperator<A> {
     fn name(&self) -> String {
         format!("ibwj/{}", self.indexes[0].name())
     }
 
     fn stats(&self) -> JoinRunStats {
-        JoinRunStats {
-            results: self.results_count,
-            merges: self.merges,
-            merge_time: self.merge_time,
-            breakdown: self.breakdown.clone(),
-            probe: self.probe_counters,
-            ..Default::default()
-        }
+        self.stats.clone()
     }
 
     fn process(&mut self, tuple: Tuple, out: &mut Vec<JoinResult>) {
@@ -174,88 +152,52 @@ impl<A: WindowIndexAdapter> SingleThreadJoin for IbwjOperator<A> {
                 tuple.side.opposite(),
             )
         };
-        let range = self.predicate.probe_range(tuple.key);
-        let probe_bounds = self.windows[probe_idx].bounds();
+        let stats = &mut self.stats;
 
-        // Step 1: probe the opposite index and filter to the live window.
+        // Step 1: probe the opposite index. Nothing is in flight, so the
+        // whole live window is indexed: the edge is the window's head and
+        // the suffix scan is empty.
+        let window = &self.windows[probe_idx];
+        let bounds = window.bounds();
         let before = out.len();
-        if self.instrument {
-            let matches = self.indexes[probe_idx].probe_instrumented(
-                range,
-                probe_bounds.earliest,
-                &mut self.breakdown,
-            );
-            for e in matches {
-                if probe_bounds.contains(e.seq) {
-                    out.push(JoinResult::new(
-                        tuple,
-                        Tuple::new(matched_side, e.seq, e.key),
-                    ));
-                }
-            }
-        } else {
-            // A group of one through the multi-range entry point: the
-            // PIM-Tree answers it with its scalar descent (no sort, dedup,
-            // prefetch or lock grouping for a single range), so the
-            // single-threaded engine stays on the API the parallel engine
-            // batches across a whole claim. Each run is filtered to the live
-            // window and materialised in one pass — the kernel
-            // `parallel.rs::generate` runs when it collects.
-            self.indexes[probe_idx].probe_runs(
-                std::slice::from_ref(&range),
-                &mut self.probe_counters,
-                &mut |_, run| {
-                    let live = run.iter().filter(|e| probe_bounds.contains(e.seq));
-                    out.extend(
-                        live.map(|e| {
-                            JoinResult::new(tuple, Tuple::new(matched_side, e.seq, e.key))
-                        }),
-                    );
-                },
-            );
-        }
-        self.results_count += (out.len() - before) as u64;
+        index::probe(
+            &self.indexes[probe_idx],
+            window,
+            bounds.latest_exclusive,
+            &[self.predicate.probe_range(tuple.key)],
+            &[bounds],
+            &mut stats.probe,
+            self.instrument.then_some(&mut stats.breakdown),
+            &mut |_, run, live| {
+                let live = run.iter().filter(|e| live.contains(&e.seq));
+                out.extend(
+                    live.map(|e| JoinResult::new(tuple, Tuple::new(matched_side, e.seq, e.key))),
+                );
+            },
+        );
+        stats.results += (out.len() - before) as u64;
 
-        // Step 2: handle the tuple expiring from the own window.
-        let own_window_size = self.window_sizes[own_idx];
-        let next_seq = self.windows[own_idx].head();
-        if next_seq >= own_window_size as u64 {
-            let expired_seq = next_seq - own_window_size as u64;
-            let expired_key = self.windows[own_idx].key_of(expired_seq);
-            if self.instrument {
-                let timer = StepTimer::start(Step::Delete);
-                self.indexes[own_idx].on_expire(expired_key, expired_seq);
-                timer.finish(&mut self.breakdown);
-            } else {
-                self.indexes[own_idx].on_expire(expired_key, expired_seq);
-            }
-        }
-
-        // Step 3: insert the new tuple into its window and index.
-        let seq = self.windows[own_idx]
+        // Steps 2 and 3: append the new tuple to its window, insert it into
+        // the index and expire the tuple it pushes out of the window.
+        let window = &self.windows[own_idx];
+        let seq = window
             .append(tuple.key)
             .expect("sliding window slack exhausted");
         debug_assert_eq!(
             seq, tuple.seq,
             "input sequence numbers must match arrival order"
         );
-        if self.instrument {
-            let timer = StepTimer::start(Step::Insert);
-            self.indexes[own_idx].insert(tuple.key, seq);
-            timer.finish(&mut self.breakdown);
-        } else {
-            self.indexes[own_idx].insert(tuple.key, seq);
-        }
-
-        // Maintenance (merge) if the index asks for it.
-        let earliest_live = self.windows[own_idx].earliest_live();
-        if let Some(report) = self.indexes[own_idx].maintain(earliest_live) {
-            self.merges += 1;
-            self.merge_time += report.duration;
-            self.breakdown
+        let index = &self.indexes[own_idx];
+        let breakdown = self.instrument.then_some(&mut stats.breakdown);
+        if index::insert(index, window, &[(tuple.key, seq)], 0, breakdown) {
+            let report = index.merge(window.earliest_live());
+            stats.merges += 1;
+            stats.merge_time += report.duration;
+            stats
+                .breakdown
                 .record_nanos(Step::Merge, report.duration.as_nanos() as u64);
         }
-        self.breakdown.tuples += 1;
+        stats.breakdown.tuples += 1;
     }
 }
 
@@ -277,31 +219,28 @@ pub fn build_single_threaded(
             }
         }
         IndexKind::BTree => boxed(wr, ws, predicate, self_join, move || {
-            BTreeAdapter::with_fanout(pim.btree_fanout)
+            RefCell::new(BTreeIndex::with_fanout(pim.btree_fanout))
         }),
-        IndexKind::BChain => {
+        IndexKind::BChain | IndexKind::IbChain => {
+            let variant = if config.index == IndexKind::BChain {
+                ChainVariant::BChain
+            } else {
+                ChainVariant::IbChain
+            };
             let chain = config.chain_length;
             boxed(wr, ws, predicate, self_join, move || {
-                ChainedAdapter::new(ChainVariant::BChain, wr, chain)
-            })
-        }
-        IndexKind::IbChain => {
-            let chain = config.chain_length;
-            boxed(wr, ws, predicate, self_join, move || {
-                ChainedAdapter::new(ChainVariant::IbChain, wr, chain)
+                RefCell::new(ChainedIndex::new(variant, wr, chain))
             })
         }
         IndexKind::ImTree => boxed(wr, ws, predicate, self_join, move || {
-            ImTreeAdapter::new(pim)
+            RefCell::new(ImTree::new(pim))
         }),
-        IndexKind::PimTree => boxed(wr, ws, predicate, self_join, move || {
-            PimTreeAdapter::new(pim)
-        }),
-        IndexKind::BwTree => boxed(wr, ws, predicate, self_join, BwTreeAdapter::new),
+        IndexKind::PimTree => boxed(wr, ws, predicate, self_join, move || PimTree::new(pim)),
+        IndexKind::BwTree => boxed(wr, ws, predicate, self_join, BwTreeIndex::new),
     }
 }
 
-fn boxed<A: WindowIndexAdapter + 'static>(
+fn boxed<A: WindowIndex>(
     wr: usize,
     ws: usize,
     predicate: BandPredicate,
@@ -453,8 +392,8 @@ mod tests {
         let pim = PimConfig::for_window(256)
             .with_merge_ratio(0.25)
             .with_insertion_depth(2);
-        let mut op = IbwjOperator::new(256, 256, predicate, || PimTreeAdapter::new(pim))
-            .with_instrumentation();
+        let mut op =
+            IbwjOperator::new(256, 256, predicate, || PimTree::new(pim)).with_instrumentation();
         let (stats, _) = op.run(&tuples, false);
         assert!(
             stats.merges > 0,
@@ -472,17 +411,13 @@ mod tests {
         let pim = PimConfig::for_window(128)
             .with_merge_ratio(0.25)
             .with_insertion_depth(2);
-        let mut op = IbwjOperator::new(128, 128, BandPredicate::new(20), || {
-            PimTreeAdapter::new(pim)
-        });
+        let mut op = IbwjOperator::new(128, 128, BandPredicate::new(20), || PimTree::new(pim));
         let (first, warm) = op.run(&tuples[..1000], true);
         let (second, measured) = op.run(&tuples[1000..], false);
         assert!(measured.is_empty());
         assert!(!warm.is_empty() && first.merges > 0);
         // The same call with results collected is the oracle for the count.
-        let mut twin = IbwjOperator::new(128, 128, BandPredicate::new(20), || {
-            PimTreeAdapter::new(pim)
-        });
+        let mut twin = IbwjOperator::new(128, 128, BandPredicate::new(20), || PimTree::new(pim));
         twin.run(&tuples[..1000], false);
         let (_, collected) = twin.run(&tuples[1000..], true);
         assert_eq!(second.results, collected.len() as u64);
@@ -503,7 +438,7 @@ mod tests {
     fn results_count_matches_collected_results() {
         let tuples = random_tuples(1500, 150, 14);
         let predicate = BandPredicate::new(2);
-        let mut op = IbwjOperator::new(64, 64, predicate, BTreeAdapter::new);
+        let mut op = IbwjOperator::new(64, 64, predicate, || RefCell::new(BTreeIndex::new()));
         let (stats, results) = op.run(&tuples, true);
         assert_eq!(stats.results, results.len() as u64);
         assert!(stats.observed_match_rate() > 0.0);

@@ -3,9 +3,11 @@
 //! This crate implements every join algorithm evaluated by the paper:
 //!
 //! * [`nlwj`] — the single-threaded nested-loop window join baseline;
+//! * [`index`] — the [`WindowIndex`] trait, implemented on the B+-Tree, the
+//!   chained index, the IM-Tree, the PIM-Tree and the Bw-Tree-style index,
+//!   and the probe and insert stages both index-based joins run over it;
 //! * [`ibwj`] — single-threaded index-based window join, generic over the
-//!   window index through the [`adapter::WindowIndexAdapter`] trait
-//!   (B+-Tree, chained index, IM-Tree, PIM-Tree, Bw-Tree-style index);
+//!   window index;
 //! * [`handshake`] — multithreaded join based on round-robin
 //!   (context-insensitive) window partitioning in the style of low-latency
 //!   handshake join / SplitJoin (§2.2.3), with and without local indexes;
@@ -42,10 +44,10 @@
 
 #![warn(missing_docs)]
 
-pub mod adapter;
 pub mod gate;
 pub mod handshake;
 pub mod ibwj;
+pub mod index;
 pub mod nlwj;
 pub mod parallel;
 pub mod reference;
@@ -54,12 +56,10 @@ pub mod shard;
 pub mod stats;
 pub mod store;
 
-pub use adapter::{
-    BTreeAdapter, BwTreeAdapter, ChainedAdapter, ImTreeAdapter, PimTreeAdapter, WindowIndexAdapter,
-};
 pub use gate::QuiesceGate;
 pub use handshake::{HandshakeJoin, HandshakeMode};
 pub use ibwj::{build_single_threaded, IbwjOperator, SingleThreadJoin};
+pub use index::WindowIndex;
 pub use nlwj::NlwjOperator;
 pub use parallel::{ParallelIbwj, SharedIndexKind};
 pub use reference::{canonical, reference_join};

@@ -118,10 +118,6 @@ use crate::store::{ShardStore, StoreParams};
 /// measured 1–4 % over 4 and lengthens every batch's suffix scan.
 const CLAIM_DEPTH: usize = 4;
 
-/// Observed max-shard/ideal load ratio above which the drift monitor computes
-/// a repartition plan (1.0 = perfectly balanced).
-const IMBALANCE_TRIGGER: f64 = 1.5;
-
 /// Cost gate on plan adoption: a plan whose moved fraction of the observed
 /// weight exceeds this is not worth its data transfer and is rejected.
 const COST_GATE: f64 = 0.9;
@@ -592,7 +588,7 @@ impl ParallelIbwj {
             drift: if drift_on {
                 partitioner.clone().map(|p| {
                     Mutex::new(DriftState {
-                        monitor: DriftMonitor::new(self.config.drift.window, IMBALANCE_TRIGGER),
+                        monitor: DriftMonitor::new(self.config.drift.window),
                         partitioner: p,
                         pending: None,
                         since_check: 0,
@@ -621,14 +617,16 @@ impl ParallelIbwj {
         // discard the counters it accumulated (results are kept). Every
         // count is a worker's own, so dropping the workers' stats drops all
         // of them; merges and epochs adopted during warmup keep their effect
-        // (the partitioner stays adopted) but are not reported. A merge
-        // that the prefix's last tasks made due is warm-up work too: the
-        // last worker out can find the maintenance claim held and exit, so
-        // every due merge runs here, before the measured clock starts.
+        // (the partitioner stays adopted) but are not reported. An armed
+        // forced plan and a merge that the prefix's last tasks made due are
+        // warm-up work too: the last worker out can find the maintenance
+        // claim held and exit, so both run here, the epoch first, before
+        // the measured clock starts.
         let mut warmup_results = Vec::new();
         if warmup > 0 {
             run_workers(&shared, threads);
             let mut discarded = JoinRunStats::default();
+            adopt_armed_forced_plan(&shared, &mut discarded);
             while merge_due(&shared, 0, &mut discarded) {}
             shared.worker_stats.lock().clear();
             let (_, results) = std::mem::take(&mut *shared.sink.lock());
@@ -1248,15 +1246,7 @@ fn check_drift(
 /// the caller's phase clock must not charge to a task phase.
 fn maybe_repartition(shared: &Shared<'_>, stats: &mut JoinRunStats) -> bool {
     // Forced adoption (deterministic test/bench hook).
-    let forced = match &shared.forced_repartition {
-        Some((at, p))
-            if !shared.forced_done.load(Ordering::Acquire)
-                && shared.next_ingest.load(Ordering::Acquire) >= *at =>
-        {
-            Some(p.clone())
-        }
-        _ => None,
-    };
+    let forced = forced_plan_armed(shared).cloned();
     // Drift-driven adoption: anything pending? One relaxed load — a lock
     // peek here would contend with the drainer feeding the monitor on every
     // worker-loop iteration.
@@ -1347,13 +1337,22 @@ fn maybe_repartition(shared: &Shared<'_>, stats: &mut JoinRunStats) -> bool {
 /// is consumed here, on the coordinating thread after the workers exited,
 /// and counted in the run's `stats`.
 fn adopt_armed_forced_plan(shared: &Shared<'_>, stats: &mut JoinRunStats) {
-    let forced_armed = matches!(
-        &shared.forced_repartition,
-        Some((at, _)) if !shared.forced_done.load(Ordering::Acquire)
-            && shared.next_ingest.load(Ordering::Acquire) >= *at
-    );
-    if forced_armed {
+    if forced_plan_armed(shared).is_some() {
         maybe_repartition(shared, stats);
+    }
+}
+
+/// The forced plan, once its trigger point was ingested and until an epoch
+/// adopted it.
+fn forced_plan_armed<'s>(shared: &'s Shared<'_>) -> Option<&'s RangePartitioner> {
+    match &shared.forced_repartition {
+        Some((at, p))
+            if !shared.forced_done.load(Ordering::Acquire)
+                && shared.next_ingest.load(Ordering::Acquire) >= *at =>
+        {
+            Some(p)
+        }
+        _ => None,
     }
 }
 
@@ -1417,7 +1416,8 @@ fn merge_horizon(shared: &Shared<'_>, side: usize) -> Seq {
     horizon
 }
 
-/// Whether merges stand back for a repartition plan waiting to be adopted.
+/// Whether merges stand back for a repartition plan waiting to be adopted:
+/// a drift plan that is pending or a forced plan that is armed.
 ///
 /// An epoch and a merge need the same maintenance claim. At a small window
 /// and a high merge ratio a merge is due every few tasks, and without this
@@ -1426,7 +1426,7 @@ fn merge_horizon(shared: &Shared<'_>, side: usize) -> Seq {
 /// merges it deferred follow at the next visits.
 #[inline]
 fn merges_defer_to_epoch(shared: &Shared<'_>) -> bool {
-    shared.repartition_pending.load(Ordering::Acquire)
+    shared.repartition_pending.load(Ordering::Acquire) || forced_plan_armed(shared).is_some()
 }
 
 /// Test hook: merges due back to back. The visit that wins the maintenance
@@ -2864,8 +2864,8 @@ mod tests {
         let predicate = BandPredicate::new(2);
         let expected = canonical(&reference_join(&tuples, predicate, 128, 128, false));
         let skewed = RangePartitioner::from_key_sample(2, &[]);
-        let op = |at: usize| {
-            let cfg = config(128, 1, 4, 0.5, MergePolicy::NonBlocking).with_shard(
+        let op_at = |threads: usize, at: usize| {
+            let cfg = config(128, threads, 4, 0.5, MergePolicy::NonBlocking).with_shard(
                 ShardConfig::default()
                     .with_shards(2)
                     .with_partition_index(true),
@@ -2874,6 +2874,7 @@ mod tests {
                 .with_forced_repartition(at, skewed.clone())
                 .with_collected_results(true)
         };
+        let op = |at: usize| op_at(1, at);
         let warmup = 2000;
         // The prefix on its own merges and adopts the epoch, so the warm-up
         // below holds both.
@@ -2893,6 +2894,19 @@ mod tests {
         assert_eq!(stats.migration.tuples_moved(), 0);
         assert_eq!(stats.migration.stall_nanos, 0);
         assert!(stats.merges > 0, "the measured phase merges too");
+        // At four workers merges fall due back to back; an epoch armed at
+        // ingest 1000 must still be adopted inside the 2000-tuple warm-up.
+        for seed in 0..16 {
+            let tuples = random_tuples(4000, 400, 500 + seed);
+            let (stats, _) =
+                op_at(4, warmup / 2).run_with_store_inspector(&tuples, warmup, |store| {
+                    assert_eq!(store.epoch(), 1, "seed {seed}: the epoch is adopted");
+                });
+            assert_eq!(
+                stats.migration.epochs, 0,
+                "seed {seed}: epoch in the measured phase"
+            );
+        }
         // Where a merge falls near the phase boundary may shift, by at most
         // one merge per tree (two shards, two sides).
         assert!(

@@ -8,7 +8,11 @@
 //!
 //! * the **shared store** — one [`SlidingWindow`] plus one index per side,
 //!   the engine's original layout, taken verbatim whenever the partitioned
-//!   store is off or only one shard is configured — or
+//!   store is off or only one shard is configured. It probes and inserts
+//!   through the single-threaded operator's two stages, `index::probe`
+//!   and `index::insert`, over a claim's batch; what it adds is marking
+//!   the inserted tuples indexed, advancing the edge and the traffic
+//!   accounting — or
 //! * the **partitioned store** — per shard, one index *and* one
 //!   [`ShardWindow`] slice per side, each holding only the tuples whose keys
 //!   fall into the shard's range under a [`RangePartitioner`].
@@ -42,7 +46,7 @@
 //! numbers, so a per-shard PIM-Tree merge never drops an entry an in-flight
 //! task may still probe.
 
-use std::ops::Range;
+use std::any::Any;
 use std::sync::Arc;
 
 use crossbeam::utils::CachePadded;
@@ -55,115 +59,38 @@ use pimtree_core::PimTree;
 use pimtree_numa::RangePartitioner;
 use pimtree_window::{ShardWindow, SlidingWindow, WindowBounds};
 
+use crate::index::{self, RunSink, WindowIndex};
 use crate::parallel::SharedIndexKind;
 use crate::stats::JoinRunStats;
 
-/// One index instance of the store: the PIM-Tree with its merge machinery or
-/// the Bw-Tree-style eager-deletion index.
-#[allow(clippy::large_enum_variant)] // a handful of instances per run; size is irrelevant
-pub(crate) enum StoreIndex {
-    /// The PIM-Tree with the configured merge policy. Behind an `Arc` so the
-    /// merge coordinator can hold a handle across a (long) merge without
-    /// pinning the store's shard table read-locked; the migration epoch
-    /// protocol guarantees the tree is never swapped out from under a merge
-    /// (both paths serialize on the engine's maintenance claim).
-    Pim(Arc<PimTree>),
-    /// The Bw-Tree-style index (no merges; eager expiry deletion).
-    Bw(BwTreeIndex),
-}
+/// One index instance of the store. Behind an `Arc` so the merge
+/// coordinator can hold a PIM-Tree across a (long) merge without pinning the
+/// store's shard table read-locked ([`ShardStore::pim`]); the migration
+/// epoch protocol guarantees the tree is never swapped out from under a
+/// merge (both paths serialize on the engine's maintenance claim).
+type SharedIndex = Arc<dyn WindowIndex + Send + Sync>;
 
-impl StoreIndex {
-    /// A fresh index of `kind` holding `entries`, sorted by `(key, seq)`:
-    /// the PIM-Tree bulk-builds them into its immutable component, the
-    /// Bw-Tree inserts them in that order.
-    fn from_sorted(kind: SharedIndexKind, pim: PimConfig, entries: Vec<Entry>) -> Self {
-        match kind {
-            SharedIndexKind::PimTree => {
-                StoreIndex::Pim(Arc::new(PimTree::from_sorted(pim, entries)))
+/// A fresh index of `kind` holding `entries`, sorted by `(key, seq)`: the
+/// PIM-Tree bulk-builds them into its immutable component, the Bw-Tree
+/// inserts them in that order.
+fn build_index(kind: SharedIndexKind, pim: PimConfig, entries: Vec<Entry>) -> SharedIndex {
+    match kind {
+        SharedIndexKind::PimTree => Arc::new(PimTree::from_sorted(pim, entries)),
+        SharedIndexKind::BwTree => {
+            let tree = BwTreeIndex::new();
+            for e in entries {
+                tree.insert(e.key, e.seq);
             }
-            SharedIndexKind::BwTree => {
-                let tree = BwTreeIndex::new();
-                for e in entries {
-                    tree.insert(e.key, e.seq);
-                }
-                StoreIndex::Bw(tree)
-            }
-        }
-    }
-
-    /// Appends every indexed entry, live and expired, to `out` in `(key,
-    /// seq)` order — the input [`StoreIndex::from_sorted`] takes.
-    fn append_sorted(&self, out: &mut Vec<Entry>) {
-        match self {
-            StoreIndex::Pim(t) => out.append(&mut t.sorted_entries()),
-            StoreIndex::Bw(t) => {
-                t.range_for_each(KeyRange::new(Key::MIN, Key::MAX), |e| out.push(e))
-            }
-        }
-    }
-
-    /// Returns whether the batch left the index due for a merge (what
-    /// [`StoreIndex::needs_merge`] would say right after it).
-    fn insert_batch(&self, entries: &[(Key, Seq)]) -> bool {
-        match self {
-            StoreIndex::Pim(t) => t.insert_batch(entries),
-            StoreIndex::Bw(t) => {
-                for &(key, seq) in entries {
-                    t.insert(key, seq);
-                }
-                false
-            }
-        }
-    }
-
-    fn probe(&self, range: KeyRange, f: &mut dyn FnMut(Entry)) {
-        match self {
-            StoreIndex::Pim(t) => t.range_for_each(range, f),
-            StoreIndex::Bw(t) => t.range_for_each(range, f),
-        }
-    }
-
-    /// Multi-range probe: `f(i, run)` for the sorted runs of `ranges[i]`,
-    /// slices of the index's own storage. The PIM-Tree answers the whole
-    /// batch with one sorted/deduplicated, prefetched CSS-Tree group descent
-    /// and batched partition routing (one partition lock per unique
-    /// partition per call). The Bw-Tree has no group probe — scalar probes,
-    /// counted as such — and its delta pages nothing contiguous to lend:
-    /// every entry is a run of one.
-    fn probe_runs(
-        &self,
-        ranges: &[KeyRange],
-        counters: &mut pimtree_common::ProbeCounters,
-        f: &mut dyn FnMut(usize, &[Entry]),
-    ) {
-        match self {
-            StoreIndex::Pim(t) => t.probe_batch(ranges, counters, f),
-            StoreIndex::Bw(t) => {
-                counters.scalar_probes += ranges.len() as u64;
-                for (i, &range) in ranges.iter().enumerate() {
-                    t.range_for_each(range, |e| f(i, std::slice::from_ref(&e)));
-                }
-            }
-        }
-    }
-
-    fn needs_merge(&self) -> bool {
-        match self {
-            StoreIndex::Pim(t) => t.needs_merge(),
-            StoreIndex::Bw(_) => false,
+            Arc::new(tree)
         }
     }
 }
 
-/// What [`ShardStore::generate`] hands its caller, one dynamic call per run:
-/// the probe's position in the batch, a sorted run of stored entries whose
-/// keys lie in that probe's range, and the interval of sequence numbers that
-/// are live for the probe *in this run* — `[earliest, index horizon)` under
-/// the batch's edge snapshot for a run out of the index, the hit's own
-/// sequence number for a window-suffix hit, a run of one. The caller keeps
-/// the entries whose `seq` the interval contains — the only work left per
-/// entry — and it is the caller that counts or materialises them.
-pub(crate) type RunSink<'a> = dyn FnMut(usize, &[Entry], Range<Seq>) + 'a;
+/// `index` as the PIM-Tree it is, if it is one.
+fn as_pim(index: &SharedIndex) -> Option<Arc<PimTree>> {
+    let any: Arc<dyn Any + Send + Sync> = index.clone();
+    any.downcast().ok()
+}
 
 /// Construction parameters shared by both store layouts.
 pub(crate) struct StoreParams {
@@ -184,14 +111,14 @@ pub(crate) struct StoreParams {
 /// The engine's original layout: one shared window and index per side.
 struct SharedState {
     windows: [SlidingWindow; 2],
-    indexes: [StoreIndex; 2],
+    indexes: [SharedIndex; 2],
 }
 
 /// One shard of the partitioned store: per side, the index and window slice
 /// covering only the shard's key range.
 struct StoreShard {
     windows: [ShardWindow; 2],
-    indexes: [StoreIndex; 2],
+    indexes: [SharedIndex; 2],
 }
 
 impl StoreShard {
@@ -202,8 +129,8 @@ impl StoreShard {
                 ShardWindow::new(window_sizes[1], slack),
             ],
             indexes: [
-                StoreIndex::from_sorted(kind, pim, Vec::new()),
-                StoreIndex::from_sorted(kind, pim, Vec::new()),
+                build_index(kind, pim, Vec::new()),
+                build_index(kind, pim, Vec::new()),
             ],
         }
     }
@@ -243,8 +170,6 @@ enum Layout {
 /// state allocates nothing (same idiom as the PIM-Tree's probe scratch).
 #[derive(Default)]
 struct StoreScratch {
-    /// The suffix scan's probe ranges ordered by `lo` (shared layout).
-    order: Vec<(Key, usize)>,
     /// Per-item covering shard interval (partitioned layout).
     cover: Vec<(usize, usize)>,
     /// Current shard's sub-batch of probe ranges / original item indices.
@@ -410,8 +335,8 @@ impl ShardStore {
                     SlidingWindow::new(params.window_sizes[1], params.slack),
                 ],
                 indexes: [
-                    StoreIndex::from_sorted(params.kind, params.pim, Vec::new()),
-                    StoreIndex::from_sorted(params.kind, params.pim, Vec::new()),
+                    build_index(params.kind, params.pim, Vec::new()),
+                    build_index(params.kind, params.pim, Vec::new()),
                 ],
             }),
         };
@@ -540,19 +465,13 @@ impl ShardStore {
         }
         match &self.layout {
             Layout::Shared(s) => {
-                let merge_due = s.indexes[side].insert_batch(entries);
-                if let StoreIndex::Bw(bw) = &s.indexes[side] {
-                    // Eager expiry deletion with a lag large enough that no
-                    // in-flight task can still need the deleted entry.
-                    let w = self.window_sizes[side] as u64;
-                    for &(_, seq) in entries {
-                        if seq >= w + self.deletion_lag {
-                            let expired_seq = seq - w - self.deletion_lag;
-                            let expired_key = s.windows[side].key_of(expired_seq);
-                            bw.remove(expired_key, expired_seq);
-                        }
-                    }
-                }
+                let merge_due = index::insert(
+                    &*s.indexes[side],
+                    &s.windows[side],
+                    entries,
+                    self.deletion_lag,
+                    None,
+                );
                 for &(_, seq) in entries {
                     s.windows[side].mark_indexed(seq);
                 }
@@ -593,8 +512,9 @@ impl ShardStore {
                         stats.store.remote_inserts += n;
                     }
                     let shard = &inner.shards[shard_idx];
-                    let merge_due = shard.indexes[side].insert_batch(&scratch.sub_entries);
-                    if let StoreIndex::Bw(bw) = &shard.indexes[side] {
+                    let index = &shard.indexes[side];
+                    let merge_due = index.insert_batch(&scratch.sub_entries);
+                    if index.deletes_eagerly() {
                         let w = self.window_sizes[side] as u64;
                         let newest = scratch
                             .sub_entries
@@ -603,9 +523,7 @@ impl ShardStore {
                             .max()
                             .unwrap_or(0);
                         let upto = (newest + 1).saturating_sub(w + self.deletion_lag);
-                        shard.windows[side].expire_eager(upto, |key, seq| {
-                            bw.remove(key, seq);
-                        });
+                        shard.windows[side].expire_eager(upto, |key, seq| index.remove(key, seq));
                     }
                     for &(_, seq) in &scratch.sub_entries {
                         let found = shard.windows[side].mark_indexed(seq);
@@ -658,17 +576,10 @@ impl ShardStore {
     /// across the merge; the engine's maintenance claim guarantees no
     /// migration epoch replaces the tree while the merge runs.
     pub(crate) fn pim(&self, side: usize, shard: usize) -> Option<Arc<PimTree>> {
-        let index = match &self.layout {
-            Layout::Shared(s) => match &s.indexes[side] {
-                StoreIndex::Pim(t) => Some(Arc::clone(t)),
-                StoreIndex::Bw(_) => None,
-            },
-            Layout::Partitioned(p) => match &p.inner.read().shards[shard].indexes[side] {
-                StoreIndex::Pim(t) => Some(Arc::clone(t)),
-                StoreIndex::Bw(_) => None,
-            },
-        };
-        index
+        match &self.layout {
+            Layout::Shared(s) => as_pim(&s.indexes[side]),
+            Layout::Partitioned(p) => as_pim(&p.inner.read().shards[shard].indexes[side]),
+        }
     }
 
     /// Generates the matches of a task's probes against `side`'s store
@@ -716,27 +627,27 @@ impl ShardStore {
         f: &mut RunSink<'_>,
     ) {
         let entry_bytes = std::mem::size_of::<Entry>() as u64;
-        let n = ranges.len();
         let window = &state.windows[side];
-        let mut scratch = STORE_SCRATCH.with(|cell| cell.take());
         // One edge snapshot for the batch, taken before the index probe:
         // everything below it is findable through the index, everything from
         // it to an item's bounds snapshot comes from the suffix scan. A
         // snapshot that is a little stale only lengthens the scan, never
         // changes the result set.
         let edge = window.edge();
-        state.indexes[side].probe_runs(ranges, &mut stats.probe, &mut |j, run| {
-            f(j, run, bounds[j].earliest..bounds[j].index_horizon(edge));
-        });
-        let examined =
-            window.scan_suffix(edge, ranges, bounds, &mut scratch.order, |j, seq, key| {
-                f(j, &[Entry::new(key, seq)], seq..seq + 1);
-            });
+        let examined = index::probe(
+            &*state.indexes[side],
+            window,
+            edge,
+            ranges,
+            bounds,
+            &mut stats.probe,
+            None,
+            f,
+        );
         // Logical traffic, per probe as before the scans were batched: its
         // span and a fixed eight entries of descent (its matches are the
         // caller's to add).
-        stats.bytes_loaded += (examined as u64 + 8 * n as u64) * entry_bytes;
-        STORE_SCRATCH.with(|cell| cell.replace(scratch));
+        stats.bytes_loaded += (examined as u64 + 8 * ranges.len() as u64) * entry_bytes;
     }
 
     #[allow(clippy::too_many_arguments)] // internal fan-out worker of generate()
@@ -890,7 +801,7 @@ impl ShardStore {
                     window_entries[dest][side].push(entry);
                 }
                 old_starts[side].push(sorted[side].len());
-                shard.indexes[side].append_sorted(&mut sorted[side]);
+                sorted[side].append(&mut shard.indexes[side].sorted_entries());
             }
             for entries in &mut window_entries {
                 entries[side].sort_by_key(|&(seq, _, _)| seq);
@@ -904,7 +815,7 @@ impl ShardStore {
         // `[start, end)` of new shard `dest` overlaps old shard `o`'s
         // `[old_starts[o], old_starts[o + 1])`; whatever of it came from
         // another shard moved.
-        let mut new_indexes: [Vec<StoreIndex>; 2] = Default::default();
+        let mut new_indexes: [Vec<SharedIndex>; 2] = Default::default();
         for side in [0usize, 1] {
             let all = &mut sorted[side];
             for dest in (0..nodes).rev() {
@@ -929,7 +840,7 @@ impl ShardStore {
                 } else {
                     all.split_off(start)
                 };
-                new_indexes[side].push(StoreIndex::from_sorted(self.kind, self.shard_pim, slice));
+                new_indexes[side].push(build_index(self.kind, self.shard_pim, slice));
             }
             new_indexes[side].reverse();
         }
@@ -977,9 +888,11 @@ impl ShardStore {
                         out.window_live += 1;
                         span_fold(&mut out.window_key_span, key);
                     }
-                    s.indexes[side].probe(full, &mut |e| {
-                        out.index_entries += 1;
-                        span_fold(&mut out.index_key_span, e.key);
+                    s.indexes[side].probe(full, &mut |run| {
+                        for e in run {
+                            out.index_entries += 1;
+                            span_fold(&mut out.index_key_span, e.key);
+                        }
                     });
                 }
                 vec![StoreShardFootprint { shard: 0, sides }]
@@ -998,9 +911,11 @@ impl ShardStore {
                             out.window_live += 1;
                             span_fold(&mut out.window_key_span, key);
                         }
-                        shard.indexes[side].probe(full, &mut |e| {
-                            out.index_entries += 1;
-                            span_fold(&mut out.index_key_span, e.key);
+                        shard.indexes[side].probe(full, &mut |run| {
+                            for e in run {
+                                out.index_entries += 1;
+                                span_fold(&mut out.index_key_span, e.key);
+                            }
                         });
                     }
                     StoreShardFootprint {
@@ -1100,9 +1015,9 @@ mod tests {
         };
         let (mut index, mut window) = (Vec::new(), Vec::new());
         for (shard, sh) in p.inner.read().shards.iter().enumerate() {
-            sh.indexes[side].probe(KeyRange::new(Key::MIN, Key::MAX), &mut |e| {
-                index.push((shard, e.key, e.seq))
-            });
+            for e in sh.indexes[side].sorted_entries() {
+                index.push((shard, e.key, e.seq));
+            }
             for (seq, key, indexed) in sh.windows[side].snapshot(keep) {
                 window.push((shard, seq, key, indexed));
             }
@@ -1191,7 +1106,7 @@ mod tests {
                                 first_unindexed,
                                 "edge of shard {shard}, side {side}: {case}"
                             );
-                            if let StoreIndex::Pim(tree) = &sh.indexes[side] {
+                            if let Some(tree) = as_pim(&sh.indexes[side]) {
                                 assert_eq!(tree.ti_len(), 0, "shard {shard}, side {side}: {case}");
                             }
                         }

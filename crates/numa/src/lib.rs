@@ -21,4 +21,6 @@
 
 pub mod partition;
 
-pub use partition::{DriftMonitor, PartitionLoad, RangePartitioner, RepartitionPlan};
+pub use partition::{
+    DriftMonitor, PartitionLoad, RangePartitioner, RepartitionPlan, IMBALANCE_TRIGGER,
+};

@@ -197,6 +197,10 @@ impl RangePartitioner {
     }
 }
 
+/// Observed max-shard/ideal load ratio above which a [`DriftMonitor`]
+/// recommends a repartition (1.0 = perfectly balanced).
+pub const IMBALANCE_TRIGGER: f64 = 1.5;
+
 /// Drift-driven repartition hook: accumulates a sliding sample of
 /// `(key, output_weight)` observations and decides when the observed load
 /// has drifted far enough from a partitioning to justify the data transfer a
@@ -214,7 +218,6 @@ pub struct DriftMonitor {
     sample: Vec<(Key, u64)>,
     capacity: usize,
     cursor: usize,
-    imbalance_trigger: f64,
     /// Observations remaining before the monitor may trigger again after a
     /// plan decision. Without it, the stale pre-migration sample would
     /// immediately re-trigger [`should_repartition`](Self::should_repartition)
@@ -226,23 +229,17 @@ pub struct DriftMonitor {
 impl DriftMonitor {
     /// Creates a monitor keeping the most recent `capacity` observations and
     /// recommending a repartition once the observed imbalance exceeds
-    /// `imbalance_trigger` (1.0 = perfectly balanced; a typical trigger is
-    /// 1.5–2.0).
+    /// [`IMBALANCE_TRIGGER`].
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero or the trigger is below 1.0.
-    pub fn new(capacity: usize, imbalance_trigger: f64) -> Self {
+    /// Panics if `capacity` is zero.
+    pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "drift monitor needs a positive capacity");
-        assert!(
-            imbalance_trigger >= 1.0,
-            "an imbalance below 1.0 is unreachable"
-        );
         DriftMonitor {
             sample: Vec::with_capacity(capacity.min(1 << 20)),
             capacity,
             cursor: 0,
-            imbalance_trigger,
             cooldown: 0,
         }
     }
@@ -287,7 +284,7 @@ impl DriftMonitor {
     pub fn should_repartition(&self, partitioner: &RangePartitioner) -> bool {
         self.cooldown == 0
             && self.sample.len() * 2 >= self.capacity
-            && self.imbalance(partitioner) > self.imbalance_trigger
+            && self.imbalance(partitioner) > IMBALANCE_TRIGGER
     }
 
     /// Observations still to go before the monitor may trigger again.
@@ -456,7 +453,7 @@ mod tests {
     fn drift_monitor_triggers_only_after_real_drift() {
         let initial: Vec<Key> = (0..1000).collect();
         let p = RangePartitioner::from_key_sample(4, &initial);
-        let mut monitor = DriftMonitor::new(400, 1.5);
+        let mut monitor = DriftMonitor::new(400);
         assert!(monitor.is_empty());
         // A balanced stream (spread over the whole key domain) never
         // triggers.
@@ -473,7 +470,7 @@ mod tests {
             monitor.observe(5000 + k, 0);
         }
         assert_eq!(monitor.len(), 400, "window stays bounded");
-        assert!(monitor.imbalance(&p) > 1.5);
+        assert!(monitor.imbalance(&p) > IMBALANCE_TRIGGER);
         assert!(monitor.should_repartition(&p));
         let plan = monitor.plan(&p);
         assert!(plan.new_partitioner.imbalance(monitor.sample()) < 1.3);
@@ -578,7 +575,7 @@ mod tests {
     fn adoption_clears_the_sample_and_cools_down() {
         let initial: Vec<Key> = (0..1000).collect();
         let p = RangePartitioner::from_key_sample(4, &initial);
-        let mut monitor = DriftMonitor::new(400, 1.5);
+        let mut monitor = DriftMonitor::new(400);
         // Drift the whole window to a disjoint key range: triggers.
         for k in 0..400 {
             monitor.observe(5000 + k, 0);
@@ -611,7 +608,7 @@ mod tests {
         assert!(monitor.should_repartition(&adopted));
         // Steady state under the adopted partitioner never re-triggers: the
         // post-adoption stream is balanced by construction of the plan.
-        let mut steady = DriftMonitor::new(400, 1.5);
+        let mut steady = DriftMonitor::new(400);
         for k in 0..1200 {
             steady.observe(5000 + (k % 400), 0);
         }
@@ -625,13 +622,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive capacity")]
     fn drift_monitor_rejects_zero_capacity() {
-        let _ = DriftMonitor::new(0, 1.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "unreachable")]
-    fn drift_monitor_rejects_sub_one_trigger() {
-        let _ = DriftMonitor::new(16, 0.5);
+        let _ = DriftMonitor::new(0);
     }
 
     #[test]

@@ -295,7 +295,7 @@ fn drift_repartition_round_trip_under_the_sharded_engine() {
     );
 
     // Observe the drift, repartition, re-run: still exact, now balanced.
-    let mut monitor = DriftMonitor::new(2000, 1.5);
+    let mut monitor = DriftMonitor::new(2000);
     for t in &drifted {
         monitor.observe(t.key, 0);
     }
