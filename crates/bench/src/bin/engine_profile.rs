@@ -34,7 +34,8 @@
 //! After the sweep one more `#` line reports the paper's baseline on the
 //! same input and warm-up: the single-threaded IBWJ operator over the
 //! PIM-Tree at merge ratio 0.125, as the repository benchmark's
-//! `single_thread_mtps` runs it. It is the median of five passes, each a
+//! `single_thread_mtps` runs it — counting its matches, with no result
+//! built, through the same live-count kernel as the engine's workers. It is the median of five passes, each a
 //! fresh operator with the same warm-up, with the slowest and fastest pass
 //! beside it; then, when a one-worker row ran, that row's rate divided by
 //! the median — what batching alone buys — and, when a two-worker row ran

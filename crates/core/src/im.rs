@@ -87,22 +87,6 @@ impl ImTree {
         }
     }
 
-    /// Convenience: insert and merge if the threshold has been reached.
-    /// Returns the merge report if a merge happened.
-    pub fn insert_and_maintain(
-        &mut self,
-        key: Key,
-        seq: Seq,
-        earliest_live: Seq,
-    ) -> Option<MergeReport> {
-        self.insert(key, seq);
-        if self.needs_merge() {
-            Some(self.merge(earliest_live))
-        } else {
-            None
-        }
-    }
-
     /// Calls `f` with every indexed entry whose key lies in `range`, including
     /// entries of expired tuples (the caller filters by sequence number, as
     /// the join operator has to do anyway), as sorted, non-empty runs: `TS`'s
@@ -143,7 +127,6 @@ impl ImTree {
     pub fn probe_with_breakdown(
         &self,
         range: KeyRange,
-        earliest_live: Seq,
         breakdown: &mut CostBreakdown,
     ) -> Vec<Entry> {
         let search_start = Instant::now();
@@ -152,13 +135,9 @@ impl ImTree {
         breakdown.record(Step::Search, search_start.elapsed());
 
         let scan_start = Instant::now();
-        let mut out = Vec::new();
-        let mut keep_live = |run: &[Entry]| {
-            out.extend(run.iter().filter(|e| e.seq >= earliest_live));
-        };
-        keep_live(self.ts.run_from(ts_pos, range.hi));
+        let mut out = self.ts.run_from(ts_pos, range.hi).to_vec();
         if ti_first.is_some() {
-            self.ti.range_runs(range, keep_live);
+            self.ti.range_runs(range, |run| out.extend_from_slice(run));
         }
         breakdown.record(Step::Scan, scan_start.elapsed());
         out
@@ -246,13 +225,13 @@ mod tests {
     }
 
     #[test]
-    fn insert_and_maintain_merges_at_threshold() {
+    fn inserts_merge_at_threshold() {
         let mut t = ImTree::new(config(16, 0.25));
         let mut merges = 0;
         for i in 0..64i64 {
-            if t.insert_and_maintain(i, i as Seq, (i as Seq).saturating_sub(16))
-                .is_some()
-            {
+            t.insert(i, i as Seq);
+            if t.needs_merge() {
+                t.merge((i as Seq).saturating_sub(16));
                 merges += 1;
             }
         }
@@ -269,7 +248,10 @@ mod tests {
         let n = 1000i64;
         for i in 0..n {
             let earliest = (i as Seq + 1).saturating_sub(w as Seq);
-            t.insert_and_maintain(key_of(i), i as Seq, earliest);
+            t.insert(key_of(i), i as Seq);
+            if t.needs_merge() {
+                t.merge(earliest);
+            }
         }
         let earliest = n as Seq - w as Seq;
         let live = t.range_collect_live(KeyRange::new(i64::MIN, i64::MAX), earliest);
@@ -298,8 +280,8 @@ mod tests {
         }
         let range = KeyRange::new(30, 90);
         let mut breakdown = CostBreakdown::new();
-        let a = t.probe_with_breakdown(range, 5, &mut breakdown);
-        let b = t.range_collect_live(range, 5);
+        let a = t.probe_with_breakdown(range, &mut breakdown);
+        let b = t.range_collect_live(range, 0);
         let mut a_sorted = a.clone();
         a_sorted.sort();
         let mut b_sorted = b.clone();

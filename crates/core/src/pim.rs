@@ -781,7 +781,6 @@ impl PimTree {
     pub fn probe_with_breakdown(
         &self,
         range: KeyRange,
-        earliest_live: Seq,
         breakdown: &mut CostBreakdown,
     ) -> Vec<Entry> {
         let gen = self.current.read();
@@ -791,18 +790,14 @@ impl PimTree {
         breakdown.record(Step::Search, search_start.elapsed());
 
         let scan_start = Instant::now();
-        let mut out = Vec::new();
-        let mut keep_live = |run: &[Entry]| {
-            out.extend(run.iter().filter(|e| e.seq >= earliest_live));
-        };
         let run = gen.ts.run_from(start, range.hi);
-        keep_live(run);
+        let mut out = run.to_vec();
         if gen.ti_len.0.load(Ordering::Relaxed) > 0 {
             for p in gen.overlapped_partitions(range, group, start + run.len()) {
                 gen.partitions[p]
                     .lock()
                     .run
-                    .range_runs(range, &mut keep_live);
+                    .range_runs(range, |run| out.extend_from_slice(run));
             }
         }
         breakdown.record(Step::Scan, scan_start.elapsed());
@@ -1337,10 +1332,8 @@ mod tests {
         }
         let range = KeyRange::new(100, 800);
         let mut breakdown = CostBreakdown::new();
-        let a = t.probe_with_breakdown(range, 10, &mut breakdown);
-        let mut b = t.brute_force(range);
-        b.retain(|e| e.seq >= 10);
-        assert_eq!(a, b, "TS's entries, then TI's");
+        let a = t.probe_with_breakdown(range, &mut breakdown);
+        assert_eq!(a, t.brute_force(range), "TS's entries, then TI's");
         assert!(breakdown.count(Step::Search) == 1 && breakdown.count(Step::Scan) == 1);
     }
 
@@ -2492,7 +2485,7 @@ mod tests {
                                 let mut one = Vec::new();
                                 t.range_runs(range, |run| one.extend_from_slice(run));
                                 prop_assert_eq!(&one, want, "range_runs, {} {:?}", what, range);
-                                let timed = t.probe_with_breakdown(range, 0, &mut CostBreakdown::new());
+                                let timed = t.probe_with_breakdown(range, &mut CostBreakdown::new());
                                 prop_assert_eq!(&timed, want, "probe_with_breakdown, {} {:?}", what, range);
                             }
                         }

@@ -25,13 +25,21 @@ use crate::index::{self, WindowIndex};
 use crate::stats::JoinRunStats;
 
 /// A single-threaded stream-join operator processing one tuple at a time.
+///
+/// Counting is the per-tuple path: [`SingleThreadJoin::process`] returns the
+/// tuple's match count and builds [`JoinResult`]s only when handed a vector
+/// to put them in. `run(.., false)` — what the benchmark, the figures and
+/// `engine_profile` time as the paper's baseline — hands it none, so the
+/// baseline counts its matches the way the parallel engine's count sink
+/// does, through the same kernel.
 pub trait SingleThreadJoin {
     /// Operator name for benchmark output.
     fn name(&self) -> String;
 
-    /// Processes one arriving tuple, appending its results (ordered by the
-    /// matched tuple's arrival) to `out`.
-    fn process(&mut self, tuple: Tuple, out: &mut Vec<JoinResult>);
+    /// Processes one arriving tuple and returns its match count. With `out`,
+    /// its results are also appended there, ordered as the probe emits them;
+    /// without, no result is built.
+    fn process(&mut self, tuple: Tuple, out: Option<&mut Vec<JoinResult>>) -> u64;
 
     /// Statistics accumulated so far (merge counts, per-step costs). The
     /// default implementation reports nothing.
@@ -49,18 +57,11 @@ pub trait SingleThreadJoin {
     /// (`max_batch` has no per-call value).
     fn run(&mut self, tuples: &[Tuple], collect: bool) -> (JoinRunStats, Vec<JoinResult>) {
         let before = self.stats();
-        let mut out = Vec::new();
         let mut kept = Vec::new();
         let mut results = 0u64;
         let start = Instant::now();
         for &t in tuples {
-            self.process(t, &mut out);
-            results += out.len() as u64;
-            if collect {
-                kept.append(&mut out);
-            } else {
-                out.clear();
-            }
+            results += self.process(t, collect.then_some(&mut kept));
         }
         let elapsed = start.elapsed();
         let mut stats = self.stats();
@@ -142,7 +143,7 @@ impl<A: WindowIndex> SingleThreadJoin for IbwjOperator<A> {
         self.stats.clone()
     }
 
-    fn process(&mut self, tuple: Tuple, out: &mut Vec<JoinResult>) {
+    fn process(&mut self, tuple: Tuple, mut out: Option<&mut Vec<JoinResult>>) -> u64 {
         let (probe_idx, own_idx, matched_side) = if self.self_join {
             (0, 0, StreamSide::R)
         } else {
@@ -156,10 +157,11 @@ impl<A: WindowIndex> SingleThreadJoin for IbwjOperator<A> {
 
         // Step 1: probe the opposite index. Nothing is in flight, so the
         // whole live window is indexed: the edge is the window's head and
-        // the suffix scan is empty.
+        // the suffix scan is empty. Each run's live entries are counted, or
+        // materialised when the caller collects.
         let window = &self.windows[probe_idx];
         let bounds = window.bounds();
-        let before = out.len();
+        let mut matches = 0;
         index::probe(
             &self.indexes[probe_idx],
             window,
@@ -169,13 +171,13 @@ impl<A: WindowIndex> SingleThreadJoin for IbwjOperator<A> {
             &mut stats.probe,
             self.instrument.then_some(&mut stats.breakdown),
             &mut |_, run, live| {
-                let live = run.iter().filter(|e| live.contains(&e.seq));
-                out.extend(
-                    live.map(|e| JoinResult::new(tuple, Tuple::new(matched_side, e.seq, e.key))),
-                );
+                matches += match out.as_deref_mut() {
+                    None => index::count_live(run, live),
+                    Some(out) => index::materialise(out, tuple, matched_side, run, live),
+                }
             },
         );
-        stats.results += (out.len() - before) as u64;
+        stats.results += matches;
 
         // Steps 2 and 3: append the new tuple to its window, insert it into
         // the index and expire the tuple it pushes out of the window.
@@ -198,6 +200,7 @@ impl<A: WindowIndex> SingleThreadJoin for IbwjOperator<A> {
                 .record_nanos(Step::Merge, report.duration.as_nanos() as u64);
         }
         stats.breakdown.tuples += 1;
+        matches
     }
 }
 
@@ -258,7 +261,7 @@ fn boxed<A: WindowIndex>(
 mod tests {
     use super::*;
     use crate::reference::{canonical, reference_join};
-    use pimtree_common::PimConfig;
+    use pimtree_common::{Key, PimConfig};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -432,6 +435,80 @@ mod tests {
             second.merges,
             "the breakdown is per call too"
         );
+    }
+
+    /// Every single-threaded operator — IBWJ on all six indexes and the
+    /// nested-loop join, two-way and self-join — counts in `run(.., false)`
+    /// exactly as many matches as it materialises in `run(.., true)` and as
+    /// the oracle finds. The inputs sit at the key domain's corners, repeat
+    /// one key, repeat keys at periods around the window size (so matches
+    /// fall on both sides of the expiry edge), or put over 64 live matches
+    /// in a probe, past the count kernel's vector cut-over.
+    #[test]
+    fn count_only_run_matches_collecting_run_and_oracle() {
+        let w = 128usize;
+        let n = 1000u64;
+        type KeyOf = fn(u64) -> Key;
+        let inputs: [(&str, KeyOf, i64); 4] = [
+            (
+                "domain corners",
+                |seq| match seq % 5 {
+                    0 => Key::MIN,
+                    1 => Key::MAX,
+                    2 => Key::MIN + 1,
+                    3 => Key::MAX - 1,
+                    _ => (seq % 16) as Key,
+                },
+                1,
+            ),
+            ("all-duplicate", |_| 7, 0),
+            ("window edge", |seq| (seq % (127 + seq % 3)) as Key, 0),
+            ("wide band", |seq| ((seq * 37) % 64) as Key, 32),
+        ];
+        for (name, key_of, band) in inputs {
+            let predicate = BandPredicate::new(band);
+            for self_join in [false, true] {
+                let tuples: Vec<Tuple> = (0..n)
+                    .map(|i| match (self_join, i % 2) {
+                        (true, _) => Tuple::r(i, key_of(i)),
+                        (false, 0) => Tuple::r(i / 2, key_of(i / 2)),
+                        (false, _) => Tuple::s(i / 2, key_of(i / 2)),
+                    })
+                    .collect();
+                let expected = reference_join(&tuples, predicate, w, w, self_join);
+                assert!(!expected.is_empty(), "{name}");
+                if matches!(name, "all-duplicate" | "wide band") {
+                    let mut per_probe = std::collections::HashMap::new();
+                    for r in &expected {
+                        *per_probe.entry((r.probe.side, r.probe.seq)).or_insert(0) += 1;
+                    }
+                    assert!(
+                        per_probe.values().any(|&m| m >= 64),
+                        "{name}: runs too short"
+                    );
+                }
+                for kind in [
+                    IndexKind::None,
+                    IndexKind::BTree,
+                    IndexKind::BChain,
+                    IndexKind::IbChain,
+                    IndexKind::ImTree,
+                    IndexKind::PimTree,
+                    IndexKind::BwTree,
+                ] {
+                    let config = config_with(kind, w);
+                    let mut counting = build_single_threaded(&config, predicate, self_join);
+                    let mut collecting = build_single_threaded(&config, predicate, self_join);
+                    let (counted, none) = counting.run(&tuples, false);
+                    let (collected_stats, collected) = collecting.run(&tuples, true);
+                    let what = format!("{name}, {kind}, self-join {self_join}");
+                    assert!(none.is_empty(), "{what}");
+                    assert_eq!(counted.results, collected.len() as u64, "{what}");
+                    assert_eq!(collected_stats.results, collected.len() as u64, "{what}");
+                    assert_eq!(canonical(&collected), canonical(&expected), "{what}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Single-threaded nested-loop window join (NLWJ): the index-free baseline.
 
+use pimtree_btree::Entry;
 use pimtree_common::{BandPredicate, JoinResult, StreamSide, Tuple};
 use pimtree_window::SlidingWindow;
 
 use crate::ibwj::SingleThreadJoin;
+use crate::index;
 
 /// The nested-loop window join: every arriving tuple is compared against every
 /// live tuple of the opposite window. Its per-tuple cost is linear in the
@@ -48,7 +50,7 @@ impl SingleThreadJoin for NlwjOperator {
         "nlwj".to_string()
     }
 
-    fn process(&mut self, tuple: Tuple, out: &mut Vec<JoinResult>) {
+    fn process(&mut self, tuple: Tuple, mut out: Option<&mut Vec<JoinResult>>) -> u64 {
         let (probe_idx, own_idx, matched_side) = if self.self_join {
             (0, 0, StreamSide::R)
         } else {
@@ -58,16 +60,27 @@ impl SingleThreadJoin for NlwjOperator {
                 tuple.side.opposite(),
             )
         };
-        // Step 1: scan the opposite live window.
+        // Step 1: scan the opposite live window. Every hit is live; it is
+        // counted, or materialised as a run of one when the caller collects.
         let probe_window = &self.windows[probe_idx];
         let bounds = probe_window.bounds();
         let range = self.predicate.probe_range(tuple.key);
+        let mut matches = 0;
         probe_window.scan_linear(
             bounds.earliest,
             bounds.latest_exclusive,
             range,
             |seq, key| {
-                out.push(JoinResult::new(tuple, Tuple::new(matched_side, seq, key)));
+                matches += match out.as_deref_mut() {
+                    None => 1,
+                    Some(out) => index::materialise(
+                        out,
+                        tuple,
+                        matched_side,
+                        &[Entry::new(key, seq)],
+                        seq..seq + 1,
+                    ),
+                }
             },
         );
         // Steps 2 and 3: slide the own window (expiry is implicit for NLWJ).
@@ -78,6 +91,7 @@ impl SingleThreadJoin for NlwjOperator {
             seq, tuple.seq,
             "input sequence numbers must match arrival order"
         );
+        matches
     }
 }
 

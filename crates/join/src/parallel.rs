@@ -104,6 +104,7 @@ use pimtree_numa::{DriftMonitor, RangePartitioner};
 use pimtree_window::WindowBounds;
 
 use crate::gate::QuiesceGate;
+use crate::index;
 use crate::ring::{Backoff, ClaimedTask, IdleKind};
 use crate::shard::ShardedRing;
 use crate::stats::{lap, JoinRunStats, MigrationCounters, StallCause, StallLap};
@@ -188,7 +189,9 @@ struct OpenLoopPacing {
     measured_from: usize,
 }
 
-struct Shared<'a> {
+/// What every worker reads per tuple or per acquire and nobody writes while
+/// workers run ([`Shared::params`]).
+struct Params<'a> {
     input: &'a [Tuple],
     /// Exclusive upper bound on the input positions this batch may ingest.
     /// The warmup phase of a measured run processes a prefix of the input
@@ -212,16 +215,42 @@ struct Shared<'a> {
     /// updates.
     max_unindexed: usize,
     self_join: bool,
+    merge_policy: MergePolicy,
+    collect_results: bool,
+}
+
+/// The propagating worker's state, written once per drain and only by the
+/// holder of the sink lock.
+struct Drain {
+    /// Slots drained so far over both phases. Slots drain in global arrival
+    /// order, so this is the input position of the next slot to drain: it
+    /// pairs a drained slot with its key for the drift monitor and with its
+    /// virtual arrival time under open-loop pacing.
+    pos: AtomicUsize,
+    /// Result sink `(count, collected results)`. Its try-lock doubles as the
+    /// election of the propagating worker, exactly like the paper's
+    /// test-and-set scheme; the ring's internal drain token additionally
+    /// protects the cursor, so the two can never disagree.
+    sink: Mutex<(u64, Vec<JoinResult>)>,
+}
+
+/// The engine state all workers share. Its layout is part of its contract:
+/// `params` is read on every acquire and per tuple, while `next_ingest`,
+/// `drain` and `arrival_latency` are each written by one worker at a time
+/// (per fill, per drain, per drained slot under open-loop pacing). Each of
+/// the four is `CachePadded`, so no write lands on a line the readers need:
+/// rustc's field order does not keep them apart, and a shared line costs
+/// every acquire a coherence miss (`tests::hot_fields_sit_on_lines_of_their_own`).
+struct Shared<'a> {
+    params: CachePadded<Params<'a>>,
     /// Per-side index and window state: one shared pair per side, or — with
     /// `partition_index` on and several shards — one pair per shard behind a
     /// key-range partitioner (see [`crate::store`]).
     store: ShardStore,
-    merge_policy: MergePolicy,
-    collect_results: bool,
 
     ring: ShardedRing,
     /// Next input position to ingest; written only under the ingest token.
-    next_ingest: AtomicUsize,
+    next_ingest: CachePadded<AtomicUsize>,
     /// Per-shard, per-probe-side claim progress for the O(shards) merge
     /// horizon (see [`merge_horizon`]): claims within one shard take slot ids
     /// in order, so the per-shard running maxima stay safe stand-ins for
@@ -255,19 +284,9 @@ struct Shared<'a> {
     /// Open-loop arrival pacing; `None` runs closed-loop (as fast as the
     /// engine admits). Armed for the measured phase only.
     open_loop: Option<OpenLoopPacing>,
-    /// Slots drained so far over both phases. Slots drain in global arrival
-    /// order, so this is the input position of the next slot to drain: it
-    /// pairs a drained slot with its key for the drift monitor and with its
-    /// virtual arrival time under open-loop pacing. Written only under the
-    /// sink lock.
-    drained_pos: AtomicUsize,
+    drain: CachePadded<Drain>,
     /// End-to-end arrival→drain latency histogram (open-loop runs only).
-    arrival_latency: Mutex<LatencyHistogram>,
-    /// Result sink `(count, collected results)`. Its try-lock doubles as the
-    /// election of the propagating worker, exactly like the paper's
-    /// test-and-set scheme; the ring's internal drain token additionally
-    /// protects the cursor, so the two can never disagree.
-    sink: Mutex<(u64, Vec<JoinResult>)>,
+    arrival_latency: CachePadded<Mutex<LatencyHistogram>>,
     /// Each worker's own counters, pushed once when it exits; the run sums
     /// them with [`JoinRunStats::absorb`].
     worker_stats: Mutex<Vec<JoinRunStats>>,
@@ -286,7 +305,7 @@ struct Shared<'a> {
 impl<'a> Shared<'a> {
     #[inline]
     fn own_idx(&self, side: StreamSide) -> usize {
-        if self.self_join {
+        if self.params.self_join {
             0
         } else {
             side.index()
@@ -295,7 +314,7 @@ impl<'a> Shared<'a> {
 
     #[inline]
     fn probe_idx(&self, side: StreamSide) -> usize {
-        if self.self_join {
+        if self.params.self_join {
             0
         } else {
             side.opposite().index()
@@ -304,7 +323,7 @@ impl<'a> Shared<'a> {
 
     #[inline]
     fn matched_side(&self, side: StreamSide) -> StreamSide {
-        if self.self_join {
+        if self.params.self_join {
             StreamSide::R
         } else {
             side.opposite()
@@ -567,19 +586,21 @@ impl ParallelIbwj {
         );
 
         let mut shared = Shared {
-            input: tuples,
-            ingest_limit: if warmup > 0 { warmup } else { tuples.len() },
-            predicate: self.predicate,
-            threads,
-            task_size,
-            self_join: self.self_join,
-            ingest_target,
-            max_unindexed,
+            params: CachePadded::new(Params {
+                input: tuples,
+                ingest_limit: if warmup > 0 { warmup } else { tuples.len() },
+                predicate: self.predicate,
+                threads,
+                task_size,
+                self_join: self.self_join,
+                ingest_target,
+                max_unindexed,
+                merge_policy: self.config.pim.merge_policy,
+                collect_results: self.collect_results,
+            }),
             store,
-            merge_policy: self.config.pim.merge_policy,
-            collect_results: self.collect_results,
             ring,
-            next_ingest: AtomicUsize::new(0),
+            next_ingest: CachePadded::new(AtomicUsize::new(0)),
             claim_meta: (0..shards).map(|_| Default::default()).collect(),
             gate: CachePadded::new(QuiesceGate::new()),
             no_index_updates: [AtomicBool::new(false), AtomicBool::new(false)],
@@ -602,9 +623,11 @@ impl ParallelIbwj {
             forced_done: AtomicBool::new(false),
             repartition_pending: AtomicBool::new(false),
             open_loop: None,
-            drained_pos: AtomicUsize::new(0),
-            arrival_latency: Mutex::new(LatencyHistogram::new()),
-            sink: Mutex::new((0, Vec::new())),
+            drain: CachePadded::new(Drain {
+                pos: AtomicUsize::new(0),
+                sink: Mutex::new((0, Vec::new())),
+            }),
+            arrival_latency: CachePadded::new(Mutex::new(LatencyHistogram::new())),
             worker_stats: Mutex::new(Vec::new()),
             poisoned: AtomicBool::new(false),
             #[cfg(test)]
@@ -629,9 +652,9 @@ impl ParallelIbwj {
             adopt_armed_forced_plan(&shared, &mut discarded);
             while merge_due(&shared, 0, &mut discarded) {}
             shared.worker_stats.lock().clear();
-            let (_, results) = std::mem::take(&mut *shared.sink.lock());
+            let (_, results) = std::mem::take(&mut *shared.drain.sink.lock());
             warmup_results = results;
-            shared.ingest_limit = tuples.len();
+            shared.params.ingest_limit = tuples.len();
         }
 
         let measured = (tuples.len() - warmup) as u64;
@@ -669,7 +692,7 @@ impl ParallelIbwj {
         if let Some(inspect) = inspect {
             inspect(&shared);
         }
-        let (count, results) = std::mem::take(&mut *shared.sink.lock());
+        let (count, results) = std::mem::take(&mut *shared.drain.sink.lock());
         stats.results = count;
         if self.collect_results {
             warmup_results.extend(results);
@@ -798,7 +821,7 @@ fn worker_loop(shared: &Shared<'_>, worker: usize) {
             // then back off adaptively instead of hammering the shared
             // counters that the productive workers need.
             shared.store.try_advance_edge(0);
-            if !shared.self_join {
+            if !shared.params.self_join {
                 shared.store.try_advance_edge(1);
             }
             match backoff.idle() {
@@ -813,7 +836,8 @@ fn worker_loop(shared: &Shared<'_>, worker: usize) {
 }
 
 fn is_finished(shared: &Shared<'_>) -> bool {
-    shared.next_ingest.load(Ordering::Acquire) == shared.ingest_limit && shared.ring.is_empty()
+    shared.next_ingest.load(Ordering::Acquire) == shared.params.ingest_limit
+        && shared.ring.is_empty()
 }
 
 /// Tries to acquire a task from the ring, topping the ring up through the
@@ -834,14 +858,14 @@ fn acquire_task(
         return false;
     }
     let mut available = shared.ring.available();
-    if available < shared.ingest_target {
+    if available < shared.params.ingest_target {
         try_ingest(shared, &mut scratch.ingested, local);
         available = shared.ring.available();
     }
     scratch.items.clear();
     let Some(claim) = shared.ring.claim(
         home,
-        claim_bound(available, shared.threads, shared.task_size),
+        claim_bound(available, shared.params.threads, shared.params.task_size),
         &mut scratch.items,
         &mut local.ring,
         &mut local.shard,
@@ -904,11 +928,15 @@ fn try_ingest(shared: &Shared<'_>, ingested: &mut Vec<[u64; 2]>, local: &mut Joi
     // advances only widen them, so a fill sized on the values at entry never
     // overshoots the target or the admission bound — it may stop short, and
     // the next visit tops the ring up.
-    let room = shared.ingest_target.saturating_sub(shared.ring.available());
-    let mut admit = [0, 1]
-        .map(|side| (shared.max_unindexed as u64).saturating_sub(shared.store.unindexed_len(side)));
+    let room = shared
+        .params
+        .ingest_target
+        .saturating_sub(shared.ring.available());
+    let mut admit = [0, 1].map(|side| {
+        (shared.params.max_unindexed as u64).saturating_sub(shared.store.unindexed_len(side))
+    });
     let start = shared.next_ingest.load(Ordering::Relaxed);
-    let end = shared.ingest_limit.min(start + room);
+    let end = shared.params.ingest_limit.min(start + room);
     ingested.clear();
     ingested.resize(shared.ring.shards(), [0; 2]);
     let mut pos = start;
@@ -926,7 +954,7 @@ fn try_ingest(shared: &Shared<'_>, ingested: &mut Vec<[u64; 2]>, local: &mut Joi
                 }
             }
         }
-        let t = shared.input[pos];
+        let t = shared.params.input[pos];
         // Capacity of the routed shard is checked before the window append so
         // that a published window tuple is always matched by a published ring
         // slot.
@@ -1054,7 +1082,7 @@ fn generate(
     // in key order.
     scratch.items.sort_unstable_by_key(|task| task.tuple.key);
     let n = scratch.items.len();
-    let collect = shared.collect_results;
+    let collect = shared.params.collect_results;
     scratch.counts.clear();
     scratch.counts.resize(n, 0);
     scratch.collected.clear();
@@ -1066,7 +1094,7 @@ fn generate(
     }
     for (i, &ClaimedTask { tuple, bounds, .. }) in scratch.items.iter().enumerate() {
         let probe = shared.probe_idx(tuple.side);
-        scratch.probe_ranges[probe].push(shared.predicate.probe_range(tuple.key));
+        scratch.probe_ranges[probe].push(shared.params.predicate.probe_range(tuple.key));
         scratch.probe_bounds[probe].push(bounds);
         scratch.probe_items[probe].push(i);
     }
@@ -1080,16 +1108,15 @@ fn generate(
         let collected = &mut scratch.collected;
         // Count or materialise: decided here, once per batch side, so that
         // neither loop over a run's entries tests it. Both keep the entries
-        // the store's interval calls live and nothing else.
+        // the store's interval calls live and nothing else, through the same
+        // two sinks as the single-threaded operator.
         let mut count = |j: usize, run: &[Entry], live: Range<Seq>| {
-            counts[idxs[j]] += run.iter().filter(|e| live.contains(&e.seq)).count() as u64;
+            counts[idxs[j]] += index::count_live(run, live);
         };
         let mut materialise = |j: usize, run: &[Entry], live: Range<Seq>| {
             let tuple = items[idxs[j]].tuple;
             let matched = shared.matched_side(tuple.side);
-            let live = run.iter().filter(|e| live.contains(&e.seq));
-            collected[idxs[j]]
-                .extend(live.map(|e| JoinResult::new(tuple, Tuple::new(matched, e.seq, e.key))));
+            index::materialise(&mut collected[idxs[j]], tuple, matched, run, live);
         };
         shared.store.generate(
             side,
@@ -1131,11 +1158,11 @@ fn generate(
 /// elected worker drains directly from the ring cursor into the sink — no
 /// intermediate buffer, no lock held across result generation.
 fn propagate(shared: &Shared<'_>, local: &mut JoinRunStats) {
-    let Some(mut sink) = shared.sink.try_lock() else {
+    let Some(mut sink) = shared.drain.sink.try_lock() else {
         local.ring.drain_contended += 1;
         return;
     };
-    let collect = shared.collect_results;
+    let collect = shared.params.collect_results;
     // Slots drain in global arrival order (a structural ring invariant), so
     // the drain cursor position *is* the input position. Under open-loop
     // pacing, stamp each drained slot's end-to-end latency: drain time minus
@@ -1152,7 +1179,7 @@ fn propagate(shared: &Shared<'_>, local: &mut JoinRunStats) {
     // Only the elected drainer feeds it, so the lock is free but for a plan
     // adoption.
     let mut drift = shared.drift.as_ref().map(|d| d.lock());
-    let start = shared.drained_pos.load(Ordering::Relaxed);
+    let start = shared.drain.pos.load(Ordering::Relaxed);
     let mut pos = start;
     let drained = shared.ring.try_drain(collect, |count, results| {
         sink.0 += count;
@@ -1165,11 +1192,11 @@ fn propagate(shared: &Shared<'_>, local: &mut JoinRunStats) {
             hist.record_nanos(elapsed.saturating_sub(due_nanos));
         }
         if let Some(st) = drift.as_mut() {
-            st.monitor.observe(shared.input[pos].key, count);
+            st.monitor.observe(shared.params.input[pos].key, count);
         }
         pos += 1;
     });
-    shared.drained_pos.store(pos, Ordering::Relaxed);
+    shared.drain.pos.store(pos, Ordering::Relaxed);
     if let Some(st) = drift.as_mut() {
         check_drift(shared, st, pos - start, &mut local.migration);
     }
@@ -1468,7 +1495,7 @@ fn maybe_merge(shared: &Shared<'_>, home: usize, local: &mut JoinRunStats) -> bo
 /// merged anything (see [`maybe_repartition`]).
 fn merge_due(shared: &Shared<'_>, home: usize, local: &mut JoinRunStats) -> bool {
     let mut merged = false;
-    for side in 0..if shared.self_join { 1 } else { 2 } {
+    for side in 0..if shared.params.self_join { 1 } else { 2 } {
         if merges_defer_to_epoch(shared) || shared.store.merge_candidate(side).is_none() {
             continue;
         }
@@ -1487,7 +1514,7 @@ fn merge_due(shared: &Shared<'_>, home: usize, local: &mut JoinRunStats) -> bool
             return merged;
         };
         let merge_start = Instant::now();
-        let report = match shared.merge_policy {
+        let report = match shared.params.merge_policy {
             MergePolicy::Blocking => {
                 if !close_gate_and_wait(shared) {
                     return true;
@@ -1575,6 +1602,49 @@ mod tests {
         (0..n as u64)
             .map(|i| Tuple::r(i, rng.gen_range(0..domain)))
             .collect()
+    }
+
+    /// `Shared`'s four hot blocks each start on a cache line and fill whole
+    /// lines, so no other field can share a line with any of them: the
+    /// read-mostly `params` stay clean while `next_ingest` (per fill), the
+    /// drain state (per drain) and the open-loop histogram (per drained
+    /// slot) are written.
+    #[test]
+    fn hot_fields_sit_on_lines_of_their_own() {
+        use std::mem::{align_of, offset_of, size_of};
+        const LINE: usize = 64;
+        type S = Shared<'static>;
+        assert_eq!(
+            align_of::<S>() % LINE,
+            0,
+            "lines of `Shared` are lines of memory"
+        );
+        let blocks = [
+            (
+                "params",
+                offset_of!(S, params),
+                size_of::<CachePadded<Params<'static>>>(),
+            ),
+            (
+                "next_ingest",
+                offset_of!(S, next_ingest),
+                size_of::<CachePadded<AtomicUsize>>(),
+            ),
+            (
+                "drain",
+                offset_of!(S, drain),
+                size_of::<CachePadded<Drain>>(),
+            ),
+            (
+                "arrival_latency",
+                offset_of!(S, arrival_latency),
+                size_of::<CachePadded<Mutex<LatencyHistogram>>>(),
+            ),
+        ];
+        for (name, offset, size) in blocks {
+            assert_eq!(offset % LINE, 0, "{name} starts mid-line");
+            assert_eq!(size % LINE, 0, "{name} ends mid-line");
+        }
     }
 
     fn config(

@@ -18,9 +18,11 @@
 //! let config = JoinConfig::symmetric(1 << 10, IndexKind::PimTree);
 //! let mut op = build_single_threaded(&config, BandPredicate::new(2), false);
 //! let mut out = Vec::new();
-//! op.process(Tuple::r(0, 100), &mut out);
-//! op.process(Tuple::s(0, 101), &mut out);
-//! assert_eq!(out.len(), 1, "|100 - 101| <= 2 matches");
+//! op.process(Tuple::r(0, 100), Some(&mut out));
+//! let matches = op.process(Tuple::s(0, 101), Some(&mut out));
+//! assert_eq!((matches, out.len()), (1, 1), "|100 - 101| <= 2 matches");
+//! // Without a result vector the operator only counts.
+//! assert_eq!(op.process(Tuple::r(1, 99), None), 1);
 //! ```
 //!
 //! The individual subsystems remain available as their own crates
