@@ -35,13 +35,13 @@
 //! same input and warm-up: the single-threaded IBWJ operator over the
 //! PIM-Tree at merge ratio 0.125, as the repository benchmark's
 //! `single_thread_mtps` runs it — counting its matches, with no result
-//! built, through the same live-count kernel as the engine's workers. It is the median of five passes, each a
-//! fresh operator with the same warm-up, with the slowest and fastest pass
-//! beside it; then, when a one-worker row ran, that row's rate divided by
-//! the median — what batching alone buys — and, when a two-worker row ran
-//! too, its rate divided by the one-worker row's — what parallelism buys;
-//! then the median pass's merge
-//! share (its merge time over its elapsed time) and merge time per tuple.
+//! built, through the same count sink as the engine's workers. It is the
+//! median of five passes, each a fresh operator with the same warm-up,
+//! with the slowest and fastest pass beside it; then, when a one-worker row
+//! ran, that row's rate divided by the median — what batching alone buys —
+//! and, when a two-worker row ran too, its rate divided by the one-worker
+//! row's — what parallelism buys; then the median pass's merge share (its
+//! merge time over its elapsed time) and merge time per tuple.
 //! Under `--sample` the first pass's profile goes to `PATH.st`.
 
 use pimtree_bench::harness::*;

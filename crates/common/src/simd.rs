@@ -1,5 +1,4 @@
-//! Runtime-detected SIMD kernels: lower bounds for intra-node search, and
-//! the live-entry count of the joins' count sinks ([`count_seqs_in`]).
+//! Runtime-detected SIMD lower-bound kernels for intra-node search.
 //!
 //! A CSS-Tree node is a small sorted block of 16-byte `(key, seq)` entries
 //! (or, for plain sorted key arrays, of `u64` values). The hot probe loop
@@ -83,40 +82,6 @@ pub fn count_keys_below(pairs: &[[i64; 2]], key: i64) -> usize {
     count_keys_below_scalar(pairs, key)
 }
 
-/// Runs shorter than this many pairs take the scalar form of
-/// [`count_seqs_in`]: below it the AVX2 call's fixed cost (the detection
-/// load, an out-of-line call, the lane sum) outweighs the compares it saves.
-/// Measured per run on a 2-vCPU Intel Xeon VM, runs drawn at random from a
-/// 1 MiB pool, scalar against AVX2: 7.0 against 8.6 ns at 2 pairs, 8.1
-/// against 9.8 at 4, 11.4 against 11.1 at 8, 35.1 against 22.3 at 32 and
-/// 69.5 against 29.0 at 64.
-const SEQ_COUNT_MIN_VECTOR: usize = 8;
-
-/// Number of pairs whose second lane (the sequence number) lies in `live`,
-/// in a slice of `[key, seq]` pairs — identical to
-/// `pairs.iter().filter(|p| live.contains(&p[1])).count()`. An empty or
-/// inverted interval holds nothing.
-///
-/// This is the count sink of both joins: a run of index entries is sorted
-/// by key, so its live entries are scattered and every one is tested. The
-/// test is one unsigned compare, `seq - start < end - start` in wrapping
-/// arithmetic. The AVX2 path loads four pairs as two 256-bit vectors,
-/// gathers their four sequence numbers with an in-register unpack and
-/// accumulates the compare masks like [`count_keys_below`]; runs shorter
-/// than a measured cut-over (8 pairs) stay scalar.
-#[inline]
-pub fn count_seqs_in(pairs: &[[u64; 2]], live: core::ops::Range<u64>) -> usize {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if pairs.len() >= SEQ_COUNT_MIN_VECTOR && avx2() {
-            // SAFETY: `avx2()` is true only after runtime AVX2 detection
-            // succeeded.
-            return unsafe { count_seqs_in_avx2(pairs, live) };
-        }
-    }
-    count_seqs_in_scalar(pairs, live)
-}
-
 /// The portable form of [`lower_bound_u64`].
 #[inline]
 fn lower_bound_u64_scalar(values: &[u64], target: u64) -> usize {
@@ -127,23 +92,6 @@ fn lower_bound_u64_scalar(values: &[u64], target: u64) -> usize {
 #[inline]
 fn count_keys_below_scalar(pairs: &[[i64; 2]], key: i64) -> usize {
     pairs.partition_point(|p| p[0] < key)
-}
-
-/// The width of `live`, 0 when it is empty or inverted: a sequence number
-/// `s` lies in `live` iff `s.wrapping_sub(live.start) < width`.
-#[inline]
-fn seq_width(live: &core::ops::Range<u64>) -> u64 {
-    live.end.saturating_sub(live.start)
-}
-
-/// The portable form of [`count_seqs_in`].
-#[inline]
-fn count_seqs_in_scalar(pairs: &[[u64; 2]], live: core::ops::Range<u64>) -> usize {
-    let width = seq_width(&live);
-    pairs
-        .iter()
-        .filter(|p| p[1].wrapping_sub(live.start) < width)
-        .count()
 }
 
 /// Sum of the four 64-bit lanes of `acc`.
@@ -212,48 +160,9 @@ unsafe fn count_keys_below_avx2(pairs: &[[i64; 2]], key: i64) -> usize {
     count + count_keys_below_scalar(&pairs[4 * vectors..], key)
 }
 
-/// The AVX2 form of [`count_seqs_in`].
-///
-/// # Safety
-///
-/// The CPU must support AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn count_seqs_in_avx2(pairs: &[[u64; 2]], live: core::ops::Range<u64>) -> usize {
-    use core::arch::x86_64::*;
-    const BIAS: i64 = i64::MIN; // 1 << 63: maps unsigned order onto signed
-    let start = _mm256_set1_epi64x(live.start as i64);
-    let width = _mm256_set1_epi64x((seq_width(&live) as i64) ^ BIAS);
-    let bias = _mm256_set1_epi64x(BIAS);
-    let ptr = pairs.as_ptr() as *const u64;
-    let vectors = pairs.len() / 4;
-    let mut inside = _mm256_setzero_si256();
-    for v in 0..vectors {
-        // SAFETY: `4 * v + 4 <= 4 * vectors <= len`, so the two loads cover
-        // exactly pairs `4 * v..4 * v + 4` (eight u64 lanes) inside the slice.
-        let a = unsafe { _mm256_loadu_si256(ptr.add(8 * v) as *const __m256i) };
-        // SAFETY: same bound — lanes `8 * v + 4..8 * v + 8` are the second
-        // half of those four pairs, still inside the slice.
-        let b = unsafe { _mm256_loadu_si256(ptr.add(8 * v + 4) as *const __m256i) };
-        // a = [k0 s0 k1 s1], b = [k2 s2 k3 s3]; the high unpack yields
-        // [s0 s2 s1 s3]. A lane is all-ones iff `seq - start < width`,
-        // unsigned: both sides biased so the signed compare orders them.
-        let offsets = _mm256_sub_epi64(_mm256_unpackhi_epi64(a, b), start);
-        let hit = _mm256_cmpgt_epi64(width, _mm256_xor_si256(offsets, bias));
-        inside = _mm256_sub_epi64(inside, hit);
-    }
-    let count = sum_lanes_avx2(inside);
-    count + count_seqs_in_scalar(&pairs[4 * vectors..], live)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The longest block the exhaustive shape tests build: two vector
-    /// iterations past every kernel's width, shortened under Miri, which
-    /// runs the scalar forms only.
-    const SHAPE_MAX_LEN: usize = if cfg!(miri) { 12 } else { 40 };
 
     /// The lower bound by definition — a count, no search — against the
     /// scalar form, the dispatcher and (where the CPU has it) the vector
@@ -308,7 +217,7 @@ mod tests {
     /// either sign.
     #[test]
     fn every_form_agrees_on_every_block_shape() {
-        for len in 0..=SHAPE_MAX_LEN {
+        for len in 0..=40usize {
             let odd: Vec<i64> = (0..len as i64).map(|i| 2 * i + 1).collect();
             let odd_u64: Vec<u64> = odd.iter().map(|&v| v as u64).collect();
             for t in 0..=2 * len as i64 + 2 {
@@ -357,69 +266,6 @@ mod tests {
             keys.resize(32, i64::MAX);
             for t in (-62..40).chain([i64::MIN, i64::MAX - 1, i64::MAX]) {
                 assert_key_forms_agree(&keys, t);
-            }
-        }
-    }
-
-    /// As [`assert_u64_forms_agree`], for the sequence-number count: the
-    /// definition against the scalar form, the dispatcher and the vector
-    /// form. The key lane alternates between the two values that would move
-    /// the count most if a kernel ever compared it.
-    fn assert_seq_forms_agree(seqs: &[u64], live: core::ops::Range<u64>) {
-        let key = |i: usize| [i64::MIN as u64, u64::MAX][i % 2];
-        let pairs: Vec<[u64; 2]> = seqs.iter().enumerate().map(|(i, &s)| [key(i), s]).collect();
-        let want = seqs.iter().filter(|s| live.contains(s)).count();
-        assert_eq!(
-            count_seqs_in_scalar(&pairs, live.clone()),
-            want,
-            "scalar {seqs:?} {live:?}"
-        );
-        assert_eq!(
-            count_seqs_in(&pairs, live.clone()),
-            want,
-            "dispatch {seqs:?} {live:?}"
-        );
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 was detected on the line above.
-            let got = unsafe { count_seqs_in_avx2(&pairs, live.clone()) };
-            assert_eq!(got, want, "avx2 {seqs:?} {live:?}");
-        }
-    }
-
-    /// Every run length to past two vector iterations beyond the cut-over,
-    /// unsorted sequence numbers (a run is sorted by key, not by `seq`), the
-    /// corners of the domain, and intervals that are empty, inverted, one
-    /// wide, or reach either end of the domain.
-    #[test]
-    fn every_form_agrees_on_the_seq_count() {
-        const CORNERS: [u64; 4] = [0, (1 << 63) - 1, 1 << 63, u64::MAX];
-        let mut bounds: Vec<u64> = CORNERS.to_vec();
-        bounds.extend([1, 5, 17, 40, (1 << 63) + 1, u64::MAX - 1]);
-        for len in 0..=SHAPE_MAX_LEN {
-            // Scattered small seqs, then each corner spliced in at a
-            // position that moves with the length.
-            let mut seqs: Vec<u64> = (0..len as u64).map(|i| (i * 23 + 7) % 41).collect();
-            for (c, corner) in CORNERS.iter().enumerate() {
-                if len > c {
-                    seqs[(c * 7 + len) % len] = *corner;
-                }
-            }
-            for &start in &bounds {
-                for &end in &bounds {
-                    assert_seq_forms_agree(&seqs, start..end);
-                }
-            }
-            for start in 0..=41u64 {
-                for end in [start, start + 1, start + 9, 41] {
-                    assert_seq_forms_agree(&seqs, start..end);
-                }
-            }
-            let all_corners: Vec<u64> = CORNERS.iter().copied().cycle().take(len).collect();
-            for &start in &bounds {
-                for &end in &bounds {
-                    assert_seq_forms_agree(&all_corners, start..end);
-                }
             }
         }
     }

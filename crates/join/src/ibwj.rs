@@ -30,8 +30,8 @@ use crate::stats::JoinRunStats;
 /// tuple's match count and builds [`JoinResult`]s only when handed a vector
 /// to put them in. `run(.., false)` — what the benchmark, the figures and
 /// `engine_profile` time as the paper's baseline — hands it none, so the
-/// baseline counts its matches the way the parallel engine's count sink
-/// does, through the same kernel.
+/// baseline counts its matches the way the parallel engine does, through
+/// the same count sink.
 pub trait SingleThreadJoin {
     /// Operator name for benchmark output.
     fn name(&self) -> String;
@@ -294,25 +294,107 @@ mod tests {
             .with_pim(pim)
     }
 
+    /// IBWJ on every index, and the nested-loop join (`IndexKind::None`).
+    const EVERY_KIND: [IndexKind; 7] = [
+        IndexKind::None,
+        IndexKind::BTree,
+        IndexKind::BChain,
+        IndexKind::IbChain,
+        IndexKind::ImTree,
+        IndexKind::PimTree,
+        IndexKind::BwTree,
+    ];
+
+    /// The key of a stream's `i`-th tuple.
+    type KeyOf = fn(u64) -> Key;
+
+    /// The window of [`edge_inputs`].
+    const EDGE_W: usize = 128;
+
+    /// The inputs beside the random one, as the key of the `i`-th tuple of
+    /// a stream and the band, for windows of [`EDGE_W`]: keys at the
+    /// domain's corners, one repeated key, keys repeating at periods around
+    /// the window size (so matches fall on both sides of the expiry edge),
+    /// and over 64 live matches in a probe.
+    fn edge_inputs() -> [(&'static str, KeyOf, i64); 4] {
+        [
+            (
+                "domain corners",
+                |seq| match seq % 5 {
+                    0 => Key::MIN,
+                    1 => Key::MAX,
+                    2 => Key::MIN + 1,
+                    3 => Key::MAX - 1,
+                    _ => (seq % 16) as Key,
+                },
+                1,
+            ),
+            ("all-duplicate", |_| 7, 0),
+            ("window edge", |seq| (seq % (127 + seq % 3)) as Key, 0),
+            ("wide band", |seq| ((seq * 37) % 64) as Key, 32),
+        ]
+    }
+
+    /// Every kind of [`EVERY_KIND`] materialises the oracle's matches in
+    /// `run(.., true)` and counts as many in `run(.., false)`.
+    fn assert_every_kind_matches_the_reference(
+        tuples: &[Tuple],
+        predicate: BandPredicate,
+        w: usize,
+        self_join: bool,
+        input: &str,
+    ) {
+        let expected = canonical(&reference_join(tuples, predicate, w, w, self_join));
+        assert!(!expected.is_empty(), "{input}");
+        for kind in EVERY_KIND {
+            let config = config_with(kind, w);
+            let (_, collected) =
+                build_single_threaded(&config, predicate, self_join).run(tuples, true);
+            let (counted, none) =
+                build_single_threaded(&config, predicate, self_join).run(tuples, false);
+            let what = format!("{input}, index kind {kind}");
+            assert_eq!(canonical(&collected), expected, "{what}");
+            assert!(none.is_empty(), "{what}");
+            assert_eq!(counted.results, expected.len() as u64, "{what}");
+        }
+    }
+
+    /// At least one probe of `tuples` finds 64 or more live matches.
+    fn has_a_long_run(
+        tuples: &[Tuple],
+        predicate: BandPredicate,
+        w: usize,
+        self_join: bool,
+    ) -> bool {
+        let mut per_probe = std::collections::HashMap::new();
+        for r in reference_join(tuples, predicate, w, w, self_join) {
+            *per_probe.entry((r.probe.side, r.probe.seq)).or_insert(0) += 1;
+        }
+        per_probe.values().any(|&m| m >= 64)
+    }
+
     #[test]
     fn every_index_kind_matches_the_reference_two_way() {
         let tuples = random_tuples(3000, 400, 10);
-        let predicate = BandPredicate::new(2);
-        let w = 128;
-        let expected = canonical(&reference_join(&tuples, predicate, w, w, false));
-        assert!(!expected.is_empty());
-        for kind in [
-            IndexKind::None,
-            IndexKind::BTree,
-            IndexKind::BChain,
-            IndexKind::IbChain,
-            IndexKind::ImTree,
-            IndexKind::PimTree,
-            IndexKind::BwTree,
-        ] {
-            let mut op = build_single_threaded(&config_with(kind, w), predicate, false);
-            let (_, results) = op.run(&tuples, true);
-            assert_eq!(canonical(&results), expected, "index kind {kind}");
+        assert_every_kind_matches_the_reference(
+            &tuples,
+            BandPredicate::new(2),
+            128,
+            false,
+            "random",
+        );
+        for (input, key_of, band) in edge_inputs() {
+            let tuples: Vec<Tuple> = (0..1000u64)
+                .map(|i| match i % 2 {
+                    0 => Tuple::r(i / 2, key_of(i / 2)),
+                    _ => Tuple::s(i / 2, key_of(i / 2)),
+                })
+                .collect();
+            let predicate = BandPredicate::new(band);
+            if matches!(input, "all-duplicate" | "wide band") {
+                assert!(has_a_long_run(&tuples, predicate, EDGE_W, false), "{input}");
+            }
+            assert_every_kind_matches_the_reference(&tuples, predicate, EDGE_W, false, input);
         }
     }
 
@@ -324,19 +406,14 @@ mod tests {
                 .map(|i| Tuple::r(i, rng.gen_range(0..300)))
                 .collect()
         };
-        let predicate = BandPredicate::new(1);
-        let w = 96;
-        let expected = canonical(&reference_join(&tuples, predicate, w, w, true));
-        assert!(!expected.is_empty());
-        for kind in [
-            IndexKind::BTree,
-            IndexKind::ImTree,
-            IndexKind::PimTree,
-            IndexKind::BwTree,
-        ] {
-            let mut op = build_single_threaded(&config_with(kind, w), predicate, true);
-            let (_, results) = op.run(&tuples, true);
-            assert_eq!(canonical(&results), expected, "index kind {kind}");
+        assert_every_kind_matches_the_reference(&tuples, BandPredicate::new(1), 96, true, "random");
+        for (input, key_of, band) in edge_inputs() {
+            let tuples: Vec<Tuple> = (0..1000u64).map(|i| Tuple::r(i, key_of(i))).collect();
+            let predicate = BandPredicate::new(band);
+            if matches!(input, "all-duplicate" | "wide band") {
+                assert!(has_a_long_run(&tuples, predicate, EDGE_W, true), "{input}");
+            }
+            assert_every_kind_matches_the_reference(&tuples, predicate, EDGE_W, true, input);
         }
     }
 
@@ -435,80 +512,6 @@ mod tests {
             second.merges,
             "the breakdown is per call too"
         );
-    }
-
-    /// Every single-threaded operator — IBWJ on all six indexes and the
-    /// nested-loop join, two-way and self-join — counts in `run(.., false)`
-    /// exactly as many matches as it materialises in `run(.., true)` and as
-    /// the oracle finds. The inputs sit at the key domain's corners, repeat
-    /// one key, repeat keys at periods around the window size (so matches
-    /// fall on both sides of the expiry edge), or put over 64 live matches
-    /// in a probe, past the count kernel's vector cut-over.
-    #[test]
-    fn count_only_run_matches_collecting_run_and_oracle() {
-        let w = 128usize;
-        let n = 1000u64;
-        type KeyOf = fn(u64) -> Key;
-        let inputs: [(&str, KeyOf, i64); 4] = [
-            (
-                "domain corners",
-                |seq| match seq % 5 {
-                    0 => Key::MIN,
-                    1 => Key::MAX,
-                    2 => Key::MIN + 1,
-                    3 => Key::MAX - 1,
-                    _ => (seq % 16) as Key,
-                },
-                1,
-            ),
-            ("all-duplicate", |_| 7, 0),
-            ("window edge", |seq| (seq % (127 + seq % 3)) as Key, 0),
-            ("wide band", |seq| ((seq * 37) % 64) as Key, 32),
-        ];
-        for (name, key_of, band) in inputs {
-            let predicate = BandPredicate::new(band);
-            for self_join in [false, true] {
-                let tuples: Vec<Tuple> = (0..n)
-                    .map(|i| match (self_join, i % 2) {
-                        (true, _) => Tuple::r(i, key_of(i)),
-                        (false, 0) => Tuple::r(i / 2, key_of(i / 2)),
-                        (false, _) => Tuple::s(i / 2, key_of(i / 2)),
-                    })
-                    .collect();
-                let expected = reference_join(&tuples, predicate, w, w, self_join);
-                assert!(!expected.is_empty(), "{name}");
-                if matches!(name, "all-duplicate" | "wide band") {
-                    let mut per_probe = std::collections::HashMap::new();
-                    for r in &expected {
-                        *per_probe.entry((r.probe.side, r.probe.seq)).or_insert(0) += 1;
-                    }
-                    assert!(
-                        per_probe.values().any(|&m| m >= 64),
-                        "{name}: runs too short"
-                    );
-                }
-                for kind in [
-                    IndexKind::None,
-                    IndexKind::BTree,
-                    IndexKind::BChain,
-                    IndexKind::IbChain,
-                    IndexKind::ImTree,
-                    IndexKind::PimTree,
-                    IndexKind::BwTree,
-                ] {
-                    let config = config_with(kind, w);
-                    let mut counting = build_single_threaded(&config, predicate, self_join);
-                    let mut collecting = build_single_threaded(&config, predicate, self_join);
-                    let (counted, none) = counting.run(&tuples, false);
-                    let (collected_stats, collected) = collecting.run(&tuples, true);
-                    let what = format!("{name}, {kind}, self-join {self_join}");
-                    assert!(none.is_empty(), "{what}");
-                    assert_eq!(counted.results, collected.len() as u64, "{what}");
-                    assert_eq!(collected_stats.results, collected.len() as u64, "{what}");
-                    assert_eq!(canonical(&collected), canonical(&expected), "{what}");
-                }
-            }
-        }
     }
 
     #[test]

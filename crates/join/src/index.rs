@@ -31,8 +31,8 @@ use pimtree_btree::{BTreeIndex, Entry};
 use pimtree_bwtree::BwTreeIndex;
 use pimtree_chained::{ChainVariant, ChainedIndex};
 use pimtree_common::{
-    simd, CostBreakdown, JoinResult, Key, KeyRange, ProbeCounters, Seq, Step, StepTimer,
-    StreamSide, Tuple,
+    CostBreakdown, JoinResult, Key, KeyRange, ProbeCounters, Seq, Step, StepTimer, StreamSide,
+    Tuple,
 };
 use pimtree_core::{ImTree, MergeReport, PimTree};
 use pimtree_window::{SlidingWindow, WindowBounds};
@@ -132,21 +132,16 @@ pub trait WindowIndex: Any {
 pub(crate) type RunSink<'a> = dyn FnMut(usize, &[Entry], Range<Seq>) + 'a;
 
 /// How many entries of `run` the sequence interval `live` holds: the count
-/// sink of both joins, one kernel call per run
-/// ([`simd::count_seqs_in`](pimtree_common::simd::count_seqs_in), vector
-/// compares on runs long enough to pay for them).
+/// sink of both joins, one filtered count per run with nothing called,
+/// pushed or branched on per entry.
 #[inline]
 pub(crate) fn count_live(run: &[Entry], live: Range<Seq>) -> u64 {
-    // SAFETY: `Entry` is `#[repr(C)] { key: i64, seq: u64 }` — 16 bytes with
-    // 8-byte alignment, layout-identical to `[u64; 2]` with `seq` the second
-    // lane; the kernel only reads, and only compares the second lane.
-    let pairs: &[[u64; 2]] = unsafe { std::slice::from_raw_parts(run.as_ptr().cast(), run.len()) };
-    simd::count_seqs_in(pairs, live) as u64
+    run.iter().filter(|e| live.contains(&e.seq)).count() as u64
 }
 
 /// Appends the entries of `run` that `live` holds to `out` as results of
 /// `probe` against the `matched` side, in run order, and returns how many:
-/// the materialising sink of both joins and of the nested-loop baseline.
+/// the materialising sink of both joins.
 #[inline]
 pub(crate) fn materialise(
     out: &mut Vec<JoinResult>,
@@ -458,8 +453,7 @@ mod tests {
         }
     }
 
-    /// The live matches of `range` through the probe stage, sorted. The
-    /// count sink, fed the same runs, must count exactly as many.
+    /// The live matches of `range` through the probe stage, sorted.
     fn live_matches(
         index: &dyn WindowIndex,
         window: &SlidingWindow,
@@ -467,7 +461,6 @@ mod tests {
     ) -> Vec<Entry> {
         let bounds = window.bounds();
         let mut got = Vec::new();
-        let mut counted = 0;
         let mut counters = ProbeCounters::default();
         probe(
             index,
@@ -477,51 +470,10 @@ mod tests {
             &[bounds],
             &mut counters,
             None,
-            &mut |_, run, live| {
-                counted += count_live(run, live.clone());
-                got.extend(run.iter().filter(|e| live.contains(&e.seq)));
-            },
+            &mut |_, run, live| got.extend(run.iter().filter(|e| live.contains(&e.seq))),
         );
-        assert_eq!(counted, got.len() as u64, "{} count sink", index.name());
         got.sort_unstable();
         got
-    }
-
-    /// The two sinks agree with the definition on runs of every length to
-    /// past the count kernel's vector cut-over, at the sequence domain's
-    /// corners, under empty, inverted and whole-domain intervals.
-    #[test]
-    fn count_and_materialise_keep_the_same_entries() {
-        let probe = Tuple::r(7, 0);
-        let corners = [0, (1 << 63) - 1, 1 << 63, Seq::MAX];
-        let intervals: [(Seq, Seq); 8] = [
-            (0, 0),
-            (5, 2),
-            (0, 7),
-            (3, 4),
-            (6, 13),
-            (0, Seq::MAX),
-            (1 << 63, Seq::MAX),
-            ((1 << 63) - 1, 1 << 63),
-        ];
-        for len in 0..=24u64 {
-            let run: Vec<Entry> = (0..len)
-                .map(|i| match i % 6 {
-                    4 => Entry::new(i as Key, corners[(i / 6) as usize % 4]),
-                    _ => Entry::new(i as Key, (i * 5) % 13),
-                })
-                .collect();
-            for live in intervals.iter().map(|&(start, end)| start..end) {
-                let want = run.iter().filter(|e| live.contains(&e.seq)).count() as u64;
-                assert_eq!(count_live(&run, live.clone()), want, "{len} {live:?}");
-                let mut out = Vec::new();
-                let kept = materialise(&mut out, probe, StreamSide::S, &run, live.clone());
-                assert_eq!((kept, out.len() as u64), (want, want), "{len} {live:?}");
-                for (r, e) in out.iter().zip(run.iter().filter(|e| live.contains(&e.seq))) {
-                    assert_eq!(*r, JoinResult::new(probe, Tuple::s(e.seq, e.key)));
-                }
-            }
-        }
     }
 
     #[test]

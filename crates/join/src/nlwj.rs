@@ -1,11 +1,9 @@
 //! Single-threaded nested-loop window join (NLWJ): the index-free baseline.
 
-use pimtree_btree::Entry;
 use pimtree_common::{BandPredicate, JoinResult, StreamSide, Tuple};
 use pimtree_window::SlidingWindow;
 
 use crate::ibwj::SingleThreadJoin;
-use crate::index;
 
 /// The nested-loop window join: every arriving tuple is compared against every
 /// live tuple of the opposite window. Its per-tuple cost is linear in the
@@ -61,7 +59,7 @@ impl SingleThreadJoin for NlwjOperator {
             )
         };
         // Step 1: scan the opposite live window. Every hit is live; it is
-        // counted, or materialised as a run of one when the caller collects.
+        // counted, and pushed when the caller collects.
         let probe_window = &self.windows[probe_idx];
         let bounds = probe_window.bounds();
         let range = self.predicate.probe_range(tuple.key);
@@ -71,16 +69,10 @@ impl SingleThreadJoin for NlwjOperator {
             bounds.latest_exclusive,
             range,
             |seq, key| {
-                matches += match out.as_deref_mut() {
-                    None => 1,
-                    Some(out) => index::materialise(
-                        out,
-                        tuple,
-                        matched_side,
-                        &[Entry::new(key, seq)],
-                        seq..seq + 1,
-                    ),
+                if let Some(out) = out.as_deref_mut() {
+                    out.push(JoinResult::new(tuple, Tuple::new(matched_side, seq, key)));
                 }
+                matches += 1;
             },
         );
         // Steps 2 and 3: slide the own window (expiry is implicit for NLWJ).
