@@ -35,7 +35,9 @@
 //! same input and warm-up: the single-threaded IBWJ operator over the
 //! PIM-Tree at merge ratio 0.125, as the repository benchmark's
 //! `single_thread_mtps` runs it — counting its matches, with no result
-//! built, through the same count sink as the engine's workers. It is the
+//! built, through the same count sink as the engine's workers, over a
+//! `RefCell<PimTree>` that takes no lock and no atomic read-modify-write
+//! (`build_single_threaded`). It is the
 //! median of five passes, each a fresh operator with the same warm-up,
 //! with the slowest and fastest pass beside it; then, when a one-worker row
 //! ran, that row's rate divided by the median — what batching alone buys —

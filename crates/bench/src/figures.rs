@@ -701,7 +701,8 @@ fn fig09b(opts: &RunOpts, emit: Emit<'_>) {
             (
                 IndexKind::PimTree,
                 Box::new(
-                    IbwjOperator::new(w, w, predicate, || PimTree::new(pim)).with_instrumentation(),
+                    IbwjOperator::new(w, w, predicate, || RefCell::new(PimTree::new(pim)))
+                        .with_instrumentation(),
                 ),
             ),
             (

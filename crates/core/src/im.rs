@@ -105,23 +105,6 @@ impl ImTree {
         self.range_runs(range, |run| run.iter().for_each(|&e| f(e)));
     }
 
-    /// Calls `f` for every *live* entry (sequence number at or after
-    /// `earliest_live`) whose key lies in `range`.
-    pub fn range_live<F: FnMut(Entry)>(&self, range: KeyRange, earliest_live: Seq, mut f: F) {
-        self.range_for_each(range, |e| {
-            if e.seq >= earliest_live {
-                f(e);
-            }
-        });
-    }
-
-    /// Collects every live entry whose key lies in `range`.
-    pub fn range_collect_live(&self, range: KeyRange, earliest_live: Seq) -> Vec<Entry> {
-        let mut out = Vec::new();
-        self.range_live(range, earliest_live, |e| out.push(e));
-        out
-    }
-
     /// Instrumented probe used by the per-step cost experiment (Figure 9b):
     /// separates index traversal ("search") from leaf scanning ("scan").
     pub fn probe_with_breakdown(
@@ -166,6 +149,17 @@ mod tests {
 
     fn config(w: usize, m: f64) -> PimConfig {
         PimConfig::for_window(w).with_merge_ratio(m)
+    }
+
+    impl ImTree {
+        /// The live entries (sequence number at or after `earliest_live`)
+        /// whose key lies in `range`, in probe order: the test oracle's view
+        /// of the window.
+        fn range_collect_live(&self, range: KeyRange, earliest_live: Seq) -> Vec<Entry> {
+            let mut out = Vec::new();
+            self.range_for_each(range, |e| out.extend((e.seq >= earliest_live).then_some(e)));
+            out
+        }
     }
 
     #[test]

@@ -104,6 +104,17 @@ impl Run {
         }
     }
 
+    /// What the partition header mirrors of the run for prefetching: a flat
+    /// run's pointer and length; a promoted one mirrors as empty, since a
+    /// tree's nodes are found by descending it, not by a range of lines.
+    #[inline]
+    fn hint(&self) -> (*mut Entry, usize) {
+        match self {
+            Run::Flat(run) => (run.as_ptr().cast_mut(), run.len()),
+            Run::Tree(_) => (std::ptr::null_mut(), 0),
+        }
+    }
+
     /// `(entries, payload bytes)`, payload counted as the B+-Tree counts it.
     fn footprint(&self) -> (usize, usize) {
         match self {
@@ -125,12 +136,23 @@ struct PartitionState {
     inserts: u64,
 }
 
+impl PartitionState {
+    /// Inserts `entry` into the run and counts it: the insert both forms of
+    /// the tree share, whether they reach the state under the partition's
+    /// lock or through `&mut`.
+    #[inline]
+    fn insert(&mut self, entry: Entry, reserve: usize, fanout: usize) {
+        self.inserts += 1;
+        self.run.insert(entry, reserve, fanout);
+    }
+}
+
 /// One mutable partition. Aligned so that neighbouring partitions, which
 /// different threads lock at the same time, never share a cache line.
 ///
 /// Beside the lock, the header mirrors where the partition's flat run lies —
 /// its pointer and length, each a `Relaxed` atomic that only the lock holder
-/// writes ([`Partition::publish_hint`]) — so that a staged pass can prefetch
+/// writes ([`Partition::insert_locked`]) — so that a staged pass can prefetch
 /// the run without a lock round trip ([`Partition::peek_run`]).
 #[derive(Debug)]
 #[repr(align(64))]
@@ -158,17 +180,26 @@ impl Partition {
         self.state.lock()
     }
 
-    /// Mirrors `run` into the prefetch hint; called with the lock held, right
-    /// after the run changed. A promoted run mirrors as empty: a tree's nodes
-    /// are found by descending it, not by a range of lines.
+    /// Inserts `entry` under the partition's lock and mirrors the changed
+    /// run into the prefetch hint ([`Run::hint`]) before letting go.
     #[inline]
-    fn publish_hint(&self, run: &Run) {
-        let (ptr, len) = match run {
-            Run::Flat(run) => (run.as_ptr().cast_mut(), run.len()),
-            Run::Tree(_) => (std::ptr::null_mut(), 0),
-        };
+    fn insert_locked(&self, entry: Entry, reserve: usize, fanout: usize) {
+        let mut part = self.lock();
+        part.insert(entry, reserve, fanout);
+        let (ptr, len) = part.run.hint();
         self.hint_ptr.store(ptr, Ordering::Relaxed);
         self.hint_len.store(len, Ordering::Relaxed);
+    }
+
+    /// [`Partition::insert_locked`] through `&mut`: no lock, and the hint
+    /// written with plain stores.
+    #[inline]
+    fn insert_mut(&mut self, entry: Entry, reserve: usize, fanout: usize) {
+        let part = self.state.get_mut();
+        part.insert(entry, reserve, fanout);
+        let (ptr, len) = part.run.hint();
+        *self.hint_ptr.get_mut() = ptr;
+        *self.hint_len.get_mut() = len;
     }
 
     /// Where this partition's flat run lay at some recent insert, for
@@ -312,11 +343,16 @@ impl Generation {
 
     #[inline]
     fn insert_into(&self, partition: usize, entry: Entry, fanout: usize) {
-        let partition = &self.partitions[partition];
-        let mut part = partition.lock();
-        part.inserts += 1;
-        part.run.insert(entry, self.run_reserve, fanout);
-        partition.publish_hint(&part.run);
+        self.partitions[partition].insert_locked(entry, self.run_reserve, fanout);
+    }
+
+    /// [`Generation::insert`] through `&mut`: the same route and run insert,
+    /// no lock.
+    #[inline]
+    fn insert_mut(&mut self, entry: Entry, fanout: usize) {
+        let partition = self.route(entry);
+        let reserve = self.run_reserve;
+        self.partitions[partition].insert_mut(entry, reserve, fanout);
     }
 
     /// Inserts up to [`STAGE_WIDTH`] entries in three passes over the whole
@@ -352,25 +388,79 @@ impl Generation {
             self.insert_into(p, Entry::new(key, seq), fanout);
         }
     }
+
+    /// The partitions of `span` a probe goes on to visit: none while `TI` is
+    /// empty.
+    #[inline]
+    fn ti_visits(&self, span: RangeInclusive<usize>) -> Range<usize> {
+        if self.ti_len.0.load(Ordering::Relaxed) == 0 {
+            return 0..0;
+        }
+        *span.start()..*span.end() + 1
+    }
+
+    /// The immutable half of a scalar probe of `range`, shared by both forms
+    /// of the tree: one descent of `TS` ([`Generation::locate`]), its run
+    /// handed to `f` unless empty, and the partitions the probe goes on to.
+    #[inline]
+    fn probe_ts(&self, range: KeyRange, f: &mut dyn FnMut(&[Entry])) -> Range<usize> {
+        let (run, span) = self.locate(range);
+        if !run.is_empty() {
+            f(run);
+        }
+        self.ti_visits(span)
+    }
+
+    /// Probes this generation for `range`: the immutable component without
+    /// locks, then the overlapping mutable partitions one lock at a time
+    /// (Algorithm 2). The answer arrives as sorted runs — `TS`'s as one
+    /// slice of its leaf array, then each partition's — and `f` runs under
+    /// the partition's lock. Shared by the scalar probe and the batch of one.
+    fn probe(&self, range: KeyRange, f: &mut dyn FnMut(&[Entry])) {
+        for p in self.probe_ts(range, f) {
+            self.partitions[p].lock().run.range_runs(range, &mut *f);
+        }
+    }
+
+    /// [`Generation::probe`] through `&mut`: the same runs in the same
+    /// order, each partition reached without its lock.
+    fn probe_mut(&mut self, range: KeyRange, f: &mut dyn FnMut(&[Entry])) {
+        for p in self.probe_ts(range, f) {
+            self.partitions[p]
+                .state
+                .get_mut()
+                .run
+                .range_runs(range, &mut *f);
+        }
+    }
+
+    /// The immutable half of the instrumented probe (fig 9b), shared by both
+    /// forms: the one descent of `TS` timed as [`Step::Search`], then, with
+    /// the scan's clock started, `TS`'s run copied out. Returns the copy, the
+    /// partitions still to scan and the scan's start, which the caller
+    /// charges to [`Step::Scan`] once it has scanned them.
+    fn probe_ts_timed(
+        &self,
+        range: KeyRange,
+        breakdown: &mut CostBreakdown,
+    ) -> (Vec<Entry>, Range<usize>, Instant) {
+        let search_start = Instant::now();
+        let (start, group) = self.ts.lower_bound_with_group(Entry::min_for_key(range.lo));
+        breakdown.record(Step::Search, search_start.elapsed());
+
+        let scan_start = Instant::now();
+        let run = self.ts.run_from(start, range.hi);
+        let span = self.overlapped_partitions(range, group, start + run.len());
+        (run.to_vec(), self.ti_visits(span), scan_start)
+    }
 }
 
-/// Probes one generation for `range`: the immutable component without locks,
-/// then the overlapping mutable partitions one lock at a time (Algorithm 2).
-/// The answer arrives as sorted runs — `TS`'s as one slice of its leaf array,
-/// then each partition's — and `f` runs under the partition's lock. One
-/// descent of `TS` finds both the run and the partitions
-/// ([`Generation::locate`]). Shared by the scalar probe and the batch of one.
-fn probe_generation(gen: &Generation, range: KeyRange, f: &mut dyn FnMut(&[Entry])) {
-    let (run, partitions) = gen.locate(range);
-    if !run.is_empty() {
-        f(run);
-    }
-    if gen.ti_len.0.load(Ordering::Relaxed) == 0 {
-        return;
-    }
-    for p in partitions {
-        gen.partitions[p].lock().run.range_runs(range, &mut *f);
-    }
+/// Counts a probe batch of `n > 0` ranges.
+#[inline]
+fn count_batch(counters: &mut ProbeCounters, n: usize) {
+    counters.batches += 1;
+    counters.batched_keys += n as u64;
+    counters.max_batch = counters.max_batch.max(n as u64);
 }
 
 /// The mutable half of every multi-range probe: answers `(partition, range
@@ -493,7 +583,13 @@ pub struct RetiredGeneration(#[allow(dead_code)] Generation); // held only to be
 ///
 /// All operations take `&self`; concurrent inserts and range lookups from any
 /// number of threads are coordinated by per-partition locks, while the
-/// immutable component is traversed without any synchronisation. Merges are
+/// immutable component is traversed without any synchronisation. An owner
+/// that never shares the tree calls the `_mut` forms of the per-tuple
+/// operations instead ([`PimTree::insert_batch_mut`],
+/// [`PimTree::range_runs_mut`], [`PimTree::probe_batch_mut`],
+/// [`PimTree::needs_merge_mut`], [`PimTree::probe_with_breakdown_mut`]):
+/// the same routes, runs and counters, reached through `get_mut`, so they
+/// take no lock and no atomic read-modify-write. Merges are
 /// either blocking ([`PimTree::merge`]) or split into the two phases of the
 /// paper's non-blocking scheme ([`PimTree::begin_merge`] /
 /// [`PimTree::install_merge`]); in the latter case the caller must guarantee
@@ -621,6 +717,25 @@ impl PimTree {
         before + entries.len() >= self.merge_threshold
     }
 
+    /// [`PimTree::insert_batch`] through `&mut self`: the generation, the
+    /// partitions and `TI`'s count are reached by `get_mut`, so the batch
+    /// takes no lock and no atomic read-modify-write. Each entry is routed
+    /// and inserted as a batch of one is, with no staged pass: the
+    /// single-threaded operator that owns a tree this way inserts one tuple
+    /// at a time. Same tree, same answer.
+    pub fn insert_batch_mut(&mut self, entries: &[(Key, Seq)]) -> bool {
+        if entries.is_empty() {
+            return false;
+        }
+        let gen = self.current.get_mut();
+        for &(key, seq) in entries {
+            gen.insert_mut(Entry::new(key, seq), self.config.btree_fanout);
+        }
+        let ti_len = gen.ti_len.0.get_mut();
+        *ti_len += entries.len();
+        *ti_len >= self.merge_threshold
+    }
+
     /// Calls `f` with every indexed entry whose key lies in `range`, including
     /// entries of expired tuples (callers filter by sequence number), as
     /// sorted runs: slices that borrow the index's own storage, never empty,
@@ -630,8 +745,14 @@ impl PimTree {
     /// ascending order (Algorithm 2) — a flat partition answers with one
     /// slice, a promoted one with one per leaf — and `f` runs under that lock.
     pub fn range_runs<F: FnMut(&[Entry])>(&self, range: KeyRange, mut f: F) {
-        let gen = self.current.read();
-        probe_generation(&gen, range, &mut f);
+        self.current.read().probe(range, &mut f);
+    }
+
+    /// [`PimTree::range_runs`] through `&mut self`: the same runs in the
+    /// same order, with no generation lock and no partition lock; `f` runs
+    /// while the tree is borrowed exclusively.
+    pub fn range_runs_mut<F: FnMut(&[Entry])>(&mut self, range: KeyRange, mut f: F) {
+        self.current.get_mut().probe_mut(range, &mut f);
     }
 
     /// Calls `f` for every indexed entry whose key lies in `range`: the
@@ -676,13 +797,11 @@ impl PimTree {
         if n == 0 {
             return;
         }
-        counters.batches += 1;
-        counters.batched_keys += n as u64;
-        counters.max_batch = counters.max_batch.max(n as u64);
+        count_batch(counters, n);
 
         let gen = self.current.read();
         if n == 1 {
-            probe_generation(&gen, ranges[0], &mut |run| f(0, run));
+            gen.probe(ranges[0], &mut |run| f(0, run));
             return;
         }
         // Taking the scratch out (instead of borrowing it in place) keeps a
@@ -756,21 +875,22 @@ impl PimTree {
         PROBE_SCRATCH.with(|cell| cell.replace(s));
     }
 
-    /// Calls `f` for every *live* entry (sequence number at or after
-    /// `earliest_live`) whose key lies in `range`.
-    pub fn range_live<F: FnMut(Entry)>(&self, range: KeyRange, earliest_live: Seq, mut f: F) {
-        self.range_for_each(range, |e| {
-            if e.seq >= earliest_live {
-                f(e);
-            }
-        });
-    }
-
-    /// Collects every live entry whose key lies in `range`.
-    pub fn range_collect_live(&self, range: KeyRange, earliest_live: Seq) -> Vec<Entry> {
-        let mut out = Vec::new();
-        self.range_live(range, earliest_live, |e| out.push(e));
-        out
+    /// [`PimTree::probe_batch`] through `&mut self`, with the same counters:
+    /// a batch of one — every probe of the single-threaded operator — takes
+    /// [`PimTree::range_runs_mut`]'s lock-free path. A longer batch is
+    /// grouped as the shared tree groups it, through its locks, which nothing
+    /// else can be holding.
+    pub fn probe_batch_mut<F: FnMut(usize, &[Entry])>(
+        &mut self,
+        ranges: &[KeyRange],
+        counters: &mut ProbeCounters,
+        mut f: F,
+    ) {
+        let &[range] = ranges else {
+            return self.probe_batch(ranges, counters, f);
+        };
+        count_batch(counters, 1);
+        self.range_runs_mut(range, |run| f(0, run));
     }
 
     /// Instrumented probe separating index traversal ("search") from leaf
@@ -784,21 +904,32 @@ impl PimTree {
         breakdown: &mut CostBreakdown,
     ) -> Vec<Entry> {
         let gen = self.current.read();
+        let (mut out, partitions, scan_start) = gen.probe_ts_timed(range, breakdown);
+        for p in partitions {
+            gen.partitions[p]
+                .lock()
+                .run
+                .range_runs(range, |run| out.extend_from_slice(run));
+        }
+        breakdown.record(Step::Scan, scan_start.elapsed());
+        out
+    }
 
-        let search_start = Instant::now();
-        let (start, group) = gen.ts.lower_bound_with_group(Entry::min_for_key(range.lo));
-        breakdown.record(Step::Search, search_start.elapsed());
-
-        let scan_start = Instant::now();
-        let run = gen.ts.run_from(start, range.hi);
-        let mut out = run.to_vec();
-        if gen.ti_len.0.load(Ordering::Relaxed) > 0 {
-            for p in gen.overlapped_partitions(range, group, start + run.len()) {
-                gen.partitions[p]
-                    .lock()
-                    .run
-                    .range_runs(range, |run| out.extend_from_slice(run));
-            }
+    /// [`PimTree::probe_with_breakdown`] through `&mut self`: the same
+    /// entries and timers, the partitions scanned without their locks.
+    pub fn probe_with_breakdown_mut(
+        &mut self,
+        range: KeyRange,
+        breakdown: &mut CostBreakdown,
+    ) -> Vec<Entry> {
+        let gen = self.current.get_mut();
+        let (mut out, partitions, scan_start) = gen.probe_ts_timed(range, breakdown);
+        for p in partitions {
+            gen.partitions[p]
+                .state
+                .get_mut()
+                .run
+                .range_runs(range, |run| out.extend_from_slice(run));
         }
         breakdown.record(Step::Scan, scan_start.elapsed());
         out
@@ -807,6 +938,12 @@ impl PimTree {
     /// Whether the mutable component has reached the merge threshold `m · w`.
     pub fn needs_merge(&self) -> bool {
         self.ti_len() >= self.merge_threshold
+    }
+
+    /// [`PimTree::needs_merge`] through `&mut self`: `TI`'s count read
+    /// without the generation lock.
+    pub fn needs_merge_mut(&mut self) -> bool {
+        *self.current.get_mut().ti_len.0.get_mut() >= self.merge_threshold
     }
 
     /// Blocking merge: waits for in-flight operations, then rebuilds `TS`
@@ -1379,6 +1516,14 @@ mod tests {
     }
 
     impl PimTree {
+        /// The live entries (sequence number at or after `earliest_live`)
+        /// whose key lies in `range`, in the scalar probe's order.
+        fn range_collect_live(&self, range: KeyRange, earliest_live: Seq) -> Vec<Entry> {
+            let mut out = Vec::new();
+            self.range_for_each(range, |e| out.extend((e.seq >= earliest_live).then_some(e)));
+            out
+        }
+
         /// The brute-force answer to a probe of `range`: `TS`'s leaf array,
         /// then every entry of `TI` sorted, each filtered by key — no
         /// descent, route or partition arithmetic involved.
@@ -1972,7 +2117,9 @@ mod tests {
         // sorted by key and one not. Every probe must find each entry that
         // was inserted before it started, every entry it reports must have
         // been inserted, and each entry comes once: the lock-free hints,
-        // read while runs grow, promote and reset, only ever prefetch.
+        // read while runs grow, promote and reset, only ever prefetch. The
+        // inserters never run more than two intervals past the last merge,
+        // so the merges race them however the threads are scheduled.
         const PER_THREAD: usize = 4000;
         const MERGE_EVERY: usize = 1500;
         let t = merged_tree(1024);
@@ -1989,10 +2136,13 @@ mod tests {
             |tid: usize, i: usize| Entry::new(key_of(2 * i + tid), (1024 + 2 * i + tid) as Seq);
         let done = [AtomicUsize::new(0), AtomicUsize::new(0)];
         let (merges, promoted) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        // Inserts counted when the last merge started.
+        let merged_at = AtomicUsize::new(0);
+        let inserted = || -> usize { done.iter().map(|d| d.load(Ordering::Acquire)).sum() };
         let finished = || done.iter().all(|d| d.load(Ordering::Acquire) == PER_THREAD);
         std::thread::scope(|scope| {
             for tid in 0..2 {
-                let (t, done) = (&t, &done);
+                let (t, done, merged_at, inserted) = (&t, &done, &merged_at, &inserted);
                 scope.spawn(move || {
                     let mine: Vec<(Key, Seq)> = (0..PER_THREAD)
                         .map(|i| entry_of(tid, i))
@@ -2000,6 +2150,9 @@ mod tests {
                         .collect();
                     let (mut at, mut n) = (0, 2);
                     while at < PER_THREAD {
+                        while inserted() >= merged_at.load(Ordering::Acquire) + 2 * MERGE_EVERY {
+                            std::thread::yield_now();
+                        }
                         let end = (at + n).min(PER_THREAD);
                         t.insert_batch(&mine[at..end]);
                         done[tid].store(end, Ordering::Release);
@@ -2011,7 +2164,7 @@ mod tests {
             scope.spawn(|| {
                 let mut next = MERGE_EVERY;
                 while !finished() {
-                    let inserted: usize = done.iter().map(|d| d.load(Ordering::Acquire)).sum();
+                    let inserted = inserted();
                     if inserted < next {
                         std::thread::yield_now();
                         continue;
@@ -2019,6 +2172,7 @@ mod tests {
                     promoted.fetch_max(t.promoted_partitions(), Ordering::Relaxed);
                     t.merge(0);
                     merges.fetch_add(1, Ordering::Relaxed);
+                    merged_at.store(inserted, Ordering::Release);
                     next = inserted + MERGE_EVERY;
                 }
             });
@@ -2491,6 +2645,171 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    mod exclusive_form_properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn key() -> impl Strategy<Value = Key> {
+            // Both ends of the domain and a few keys between them, so most
+            // inserts duplicate a key and most probes overlap several.
+            prop::sample::select(vec![
+                Key::MIN,
+                Key::MIN + 1,
+                -1,
+                0,
+                1,
+                2,
+                64,
+                200,
+                511,
+                9999,
+                Key::MAX - 1,
+                Key::MAX,
+            ])
+        }
+
+        /// `range`'s runs through each scalar probe entry point of the
+        /// locked form: `range_runs`, a batch of one, and the instrumented
+        /// probe (its entries as one run).
+        fn locked_runs(
+            t: &PimTree,
+            range: KeyRange,
+            counters: &mut ProbeCounters,
+        ) -> [Vec<Vec<Entry>>; 3] {
+            let mut scalar = Vec::new();
+            t.range_runs(range, |run| scalar.push(run.to_vec()));
+            let mut batch = Vec::new();
+            t.probe_batch(&[range], counters, |_, run| batch.push(run.to_vec()));
+            let timed = t.probe_with_breakdown(range, &mut CostBreakdown::new());
+            [scalar, batch, vec![timed]]
+        }
+
+        /// [`locked_runs`] through the exclusive form.
+        fn exclusive_runs(
+            t: &mut PimTree,
+            range: KeyRange,
+            counters: &mut ProbeCounters,
+        ) -> [Vec<Vec<Entry>>; 3] {
+            let mut scalar = Vec::new();
+            t.range_runs_mut(range, |run| scalar.push(run.to_vec()));
+            let mut batch = Vec::new();
+            t.probe_batch_mut(&[range], counters, |_, run| batch.push(run.to_vec()));
+            let timed = t.probe_with_breakdown_mut(range, &mut CostBreakdown::new());
+            [scalar, batch, vec![timed]]
+        }
+
+        /// Probes both twins for `range` through every scalar entry point
+        /// and asserts the same runs and the same running counters.
+        fn probe_both(
+            exclusive: &mut PimTree,
+            locked: &PimTree,
+            counters: &mut [ProbeCounters; 2],
+            range: KeyRange,
+        ) {
+            let want = locked_runs(locked, range, &mut counters[1]);
+            let got = exclusive_runs(exclusive, range, &mut counters[0]);
+            assert_eq!(got, want, "{range:?}");
+            assert_eq!(counters[0], counters[1], "{range:?}");
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            /// The exclusive form is the locked form without its locks: two
+            /// twins, one driven through the `_mut` operations and one
+            /// through the shared ones, stay the same tree through one random
+            /// sequence of inserts, probes and merges. Every probe returns
+            /// the same runs with the same counters, every insert the same
+            /// merge-due answer, and the per-partition insert counters agree
+            /// after every step. The sequence opens on an empty tree and
+            /// fills the `TS`-less first generation's one partition past
+            /// `RUN_PROMOTE_LEN` (merge threshold 512), probing as it goes.
+            #[test]
+            #[cfg_attr(miri, ignore)]
+            fn exclusive_and_locked_forms_agree(
+                prefill in prop::collection::vec(key(), RUN_PROMOTE_LEN + 1..RUN_PROMOTE_LEN + 40),
+                // (what: 0-4 insert a batch of `n`, 5-7 probe `[a, b]`,
+                // 8 probe a batch of two, 9 merge; a; b; n)
+                ops in prop::collection::vec((0usize..10, key(), key(), 1usize..24), 16..80),
+            ) {
+                let w = 2048usize;
+                let cfg = config(w, 0.25, 2);
+                let (mut exclusive, locked) = (PimTree::new(cfg), PimTree::new(cfg));
+                let mut counters = [ProbeCounters::default(), ProbeCounters::default()];
+                let full = KeyRange::new(Key::MIN, Key::MAX);
+                let mut seq: Seq = 0;
+                let mut promoted = false;
+                probe_both(&mut exclusive, &locked, &mut counters, full);
+                for chunk in prefill.chunks(16) {
+                    let batch: Vec<(Key, Seq)> = chunk
+                        .iter()
+                        .map(|&k| {
+                            seq += 1;
+                            (k, seq)
+                        })
+                        .collect();
+                    prop_assert_eq!(exclusive.insert_batch_mut(&batch), locked.insert_batch(&batch));
+                    prop_assert_eq!(exclusive.ts_len(), 0);
+                    probe_both(
+                        &mut exclusive,
+                        &locked,
+                        &mut counters,
+                        KeyRange::new(chunk[0].min(0), chunk[0].max(0)),
+                    );
+                }
+                prop_assert_eq!(exclusive.promoted_partitions(), 1);
+                prop_assert_eq!(locked.promoted_partitions(), 1);
+                for (what, a, b, n) in ops {
+                    let range = KeyRange::new(a.min(b), a.max(b));
+                    match what {
+                        0..=4 => {
+                            // Most batches that would cross the merge
+                            // threshold stop exactly on it; the rest cross it.
+                            let short = cfg.merge_threshold().saturating_sub(exclusive.ti_len());
+                            let n = if a <= b && (1..n).contains(&short) { short } else { n };
+                            let batch: Vec<(Key, Seq)> = (0..n)
+                                .map(|i| {
+                                    seq += 1;
+                                    (if i % 2 == 0 { a } else { b }, seq)
+                                })
+                                .collect();
+                            let due = exclusive.insert_batch_mut(&batch);
+                            prop_assert_eq!(due, locked.insert_batch(&batch));
+                            prop_assert_eq!(exclusive.needs_merge_mut(), locked.needs_merge());
+                            prop_assert_eq!(due, exclusive.needs_merge_mut());
+                        }
+                        5..=7 => probe_both(&mut exclusive, &locked, &mut counters, range),
+                        8 => {
+                            let ranges = [range, full];
+                            let mut want = vec![Vec::new(); 2];
+                            locked.probe_batch(&ranges, &mut counters[1], |i, run| want[i].push(run.to_vec()));
+                            let mut got = vec![Vec::new(); 2];
+                            exclusive.probe_batch_mut(&ranges, &mut counters[0], |i, run| got[i].push(run.to_vec()));
+                            prop_assert_eq!(got, want);
+                            prop_assert_eq!(counters[0], counters[1]);
+                        }
+                        _ => {}
+                    }
+                    promoted |= exclusive.promoted_partitions() > 0;
+                    prop_assert_eq!(exclusive.promoted_partitions(), locked.promoted_partitions());
+                    if what == 9 || exclusive.needs_merge_mut() {
+                        let earliest = seq.saturating_sub(w as Seq);
+                        let report = exclusive.merge(earliest);
+                        prop_assert_eq!(
+                            MergeReport { duration: report.duration, ..locked.merge(earliest) },
+                            report
+                        );
+                    }
+                    prop_assert_eq!((exclusive.ts_len(), exclusive.ti_len()), (locked.ts_len(), locked.ti_len()));
+                    prop_assert_eq!(exclusive.insert_histogram(), locked.insert_histogram());
+                }
+                prop_assert!(promoted);
+                probe_both(&mut exclusive, &locked, &mut counters, full);
+                prop_assert_eq!(exclusive.sorted_entries(), locked.sorted_entries());
             }
         }
     }

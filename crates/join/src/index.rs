@@ -6,10 +6,13 @@
 //! and the parallel engine's shared store run them through the same two
 //! functions, `probe` and `insert`; the operator hands them a batch of
 //! one, the engine a claim's batch. Only concurrency control differs, and it
-//! lives in the index: the PIM-Tree and the Bw-Tree-style index take their
-//! own locks, while the B+-Tree, the chained index and the IM-Tree — the "no
-//! concurrency control" baselines of figs 8–10 — sit in a [`RefCell`], which
-//! takes neither a lock nor an atomic.
+//! lives in the index: the shared PIM-Tree and the Bw-Tree-style index take
+//! their own locks, while the B+-Tree, the chained index, the IM-Tree and
+//! the operator's PIM-Tree — the "no concurrency control" baselines of
+//! figs 8–10 — sit in a [`RefCell`], which takes neither a lock nor an
+//! atomic. A `RefCell<PimTree>` runs the tree's `_mut` forms, which
+//! reach its partitions through `get_mut`; the engine's store keeps the
+//! locked, `Sync` tree.
 //!
 //! How each index expires tuples is the difference §2's cost analysis works
 //! out:
@@ -253,7 +256,8 @@ fn timed<R>(breakdown: &mut Option<&mut CostBreakdown>, step: Step, f: impl FnOn
 
 // ---------------------------------------------------------------- PIM-Tree
 
-/// The PIM-Tree (§3.3): merges in bulk, under its own locks.
+/// The PIM-Tree (§3.3): merges in bulk, under its own locks. The parallel
+/// engine's shared store.
 impl WindowIndex for PimTree {
     fn name(&self) -> &'static str {
         "pim-tree"
@@ -290,6 +294,46 @@ impl WindowIndex for PimTree {
 
     fn probe_instrumented(&self, range: KeyRange, breakdown: &mut CostBreakdown) -> Vec<Entry> {
         self.probe_with_breakdown(range, breakdown)
+    }
+}
+
+/// The PIM-Tree owned by one thread: the single-threaded operator's index.
+/// Every per-tuple call goes through the tree's `_mut` forms — the same
+/// routes, runs and merge-due answers as the shared tree's, with no lock
+/// and no atomic read-modify-write. The `RefCell` is `!Sync`, so such a
+/// tree cannot be shared.
+impl WindowIndex for RefCell<PimTree> {
+    fn name(&self) -> &'static str {
+        "pim-tree"
+    }
+
+    fn insert_batch(&self, entries: &[(Key, Seq)]) -> bool {
+        self.borrow_mut().insert_batch_mut(entries)
+    }
+
+    fn probe(&self, range: KeyRange, f: &mut dyn FnMut(&[Entry])) {
+        self.borrow_mut().range_runs_mut(range, f);
+    }
+
+    fn probe_runs(
+        &self,
+        ranges: &[KeyRange],
+        counters: &mut ProbeCounters,
+        f: &mut dyn FnMut(usize, &[Entry]),
+    ) {
+        self.borrow_mut().probe_batch_mut(ranges, counters, f);
+    }
+
+    fn needs_merge(&self) -> bool {
+        self.borrow_mut().needs_merge_mut()
+    }
+
+    fn merge(&self, earliest_live: Seq) -> MergeReport {
+        self.borrow_mut().merge(earliest_live)
+    }
+
+    fn probe_instrumented(&self, range: KeyRange, breakdown: &mut CostBreakdown) -> Vec<Entry> {
+        self.borrow_mut().probe_with_breakdown_mut(range, breakdown)
     }
 }
 
@@ -440,6 +484,7 @@ mod tests {
             Box::new(RefCell::new(ChainedIndex::new(ChainVariant::BChain, w, 3))),
             Box::new(RefCell::new(ChainedIndex::new(ChainVariant::IbChain, w, 3))),
             Box::new(RefCell::new(ImTree::new(pim))),
+            Box::new(RefCell::new(PimTree::new(pim))),
             Box::new(PimTree::new(pim)),
             Box::new(BwTreeIndex::new()),
         ]
@@ -477,6 +522,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore)] // thousands of pushes through seven backends
     fn all_backends_support_the_window_protocol() {
         // A sliding window of 64 tuples with a probe before every update,
         // like the join operator.
@@ -500,6 +546,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore)] // thousands of pushes through seven backends
     fn probes_agree_across_backends() {
         // Every backend returns exactly the same live matches: on a spread
         // of keys with both domain edges mixed in, and on one key repeated.

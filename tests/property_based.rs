@@ -132,7 +132,12 @@ proptest! {
         }
         // Every live tuple — and no expired one — must be reachable.
         let earliest = keys.len().saturating_sub(w) as u64;
-        let live = pim.range_collect_live(KeyRange::new(i64::MIN, i64::MAX), earliest);
+        let mut live = Vec::new();
+        pim.range_for_each(KeyRange::new(i64::MIN, i64::MAX), |e| {
+            if e.seq >= earliest {
+                live.push(e);
+            }
+        });
         let mut seqs: Vec<u64> = live.iter().map(|e| e.seq).collect();
         seqs.sort_unstable();
         seqs.dedup();
