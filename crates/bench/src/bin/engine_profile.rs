@@ -22,7 +22,9 @@
 //! open-loop and reports the arrival-latency tail (p99).
 //!
 //! The phase columns come from the engine's own phase spans
-//! (`JoinRunStats::phase`).
+//! (`JoinRunStats::phase`); `ingest_stalls` counts the measured phase's
+//! ring fills that the admission bound on the non-indexed window suffix
+//! cut short.
 //!
 //! `--sample=PATH` (Linux x86-64) turns on a `SIGPROF` instruction-pointer
 //! sampler for hosts without `perf`: one sample per 4 ms tick of CPU time,
@@ -85,6 +87,7 @@ fn main() {
             "idle_pct",
             "merges",
             "merge_ms",
+            "ingest_stalls",
             "mean_latency_us",
             "loaded_mb",
             "claim_retries_per_task",
@@ -163,6 +166,7 @@ fn main() {
             pct(stats.phase.idle),
             stats.merges.to_string(),
             format!("{:.1}", stats.merge_time.as_secs_f64() * 1e3),
+            stats.ring.ingest_stalls.to_string(),
             format!("{:.1}", stats.latency.mean_micros()),
             format!("{:.1}", stats.bytes_loaded as f64 / 1e6),
             format!("{:.3}", stats.ring.claim_contention()),

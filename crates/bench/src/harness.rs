@@ -458,7 +458,6 @@ mod tests {
         shard.validate().unwrap();
         let drift = parse("--repartition=on", false).unwrap().drift();
         assert!(drift.repartition);
-        drift.validate().unwrap();
         let opts = parse("--sample=/tmp/p", false).unwrap();
         assert_eq!(opts.sample.as_deref(), Some("/tmp/p"));
     }

@@ -48,8 +48,8 @@ impl std::fmt::Display for IndexKind {
 /// How the two-stage trees perform their maintenance merge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum MergePolicy {
-    /// Two-phase non-blocking merge (§4.2 of the paper): workers keep joining
-    /// while a merging thread rebuilds `TS`.
+    /// Non-blocking merge (§4.2 of the paper): workers keep joining and
+    /// inserting while a merging thread rebuilds `TS`.
     #[default]
     NonBlocking,
     /// Stop-the-world merge; kept for the Figure 13c ablation.
@@ -229,25 +229,14 @@ impl ShardConfig {
 /// engine migrates to the plan's partitioner in one **migration epoch**:
 /// ingestion and claiming quiesce behind the merge gate while every index
 /// entry and window tuple whose key changed home shards moves to its new
-/// owner. Off (the default), the partitioner chosen at construction stays
-/// fixed for the whole run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// owner. The monitor's window is the engine's to choose too
+/// (`pimtree_numa::DRIFT_WINDOW`). Off (the default), the partitioner chosen
+/// at construction stays fixed for the whole run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DriftConfig {
     /// Master switch for live repartition adoption. Off keeps the engine's
     /// partitioner (ring routing and store placement) fixed for the run.
     pub repartition: bool,
-    /// Capacity of the drift monitor's sliding observation window (and the
-    /// cooldown after a plan decision), in tuples.
-    pub window: usize,
-}
-
-impl Default for DriftConfig {
-    fn default() -> Self {
-        DriftConfig {
-            repartition: false,
-            window: 4096,
-        }
-    }
 }
 
 impl DriftConfig {
@@ -255,33 +244,6 @@ impl DriftConfig {
     pub fn with_repartition(mut self, on: bool) -> Self {
         self.repartition = on;
         self
-    }
-
-    /// Sets the drift observation window (tuples).
-    pub fn with_window(mut self, window: usize) -> Self {
-        self.window = window;
-        self
-    }
-
-    /// Observations between drift checks: an eighth of the window, at
-    /// least 64, so the O(window) imbalance fold stays off the per-task
-    /// fast path.
-    pub fn check_interval(&self) -> usize {
-        (self.window / 8).max(64)
-    }
-
-    /// Validates the configuration.
-    pub fn validate(&self) -> Result<()> {
-        if self.window == 0 {
-            return Err(Error::InvalidConfig("drift window must be positive".into()));
-        }
-        if self.window > 1 << 24 {
-            return Err(Error::InvalidConfig(format!(
-                "drift window {} exceeds the 2^24-observation ceiling",
-                self.window
-            )));
-        }
-        Ok(())
     }
 }
 
@@ -416,7 +378,6 @@ impl JoinConfig {
             ));
         }
         self.shard.validate()?;
-        self.drift.validate()?;
         self.pim.validate()
     }
 }
@@ -536,37 +497,15 @@ mod tests {
 
     #[test]
     fn drift_config_defaults_validate_and_builders_chain() {
-        let d = DriftConfig::default();
-        assert!(!d.repartition, "live repartitioning is opt-in");
-        d.validate().unwrap();
-        assert_eq!(d.check_interval(), 4096 / 8);
-        let d = DriftConfig::default()
-            .with_repartition(true)
-            .with_window(512);
+        assert!(
+            !DriftConfig::default().repartition,
+            "live repartitioning is opt-in"
+        );
+        let d = DriftConfig::default().with_repartition(true);
         assert!(d.repartition);
-        assert_eq!(d.window, 512);
-        assert_eq!(d.check_interval(), 64);
-        d.validate().unwrap();
-        // Tiny windows floor the check interval at 64.
-        assert_eq!(DriftConfig::default().with_window(100).check_interval(), 64);
         let c = JoinConfig::symmetric(64, IndexKind::PimTree).with_drift(d);
         assert_eq!(c.drift, d);
         c.validate().unwrap();
-    }
-
-    #[test]
-    fn drift_config_rejects_bad_values() {
-        assert!(DriftConfig::default().with_window(0).validate().is_err());
-        assert!(DriftConfig::default()
-            .with_window((1 << 24) + 1)
-            .validate()
-            .is_err());
-        let mut c = JoinConfig::symmetric(16, IndexKind::PimTree);
-        c.drift.window = 0;
-        assert!(
-            c.validate().is_err(),
-            "JoinConfig::validate covers the drift config"
-        );
     }
 
     #[test]

@@ -99,12 +99,6 @@ impl ImTree {
         self.ti.range_runs(range, f);
     }
 
-    /// Calls `f` for every indexed entry whose key lies in `range`: the
-    /// entries of [`ImTree::range_runs`], one at a time and in its order.
-    pub fn range_for_each<F: FnMut(Entry)>(&self, range: KeyRange, mut f: F) {
-        self.range_runs(range, |run| run.iter().for_each(|&e| f(e)));
-    }
-
     /// Instrumented probe used by the per-step cost experiment (Figure 9b):
     /// separates index traversal ("search") from leaf scanning ("scan").
     pub fn probe_with_breakdown(
@@ -157,7 +151,9 @@ mod tests {
         /// of the window.
         fn range_collect_live(&self, range: KeyRange, earliest_live: Seq) -> Vec<Entry> {
             let mut out = Vec::new();
-            self.range_for_each(range, |e| out.extend((e.seq >= earliest_live).then_some(e)));
+            self.range_runs(range, |run| {
+                out.extend(run.iter().filter(|e| e.seq >= earliest_live))
+            });
             out
         }
     }

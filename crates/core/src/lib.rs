@@ -25,9 +25,9 @@
 //! length (see `pim.rs`).
 //!
 //! Merge execution comes in two flavours (§4.2): a simple blocking merge, and
-//! a two-phase non-blocking merge whose building blocks
-//! ([`PimTree::begin_merge`] / [`PimTree::install_merge`]) are driven by the
-//! parallel join engine in the `pimtree-join` crate.
+//! the non-blocking [`PimTree::merge_concurrent`], which takes inserts and
+//! probes while it builds the next `TS` (the parallel join engine in the
+//! `pimtree-join` crate calls it).
 
 pub mod footprint;
 pub mod im;
@@ -37,4 +37,4 @@ pub mod pim;
 pub use footprint::PimFootprint;
 pub use im::ImTree;
 pub use merge::MergeReport;
-pub use pim::{PimTree, PreparedMerge, RetiredGeneration};
+pub use pim::PimTree;

@@ -229,8 +229,8 @@ struct TiLen(AtomicUsize);
 
 /// One generation of the two-stage structure: an immutable `TS` plus the
 /// mutable partitions attached to its inner nodes at the insertion depth.
-/// The blocking merge refits the generation in place; the non-blocking one
-/// replaces it whole.
+/// The blocking merge refits the generation in place; the concurrent one
+/// freezes its partition table and then replaces it whole.
 #[derive(Debug)]
 struct Generation {
     ts: CssTree,
@@ -238,6 +238,11 @@ struct Generation {
     /// of inner levels actually present in `TS`).
     depth: usize,
     partitions: Vec<Partition>,
+    /// While a concurrent merge runs, the runs of the table it froze, indexed
+    /// like `partitions` and read-only, so read without locks; else empty.
+    frozen: Vec<Run>,
+    /// Entries in `frozen`.
+    frozen_len: usize,
     /// Entries a partition's run is reserved to on its first insert, unless
     /// it kept an allocation through a blocking merge: the fill a uniformly
     /// fed partition reaches by the next merge, so that run never
@@ -253,6 +258,8 @@ impl Generation {
             ts,
             depth: 0,
             partitions: Vec::new(),
+            frozen: Vec::new(),
+            frozen_len: 0,
             run_reserve: 0,
             ti_len: TiLen::default(),
         };
@@ -355,6 +362,22 @@ impl Generation {
         self.partitions[partition].insert_mut(entry, reserve, fanout);
     }
 
+    /// Inserts `entries`, sorted and at or above every entry of the runs
+    /// they route to, so that each lands at the end of its run: all of them
+    /// routed by one group descent of `TS` ([`CssTree::lower_bound_batch`],
+    /// whose misses overlap) instead of a descent apiece.
+    fn append_sorted(&mut self, entries: &[Entry], fanout: usize) {
+        let (mut positions, mut groups) = (Vec::new(), Vec::new());
+        let mut counters = ProbeCounters::default();
+        self.ts
+            .lower_bound_batch(entries, &mut positions, &mut groups, &mut counters);
+        for (&e, &group) in entries.iter().zip(&groups) {
+            let p = self.ts.ancestor_at_depth(group, self.depth);
+            debug_assert_eq!(p, self.route(e));
+            self.partitions[p].insert_mut(e, self.run_reserve, fanout);
+        }
+    }
+
     /// Inserts up to [`STAGE_WIDTH`] entries in three passes over the whole
     /// chunk instead of entry by entry, so that the misses of one entry's
     /// dependent chain *header → run pointer → run lines* — with a second
@@ -401,12 +424,16 @@ impl Generation {
 
     /// The immutable half of a scalar probe of `range`, shared by both forms
     /// of the tree: one descent of `TS` ([`Generation::locate`]), its run
-    /// handed to `f` unless empty, and the partitions the probe goes on to.
+    /// handed to `f` unless empty, then the frozen table's runs, and the
+    /// partitions the probe goes on to.
     #[inline]
-    fn probe_ts(&self, range: KeyRange, f: &mut dyn FnMut(&[Entry])) -> Range<usize> {
+    fn probe_immutable(&self, range: KeyRange, f: &mut dyn FnMut(&[Entry])) -> Range<usize> {
         let (run, span) = self.locate(range);
         if !run.is_empty() {
             f(run);
+        }
+        for run in self.frozen.get(span.clone()).unwrap_or_default() {
+            run.range_runs(range, &mut *f);
         }
         self.ti_visits(span)
     }
@@ -417,7 +444,7 @@ impl Generation {
     /// slice of its leaf array, then each partition's — and `f` runs under
     /// the partition's lock. Shared by the scalar probe and the batch of one.
     fn probe(&self, range: KeyRange, f: &mut dyn FnMut(&[Entry])) {
-        for p in self.probe_ts(range, f) {
+        for p in self.probe_immutable(range, f) {
             self.partitions[p].lock().run.range_runs(range, &mut *f);
         }
     }
@@ -425,7 +452,7 @@ impl Generation {
     /// [`Generation::probe`] through `&mut`: the same runs in the same
     /// order, each partition reached without its lock.
     fn probe_mut(&mut self, range: KeyRange, f: &mut dyn FnMut(&[Entry])) {
-        for p in self.probe_ts(range, f) {
+        for p in self.probe_immutable(range, f) {
             self.partitions[p]
                 .state
                 .get_mut()
@@ -436,10 +463,11 @@ impl Generation {
 
     /// The immutable half of the instrumented probe (fig 9b), shared by both
     /// forms: the one descent of `TS` timed as [`Step::Search`], then, with
-    /// the scan's clock started, `TS`'s run copied out. Returns the copy, the
-    /// partitions still to scan and the scan's start, which the caller
-    /// charges to [`Step::Scan`] once it has scanned them.
-    fn probe_ts_timed(
+    /// the scan's clock started, `TS`'s run and the frozen table's copied
+    /// out. Returns the copy, the partitions still to scan and the scan's
+    /// start, which the caller charges to [`Step::Scan`] once it has scanned
+    /// them.
+    fn probe_immutable_timed(
         &self,
         range: KeyRange,
         breakdown: &mut CostBreakdown,
@@ -451,7 +479,11 @@ impl Generation {
         let scan_start = Instant::now();
         let run = self.ts.run_from(start, range.hi);
         let span = self.overlapped_partitions(range, group, start + run.len());
-        (run.to_vec(), self.ti_visits(span), scan_start)
+        let mut out = run.to_vec();
+        for run in self.frozen.get(span.clone()).unwrap_or_default() {
+            run.range_runs(range, |run| out.extend_from_slice(run));
+        }
+        (out, self.ti_visits(span), scan_start)
     }
 }
 
@@ -521,17 +553,18 @@ fn visit_partitions<F: FnMut(usize, &[Entry])>(
     }
 }
 
-/// One `LiveMerge` pass over `gen`, each partition's run read under its
-/// lock: the live entries (sequence number at or after `earliest_live`) in
-/// `(key, seq)` order, with the merge's counts.
-fn merge_locked(gen: &Generation, earliest_live: Seq) -> (Vec<Entry>, MergeReport) {
-    let mut merge = LiveMerge::new(
-        gen.ts.entries(),
-        gen.ti_len.0.load(Ordering::Relaxed),
-        earliest_live,
-    );
-    for p in &gen.partitions {
-        p.lock().run.for_each_run(|run| merge.push_run(run));
+/// One `LiveMerge` pass over `TS` and the runs of `partitions` in partition
+/// order, holding `ti_len` entries: the live entries (sequence number at or
+/// after `earliest_live`) in `(key, seq)` order, with the merge's counts.
+fn live_merge<'r>(
+    ts: &CssTree,
+    partitions: impl Iterator<Item = &'r Run>,
+    ti_len: usize,
+    earliest_live: Seq,
+) -> (Vec<Entry>, MergeReport) {
+    let mut merge = LiveMerge::new(ts.entries(), ti_len, earliest_live);
+    for run in partitions {
+        run.for_each_run(|run| merge.push_run(run));
     }
     merge.finish()
 }
@@ -556,29 +589,6 @@ thread_local! {
         std::cell::RefCell::new(ProbeScratch::default());
 }
 
-/// A merge that has been prepared (phase 1 of the non-blocking merge) but not
-/// yet installed. Produced by [`PimTree::begin_merge`], consumed by
-/// [`PimTree::install_merge`].
-#[derive(Debug)]
-pub struct PreparedMerge {
-    generation: Generation,
-    report: MergeReport,
-    started: Instant,
-}
-
-impl PreparedMerge {
-    /// Number of entries the new immutable component will hold.
-    pub fn new_len(&self) -> usize {
-        self.report.new_len
-    }
-}
-
-/// The generation a merge replaced, returned by [`PimTree::install_merge`].
-/// Dropping it frees the old `TS` and one run per partition, which the
-/// caller does after it has let the other threads go on.
-#[derive(Debug)]
-pub struct RetiredGeneration(#[allow(dead_code)] Generation); // held only to be dropped
-
 /// The Partitioned In-memory Merge-Tree.
 ///
 /// All operations take `&self`; concurrent inserts and range lookups from any
@@ -589,12 +599,9 @@ pub struct RetiredGeneration(#[allow(dead_code)] Generation); // held only to be
 /// [`PimTree::range_runs_mut`], [`PimTree::probe_batch_mut`],
 /// [`PimTree::needs_merge_mut`], [`PimTree::probe_with_breakdown_mut`]):
 /// the same routes, runs and counters, reached through `get_mut`, so they
-/// take no lock and no atomic read-modify-write. Merges are
-/// either blocking ([`PimTree::merge`]) or split into the two phases of the
-/// paper's non-blocking scheme ([`PimTree::begin_merge`] /
-/// [`PimTree::install_merge`]); in the latter case the caller must guarantee
-/// that no inserts happen between the two calls (the parallel join engine does
-/// so by having workers join *without index updates* during phase 1).
+/// take no lock and no atomic read-modify-write. Merges are either blocking
+/// ([`PimTree::merge`]) or concurrent ([`PimTree::merge_concurrent`], §4.2),
+/// which takes inserts and probes while it builds the next `TS`.
 #[derive(Debug)]
 pub struct PimTree {
     config: PimConfig,
@@ -602,6 +609,9 @@ pub struct PimTree {
     /// rounds in `f64`, and every `insert_batch` / `needs_merge` reads it.
     merge_threshold: usize,
     current: RwLock<Generation>,
+    /// Held by every merge throughout: merges run one at a time, so only a
+    /// concurrent merge's own steps see a frozen table.
+    merging: Mutex<()>,
     /// Insert counters of retired generations, folded in at merge time so the
     /// drift experiment can observe a cumulative histogram.
     retired_inserts: Mutex<Vec<u64>>,
@@ -637,6 +647,7 @@ impl PimTree {
             merge_threshold: config.merge_threshold(),
             config,
             current: RwLock::new(generation),
+            merging: Mutex::new(()),
             retired_inserts: Mutex::new(Vec::new()),
         }
     }
@@ -646,9 +657,11 @@ impl PimTree {
         &self.config
     }
 
-    /// Entries currently held by the mutable component.
+    /// Entries currently held by the mutable component: while a concurrent
+    /// merge runs, its frozen table's and the fresh one's.
     pub fn ti_len(&self) -> usize {
-        self.current.read().ti_len.0.load(Ordering::Relaxed)
+        let gen = self.current.read();
+        gen.frozen_len + gen.ti_len.0.load(Ordering::Relaxed)
     }
 
     /// Entries currently held by the immutable component (live and expired).
@@ -659,7 +672,7 @@ impl PimTree {
     /// Total indexed entries (live and expired).
     pub fn len(&self) -> usize {
         let gen = self.current.read();
-        gen.ts.len() + gen.ti_len.0.load(Ordering::Relaxed)
+        gen.ts.len() + gen.frozen_len + gen.ti_len.0.load(Ordering::Relaxed)
     }
 
     /// Whether no entries are indexed.
@@ -858,19 +871,28 @@ impl PimTree {
         }
 
         // Mutable component, batched: each unique range's overlapping
-        // partition interval is derived arithmetically, then the partitions
-        // are visited partition-major (`visit_partitions`).
-        if ti_populated {
+        // partition interval is derived arithmetically. A frozen table
+        // answers first, range by range; then the partitions are visited
+        // partition-major (`visit_partitions`).
+        if ti_populated || gen.frozen_len > 0 {
             s.pairs.clear();
             for (j, &range) in s.uniq.iter().enumerate() {
                 let partitions = gen.overlapped_partitions(range, s.groups[j], s.ends[j]);
                 s.pairs.extend(partitions.map(|p| (p, j)));
             }
-            visit_partitions(&gen, &mut s.pairs, &s.uniq, counters, |j, run| {
+            let mut emit = |j: usize, run: &[Entry]| {
                 for &i in &s.order[s.starts[j]..s.starts[j + 1]] {
                     f(i, run);
                 }
-            });
+            };
+            if gen.frozen_len > 0 {
+                for &(p, j) in &s.pairs {
+                    gen.frozen[p].range_runs(s.uniq[j], |run| emit(j, run));
+                }
+            }
+            if ti_populated {
+                visit_partitions(&gen, &mut s.pairs, &s.uniq, counters, emit);
+            }
         }
         PROBE_SCRATCH.with(|cell| cell.replace(s));
     }
@@ -904,7 +926,7 @@ impl PimTree {
         breakdown: &mut CostBreakdown,
     ) -> Vec<Entry> {
         let gen = self.current.read();
-        let (mut out, partitions, scan_start) = gen.probe_ts_timed(range, breakdown);
+        let (mut out, partitions, scan_start) = gen.probe_immutable_timed(range, breakdown);
         for p in partitions {
             gen.partitions[p]
                 .lock()
@@ -923,7 +945,7 @@ impl PimTree {
         breakdown: &mut CostBreakdown,
     ) -> Vec<Entry> {
         let gen = self.current.get_mut();
-        let (mut out, partitions, scan_start) = gen.probe_ts_timed(range, breakdown);
+        let (mut out, partitions, scan_start) = gen.probe_immutable_timed(range, breakdown);
         for p in partitions {
             gen.partitions[p]
                 .state
@@ -936,8 +958,9 @@ impl PimTree {
     }
 
     /// Whether the mutable component has reached the merge threshold `m · w`.
+    /// A table a running merge froze does not count: that merge takes it.
     pub fn needs_merge(&self) -> bool {
-        self.ti_len() >= self.merge_threshold
+        self.current.read().ti_len.0.load(Ordering::Relaxed) >= self.merge_threshold
     }
 
     /// [`PimTree::needs_merge`] through `&mut self`: `TI`'s count read
@@ -953,18 +976,14 @@ impl PimTree {
     /// partition; the old `TS` is freed (with the partitions a smaller `TS`
     /// no longer has), and the reported duration includes freeing it.
     pub fn merge(&self, earliest_live: Seq) -> MergeReport {
+        let _merging = self.merging.lock();
         let started = Instant::now();
         let mut guard = self.current.write();
         let gen = &mut *guard;
         self.fold_retired_counters(&mut gen.partitions);
-        let mut merge = LiveMerge::new(gen.ts.entries(), *gen.ti_len.0.get_mut(), earliest_live);
-        for p in &mut gen.partitions {
-            p.state
-                .get_mut()
-                .run
-                .for_each_run(|run| merge.push_run(run));
-        }
-        let (merged, report) = merge.finish();
+        let ti_len = *gen.ti_len.0.get_mut();
+        let runs = gen.partitions.iter_mut().map(|p| &p.state.get_mut().run);
+        let (merged, report) = live_merge(&gen.ts, runs, ti_len, earliest_live);
         let old_ts = std::mem::replace(&mut gen.ts, build_ts(&self.config, merged));
         gen.refit(&self.config);
         let partitions = gen.partitions.len();
@@ -977,52 +996,88 @@ impl PimTree {
         }
     }
 
-    /// Phase 1 of the non-blocking merge (§4.2): build the next generation
-    /// from the current one, without modifying it: the same one-pass merge
-    /// as [`PimTree::merge`], each partition's run read under its lock.
-    /// Lookups may proceed concurrently; the caller must ensure no inserts
-    /// happen until [`PimTree::install_merge`] has returned.
-    pub fn begin_merge(&self, earliest_live: Seq) -> PreparedMerge {
+    /// Concurrent merge (the non-blocking merge of §4.2): inserts and probes
+    /// go on while it runs. It freezes the partition table and opens a
+    /// fresh one for the inserts (`freeze`), merges `TS` with the frozen
+    /// table into the next generation (`build_next`) and installs it,
+    /// carrying the fresh table's entries over (`install`). `earliest_live`
+    /// drops entries of `TS` and the frozen table only. A second merge of
+    /// the same tree waits for this one.
+    pub fn merge_concurrent(&self, earliest_live: Seq) -> MergeReport {
+        let _merging = self.merging.lock();
         let started = Instant::now();
-        let (merged, report) = merge_locked(&self.current.read(), earliest_live);
-        let generation = Generation::new(&self.config, build_ts(&self.config, merged));
-        let partitions = generation.partitions.len();
-        PreparedMerge {
-            generation,
-            report: MergeReport {
-                duration: started.elapsed(),
-                partitions,
-                ..report
-            },
-            started,
+        self.freeze();
+        let (next, report) = self.build_next(earliest_live);
+        let partitions = next.partitions.len();
+        self.install(next);
+        MergeReport {
+            duration: started.elapsed(),
+            partitions,
+            ..report
         }
+    }
+
+    /// The partition table's runs become the read-only frozen table, which
+    /// probes read between `TS` and the fresh table that takes the inserts.
+    /// Under the exclusive lock only runs move and counters fold: both tables
+    /// are allocated before (only merges resize them, and the caller holds
+    /// `merging`), and the emptied one is freed after.
+    fn freeze(&self) {
+        let partitions = self.current.read().partitions.len();
+        let mut table: Vec<Partition> = (0..partitions).map(|_| Partition::new()).collect();
+        let mut frozen: Vec<Run> = (0..partitions).map(|_| Run::Flat(Vec::new())).collect();
+        let mut guard = self.current.write();
+        let gen = &mut *guard;
+        self.fold_retired_counters(&mut gen.partitions);
+        for (run, p) in frozen.iter_mut().zip(&mut gen.partitions) {
+            std::mem::swap(run, &mut p.state.get_mut().run);
+        }
+        std::mem::swap(&mut gen.partitions, &mut table);
+        gen.frozen = frozen;
+        gen.frozen_len = std::mem::take(gen.ti_len.0.get_mut());
+        drop(guard);
+        drop(table);
+    }
+
+    /// The next generation, from the live entries of `TS` and the frozen
+    /// table, read under the lock held shared.
+    fn build_next(&self, earliest_live: Seq) -> (Generation, MergeReport) {
+        let (merged, report) = {
+            let gen = self.current.read();
+            live_merge(&gen.ts, gen.frozen.iter(), gen.frozen_len, earliest_live)
+        };
+        let next = Generation::new(&self.config, build_ts(&self.config, merged));
+        (next, report)
+    }
+
+    /// Under the exclusive lock, carries the fresh table's entries into
+    /// `next` ([`Generation::append_sorted`]: ascending, so each is an
+    /// append) and swaps `next` in. The replaced generation is freed after
+    /// the lock is released.
+    fn install(&self, mut next: Generation) {
+        let mut guard = self.current.write();
+        let mut carried = Vec::with_capacity(*guard.ti_len.0.get_mut());
+        for p in &mut guard.partitions {
+            let run = &p.state.get_mut().run;
+            run.for_each_run(|run| carried.extend_from_slice(run));
+        }
+        next.append_sorted(&carried, self.config.btree_fanout);
+        *next.ti_len.0.get_mut() = carried.len();
+        let old = std::mem::replace(&mut *guard, next);
+        drop(guard);
+        drop((old, carried));
     }
 
     /// Every indexed entry, live and expired, in `(key, seq)` order: the
     /// merge's one pass over `TS` and the partitions' runs with nothing
-    /// dropped. [`PimTree::from_sorted`] builds a tree back from it.
+    /// dropped. [`PimTree::from_sorted`] builds a tree back from it. Waits
+    /// for a running merge.
     pub fn sorted_entries(&self) -> Vec<Entry> {
-        merge_locked(&self.current.read(), 0).0
-    }
-
-    /// Phase 2 of the non-blocking merge: atomically swap in the prepared
-    /// generation. Pending tuples buffered during phase 1 are re-inserted by
-    /// the caller afterwards (they become ordinary inserts into the fresh
-    /// partitions). The replaced generation is handed back instead of being
-    /// dropped here, because the caller holds every other thread quiescent
-    /// around this call.
-    pub fn install_merge(&self, prepared: PreparedMerge) -> (MergeReport, RetiredGeneration) {
-        let PreparedMerge {
-            generation,
-            mut report,
-            started,
-        } = prepared;
-        let mut guard = self.current.write();
-        let mut old = std::mem::replace(&mut *guard, generation);
-        drop(guard);
-        self.fold_retired_counters(&mut old.partitions);
-        report.duration = started.elapsed();
-        (report, RetiredGeneration(old))
+        let _merging = self.merging.lock();
+        let gen = self.current.read();
+        let runs: Vec<_> = gen.partitions.iter().map(Partition::lock).collect();
+        let ti_len = gen.ti_len.0.load(Ordering::Relaxed);
+        live_merge(&gen.ts, runs.iter().map(|p| &p.run), ti_len, 0).0
     }
 
     /// Moves the insert counters of `partitions` into the cumulative
@@ -1202,40 +1257,69 @@ mod tests {
         for i in 0..256i64 {
             t.insert(i, i as Seq);
         }
-        let before = t.range_collect_live(KeyRange::new(i64::MIN, i64::MAX), 0);
-        // Phase 1: prepare. Lookups still work against the old generation.
-        let prepared = t.begin_merge(0);
-        assert_eq!(prepared.new_len(), 256);
-        let during = t.range_collect_live(KeyRange::new(i64::MIN, i64::MAX), 0);
-        assert_eq!(during.len(), before.len());
-        assert_eq!(t.ts_len(), 0, "old generation still installed");
-        // Phase 2: install.
-        let (report, _retired) = t.install_merge(prepared);
+        let before = t.content();
+        // Freeze: the table's entries stay visible, read-only.
+        t.freeze();
+        assert_eq!((t.ts_len(), t.ti_len()), (0, 256));
+        assert_eq!(t.content(), before);
+        assert!(!t.needs_merge(), "a frozen table is not due again");
+        // Merge: the old generation stays installed while the next is built.
+        let (next, report) = t.build_next(0);
         assert_eq!(report.new_len, 256);
-        assert_eq!(t.ts_len(), 256);
-        assert_eq!(t.ti_len(), 0);
-        let after = t.range_collect_live(KeyRange::new(i64::MIN, i64::MAX), 0);
-        let mut b = before;
-        let mut a = after;
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
+        assert_eq!(t.ts_len(), 0, "old generation still installed");
+        assert_eq!(t.content(), before);
+        t.install(next);
+        assert_eq!((t.ts_len(), t.ti_len()), (256, 0));
+        assert_eq!(t.content(), before);
+        // The one call runs the three steps.
+        let report = t.merge_concurrent(0);
+        assert_eq!((report.new_len, report.from_ti), (256, 0));
+        assert_eq!(report.partitions, t.partition_count());
+        assert_eq!(t.content(), before);
     }
 
+    /// Inserts that arrive while a concurrent merge runs go to the fresh
+    /// table: every probe entry point finds them beside `TS` and the frozen
+    /// table, the expiry horizon never drops them, and install carries
+    /// them, in order, into the next generation's partitions.
     #[test]
     fn pending_inserts_after_install_are_visible() {
-        let t = PimTree::new(config(64, 1.0, 2));
+        let t = merged_tree(512);
         for i in 0..64i64 {
-            t.insert(i, i as Seq);
+            t.insert(i * 8, 512 + i as Seq);
         }
-        let prepared = t.begin_merge(0);
-        // These two tuples arrive during phase 1; the engine buffers them and
-        // re-applies them after installation.
-        let _ = t.install_merge(prepared);
-        t.insert(1000, 64);
-        t.insert(1001, 65);
-        let got = t.range_collect_live(KeyRange::new(1000, 1001), 0);
-        assert_eq!(got.len(), 2);
+        t.freeze();
+        let during: Vec<(Key, Seq)> = (0..40).map(|i| (i * 13 % 520, 600 + i as Seq)).collect();
+        t.insert_batch(&during[..39]);
+        t.insert(during[39].0, during[39].1);
+        assert_eq!((t.ts_len(), t.ti_len()), (512, 64 + 40));
+        let ranges = [
+            KeyRange::new(Key::MIN, Key::MAX),
+            KeyRange::new(0, 40),
+            KeyRange::new(100, 101),
+            KeyRange::new(500, Key::MAX),
+        ];
+        t.assert_probes_match_brute_force(&ranges);
+        for &range in &ranges {
+            let timed = t.probe_with_breakdown(range, &mut CostBreakdown::new());
+            assert_eq!(timed, t.brute_force(range), "{range:?}");
+        }
+        // Every entry of `TS` and the frozen table is expired; the fresh
+        // table's are carried whatever their age.
+        let (next, report) = t.build_next(1000);
+        assert_eq!((report.new_len, report.dropped_expired), (0, 512 + 64));
+        t.install(next);
+        let mut want: Vec<Entry> = during.iter().map(|&(k, s)| Entry::new(k, s)).collect();
+        want.sort_unstable();
+        assert_eq!((t.ts_len(), t.ti_len()), (0, 40));
+        assert_eq!(t.content(), want);
+        assert_eq!(t.partition_count(), 1, "an empty TS has one partition");
+        assert_eq!(
+            t.insert_histogram().iter().sum::<u64>(),
+            512 + 64 + 40,
+            "each insert counted once, carried ones where they landed"
+        );
+        t.assert_probes_match_brute_force(&ranges);
     }
 
     #[test]
@@ -1525,16 +1609,21 @@ mod tests {
         }
 
         /// The brute-force answer to a probe of `range`: `TS`'s leaf array,
-        /// then every entry of `TI` sorted, each filtered by key — no
-        /// descent, route or partition arithmetic involved.
+        /// then every entry of the frozen table sorted, then every entry of
+        /// `TI` sorted, each filtered by key — no descent, route or
+        /// partition arithmetic involved.
         fn brute_force(&self, range: KeyRange) -> Vec<Entry> {
             let gen = self.current.read();
-            let mut ti = Vec::new();
+            let (mut frozen, mut ti) = (Vec::new(), Vec::new());
+            for run in &gen.frozen {
+                run.for_each_run(|run| frozen.extend_from_slice(run));
+            }
             for p in &gen.partitions {
                 p.lock().run.for_each_run(|run| ti.extend_from_slice(run));
             }
+            frozen.sort_unstable();
             ti.sort_unstable();
-            let all = gen.ts.entries().iter().chain(&ti);
+            let all = gen.ts.entries().iter().chain(&frozen).chain(&ti);
             all.copied().filter(|e| range.contains(e.key)).collect()
         }
 
@@ -1799,8 +1888,8 @@ mod tests {
     /// a steady state, and a shrink in which most entries expire: after
     /// every blocking merge the refitted table is sized to `TS`, empty,
     /// unpromoted, its counters folded, and the tree answers as brute force
-    /// and as the live entries inserted so far do. A twin driven through
-    /// `begin_merge` + `install_merge` ends every merge as the same tree.
+    /// and as the live entries inserted so far do. A twin merged by
+    /// `merge_concurrent` ends every merge as the same tree.
     #[test]
     fn repeated_blocking_merges_refit_the_table() {
         let w = 2048usize;
@@ -1838,7 +1927,7 @@ mod tests {
             let earliest = (inserted.len() - live.min(inserted.len())) as Seq;
             let (ts_len, ti_len) = (t.ts_len(), t.ti_len());
             let report = t.merge(earliest);
-            let (twin_report, _) = twin.install_merge(twin.begin_merge(earliest));
+            let twin_report = twin.merge_concurrent(earliest);
             assert_eq!(
                 report.kept_from_ts + report.dropped_expired + report.from_ti,
                 ts_len + ti_len
@@ -2245,6 +2334,130 @@ mod tests {
         oracle.sort();
         got.sort();
         assert_eq!(got, oracle);
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)] // four busy threads; the steps are covered above
+    fn concurrent_merges_take_inserts_and_batch_probes() {
+        // Three threads insert through the batch path and probe in batches
+        // after every other insert, while the test thread runs concurrent
+        // merges back to back until they are done. Every probe finds each
+        // entry inserted before it started — in `TS`, the frozen table or the
+        // fresh one — exactly once, and reports nothing that was not
+        // inserted; after the last install every entry is there once and the
+        // histogram has counted every insert.
+        const THREADS: usize = 3;
+        const PER_THREAD: usize = 2000;
+        let t = merged_tree(1024);
+        let key_of = |i: usize| -> Key {
+            match i % 9 {
+                0 => Key::MIN,
+                1 => Key::MAX,
+                2..=4 => 7,
+                _ => (i * 37 % 1100) as Key,
+            }
+        };
+        // Thread `tid`'s `i`-th entry.
+        let entry_of = |tid: usize, i: usize| {
+            let n = THREADS * i + tid;
+            Entry::new(key_of(n), (1024 + n) as Seq)
+        };
+        let done: [AtomicUsize; THREADS] = Default::default();
+        // Probes that found a frozen table: the merges did overlap.
+        let during = AtomicUsize::new(0);
+        let mut merges = 0;
+        std::thread::scope(|scope| {
+            let inserters: Vec<_> = (0..THREADS)
+                .map(|tid| {
+                    let (t, done, during) = (&t, &done, &during);
+                    scope.spawn(move || {
+                        let mine: Vec<(Key, Seq)> = (0..PER_THREAD)
+                            .map(|i| entry_of(tid, i))
+                            .map(|e| (e.key, e.seq))
+                            .collect();
+                        let ranges = [
+                            KeyRange::new(Key::MIN, 6),
+                            KeyRange::point(7),
+                            KeyRange::new(5, 600),
+                            KeyRange::new(1000, Key::MAX),
+                        ];
+                        let mut counters = ProbeCounters::default();
+                        let mut got = vec![Vec::new(); ranges.len()];
+                        let (mut at, mut n) = (0, 1);
+                        while at < PER_THREAD {
+                            let end = (at + n).min(PER_THREAD);
+                            t.insert_batch(&mine[at..end]);
+                            done[tid].store(end, Ordering::Release);
+                            at = end;
+                            n = n % 17 + 1;
+                            if n % 2 == 1 {
+                                continue;
+                            }
+                            let seen = done.each_ref().map(|d| d.load(Ordering::Acquire));
+                            if t.current.read().frozen_len > 0 {
+                                during.fetch_add(1, Ordering::Relaxed);
+                            }
+                            got.iter_mut().for_each(Vec::clear);
+                            t.probe_batch(&ranges, &mut counters, |i, run| {
+                                got[i].extend_from_slice(run)
+                            });
+                            for (range, got) in ranges.iter().zip(&mut got) {
+                                got.sort_unstable();
+                                assert!(got.windows(2).all(|w| w[0] < w[1]), "{range:?}: twice");
+                                let known = |e: &Entry| match e.seq.checked_sub(1024) {
+                                    None => e.key == e.seq as Key,
+                                    Some(n) => {
+                                        let n = n as usize;
+                                        n / THREADS < PER_THREAD
+                                            && entry_of(n % THREADS, n / THREADS) == *e
+                                    }
+                                };
+                                assert!(got.iter().all(|e| range.contains(e.key) && known(e)));
+                                let expected = (0..1024)
+                                    .map(|i| Entry::new(i as Key, i as Seq))
+                                    .chain((0..THREADS).flat_map(|tid| {
+                                        (0..seen[tid]).map(move |i| entry_of(tid, i))
+                                    }))
+                                    .filter(|e| range.contains(e.key));
+                                for e in expected {
+                                    assert!(
+                                        got.binary_search(&e).is_ok(),
+                                        "{range:?}: {e:?} missing"
+                                    );
+                                }
+                            }
+                        }
+                    })
+                })
+                .collect();
+            // Until every inserter has ended, by finishing or by a failed
+            // assertion, which the scope then raises.
+            while inserters.iter().any(|h| !h.is_finished()) {
+                let report = t.merge_concurrent(0);
+                assert_eq!(report.partitions, t.partition_count());
+                merges += 1;
+            }
+        });
+        assert!(merges >= 2, "merges raced the inserts");
+        assert!(
+            during.load(Ordering::Relaxed) > 0,
+            "no probe ran during a merge"
+        );
+        let total = 1024 + THREADS * PER_THREAD;
+        let oracle: std::collections::BTreeSet<Entry> = (0..1024)
+            .map(|i| Entry::new(i as Key, i as Seq))
+            .chain((0..THREADS).flat_map(|tid| (0..PER_THREAD).map(move |i| entry_of(tid, i))))
+            .collect();
+        let mut got = t.content();
+        got.sort_unstable();
+        assert_eq!(got, oracle.iter().copied().collect::<Vec<_>>());
+        assert_eq!(t.len(), total);
+        assert_eq!(t.insert_histogram().iter().sum::<u64>(), total as u64);
+        t.assert_probes_match_brute_force(&[KeyRange::new(Key::MIN, Key::MAX), KeyRange::point(7)]);
+        // A last merge with a horizon: the tree's first 1 024 entries expire.
+        t.merge_concurrent(1024);
+        assert_eq!(t.len(), total - 1024);
+        assert_eq!(t.ti_len(), 0);
     }
 
     mod staging_properties {

@@ -33,8 +33,8 @@
 //! * **Ingestion** happens behind a try-lock *ingest token*. Whichever
 //!   worker finds the ring running low and wins the token batch-fills it:
 //!   per tuple it checks admission control (the non-indexed window suffix
-//!   stays bounded so probe scans stay short while merges defer index
-//!   updates), snapshots the opposite window's bounds, appends to the own
+//!   stays bounded, so probe scans stay short however far the index updates
+//!   fall behind), snapshots the opposite window's bounds, appends to the own
 //!   window, and publishes the slot. Losing the token means someone else is
 //!   already supplying work, so the loser goes straight to claiming.
 //! * **Acquisition** is a `compare_exchange` ticket claim over the ingested
@@ -83,11 +83,15 @@
 //!   the side's earliest live tuple.
 //!
 //! Index maintenance (the PIM-Tree merge) is coordinated by whichever worker
-//! notices that the merge threshold has been reached: the two-phase
-//! *non-blocking merge* of §4.2 lets the other workers keep joining (without
-//! index updates) while the new `TS` is being built, whereas the blocking
-//! variant (kept for the Figure 13c ablation) stalls all workers for the
-//! duration of the merge.
+//! notices that the merge threshold has been reached. The *non-blocking
+//! merge* of §4.2 quiesces the engine once, to compute the merge horizon,
+//! then reopens the gate and runs [`PimTree::merge_concurrent`]: the other
+//! workers keep joining *and* updating the index, whose inserts land in a
+//! fresh partition table that the tree carries into the new `TS` generation
+//! itself. The blocking variant (kept for the Figure 13c ablation) stalls
+//! all workers for the duration of the merge.
+//!
+//! [`PimTree::merge_concurrent`]: pimtree_core::PimTree::merge_concurrent
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -100,7 +104,7 @@ use pimtree_common::{
     BandPredicate, JoinConfig, JoinResult, Key, KeyRange, LatencyHistogram, MergePolicy, Seq,
     StreamSide, Tuple,
 };
-use pimtree_numa::{DriftMonitor, RangePartitioner};
+use pimtree_numa::{DriftMonitor, RangePartitioner, DRIFT_WINDOW};
 use pimtree_window::WindowBounds;
 
 use crate::gate::QuiesceGate;
@@ -170,11 +174,10 @@ struct DriftState {
     /// A plan that cleared the trigger and the cost gate, awaiting adoption
     /// at the next quiesce point.
     pending: Option<RangePartitioner>,
-    /// Observations since the last drift check (the O(window) imbalance fold
-    /// runs every `check_interval` observations, not per task).
+    /// Observations since the last drift check (the O(sample) imbalance
+    /// fold runs every `check_interval` observations, not per task).
     since_check: usize,
-    /// Observations between drift checks
-    /// ([`DriftConfig::check_interval`](pimtree_common::DriftConfig::check_interval)).
+    /// Observations between drift checks (see [`DRIFT_WINDOW`]).
     check_interval: usize,
 }
 
@@ -207,12 +210,13 @@ struct Params<'a> {
     /// depth it maintains is what sizes a claim (see [`claim_bound`]).
     ingest_target: usize,
     /// Upper bound on the non-indexed window suffix (head minus edge tuple)
-    /// admitted per side. Without a bound, the tuples processed while a merge
-    /// defers index updates pile up un-indexed and every probe's linear scan
-    /// grows with them — quadratic work that flattens multithreaded scaling
-    /// and blows up latency. Ingestion stalls briefly once the bound is hit;
-    /// the backlog drains as soon as the merge finishes replaying its pending
-    /// updates.
+    /// admitted per side: a safety bound. Index updates go on during merges,
+    /// so the suffix only outgrows the ring depth when a worker falls behind
+    /// (descheduled mid-task, or a blocking merge holding the index); without
+    /// a bound, every probe's linear scan would grow with the backlog —
+    /// quadratic work that flattens multithreaded scaling and blows up
+    /// latency. Ingestion stalls once the bound is hit, counted in
+    /// `RingCounters::ingest_stalls`.
     max_unindexed: usize,
     self_join: bool,
     merge_policy: MergePolicy,
@@ -264,10 +268,6 @@ struct Shared<'a> {
     /// drainer takes on every drain (`arrival_latency` under open-loop
     /// pacing) turned those writes into misses.
     gate: CachePadded<QuiesceGate>,
-    /// Set per side while a non-blocking merge is in phase 1: workers buffer
-    /// their index updates instead of applying them.
-    no_index_updates: [AtomicBool; 2],
-    pending: [Mutex<Vec<(Key, Seq)>>; 2],
     merge_claimed: AtomicBool,
     /// Drift monitoring for live repartition adoption; `None` when the
     /// feature is off (or the engine runs unsharded / unrouted), in which
@@ -298,6 +298,8 @@ struct Shared<'a> {
     poisoned: AtomicBool,
     #[cfg(test)]
     fault_at: Option<u64>,
+    #[cfg(test)]
+    fault_in_merge: bool,
     #[cfg(test)]
     merge_storm: bool,
 }
@@ -345,6 +347,11 @@ pub struct ParallelIbwj {
     /// Fault hook: the worker that claims this ring slot panics.
     #[cfg(test)]
     fault_at: Option<u64>,
+    /// Fault hook: a worker that runs a non-blocking merge panics after it
+    /// has computed the horizon and reopened the gate, holding the
+    /// maintenance claim while the other workers join on.
+    #[cfg(test)]
+    fault_in_merge: bool,
     /// Merge hook: see [`merge_storm`].
     #[cfg(test)]
     merge_storm: bool,
@@ -382,6 +389,8 @@ impl ParallelIbwj {
             open_loop_rate: None,
             #[cfg(test)]
             fault_at: None,
+            #[cfg(test)]
+            fault_in_merge: false,
             #[cfg(test)]
             merge_storm: false,
             #[cfg(test)]
@@ -552,8 +561,8 @@ impl ParallelIbwj {
         };
         // The un-indexed suffix in steady state is what waits in the ring
         // plus what the workers hold claimed; the admission bound sits at
-        // four times that (floored for small engines) so that it only binds
-        // while a merge defers index updates, never on the normal depth.
+        // four times that (floored for small engines) so that it never binds
+        // on the normal depth.
         let in_flight = threads * claim_bound(ingest_target, threads, task_size);
         let max_unindexed = (4 * (ingest_target + in_flight)).max(1024);
         // The window must keep slots readable well past expiry: in-flight
@@ -603,17 +612,16 @@ impl ParallelIbwj {
             next_ingest: CachePadded::new(AtomicUsize::new(0)),
             claim_meta: (0..shards).map(|_| Default::default()).collect(),
             gate: CachePadded::new(QuiesceGate::new()),
-            no_index_updates: [AtomicBool::new(false), AtomicBool::new(false)],
-            pending: [Mutex::new(Vec::new()), Mutex::new(Vec::new())],
             merge_claimed: AtomicBool::new(false),
             drift: if drift_on {
                 partitioner.clone().map(|p| {
+                    let sample = DRIFT_WINDOW.min(4 * self.config.max_window());
                     Mutex::new(DriftState {
-                        monitor: DriftMonitor::new(self.config.drift.window),
+                        monitor: DriftMonitor::new(sample),
                         partitioner: p,
                         pending: None,
                         since_check: 0,
-                        check_interval: self.config.drift.check_interval(),
+                        check_interval: (sample / 8).max(64),
                     })
                 })
             } else {
@@ -633,6 +641,8 @@ impl ParallelIbwj {
             #[cfg(test)]
             fault_at: self.fault_at,
             #[cfg(test)]
+            fault_in_merge: self.fault_in_merge,
+            #[cfg(test)]
             merge_storm: self.merge_storm,
         };
 
@@ -650,7 +660,7 @@ impl ParallelIbwj {
             run_workers(&shared, threads);
             let mut discarded = JoinRunStats::default();
             adopt_armed_forced_plan(&shared, &mut discarded);
-            while merge_due(&shared, 0, &mut discarded) {}
+            while merge_due(&shared, &mut discarded) {}
             shared.worker_stats.lock().clear();
             let (_, results) = std::mem::take(&mut *shared.drain.sink.lock());
             warmup_results = results;
@@ -797,7 +807,7 @@ fn worker_loop(shared: &Shared<'_>, worker: usize) {
         // migration stall totals), not as one of the five phases; a visit
         // that found nothing to do is a few loads and rides on `acquire`.
         let maintained = maybe_repartition(shared, &mut local);
-        if maybe_merge(shared, home, &mut local) || maintained {
+        if maybe_merge(shared, &mut local) || maintained {
             mark = Instant::now();
         }
         let acquired = acquire_task(shared, home, &mut scratch, &mut local);
@@ -1038,12 +1048,7 @@ fn process_task(
     scratch.inserts[0].clear();
     scratch.inserts[1].clear();
     for &ClaimedTask { tuple, .. } in &scratch.items {
-        let own = shared.own_idx(tuple.side);
-        if shared.no_index_updates[own].load(Ordering::Acquire) {
-            shared.pending[own].lock().push((tuple.key, tuple.seq));
-        } else {
-            scratch.inserts[own].push((tuple.key, tuple.seq));
-        }
+        scratch.inserts[shared.own_idx(tuple.side)].push((tuple.key, tuple.seq));
     }
     for own in 0..2 {
         if scratch.inserts[own].is_empty() {
@@ -1253,8 +1258,7 @@ fn check_drift(
 /// 1. **Claim.** The engine's single maintenance claim (`merge_claimed`)
 ///    serialises epochs against merges: a migration never swaps a tree out
 ///    from under a running merge, and never observes a half-merged side
-///    (phase-1 pending buffers are always drained before the claim is
-///    released).
+///    (a merge installs before it releases the claim).
 /// 2. **Quiesce.** The gate stops task acquisition *and* ingestion (workers
 ///    only ingest behind the gate check), then the epoch waits for
 ///    `in_flight == 0`. Tuples not yet ingested simply wait in the input —
@@ -1301,7 +1305,7 @@ fn maybe_repartition(shared: &Shared<'_>, stats: &mut JoinRunStats) -> bool {
         shared.drift.as_ref().and_then(|d| d.lock().pending.take())
     };
     let Some(new_partitioner) = new_partitioner else {
-        open_gate(shared);
+        shared.gate.open();
         shared.merge_claimed.store(false, Ordering::Release);
         return true;
     };
@@ -1340,7 +1344,7 @@ fn maybe_repartition(shared: &Shared<'_>, stats: &mut JoinRunStats) -> bool {
     } else {
         shared.repartition_pending.store(false, Ordering::Release);
     }
-    open_gate(shared);
+    shared.gate.open();
     shared.merge_claimed.store(false, Ordering::Release);
     // The tail (drift bookkeeping + gate reopen) rides on the gate cause:
     // it is the cost of operating the gate, not of moving state.
@@ -1385,25 +1389,21 @@ fn forced_plan_armed<'s>(shared: &'s Shared<'_>) -> Option<&'s RangePartitioner>
 
 // ------------------------------------------------------------------- merge
 
-/// Closes the gate and waits for the tasks in flight. `false` means the
+/// Waits for the tasks in flight once the gate is closed. `false` means the
 /// engine is poisoned and will never quiesce: the caller abandons its
 /// maintenance as it stands (claim held, gate closed) and returns, and its
 /// worker loop ends at the next poison check.
 #[must_use]
-fn close_gate_and_wait(shared: &Shared<'_>) -> bool {
-    shared.gate.close();
-    await_quiesce(shared)
-}
-
 fn await_quiesce(shared: &Shared<'_>) -> bool {
     shared
         .gate
         .await_quiesce_unless(|| shared.poisoned.load(Ordering::SeqCst))
 }
 
-/// [`close_gate_and_wait`] with stall-cause attribution: the gate store and
-/// the in-flight drain spin become the first two laps of the quiesce, so the
-/// per-cause segments tile the stall exactly from its first instruction.
+/// Closes the gate and waits for the tasks in flight ([`await_quiesce`]),
+/// with stall-cause attribution: the gate store and the in-flight drain spin
+/// become the first two laps of the quiesce, so the per-cause segments tile
+/// the stall exactly from its first instruction.
 #[must_use]
 fn close_gate_and_wait_attributed(shared: &Shared<'_>, lap: &mut StallLap) -> bool {
     shared.gate.close();
@@ -1411,10 +1411,6 @@ fn close_gate_and_wait_attributed(shared: &Shared<'_>, lap: &mut StallLap) -> bo
     let quiesced = await_quiesce(shared);
     lap.lap(StallCause::InFlightDrain);
     quiesced
-}
-
-fn open_gate(shared: &Shared<'_>) {
-    shared.gate.open();
 }
 
 /// The oldest sequence number (per merged side) that any queued or future
@@ -1481,19 +1477,19 @@ fn merge_storm(shared: &Shared<'_>) -> bool {
 
 /// A worker's merge visit: [`merge_due`], or under the test hook
 /// [`merge_storm`].
-fn maybe_merge(shared: &Shared<'_>, home: usize, local: &mut JoinRunStats) -> bool {
+fn maybe_merge(shared: &Shared<'_>, local: &mut JoinRunStats) -> bool {
     #[cfg(test)]
     if shared.merge_storm {
         return merge_storm(shared);
     }
-    merge_due(shared, home, local)
+    merge_due(shared, local)
 }
 
 /// Merges every side whose mutable component reached its threshold, unless
 /// another thread holds the maintenance claim or a repartition plan is
 /// waiting for it ([`merges_defer_to_epoch`]). Returns whether this visit
 /// merged anything (see [`maybe_repartition`]).
-fn merge_due(shared: &Shared<'_>, home: usize, local: &mut JoinRunStats) -> bool {
+fn merge_due(shared: &Shared<'_>, local: &mut JoinRunStats) -> bool {
     let mut merged = false;
     for side in 0..if shared.params.self_join { 1 } else { 2 } {
         if merges_defer_to_epoch(shared) || shared.store.merge_candidate(side).is_none() {
@@ -1514,49 +1510,28 @@ fn merge_due(shared: &Shared<'_>, home: usize, local: &mut JoinRunStats) -> bool
             return merged;
         };
         let merge_start = Instant::now();
+        // The horizon needs the engine quiescent. The blocking merge keeps it
+        // so; the non-blocking one lets the workers go on at once, since
+        // tasks claimed after the horizon probe no further back and the tree
+        // takes their inserts and probes while it merges.
+        shared.gate.close();
+        if !await_quiesce(shared) {
+            return true;
+        }
+        let horizon = merge_horizon(shared, side);
         let report = match shared.params.merge_policy {
             MergePolicy::Blocking => {
-                if !close_gate_and_wait(shared) {
-                    return true;
-                }
-                let horizon = merge_horizon(shared, side);
                 let report = pim.merge(horizon);
-                open_gate(shared);
+                shared.gate.open();
                 report
             }
             MergePolicy::NonBlocking => {
-                // Phase 1: stop index updates for this side, then build the
-                // next generation while the other workers keep joining.
-                if !close_gate_and_wait(shared) {
-                    return true;
+                shared.gate.open();
+                #[cfg(test)]
+                if shared.fault_in_merge {
+                    panic!("injected worker fault");
                 }
-                shared.no_index_updates[side].store(true, Ordering::Release);
-                let horizon = merge_horizon(shared, side);
-                open_gate(shared);
-                let prepared = pim.begin_merge(horizon);
-                // Phase 2: swap the tree under a closed gate, then re-open it
-                // *before* replaying the updates buffered during phase 1 — the
-                // paper's workers resume joining (with index updates) while the
-                // merging thread drains the pending list. Pending tuples stay
-                // reachable through the linear window scan until they are
-                // marked indexed, so probes remain correct throughout. The
-                // replay goes through the store, which routes each buffered
-                // tuple back to the shard owning its key (phase 1 buffered the
-                // whole side, not just the merging shard).
-                if !close_gate_and_wait(shared) {
-                    return true;
-                }
-                let (report, retired) = pim.install_merge(prepared);
-                let pending = std::mem::take(&mut *shared.pending[side].lock());
-                shared.no_index_updates[side].store(false, Ordering::Release);
-                open_gate(shared);
-                // Freeing the old generation is the merging thread's work,
-                // not something the quiesced workers should wait for.
-                drop(retired);
-                for chunk in pending.chunks(4096) {
-                    shared.store.insert_batch(side, chunk, home, local);
-                }
-                report
+                pim.merge_concurrent(horizon)
             }
         };
         local.breakdown.record_nanos(
@@ -1717,6 +1692,39 @@ mod tests {
                     "{threads} workers, {policy:?}"
                 );
             }
+        }
+    }
+
+    /// A worker that panics in the middle of a non-blocking merge, holding
+    /// the maintenance claim with the gate open and the other workers
+    /// joining, ends the run with its panic instead of hanging it.
+    #[test]
+    fn worker_panic_during_a_nonblocking_merge_ends_the_run() {
+        let tuples = random_tuples(20_000, 400, 41);
+        for threads in [1, 2, 4] {
+            let mut op = ParallelIbwj::new(
+                config(64, threads, 4, 0.25, MergePolicy::NonBlocking),
+                BandPredicate::new(2),
+                SharedIndexKind::PimTree,
+                false,
+            );
+            op.fault_in_merge = true;
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let input = tuples.clone();
+            std::thread::spawn(move || {
+                let outcome =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| op.run(&input)));
+                let _ = done_tx.send(outcome.map(|_| ()));
+            });
+            let outcome = done_rx
+                .recv_timeout(Duration::from_secs(1))
+                .unwrap_or_else(|_| panic!("{threads} workers: run hangs"));
+            let panic = outcome.expect_err("the merging worker's panic must reach the caller");
+            assert_eq!(
+                panic.downcast_ref::<&str>(),
+                Some(&"injected worker fault"),
+                "{threads} workers"
+            );
         }
     }
 
@@ -2714,11 +2722,9 @@ mod tests {
                         // Range placement keeps inserts local: the ring and
                         // the store route with one partitioner, so a home
                         // claim inserts on its own shard and a stolen tuple
-                        // inserts remotely. Not under `NonBlocking`, whose
-                        // post-merge replay of the pending list inserts
-                        // with the merging worker's home, nor under a
-                        // forced epoch, which re-homes keys mid-run.
-                        if policy == MergePolicy::Blocking && !arm.forced_epoch {
+                        // inserts remotely, under either merge policy. Not
+                        // under a forced epoch, which re-homes keys mid-run.
+                        if !arm.forced_epoch {
                             assert_eq!(
                                 stats.store.local_inserts, stats.shard.local_tuples,
                                 "home claims insert locally ({label})"
@@ -3058,9 +3064,7 @@ mod tests {
             let shard_cfg = ShardConfig::default()
                 .with_shards(shards)
                 .with_partition_index(true);
-            let drift = pimtree_common::DriftConfig::default()
-                .with_repartition(true)
-                .with_window(512);
+            let drift = pimtree_common::DriftConfig::default().with_repartition(true);
             let on = ParallelIbwj::new(
                 config(128, 4, 4, 0.5, MergePolicy::NonBlocking)
                     .with_shard(shard_cfg)
@@ -3134,11 +3138,7 @@ mod tests {
                             .with_shards(shards)
                             .with_partition_index(true),
                     )
-                    .with_drift(
-                        pimtree_common::DriftConfig::default()
-                            .with_repartition(true)
-                            .with_window(512),
-                    ),
+                    .with_drift(pimtree_common::DriftConfig::default().with_repartition(true)),
                 predicate,
                 SharedIndexKind::PimTree,
                 false,
@@ -3216,9 +3216,7 @@ mod tests {
         let expected = canonical(&reference_join(&tuples, predicate, 128, 128, false));
         assert!(!expected.is_empty());
         let first: Vec<Key> = tuples[..tuples.len() / 2].iter().map(|t| t.key).collect();
-        let drift = pimtree_common::DriftConfig::default()
-            .with_repartition(true)
-            .with_window(512);
+        let drift = pimtree_common::DriftConfig::default().with_repartition(true);
         let cfg = config(128, 4, 4, 0.5, MergePolicy::NonBlocking)
             .with_shard(
                 ShardConfig::default()
@@ -3436,7 +3434,6 @@ mod tests {
                 shards in 1usize..5,
                 partition_index in prop::bool::ANY,
                 repartition in prop::bool::ANY,
-                drift_window in prop::sample::select(vec![1usize, 64, 4096]),
                 broken in 0usize..16,
             ) {
                 let policy = if blocking {
@@ -3452,9 +3449,7 @@ mod tests {
                             .with_partition_index(partition_index),
                     )
                     .with_drift(
-                        pimtree_common::DriftConfig::default()
-                            .with_repartition(repartition)
-                            .with_window(drift_window),
+                        pimtree_common::DriftConfig::default().with_repartition(repartition),
                     );
                 cfg.window_r = window_r;
                 cfg.window_s = window_s;
@@ -3466,7 +3461,6 @@ mod tests {
                     3 => cfg.task_size = 0,
                     4 => cfg.pim.merge_ratio = [0.0, 1.5, f64::NAN][seed as usize % 3],
                     5 => cfg.shard.shards = [0, 65][seed as usize % 2],
-                    6 => cfg.drift.window = 0,
                     _ => {}
                 }
                 let predicate = BandPredicate::new(2);

@@ -571,7 +571,7 @@ impl ShardStore {
     }
 
     /// The PIM-Tree of `(side, shard)`, if that backend is active (the merge
-    /// coordinator drives the two-phase merge on it directly). Returns an
+    /// coordinator runs the non-blocking merge on it directly). Returns an
     /// owning handle so the caller does not pin the shard table read-locked
     /// across the merge; the engine's maintenance claim guarantees no
     /// migration epoch replaces the tree while the merge runs.

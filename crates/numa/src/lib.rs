@@ -22,5 +22,5 @@
 pub mod partition;
 
 pub use partition::{
-    DriftMonitor, PartitionLoad, RangePartitioner, RepartitionPlan, IMBALANCE_TRIGGER,
+    DriftMonitor, PartitionLoad, RangePartitioner, RepartitionPlan, DRIFT_WINDOW, IMBALANCE_TRIGGER,
 };

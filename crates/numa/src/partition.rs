@@ -201,6 +201,15 @@ impl RangePartitioner {
 /// recommends a repartition (1.0 = perfectly balanced).
 pub const IMBALANCE_TRIGGER: f64 = 1.5;
 
+/// Largest capacity of the parallel engine's [`DriftMonitor`]: the sliding
+/// sample of observations a repartition plan is computed from, and the
+/// cooldown after a plan decision, in tuples. The engine caps it at four
+/// join windows, so that a plan is not computed from keys that left the
+/// windows long ago, and checks for drift every eighth of it (at least 64
+/// observations apart), so the O(sample) imbalance fold stays off the
+/// per-task path.
+pub const DRIFT_WINDOW: usize = 4096;
+
 /// Drift-driven repartition hook: accumulates a sliding sample of
 /// `(key, output_weight)` observations and decides when the observed load
 /// has drifted far enough from a partitioning to justify the data transfer a

@@ -168,8 +168,7 @@ impl SlidingWindow {
     /// A plain `Release` store of the whole flag byte, not a read-modify-
     /// write: between its append and the recycling of its slot, the byte of
     /// `seq` has one writer after [`append`](Self::append) — the task that
-    /// indexes the tuple, or the merge replay standing in for it — so there
-    /// is no concurrent bit to preserve. The caller must have appended `seq`
+    /// indexes the tuple — so there is no concurrent bit to preserve. The caller must have appended `seq`
     /// and not let its slot be recycled.
     #[inline]
     pub fn mark_indexed(&self, seq: Seq) {
