@@ -99,7 +99,6 @@ fn main() {
             "idle_park",
             "probe_batches",
             "mean_probe_batch",
-            "probe_dedup_rate",
             "nodes_prefetched",
             "shards",
             "steal_tasks",
@@ -178,7 +177,6 @@ fn main() {
             stats.ring.idle_parks.to_string(),
             stats.probe.batches.to_string(),
             format!("{:.2}", stats.probe.mean_batch_size()),
-            format!("{:.3}", stats.probe.dedup_rate()),
             stats.probe.nodes_prefetched.to_string(),
             stats.shard.shards.to_string(),
             stats.shard.steal_tasks.to_string(),

@@ -1,6 +1,6 @@
-//! Shared helpers for the `figs` binary and the engine profilers: the flag
-//! parser, workload generation with match-rate calibration, and one
-//! runner per operator kind.
+//! Shared helpers for the `figs` binary and the `engine_profile` profiler:
+//! the flag parser, workload generation with match-rate calibration, and
+//! one runner per operator kind.
 
 use pimtree_common::{
     BandPredicate, DriftConfig, IndexKind, JoinConfig, PimConfig, ShardConfig, Tuple,
@@ -14,8 +14,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Every flag a command line may carry, in the order of README's two flag
-/// tables: `figs` reads the first [`FIGURE_FLAGS`], the profilers all of
-/// them.
+/// tables: `figs` reads the first [`FIGURE_FLAGS`], `engine_profile` all
+/// of them.
 const FLAGS: [&str; 12] = [
     "--min-exp",
     "--max-exp",
@@ -34,7 +34,7 @@ const FLAGS: [&str; 12] = [
 /// How many of [`FLAGS`] `figs` reads.
 const FIGURE_FLAGS: usize = 7;
 
-/// Command-line options shared by `figs` and the profilers.
+/// Command-line options shared by `figs` and `engine_profile`.
 #[derive(Debug, Clone)]
 pub struct RunOpts {
     /// Smallest window-size exponent in a sweep (`w = 2^min_exp`).
@@ -464,8 +464,8 @@ mod tests {
 
     #[test]
     fn every_documented_command_line_parses() {
-        // The profilers' command lines in the docs, and every other flag
-        // they read.
+        // The profiler's command lines in the docs, and every other flag
+        // it reads.
         for line in [
             "--tuples=65536 --shards=4",
             "--ingest-target=64 --task-size=2",
@@ -478,7 +478,7 @@ mod tests {
         ] {
             parse(line, false).unwrap_or_else(|e| panic!("{line}: {e}"));
         }
-        // `--threads=N` runs exactly N workers; without it a profiler
+        // `--threads=N` runs exactly N workers; without it the profiler
         // sweeps the powers of two up to the host's parallelism.
         let pinned = parse("--threads=3", false).unwrap();
         assert_eq!((pinned.workers(), pinned.thread_sweep()), (3, vec![3]));
@@ -508,7 +508,7 @@ mod tests {
             ("--sample=", false, "--sample"),
             ("--max-exp=64", false, "overflows"),
             ("--min-exp=12 --max-exp=11", false, "--min-exp"),
-            // The profilers take no positional argument; `figs` reads no
+            // The profiler takes no positional argument; `figs` reads no
             // engine flag.
             ("9a", false, "9a"),
             ("--shards=2", true, "--shards"),
@@ -521,7 +521,7 @@ mod tests {
 
     /// README's flag tables and the parser cannot drift apart: the first
     /// table lists exactly the flags `figs` accepts, the second exactly the
-    /// ones only the profilers accept, and every documented flag parses
+    /// ones only the profiler accepts, and every documented flag parses
     /// with a value of its documented form.
     #[test]
     fn readme_flag_tables_match_the_parser() {

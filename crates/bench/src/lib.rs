@@ -3,9 +3,8 @@
 //! [`figures::FIGURES`] is the paper's figures 8–14 as one table; the `figs`
 //! binary runs the figures named on its command line (`figs 9a 13c`), or all
 //! of them, and prints each as a `#` banner, a CSV header and CSV rows. The
-//! other binaries are diagnostics of the parallel engine: `engine_profile`
-//! breaks a run down by phase, and `ext_numa` measures range placement on
-//! the partitioned store. [`harness`] holds what they share: the
+//! other binary, `engine_profile`, is a diagnostic of the parallel engine:
+//! it breaks a run down by phase. [`harness`] holds what they share: the
 //! flag parser, workload generation with match-rate calibration, and one
 //! runner per operator kind.
 //!

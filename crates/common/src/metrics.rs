@@ -142,22 +142,20 @@ impl CostBreakdown {
 pub struct ProbeCounters {
     /// Batched probe calls (one per task and probe side).
     pub batches: u64,
-    /// Probe keys submitted across all batches (before deduplication).
+    /// Probe ranges submitted across all batches.
     pub batched_keys: u64,
     /// Largest single batch submitted.
     pub max_batch: u64,
-    /// Keys that shared a descent with an identical earlier key in the same
-    /// batch (sort + dedup hits).
-    pub dedup_hits: u64,
     /// Node key blocks (inner nodes and leaf groups) software-prefetched
     /// ahead of the group descent.
     pub nodes_prefetched: u64,
     /// Probes answered one range at a time by an index without a group
-    /// probe: every backend but the PIM-Tree (Bw-Tree, chained, B+-Tree,
-    /// IM-Tree).
+    /// probe: every backend but the shared PIM-Tree (Bw-Tree, chained,
+    /// B+-Tree, IM-Tree, and the single-threaded operator's exclusively
+    /// owned PIM-Tree).
     pub scalar_probes: u64,
     /// Mutable-partition (`TI`) locks taken by the batched probe path, which
-    /// groups a batch's unique ranges per partition so every overlapping
+    /// groups a batch's ranges per partition so every overlapping
     /// partition is locked once per batch instead of once per range.
     pub ti_partition_locks: u64,
     /// Range-over-partition probes answered by the batched `TI` path. The
@@ -177,7 +175,6 @@ impl ProbeCounters {
         self.batches += other.batches;
         self.batched_keys += other.batched_keys;
         self.max_batch = self.max_batch.max(other.max_batch);
-        self.dedup_hits += other.dedup_hits;
         self.nodes_prefetched += other.nodes_prefetched;
         self.scalar_probes += other.scalar_probes;
         self.ti_partition_locks += other.ti_partition_locks;
@@ -191,16 +188,6 @@ impl ProbeCounters {
             0.0
         } else {
             self.batched_keys as f64 / self.batches as f64
-        }
-    }
-
-    /// Fraction of batched keys that shared an identical earlier key's
-    /// descent.
-    pub fn dedup_rate(&self) -> f64 {
-        if self.batched_keys == 0 {
-            0.0
-        } else {
-            self.dedup_hits as f64 / self.batched_keys as f64
         }
     }
 }

@@ -460,39 +460,6 @@ impl Generation {
                 .range_runs(range, &mut *f);
         }
     }
-
-    /// The immutable half of the instrumented probe (fig 9b), shared by both
-    /// forms: the one descent of `TS` timed as [`Step::Search`], then, with
-    /// the scan's clock started, `TS`'s run and the frozen table's copied
-    /// out. Returns the copy, the partitions still to scan and the scan's
-    /// start, which the caller charges to [`Step::Scan`] once it has scanned
-    /// them.
-    fn probe_immutable_timed(
-        &self,
-        range: KeyRange,
-        breakdown: &mut CostBreakdown,
-    ) -> (Vec<Entry>, Range<usize>, Instant) {
-        let search_start = Instant::now();
-        let (start, group) = self.ts.lower_bound_with_group(Entry::min_for_key(range.lo));
-        breakdown.record(Step::Search, search_start.elapsed());
-
-        let scan_start = Instant::now();
-        let run = self.ts.run_from(start, range.hi);
-        let span = self.overlapped_partitions(range, group, start + run.len());
-        let mut out = run.to_vec();
-        for run in self.frozen.get(span.clone()).unwrap_or_default() {
-            run.range_runs(range, |run| out.extend_from_slice(run));
-        }
-        (out, self.ti_visits(span), scan_start)
-    }
-}
-
-/// Counts a probe batch of `n > 0` ranges.
-#[inline]
-fn count_batch(counters: &mut ProbeCounters, n: usize) {
-    counters.batches += 1;
-    counters.batched_keys += n as u64;
-    counters.max_batch = counters.max_batch.max(n as u64);
 }
 
 /// The mutable half of every multi-range probe: answers `(partition, range
@@ -509,7 +476,8 @@ fn count_batch(counters: &mut ProbeCounters, n: usize) {
 ///
 /// `pairs` usually arrives sorted — one range per partition, and ranges
 /// ascending because the engine sorts each batch by key — and is then used
-/// as it is; otherwise it is sorted here.
+/// as it is; otherwise (ranges out of order, or several ranges sharing a
+/// partition) it is sorted here.
 fn visit_partitions<F: FnMut(usize, &[Entry])>(
     gen: &Generation,
     pairs: &mut [(usize, usize)],
@@ -569,18 +537,14 @@ fn live_merge<'r>(
     merge.finish()
 }
 
-/// Sort/dedup bookkeeping and group-descent cursors of
+/// The group-descent cursors and partition visits of
 /// [`PimTree::probe_batch`], kept per thread so the hot path reuses its
-/// buffers instead of allocating five vectors per task.
+/// buffers instead of allocating four vectors per task.
 #[derive(Default)]
 struct ProbeScratch {
-    order: Vec<usize>,
-    uniq: Vec<KeyRange>,
-    starts: Vec<usize>,
     targets: Vec<Entry>,
     positions: Vec<usize>,
     groups: Vec<usize>,
-    ends: Vec<usize>,
     pairs: Vec<(usize, usize)>,
 }
 
@@ -594,12 +558,12 @@ thread_local! {
 /// All operations take `&self`; concurrent inserts and range lookups from any
 /// number of threads are coordinated by per-partition locks, while the
 /// immutable component is traversed without any synchronisation. An owner
-/// that never shares the tree calls the `_mut` forms of the per-tuple
+/// that never shares the tree calls the `&mut self` forms of the per-tuple
 /// operations instead ([`PimTree::insert_batch_mut`],
-/// [`PimTree::range_runs_mut`], [`PimTree::probe_batch_mut`],
-/// [`PimTree::needs_merge_mut`], [`PimTree::probe_with_breakdown_mut`]):
-/// the same routes, runs and counters, reached through `get_mut`, so they
-/// take no lock and no atomic read-modify-write. Merges are either blocking
+/// [`PimTree::range_runs_mut`], [`PimTree::needs_merge_mut`], and the
+/// instrumented [`PimTree::probe_with_breakdown`]): the same routes, runs
+/// and merge-due answers, reached through `get_mut`, so they take no lock
+/// and no atomic read-modify-write. Merges are either blocking
 /// ([`PimTree::merge`]) or concurrent ([`PimTree::merge_concurrent`], §4.2),
 /// which takes inserts and probes while it builds the next `TS`.
 #[derive(Debug)]
@@ -779,27 +743,26 @@ impl PimTree {
     /// tuples (callers filter by sequence number). Per range, the runs arrive
     /// exactly as [`PimTree::range_runs`] would deliver them: the immutable
     /// component's slice, then the overlapping mutable partitions ascending.
-    /// Identical ranges of one batch are handed the same slices.
+    /// The ranges may come in any order and may repeat; each is answered as
+    /// given, with one descent of its own.
     ///
-    /// The batch is sorted (unless it arrives sorted by `(lo, hi)`) and
-    /// deduplicated (identical ranges share one descent), then the immutable component is descended level-by-level for
-    /// the whole group with software prefetching
-    /// (`CssTree::lower_bound_batch`), all under a single acquisition of the
-    /// generation lock — one lock round-trip per task instead of one per
-    /// tuple. The mutable component is batched too: each range's overlapping
-    /// partition interval is derived *arithmetically* from the group
-    /// descent's leaf group (the routing node at the insertion depth is an
-    /// ancestor of it — no second root-to-leaf walk), and the partitions are
-    /// then visited partition-major, so a partition overlapped by many
-    /// ranges is locked once per batch instead of once per range.
-    /// `counters` records batch sizes, dedup hits, nodes prefetched, SIMD
-    /// work and the mutable-side lock grouping. This is the PIM-Tree's one
-    /// multi-range probe: a batch of one degenerates to the scalar descent
-    /// (there is nothing to group, dedup or prefetch ahead of), which derives
-    /// its partitions by the same arithmetic and skips the batch bookkeeping
-    /// entirely; either way a range costs one descent. The sort/dedup/cursor
-    /// buffers of larger batches are reused through a per-thread scratch, so
-    /// the steady state allocates nothing.
+    /// The immutable component is descended level-by-level for the whole
+    /// batch with software prefetching (`CssTree::lower_bound_batch`), under
+    /// a single acquisition of the generation lock — one lock round-trip per
+    /// task instead of one per tuple. A batch sorted by key, as the engine
+    /// hands it over, visits the nodes left to right. The mutable component
+    /// is batched too: each range's overlapping partition interval is derived
+    /// *arithmetically* from the group descent's leaf group (the routing node
+    /// at the insertion depth is an ancestor of it — no second root-to-leaf
+    /// walk), and the partitions are then visited partition-major, so a
+    /// partition overlapped by many ranges is locked once per batch instead
+    /// of once per range. `counters` records batch sizes, nodes prefetched,
+    /// SIMD work and the mutable-side lock grouping. A batch of one
+    /// degenerates to the scalar descent (there is nothing to prefetch ahead
+    /// of), which derives its partitions by the same arithmetic; either way a
+    /// range costs one descent. The cursor buffers of larger batches are
+    /// reused through a per-thread scratch, so the steady state allocates
+    /// nothing.
     pub fn probe_batch<F: FnMut(usize, &[Entry])>(
         &self,
         ranges: &[KeyRange],
@@ -810,7 +773,9 @@ impl PimTree {
         if n == 0 {
             return;
         }
-        count_batch(counters, n);
+        counters.batches += 1;
+        counters.batched_keys += n as u64;
+        counters.max_batch = counters.max_batch.max(n as u64);
 
         let gen = self.current.read();
         if n == 1 {
@@ -821,132 +786,75 @@ impl PimTree {
         // re-entrant callback from panicking: an inner call simply starts
         // from an empty default and the outer buffers win the put-back.
         let mut s = PROBE_SCRATCH.with(|cell| cell.take());
-        // Sort the batch so equal ranges are adjacent (deduplicated below)
-        // and the group descent visits nodes left to right. The engine hands
-        // its batches over sorted by key already; a linear check then
-        // replaces the sort.
-        s.order.clear();
-        s.order.extend(0..n);
-        if !ranges.is_sorted_by_key(|r| (r.lo, r.hi)) {
-            s.order
-                .sort_unstable_by_key(|&i| (ranges[i].lo, ranges[i].hi));
-        }
-        s.uniq.clear();
-        s.starts.clear();
-        for (pos, &i) in s.order.iter().enumerate() {
-            if s.uniq.last() != Some(&ranges[i]) {
-                s.uniq.push(ranges[i]);
-                s.starts.push(pos);
-            }
-        }
-        s.starts.push(n);
-        counters.dedup_hits += (n - s.uniq.len()) as u64;
 
-        // One level-wise group descent resolves every unique range's start
-        // position in the immutable component and records the leaf group the
-        // descent landed in — the partition-routing node at the insertion
-        // depth is an arithmetic ancestor of that group, so the mutable-side
-        // routing below never re-descends from the root.
+        // One level-wise group descent resolves every range's start position
+        // in the immutable component and records the leaf group the descent
+        // landed in — the partition-routing node at the insertion depth is an
+        // arithmetic ancestor of that group, so the mutable-side routing
+        // below never re-descends from the root.
         s.targets.clear();
         s.targets
-            .extend(s.uniq.iter().map(|r| Entry::min_for_key(r.lo)));
+            .extend(ranges.iter().map(|r| Entry::min_for_key(r.lo)));
         gen.ts
             .lower_bound_batch(&s.targets, &mut s.positions, &mut s.groups, counters);
         let ti_populated = gen.ti_len.0.load(Ordering::Relaxed) > 0;
+        let mutable = ti_populated || gen.frozen_len > 0;
 
-        // Immutable component first: per unique range, `TS`'s run is emitted
-        // before any `TI` run, exactly like the scalar probe. The run's end
-        // position doubles as the upper routing bound for the mutable side
+        // Immutable component first: per range, `TS`'s run is emitted before
+        // any `TI` run, exactly like the scalar probe. The run's end position
+        // doubles as the upper routing bound for the mutable side
         // (`Generation::overlapped_partitions`).
-        s.ends.clear();
-        for (j, &range) in s.uniq.iter().enumerate() {
+        s.pairs.clear();
+        for (j, &range) in ranges.iter().enumerate() {
             let start = s.positions[j];
             let run = gen.ts.run_from(start, range.hi);
             if !run.is_empty() {
-                for &i in &s.order[s.starts[j]..s.starts[j + 1]] {
-                    f(i, run);
-                }
+                f(j, run);
             }
-            s.ends.push(start + run.len());
-        }
-
-        // Mutable component, batched: each unique range's overlapping
-        // partition interval is derived arithmetically. A frozen table
-        // answers first, range by range; then the partitions are visited
-        // partition-major (`visit_partitions`).
-        if ti_populated || gen.frozen_len > 0 {
-            s.pairs.clear();
-            for (j, &range) in s.uniq.iter().enumerate() {
-                let partitions = gen.overlapped_partitions(range, s.groups[j], s.ends[j]);
+            if mutable {
+                let partitions = gen.overlapped_partitions(range, s.groups[j], start + run.len());
                 s.pairs.extend(partitions.map(|p| (p, j)));
             }
-            let mut emit = |j: usize, run: &[Entry]| {
-                for &i in &s.order[s.starts[j]..s.starts[j + 1]] {
-                    f(i, run);
-                }
-            };
-            if gen.frozen_len > 0 {
-                for &(p, j) in &s.pairs {
-                    gen.frozen[p].range_runs(s.uniq[j], |run| emit(j, run));
-                }
+        }
+
+        // Mutable component, batched: a frozen table answers first, range by
+        // range; then the partitions are visited partition-major
+        // (`visit_partitions`).
+        if gen.frozen_len > 0 {
+            for &(p, j) in &s.pairs {
+                gen.frozen[p].range_runs(ranges[j], |run| f(j, run));
             }
-            if ti_populated {
-                visit_partitions(&gen, &mut s.pairs, &s.uniq, counters, emit);
-            }
+        }
+        if ti_populated {
+            visit_partitions(&gen, &mut s.pairs, ranges, counters, &mut f);
         }
         PROBE_SCRATCH.with(|cell| cell.replace(s));
     }
 
-    /// [`PimTree::probe_batch`] through `&mut self`, with the same counters:
-    /// a batch of one — every probe of the single-threaded operator — takes
-    /// [`PimTree::range_runs_mut`]'s lock-free path. A longer batch is
-    /// grouped as the shared tree groups it, through its locks, which nothing
-    /// else can be holding.
-    pub fn probe_batch_mut<F: FnMut(usize, &[Entry])>(
-        &mut self,
-        ranges: &[KeyRange],
-        counters: &mut ProbeCounters,
-        mut f: F,
-    ) {
-        let &[range] = ranges else {
-            return self.probe_batch(ranges, counters, f);
-        };
-        count_batch(counters, 1);
-        self.range_runs_mut(range, |run| f(0, run));
-    }
-
     /// Instrumented probe separating index traversal ("search") from leaf
-    /// scanning ("scan"), used by the Figure 9b experiment. It takes the path
-    /// of [`PimTree::range_runs`]: "search" is its one descent of `TS`, and
-    /// "scan" the rest — `TS`'s run, the partitions derived from the run's
-    /// end (a few divisions) and their runs.
+    /// scanning ("scan"), used by the Figure 9b experiment through the
+    /// single-threaded operator's exclusively owned tree. It takes the path
+    /// of [`PimTree::range_runs_mut`]: "search" is its one descent of `TS`,
+    /// and "scan" the rest — `TS`'s run, the partitions derived from the
+    /// run's end (a few divisions) and their runs, reached without locks.
     pub fn probe_with_breakdown(
-        &self,
-        range: KeyRange,
-        breakdown: &mut CostBreakdown,
-    ) -> Vec<Entry> {
-        let gen = self.current.read();
-        let (mut out, partitions, scan_start) = gen.probe_immutable_timed(range, breakdown);
-        for p in partitions {
-            gen.partitions[p]
-                .lock()
-                .run
-                .range_runs(range, |run| out.extend_from_slice(run));
-        }
-        breakdown.record(Step::Scan, scan_start.elapsed());
-        out
-    }
-
-    /// [`PimTree::probe_with_breakdown`] through `&mut self`: the same
-    /// entries and timers, the partitions scanned without their locks.
-    pub fn probe_with_breakdown_mut(
         &mut self,
         range: KeyRange,
         breakdown: &mut CostBreakdown,
     ) -> Vec<Entry> {
         let gen = self.current.get_mut();
-        let (mut out, partitions, scan_start) = gen.probe_immutable_timed(range, breakdown);
-        for p in partitions {
+        let search_start = Instant::now();
+        let (start, group) = gen.ts.lower_bound_with_group(Entry::min_for_key(range.lo));
+        breakdown.record(Step::Search, search_start.elapsed());
+
+        let scan_start = Instant::now();
+        let run = gen.ts.run_from(start, range.hi);
+        let span = gen.overlapped_partitions(range, group, start + run.len());
+        let mut out = run.to_vec();
+        for run in gen.frozen.get(span.clone()).unwrap_or_default() {
+            run.range_runs(range, |run| out.extend_from_slice(run));
+        }
+        for p in gen.ti_visits(span) {
             gen.partitions[p]
                 .state
                 .get_mut()
@@ -1284,7 +1192,7 @@ mod tests {
     /// them, in order, into the next generation's partitions.
     #[test]
     fn pending_inserts_after_install_are_visible() {
-        let t = merged_tree(512);
+        let mut t = merged_tree(512);
         for i in 0..64i64 {
             t.insert(i * 8, 512 + i as Seq);
         }
@@ -1400,38 +1308,55 @@ mod tests {
             KeyRange::new(0, 2000),    // everything
             KeyRange::point(300),
         ];
-        // Batch lengths around the group descent's lookahead of four, drawn
-        // from `ranges` in turn; the oracle is brute force.
-        let mut counters = ProbeCounters::default();
-        let mut dedup_hits = 0;
-        for len in [0usize, 1, 3, 4, 5, 64] {
-            let batch: Vec<KeyRange> = ranges.iter().copied().cycle().take(len).collect();
-            let mut batched: Vec<Vec<Entry>> = vec![Vec::new(); len];
-            t.probe_batch(&batch, &mut counters, |i, run| {
-                batched[i].extend_from_slice(run)
-            });
+        // Batches in any order: descending, and interleaved with duplicate
+        // and overlapping ranges.
+        let descending: Vec<KeyRange> = (0..12)
+            .rev()
+            .map(|i| KeyRange::new(i * 60, i * 60 + 50))
+            .collect();
+        let interleaved = [
+            KeyRange::new(400, 520),
+            KeyRange::new(10, 90),
+            KeyRange::new(400, 520), // duplicate, not adjacent
+            KeyRange::new(450, 460), // inside the first
+            KeyRange::new(80, 420),  // overlaps both
+            KeyRange::new(10, 90),
+            KeyRange::point(0),
+        ];
+        // Every range of a batch is checked against brute force.
+        let check = |t: &PimTree, batch: &[KeyRange], counters: &mut ProbeCounters| {
+            let mut batched: Vec<Vec<Entry>> = vec![Vec::new(); batch.len()];
+            t.probe_batch(batch, counters, |i, run| batched[i].extend_from_slice(run));
             for (range, got) in batch.iter().zip(&batched) {
                 let want = t.brute_force(*range);
-                assert_eq!(got, &want, "range {range:?}, batch length {len}");
+                assert_eq!(got, &want, "range {range:?}, batch {batch:?}");
             }
-            if len > 1 {
-                let mut unique = batch.clone();
-                unique.sort_unstable_by_key(|r| (r.lo, r.hi));
-                unique.dedup();
-                dedup_hits += (len - unique.len()) as u64;
-            }
+        };
+        // Batch lengths around the group descent's lookahead of four, drawn
+        // from `ranges` in turn.
+        let mut counters = ProbeCounters::default();
+        for len in [0usize, 1, 3, 4, 5, 64] {
+            let batch: Vec<KeyRange> = ranges.iter().copied().cycle().take(len).collect();
+            check(&t, &batch, &mut counters);
         }
         assert_eq!(counters.batches, 5, "an empty batch is not counted");
         assert_eq!(counters.batched_keys, 1 + 3 + 4 + 5 + 64);
         assert_eq!(counters.max_batch, 64);
-        assert_eq!(
-            counters.dedup_hits, dedup_hits,
-            "identical ranges share a descent"
-        );
         assert!(
             counters.nodes_prefetched > 0,
             "the group descent prefetches nodes of the populated TS"
         );
+        for batch in [&descending[..], &interleaved] {
+            check(&t, batch, &mut counters);
+        }
+        // Once more with a frozen table between TS and a fresh TI.
+        t.freeze();
+        for i in 700..760i64 {
+            t.insert((i * 7) % 700, i as Seq);
+        }
+        for batch in [&ranges[..], &descending, &interleaved] {
+            check(&t, batch, &mut counters);
+        }
     }
 
     #[test]
@@ -1452,7 +1377,7 @@ mod tests {
         let ranges = [
             KeyRange::new(0, 600),
             KeyRange::new(100, 700), // overlaps the first range's partitions
-            KeyRange::new(100, 700), // duplicate: shares the first's descent
+            KeyRange::new(100, 700), // duplicate
             KeyRange::new(1500, 2047), // disjoint partition interval
             KeyRange::new(-50, -1),  // below the domain
             KeyRange::point(650),
@@ -1543,7 +1468,7 @@ mod tests {
 
     #[test]
     fn probe_with_breakdown_matches_plain_probe() {
-        let t = PimTree::new(config(256, 1.0, 2));
+        let mut t = PimTree::new(config(256, 1.0, 2));
         for i in 0..256i64 {
             t.insert(i * 3, i as Seq);
         }
@@ -2825,7 +2750,7 @@ mod tests {
                         let mut ti_sorted = ti.to_vec();
                         ti_sorted.sort_unstable();
                         for depth in 0..=4 {
-                            let t = tree_of(fanout, leaf, depth, ts, ti);
+                            let mut t = tree_of(fanout, leaf, depth, ts, ti);
                             let what = format!("fan-out {fanout}, leaf {leaf}, {levels} levels, depth {depth}");
                             let gen = t.current.read();
                             prop_assert_eq!(gen.ts.inner_levels(), levels as usize, "{}", what);
@@ -2885,60 +2810,52 @@ mod tests {
             ])
         }
 
-        /// `range`'s runs through each scalar probe entry point of the
-        /// locked form: `range_runs`, a batch of one, and the instrumented
-        /// probe (its entries as one run).
-        fn locked_runs(
-            t: &PimTree,
-            range: KeyRange,
-            counters: &mut ProbeCounters,
-        ) -> [Vec<Vec<Entry>>; 3] {
+        /// `range`'s runs through each probe entry point of the locked form:
+        /// `range_runs` and a batch of one.
+        fn locked_runs(t: &PimTree, range: KeyRange) -> [Vec<Vec<Entry>>; 2] {
             let mut scalar = Vec::new();
             t.range_runs(range, |run| scalar.push(run.to_vec()));
             let mut batch = Vec::new();
-            t.probe_batch(&[range], counters, |_, run| batch.push(run.to_vec()));
-            let timed = t.probe_with_breakdown(range, &mut CostBreakdown::new());
-            [scalar, batch, vec![timed]]
+            let mut counters = ProbeCounters::default();
+            t.probe_batch(&[range], &mut counters, |_, run| batch.push(run.to_vec()));
+            [scalar, batch]
         }
 
-        /// [`locked_runs`] through the exclusive form.
-        fn exclusive_runs(
-            t: &mut PimTree,
-            range: KeyRange,
-            counters: &mut ProbeCounters,
-        ) -> [Vec<Vec<Entry>>; 3] {
+        /// `range`'s runs through each probe entry point of the exclusive
+        /// form: `range_runs_mut` and the instrumented probe (its entries
+        /// as one run).
+        fn exclusive_runs(t: &mut PimTree, range: KeyRange) -> [Vec<Vec<Entry>>; 2] {
             let mut scalar = Vec::new();
             t.range_runs_mut(range, |run| scalar.push(run.to_vec()));
-            let mut batch = Vec::new();
-            t.probe_batch_mut(&[range], counters, |_, run| batch.push(run.to_vec()));
-            let timed = t.probe_with_breakdown_mut(range, &mut CostBreakdown::new());
-            [scalar, batch, vec![timed]]
+            let timed = t.probe_with_breakdown(range, &mut CostBreakdown::new());
+            [scalar, vec![timed]]
         }
 
-        /// Probes both twins for `range` through every scalar entry point
-        /// and asserts the same runs and the same running counters.
-        fn probe_both(
-            exclusive: &mut PimTree,
-            locked: &PimTree,
-            counters: &mut [ProbeCounters; 2],
-            range: KeyRange,
-        ) {
-            let want = locked_runs(locked, range, &mut counters[1]);
-            let got = exclusive_runs(exclusive, range, &mut counters[0]);
-            assert_eq!(got, want, "{range:?}");
-            assert_eq!(counters[0], counters[1], "{range:?}");
+        /// Probes both twins for `range` through every entry point and
+        /// asserts the same runs: the locked form's scalar runs are its
+        /// batch of one's and the exclusive form's, and the instrumented
+        /// probe returns their entries.
+        fn probe_both(exclusive: &mut PimTree, locked: &PimTree, range: KeyRange) {
+            let [scalar, batch] = locked_runs(locked, range);
+            let [runs, timed] = exclusive_runs(exclusive, range);
+            assert_eq!(batch, scalar, "batch of one {range:?}");
+            assert_eq!(runs, scalar, "range_runs_mut {range:?}");
+            assert_eq!(
+                timed,
+                vec![scalar.concat()],
+                "probe_with_breakdown {range:?}"
+            );
         }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(32))]
 
             /// The exclusive form is the locked form without its locks: two
-            /// twins, one driven through the `_mut` operations and one
+            /// twins, one driven through the `&mut self` operations and one
             /// through the shared ones, stay the same tree through one random
             /// sequence of inserts, probes and merges. Every probe returns
-            /// the same runs with the same counters, every insert the same
-            /// merge-due answer, and the per-partition insert counters agree
-            /// after every step. The sequence opens on an empty tree and
+            /// the same runs, every insert the same merge-due answer, and the
+            /// per-partition insert counters agree after every step. The sequence opens on an empty tree and
             /// fills the `TS`-less first generation's one partition past
             /// `RUN_PROMOTE_LEN` (merge threshold 512), probing as it goes.
             #[test]
@@ -2952,11 +2869,10 @@ mod tests {
                 let w = 2048usize;
                 let cfg = config(w, 0.25, 2);
                 let (mut exclusive, locked) = (PimTree::new(cfg), PimTree::new(cfg));
-                let mut counters = [ProbeCounters::default(), ProbeCounters::default()];
                 let full = KeyRange::new(Key::MIN, Key::MAX);
                 let mut seq: Seq = 0;
                 let mut promoted = false;
-                probe_both(&mut exclusive, &locked, &mut counters, full);
+                probe_both(&mut exclusive, &locked, full);
                 for chunk in prefill.chunks(16) {
                     let batch: Vec<(Key, Seq)> = chunk
                         .iter()
@@ -2970,7 +2886,6 @@ mod tests {
                     probe_both(
                         &mut exclusive,
                         &locked,
-                        &mut counters,
                         KeyRange::new(chunk[0].min(0), chunk[0].max(0)),
                     );
                 }
@@ -2995,15 +2910,17 @@ mod tests {
                             prop_assert_eq!(exclusive.needs_merge_mut(), locked.needs_merge());
                             prop_assert_eq!(due, exclusive.needs_merge_mut());
                         }
-                        5..=7 => probe_both(&mut exclusive, &locked, &mut counters, range),
+                        5..=7 => probe_both(&mut exclusive, &locked, range),
                         8 => {
                             let ranges = [range, full];
                             let mut want = vec![Vec::new(); 2];
-                            locked.probe_batch(&ranges, &mut counters[1], |i, run| want[i].push(run.to_vec()));
+                            let mut counters = ProbeCounters::default();
+                            locked.probe_batch(&ranges, &mut counters, |i, run| want[i].push(run.to_vec()));
                             let mut got = vec![Vec::new(); 2];
-                            exclusive.probe_batch_mut(&ranges, &mut counters[0], |i, run| got[i].push(run.to_vec()));
+                            for (runs, &range) in got.iter_mut().zip(&ranges) {
+                                exclusive.range_runs_mut(range, |run| runs.push(run.to_vec()));
+                            }
                             prop_assert_eq!(got, want);
-                            prop_assert_eq!(counters[0], counters[1]);
                         }
                         _ => {}
                     }
@@ -3021,7 +2938,7 @@ mod tests {
                     prop_assert_eq!(exclusive.insert_histogram(), locked.insert_histogram());
                 }
                 prop_assert!(promoted);
-                probe_both(&mut exclusive, &locked, &mut counters, full);
+                probe_both(&mut exclusive, &locked, full);
                 prop_assert_eq!(exclusive.sorted_entries(), locked.sorted_entries());
             }
         }

@@ -439,10 +439,10 @@ mod tests {
         assert_eq!(canonical(&results), expected);
     }
 
-    /// Every tuple's probe goes through `probe_runs` as a batch of one: the
-    /// PIM-Tree answers it with its exclusive form's lock-free scalar
-    /// descent, counted as a batch, every other backend with its scalar
-    /// probe, counted as one. Both agree with the oracle.
+    /// Every tuple's probe goes through `probe_runs` as a batch of one, and
+    /// every backend answers it with its scalar probe, counted as one — the
+    /// PIM-Tree with its exclusive form's lock-free descent. All agree with
+    /// the oracle.
     #[test]
     fn batched_and_scalar_probe_paths_agree_for_every_index_kind() {
         let tuples = random_tuples(2500, 60, 15); // small domain: many dup keys
@@ -459,17 +459,12 @@ mod tests {
             let mut batched = build_single_threaded(&config_with(kind, w), predicate, false);
             let (batched_stats, batched_results) = batched.run(&tuples, true);
             assert_eq!(canonical(&batched_results), expected, "batched {kind}");
-            match kind {
-                IndexKind::PimTree => {
-                    assert_eq!(batched_stats.probe.batches, tuples.len() as u64);
-                    assert_eq!(batched_stats.probe.scalar_probes, 0);
-                }
-                _ => assert_eq!(
-                    batched_stats.probe.scalar_probes,
-                    tuples.len() as u64,
-                    "{kind} has no batched path and falls back per probe"
-                ),
-            }
+            assert_eq!(
+                batched_stats.probe.scalar_probes,
+                tuples.len() as u64,
+                "{kind} answers each probe through its scalar path"
+            );
+            assert_eq!(batched_stats.probe.batches, 0, "{kind}");
         }
     }
 

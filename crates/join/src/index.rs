@@ -10,7 +10,7 @@
 //! their own locks, while the B+-Tree, the chained index, the IM-Tree and
 //! the operator's PIM-Tree — the "no concurrency control" baselines of
 //! figs 8–10 — sit in a [`RefCell`], which takes neither a lock nor an
-//! atomic. A `RefCell<PimTree>` runs the tree's `_mut` forms, which
+//! atomic. A `RefCell<PimTree>` runs the tree's `&mut self` forms, which
 //! reach its partitions through `get_mut`; the engine's store keeps the
 //! locked, `Sync` tree.
 //!
@@ -73,7 +73,7 @@ pub trait WindowIndex: Any {
     /// those of each range in the order [`WindowIndex::probe`] delivers them.
     ///
     /// The default answers each range through the scalar probe, counted in
-    /// `counters.scalar_probes`. The PIM-Tree overrides it with its
+    /// `counters.scalar_probes`. The shared PIM-Tree overrides it with its
     /// prefetched CSS-Tree group descent and batched partition routing, one
     /// mutable-partition lock per partition and call.
     fn probe_runs(
@@ -291,17 +291,15 @@ impl WindowIndex for PimTree {
     fn sorted_entries(&self) -> Vec<Entry> {
         PimTree::sorted_entries(self)
     }
-
-    fn probe_instrumented(&self, range: KeyRange, breakdown: &mut CostBreakdown) -> Vec<Entry> {
-        self.probe_with_breakdown(range, breakdown)
-    }
 }
 
 /// The PIM-Tree owned by one thread: the single-threaded operator's index.
-/// Every per-tuple call goes through the tree's `_mut` forms — the same
-/// routes, runs and merge-due answers as the shared tree's, with no lock
-/// and no atomic read-modify-write. The `RefCell` is `!Sync`, so such a
-/// tree cannot be shared.
+/// Every per-tuple call goes through the tree's `&mut self` forms — the
+/// same routes, runs and merge-due answers as the shared tree's, with no
+/// lock and no atomic read-modify-write. The operator probes one range at
+/// a time, so a batch is answered through the scalar probe (the
+/// [`WindowIndex::probe_runs`] default). The `RefCell` is `!Sync`, so such
+/// a tree cannot be shared.
 impl WindowIndex for RefCell<PimTree> {
     fn name(&self) -> &'static str {
         "pim-tree"
@@ -315,15 +313,6 @@ impl WindowIndex for RefCell<PimTree> {
         self.borrow_mut().range_runs_mut(range, f);
     }
 
-    fn probe_runs(
-        &self,
-        ranges: &[KeyRange],
-        counters: &mut ProbeCounters,
-        f: &mut dyn FnMut(usize, &[Entry]),
-    ) {
-        self.borrow_mut().probe_batch_mut(ranges, counters, f);
-    }
-
     fn needs_merge(&self) -> bool {
         self.borrow_mut().needs_merge_mut()
     }
@@ -333,7 +322,7 @@ impl WindowIndex for RefCell<PimTree> {
     }
 
     fn probe_instrumented(&self, range: KeyRange, breakdown: &mut CostBreakdown) -> Vec<Entry> {
-        self.borrow_mut().probe_with_breakdown_mut(range, breakdown)
+        self.borrow_mut().probe_with_breakdown(range, breakdown)
     }
 }
 
@@ -658,16 +647,17 @@ mod tests {
                 }
             }
         }
-        // The PIM-Tree routes the batch through the real group probe.
+        // The shared PIM-Tree routes the batch through the real group probe.
         let mut counters = ProbeCounters::default();
         WindowIndex::probe_runs(&PimTree::new(pim), &ranges, &mut counters, &mut |_, _| {});
         assert_eq!(counters.batches, 1);
         assert_eq!(counters.scalar_probes, 0);
     }
 
-    /// The backends without a group probe answer a batch one range at a time
-    /// through their scalar probe, and count each; the PIM-Tree answers
-    /// overlapping ranges with shared mutable-partition locks.
+    /// The backends without a group probe — the operator's exclusively owned
+    /// PIM-Tree among them — answer a batch one range at a time through their
+    /// scalar probe, and count each; the shared PIM-Tree answers overlapping
+    /// ranges with shared mutable-partition locks.
     #[test]
     fn scalar_ranges_probe_matches_scalar_probe_for_every_backend() {
         let pim = PimConfig::for_window(256).with_insertion_depth(2);
@@ -689,7 +679,7 @@ mod tests {
                 index.probe(*range, &mut |run| scalar.extend_from_slice(run));
                 assert_eq!(got, &scalar, "{} range {range:?}", index.name());
             }
-            if index.name() == "pim-tree" {
+            if (index.as_ref() as &dyn Any).is::<PimTree>() {
                 assert_eq!(counters.scalar_probes, 0);
                 assert!(counters.ti_range_visits > 0);
                 assert!(counters.ti_partition_locks < counters.ti_range_visits);

@@ -36,11 +36,12 @@
 //! arrival order (see `pimtree-workload`) and produce band-join results in
 //! arrival order.
 //!
-//! Result generation in both engines goes through the **batched CSS group
-//! probe** (`PimTree::probe_batch`): a task's probe keys are sorted,
-//! deduplicated and resolved by one software-prefetched level-wise descent
-//! of the immutable index instead of one root-to-leaf walk per tuple; the
-//! single-threaded operator's batch of one is the scalar descent.
+//! Result generation in the parallel engine goes through the **batched CSS
+//! group probe** (`PimTree::probe_batch`): a task's probe keys, sorted once
+//! by the engine, are resolved by one software-prefetched level-wise descent
+//! of the immutable index instead of one root-to-leaf walk per tuple. The
+//! single-threaded operator probes one tuple at a time through the scalar
+//! descent.
 
 #![warn(missing_docs)]
 

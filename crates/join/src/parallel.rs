@@ -12,8 +12,8 @@
 //! 2. **generates results** by probing the opposite index for the already
 //!    indexed window prefix and linearly scanning the window suffix past the
 //!    *edge tuple* (the earliest non-indexed tuple) — the task's probe keys
-//!    are sorted, deduplicated and answered with one software-prefetched
-//!    CSS-Tree group descent per side; the answers arrive as sorted runs
+//!    are sorted and answered with one software-prefetched CSS-Tree group
+//!    descent per side; the answers arrive as sorted runs
 //!    of index entries, which `generate` filters to each tuple's live window
 //!    and either counts or materialises, decided once per batch,
 //! 3. **publishes results** with one release store per slot (no lock), and
@@ -1080,9 +1080,10 @@ fn generate(
     local: &mut JoinRunStats,
 ) {
     // One sort of the batch by key: each side's probe ranges then arrive
-    // ordered by `(lo, hi)` — `probe_range` is monotone in the key — and the
-    // index probe, its partition visit and the suffix scan each find them
-    // sorted with one linear check instead of sorting them again. The index
+    // ordered by `(lo, hi)` — `probe_range` is monotone in the key — so the
+    // index probe's group descent visits nodes left to right, and its
+    // partition visit and the suffix scan find them sorted with one linear
+    // check instead of sorting them again. The index
     // update after it inserts in key order too, and the slots below complete
     // in key order.
     scratch.items.sort_unstable_by_key(|task| task.tuple.key);
@@ -2295,7 +2296,7 @@ mod tests {
     }
 
     /// Duplicate-heavy keys: a tiny key domain makes many probe ranges in a
-    /// task identical, exercising the sort/dedup path of the group probe.
+    /// task identical, and the group probe answers each as given.
     #[test]
     fn batched_probe_with_duplicate_keys_matches_reference() {
         let tuples = random_tuples(5000, 12, 82);
@@ -2310,12 +2311,8 @@ mod tests {
                 false,
             )
             .with_collected_results(true);
-            let (stats, results) = op.run(&tuples);
+            let (_, results) = op.run(&tuples);
             assert_eq!(canonical(&results), expected, "{policy:?}");
-            assert!(
-                stats.probe.dedup_hits > 0,
-                "a 12-key domain must produce duplicate probe ranges in a task of 8"
-            );
         }
     }
 

@@ -50,8 +50,10 @@ pub struct JoinRunStats {
     /// Task-ring acquisition / contention counters (parallel operator only),
     /// summed over all workers.
     pub ring: RingCounters,
-    /// Batched-probe counters (batch sizes, dedup hits, nodes prefetched),
-    /// summed over all workers. All zero when the scalar probe path is used.
+    /// Probe counters (batch sizes, nodes prefetched, mutable-partition lock
+    /// grouping, scalar probes), summed over all workers. Only
+    /// `scalar_probes` counts when an index without a group probe answers —
+    /// every index of the single-threaded operator, its PIM-Tree included.
     pub probe: ProbeCounters,
     /// Sharded-ring counters (home-shard claims, cross-shard steals),
     /// summed over all workers. With one shard the claim accounting is still
@@ -692,7 +694,6 @@ mod tests {
         a.probe.batches = 2;
         a.probe.batched_keys = 10;
         a.probe.max_batch = 6;
-        a.probe.dedup_hits = 1;
         let mut b = JoinRunStats::default();
         b.probe.batches = 3;
         b.probe.batched_keys = 10;
@@ -704,9 +705,7 @@ mod tests {
         assert_eq!(a.probe.max_batch, 6, "max, not sum");
         assert_eq!(a.probe.nodes_prefetched, 7);
         assert!((a.probe.mean_batch_size() - 4.0).abs() < 1e-9);
-        assert!((a.probe.dedup_rate() - 0.05).abs() < 1e-9);
         assert_eq!(ProbeCounters::default().mean_batch_size(), 0.0);
-        assert_eq!(ProbeCounters::default().dedup_rate(), 0.0);
     }
 
     #[test]
@@ -721,7 +720,6 @@ mod tests {
             s.probe.batches = w;
             s.probe.batched_keys = 10 * w;
             s.probe.max_batch = 4 + w;
-            s.probe.dedup_hits = w;
             s.probe.nodes_prefetched = 100 * w;
             s.probe.scalar_probes = w;
             s.probe.ti_partition_locks = 2 * w;
@@ -736,7 +734,6 @@ mod tests {
         assert_eq!(total.probe.batches, 6);
         assert_eq!(total.probe.batched_keys, 60);
         assert_eq!(total.probe.max_batch, 7, "max, not sum");
-        assert_eq!(total.probe.dedup_hits, 6);
         assert_eq!(total.probe.nodes_prefetched, 600);
         assert_eq!(total.probe.scalar_probes, 6);
         assert_eq!(total.probe.ti_partition_locks, 12);

@@ -93,8 +93,8 @@ fn all_operators_agree_on_the_same_workload() {
 #[test]
 fn batched_and_scalar_probe_agree_end_to_end() {
     // The batched, prefetched CSS group probe is a pure performance
-    // optimisation: the single-threaded operator's batches of one (the
-    // scalar descent) and the parallel engine's batches — around the group
+    // optimisation: the single-threaded operator's probes, one at a time
+    // (the scalar descent), and the parallel engine's batches — around the group
     // descent's lookahead of four and far past it — must all give the
     // oracle's result set.
     let w = 160usize;
@@ -112,7 +112,11 @@ fn batched_and_scalar_probe_agree_end_to_end() {
     let mut st = build_single_threaded(&config, predicate, false);
     let (stats, results) = st.run(&tuples, true);
     assert_eq!(canonical(&results), expected, "single-threaded");
-    assert_eq!(stats.probe.max_batch, 1, "one probe at a time");
+    assert_eq!(
+        (stats.probe.scalar_probes, stats.probe.max_batch),
+        (tuples.len() as u64, 0),
+        "one probe at a time"
+    );
     for threads in [1usize, 4] {
         for task in [1usize, 3, 4, 5, 64] {
             // A task per worker in the ring: no claim, so no batch side, is
